@@ -43,7 +43,7 @@ from .experiments import (
     scenario_names,
     tight_family,
 )
-from .greedy import GreedyTrace, blocker, greedy_allocate, greedy_payments, run_greedy
+from .greedy import GreedyTrace, blocker, greedy_allocate, run_greedy
 from .model import (
     Allocation,
     AuctionInstance,
@@ -99,7 +99,6 @@ __all__ = [
     "find_profitable_deviation",
     "greedy_allocate",
     "greedy_mechanism",
-    "greedy_payments",
     "gva_mechanism",
     "norm_compare",
     "optimal_allocation",

@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import Callable, Iterable, Optional, Sequence
 
 from .errors import BundleSpaceTooLarge, NonMonotoneDetected, TiesPresent
-from .model import AuctionInstance, Outcome, SingleMindedBid
+from .model import AuctionInstance, Outcome, SingleMindedBid, bidder_utility
 from .money import Money
 from .norm import NormConfig, TieRule, bundle_ratio_power, rank
 from . import exact as _exact
@@ -34,7 +34,8 @@ class Mechanism:
     j's outcome may change (used for exact critical values); norm-based
     mechanisms provide it, plugged mechanisms may leave it None and fall back
     to growth-and-bisection probing.  `deviation_thresholds` is the analogue
-    for a hypothetical bundle.
+    for a hypothetical bundle.  `norm` is the ranking norm of a norm-based
+    mechanism.
     """
 
     name: str
@@ -43,7 +44,7 @@ class Mechanism:
     deviation_thresholds: Optional[
         Callable[[AuctionInstance, int, frozenset], Sequence[Money]]
     ] = None
-    norm_exponent: Optional[Fraction] = None
+    norm: Optional[NormConfig] = None
 
 
 def _crossing_values(instance: AuctionInstance, j: int, size: int, exponent: Fraction):
@@ -55,33 +56,29 @@ def _crossing_values(instance: AuctionInstance, j: int, size: int, exponent: Fra
     return out
 
 
-def greedy_mechanism(cfg: NormConfig) -> Mechanism:
+def _norm_mechanism(
+    name: str, run: Callable[[AuctionInstance], Outcome], cfg: NormConfig
+) -> Mechanism:
+    """A mechanism allocating greedily by cfg's norm, so its thresholds are norm crossings."""
     return Mechanism(
-        name="greedy",
-        run=lambda inst: run_greedy(inst, cfg),
+        name=name,
+        run=run,
         value_thresholds=lambda inst, j: _crossing_values(
             inst, j, len(inst.bids[j].bundle), cfg.exponent
         ),
         deviation_thresholds=lambda inst, j, bundle: _crossing_values(
             inst, j, len(bundle), cfg.exponent
         ),
-        norm_exponent=cfg.exponent,
+        norm=cfg,
     )
+
+
+def greedy_mechanism(cfg: NormConfig) -> Mechanism:
+    return _norm_mechanism("greedy", lambda inst: run_greedy(inst, cfg), cfg)
 
 
 def clarke_greedy_mechanism(cfg: NormConfig) -> Mechanism:
-    # same allocation as greedy, so the same value thresholds apply
-    return Mechanism(
-        name="clarke-greedy",
-        run=lambda inst: _exact.clarke_with_greedy(inst, cfg),
-        value_thresholds=lambda inst, j: _crossing_values(
-            inst, j, len(inst.bids[j].bundle), cfg.exponent
-        ),
-        deviation_thresholds=lambda inst, j, bundle: _crossing_values(
-            inst, j, len(bundle), cfg.exponent
-        ),
-        norm_exponent=cfg.exponent,
-    )
+    return _norm_mechanism("clarke-greedy", lambda inst: _exact.clarke_with_greedy(inst, cfg), cfg)
 
 
 def gva_mechanism(solver: _exact.SolverKind) -> Mechanism:
@@ -102,6 +99,15 @@ def gva_mechanism(solver: _exact.SolverKind) -> Mechanism:
         value_thresholds=None,
         deviation_thresholds=deviation_thresholds,
     )
+
+
+#: Mechanism name -> constructor taking the norm and the exact solver; a
+#: constructor ignores the one its mechanism does not use.
+MECHANISMS: dict[str, Callable[[NormConfig, _exact.SolverKind], Mechanism]] = {
+    "greedy": lambda cfg, solver: greedy_mechanism(cfg),
+    "gva": lambda cfg, solver: gva_mechanism(solver),
+    "clarke-greedy": lambda cfg, solver: clarke_greedy_mechanism(cfg),
+}
 
 
 @dataclass(frozen=True)
@@ -327,9 +333,9 @@ def _tie_free_perturbation(rng, mech, inst, j, attempts: int = 20):
             bump = 1 + Fraction(rng.randint(1, 10 ** 6), 10 ** 6)
             new_bid = bid.with_amount(bid.amount * bump)
         new_inst = inst.with_bid(j, new_bid)
-        if mech.norm_exponent is not None:
+        if mech.norm is not None:
             try:
-                rank(new_inst, NormConfig(mech.norm_exponent, TieRule.REJECT))
+                rank(new_inst, NormConfig(mech.norm.exponent, TieRule.REJECT))
             except TiesPresent:
                 continue
         return new_inst, new_bid
@@ -411,29 +417,26 @@ class DeviationReport:
 
 
 def _candidate_values(thresholds: Sequence[Money], true_amount: Money) -> list[Money]:
+    """Zero, the true amount, and one probe on each side of every threshold.
+
+    Fractions stand in for rational Money, which is faster; zero and one take
+    the values' type so that equal candidates collapse in the set.
+    """
     if true_amount.is_rational and all(t.is_rational for t in thresholds):
-        candidates = {Fraction(0), true_amount.as_fraction()}
-        ts = sorted({t.as_fraction() for t in thresholds if t >= 0})
-        for i, t in enumerate(ts):
-            left_gap = t - ts[i - 1] if i > 0 else t
-            right_gap = ts[i + 1] - t if i + 1 < len(ts) else (t if t > 0 else Fraction(1))
-            below = t - left_gap * PROBE_SCALE
-            if below >= 0:
-                candidates.add(below)
-            candidates.add(t + right_gap * PROBE_SCALE)
-        return [Money(v) for v in sorted(candidates)]
-    zero = Money(0)
-    candidates = {zero, true_amount}
-    ts = sorted({t for t in thresholds if t.sign() >= 0})
+        values = [t.as_fraction() for t in thresholds]
+        true_value, zero, one = true_amount.as_fraction(), Fraction(0), Fraction(1)
+    else:
+        values, true_value, zero, one = thresholds, true_amount, Money(0), Money(1)
+    candidates = {zero, true_value}
+    ts = sorted({t for t in values if t >= zero})
     for i, t in enumerate(ts):
         left_gap = t - ts[i - 1] if i > 0 else t
-        right_gap = ts[i + 1] - t if i + 1 < len(ts) else (t if t.sign() > 0 else Money(1))
+        right_gap = ts[i + 1] - t if i + 1 < len(ts) else (t if t > zero else one)
         below = t - left_gap * PROBE_SCALE
-        above = t + right_gap * PROBE_SCALE
-        if below.sign() >= 0:
+        if below >= zero:
             candidates.add(below)
-        candidates.add(above)
-    return sorted(candidates)
+        candidates.add(t + right_gap * PROBE_SCALE)
+    return [Money(v) for v in sorted(candidates)]
 
 
 def find_profitable_deviation(
@@ -453,9 +456,7 @@ def find_profitable_deviation(
     base = instance.without_true_types()
 
     def utility(out: Outcome) -> Money:
-        granted = out.allocation.bundle_granted(j)
-        value = true_type.amount if true_type.bundle <= granted else Money(0)
-        return value - out.payments[j]
+        return bidder_utility(true_type, out.allocation.bundle_granted(j), out.payments[j])
 
     truthful_bid = SingleMindedBid(
         declared.bidder, true_type.bundle, true_type.amount, declared.is_reserve

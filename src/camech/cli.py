@@ -17,15 +17,14 @@ from fractions import Fraction
 
 from . import documents
 from .axioms import (
+    MECHANISMS,
     AxiomCheck,
+    Mechanism,
     check_critical,
     check_exactness,
     check_monotonicity,
     check_participation,
-    clarke_greedy_mechanism,
     find_profitable_deviation,
-    greedy_mechanism,
-    gva_mechanism,
 )
 from .errors import (
     BundleSpaceTooLarge,
@@ -37,7 +36,7 @@ from .errors import (
     TooManyTieOrders,
     UnknownScenario,
 )
-from .exact import SolverKind, clarke_with_greedy, optimal_allocation, run_gva
+from .exact import SolverKind, optimal_allocation
 from .experiments import (
     ratio_experiment,
     random_instance,
@@ -46,8 +45,8 @@ from .experiments import (
     scenario,
     tight_family,
 )
-from .greedy import greedy_allocate, run_greedy
-from .model import MAX_GOODS, allocation_value, validate_instance
+from .greedy import greedy_allocate
+from .model import allocation_value, validate_instance
 from .money import Money
 from .norm import NormConfig, TieRule
 
@@ -88,22 +87,13 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--output", default=None, help="output file (default: stdout)")
 
     run_p = sub.add_parser("run", help="run one mechanism over an instance")
-    add_common(run_p)
-    run_p.add_argument(
-        "--mechanism", choices=("greedy", "gva", "clarke-greedy"), default="greedy"
-    )
-    run_p.add_argument("--norm-exponent", type=_fraction, default=Fraction(1))
-    run_p.add_argument("--tie-rule", choices=("canonical", "reject"), default="canonical")
-    run_p.add_argument("--solver", choices=("dp", "brute"), default="dp")
-
     check_p = sub.add_parser("check", help="check axioms and search for misreports")
-    add_common(check_p)
-    check_p.add_argument(
-        "--mechanism", choices=("greedy", "gva", "clarke-greedy"), default="greedy"
-    )
-    check_p.add_argument("--norm-exponent", type=_fraction, default=Fraction(1))
-    check_p.add_argument("--tie-rule", choices=("canonical", "reject"), default="canonical")
-    check_p.add_argument("--solver", choices=("dp", "brute"), default="dp")
+    for p in (run_p, check_p):
+        add_common(p)
+        p.add_argument("--mechanism", choices=tuple(MECHANISMS), default="greedy")
+        p.add_argument("--norm-exponent", type=_fraction, default=Fraction(1))
+        p.add_argument("--tie-rule", choices=("canonical", "reject"), default="canonical")
+        p.add_argument("--solver", choices=("dp", "brute"), default="dp")
     check_p.add_argument(
         "--axioms",
         default="all",
@@ -169,43 +159,20 @@ class _Invalid(Exception):
         self.violations = violations
 
 
-def _norm_config(args) -> NormConfig:
-    return NormConfig(args.norm_exponent, TieRule(args.tie_rule))
-
-
-def _solver(args) -> SolverKind:
-    return SolverKind(args.solver)
+def _flag_mechanism(args) -> Mechanism:
+    cfg = NormConfig(args.norm_exponent, TieRule(args.tie_rule))
+    return MECHANISMS[args.mechanism](cfg, SolverKind(args.solver))
 
 
 def _cmd_run(args) -> tuple[dict, int]:
     instance = _load_valid_instance(args)
-    cfg = _norm_config(args)
-    if args.mechanism == "greedy":
-        outcome = run_greedy(instance, cfg)
-        doc = documents.outcome_document(instance, outcome, mechanism="greedy", cfg=cfg)
-    elif args.mechanism == "clarke-greedy":
-        outcome = clarke_with_greedy(instance, cfg)
-        doc = documents.outcome_document(instance, outcome, mechanism="clarke-greedy", cfg=cfg)
-    else:
-        outcome = run_gva(instance, _solver(args))
-        doc = documents.outcome_document(
-            instance, outcome, mechanism="gva", solver=args.solver
-        )
-    return doc, EXIT_OK
-
-
-def _mechanism(args, cfg):
-    if args.mechanism == "greedy":
-        return greedy_mechanism(cfg)
-    if args.mechanism == "clarke-greedy":
-        return clarke_greedy_mechanism(cfg)
-    return gva_mechanism(_solver(args))
+    mech = _flag_mechanism(args)
+    return documents.outcome_document(instance, mech.run(instance), mech), EXIT_OK
 
 
 def _cmd_check(args) -> tuple[dict, int]:
     instance = _load_valid_instance(args)
-    cfg = _norm_config(args)
-    mech = _mechanism(args, cfg)
+    mech = _flag_mechanism(args)
     seed = args.seed if args.seed is not None else _default_seed()
     if args.axioms == "all":
         selected = list(AXIOM_NAMES)
@@ -234,7 +201,7 @@ def _cmd_check(args) -> tuple[dict, int]:
     doc = {
         "mechanism": mech.name,
         "seed": seed,
-        "checks": [_check_entry(instance, c) for c in checks],
+        "checks": [documents.check_document(c) for c in checks],
     }
     if args.deviations:
         deviations = []
@@ -250,22 +217,7 @@ def _cmd_check(args) -> tuple[dict, int]:
     return doc, EXIT_OK if ok else EXIT_CHECK_FAILED
 
 
-def _check_entry(instance, check: AxiomCheck) -> dict:
-    entry = {"axiom": check.axiom, "verdict": check.verdict, "samples": check.samples}
-    if check.detail:
-        entry["detail"] = check.detail
-    if check.witness is not None:
-        entry["witness"] = {
-            "description": check.witness.description,
-            "bid": check.witness.bid_index,
-            "instance": documents.instance_document(check.witness.instance),
-        }
-    return entry
-
-
 def _cmd_gen(args) -> tuple[dict, int]:
-    if args.goods > MAX_GOODS:
-        raise InstanceTooLarge(f"at most {MAX_GOODS} goods are supported")
     seed = args.seed if args.seed is not None else _default_seed()
     instance = random_instance(
         args.goods, args.bids, seed=seed, bundle_prob=args.bundle_prob

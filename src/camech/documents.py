@@ -10,12 +10,12 @@ from __future__ import annotations
 import json
 from typing import Any, Mapping, Optional
 
-from .axioms import AxiomReport, DeviationReport
+from .axioms import AxiomCheck, DeviationReport, Mechanism
 from .errors import ParseError
 from .experiments import RatioStats, ReproRow, TieOrderComparison
 from .model import AuctionInstance, Outcome, SingleMindedBid, Violation
 from .money import Money, fraction_to_decimal, parse_decimal
-from .norm import NormConfig, RankedList
+from .norm import RankedList
 
 SIGNIFICANT_DIGITS = 12
 
@@ -130,14 +130,10 @@ def instance_document(instance: AuctionInstance) -> dict:
 # --------------------------------------------------------------------------
 
 
-def outcome_document(
-    instance: AuctionInstance,
-    outcome: Outcome,
-    *,
-    mechanism: str,
-    cfg: Optional[NormConfig] = None,
-    solver: Optional[str] = None,
-) -> dict:
+def outcome_document(instance: AuctionInstance, outcome: Outcome, mech: Mechanism) -> dict:
+    """What `mech` granted, charged and denied; its norm or its solver from `outcome.meta`."""
+    cfg = mech.norm
+    meta = outcome.meta or {}
     trace = outcome.trace
     ranking: Optional[RankedList] = getattr(trace, "ranking", None)
     blocked_by = getattr(trace, "blocked_by", {}) or {}
@@ -161,19 +157,18 @@ def outcome_document(
                 }
             )
     doc: dict[str, Any] = {
-        "mechanism": mechanism,
+        "mechanism": mech.name,
         "norm_exponent": str(cfg.exponent) if cfg else None,
         "tie_rule": cfg.tie_rule.value if cfg else None,
         "granted": granted,
         "denied": denied,
         "revenue": money_text(outcome.revenue),
     }
-    if solver is not None:
-        doc["solver"] = solver
+    if "solver" in meta:
+        doc["solver"] = meta["solver"]
     if ranking is not None:
         doc["had_ties"] = ranking.had_ties
-    if outcome.meta:
-        doc.update({k: v for k, v in outcome.meta.items() if k != "solver"})
+    doc.update({k: v for k, v in meta.items() if k != "solver"})
     if outcome.utilities is not None:
         doc["utilities"] = {
             instance.bids[j].bidder: money_text(u)
@@ -197,26 +192,19 @@ def error_document(kind: str, message: str) -> dict:
     return {"error": {"kind": kind, "message": message}}
 
 
-def axiom_report_document(report: AxiomReport) -> dict:
-    checks = []
-    for c in report.checks:
-        entry: dict[str, Any] = {"axiom": c.axiom, "verdict": c.verdict, "samples": c.samples}
-        if c.detail:
-            entry["detail"] = c.detail
-        if c.witness is not None:
-            entry["witness"] = {
-                "description": c.witness.description,
-                "bid": c.witness.bid_index,
-                "instance": instance_document(c.witness.instance),
-            }
-        checks.append(entry)
-    return {
-        "mechanism": report.mechanism,
-        "seed": report.seed,
-        "instances": report.instances,
-        "checks": checks,
-        "all_hold": report.all_hold,
+def check_document(check: AxiomCheck) -> dict:
+    entry: dict[str, Any] = {
+        "axiom": check.axiom, "verdict": check.verdict, "samples": check.samples
     }
+    if check.detail:
+        entry["detail"] = check.detail
+    if check.witness is not None:
+        entry["witness"] = {
+            "description": check.witness.description,
+            "bid": check.witness.bid_index,
+            "instance": instance_document(check.witness.instance),
+        }
+    return entry
 
 
 def deviation_document(bidder: str, report: Optional[DeviationReport]) -> dict:
@@ -272,8 +260,8 @@ def repro_document(rows: list[ReproRow]) -> dict:
     }
 
 
-def ratio_document(stats: RatioStats, *, include_trials: bool = False) -> dict:
-    doc: dict[str, Any] = {
+def ratio_document(stats: RatioStats) -> dict:
+    return {
         "trials": stats.trials,
         "goods": stats.goods_count,
         "bids": stats.bids_count,
@@ -282,12 +270,6 @@ def ratio_document(stats: RatioStats, *, include_trials: bool = False) -> dict:
         "max_ratio": stats.max_ratio,
         "violations": list(stats.violations),
     }
-    if include_trials:
-        doc["per_trial"] = [
-            {"optimal": t.optimal, "greedy": t.greedy, "ratio": t.ratio}
-            for t in stats.per_trial
-        ]
-    return doc
 
 
 def tie_orders_document(name: str, comparison: TieOrderComparison) -> dict:

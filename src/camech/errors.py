@@ -9,12 +9,8 @@ class ParseError(CamechError):
     """An input document is malformed or not exactly representable."""
 
 
-class ValidationError(CamechError):
-    """An instance violates a structural invariant."""
-
-    def __init__(self, violations):
-        self.violations = list(violations)
-        super().__init__("; ".join(str(v) for v in self.violations) or "invalid instance")
+class InvalidArgument(CamechError, ValueError):
+    """An argument lies outside the range the operation is defined for."""
 
 
 class TiesPresent(CamechError):

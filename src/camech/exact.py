@@ -163,12 +163,12 @@ def optimal_allocation(instance: AuctionInstance, solver: SolverKind) -> ExactSo
 
 def clarke_payments(instance: AuctionInstance, solver: SolverKind) -> tuple[Money, ...]:
     """Each bid pays the optimum without it minus what the others get with it."""
-    return _clarke(instance, solver, optimal_allocation(instance, solver))[0]
+    return _clarke(instance, solver, optimal_allocation(instance, solver))
 
 
 def _clarke(
     instance: AuctionInstance, solver: SolverKind, actual: ExactSolution
-) -> tuple[tuple[Money, ...], ExactSolution]:
+) -> tuple[Money, ...]:
     total = actual.value
     payments = []
     for j, b in enumerate(instance.bids):
@@ -179,13 +179,13 @@ def _clarke(
         if not granted and p != Money(0):
             raise AssertionError("a losing bid computed a non-zero Clarke payment")
         payments.append(p)
-    return tuple(payments), actual
+    return tuple(payments)
 
 
 def run_gva(instance: AuctionInstance, solver: SolverKind) -> Outcome:
     """Efficient allocation plus Clarke payments."""
     actual = optimal_allocation(instance, solver)
-    payments, _ = _clarke(instance, solver, actual)
+    payments = _clarke(instance, solver, actual)
     meta = {"unique_optimum": actual.unique, "solver": solver.value}
     return assemble_outcome(instance, actual.allocation, payments, None, meta)
 

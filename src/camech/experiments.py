@@ -16,16 +16,19 @@ from fractions import Fraction
 from math import factorial, isqrt
 from typing import Mapping, Optional, Sequence
 
-from .axioms import clarke_greedy_mechanism, find_profitable_deviation
+from .axioms import MECHANISMS, clarke_greedy_mechanism, find_profitable_deviation
 from .errors import (
     InstanceTooLarge,
+    InvalidArgument,
+    TiesPresent,
     TooManyTieOrders,
     UnknownScenario,
     ValuationUndefined,
 )
-from .exact import SolverKind, clarke_with_greedy, optimal_allocation, run_gva
+from .exact import SolverKind, optimal_allocation, run_gva
 from .greedy import greedy_allocate, run_greedy
 from .model import (
+    MAX_GOODS,
     AuctionInstance,
     Outcome,
     SingleMindedBid,
@@ -358,27 +361,20 @@ def _evaluate(sc: Scenario, exp: Expectation) -> tuple[str, bool]:
     def numeric(actual: Money) -> tuple[str, bool]:
         return actual.to_decimal(), actual == Money(F(exp.expected))
 
-    if exp.mechanism == "greedy":
-        out = run_greedy(inst, cfg)
+    if exp.mechanism in MECHANISMS:
+        out = MECHANISMS[exp.mechanism](cfg, SolverKind.BITMASK_DP).run(inst)
         if quantity == "grants":
             names = _granted_names(inst, out.allocation.grants)
             return names, names == exp.expected
         if quantity.startswith("payment:"):
             return numeric(out.payments[_bid_index(inst, quantity.split(":", 1)[1])])
+        if quantity.startswith("utility:"):
+            return numeric(out.utilities[_bid_index(inst, quantity.split(":", 1)[1])])
         if quantity == "revenue":
             return numeric(out.revenue)
         if quantity == "owner_utility":
             value = complex_player_utility(inst, sc.complex_owner, sc.complex_table, out)
             return numeric(value)
-    elif exp.mechanism == "gva":
-        out = run_gva(inst, SolverKind.BITMASK_DP)
-        if quantity == "grants":
-            names = _granted_names(inst, out.allocation.grants)
-            return names, names == exp.expected
-        if quantity.startswith("payment:"):
-            return numeric(out.payments[_bid_index(inst, quantity.split(":", 1)[1])])
-        if quantity == "revenue":
-            return numeric(out.revenue)
     elif exp.mechanism == "optimal":
         solution = optimal_allocation(inst, SolverKind.BITMASK_DP)
         if quantity == "grants":
@@ -386,13 +382,6 @@ def _evaluate(sc: Scenario, exp: Expectation) -> tuple[str, bool]:
             return names, names == exp.expected
         if quantity == "value":
             return numeric(solution.value)
-    elif exp.mechanism == "clarke-greedy":
-        out = clarke_with_greedy(inst, cfg)
-        if quantity.startswith("payment:"):
-            return numeric(out.payments[_bid_index(inst, quantity.split(":", 1)[1])])
-        if quantity.startswith("utility:"):
-            j = _bid_index(inst, quantity.split(":", 1)[1])
-            return numeric(out.utilities[j])
     elif exp.mechanism == "tie-orders":
         comparison = revenue_compare_tie_orders(inst, cfg)
         if quantity == "avg_revenue":
@@ -492,8 +481,13 @@ def random_instance(
     decimal scale, so they serialise exactly.  The whole draw is retried on a
     norm collision, which keeps every suite tie-free by construction.
     """
-    if goods_count > 63:
-        raise InstanceTooLarge("at most 63 goods are supported")
+    if goods_count > MAX_GOODS:
+        raise InstanceTooLarge(f"at most {MAX_GOODS} goods are supported")
+    if goods_count < 1 or not 0 <= bids_count <= 10 ** 6 or not 0 < bundle_prob <= 1:
+        raise InvalidArgument(
+            "random instances need at least one good, 0 to 10**6 bids "
+            "and a bundle probability in (0, 1]"
+        )
     rng = random.Random(f"camech-instance:{seed}")
     goods = tuple(f"g{i + 1}" for i in range(goods_count))
     for _ in range(max_attempts):
@@ -515,14 +509,7 @@ def random_instance(
         except TiesPresent:
             continue
         return inst
-    raise RuntimeError("could not draw a tie-free instance; lower the bid count")
-
-
-@dataclass(frozen=True, eq=False)
-class RatioTrial:
-    optimal: float
-    greedy: float
-    ratio: float
+    raise InvalidArgument("could not draw a tie-free instance; lower the bid count")
 
 
 @dataclass(frozen=True, eq=False)
@@ -532,7 +519,6 @@ class RatioStats:
     bids_count: int
     exponent: Fraction
     bound_label: str
-    per_trial: tuple[RatioTrial, ...]
     max_ratio: float
     violations: tuple[int, ...]  # trial indices breaking the bound; must be empty
 
@@ -563,7 +549,6 @@ def ratio_experiment(
     """
     exponent = F(exponent)
     cfg = NormConfig(exponent)
-    per_trial = []
     violations = []
     max_ratio = F(0)
     for t in range(trials):
@@ -575,7 +560,6 @@ def ratio_experiment(
         opt = optimal_allocation(inst, SolverKind.BITMASK_DP).value
         ratio = opt.as_fraction() / greedy_value.as_fraction()
         max_ratio = max(max_ratio, ratio)
-        per_trial.append(RatioTrial(float(opt), float(greedy_value), float(ratio)))
         if _bound_violated(opt, greedy_value, goods_count, exponent):
             violations.append(t)
     if exponent == F(1, 2):
@@ -586,7 +570,7 @@ def ratio_experiment(
         bound_label = "none"
     return RatioStats(
         trials, goods_count, bids_count, exponent, bound_label,
-        tuple(per_trial), float(max_ratio), tuple(violations),
+        float(max_ratio), tuple(violations),
     )
 
 
@@ -597,7 +581,7 @@ def tight_family(goods_count: int, exponent: Fraction) -> AuctionInstance:
     goods is worth nearly the bound times more.
     """
     if goods_count < 2:
-        raise ValueError("the family needs at least two goods")
+        raise InvalidArgument("the family needs at least two goods")
     exponent = F(exponent)
     goods = tuple(f"g{i + 1}" for i in range(goods_count))
     epsilon = F(1, 1000)
@@ -607,7 +591,7 @@ def tight_family(goods_count: int, exponent: Fraction) -> AuctionInstance:
         # largest 6-decimal value whose norm stays below the point bid's
         sweep_amount = F(isqrt(goods_count * 10 ** 12), 10 ** 6)
     else:
-        raise ValueError("tight families are defined for exponents 1 and 1/2")
+        raise InvalidArgument("tight families are defined for exponents 1 and 1/2")
     return AuctionInstance(
         goods,
         (

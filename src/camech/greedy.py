@@ -28,9 +28,6 @@ class GreedyTrace:
     blocked_by: Mapping[int, int]  # denied bid -> earliest granted conflicting bid
     blockers: Optional[Mapping[int, Optional[int]]] = None  # granted bid -> its blocker
 
-    def is_granted(self, j: int) -> bool:
-        return j in self.granted_order
-
 
 def greedy_allocate(instance: AuctionInstance, cfg: NormConfig) -> tuple[Allocation, GreedyTrace]:
     """Rank, then grant greedily; records why each denied bid lost."""
@@ -85,34 +82,17 @@ def blocker(trace: GreedyTrace, instance: AuctionInstance, j: int) -> Optional[i
     return None
 
 
-def _payments_and_blockers(
-    instance: AuctionInstance, cfg: NormConfig, trace: GreedyTrace
-) -> tuple[tuple[Money, ...], dict[int, Optional[int]]]:
-    zero = Money(0)
-    payments = [zero] * len(instance.bids)
+def run_greedy(instance: AuctionInstance, cfg: NormConfig) -> Outcome:
+    """Allocate greedily and charge each winner its blocker's crossing value."""
+    allocation, trace = greedy_allocate(instance, cfg)
+    payments = [Money(0)] * len(instance.bids)
     blockers: dict[int, Optional[int]] = {}
     for j in trace.granted_order:
-        i = blocker(trace, instance, j)
-        blockers[j] = i
+        i = blockers[j] = blocker(trace, instance, j)
         if i is not None:
             b = instance.bids[i]
             payments[j] = b.amount * bundle_ratio_power(
                 len(instance.bids[j].bundle), len(b.bundle), cfg.exponent
             )
-    return tuple(payments), blockers
-
-
-def greedy_payments(
-    instance: AuctionInstance, cfg: NormConfig, trace: GreedyTrace
-) -> tuple[Money, ...]:
-    """Per-bid payments for a trace produced by `greedy_allocate` under `cfg`."""
-    payments, _ = _payments_and_blockers(instance, cfg, trace)
-    return payments
-
-
-def run_greedy(instance: AuctionInstance, cfg: NormConfig) -> Outcome:
-    """Allocate greedily and charge each winner its blocker's crossing value."""
-    allocation, trace = greedy_allocate(instance, cfg)
-    payments, blockers = _payments_and_blockers(instance, cfg, trace)
     trace = replace(trace, blockers=blockers)
-    return assemble_outcome(instance, allocation, payments, trace)
+    return assemble_outcome(instance, allocation, tuple(payments), trace)

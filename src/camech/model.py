@@ -163,9 +163,6 @@ class Outcome:
     def is_granted(self, j: int) -> bool:
         return j in self.allocation.grants
 
-    def payment(self, j: int) -> Money:
-        return self.payments[j]
-
 
 @dataclass(frozen=True)
 class Violation:

@@ -12,10 +12,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from functools import cached_property, cmp_to_key, lru_cache
+from functools import cached_property, lru_cache
 from math import gcd
 
-from .errors import ExponentNotSupported, TiesPresent
+from .errors import ExponentNotSupported, InvalidArgument, TiesPresent
 from .model import AuctionInstance, SingleMindedBid
 from .money import Money, iroot, square_parts
 
@@ -38,9 +38,9 @@ class NormConfig:
         if not isinstance(self.exponent, Fraction):
             object.__setattr__(self, "exponent", Fraction(self.exponent))
         if self.exponent < 0:
-            raise ValueError("norm exponent must be non-negative")
+            raise InvalidArgument("norm exponent must be non-negative")
         if self.tie_rule is TieRule.EXPLICIT and self.explicit_order is None:
-            raise ValueError("explicit tie rule requires an explicit order")
+            raise InvalidArgument("explicit tie rule requires an explicit order")
 
 
 @lru_cache(maxsize=4096)
@@ -69,9 +69,12 @@ def bundle_ratio_power(w_num: int, w_den: int, exponent: Fraction) -> Money:
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NormValue:
-    """Exact comparison key for one bid's norm a / size**exponent."""
+    """Exact comparison key for one bid's norm a / size**exponent.
+
+    Equality is equality of norms, so two bids whose norms tie compare equal.
+    """
 
     amount: Money
     size: int
@@ -106,6 +109,11 @@ class NormValue:
         except ExponentNotSupported:
             approx = float(self.amount) / self.size ** float(self.exponent)
             return f"{approx:.{significant}g}"
+
+    def __eq__(self, other):
+        if not isinstance(other, NormValue):
+            return NotImplemented
+        return self.compare(other) == 0
 
     def __lt__(self, other):
         return self.compare(other) < 0
@@ -148,19 +156,12 @@ class RankedList:
         return {j: p for p, j in enumerate(self.order)}
 
 
-_MISSING = object()
-
-
-def _bid_order_key(bid: SingleMindedBid, p: int, q: int) -> Fraction | None:
-    """Memoised amount**q / size**p for rational amounts; None when irrational."""
-    key = bid.norm_key_cache.get((p, q), _MISSING)
-    if key is not _MISSING:
-        return key
-    if bid.amount.is_rational:
+def _bid_order_key(bid: SingleMindedBid, p: int, q: int) -> Fraction:
+    """Memoised amount**q / size**p, order-isomorphic to the norm; rational amounts only."""
+    key = bid.norm_key_cache.get((p, q))
+    if key is None:
         key = bid.amount.as_fraction() ** q / len(bid.bundle) ** p
-    else:
-        key = None
-    bid.norm_key_cache[(p, q)] = key
+        bid.norm_key_cache[(p, q)] = key
     return key
 
 
@@ -175,74 +176,26 @@ def rank(instance: AuctionInstance, cfg: NormConfig) -> RankedList:
     bids = instance.bids
     n = len(bids)
     exponent = cfg.exponent
-    if n == 0:
-        return RankedList((), exponent, False, bids)
-
-    explicit_pos: dict[int, int] | None = None
     if cfg.tie_rule is TieRule.EXPLICIT:
         if sorted(cfg.explicit_order) != list(range(n)):
-            raise ValueError("explicit order must be a permutation of the bid indices")
+            raise InvalidArgument("explicit order must be a permutation of the bid indices")
         explicit_pos = {j: p for p, j in enumerate(cfg.explicit_order)}
 
-    p, q = exponent.numerator, exponent.denominator
-    keys = [_bid_order_key(b, p, q) for b in bids]
-    if all(k is not None for k in keys):
-        had_ties = len(set(keys)) < n
-        if not had_ties:
-            order = sorted(range(n), key=keys.__getitem__, reverse=True)
-            return RankedList(tuple(order), exponent, False, bids)
+    if instance.all_amounts_rational:
+        p, q = exponent.numerator, exponent.denominator
+        keys = [_bid_order_key(b, p, q) for b in bids]
+    else:
+        keys = [norm_of(b, exponent) for b in bids]
+    order = sorted(range(n), key=keys.__getitem__, reverse=True)
+    ties = [(i, j) for i, j in zip(order, order[1:]) if keys[i] == keys[j]]
+    if ties:
         if cfg.tie_rule is TieRule.REJECT:
-            raise TiesPresent("distinct bids share a norm value", _tied_pairs_fast(keys))
-        masks = instance.bid_masks
-        if explicit_pos is not None:
+            raise TiesPresent("distinct bids share a norm value", ties)
+        if cfg.tie_rule is TieRule.EXPLICIT:
             order = sorted(range(n), key=lambda i: (keys[i], -explicit_pos[i]), reverse=True)
         else:
-            amounts = [b.amount.as_fraction() for b in bids]
+            masks = instance.bid_masks
             order = sorted(
-                range(n), key=lambda i: (keys[i], amounts[i], -masks[i], -i), reverse=True
+                range(n), key=lambda i: (keys[i], bids[i].amount, -masks[i], -i), reverse=True
             )
-        return RankedList(tuple(order), exponent, had_ties, bids)
-
-    return _rank_general(instance, cfg, explicit_pos)
-
-
-def _tied_pairs_fast(keys) -> list[tuple[int, int]]:
-    first: dict = {}
-    pairs = []
-    for i, k in enumerate(keys):
-        if k in first:
-            pairs.append((first[k], i))
-        else:
-            first[k] = i
-    return pairs
-
-
-def _rank_general(instance, cfg, explicit_pos) -> RankedList:
-    masks = instance.bid_masks
-    bids = instance.bids
-    norms = tuple(norm_of(b, cfg.exponent) for b in bids)
-
-    def compare(i: int, j: int) -> int:
-        c = norms[i].compare(norms[j])
-        if c:
-            return -c  # descending by norm
-        if explicit_pos is not None:
-            return -1 if explicit_pos[i] < explicit_pos[j] else 1
-        c = bids[i].amount.compare(bids[j].amount)
-        if c:
-            return -c  # higher amount first
-        if masks[i] != masks[j]:
-            return -1 if masks[i] < masks[j] else 1  # smaller bitset first
-        return -1 if i < j else 1  # lower index first
-
-    order = sorted(range(len(bids)), key=cmp_to_key(compare))
-    ties = [
-        (order[p], order[p + 1])
-        for p in range(len(order) - 1)
-        if norms[order[p]].compare(norms[order[p + 1]]) == 0
-    ]
-    if ties and cfg.tie_rule is TieRule.REJECT:
-        raise TiesPresent("distinct bids share a norm value", ties)
-    ranked = RankedList(tuple(order), cfg.exponent, bool(ties), bids)
-    ranked.__dict__["norms"] = norms
-    return ranked
+    return RankedList(tuple(order), exponent, bool(ties), bids)

@@ -1,5 +1,6 @@
 """Command-line interface: verbs, exit codes, determinism."""
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -305,3 +306,67 @@ def test_entry_point_subprocess(three_path):
     )
     assert result.returncode == 0
     assert json.loads(result.stdout)["revenue"] == "9.5"
+
+
+# (argv, exit code, sha256 of stdout): any change to the bytes a command
+# prints fails here.  THREE_PATH stands for the three-bid file.
+GOLDEN = [
+    (["gen", "--goods", "6", "--bids", "8", "--seed", "13"], 0,
+     "e01f80ecd329393cd9586017e628c72011b503ffeadbfcfe5fedcf5b252ed040"),
+    (["run", "THREE_PATH", "--mechanism", "greedy"], 0,
+     "161ea60fc80c172a6d2b5bc4ac8c9f6066a3977c32892d95716803c4be893a37"),
+    (["run", "THREE_PATH", "--mechanism", "gva"], 0,
+     "1d485e09a87c54797e573a58587804a2ae68a86b0e27371fa74a2ea3735857d0"),
+    (["check", "THREE_PATH", "--seed", "13", "--samples", "5"], 0,
+     "7aa44bb7807fd7a9f8bfcca071bc24e351928e5677a41944e9347073113716d0"),
+    (["experiment", "--suite", "ratio", "--k", "4", "--n", "6", "--trials", "20",
+      "--l", "1/2", "--seed", "13"], 0,
+     "6c7ca1cff1bb744dc9649c0581d5a0d4eb43063752f1f1adb75e55619657ef7c"),
+    (["experiment", "--suite", "revenue", "--scenario", "better", "--l", "1"], 0,
+     "a97804b727a7c50eca1d839ad504ba403a314ae459f797f3ad09ce93bf50a72d"),
+    (["experiment", "--suite", "reproduce"], 0,
+     "61ef87aa86c0897e722a5679d9b0d0dac80e393ba9e3f9b398e429b15a8904b5"),
+    (["experiment", "--suite", "tight", "--l", "1"], 0,
+     "65ddacf8a853fe7ef59f13e15a94a5f9b02b6002d18841550d926be6882a7afd"),
+    (["run", "THREE_PATH", "--mechanism", "clarke-greedy"], 0,
+     "a82175c318f717956a8121fe0839534646184e85e021fe72b55435968fa7f65f"),
+    (["run", "THREE_PATH", "--norm-exponent", "1/2"], 0,
+     "468a8997fe21ab0e7e9e7f86fc1d67b4b90090a20f08e222461026fe65698088"),
+    (["check", "THREE_PATH", "--mechanism", "gva"], 0,
+     "cd2d7e2ea622b1e4d2c806ea085769884e8313ad382b546319dedc6d00ca5b2f"),
+    (["check", "THREE_PATH", "--mechanism", "clarke-greedy", "--deviations"], 1,
+     "b58c00462dbc7a72624433252ea2050f3a5d291d857fa64909295186b918d534"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, code, sha", GOLDEN, ids=[" ".join(argv) for argv, _, _ in GOLDEN]
+)
+def test_golden_stdout(capsys, monkeypatch, three_path, argv, code, sha):
+    monkeypatch.delenv("CAMECH_SEED", raising=False)
+    argv = [three_path if a == "THREE_PATH" else a for a in argv]
+    got_code, out = run_cli(capsys, *argv)
+    assert (got_code, hashlib.sha256(out.encode("utf-8")).hexdigest()) == (code, sha)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gen", "--goods", "0", "--bids", "3"],
+        ["gen", "--goods", "3", "--bids", "3", "--bundle-prob", "0"],
+        ["gen", "--goods", "3", "--bids", "3", "--bundle-prob", "nan"],
+        ["gen", "--goods", "3", "--bids", "-1"],
+        ["run", "THREE_PATH", "--norm-exponent", "-1"],
+        ["experiment", "--suite", "tight", "--k", "1"],
+        ["experiment", "--suite", "tight", "--l", "0"],
+    ],
+    ids=" ".join,
+)
+def test_out_of_range_flag_exit_2(three_path, argv):
+    argv = [three_path if a == "THREE_PATH" else a for a in argv]
+    result = subprocess.run(
+        [sys.executable, "-m", "camech.cli", *argv],
+        capture_output=True, text=True, timeout=5,
+    )
+    assert result.returncode == 2, result.stderr
+    assert set(json.loads(result.stdout)) == {"error"}

@@ -5,6 +5,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from camech.axioms import greedy_mechanism, gva_mechanism
 from camech.documents import (
     instance_document,
     outcome_document,
@@ -102,7 +103,7 @@ def test_outcome_document_greedy():
     inst = parse_instance(THREE)
     cfg = NormConfig(F(1))
     out = run_greedy(inst, cfg)
-    doc = outcome_document(inst, out, mechanism="greedy", cfg=cfg)
+    doc = outcome_document(inst, out, greedy_mechanism(cfg))
     assert doc["mechanism"] == "greedy"
     assert doc["norm_exponent"] == "1"
     assert doc["tie_rule"] == "canonical"
@@ -118,7 +119,7 @@ def test_outcome_document_greedy():
 def test_outcome_document_gva_with_utilities():
     inst = parse_instance(THREE).assuming_truthful()
     out = run_gva(inst, SolverKind.BITMASK_DP)
-    doc = outcome_document(inst, out, mechanism="gva", solver="dp")
+    doc = outcome_document(inst, out, gva_mechanism(SolverKind.BITMASK_DP))
     assert doc["norm_exponent"] is None
     assert doc["solver"] == "dp"
     assert doc["unique_optimum"] is True

@@ -5,7 +5,7 @@ from fractions import Fraction as F
 import pytest
 
 from camech.errors import ExponentNotSupported, NotGranted, TiesPresent
-from camech.greedy import blocker, greedy_allocate, greedy_payments, run_greedy
+from camech.greedy import blocker, greedy_allocate, run_greedy
 from camech.model import AuctionInstance, SingleMindedBid, allocation_value
 from camech.money import Money
 from camech.norm import NormConfig, TieRule
@@ -73,18 +73,15 @@ def test_blocker_none_for_last():
 
 
 def test_payments_three_bidders():
-    inst = three_bidder_instance()
-    _, trace = greedy_allocate(inst, L1)
-    payments = greedy_payments(inst, L1, trace)
+    payments = run_greedy(three_bidder_instance(), L1).payments
     assert payments[0] == Money(F(19, 2))
     assert payments[1] == Money(0)
     assert payments[2] == Money(0)
 
 
 def test_payments_competitive_all_zero():
-    inst = competitive_instance()
-    _, trace = greedy_allocate(inst, L1)
-    assert all(p == Money(0) for p in greedy_payments(inst, L1, trace))
+    payments = run_greedy(competitive_instance(), L1).payments
+    assert all(p == Money(0) for p in payments)
 
 
 def test_payments_strong_complementarity():
@@ -92,8 +89,7 @@ def test_payments_strong_complementarity():
         ("a", "b"),
         (bid("red", "ab", 20), bid("green", "a", 9), bid("black", "b", 1)),
     )
-    _, trace = greedy_allocate(inst, L1)
-    payments = greedy_payments(inst, L1, trace)
+    payments = run_greedy(inst, L1).payments
     assert payments[0] == Money(18)  # 2 goods at green's unit price 9
 
 
