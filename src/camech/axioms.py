@@ -15,15 +15,19 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Optional, Sequence
 
-from .errors import BundleSpaceTooLarge, NonMonotoneDetected, TiesPresent
+from .errors import BundleSpaceTooLarge, InvalidArgument, NonMonotoneDetected, TiesPresent
 from .model import AuctionInstance, Outcome, SingleMindedBid, bidder_utility
 from .money import Money
-from .norm import NormConfig, TieRule, bundle_ratio_power, rank
+from .norm import NormConfig, TieRule, crossing_value, rank
 from . import exact as _exact
 from .greedy import run_greedy
 
 #: Probe points sit at this fraction of the local gap away from a threshold.
 PROBE_SCALE = Fraction(1, 2 ** 20)
+#: Bisection stops once a probed critical value's bracket is this narrow.
+PROBE_EPSILON = Fraction(1, 10 ** 9)
+#: Draws tried for one tie-free monotonicity perturbation before giving up.
+PERTURBATION_ATTEMPTS = 20
 
 
 @dataclass(frozen=True, eq=False)
@@ -49,11 +53,7 @@ class Mechanism:
 
 def _crossing_values(instance: AuctionInstance, j: int, size: int, exponent: Fraction):
     """Values at which a size-`size` bundle's norm crosses each other bid's norm."""
-    out = []
-    for i, b in enumerate(instance.bids):
-        if i != j:
-            out.append(b.amount * bundle_ratio_power(size, len(b.bundle), exponent))
-    return out
+    return [crossing_value(b, size, exponent) for i, b in enumerate(instance.bids) if i != j]
 
 
 def _norm_mechanism(
@@ -124,14 +124,7 @@ class CriticalValue:
     probes: int = 0
 
 
-def critical_value(
-    mech: Mechanism,
-    instance: AuctionInstance,
-    j: int,
-    *,
-    epsilon: Fraction = Fraction(1, 10 ** 9),
-    ceiling: Optional[Money] = None,
-) -> CriticalValue:
+def critical_value(mech: Mechanism, instance: AuctionInstance, j: int) -> CriticalValue:
     """Compute the grant threshold for bid j's declared bundle by re-running.
 
     Raises `NonMonotoneDetected` when probing finds a denial above a grant,
@@ -145,7 +138,7 @@ def critical_value(
 
     if mech.value_thresholds is not None:
         return _critical_by_thresholds(mech, instance, j, granted_at)
-    return _critical_by_probing(instance, j, granted_at, epsilon, ceiling)
+    return _critical_by_probing(instance, j, granted_at)
 
 
 def _critical_by_thresholds(mech, instance, j, granted_at) -> CriticalValue:
@@ -178,12 +171,8 @@ def _critical_by_thresholds(mech, instance, j, granted_at) -> CriticalValue:
     return CriticalValue(vc, True, probes=len(probes))
 
 
-def _critical_by_probing(instance, j, granted_at, epsilon, ceiling) -> CriticalValue:
-    if ceiling is None:
-        total = Money(0)
-        for b in instance.bids:
-            total = total + b.amount
-        ceiling = (total + 1) * 2
+def _critical_by_probing(instance, j, granted_at) -> CriticalValue:
+    ceiling = (sum((b.amount for b in instance.bids), Money(0)) + 1) * 2
     probes = 0
     lo, hi = Money(0), None
     v = Money(1)
@@ -206,7 +195,7 @@ def _critical_by_probing(instance, j, granted_at, epsilon, ceiling) -> CriticalV
                     witness={"instance": instance, "bid": j,
                              "granted_at": hi, "denied_at": check},
                 )
-    while (hi - lo).compare(epsilon) > 0:
+    while (hi - lo).compare(PROBE_EPSILON) > 0:
         mid = (lo + hi) / 2
         probes += 1
         if granted_at(mid):
@@ -295,6 +284,8 @@ def check_monotonicity(
     the mechanism ranks by a norm, since the tie-free assumption is what the
     property is stated under.
     """
+    if perturbations < 1:
+        raise InvalidArgument("monotonicity needs at least one perturbation per granted bid")
     rng = random.Random(f"monotonicity:{seed}")
     samples = 0
     tried = 0
@@ -321,9 +312,9 @@ def check_monotonicity(
     return AxiomCheck("monotonicity", "holds", samples, detail=f"{tried} perturbations")
 
 
-def _tie_free_perturbation(rng, mech, inst, j, attempts: int = 20):
+def _tie_free_perturbation(rng, mech, inst, j):
     bid = inst.bids[j]
-    for _ in range(attempts):
+    for _ in range(PERTURBATION_ATTEMPTS):
         if len(bid.bundle) > 1 and rng.random() < 0.5:
             keep = rng.randint(1, len(bid.bundle) - 1)
             goods = sorted(bid.bundle)
@@ -386,14 +377,13 @@ def run_axiom_suite(
     *,
     seed: int = 0,
     perturbations: int = 10,
-    tolerance: Optional[Fraction] = None,
 ) -> AxiomReport:
     instances = list(instances)
     checks = (
         check_exactness(mech, instances),
         check_monotonicity(mech, instances, seed=seed, perturbations=perturbations),
         check_participation(mech, instances),
-        check_critical(mech, instances, tolerance=tolerance),
+        check_critical(mech, instances),
     )
     return AxiomReport(mech.name, seed, len(instances), checks)
 

@@ -47,7 +47,7 @@ from .experiments import (
 )
 from .greedy import greedy_allocate
 from .model import allocation_value, validate_instance
-from .money import Money
+from .money import Money, parse_decimal
 from .norm import NormConfig, TieRule
 
 EXIT_OK = 0
@@ -69,8 +69,8 @@ def _default_seed() -> int:
 
 def _fraction(text: str) -> Fraction:
     try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError):
+        return parse_decimal(text)
+    except ParseError:
         raise argparse.ArgumentTypeError(f"not a rational literal: {text!r}")
 
 
@@ -236,8 +236,8 @@ def _cmd_experiment(args) -> tuple[dict, int]:
         return documents.repro_document(rows), code
     if args.suite == "ratio":
         stats = ratio_experiment(
-            args.k or 8, args.n or 12, args.trials, args.l, seed,
-            bundle_prob=args.bundle_prob,
+            8 if args.k is None else args.k, 12 if args.n is None else args.n,
+            args.trials, args.l, seed, bundle_prob=args.bundle_prob,
         )
         doc = documents.ratio_document(stats)
         return doc, EXIT_OK if not stats.violations else EXIT_CHECK_FAILED

@@ -39,7 +39,7 @@ def _parse_amount(raw: Any, where: str) -> Money:
         raise ParseError(f"{where}: amount must be a decimal string or integer")
     try:
         return Money(parse_decimal(str(raw)))
-    except ValueError as exc:
+    except ParseError as exc:
         raise ParseError(f"{where}: {exc}") from None
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from math import lcm
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .errors import InstanceTooLarge
 from .greedy import greedy_allocate
@@ -163,19 +163,20 @@ def optimal_allocation(instance: AuctionInstance, solver: SolverKind) -> ExactSo
 
 def clarke_payments(instance: AuctionInstance, solver: SolverKind) -> tuple[Money, ...]:
     """Each bid pays the optimum without it minus what the others get with it."""
-    return _clarke(instance, solver, optimal_allocation(instance, solver))
+    return run_gva(instance, solver).payments
 
 
 def _clarke(
-    instance: AuctionInstance, solver: SolverKind, actual: ExactSolution
+    instance: AuctionInstance, allocation: Allocation, total: Money,
+    value_without_j: Callable[[AuctionInstance], Money],
 ) -> tuple[Money, ...]:
-    total = actual.value
+    """Bid j pays `value_without_j` of the instance with j's amount at zero,
+    minus what the other bids get of `total`, the value of `allocation`."""
     payments = []
     for j, b in enumerate(instance.bids):
-        granted = j in actual.allocation.grants
+        granted = j in allocation.grants
         others = total - b.amount if granted else total
-        dropped = optimal_allocation(instance.with_amount(j, 0), solver)
-        p = dropped.value - others
+        p = value_without_j(instance.with_amount(j, 0)) - others
         if not granted and p != Money(0):
             raise AssertionError("a losing bid computed a non-zero Clarke payment")
         payments.append(p)
@@ -185,7 +186,10 @@ def _clarke(
 def run_gva(instance: AuctionInstance, solver: SolverKind) -> Outcome:
     """Efficient allocation plus Clarke payments."""
     actual = optimal_allocation(instance, solver)
-    payments = _clarke(instance, solver, actual)
+    payments = _clarke(
+        instance, actual.allocation, actual.value,
+        lambda inst: optimal_allocation(inst, solver).value,
+    )
     meta = {"unique_optimum": actual.unique, "solver": solver.value}
     return assemble_outcome(instance, actual.allocation, payments, None, meta)
 
@@ -198,12 +202,8 @@ def clarke_with_greedy(instance: AuctionInstance, cfg: NormConfig) -> Outcome:
     and are not clamped.
     """
     allocation, trace = greedy_allocate(instance, cfg)
-    total = allocation_value(instance, allocation)
-    payments = []
-    for j, b in enumerate(instance.bids):
-        granted = j in allocation.grants
-        others = total - b.amount if granted else total
-        dropped_alloc, _ = greedy_allocate(instance.with_amount(j, 0), cfg)
-        dropped = allocation_value(instance.with_amount(j, 0), dropped_alloc)
-        payments.append(dropped - others)
-    return assemble_outcome(instance, allocation, tuple(payments), trace)
+    payments = _clarke(
+        instance, allocation, allocation_value(instance, allocation),
+        lambda inst: allocation_value(inst, greedy_allocate(inst, cfg)[0]),
+    )
+    return assemble_outcome(instance, allocation, payments, trace)

@@ -13,8 +13,8 @@ import itertools
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import factorial, isqrt
-from typing import Mapping, Optional, Sequence
+from math import expm1, factorial, isqrt, log1p
+from typing import Mapping, Optional
 
 from .axioms import MECHANISMS, clarke_greedy_mechanism, find_profitable_deviation
 from .errors import (
@@ -461,25 +461,23 @@ def revenue_compare_tie_orders(instance: AuctionInstance, cfg: NormConfig) -> Ti
 # random instances and the approximation-ratio suite
 # --------------------------------------------------------------------------
 
-DEFAULT_TIE_FREE_EXPONENTS = (F(0), F(1, 2), F(1))
+#: Random instances are tie-free under each of these norm exponents.
+TIE_FREE_EXPONENTS = (F(0), F(1, 2), F(1))
+#: Whole redraws of a random instance allowed before giving up on ties.
+MAX_DRAW_ATTEMPTS = 200
+#: Most bundle draws (empty bundles are redrawn) a random instance may expect to need.
+MAX_BUNDLE_DRAWS = 10 ** 7
 
 
 def random_instance(
-    goods_count: int,
-    bids_count: int,
-    *,
-    seed,
-    bundle_prob: float = 0.4,
-    scale: int = 1000,
-    tie_free_exponents: Sequence[Fraction] = DEFAULT_TIE_FREE_EXPONENTS,
-    max_attempts: int = 200,
+    goods_count: int, bids_count: int, *, seed, bundle_prob: float = 0.4
 ) -> AuctionInstance:
-    """Seeded instance with distinct norms under each requested exponent.
+    """Seeded instance with distinct norms under each of `TIE_FREE_EXPONENTS`.
 
     Bundles include each good independently with `bundle_prob` (empty bundles
-    are redrawn); amounts are distinct integers up to 10**6 over a fixed
-    decimal scale, so they serialise exactly.  The whole draw is retried on a
-    norm collision, which keeps every suite tie-free by construction.
+    are redrawn); amounts are distinct integers up to 10**6 thousandths, so
+    they serialise exactly.  The whole draw is retried on a norm collision,
+    which keeps every suite tie-free by construction.
     """
     if goods_count > MAX_GOODS:
         raise InstanceTooLarge(f"at most {MAX_GOODS} goods are supported")
@@ -488,9 +486,13 @@ def random_instance(
             "random instances need at least one good, 0 to 10**6 bids "
             "and a bundle probability in (0, 1]"
         )
+    # chance that one draw gives a non-empty bundle
+    nonempty = 1.0 if bundle_prob == 1 else -expm1(goods_count * log1p(-bundle_prob))
+    if bids_count > MAX_BUNDLE_DRAWS * nonempty:
+        raise InvalidArgument(f"bundle probability too small for {MAX_BUNDLE_DRAWS} bundle draws")
     rng = random.Random(f"camech-instance:{seed}")
     goods = tuple(f"g{i + 1}" for i in range(goods_count))
-    for _ in range(max_attempts):
+    for _ in range(MAX_DRAW_ATTEMPTS):
         bundles = []
         for _ in range(bids_count):
             bundle = frozenset(g for g in goods if rng.random() < bundle_prob)
@@ -499,12 +501,12 @@ def random_instance(
             bundles.append(bundle)
         amounts = rng.sample(range(1, 10 ** 6 + 1), bids_count)
         bids = tuple(
-            SingleMindedBid(f"b{i + 1}", bundle, Money(F(amount, scale)))
+            SingleMindedBid(f"b{i + 1}", bundle, Money(F(amount, 1000)))
             for i, (bundle, amount) in enumerate(zip(bundles, amounts))
         )
         inst = AuctionInstance(goods, bids)
         try:
-            for exponent in tie_free_exponents:
+            for exponent in TIE_FREE_EXPONENTS:
                 rank(inst, NormConfig(exponent, TieRule.REJECT))
         except TiesPresent:
             continue
@@ -547,6 +549,8 @@ def ratio_experiment(
     square root of the number of goods; for exponent 1, within the number of
     goods itself.
     """
+    if goods_count < 1 or bids_count < 1 or trials < 1:
+        raise InvalidArgument("the ratio suite needs at least one good, one bid and one trial")
     exponent = F(exponent)
     cfg = NormConfig(exponent)
     violations = []

@@ -10,89 +10,64 @@ earlier.  Bids without a blocker, and denied bids, pay nothing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Mapping, Optional
 
 from .errors import NotGranted
 from .model import Allocation, AuctionInstance, Outcome, assemble_outcome
 from .money import Money
-from .norm import NormConfig, RankedList, bundle_ratio_power, rank
+from .norm import NormConfig, RankedList, crossing_value, rank
 
 
 @dataclass(frozen=True, eq=False)
 class GreedyTrace:
-    """Execution record: the ranking used, grant order, and deny reasons."""
+    """Execution record: the ranking used, deny reasons, and each winner's blocker."""
 
     ranking: RankedList
-    granted_order: tuple[int, ...]
     blocked_by: Mapping[int, int]  # denied bid -> earliest granted conflicting bid
-    blockers: Optional[Mapping[int, Optional[int]]] = None  # granted bid -> its blocker
+    blockers: Mapping[int, Optional[int]]  # granted bid, in grant order -> its blocker
 
 
 def greedy_allocate(instance: AuctionInstance, cfg: NormConfig) -> tuple[Allocation, GreedyTrace]:
-    """Rank, then grant greedily; records why each denied bid lost."""
+    """Rank, then grant greedily; records why each denied bid lost.
+
+    A denied bid meeting exactly one granted bid is that bid's blocker when
+    the bid has none yet: the bids granted so far are exactly the grants
+    ranked before it.
+    """
     ranking = rank(instance, cfg)
     masks = instance.bid_masks
     used = 0
-    granted: list[int] = []
     blocked: dict[int, int] = {}
+    blockers: dict[int, Optional[int]] = {}
     for j in ranking.order:
         m = masks[j]
         if used & m:
-            for g in granted:
-                if masks[g] & m:
-                    blocked[j] = g
-                    break
+            hits = [g for g in blockers if masks[g] & m]
+            g = blocked[j] = hits[0]
+            if len(hits) == 1 and blockers[g] is None:
+                blockers[g] = j
         else:
             used |= m
-            granted.append(j)
-    allocation = Allocation.of_indices(instance, granted)
-    return allocation, GreedyTrace(ranking, tuple(granted), blocked)
+            blockers[j] = None
+    allocation = Allocation.of_indices(instance, blockers)
+    return allocation, GreedyTrace(ranking, blocked, blockers)
 
 
-def blocker(trace: GreedyTrace, instance: AuctionInstance, j: int) -> Optional[int]:
-    """The first bid denied because of j alone, or None.
-
-    Scans rank positions after j for a denied bid i whose bundle meets j's
-    while meeting no other granted bid ranked before i.
-    """
-    granted_set = frozenset(trace.granted_order)
-    if j not in granted_set:
-        raise NotGranted(f"bid {j} was denied; it has no blocker")
-    order = trace.ranking.order
-    position = trace.ranking.position
-    masks = instance.bid_masks
-    mj = masks[j]
-    for p in range(position[j] + 1, len(order)):
-        i = order[p]
-        if i in granted_set:
-            continue
-        mi = masks[i]
-        if not mi & mj:
-            continue
-        clear = True
-        for g in trace.granted_order:  # ascending rank positions
-            if position[g] > p:
-                break
-            if g != j and masks[g] & mi:
-                clear = False
-                break
-        if clear:
-            return i
-    return None
+def blocker(trace: GreedyTrace, j: int) -> Optional[int]:
+    """The first bid denied because of granted bid j alone, or None."""
+    try:
+        return trace.blockers[j]
+    except KeyError:
+        raise NotGranted(f"bid {j} was denied; it has no blocker") from None
 
 
 def run_greedy(instance: AuctionInstance, cfg: NormConfig) -> Outcome:
     """Allocate greedily and charge each winner its blocker's crossing value."""
     allocation, trace = greedy_allocate(instance, cfg)
-    payments = [Money(0)] * len(instance.bids)
-    blockers: dict[int, Optional[int]] = {}
-    for j in trace.granted_order:
-        i = blockers[j] = blocker(trace, instance, j)
+    bids = instance.bids
+    payments = [Money(0)] * len(bids)
+    for j, i in trace.blockers.items():
         if i is not None:
-            b = instance.bids[i]
-            payments[j] = b.amount * bundle_ratio_power(
-                len(instance.bids[j].bundle), len(b.bundle), cfg.exponent
-            )
-    trace = replace(trace, blockers=blockers)
+            payments[j] = crossing_value(bids[i], len(bids[j].bundle), cfg.exponent)
     return assemble_outcome(instance, allocation, tuple(payments), trace)

@@ -6,7 +6,7 @@ function, so everything here can be shared freely across threads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Mapping, Optional
 
@@ -30,9 +30,6 @@ class SingleMindedBid:
     bundle: frozenset[Good]
     amount: Money
     is_reserve: bool = False
-    # per-exponent ranking keys; bids are re-ranked millions of times in the
-    # misreport search, so the memo lives on the bid itself
-    norm_key_cache: dict = field(default_factory=dict, compare=False, repr=False)
 
     def __post_init__(self):
         if not isinstance(self.bundle, frozenset):
@@ -222,10 +219,7 @@ def bidder_utility(true_type: SingleMindedBid, granted_bundle: Iterable[Good], p
 
 def allocation_value(instance: AuctionInstance, allocation: Allocation) -> Money:
     """Sum of the declared amounts of the granted bids."""
-    total = Money(0)
-    for j in allocation.grants:
-        total = total + instance.bids[j].amount
-    return total
+    return sum((instance.bids[j].amount for j in allocation.grants), Money(0))
 
 
 def assemble_outcome(
@@ -236,10 +230,7 @@ def assemble_outcome(
     meta: Optional[Mapping[str, object]] = None,
 ) -> Outcome:
     """Fill in revenue (non-reserve payments) and, when true types are known, utilities."""
-    revenue = Money(0)
-    for j, b in enumerate(instance.bids):
-        if not b.is_reserve:
-            revenue = revenue + payments[j]
+    revenue = sum((payments[j] for j, b in enumerate(instance.bids) if not b.is_reserve), Money(0))
     utilities: Optional[dict[int, Money]] = None
     if instance.true_types is not None:
         utilities = {}

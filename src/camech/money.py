@@ -10,14 +10,23 @@ square-root bounds.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from functools import lru_cache
 from math import isqrt
 from typing import Union
 
+from .errors import ParseError
+
 Rational = Union[int, Fraction]
 
 _ZERO = Fraction(0)
+
+#: Most digits plus decimal exponent a literal may have: amounts stay far below
+#: Python's 4,300-digit int-to-str limit and `Fraction` builds no huge power of ten.
+MAX_LITERAL_DIGITS = 1000
+
+_EXPONENT = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)\s*$")
 
 
 @lru_cache(maxsize=None)
@@ -365,11 +374,16 @@ class Money:
 
 
 def _floor_log10_fraction(f: Fraction) -> int:
+    """floor(log10(f)) for f > 0, in integers only."""
     n, d = f.numerator, f.denominator
-    e = len(str(n)) - len(str(d))
-    while n < d * 10 ** e:
+
+    def below(e: int) -> bool:  # f < 10**e
+        return n < d * 10 ** e if e >= 0 else n * 10 ** -e < d
+
+    e = (n.bit_length() - d.bit_length()) * 30103 // 100000  # log10(2) ~ 0.30103
+    while below(e):
         e -= 1
-    while n >= d * 10 ** (e + 1):
+    while not below(e + 1):
         e += 1
     return e
 
@@ -409,8 +423,13 @@ def fraction_to_decimal(f: Fraction) -> str:
 
 
 def parse_decimal(text: str) -> Fraction:
-    """Exact rational from a decimal or "p/q" literal."""
+    """Exact rational from a decimal or "p/q" literal of bounded size."""
+    m = _EXPONENT.search(text)
+    power = m.group(1).lstrip("+-").replace("_", "").lstrip("0") if m else ""
+    digits = sum(c.isdigit() for c in (text[: m.start()] if m else text))
+    if len(power) > 4 or digits + int(power or 0) > MAX_LITERAL_DIGITS:
+        raise ParseError(f"numeric literal longer than {MAX_LITERAL_DIGITS} digits")
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
-        raise ValueError(f"not an exact numeric literal: {text!r}") from exc
+        raise ParseError(f"not an exact numeric literal: {text!r}") from exc

@@ -19,6 +19,9 @@ from .errors import ExponentNotSupported, InvalidArgument, TiesPresent
 from .model import AuctionInstance, SingleMindedBid
 from .money import Money, iroot, square_parts
 
+#: Largest numerator or denominator of a norm exponent, so exact powers stay small.
+MAX_EXPONENT_TERM = 1000
+
 
 class TieRule(Enum):
     """How bids with exactly equal norms are ordered."""
@@ -37,8 +40,9 @@ class NormConfig:
     def __post_init__(self):
         if not isinstance(self.exponent, Fraction):
             object.__setattr__(self, "exponent", Fraction(self.exponent))
-        if self.exponent < 0:
-            raise InvalidArgument("norm exponent must be non-negative")
+        e = self.exponent
+        if e < 0 or max(e.numerator, e.denominator) > MAX_EXPONENT_TERM:
+            raise InvalidArgument(f"norm exponent must be p/q >= 0 with p, q <= {MAX_EXPONENT_TERM}")
         if self.tie_rule is TieRule.EXPLICIT and self.explicit_order is None:
             raise InvalidArgument("explicit tie rule requires an explicit order")
 
@@ -69,6 +73,19 @@ def bundle_ratio_power(w_num: int, w_den: int, exponent: Fraction) -> Money:
     )
 
 
+def crossing_value(bid: SingleMindedBid, size: int, exponent: Fraction) -> Money:
+    """The declared value at which a size-`size` bundle's norm equals `bid`'s."""
+    return bid.amount * bundle_ratio_power(size, len(bid.bundle), exponent)
+
+
+@lru_cache(maxsize=1024)
+def order_key(amount: Money, size: int, p: int, q: int) -> Fraction | None:
+    """amount**q / size**p, order-isomorphic to the norm for l = p/q; None when irrational."""
+    if not amount.is_rational:
+        return None
+    return amount.as_fraction() ** q / size ** p
+
+
 @dataclass(frozen=True, eq=False)
 class NormValue:
     """Exact comparison key for one bid's norm a / size**exponent.
@@ -82,11 +99,7 @@ class NormValue:
 
     @cached_property
     def _order_key(self) -> Fraction | None:
-        """amount**q / size**p, order-isomorphic to the norm; None when irrational."""
-        if not self.amount.is_rational:
-            return None
-        p, q = self.exponent.numerator, self.exponent.denominator
-        return self.amount.as_fraction() ** q / self.size ** p
+        return order_key(self.amount, self.size, self.exponent.numerator, self.exponent.denominator)
 
     def compare(self, other: "NormValue") -> int:
         if self.exponent != other.exponent:
@@ -103,12 +116,13 @@ class NormValue:
         """The norm itself as an exact value (exponent denominator <= 2)."""
         return self.amount * bundle_ratio_power(1, self.size, self.exponent)
 
-    def to_decimal(self, significant: int = 12) -> str:
+    def to_decimal(self) -> str:
+        """The norm at 12 significant digits; approximate when no closed form exists."""
         try:
-            return self.value().to_decimal(significant)
+            return self.value().to_decimal(12)
         except ExponentNotSupported:
             approx = float(self.amount) / self.size ** float(self.exponent)
-            return f"{approx:.{significant}g}"
+            return f"{approx:.12g}"
 
     def __eq__(self, other):
         if not isinstance(other, NormValue):
@@ -151,19 +165,6 @@ class RankedList:
         """Per-bid norm values, indexed by bid position in the instance."""
         return tuple(norm_of(b, self.exponent) for b in self.bids)
 
-    @cached_property
-    def position(self) -> dict[int, int]:
-        return {j: p for p, j in enumerate(self.order)}
-
-
-def _bid_order_key(bid: SingleMindedBid, p: int, q: int) -> Fraction:
-    """Memoised amount**q / size**p, order-isomorphic to the norm; rational amounts only."""
-    key = bid.norm_key_cache.get((p, q))
-    if key is None:
-        key = bid.amount.as_fraction() ** q / len(bid.bundle) ** p
-        bid.norm_key_cache[(p, q)] = key
-    return key
-
 
 def rank(instance: AuctionInstance, cfg: NormConfig) -> RankedList:
     """Sort bid indices by strictly non-increasing norm.
@@ -183,7 +184,7 @@ def rank(instance: AuctionInstance, cfg: NormConfig) -> RankedList:
 
     if instance.all_amounts_rational:
         p, q = exponent.numerator, exponent.denominator
-        keys = [_bid_order_key(b, p, q) for b in bids]
+        keys = [order_key(b.amount, len(b.bundle), p, q) for b in bids]
     else:
         keys = [norm_of(b, exponent) for b in bids]
     order = sorted(range(n), key=keys.__getitem__, reverse=True)

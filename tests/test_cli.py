@@ -359,6 +359,14 @@ def test_golden_stdout(capsys, monkeypatch, three_path, argv, code, sha):
         ["run", "THREE_PATH", "--norm-exponent", "-1"],
         ["experiment", "--suite", "tight", "--k", "1"],
         ["experiment", "--suite", "tight", "--l", "0"],
+        ["experiment", "--suite", "ratio", "--k", "0", "--trials", "2"],
+        ["experiment", "--suite", "ratio", "--n", "0", "--trials", "2"],
+        ["experiment", "--suite", "ratio", "--trials", "-1"],
+        ["check", "THREE_PATH", "--samples", "-1"],
+        ["run", "THREE_PATH", "--norm-exponent", "5000"],
+        ["run", "THREE_PATH", "--norm-exponent", "1/10000000"],
+        ["run", "THREE_PATH", "--norm-exponent", "10000000000000"],
+        ["gen", "--goods", "3", "--bids", "2", "--bundle-prob", "1e-300"],
     ],
     ids=" ".join,
 )
@@ -370,3 +378,37 @@ def test_out_of_range_flag_exit_2(three_path, argv):
     )
     assert result.returncode == 2, result.stderr
     assert set(json.loads(result.stdout)) == {"error"}
+
+
+@pytest.mark.parametrize(
+    "amount", ["1e999999999", "1e-999999999", "1e5000", "1" * 1001],
+    ids=["1e999999999", "1e-999999999", "1e5000", "1001-digits"],
+)
+def test_oversized_amount_literal_exit_2(tmp_path, amount):
+    doc = json.loads(json.dumps(THREE))
+    doc["bids"][0]["amount"] = amount
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(doc))
+    result = subprocess.run(
+        [sys.executable, "-m", "camech.cli", "run", str(path)],
+        capture_output=True, text=True, timeout=5,
+    )
+    assert result.returncode == 2, result.stderr
+    assert json.loads(result.stdout)["error"]["kind"] == "parse"
+
+
+def test_run_largest_norm_exponent(capsys, tmp_path):
+    # narrow pays wide's crossing value, 5 / 8**1000, which must render without a float
+    goods = [f"g{i}" for i in range(8)]
+    doc = {
+        "goods": goods,
+        "bids": [
+            {"bidder": "wide", "bundle": goods, "amount": "5"},
+            {"bidder": "narrow", "bundle": ["g0"], "amount": "1"},
+        ],
+    }
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps(doc))
+    code, out = run_cli(capsys, "run", str(path), "--norm-exponent", "1000")
+    assert code == 0
+    assert json.loads(out)["granted"][0]["norm"] == "1"

@@ -1,5 +1,6 @@
 """Greedy allocation, blockers, and the critical payment scheme."""
 
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -8,7 +9,7 @@ from camech.errors import ExponentNotSupported, NotGranted, TiesPresent
 from camech.greedy import blocker, greedy_allocate, run_greedy
 from camech.model import AuctionInstance, SingleMindedBid, allocation_value
 from camech.money import Money
-from camech.norm import NormConfig, TieRule
+from camech.norm import NormConfig, TieRule, crossing_value
 from camech.experiments import random_instance
 
 L1 = NormConfig(F(1))
@@ -52,24 +53,24 @@ def test_allocation_competitive():
 def test_blocker_three_bidders():
     inst = three_bidder_instance()
     _, trace = greedy_allocate(inst, L1)
-    assert blocker(trace, inst, 0) == 1  # red keeps green out
-    assert blocker(trace, inst, 2) is None
+    assert blocker(trace, 0) == 1  # red keeps green out
+    assert blocker(trace, 2) is None
     with pytest.raises(NotGranted):
-        blocker(trace, inst, 1)
+        blocker(trace, 1)
 
 
 def test_blocker_requires_sole_responsibility():
     # blue is denied, but green also blocks it, so red has no blocker
     inst = competitive_instance()
     _, trace = greedy_allocate(inst, L1)
-    assert blocker(trace, inst, 0) is None
-    assert blocker(trace, inst, 1) is None
+    assert blocker(trace, 0) is None
+    assert blocker(trace, 1) is None
 
 
 def test_blocker_none_for_last():
     inst = AuctionInstance(("a",), (bid("x", "a", 2),))
     _, trace = greedy_allocate(inst, L1)
-    assert blocker(trace, inst, 0) is None
+    assert blocker(trace, 0) is None
 
 
 def test_payments_three_bidders():
@@ -155,7 +156,7 @@ def test_reserve_bid_blocks_and_pays_no_revenue():
     )
     out = run_greedy(inst, L1)
     assert sorted(out.allocation.grants) == [1]
-    assert blocker(out.trace, inst, 1) == 0
+    assert blocker(out.trace, 1) == 0
     assert out.payments[1] == Money(20)
     assert out.revenue == Money(0)
 
@@ -204,7 +205,7 @@ def _invariants(inst, cfg):
             g = trace.blocked_by[j]
             assert g in allocation.grants
             assert masks[g] & masks[j]
-            assert trace.ranking.position[g] < trace.ranking.position[j]
+            assert trace.ranking.order.index(g) < trace.ranking.order.index(j)
     # individual rationality of declared amounts, participation
     for j in range(len(inst.bids)):
         if j in allocation.grants:
@@ -225,3 +226,61 @@ def test_greedy_value_positive_on_nonempty():
     inst = random_instance(5, 6, seed="value:1")
     allocation, _ = greedy_allocate(inst, L1)
     assert allocation_value(inst, allocation) > Money(0)
+
+
+def _rescan_blocker(trace, instance, granted, j):
+    """Reference blocker: scan rank positions after winner j for the first
+    denied bid that meets j and meets no other bid granted before it."""
+    order = trace.ranking.order
+    position = {b: p for p, b in enumerate(order)}
+    masks = instance.bid_masks
+    for p in range(position[j] + 1, len(order)):
+        i = order[p]
+        if i in granted or not masks[i] & masks[j]:
+            continue
+        if all(g == j or position[g] > p or not masks[g] & masks[i] for g in granted):
+            return i
+    return None
+
+
+def _check_blockers_against_rescan(inst, cfg):
+    out = run_greedy(inst, cfg)
+    trace, granted = out.trace, out.allocation.grants
+    assert list(trace.blockers) == [j for j in trace.ranking.order if j in granted]
+    for j, i in trace.blockers.items():
+        assert i == blocker(trace, j) == _rescan_blocker(trace, inst, granted, j)
+        if i is None:
+            assert out.payments[j] == Money(0)
+        else:
+            size = len(inst.bids[j].bundle)
+            assert out.payments[j] == crossing_value(inst.bids[i], size, cfg.exponent)
+    return out
+
+
+@pytest.mark.parametrize("exponent", [F(0), F(1, 2), F(1)], ids=str)
+def test_blockers_match_rescan_on_random_instances(exponent):
+    cfg = NormConfig(exponent)
+    for t in range(200):
+        _check_blockers_against_rescan(random_instance(6, 9, seed=f"blocker-ref:{t}"), cfg)
+
+
+def test_blockers_match_rescan_on_tied_instances():
+    # amounts from a small set on small bundles make equal norms common
+    rng = random.Random("blocker-ties")
+    goods = ("a", "b", "c", "d")
+    tied = 0
+    for _ in range(200):
+        bids = tuple(
+            bid(f"x{i}", rng.sample(goods, rng.randint(1, 3)), rng.randint(1, 4))
+            for i in range(7)
+        )
+        inst = AuctionInstance(goods, bids)
+        for exponent in (F(0), F(1, 2), F(1)):
+            order = list(range(len(bids)))
+            rng.shuffle(order)
+            for cfg in (
+                NormConfig(exponent),
+                NormConfig(exponent, TieRule.EXPLICIT, tuple(order)),
+            ):
+                tied += _check_blockers_against_rescan(inst, cfg).trace.ranking.had_ties
+    assert tied > 500

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from camech.errors import ParseError
 from camech.money import Money, fraction_to_decimal, iroot, parse_decimal, square_parts
 
 
@@ -102,6 +103,20 @@ def test_fraction_to_decimal_exact():
     assert fraction_to_decimal(F(1, 3)) == "1/3"  # non-terminating: exact literal
     assert parse_decimal("1/3") == F(1, 3)
     assert parse_decimal("9.5") == F(19, 2)
+
+
+def test_parse_decimal_bounds_literal_size():
+    assert parse_decimal("1e990") == 10 ** 990
+    assert parse_decimal("2.5e-3") == F(1, 400)
+    for text in ("1e999999999", "1e-999999999", "1e5000", "9" * 1001, "1e_", "x"):
+        with pytest.raises(ParseError):
+            parse_decimal(text)
+
+
+def test_to_decimal_extreme_magnitudes():
+    assert Money(F(3, 10 ** 700)).to_decimal() == "0." + "0" * 699 + "3"
+    assert Money(10 ** 5000).to_decimal() == "1" + "0" * 5000
+    assert Money(F(1, 2 ** 3000)).to_decimal(3) == "0." + "0" * 903 + "813"
 
 
 @given(st.fractions(), st.fractions())
