@@ -26,7 +26,6 @@ from .axioms import (
 from .exact import (
     ExactSolution,
     SolverKind,
-    clarke_payments,
     clarke_with_greedy,
     optimal_allocation,
     run_gva,
@@ -57,7 +56,7 @@ from .model import (
     validate_instance,
 )
 from .money import Money
-from .norm import NormConfig, NormValue, RankedList, TieRule, norm_compare, rank
+from .norm import NormConfig, RankedList, TieRule, rank
 
 __version__ = "0.1.0"
 
@@ -74,7 +73,6 @@ __all__ = [
     "Mechanism",
     "Money",
     "NormConfig",
-    "NormValue",
     "Outcome",
     "RankedList",
     "RatioStats",
@@ -91,7 +89,6 @@ __all__ = [
     "check_monotonicity",
     "check_participation",
     "clarke_greedy_mechanism",
-    "clarke_payments",
     "clarke_with_greedy",
     "complex_player_utility",
     "conflicts",
@@ -100,7 +97,6 @@ __all__ = [
     "greedy_allocate",
     "greedy_mechanism",
     "gva_mechanism",
-    "norm_compare",
     "optimal_allocation",
     "random_instance",
     "rank",

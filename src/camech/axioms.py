@@ -24,8 +24,6 @@ from .greedy import run_greedy
 
 #: Probe points sit at this fraction of the local gap away from a threshold.
 PROBE_SCALE = Fraction(1, 2 ** 20)
-#: Bisection stops once a probed critical value's bracket is this narrow.
-PROBE_EPSILON = Fraction(1, 10 ** 9)
 #: Draws tried for one tie-free monotonicity perturbation before giving up.
 PERTURBATION_ATTEMPTS = 20
 
@@ -34,43 +32,29 @@ PERTURBATION_ATTEMPTS = 20
 class Mechanism:
     """A deterministic runnable mechanism: instance -> Outcome.
 
-    `value_thresholds(instance, j)` lists the declared values at which bid
-    j's outcome may change (used for exact critical values); norm-based
-    mechanisms provide it, plugged mechanisms may leave it None and fall back
-    to growth-and-bisection probing.  `deviation_thresholds` is the analogue
-    for a hypothetical bundle.  `norm` is the ranking norm of a norm-based
-    mechanism.
+    `thresholds(instance, j, bundle)` lists the declared values at which bid
+    j, moved to `bundle`, may change its outcome: the exact critical values
+    and the misreport search probe around them.  `norm` is the ranking norm
+    of a norm-based mechanism.
     """
 
     name: str
     run: Callable[[AuctionInstance], Outcome]
-    value_thresholds: Optional[Callable[[AuctionInstance, int], Sequence[Money]]] = None
-    deviation_thresholds: Optional[
-        Callable[[AuctionInstance, int, frozenset], Sequence[Money]]
-    ] = None
+    thresholds: Callable[[AuctionInstance, int, frozenset], Sequence[Money]]
     norm: Optional[NormConfig] = None
-
-
-def _crossing_values(instance: AuctionInstance, j: int, size: int, exponent: Fraction):
-    """Values at which a size-`size` bundle's norm crosses each other bid's norm."""
-    return [crossing_value(b, size, exponent) for i, b in enumerate(instance.bids) if i != j]
 
 
 def _norm_mechanism(
     name: str, run: Callable[[AuctionInstance], Outcome], cfg: NormConfig
 ) -> Mechanism:
-    """A mechanism allocating greedily by cfg's norm, so its thresholds are norm crossings."""
-    return Mechanism(
-        name=name,
-        run=run,
-        value_thresholds=lambda inst, j: _crossing_values(
-            inst, j, len(inst.bids[j].bundle), cfg.exponent
-        ),
-        deviation_thresholds=lambda inst, j, bundle: _crossing_values(
-            inst, j, len(bundle), cfg.exponent
-        ),
-        norm=cfg,
-    )
+    """A mechanism allocating greedily by cfg's norm, so its thresholds are
+    the values at which the bundle's norm crosses each other bid's."""
+
+    def thresholds(inst: AuctionInstance, j: int, bundle: frozenset):
+        size = len(bundle)
+        return [crossing_value(b, size, cfg.exponent) for i, b in enumerate(inst.bids) if i != j]
+
+    return Mechanism(name, run, thresholds, cfg)
 
 
 def greedy_mechanism(cfg: NormConfig) -> Mechanism:
@@ -82,8 +66,9 @@ def clarke_greedy_mechanism(cfg: NormConfig) -> Mechanism:
 
 
 def gva_mechanism(solver: _exact.SolverKind) -> Mechanism:
-    def deviation_thresholds(inst: AuctionInstance, j: int, bundle: frozenset):
-        # the one value where j (with this bundle) enters the optimal allocation
+    def thresholds(inst: AuctionInstance, j: int, bundle: frozenset):
+        # the one value where j (with this bundle) enters the optimal
+        # allocation; for j's own bundle it is j's Clarke payment
         opt_without = _exact.optimal_allocation(inst.with_amount(j, 0), solver).value
         big = opt_without + 1
         forced = inst.with_bid(
@@ -93,12 +78,7 @@ def gva_mechanism(solver: _exact.SolverKind) -> Mechanism:
         t = opt_without - compatible
         return [t if t.sign() > 0 else Money(0)]
 
-    return Mechanism(
-        name="gva",
-        run=lambda inst: _exact.run_gva(inst, solver),
-        value_thresholds=None,
-        deviation_thresholds=deviation_thresholds,
-    )
+    return Mechanism("gva", lambda inst: _exact.run_gva(inst, solver), thresholds)
 
 
 #: Mechanism name -> constructor taking the norm and the exact solver; a
@@ -114,38 +94,22 @@ MECHANISMS: dict[str, Callable[[NormConfig, _exact.SolverKind], Mechanism]] = {
 class CriticalValue:
     """Threshold below which a bid loses and above which it wins.
 
-    `value` is None for +infinity.  `exact` marks the threshold-scan route;
-    probed mechanisms report a bracket instead.
+    `value` is None for +infinity; `probes` counts the mechanism runs.
     """
 
     value: Optional[Money]
-    exact: bool
-    bracket: Optional[tuple[Money, Money]] = None
     probes: int = 0
 
 
 def critical_value(mech: Mechanism, instance: AuctionInstance, j: int) -> CriticalValue:
-    """Compute the grant threshold for bid j's declared bundle by re-running.
+    """Bid j's grant threshold: the mechanism's first threshold above which,
+    probed once inside each region between thresholds, j wins its bundle.
 
-    Raises `NonMonotoneDetected` when probing finds a denial above a grant,
+    Raises `NonMonotoneDetected` when a probe finds a denial above a grant,
     i.e. when no single threshold exists.
     """
     bundle = instance.bids[j].bundle
-
-    def granted_at(v: Money) -> bool:
-        out = mech.run(instance.with_amount(j, v))
-        return out.allocation.bundle_granted(j) == bundle
-
-    if mech.value_thresholds is not None:
-        return _critical_by_thresholds(mech, instance, j, granted_at)
-    return _critical_by_probing(instance, j, granted_at)
-
-
-def _critical_by_thresholds(mech, instance, j, granted_at) -> CriticalValue:
-    zero = Money(0)
-    thresholds = sorted(
-        {t for t in mech.value_thresholds(instance, j) if t.sign() > 0}
-    )
+    thresholds = sorted({t for t in mech.thresholds(instance, j, bundle) if t.sign() > 0})
     # one probe inside each region between consecutive thresholds
     probes: list[Money] = []
     if not thresholds:
@@ -155,10 +119,13 @@ def _critical_by_thresholds(mech, instance, j, granted_at) -> CriticalValue:
         for a, b in zip(thresholds, thresholds[1:]):
             probes.append(a + (b - a) * PROBE_SCALE)
         probes.append(thresholds[-1] * (1 + PROBE_SCALE))
-    status = [granted_at(p) for p in probes]
+    status = [
+        mech.run(instance.with_amount(j, v)).allocation.bundle_granted(j) == bundle
+        for v in probes
+    ]
     first = next((i for i, s in enumerate(status) if s), None)
     if first is None:
-        return CriticalValue(None, True, probes=len(probes))
+        return CriticalValue(None, len(probes))
     for i in range(first + 1, len(status)):
         if not status[i]:
             raise NonMonotoneDetected(
@@ -167,42 +134,7 @@ def _critical_by_thresholds(mech, instance, j, granted_at) -> CriticalValue:
                 witness={"instance": instance, "bid": j,
                          "granted_at": probes[first], "denied_at": probes[i]},
             )
-    vc = zero if first == 0 else thresholds[first - 1]
-    return CriticalValue(vc, True, probes=len(probes))
-
-
-def _critical_by_probing(instance, j, granted_at) -> CriticalValue:
-    ceiling = (sum((b.amount for b in instance.bids), Money(0)) + 1) * 2
-    probes = 0
-    lo, hi = Money(0), None
-    v = Money(1)
-    while v <= ceiling:
-        probes += 1
-        if granted_at(v):
-            hi = v
-            break
-        lo = v
-        v = v * 2
-    if hi is None:
-        return CriticalValue(None, False, probes=probes)
-    for factor in (2, 4):  # spot-check monotonicity above the bracket
-        check = hi * factor
-        if check <= ceiling:
-            probes += 1
-            if not granted_at(check):
-                raise NonMonotoneDetected(
-                    f"bid {j}: granted at {hi.to_decimal()} but denied at {check.to_decimal()}",
-                    witness={"instance": instance, "bid": j,
-                             "granted_at": hi, "denied_at": check},
-                )
-    while (hi - lo).compare(PROBE_EPSILON) > 0:
-        mid = (lo + hi) / 2
-        probes += 1
-        if granted_at(mid):
-            hi = mid
-        else:
-            lo = mid
-    return CriticalValue((lo + hi) / 2, False, bracket=(lo, hi), probes=probes)
+    return CriticalValue(Money(0) if first == 0 else thresholds[first - 1], len(probes))
 
 
 @dataclass(frozen=True, eq=False)
@@ -333,16 +265,9 @@ def _tie_free_perturbation(rng, mech, inst, j):
     return None
 
 
-def check_critical(
-    mech: Mechanism,
-    instances: Iterable[AuctionInstance],
-    *,
-    tolerance: Optional[Fraction] = None,
-) -> AxiomCheck:
+def check_critical(mech: Mechanism, instances: Iterable[AuctionInstance]) -> AxiomCheck:
     """Winners pay exactly their critical value.
 
-    `tolerance=None` demands exact equality (threshold-route mechanisms);
-    probed mechanisms compare against the bracket midpoint within tolerance.
     Propagates `NonMonotoneDetected` from the critical-value search.
     """
     samples = 0
@@ -357,12 +282,7 @@ def check_critical(
                     "critical", "violated", samples,
                     Witness(inst, j, f"granted bid {j} has an infinite critical value"),
                 )
-            if tolerance is None and cv.exact:
-                bad = pay != cv.value
-            else:
-                tol = tolerance if tolerance is not None else Fraction(1, 10 ** 6)
-                bad = abs(pay - cv.value).compare(tol) > 0
-            if bad:
+            if pay != cv.value:
                 return AxiomCheck(
                     "critical", "violated", samples,
                     Witness(inst, j, f"bid {j} pays {pay.to_decimal()} but its "
@@ -458,11 +378,7 @@ def find_profitable_deviation(
     tested = 0
     for bundle_bits in range(1, 1 << k):
         bundle = frozenset(goods[i] for i in range(k) if bundle_bits >> i & 1)
-        if mech.deviation_thresholds is not None:
-            thresholds = mech.deviation_thresholds(base, j, bundle)
-        else:
-            thresholds = []
-        for v in _candidate_values(thresholds, true_type.amount):
+        for v in _candidate_values(mech.thresholds(base, j, bundle), true_type.amount):
             tested += 1
             attempt = SingleMindedBid(declared.bidder, bundle, v, declared.is_reserve)
             u = utility(mech.run(base.with_bid(j, attempt)))

@@ -15,7 +15,7 @@ from .errors import ParseError
 from .experiments import RatioStats, ReproRow, TieOrderComparison
 from .model import AuctionInstance, Outcome, SingleMindedBid, Violation
 from .money import Money, fraction_to_decimal, parse_decimal
-from .norm import RankedList
+from .norm import RankedList, norm_text
 
 SIGNIFICANT_DIGITS = 12
 
@@ -145,7 +145,7 @@ def outcome_document(instance: AuctionInstance, outcome: Outcome, mech: Mechanis
                 "bidder": b.bidder,
                 "bundle": sorted(outcome.allocation.bundle_granted(j)),
                 "payment": money_text(outcome.payments[j]),
-                "norm": ranking.norms[j].to_decimal() if ranking else None,
+                "norm": norm_text(b, ranking.exponent) if ranking else None,
             }
             granted.append(entry)
         else:

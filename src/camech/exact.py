@@ -161,11 +161,6 @@ def optimal_allocation(instance: AuctionInstance, solver: SolverKind) -> ExactSo
     return ExactSolution(Allocation.of_indices(instance, indices), to_money(value), count)
 
 
-def clarke_payments(instance: AuctionInstance, solver: SolverKind) -> tuple[Money, ...]:
-    """Each bid pays the optimum without it minus what the others get with it."""
-    return run_gva(instance, solver).payments
-
-
 def _clarke(
     instance: AuctionInstance, allocation: Allocation, total: Money,
     value_without_j: Callable[[AuctionInstance], Money],

@@ -432,7 +432,7 @@ def revenue_compare_tie_orders(instance: AuctionInstance, cfg: NormConfig) -> Ti
     base = rank(instance, NormConfig(cfg.exponent, TieRule.CANONICAL))
     groups: list[list[int]] = []
     for j in base.order:
-        if groups and base.norms[groups[-1][0]].compare(base.norms[j]) == 0:
+        if groups and base.keys[groups[-1][0]] == base.keys[j]:
             groups[-1].append(j)
         else:
             groups.append([j])

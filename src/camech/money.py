@@ -16,7 +16,7 @@ from functools import lru_cache
 from math import isqrt
 from typing import Union
 
-from .errors import ParseError
+from .errors import InvalidArgument, ParseError
 
 Rational = Union[int, Fraction]
 
@@ -33,7 +33,7 @@ _EXPONENT = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)\s*$")
 def square_parts(n: int) -> tuple[int, int]:
     """Split n >= 1 into (outer, core) with n == outer**2 * core, core square-free."""
     if n < 1:
-        raise ValueError("square_parts expects a positive integer")
+        raise InvalidArgument("square_parts expects a positive integer")
     outer, core, m = 1, 1, n
     d = 2
     while d * d <= m:
@@ -52,7 +52,7 @@ def square_parts(n: int) -> tuple[int, int]:
 def iroot(n: int, k: int) -> int:
     """Floor of the k-th root of n >= 0."""
     if n < 0 or k < 1:
-        raise ValueError("iroot expects n >= 0 and k >= 1")
+        raise InvalidArgument("iroot expects n >= 0 and k >= 1")
     if n == 0 or k == 1:
         return n
     if k == 2:
@@ -98,7 +98,7 @@ class Money:
     def sqrt(cls, n: int) -> "Money":
         """Exact square root of a non-negative integer."""
         if n < 0:
-            raise ValueError("sqrt of a negative integer")
+            raise InvalidArgument("sqrt of a negative integer")
         if n == 0:
             return cls()
         outer, core = square_parts(n)
@@ -122,7 +122,7 @@ class Money:
         if not self._terms:
             return _ZERO
         if not self.is_rational:
-            raise ValueError(f"{self!r} is irrational")
+            raise InvalidArgument(f"{self!r} is irrational")
         return self._terms[1]
 
     def terms(self) -> tuple[tuple[int, Fraction], ...]:
@@ -222,7 +222,7 @@ class Money:
                 ((m, c),) = other._terms.items()
                 # 1 / (c * sqrt(m)) == sqrt(m) / (c * m)
                 return self * Money._from_terms({m: Fraction(1, 1) / (c * m)})
-            raise ValueError("division by a multi-term irrational value")
+            raise InvalidArgument("division by a multi-term irrational value")
         return NotImplemented
 
     def __abs__(self):
@@ -331,19 +331,7 @@ class Money:
         x = -self if s < 0 else self
         e = x._floor_log10()
         shift = significant - 1 - e
-        n = x._scaled_round(shift)
-        if n >= 10 ** significant:
-            n //= 10
-            e += 1
-        digits = str(n)
-        if e >= significant - 1:
-            text = digits + "0" * (e - significant + 1)
-        elif e >= 0:
-            text = digits[: e + 1] + "." + digits[e + 1 :]
-        else:
-            text = "0." + "0" * (-e - 1) + digits
-        if "." in text:
-            text = text.rstrip("0").rstrip(".")
+        text = _decimal_text(x._scaled_round(shift), e, significant)
         return "-" + text if s < 0 else text
 
     def _floor_log10(self) -> int:
@@ -371,6 +359,41 @@ class Money:
             if rlo == rhi:
                 return rlo
             bits *= 2
+
+
+def _decimal_text(n: int, e: int, significant: int) -> str:
+    """The decimal n * 10**(e - significant + 1), zeros stripped; n has
+    `significant` digits, or is 10**significant after rounding up."""
+    if n >= 10 ** significant:
+        n //= 10
+        e += 1
+    digits = str(n)
+    if e >= significant - 1:
+        text = digits + "0" * (e - significant + 1)
+    elif e >= 0:
+        text = digits[: e + 1] + "." + digits[e + 1 :]
+    else:
+        text = "0." + "0" * (-e - 1) + digits
+    if "." in text:
+        text = text.rstrip("0").rstrip(".")
+    return text
+
+
+def root_to_decimal(y: Fraction, q: int, significant: int) -> str:
+    """y**(1/q) rounded to `significant` digits, for y >= 0 whose q-th root is
+    zero or irrational (so no rounding tie can occur); integers only."""
+    if not y:
+        return "0"
+    e = _floor_log10_fraction(y) // q  # 10**e <= y**(1/q) < 10**(e + 1)
+    shift = (significant - 1 - e) * q
+    # plain integers: Fraction arithmetic would take gcds of huge powers
+    num, den = y.numerator << q, y.denominator
+    if shift >= 0:
+        num *= 10 ** shift
+    else:
+        den *= 10 ** -shift
+    twice = iroot(num // den, q)  # floor(2 * y**(1/q) * 10**(significant - 1 - e))
+    return _decimal_text((twice + 1) // 2, e, significant)
 
 
 def _floor_log10_fraction(f: Fraction) -> int:

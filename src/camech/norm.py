@@ -1,10 +1,9 @@
 """Bid ranking under the amount-over-bundle-size family of norms.
 
 A bid (s, a) scores a / |s|**l for a configurable rational exponent l >= 0.
-All comparisons are exact: for l = p/q the order of a1/|s1|**l and
-a2/|s2|**l equals the order of a1**q * |s2|**p and a2**q * |s1|**p, which
-stays inside exact arithmetic for any rational amounts (and for the radical
-sums produced by probing).
+All comparisons are exact: for l = p/q bids rank as their order keys
+a**q / |s|**p do, which stay inside exact arithmetic for any rational
+amounts (and for the radical sums produced by probing).
 """
 
 from __future__ import annotations
@@ -12,12 +11,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from math import gcd
 
 from .errors import ExponentNotSupported, InvalidArgument, TiesPresent
 from .model import AuctionInstance, SingleMindedBid
-from .money import Money, iroot, square_parts
+from .money import Money, iroot, root_to_decimal, square_parts
 
 #: Largest numerator or denominator of a norm exponent, so exact powers stay small.
 MAX_EXPONENT_TERM = 1000
@@ -55,7 +54,7 @@ def bundle_ratio_power(w_num: int, w_den: int, exponent: Fraction) -> Money:
     exponents are accepted only when the power happens to be rational.
     """
     if w_num < 1 or w_den < 1:
-        raise ValueError("bundle sizes must be positive")
+        raise InvalidArgument("bundle sizes must be positive")
     p, q = exponent.numerator, exponent.denominator
     a, b = w_num ** p, w_den ** p
     g = gcd(a, b)
@@ -79,91 +78,36 @@ def crossing_value(bid: SingleMindedBid, size: int, exponent: Fraction) -> Money
 
 
 @lru_cache(maxsize=1024)
-def order_key(amount: Money, size: int, p: int, q: int) -> Fraction | None:
-    """amount**q / size**p, order-isomorphic to the norm for l = p/q; None when irrational."""
-    if not amount.is_rational:
-        return None
+def order_key(amount: Money, size: int, p: int, q: int) -> Fraction:
+    """amount**q / size**p for a rational amount, order-isomorphic to the norm for l = p/q."""
     return amount.as_fraction() ** q / size ** p
 
 
-@dataclass(frozen=True, eq=False)
-class NormValue:
-    """Exact comparison key for one bid's norm a / size**exponent.
+def norm_text(bid: SingleMindedBid, exponent: Fraction) -> str:
+    """The norm a / size**exponent at 12 significant digits, without floats.
 
-    Equality is equality of norms, so two bids whose norms tie compare equal.
+    Exact where the norm has a closed form; otherwise it is the irrational
+    q-th root of a rational amount's order key, rounded from integer roots.
     """
-
-    amount: Money
-    size: int
-    exponent: Fraction
-
-    @cached_property
-    def _order_key(self) -> Fraction | None:
-        return order_key(self.amount, self.size, self.exponent.numerator, self.exponent.denominator)
-
-    def compare(self, other: "NormValue") -> int:
-        if self.exponent != other.exponent:
-            raise ValueError("norm values under different exponents are not comparable")
-        a, b = self._order_key, other._order_key
-        if a is not None and b is not None:
-            return -1 if a < b else (1 if a > b else 0)
-        p, q = self.exponent.numerator, self.exponent.denominator
-        lhs = self.amount ** q * other.size ** p
-        rhs = other.amount ** q * self.size ** p
-        return lhs.compare(rhs)
-
-    def value(self) -> Money:
-        """The norm itself as an exact value (exponent denominator <= 2)."""
-        return self.amount * bundle_ratio_power(1, self.size, self.exponent)
-
-    def to_decimal(self) -> str:
-        """The norm at 12 significant digits; approximate when no closed form exists."""
-        try:
-            return self.value().to_decimal(12)
-        except ExponentNotSupported:
-            approx = float(self.amount) / self.size ** float(self.exponent)
-            return f"{approx:.12g}"
-
-    def __eq__(self, other):
-        if not isinstance(other, NormValue):
-            return NotImplemented
-        return self.compare(other) == 0
-
-    def __lt__(self, other):
-        return self.compare(other) < 0
-
-    def __le__(self, other):
-        return self.compare(other) <= 0
-
-    def __gt__(self, other):
-        return self.compare(other) > 0
-
-    def __ge__(self, other):
-        return self.compare(other) >= 0
-
-
-def norm_of(bid: SingleMindedBid, exponent: Fraction) -> NormValue:
-    return NormValue(bid.amount, len(bid.bundle), exponent)
-
-
-def norm_compare(b1: SingleMindedBid, b2: SingleMindedBid, exponent: Fraction) -> int:
-    """Sign of norm(b1) - norm(b2), exactly."""
-    return norm_of(b1, Fraction(exponent)).compare(norm_of(b2, Fraction(exponent)))
+    size = len(bid.bundle)
+    try:
+        return (bid.amount * bundle_ratio_power(1, size, exponent)).to_decimal(12)
+    except ExponentNotSupported:
+        p, q = exponent.numerator, exponent.denominator
+        return root_to_decimal(order_key(bid.amount, size, p, q), q, 12)
 
 
 @dataclass(frozen=True, eq=False)
 class RankedList:
-    """A total order over bid indices, norm-descending, ties resolved."""
+    """A total order over bid indices, norm-descending, ties resolved.
+
+    `keys[j]` is bid j's order key amount**q / size**p: equal keys are equal norms.
+    """
 
     order: tuple[int, ...]
     exponent: Fraction
     had_ties: bool
-    bids: tuple[SingleMindedBid, ...]
-
-    @cached_property
-    def norms(self) -> tuple[NormValue, ...]:
-        """Per-bid norm values, indexed by bid position in the instance."""
-        return tuple(norm_of(b, self.exponent) for b in self.bids)
+    keys: tuple[Fraction | Money, ...]
 
 
 def rank(instance: AuctionInstance, cfg: NormConfig) -> RankedList:
@@ -182,11 +126,11 @@ def rank(instance: AuctionInstance, cfg: NormConfig) -> RankedList:
             raise InvalidArgument("explicit order must be a permutation of the bid indices")
         explicit_pos = {j: p for p, j in enumerate(cfg.explicit_order)}
 
+    p, q = exponent.numerator, exponent.denominator
     if instance.all_amounts_rational:
-        p, q = exponent.numerator, exponent.denominator
         keys = [order_key(b.amount, len(b.bundle), p, q) for b in bids]
-    else:
-        keys = [norm_of(b, exponent) for b in bids]
+    else:  # probe amounts, rarely ranked twice: not worth a cache entry
+        keys = [b.amount ** q / len(b.bundle) ** p for b in bids]
     order = sorted(range(n), key=keys.__getitem__, reverse=True)
     ties = [(i, j) for i, j in zip(order, order[1:]) if keys[i] == keys[j]]
     if ties:
@@ -199,4 +143,4 @@ def rank(instance: AuctionInstance, cfg: NormConfig) -> RankedList:
             order = sorted(
                 range(n), key=lambda i: (keys[i], bids[i].amount, -masks[i], -i), reverse=True
             )
-    return RankedList(tuple(order), exponent, bool(ties), bids)
+    return RankedList(tuple(order), exponent, bool(ties), tuple(keys))

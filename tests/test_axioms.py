@@ -1,6 +1,5 @@
 """Axiom checks, critical values, and the misreport search."""
 
-from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
@@ -18,7 +17,7 @@ from camech.axioms import (
     run_axiom_suite,
 )
 from camech.errors import BundleSpaceTooLarge, NonMonotoneDetected
-from camech.exact import SolverKind
+from camech.exact import SolverKind, run_gva
 from camech.experiments import random_instance
 from camech.greedy import run_greedy
 from camech.model import Allocation, AuctionInstance, Outcome, SingleMindedBid
@@ -51,24 +50,62 @@ def competitive_instance():
 # -- critical values --------------------------------------------------------
 
 
+def no_thresholds(instance, j, bundle):
+    return []
+
+
+#: The reference prober stops once its bracket is this narrow.
+BRACKET_WIDTH = F(1, 10 ** 9)
+
+
+def probe_bracket(mech, instance, j):
+    """Reference oracle: grow, then bisect, a bracket (lo, hi] around bid j's
+    critical value by re-running `mech`; None when j never wins."""
+    bundle = instance.bids[j].bundle
+
+    def granted_at(v):
+        return mech.run(instance.with_amount(j, v)).allocation.bundle_granted(j) == bundle
+
+    ceiling = (sum((b.amount for b in instance.bids), Money(0)) + 1) * 2
+    lo, hi, v = Money(0), None, Money(1)
+    while v <= ceiling:
+        if granted_at(v):
+            hi = v
+            break
+        lo, v = v, v * 2
+    if hi is None:
+        return None
+    for check in (hi * 2, hi * 4):  # spot-check monotonicity above the bracket
+        if check <= ceiling and not granted_at(check):
+            raise NonMonotoneDetected(f"bid {j}: granted at {hi} but denied at {check}")
+    while (hi - lo).compare(BRACKET_WIDTH) > 0:
+        mid = (lo + hi) / 2
+        if granted_at(mid):
+            hi = mid
+        else:
+            lo = mid
+    return lo, hi
+
+
 def test_critical_value_matches_payment():
     mech = greedy_mechanism(L1)
     cv = critical_value(mech, three_bidder_instance(), 0)
-    assert cv.exact and cv.value == Money(F(19, 2))
+    assert cv.value == Money(F(19, 2))
 
 
 def test_critical_value_zero_when_unthreatened():
     mech = greedy_mechanism(L1)
     cv = critical_value(mech, competitive_instance(), 0)
-    assert cv.exact and cv.value == Money(0)
+    assert cv.value == Money(0)
 
 
 def test_critical_value_lone_bidder():
     inst = AuctionInstance(("a",), (bid("solo", "a", 3),))
     cv = critical_value(greedy_mechanism(L1), inst, 0)
     assert cv.value == Money(0)
-    gcv = critical_value(gva_mechanism(SolverKind.BITMASK_DP), inst, 0)
-    lo, hi = gcv.bracket
+    gva = gva_mechanism(SolverKind.BITMASK_DP)
+    assert critical_value(gva, inst, 0).value == Money(0)
+    lo, hi = probe_bracket(gva, inst, 0)
     assert lo <= Money(0) <= hi and hi <= Money(F(1, 10 ** 8))
 
 
@@ -83,30 +120,51 @@ def test_critical_value_infinite():
         allocation = Allocation.of_indices(instance, [1])
         return Outcome(allocation, (Money(0), Money(0)), Money(0))
 
-    walled = Mechanism("wall", denies_red)
+    walled = Mechanism("wall", denies_red, no_thresholds)
     cv = critical_value(walled, inst, 0)
-    assert cv.value is None and not cv.exact
+    assert cv.value is None
+    assert probe_bracket(walled, inst, 0) is None
 
 
 def test_critical_value_probing_agrees_with_thresholds():
-    mech = greedy_mechanism(L1)
-    blind = replace(mech, value_thresholds=None)
-    for t in range(8):
-        inst = random_instance(5, 7, seed=f"cv-agree:{t}")
-        out = run_greedy(inst, L1)
-        for j in sorted(out.allocation.grants):
-            exact = critical_value(mech, inst, j)
-            probed = critical_value(blind, inst, j)
-            assert exact.exact and not probed.exact
-            lo, hi = probed.bracket
-            assert lo <= exact.value <= hi
+    mechanisms = (
+        greedy_mechanism(L1), greedy_mechanism(LHALF),
+        gva_mechanism(SolverKind.BITMASK_DP), gva_mechanism(SolverKind.BRUTE_FORCE_BID_SUBSETS),
+    )
+    for mech in mechanisms:
+        for t in range(6):
+            inst = random_instance(5, 7, seed=f"cv-agree:{t}")
+            for j in sorted(mech.run(inst).allocation.grants):
+                lo, hi = probe_bracket(mech, inst, j)
+                assert lo <= critical_value(mech, inst, j).value <= hi
 
 
 def test_critical_value_gva_brackets_clarke_payment():
     mech = gva_mechanism(SolverKind.BITMASK_DP)
     cv = critical_value(mech, three_bidder_instance(), 1)
-    lo, hi = cv.bracket
+    assert cv.value == Money(18)
+    lo, hi = probe_bracket(mech, three_bidder_instance(), 1)
     assert lo <= Money(18) <= hi
+
+
+def test_gva_critical_value_equals_clarke_payment():
+    # every fourth instance gains an auctioneer's reserve bid on two goods,
+    # at 1/2, 1 or 3/2 times the top amount, so that it sometimes wins
+    winners = reserve_winners = 0
+    for t in range(120):
+        inst = random_instance(4, 5, seed=f"gva-threshold:{t}")
+        if t % 4 == 0:
+            amount = max(b.amount for b in inst.bids) * F(t % 3 + 1, 2)
+            reserve = SingleMindedBid("seller", frozenset(inst.goods[:2]), amount, True)
+            inst = AuctionInstance(inst.goods, inst.bids + (reserve,))
+        solver = (SolverKind.BITMASK_DP, SolverKind.BRUTE_FORCE_BID_SUBSETS)[t % 2]
+        mech = gva_mechanism(solver)
+        out = run_gva(inst, solver)
+        for j in sorted(out.allocation.grants):
+            winners += 1
+            reserve_winners += inst.bids[j].is_reserve
+            assert critical_value(mech, inst, j).value == out.payments[j]
+    assert winners >= 200 and reserve_winners > 0
 
 
 def test_nonmonotone_detected_threshold_route():
@@ -120,14 +178,14 @@ def test_nonmonotone_detected_threshold_route():
         return Outcome(allocation, (Money(0),) * 3, Money(0))
 
     broken = Mechanism(
-        "window", window,
-        value_thresholds=lambda i, j: [Money(F(19, 2)), Money(15)],
+        "window", window, lambda i, j, bundle: [Money(F(19, 2)), Money(15)]
     )
     with pytest.raises(NonMonotoneDetected):
         critical_value(broken, inst, 0)
 
 
 def test_nonmonotone_detected_probing_route():
+    # the threshold scan and the reference prober both catch a lone bidder's window
     inst = AuctionInstance(("a",), (bid("x", "a", 2),))
 
     def window(instance):
@@ -135,8 +193,11 @@ def test_nonmonotone_detected_probing_route():
         granted = [0] if Money(F(1, 2)) < a < Money(3) else []
         return Outcome(Allocation.of_indices(instance, granted), (Money(0),), Money(0))
 
+    broken = Mechanism("window", window, lambda i, j, bundle: [Money(F(1, 2)), Money(3)])
     with pytest.raises(NonMonotoneDetected):
-        critical_value(Mechanism("window", window), inst, 0)
+        critical_value(broken, inst, 0)
+    with pytest.raises(NonMonotoneDetected):
+        probe_bracket(broken, inst, 0)
 
 
 # -- the four checks --------------------------------------------------------
@@ -159,10 +220,10 @@ def test_gva_passes_exactness_participation():
     assert check_participation(mech, instances).holds
 
 
-def test_gva_critical_with_tolerance():
+def test_gva_critical_exact():
     mech = gva_mechanism(SolverKind.BITMASK_DP)
     instances = _sample(4, k=4, n=5, tag="gva-crit")
-    check = check_critical(mech, instances, tolerance=F(1, 10 ** 6))
+    check = check_critical(mech, instances)
     assert check.holds
 
 
@@ -183,7 +244,7 @@ def test_planted_partial_grant_fails_exactness():
         allocation = Allocation({1: frozenset(bundle)})
         return Outcome(allocation, (Money(0),) * len(instance.bids), Money(0))
 
-    check = check_exactness(Mechanism("partial", partial), [three_bidder_instance()])
+    check = check_exactness(Mechanism("partial", partial, no_thresholds), [three_bidder_instance()])
     assert check.verdict == "violated"
     assert check.witness is not None and check.witness.bid_index == 1
 
@@ -197,7 +258,7 @@ def test_planted_loser_charge_fails_participation():
                 payments[j] = Money(1)
         return Outcome(out.allocation, tuple(payments), out.revenue, trace=out.trace)
 
-    check = check_participation(Mechanism("charge", charge), [three_bidder_instance()])
+    check = check_participation(Mechanism("charge", charge, no_thresholds), [three_bidder_instance()])
     assert check.verdict == "violated"
 
 

@@ -1,11 +1,16 @@
 """Command-line interface: verbs, exit codes, determinism."""
 
+import contextlib
 import hashlib
+import io
 import json
 import subprocess
 import sys
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from camech.cli import main
 
@@ -412,3 +417,61 @@ def test_run_largest_norm_exponent(capsys, tmp_path):
     code, out = run_cli(capsys, "run", str(path), "--norm-exponent", "1000")
     assert code == 0
     assert json.loads(out)["granted"][0]["norm"] == "1"
+
+
+@pytest.mark.parametrize(
+    "goods, amount, exponent, norm",
+    [
+        (10, "7", "1000/3", "0." + "0" * 332 + "324911218353"),
+        (3, "1e400", "1/3", "693361274351" + "0" * 388),
+        (3, "9" * 999, "1/1000", "998901990965" + "0" * 987),
+    ],
+    ids=["ten-goods-1000/3", "1e400-1/3", "999-nines-1/1000"],
+)
+def test_run_norm_without_closed_form_renders_without_float(capsys, tmp_path, goods, amount, exponent, norm):
+    # float(amount) / size ** float(l) overflowed on each of these
+    bundle = [f"g{i}" for i in range(goods)]
+    doc = {"goods": bundle, "bids": [{"bidder": "wide", "bundle": bundle, "amount": amount}]}
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps(doc))
+    code, out = run_cli(capsys, "run", str(path), "--norm-exponent", exponent)
+    assert code == 0
+    assert json.loads(out)["granted"][0]["norm"] == norm
+
+
+_digits = st.text("0123456789", min_size=1, max_size=20)
+_amount_literals = st.one_of(
+    st.builds(lambda a, b: f"{a}.{b}", _digits, _digits),
+    st.builds(lambda a, b: f"{a}/{b}", _digits, _digits),
+    st.builds(lambda a, b: f"{a}{b}", st.sampled_from(["", "-"]), _digits),
+)
+_bids = st.lists(
+    st.tuples(st.sets(st.sampled_from("abc"), min_size=1), _amount_literals),
+    min_size=1, max_size=3,
+)
+_terms = st.integers(min_value=1, max_value=1000)
+
+
+@given(
+    _bids,
+    st.integers(min_value=0, max_value=1000),
+    _terms,
+    st.sampled_from(["greedy", "clarke-greedy", "gva"]),
+    st.sampled_from(["canonical", "reject"]),
+)
+@settings(max_examples=100, derandomize=True, deadline=None)
+def test_fuzz_run_amounts_and_exponents(bids, p, q, mechanism, tie_rule):
+    # exit 0, 2 or 3 with exactly one JSON document on stdout, never a traceback
+    doc = {
+        "goods": ["a", "b", "c"],
+        "bids": [
+            {"bidder": f"b{i}", "bundle": sorted(bundle), "amount": amount}
+            for i, (bundle, amount) in enumerate(bids)
+        ],
+    }
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), mock.patch.object(sys, "stdin", io.StringIO(json.dumps(doc))):
+        code = main(["run", "-", "--norm-exponent", f"{p}/{q}",
+                     "--mechanism", mechanism, "--tie-rule", tie_rule])
+    assert code in (0, 2, 3)
+    json.loads(out.getvalue())

@@ -8,7 +8,6 @@ import pytest
 from camech.errors import InstanceTooLarge
 from camech.exact import (
     SolverKind,
-    clarke_payments,
     clarke_with_greedy,
     optimal_allocation,
     run_gva,
@@ -87,20 +86,20 @@ def test_optimal_empty_and_zero_amounts():
 
 def test_clarke_payments_paper_values():
     # GVA on the three-bidder instance: green wins and pays 18
-    payments = clarke_payments(three_bidder_instance(), DP)
+    payments = run_gva(three_bidder_instance(), DP).payments
     assert payments == (Money(0), Money(18), Money(0))
     # the competitive instance: red pays 5, green 0
     inst = AuctionInstance(
         ("a", "b"),
         (bid("red", "a", 20), bid("green", "b", 15), bid("blue", "ab", 20)),
     )
-    payments = clarke_payments(inst, DP)
+    payments = run_gva(inst, DP).payments
     assert payments == (Money(5), Money(0), Money(0))
 
 
 def test_clarke_lone_bidder_pays_zero():
     inst = AuctionInstance(("a",), (bid("x", "a", 7),))
-    assert clarke_payments(inst, DP) == (Money(0),)
+    assert run_gva(inst, DP).payments == (Money(0),)
 
 
 def test_run_gva_revenue_examples():

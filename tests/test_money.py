@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from camech.errors import ParseError
+from camech.errors import CamechError, ParseError
 from camech.money import Money, fraction_to_decimal, iroot, parse_decimal, square_parts
+from camech.norm import bundle_ratio_power
 
 
 def test_square_parts():
@@ -74,6 +75,25 @@ def test_division():
         Money(1) / (Money.sqrt(2) + Money.sqrt(3))
     with pytest.raises(ZeroDivisionError):
         Money(1) / Money(0)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: square_parts(0),
+        lambda: iroot(-1, 2),
+        lambda: iroot(8, 0),
+        lambda: Money.sqrt(-2),
+        lambda: Money.sqrt(2).as_fraction(),
+        lambda: Money(1) / (Money.sqrt(2) + Money.sqrt(3)),
+        lambda: bundle_ratio_power(0, 1, F(1)),
+    ],
+    ids=["square_parts", "iroot-n", "iroot-k", "sqrt", "as_fraction", "division",
+         "bundle_ratio_power"],
+)
+def test_out_of_domain_raises_camech_error(call):
+    with pytest.raises(CamechError):
+        call()
 
 
 def test_pow():

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction as F
+from functools import cmp_to_key
 
 import pytest
 from hypothesis import given, settings
@@ -14,8 +15,8 @@ from camech.norm import (
     NormConfig,
     TieRule,
     bundle_ratio_power,
-    norm_compare,
-    norm_of,
+    crossing_value,
+    norm_text,
     rank,
 )
 
@@ -24,6 +25,14 @@ GOODS = tuple("abcdef")
 
 def bid(name, bundle, amount):
     return SingleMindedBid(name, frozenset(bundle), Money(amount))
+
+
+def norm_compare(b1, b2, exponent):
+    """Sign of norm(b1) - norm(b2), read off `rank` of the two-bid instance."""
+    ranked = rank(AuctionInstance(GOODS, (b1, b2)), NormConfig(exponent))
+    if ranked.had_ties:
+        return 0
+    return 1 if ranked.order == (0, 1) else -1
 
 
 def test_norm_compare_examples():
@@ -58,7 +67,7 @@ def test_rank_paper_order():
     ranked = rank(inst, NormConfig(F(1)))
     assert ranked.order == (0, 1, 2)  # averages 10, 9.5, 8
     assert not ranked.had_ties
-    assert [ranked.norms[j].to_decimal() for j in ranked.order] == ["10", "9.5", "8"]
+    assert [norm_text(inst.bids[j], F(1)) for j in ranked.order] == ["10", "9.5", "8"]
 
 
 def test_rank_singleton():
@@ -159,8 +168,67 @@ def test_norm_compare_is_a_total_preorder(s1, s2, s3, a1, a2, a3, exponent):
 def test_norm_value_irrational_amounts():
     # probes produce irrational amounts; comparisons stay exact
     surd = Money.root_term(F(19, 2), 2)  # 9.5 * sqrt(2) ~ 13.435
-    n1 = norm_of(bid("x", "ab", surd), F(1))
-    n2 = norm_of(bid("y", "a", F(67, 10)), F(1))
+    b1, b2 = bid("x", "ab", surd), bid("y", "a", F(67, 10))
     # 9.5*sqrt(2)/2 ~ 6.717 > 6.7
-    assert n1.compare(n2) == 1
-    assert n1.to_decimal() == "6.71751442127"
+    assert norm_compare(b1, b2, F(1)) == 1
+    assert norm_compare(b2, b1, F(1)) == -1
+    assert norm_text(b1, F(1)) == "6.71751442127"
+
+
+def test_norm_text_without_closed_form():
+    # no closed form: rounded from integer roots, no floats (checked against
+    # 50-digit decimal arithmetic)
+    assert norm_text(bid("x", "abc", 5), F(1, 3)) == "3.46680637175"
+    assert norm_text(bid("x", "abc", 0), F(1, 3)) == "0"
+    assert norm_text(bid("x", GOODS[:5], F(123456789, 1000)), F(2, 5)) == "64852.5377902"
+    ten = AuctionInstance(tuple("abcdefghij"), (bid("x", "abcdefghij", 7),))
+    assert norm_text(ten.bids[0], F(1000, 3)) == "0." + "0" * 332 + "324911218353"
+
+
+def reference_rank(instance, exponent):
+    """Canonical order, tie flag and tied neighbour pairs by cross-multiplying
+    a1**q * s2**p against a2**q * s1**p on every comparison."""
+    p, q = exponent.numerator, exponent.denominator
+    bids, masks = instance.bids, instance.bid_masks
+
+    def norm_cmp(i, j):  # negative when bid i has the larger norm
+        bi, bj = bids[i], bids[j]
+        return (bj.amount ** q * len(bi.bundle) ** p).compare(bi.amount ** q * len(bj.bundle) ** p)
+
+    by_norm = sorted(range(len(bids)), key=cmp_to_key(norm_cmp))
+    pairs = [(i, j) for i, j in zip(by_norm, by_norm[1:]) if norm_cmp(i, j) == 0]
+    # stable sorts, last key first: smaller bundle mask, higher amount, larger norm
+    order = sorted(range(len(bids)), key=lambda i: masks[i])
+    order = sorted(order, key=lambda i: bids[i].amount, reverse=True)
+    return tuple(sorted(order, key=cmp_to_key(norm_cmp))), pairs
+
+
+@pytest.mark.parametrize("exponent", [F(1, 2), F(1)], ids=["1/2", "1"])
+def test_rank_matches_cross_multiplication(exponent):
+    # each instance has one irrational probe amount: a bid's l = 1/2 crossing
+    # value for another bundle size, exactly or nudged as probes are
+    rng = random.Random(f"rank-reference:{exponent}")
+    tied = 0
+    for _ in range(200):
+        bids = [
+            bid(f"b{i}", rng.sample(GOODS, rng.randint(1, 4)), rng.randint(1, 4))
+            for i in range(rng.randint(2, 6))
+        ]
+        j, i = rng.sample(range(len(bids)), 2)
+        probe = crossing_value(bids[i], len(bids[j].bundle), F(1, 2))
+        if probe.is_rational:
+            probe = probe * Money.sqrt(2)
+        probe = probe * rng.choice([1, 1 - F(1, 2 ** 20), 1 + F(1, 2 ** 20)])
+        bids[j] = bids[j].with_amount(probe)
+        inst = AuctionInstance(GOODS, tuple(bids))
+        order, pairs = reference_rank(inst, exponent)
+        ranked = rank(inst, NormConfig(exponent))
+        assert (ranked.order, ranked.had_ties) == (order, bool(pairs))
+        if pairs:
+            tied += 1
+            with pytest.raises(TiesPresent) as err:
+                rank(inst, NormConfig(exponent, TieRule.REJECT))
+            assert list(err.value.pairs) == pairs
+        else:
+            assert rank(inst, NormConfig(exponent, TieRule.REJECT)).order == order
+    assert tied > 0
