@@ -376,9 +376,15 @@ def find_profitable_deviation(
     goods = base.goods
     best: Optional[tuple[Money, SingleMindedBid]] = None
     tested = 0
+    # a norm mechanism's thresholds depend on the bundle's size alone
+    candidates: dict[tuple[Money, ...], list[Money]] = {}
     for bundle_bits in range(1, 1 << k):
         bundle = frozenset(goods[i] for i in range(k) if bundle_bits >> i & 1)
-        for v in _candidate_values(mech.thresholds(base, j, bundle), true_type.amount):
+        thresholds = tuple(mech.thresholds(base, j, bundle))
+        values = candidates.get(thresholds)
+        if values is None:
+            values = candidates[thresholds] = _candidate_values(thresholds, true_type.amount)
+        for v in values:
             tested += 1
             attempt = SingleMindedBid(declared.bidder, bundle, v, declared.is_reserve)
             u = utility(mech.run(base.with_bid(j, attempt)))

@@ -14,7 +14,7 @@ from .axioms import AxiomCheck, DeviationReport, Mechanism
 from .errors import ParseError
 from .experiments import RatioStats, ReproRow, TieOrderComparison
 from .model import AuctionInstance, Outcome, SingleMindedBid, Violation
-from .money import Money, fraction_to_decimal, parse_decimal
+from .money import MAX_LITERAL_DIGITS, Money, fraction_to_decimal, parse_decimal
 from .norm import RankedList, norm_text
 
 SIGNIFICANT_DIGITS = 12
@@ -97,6 +97,10 @@ def parse_instance_text(text: str) -> AuctionInstance:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"not valid JSON: {exc}") from None
+    except ValueError:  # an integer past Python's int-from-string digit limit
+        raise ParseError(f"numeric literal longer than {MAX_LITERAL_DIGITS} digits") from None
+    except RecursionError:
+        raise ParseError("not valid JSON: nested too deeply") from None
     return parse_instance(doc)
 
 

@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from math import lcm
 from typing import Callable, Sequence
 
 from .errors import InstanceTooLarge
@@ -49,11 +48,10 @@ def _weights(instance: AuctionInstance):
     Falls back to Money weights (slower, still exact) otherwise.
     Returns (weights, zero, to_money).
     """
-    if instance.all_amounts_rational:
-        fracs = [b.amount.as_fraction() for b in instance.bids]
-        denom = lcm(*(f.denominator for f in fracs)) if fracs else 1
-        weights = [int(f * denom) for f in fracs]
-        return weights, 0, lambda v: Money(Fraction(v, denom))
+    integer = instance.integer_amounts
+    if integer is not None:
+        denom = integer.denominator
+        return integer.weights, 0, lambda v: Money(Fraction(v, denom))
     weights = [b.amount for b in instance.bids]
     return weights, Money(0), lambda v: v
 

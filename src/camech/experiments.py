@@ -465,6 +465,9 @@ def revenue_compare_tie_orders(instance: AuctionInstance, cfg: NormConfig) -> Ti
 TIE_FREE_EXPONENTS = (F(0), F(1, 2), F(1))
 #: Whole redraws of a random instance allowed before giving up on ties.
 MAX_DRAW_ATTEMPTS = 200
+#: Most bids drawn over all redraws of one random instance: large bid counts,
+#: which almost never come out tie-free, give up after a few redraws.
+MAX_DRAWN_BIDS = 200_000
 #: Most bundle draws (empty bundles are redrawn) a random instance may expect to need.
 MAX_BUNDLE_DRAWS = 10 ** 7
 
@@ -492,7 +495,7 @@ def random_instance(
         raise InvalidArgument(f"bundle probability too small for {MAX_BUNDLE_DRAWS} bundle draws")
     rng = random.Random(f"camech-instance:{seed}")
     goods = tuple(f"g{i + 1}" for i in range(goods_count))
-    for _ in range(MAX_DRAW_ATTEMPTS):
+    for _ in range(min(MAX_DRAW_ATTEMPTS, max(1, MAX_DRAWN_BIDS // max(bids_count, 1)))):
         bundles = []
         for _ in range(bids_count):
             bundle = frozenset(g for g in goods if rng.random() < bundle_prob)

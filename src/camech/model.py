@@ -7,8 +7,10 @@ function, so everything here can be shared freely across threads.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Mapping, Optional
+from math import gcd, lcm
+from typing import Iterable, Mapping, NamedTuple, Optional
 
 from .money import Money
 
@@ -39,6 +41,36 @@ class SingleMindedBid:
 
     def with_amount(self, amount) -> "SingleMindedBid":
         return SingleMindedBid(self.bidder, self.bundle, Money(amount), self.is_reserve)
+
+
+class IntegerAmounts(NamedTuple):
+    """Rational amounts as integer weights over one common denominator.
+
+    Bid j's amount is `weights[j] / denominator`, in lowest terms: no smaller
+    denominator holds every amount.  Weights compare, add and tie exactly
+    as the amounts do.
+    """
+
+    denominator: int
+    weights: tuple[int, ...]
+
+    @classmethod
+    def of(cls, amounts: list[Fraction]) -> "IntegerAmounts":
+        d = lcm(*(a.denominator for a in amounts))
+        return cls(d, tuple(a.numerator * (d // a.denominator) for a in amounts))
+
+    def replaced(self, j: int, amount: Fraction) -> "IntegerAmounts":
+        """The same form with amount j replaced, rescaled by the lcm of the
+        denominators and reduced back to lowest terms."""
+        d = lcm(self.denominator, amount.denominator)
+        scale = d // self.denominator
+        weights = [w * scale for w in self.weights]
+        weights[j] = amount.numerator * (d // amount.denominator)
+        g = gcd(d, *weights)
+        if g != 1:
+            d //= g
+            weights = [w // g for w in weights]
+        return IntegerAmounts(d, tuple(weights))
 
 
 @dataclass(frozen=True, eq=False)
@@ -74,6 +106,13 @@ class AuctionInstance:
     def all_amounts_rational(self) -> bool:
         return all(b.amount.is_rational for b in self.bids)
 
+    @cached_property
+    def integer_amounts(self) -> Optional[IntegerAmounts]:
+        """The amounts over their common denominator; None when any is irrational."""
+        if not self.all_amounts_rational:
+            return None
+        return IntegerAmounts.of([b.amount.as_fraction() for b in self.bids])
+
     def mask_of(self, bundle: Iterable[Good]) -> int:
         index = self.good_index
         mask = 0
@@ -86,10 +125,18 @@ class AuctionInstance:
         bids = list(self.bids)
         bids[j] = new_bid
         child = AuctionInstance(self.goods, tuple(bids), self.true_types)
-        child.__dict__["good_index"] = self.good_index
+        cache = child.__dict__
+        cache["good_index"] = self.good_index
         masks = list(self.bid_masks)
         masks[j] = self.mask_of(new_bid.bundle)
-        child.__dict__["bid_masks"] = tuple(masks)
+        cache["bid_masks"] = tuple(masks)
+        amount = new_bid.amount
+        if not amount.is_rational:
+            cache["all_amounts_rational"] = False
+            cache["integer_amounts"] = None
+        elif self.integer_amounts is not None:
+            cache["all_amounts_rational"] = True
+            cache["integer_amounts"] = self.integer_amounts.replaced(j, amount.as_fraction())
         return child
 
     def with_amount(self, j: int, amount) -> "AuctionInstance":

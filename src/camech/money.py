@@ -68,6 +68,13 @@ def iroot(n: int, k: int) -> int:
     return x
 
 
+def _rational_value(terms: dict[int, Fraction]) -> Fraction | None:
+    """The value of a term map as a Fraction, or None when it is irrational."""
+    if not terms:
+        return _ZERO
+    return terms.get(1) if len(terms) == 1 else None
+
+
 class Money:
     """A sum of rational multiples of sqrt(m) over square-free integers m.
 
@@ -95,6 +102,13 @@ class Money:
         return self
 
     @classmethod
+    def _rational(cls, value: Fraction) -> "Money":
+        self = object.__new__(cls)
+        self._terms = {1: value} if value else {}
+        self._hash = None
+        return self
+
+    @classmethod
     def sqrt(cls, n: int) -> "Money":
         """Exact square root of a non-negative integer."""
         if n < 0:
@@ -115,15 +129,13 @@ class Money:
 
     @property
     def is_rational(self) -> bool:
-        t = self._terms
-        return not t or (len(t) == 1 and 1 in t)
+        return _rational_value(self._terms) is not None
 
     def as_fraction(self) -> Fraction:
-        if not self._terms:
-            return _ZERO
-        if not self.is_rational:
+        f = _rational_value(self._terms)
+        if f is None:
             raise InvalidArgument(f"{self!r} is irrational")
-        return self._terms[1]
+        return f
 
     def terms(self) -> tuple[tuple[int, Fraction], ...]:
         """Canonical (radicand, coefficient) pairs, sorted by radicand."""
@@ -146,6 +158,9 @@ class Money:
             return o
         if not o._terms:
             return self
+        a, b = _rational_value(self._terms), _rational_value(o._terms)
+        if a is not None and b is not None:
+            return Money._rational(a + b)
         terms = dict(self._terms)
         for m, c in o._terms.items():
             s = terms.get(m, _ZERO) + c
@@ -176,6 +191,9 @@ class Money:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
+        a, b = _rational_value(self._terms), _rational_value(o._terms)
+        if a is not None and b is not None:
+            return Money._rational(a * b)
         out: dict[int, Fraction] = {}
         for m1, c1 in self._terms.items():
             for m2, c2 in o._terms.items():
@@ -277,9 +295,8 @@ class Money:
         o = self._coerce(other)
         if o is None:
             raise TypeError(f"cannot compare Money with {type(other).__name__}")
-        if self.is_rational and o.is_rational:
-            a = self._terms.get(1, _ZERO)
-            b = o._terms.get(1, _ZERO)
+        a, b = _rational_value(self._terms), _rational_value(o._terms)
+        if a is not None and b is not None:
             return -1 if a < b else (1 if a > b else 0)
         return (self - o).sign()
 

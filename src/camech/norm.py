@@ -2,8 +2,11 @@
 
 A bid (s, a) scores a / |s|**l for a configurable rational exponent l >= 0.
 All comparisons are exact: for l = p/q bids rank as their order keys
-a**q / |s|**p do, which stay inside exact arithmetic for any rational
-amounts (and for the radical sums produced by probing).
+a**q / |s|**p do.  Rational instances rank on integers: with amounts
+w / d over one denominator and L the lcm of the bundle sizes, the key
+w**q * (L / |s|)**p is the order key times (d**q * L**p).  Instances with
+radical amounts (crossing values and probes at l = 1/2) keep exact `Money`
+keys.
 """
 
 from __future__ import annotations
@@ -12,7 +15,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import gcd, lcm
 
 from .errors import ExponentNotSupported, InvalidArgument, TiesPresent
 from .model import AuctionInstance, SingleMindedBid
@@ -77,7 +80,6 @@ def crossing_value(bid: SingleMindedBid, size: int, exponent: Fraction) -> Money
     return bid.amount * bundle_ratio_power(size, len(bid.bundle), exponent)
 
 
-@lru_cache(maxsize=1024)
 def order_key(amount: Money, size: int, p: int, q: int) -> Fraction:
     """amount**q / size**p for a rational amount, order-isomorphic to the norm for l = p/q."""
     return amount.as_fraction() ** q / size ** p
@@ -101,13 +103,14 @@ def norm_text(bid: SingleMindedBid, exponent: Fraction) -> str:
 class RankedList:
     """A total order over bid indices, norm-descending, ties resolved.
 
-    `keys[j]` is bid j's order key amount**q / size**p: equal keys are equal norms.
+    `keys[j]` is bid j's order key amount**q / size**p, scaled to an integer
+    for rational instances: equal keys are equal norms.
     """
 
     order: tuple[int, ...]
     exponent: Fraction
     had_ties: bool
-    keys: tuple[Fraction | Money, ...]
+    keys: tuple[int | Money, ...]
 
 
 def rank(instance: AuctionInstance, cfg: NormConfig) -> RankedList:
@@ -127,10 +130,15 @@ def rank(instance: AuctionInstance, cfg: NormConfig) -> RankedList:
         explicit_pos = {j: p for p, j in enumerate(cfg.explicit_order)}
 
     p, q = exponent.numerator, exponent.denominator
-    if instance.all_amounts_rational:
-        keys = [order_key(b.amount, len(b.bundle), p, q) for b in bids]
-    else:  # probe amounts, rarely ranked twice: not worth a cache entry
-        keys = [b.amount ** q / len(b.bundle) ** p for b in bids]
+    sizes = [len(b.bundle) for b in bids]
+    integer = instance.integer_amounts
+    if integer is not None:
+        amounts = integer.weights
+        top = lcm(*sizes)
+        keys = [w ** q * (top // s) ** p for w, s in zip(amounts, sizes)]
+    else:
+        amounts = [b.amount for b in bids]
+        keys = [a ** q / s ** p for a, s in zip(amounts, sizes)]
     order = sorted(range(n), key=keys.__getitem__, reverse=True)
     ties = [(i, j) for i, j in zip(order, order[1:]) if keys[i] == keys[j]]
     if ties:
@@ -141,6 +149,6 @@ def rank(instance: AuctionInstance, cfg: NormConfig) -> RankedList:
         else:
             masks = instance.bid_masks
             order = sorted(
-                range(n), key=lambda i: (keys[i], bids[i].amount, -masks[i], -i), reverse=True
+                range(n), key=lambda i: (keys[i], amounts[i], -masks[i], -i), reverse=True
             )
     return RankedList(tuple(order), exponent, bool(ties), tuple(keys))

@@ -1,5 +1,6 @@
 """Axiom checks, critical values, and the misreport search."""
 
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
@@ -316,6 +317,29 @@ def test_gva_no_deviation_small():
         inst = random_instance(4, 5, seed=f"gva-dev:{t}")
         for j in range(len(inst.bids)):
             assert find_profitable_deviation(mech, inst, j) is None
+
+
+def test_deviation_search_runs_every_candidate_once():
+    # candidate lists are shared by bundles with equal thresholds, but each
+    # candidate is still one mechanism run, plus one for the truthful report
+    found = 0
+    for t in range(6):
+        inst = random_instance(4, 6, seed=f"count-runs:{t}").assuming_truthful()
+        mech = clarke_greedy_mechanism(L1)
+        runs = []
+
+        def counting_run(instance, run=mech.run):
+            runs.append(instance)
+            return run(instance)
+
+        counting = replace(mech, run=counting_run)
+        for j in range(len(inst.bids)):
+            runs.clear()
+            report = find_profitable_deviation(counting, inst, j)
+            if report is not None:
+                found += 1
+                assert len(runs) == report.candidates_tested + 1
+    assert found > 0
 
 
 def test_deviation_guard():

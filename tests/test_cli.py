@@ -402,6 +402,37 @@ def test_oversized_amount_literal_exit_2(tmp_path, amount):
     assert json.loads(result.stdout)["error"]["kind"] == "parse"
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"goods": ["a"], "bids": [{"bidder": "x", "bundle": ["a"], "amount": '
+        + "1" * 5000 + "}]}",
+        "[" * 100_000 + "]" * 100_000,
+    ],
+    ids=["5000-digit-json-integer", "100000-nested-arrays"],
+)
+def test_pathological_json_exit_2(tmp_path, text):
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    result = subprocess.run(
+        [sys.executable, "-m", "camech.cli", "run", str(path)],
+        capture_output=True, text=True, timeout=10,
+    )
+    assert result.returncode == 2, result.stderr
+    assert json.loads(result.stdout)["error"]["kind"] == "parse"
+
+
+@pytest.mark.parametrize("bids", ["20000", "100000"])
+def test_gen_gives_up_on_ties_quickly(bids):
+    # so many bids almost never come out tie-free; the redraws stop early
+    result = subprocess.run(
+        [sys.executable, "-m", "camech.cli", "gen", "--goods", "8", "--bids", bids, "--seed", "1"],
+        capture_output=True, text=True, timeout=10,
+    )
+    assert result.returncode == 2, result.stderr
+    assert set(json.loads(result.stdout)) == {"error"}
+
+
 def test_run_largest_norm_exponent(capsys, tmp_path):
     # narrow pays wide's crossing value, 5 / 8**1000, which must render without a float
     goods = [f"g{i}" for i in range(8)]

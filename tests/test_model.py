@@ -140,6 +140,21 @@ def test_with_bid_reseeds_caches():
     assert swapped.bid_masks[0] == inst.bid_masks[2]
     assert swapped.bid_masks[1:] == inst.bid_masks[1:]
     assert inst.bids[0].bundle == frozenset({"a"})
+    # the common denominator grows by the lcm (3, 6, 3 * 2**20), shrinks
+    # once the thirds and then the 2**20ths are gone, and an irrational
+    # amount drops the integer form
+    steps = [(1, F(19, 3)), (0, F(1, 6)), (1, F(7, 2 ** 20)), (0, 4), (1, 19)]
+    for j, amount in steps:
+        inst = inst.with_amount(j, amount)
+        assert "integer_amounts" in inst.__dict__  # seeded, not recomputed
+        fresh = AuctionInstance(inst.goods, inst.bids)
+        assert inst.integer_amounts == fresh.integer_amounts
+        assert inst.all_amounts_rational is True
+    assert inst.integer_amounts == (1, (4, 19, 8))
+    probed = inst.with_amount(2, Money.sqrt(2))
+    assert probed.integer_amounts is None and probed.all_amounts_rational is False
+    fresh = AuctionInstance(inst.goods, inst.bids[:2] + (inst.bids[2].with_amount(F(3, 4)),))
+    assert probed.with_amount(2, F(3, 4)).integer_amounts == fresh.integer_amounts == (4, (16, 76, 3))
 
 
 def test_assuming_truthful():

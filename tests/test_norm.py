@@ -185,9 +185,10 @@ def test_norm_text_without_closed_form():
     assert norm_text(ten.bids[0], F(1000, 3)) == "0." + "0" * 332 + "324911218353"
 
 
-def reference_rank(instance, exponent):
-    """Canonical order, tie flag and tied neighbour pairs by cross-multiplying
-    a1**q * s2**p against a2**q * s1**p on every comparison."""
+def reference_rank(instance, exponent, explicit_order=None):
+    """Order, tie flag and tied neighbour pairs by cross-multiplying
+    a1**q * s2**p against a2**q * s1**p on every comparison; ties break
+    canonically, or by position in `explicit_order` when one is given."""
     p, q = exponent.numerator, exponent.denominator
     bids, masks = instance.bids, instance.bid_masks
 
@@ -197,9 +198,12 @@ def reference_rank(instance, exponent):
 
     by_norm = sorted(range(len(bids)), key=cmp_to_key(norm_cmp))
     pairs = [(i, j) for i, j in zip(by_norm, by_norm[1:]) if norm_cmp(i, j) == 0]
-    # stable sorts, last key first: smaller bundle mask, higher amount, larger norm
-    order = sorted(range(len(bids)), key=lambda i: masks[i])
-    order = sorted(order, key=lambda i: bids[i].amount, reverse=True)
+    if explicit_order is not None:
+        order = list(explicit_order)
+    else:
+        # stable sorts, last key first: smaller bundle mask, higher amount, larger norm
+        order = sorted(range(len(bids)), key=lambda i: masks[i])
+        order = sorted(order, key=lambda i: bids[i].amount, reverse=True)
     return tuple(sorted(order, key=cmp_to_key(norm_cmp))), pairs
 
 
@@ -223,6 +227,43 @@ def test_rank_matches_cross_multiplication(exponent):
         inst = AuctionInstance(GOODS, tuple(bids))
         order, pairs = reference_rank(inst, exponent)
         ranked = rank(inst, NormConfig(exponent))
+        assert (ranked.order, ranked.had_ties) == (order, bool(pairs))
+        if pairs:
+            tied += 1
+            with pytest.raises(TiesPresent) as err:
+                rank(inst, NormConfig(exponent, TieRule.REJECT))
+            assert list(err.value.pairs) == pairs
+        else:
+            assert rank(inst, NormConfig(exponent, TieRule.REJECT)).order == order
+    assert tied > 0
+
+
+@pytest.mark.parametrize(
+    "exponent", [F(0), F(1, 2), F(1), F(2), F(7, 3)], ids=["0", "1/2", "1", "2", "7/3"]
+)
+def test_rank_matches_cross_multiplication_rational(exponent):
+    # all-rational instances rank on integer weights; one amount is replaced
+    # through `with_bid`, nudged by 1 +- 2**-20 or made whole, so the common
+    # denominator grows or shrinks between parent and child
+    rng = random.Random(f"rank-reference-rational:{exponent}")
+    tied = 0
+    for _ in range(200):
+        bids = [
+            bid(f"b{i}", rng.sample(GOODS, rng.randint(1, 4)),
+                F(rng.randint(1, 4), rng.choice([1, 2, 3])))
+            for i in range(rng.randint(2, 6))
+        ]
+        j = rng.randrange(len(bids))
+        nudge = rng.choice([1 - F(1, 2 ** 20), 1 + F(1, 2 ** 20), None])
+        amount = bids[j].amount * nudge if nudge else Money(rng.randint(1, 4))
+        inst = AuctionInstance(GOODS, tuple(bids)).with_amount(j, amount)
+        assert inst.integer_amounts is not None
+        explicit = tuple(rng.sample(range(len(bids)), len(bids)))
+        order, pairs = reference_rank(inst, exponent)
+        ranked = rank(inst, NormConfig(exponent))
+        assert (ranked.order, ranked.had_ties) == (order, bool(pairs))
+        order, _ = reference_rank(inst, exponent, explicit)
+        ranked = rank(inst, NormConfig(exponent, TieRule.EXPLICIT, explicit))
         assert (ranked.order, ranked.had_ties) == (order, bool(pairs))
         if pairs:
             tied += 1
