@@ -7,15 +7,12 @@ arithmetic.
 """
 
 from .axioms import (
+    AXIOMS,
     AxiomCheck,
     AxiomReport,
     CriticalValue,
     DeviationReport,
     Mechanism,
-    check_critical,
-    check_exactness,
-    check_monotonicity,
-    check_participation,
     clarke_greedy_mechanism,
     critical_value,
     find_profitable_deviation,
@@ -40,6 +37,7 @@ from .experiments import (
     revenue_compare_tie_orders,
     scenario,
     scenario_names,
+    tight_experiment,
     tight_family,
 )
 from .greedy import GreedyTrace, blocker, greedy_allocate, run_greedy
@@ -61,6 +59,7 @@ from .norm import NormConfig, RankedList, TieRule, rank
 __version__ = "0.1.0"
 
 __all__ = [
+    "AXIOMS",
     "Allocation",
     "AuctionInstance",
     "AxiomCheck",
@@ -84,10 +83,6 @@ __all__ = [
     "allocation_value",
     "bidder_utility",
     "blocker",
-    "check_critical",
-    "check_exactness",
-    "check_monotonicity",
-    "check_participation",
     "clarke_greedy_mechanism",
     "clarke_with_greedy",
     "complex_player_utility",
@@ -108,6 +103,7 @@ __all__ = [
     "run_axiom_suite",
     "scenario",
     "scenario_names",
+    "tight_experiment",
     "tight_family",
     "validate_instance",
 ]

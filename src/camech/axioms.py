@@ -26,6 +26,8 @@ from .greedy import run_greedy
 PROBE_SCALE = Fraction(1, 2 ** 20)
 #: Draws tried for one tie-free monotonicity perturbation before giving up.
 PERTURBATION_ATTEMPTS = 20
+#: The four properties, in the order a suite reports them.
+AXIOMS = ("exactness", "monotonicity", "participation", "critical")
 
 
 @dataclass(frozen=True, eq=False)
@@ -171,77 +173,62 @@ class AxiomReport:
         return all(c.verdict != "violated" for c in self.checks)
 
 
-def check_exactness(mech: Mechanism, instances: Iterable[AuctionInstance]) -> AxiomCheck:
+def _exactness_witness(mech, inst, out) -> Optional[Witness]:
     """Every bid receives exactly its declared bundle or nothing at all."""
-    samples = 0
-    for inst in instances:
-        samples += 1
-        out = mech.run(inst)
-        for j, granted in out.allocation.grants.items():
-            if granted and granted != inst.bids[j].bundle:
-                return AxiomCheck(
-                    "exactness", "violated", samples,
-                    Witness(inst, j, f"bid {j} got {sorted(granted)} "
-                                     f"instead of {sorted(inst.bids[j].bundle)}"),
-                )
-    return AxiomCheck("exactness", "holds", samples)
+    for j, granted in out.allocation.grants.items():
+        if granted and granted != inst.bids[j].bundle:
+            return Witness(inst, j, f"bid {j} got {sorted(granted)} "
+                                    f"instead of {sorted(inst.bids[j].bundle)}")
+    return None
 
 
-def check_participation(mech: Mechanism, instances: Iterable[AuctionInstance]) -> AxiomCheck:
+def _participation_witness(mech, inst, out) -> Optional[Witness]:
     """Denied bids pay exactly zero."""
-    samples = 0
-    zero = Money(0)
-    for inst in instances:
-        samples += 1
-        out = mech.run(inst)
-        for j in range(len(inst.bids)):
-            if not out.is_granted(j) and out.payments[j] != zero:
-                return AxiomCheck(
-                    "participation", "violated", samples,
-                    Witness(inst, j, f"denied bid {j} pays {out.payments[j].to_decimal()}"),
-                )
-    return AxiomCheck("participation", "holds", samples)
+    for j in range(len(inst.bids)):
+        if not out.is_granted(j) and out.payments[j] != 0:
+            return Witness(inst, j, f"denied bid {j} pays {out.payments[j].to_decimal()}")
+    return None
 
 
-def check_monotonicity(
-    mech: Mechanism,
-    instances: Iterable[AuctionInstance],
-    *,
-    seed: int = 0,
-    perturbations: int = 10,
-) -> AxiomCheck:
+def _critical_witness(mech, inst, out) -> Optional[Witness]:
+    """Winners pay exactly their critical value.
+
+    Propagates `NonMonotoneDetected` from the critical-value search.
+    """
+    for j in sorted(out.allocation.grants):
+        cv = critical_value(mech, inst, j)
+        pay = out.payments[j]
+        if cv.value is None:
+            return Witness(inst, j, f"granted bid {j} has an infinite critical value")
+        if pay != cv.value:
+            return Witness(inst, j, f"bid {j} pays {pay.to_decimal()} but its "
+                                    f"critical value is {cv.value.to_decimal()}")
+    return None
+
+
+def _monotonicity_witness(rng, perturbations, mech, inst, out) -> tuple[Optional[Witness], int]:
     """Raising a winner's amount, or shrinking its bundle, keeps it winning.
 
     Perturbations are sampled (the space is infinite) and kept tie-free when
     the mechanism ranks by a norm, since the tie-free assumption is what the
-    property is stated under.
+    property is stated under.  Also returns the perturbations tried.
     """
-    if perturbations < 1:
-        raise InvalidArgument("monotonicity needs at least one perturbation per granted bid")
-    rng = random.Random(f"monotonicity:{seed}")
-    samples = 0
     tried = 0
-    for inst in instances:
-        samples += 1
-        out = mech.run(inst)
-        for j in sorted(out.allocation.grants):
-            bid = inst.bids[j]
-            for _ in range(perturbations):
-                perturbed = _tie_free_perturbation(rng, mech, inst, j)
-                if perturbed is None:
-                    continue
-                tried += 1
-                new_inst, new_bid = perturbed
-                result = mech.run(new_inst)
-                if result.allocation.bundle_granted(j) != new_bid.bundle:
-                    return AxiomCheck(
-                        "monotonicity", "violated", samples,
-                        Witness(new_inst, j,
-                                f"bid {j} was granted as {sorted(bid.bundle)}@"
-                                f"{bid.amount.to_decimal()} but lost after moving to "
-                                f"{sorted(new_bid.bundle)}@{new_bid.amount.to_decimal()}"),
-                    )
-    return AxiomCheck("monotonicity", "holds", samples, detail=f"{tried} perturbations")
+    for j in sorted(out.allocation.grants):
+        bid = inst.bids[j]
+        for _ in range(perturbations):
+            perturbed = _tie_free_perturbation(rng, mech, inst, j)
+            if perturbed is None:
+                continue
+            tried += 1
+            new_inst, new_bid = perturbed
+            result = mech.run(new_inst)
+            if result.allocation.bundle_granted(j) != new_bid.bundle:
+                return Witness(new_inst, j,
+                               f"bid {j} was granted as {sorted(bid.bundle)}@"
+                               f"{bid.amount.to_decimal()} but lost after moving to "
+                               f"{sorted(new_bid.bundle)}@{new_bid.amount.to_decimal()}"), tried
+    return None, tried
 
 
 def _tie_free_perturbation(rng, mech, inst, j):
@@ -265,45 +252,60 @@ def _tie_free_perturbation(rng, mech, inst, j):
     return None
 
 
-def check_critical(mech: Mechanism, instances: Iterable[AuctionInstance]) -> AxiomCheck:
-    """Winners pay exactly their critical value.
-
-    Propagates `NonMonotoneDetected` from the critical-value search.
-    """
-    samples = 0
-    for inst in instances:
-        samples += 1
-        out = mech.run(inst)
-        for j in sorted(out.allocation.grants):
-            cv = critical_value(mech, inst, j)
-            pay = out.payments[j]
-            if cv.value is None:
-                return AxiomCheck(
-                    "critical", "violated", samples,
-                    Witness(inst, j, f"granted bid {j} has an infinite critical value"),
-                )
-            if pay != cv.value:
-                return AxiomCheck(
-                    "critical", "violated", samples,
-                    Witness(inst, j, f"bid {j} pays {pay.to_decimal()} but its "
-                                     f"critical value is {cv.value.to_decimal()}"),
-                )
-    return AxiomCheck("critical", "holds", samples)
+_WITNESSES = {
+    "exactness": _exactness_witness,
+    "participation": _participation_witness,
+    "critical": _critical_witness,
+}
 
 
 def run_axiom_suite(
     mech: Mechanism,
-    instances: Sequence[AuctionInstance],
+    instances: Iterable[AuctionInstance],
+    axioms: Iterable[str] = AXIOMS,
     *,
     seed: int = 0,
     perturbations: int = 10,
 ) -> AxiomReport:
+    """Check the named axioms over the instances, reported in `AXIOMS` order.
+
+    The mechanism runs once per instance and every selected check reads that
+    outcome; a check stops at its first violation, and a `NonMonotoneDetected`
+    from the critical-value search is a violated critical check.
+    """
+    selected = set(axioms)
+    unknown = sorted(selected - set(AXIOMS))
+    if unknown:
+        raise InvalidArgument(f"unknown axiom name: {unknown[0]}")
+    if "monotonicity" in selected and perturbations < 1:
+        raise InvalidArgument("monotonicity needs at least one perturbation per granted bid")
     instances = list(instances)
-    checks = (
-        check_exactness(mech, instances),
-        check_monotonicity(mech, instances, seed=seed, perturbations=perturbations),
-        check_participation(mech, instances),
-        check_critical(mech, instances),
+    rng = random.Random(f"monotonicity:{seed}")
+    tried = 0
+    pending = [name for name in AXIOMS if name in selected]
+    violated: dict[str, AxiomCheck] = {}
+    for samples, inst in enumerate(instances, 1):
+        if not pending:
+            break
+        out = mech.run(inst)
+        for name in list(pending):
+            try:
+                if name == "monotonicity":
+                    witness, count = _monotonicity_witness(rng, perturbations, mech, inst, out)
+                    tried += count
+                else:
+                    witness = _WITNESSES[name](mech, inst, out)
+                check = witness and AxiomCheck(name, "violated", samples, witness)
+            except NonMonotoneDetected as exc:
+                check = AxiomCheck(name, "violated", samples, detail=str(exc))
+            if check:
+                violated[name] = check
+                pending.remove(name)
+    checks = tuple(
+        violated.get(name)
+        or AxiomCheck(name, "holds", len(instances),
+                      detail=f"{tried} perturbations" if name == "monotonicity" else "")
+        for name in AXIOMS if name in selected
     )
     return AxiomReport(mech.name, seed, len(instances), checks)
 
@@ -327,26 +329,18 @@ class DeviationReport:
 
 
 def _candidate_values(thresholds: Sequence[Money], true_amount: Money) -> list[Money]:
-    """Zero, the true amount, and one probe on each side of every threshold.
-
-    Fractions stand in for rational Money, which is faster; zero and one take
-    the values' type so that equal candidates collapse in the set.
-    """
-    if true_amount.is_rational and all(t.is_rational for t in thresholds):
-        values = [t.as_fraction() for t in thresholds]
-        true_value, zero, one = true_amount.as_fraction(), Fraction(0), Fraction(1)
-    else:
-        values, true_value, zero, one = thresholds, true_amount, Money(0), Money(1)
-    candidates = {zero, true_value}
-    ts = sorted({t for t in values if t >= zero})
+    """Zero, the true amount, and one probe on each side of every threshold."""
+    zero = Money(0)
+    candidates = {zero, true_amount}
+    ts = sorted({t for t in thresholds if t >= zero})
     for i, t in enumerate(ts):
         left_gap = t - ts[i - 1] if i > 0 else t
-        right_gap = ts[i + 1] - t if i + 1 < len(ts) else (t if t > zero else one)
+        right_gap = ts[i + 1] - t if i + 1 < len(ts) else (t if t > zero else Money(1))
         below = t - left_gap * PROBE_SCALE
         if below >= zero:
             candidates.add(below)
         candidates.add(t + right_gap * PROBE_SCALE)
-    return [Money(v) for v in sorted(candidates)]
+    return sorted(candidates)
 
 
 def find_profitable_deviation(

@@ -16,37 +16,27 @@ import sys
 from fractions import Fraction
 
 from . import documents
-from .axioms import (
-    MECHANISMS,
-    AxiomCheck,
-    Mechanism,
-    check_critical,
-    check_exactness,
-    check_monotonicity,
-    check_participation,
-    find_profitable_deviation,
-)
+from .axioms import AXIOMS, MECHANISMS, Mechanism, find_profitable_deviation, run_axiom_suite
 from .errors import (
     BundleSpaceTooLarge,
     CamechError,
     InstanceTooLarge,
-    NonMonotoneDetected,
     ParseError,
     TiesPresent,
     TooManyTieOrders,
     UnknownScenario,
 )
-from .exact import SolverKind, optimal_allocation
+from .exact import SolverKind
 from .experiments import (
+    TIGHT_GOODS_COUNTS,
     ratio_experiment,
     random_instance,
     reproduce_all,
     revenue_compare_tie_orders,
     scenario,
-    tight_family,
+    tight_experiment,
 )
-from .greedy import greedy_allocate
-from .model import allocation_value, validate_instance
+from .model import validate_instance
 from .money import Money, parse_decimal
 from .norm import NormConfig, TieRule
 
@@ -55,8 +45,6 @@ EXIT_CHECK_FAILED = 1
 EXIT_INVALID = 2
 EXIT_TIES = 3
 EXIT_TOO_LARGE = 4
-
-AXIOM_NAMES = ("exactness", "monotonicity", "participation", "critical")
 
 
 def _default_seed() -> int:
@@ -175,46 +163,21 @@ def _cmd_check(args) -> tuple[dict, int]:
     mech = _flag_mechanism(args)
     seed = args.seed if args.seed is not None else _default_seed()
     if args.axioms == "all":
-        selected = list(AXIOM_NAMES)
+        selected = AXIOMS
     elif args.axioms == "none":
-        selected = []
+        selected = ()
     else:
         selected = [a.strip() for a in args.axioms.split(",") if a.strip()]
-        unknown = set(selected) - set(AXIOM_NAMES)
-        if unknown:
-            raise ParseError(f"unknown axiom name: {sorted(unknown)[0]}")
-    checks: list[AxiomCheck] = []
-    if "exactness" in selected:
-        checks.append(check_exactness(mech, [instance]))
-    if "monotonicity" in selected:
-        checks.append(
-            check_monotonicity(mech, [instance], seed=seed, perturbations=args.samples)
-        )
-    if "participation" in selected:
-        checks.append(check_participation(mech, [instance]))
-    if "critical" in selected:
-        try:
-            checks.append(check_critical(mech, [instance]))
-        except NonMonotoneDetected as exc:
-            checks.append(AxiomCheck("critical", "violated", 1, detail=str(exc)))
-    ok = all(c.verdict != "violated" for c in checks)
-    doc = {
-        "mechanism": mech.name,
-        "seed": seed,
-        "checks": [documents.check_document(c) for c in checks],
-    }
+    report = run_axiom_suite(mech, [instance], selected, seed=seed, perturbations=args.samples)
+    deviations = None
     if args.deviations:
-        deviations = []
-        for j, b in enumerate(instance.bids):
-            if b.is_reserve:
-                continue
-            found = find_profitable_deviation(mech, instance, j)
-            deviations.append(documents.deviation_document(b.bidder, found))
-            if found is not None:
-                ok = False
-        doc["deviations"] = deviations
-    doc["all_hold"] = ok
-    return doc, EXIT_OK if ok else EXIT_CHECK_FAILED
+        deviations = [
+            (b.bidder, find_profitable_deviation(mech, instance, j))
+            for j, b in enumerate(instance.bids)
+            if not b.is_reserve
+        ]
+    doc = documents.check_report_document(report, deviations)
+    return doc, EXIT_OK if doc["all_hold"] else EXIT_CHECK_FAILED
 
 
 def _cmd_gen(args) -> tuple[dict, int]:
@@ -258,36 +221,9 @@ def _cmd_experiment(args) -> tuple[dict, int]:
             doc["expected_greedy_average"] = expected["avg_revenue"]
             doc["pass"] = ok
         return doc, EXIT_OK if ok else EXIT_CHECK_FAILED
-    # tight families
-    rows = []
-    ok = True
-    for k in (args.k,) if args.k is not None else (4, 9, 16):
-        inst = tight_family(k, args.l)
-        cfg = NormConfig(args.l)
-        allocation, _ = greedy_allocate(inst, cfg)
-        greedy_value = allocation_value(inst, allocation)
-        opt = optimal_allocation(inst, SolverKind.BITMASK_DP).value
-        ratio = opt.as_fraction() / greedy_value.as_fraction()
-        if args.l == Fraction(1, 2):
-            floor = Fraction(19, 20) ** 2 * k  # compare ratio**2 against (0.95**2) k
-            good = ratio * ratio >= floor
-            bound = f"sqrt({k})"
-        else:
-            good = ratio >= Fraction(19, 20) * k
-            bound = str(k)
-        ok = ok and good
-        rows.append(
-            {
-                "goods": k,
-                "bound": bound,
-                "greedy": float(greedy_value),
-                "optimal": float(opt),
-                "ratio": float(ratio),
-                "reaches_bound": good,
-            }
-        )
-    return {"suite": "tight", "norm_exponent": str(args.l), "rows": rows,
-            "all_pass": ok}, EXIT_OK if ok else EXIT_CHECK_FAILED
+    rows = tight_experiment(args.l, TIGHT_GOODS_COUNTS if args.k is None else (args.k,))
+    doc = documents.tight_document(args.l, rows)
+    return doc, EXIT_OK if doc["all_pass"] else EXIT_CHECK_FAILED
 
 
 _HANDLERS = {

@@ -10,19 +10,12 @@ from __future__ import annotations
 import json
 from typing import Any, Mapping, Optional
 
-from .axioms import AxiomCheck, DeviationReport, Mechanism
+from .axioms import AxiomCheck, AxiomReport, DeviationReport, Mechanism
 from .errors import ParseError
-from .experiments import RatioStats, ReproRow, TieOrderComparison
+from .experiments import RatioStats, ReproRow, TieOrderComparison, TightRow
 from .model import AuctionInstance, Outcome, SingleMindedBid, Violation
 from .money import MAX_LITERAL_DIGITS, Money, fraction_to_decimal, parse_decimal
 from .norm import RankedList, norm_text
-
-SIGNIFICANT_DIGITS = 12
-
-
-def money_text(value: Money) -> str:
-    return value.to_decimal(SIGNIFICANT_DIGITS)
-
 
 def amount_text(value: Money) -> str:
     """Exact literal for an amount that must survive a round trip."""
@@ -148,7 +141,7 @@ def outcome_document(instance: AuctionInstance, outcome: Outcome, mech: Mechanis
             entry = {
                 "bidder": b.bidder,
                 "bundle": sorted(outcome.allocation.bundle_granted(j)),
-                "payment": money_text(outcome.payments[j]),
+                "payment": outcome.payments[j].to_decimal(),
                 "norm": norm_text(b, ranking.exponent) if ranking else None,
             }
             granted.append(entry)
@@ -166,7 +159,7 @@ def outcome_document(instance: AuctionInstance, outcome: Outcome, mech: Mechanis
         "tie_rule": cfg.tie_rule.value if cfg else None,
         "granted": granted,
         "denied": denied,
-        "revenue": money_text(outcome.revenue),
+        "revenue": outcome.revenue.to_decimal(),
     }
     if "solver" in meta:
         doc["solver"] = meta["solver"]
@@ -175,7 +168,7 @@ def outcome_document(instance: AuctionInstance, outcome: Outcome, mech: Mechanis
     doc.update({k: v for k, v in meta.items() if k != "solver"})
     if outcome.utilities is not None:
         doc["utilities"] = {
-            instance.bids[j].bidder: money_text(u)
+            instance.bids[j].bidder: u.to_decimal()
             for j, u in sorted(outcome.utilities.items())
         }
     return doc
@@ -218,14 +211,32 @@ def deviation_document(bidder: str, report: Optional[DeviationReport]) -> dict:
         "bidder": bidder,
         "profitable_deviation": {
             "bundle": sorted(report.misreport.bundle),
-            "amount": money_text(report.misreport.amount),
-            "truthful_utility": money_text(report.truthful_utility),
-            "deviating_utility": money_text(report.deviating_utility),
+            "amount": report.misreport.amount.to_decimal(),
+            "truthful_utility": report.truthful_utility.to_decimal(),
+            "deviating_utility": report.deviating_utility.to_decimal(),
             "bundles_searched": report.bundles_searched,
             "candidates_tested": report.candidates_tested,
             "note": report.note,
         },
     }
+
+
+def check_report_document(
+    report: AxiomReport, deviations: Optional[list[tuple[str, Optional[DeviationReport]]]]
+) -> dict:
+    """The `check` report: every axiom check, then, when searched, each
+    bidder's profitable deviation or None; all hold when nothing turned up."""
+    doc: dict[str, Any] = {
+        "mechanism": report.mechanism,
+        "seed": report.seed,
+        "checks": [check_document(c) for c in report.checks],
+    }
+    ok = report.all_hold
+    if deviations is not None:
+        doc["deviations"] = [deviation_document(bidder, found) for bidder, found in deviations]
+        ok = ok and all(found is None for _, found in deviations)
+    doc["all_hold"] = ok
+    return doc
 
 
 def repro_text(rows: list[ReproRow]) -> str:
@@ -276,13 +287,32 @@ def ratio_document(stats: RatioStats) -> dict:
     }
 
 
+def tight_document(exponent, rows: list[TightRow]) -> dict:
+    return {
+        "suite": "tight",
+        "norm_exponent": str(exponent),
+        "rows": [
+            {
+                "goods": r.goods_count,
+                "bound": r.bound_label,
+                "greedy": float(r.greedy),
+                "optimal": float(r.optimal),
+                "ratio": float(r.ratio),
+                "reaches_bound": r.reaches_bound,
+            }
+            for r in rows
+        ],
+        "all_pass": all(r.reaches_bound for r in rows),
+    }
+
+
 def tie_orders_document(name: str, comparison: TieOrderComparison) -> dict:
     return {
         "scenario": name,
         "orders": comparison.orders,
         "tie_group_sizes": list(comparison.group_sizes),
-        "greedy_average_revenue": money_text(comparison.greedy_average),
-        "gva_revenue": money_text(comparison.gva_revenue),
+        "greedy_average_revenue": comparison.greedy_average.to_decimal(),
+        "gva_revenue": comparison.gva_revenue.to_decimal(),
     }
 
 

@@ -61,7 +61,6 @@ class Scenario:
     name: str
     summary: str
     instance: AuctionInstance
-    norm_exponent: Fraction = F(1)
     variants: Mapping[str, AuctionInstance] = field(default_factory=dict)
     complex_owner: Optional[str] = None
     complex_table: Optional[Mapping[frozenset, Money]] = None
@@ -356,7 +355,7 @@ def _granted_names(inst: AuctionInstance, grants) -> str:
 def _evaluate(sc: Scenario, exp: Expectation) -> tuple[str, bool]:
     quantity, _, variant = exp.quantity.partition("@")
     inst = sc.variants[variant] if variant else sc.instance
-    cfg = NormConfig(sc.norm_exponent)
+    cfg = NormConfig(F(1))
 
     def numeric(actual: Money) -> tuple[str, bool]:
         return actual.to_decimal(), actual == Money(F(exp.expected))
@@ -465,8 +464,9 @@ def revenue_compare_tie_orders(instance: AuctionInstance, cfg: NormConfig) -> Ti
 TIE_FREE_EXPONENTS = (F(0), F(1, 2), F(1))
 #: Whole redraws of a random instance allowed before giving up on ties.
 MAX_DRAW_ATTEMPTS = 200
-#: Most bids drawn over all redraws of one random instance: large bid counts,
-#: which almost never come out tie-free, give up after a few redraws.
+#: Most bids drawn over all redraws of one random instance, and so the most
+#: bids it may have: large bid counts, which almost never come out tie-free,
+#: give up after a few redraws.
 MAX_DRAWN_BIDS = 200_000
 #: Most bundle draws (empty bundles are redrawn) a random instance may expect to need.
 MAX_BUNDLE_DRAWS = 10 ** 7
@@ -484,9 +484,9 @@ def random_instance(
     """
     if goods_count > MAX_GOODS:
         raise InstanceTooLarge(f"at most {MAX_GOODS} goods are supported")
-    if goods_count < 1 or not 0 <= bids_count <= 10 ** 6 or not 0 < bundle_prob <= 1:
+    if goods_count < 1 or not 0 <= bids_count <= MAX_DRAWN_BIDS or not 0 < bundle_prob <= 1:
         raise InvalidArgument(
-            "random instances need at least one good, 0 to 10**6 bids "
+            f"random instances need at least one good, 0 to {MAX_DRAWN_BIDS} bids "
             "and a bundle probability in (0, 1]"
         )
     # chance that one draw gives a non-empty bundle
@@ -495,7 +495,7 @@ def random_instance(
         raise InvalidArgument(f"bundle probability too small for {MAX_BUNDLE_DRAWS} bundle draws")
     rng = random.Random(f"camech-instance:{seed}")
     goods = tuple(f"g{i + 1}" for i in range(goods_count))
-    for _ in range(min(MAX_DRAW_ATTEMPTS, max(1, MAX_DRAWN_BIDS // max(bids_count, 1)))):
+    for _ in range(min(MAX_DRAW_ATTEMPTS, MAX_DRAWN_BIDS // max(bids_count, 1))):
         bundles = []
         for _ in range(bids_count):
             bundle = frozenset(g for g in goods if rng.random() < bundle_prob)
@@ -528,13 +528,28 @@ class RatioStats:
     violations: tuple[int, ...]  # trial indices breaking the bound; must be empty
 
 
-def _bound_violated(opt: Money, greedy: Money, goods_count: int, exponent: Fraction) -> Optional[bool]:
-    """Exact check of opt <= bound * greedy; None when no bound is claimed."""
+def greedy_and_optimal_values(instance: AuctionInstance, cfg: NormConfig) -> tuple[Fraction, Fraction]:
+    """A rational instance's greedy value under `cfg` and its optimal value."""
+    allocation, _ = greedy_allocate(instance, cfg)
+    greedy = allocation_value(instance, allocation).as_fraction()
+    return greedy, optimal_allocation(instance, SolverKind.BITMASK_DP).value.as_fraction()
+
+
+def ratio_bound(ratio: Fraction, goods_count: int, exponent: Fraction) -> tuple[Optional[int], str]:
+    """Where an optimal-to-greedy ratio sits against the paper's bound, and the bound's label.
+
+    Over k goods the bound is sqrt(k) at l = 1/2 and k at l = 1, so ratio**2 or
+    ratio is compared with k: -1, 0 or 1 for below, at or above the bound.  At
+    any other exponent no bound is claimed: None, labelled "none".
+    """
     if exponent == F(1, 2):
-        return (opt * opt).compare(greedy * greedy * goods_count) > 0
-    if exponent == F(1):
-        return opt.compare(greedy * goods_count) > 0
-    return None
+        power, label = 2, f"sqrt({goods_count})"
+    elif exponent == F(1):
+        power, label = 1, str(goods_count)
+    else:
+        return None, "none"
+    powered = ratio ** power
+    return (powered > goods_count) - (powered < goods_count), label
 
 
 def ratio_experiment(
@@ -548,9 +563,8 @@ def ratio_experiment(
 ) -> RatioStats:
     """Optimal-to-greedy value ratios over seeded random instances.
 
-    For exponent 1/2 the ratio is asserted (exactly) to stay within the
-    square root of the number of goods; for exponent 1, within the number of
-    goods itself.
+    Each ratio is checked exactly against `ratio_bound`: the square root of
+    the number of goods for exponent 1/2, the number of goods for exponent 1.
     """
     if goods_count < 1 or bids_count < 1 or trials < 1:
         raise InvalidArgument("the ratio suite needs at least one good, one bid and one trial")
@@ -562,23 +576,44 @@ def ratio_experiment(
         inst = random_instance(
             goods_count, bids_count, seed=f"{seed}:{t}", bundle_prob=bundle_prob
         )
-        allocation, _ = greedy_allocate(inst, cfg)
-        greedy_value = allocation_value(inst, allocation)
-        opt = optimal_allocation(inst, SolverKind.BITMASK_DP).value
-        ratio = opt.as_fraction() / greedy_value.as_fraction()
+        greedy, opt = greedy_and_optimal_values(inst, cfg)
+        ratio = opt / greedy
         max_ratio = max(max_ratio, ratio)
-        if _bound_violated(opt, greedy_value, goods_count, exponent):
+        side, bound_label = ratio_bound(ratio, goods_count, exponent)
+        if side == 1:
             violations.append(t)
-    if exponent == F(1, 2):
-        bound_label = f"sqrt({goods_count})"
-    elif exponent == F(1):
-        bound_label = str(goods_count)
-    else:
-        bound_label = "none"
     return RatioStats(
         trials, goods_count, bids_count, exponent, bound_label,
         float(max_ratio), tuple(violations),
     )
+
+
+#: Share of the bound each tight family's ratio must reach.
+TIGHT_SHARE = F(19, 20)
+#: Goods counts of the tight families the tight suite runs by default.
+TIGHT_GOODS_COUNTS = (4, 9, 16)
+
+
+@dataclass(frozen=True)
+class TightRow:
+    goods_count: int
+    bound_label: str
+    greedy: Fraction
+    optimal: Fraction
+    ratio: Fraction
+    reaches_bound: bool  # ratio is at least TIGHT_SHARE of the bound
+
+
+def tight_experiment(exponent: Fraction, goods_counts=TIGHT_GOODS_COUNTS) -> list[TightRow]:
+    """Each tight family's optimal-to-greedy ratio against `TIGHT_SHARE` of its bound."""
+    rows = []
+    for k in goods_counts:
+        inst = tight_family(k, exponent)
+        greedy, opt = greedy_and_optimal_values(inst, NormConfig(exponent))
+        ratio = opt / greedy
+        side, label = ratio_bound(ratio / TIGHT_SHARE, k, exponent)
+        rows.append(TightRow(k, label, greedy, opt, ratio, side >= 0))
+    return rows
 
 
 def tight_family(goods_count: int, exponent: Fraction) -> AuctionInstance:

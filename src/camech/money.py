@@ -26,6 +26,9 @@ _ZERO = Fraction(0)
 #: Python's 4,300-digit int-to-str limit and `Fraction` builds no huge power of ten.
 MAX_LITERAL_DIGITS = 1000
 
+#: Significant digits of every rendered decimal.
+SIGNIFICANT_DIGITS = 12
+
 _EXPONENT = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)\s*$")
 
 
@@ -243,9 +246,6 @@ class Money:
             raise InvalidArgument("division by a multi-term irrational value")
         return NotImplemented
 
-    def __abs__(self):
-        return -self if self.sign() < 0 else self
-
     def __bool__(self):
         return bool(self._terms)
 
@@ -306,10 +306,6 @@ class Money:
             return NotImplemented
         return self._terms == o._terms
 
-    def __ne__(self, other):
-        eq = self.__eq__(other)
-        return NotImplemented if eq is NotImplemented else not eq
-
     def __lt__(self, other):
         return self.compare(other) < 0
 
@@ -340,15 +336,14 @@ class Money:
         parts = " + ".join(f"({c})*sqrt({m})" for m, c in self.terms())
         return f"Money<{parts}>"
 
-    def to_decimal(self, significant: int = 12) -> str:
-        """Decimal string rounded (half-even) to `significant` digits, zeros stripped."""
+    def to_decimal(self) -> str:
+        """Decimal string rounded (half-even) to `SIGNIFICANT_DIGITS` digits, zeros stripped."""
         s = self.sign()
         if s == 0:
             return "0"
         x = -self if s < 0 else self
         e = x._floor_log10()
-        shift = significant - 1 - e
-        text = _decimal_text(x._scaled_round(shift), e, significant)
+        text = _decimal_text(x._scaled_round(SIGNIFICANT_DIGITS - 1 - e), e)
         return "-" + text if s < 0 else text
 
     def _floor_log10(self) -> int:
@@ -378,15 +373,15 @@ class Money:
             bits *= 2
 
 
-def _decimal_text(n: int, e: int, significant: int) -> str:
-    """The decimal n * 10**(e - significant + 1), zeros stripped; n has
-    `significant` digits, or is 10**significant after rounding up."""
-    if n >= 10 ** significant:
+def _decimal_text(n: int, e: int) -> str:
+    """The decimal n * 10**(e - SIGNIFICANT_DIGITS + 1), zeros stripped; n has
+    `SIGNIFICANT_DIGITS` digits, or is 10**SIGNIFICANT_DIGITS after rounding up."""
+    if n >= 10 ** SIGNIFICANT_DIGITS:
         n //= 10
         e += 1
     digits = str(n)
-    if e >= significant - 1:
-        text = digits + "0" * (e - significant + 1)
+    if e >= SIGNIFICANT_DIGITS - 1:
+        text = digits + "0" * (e - SIGNIFICANT_DIGITS + 1)
     elif e >= 0:
         text = digits[: e + 1] + "." + digits[e + 1 :]
     else:
@@ -396,21 +391,21 @@ def _decimal_text(n: int, e: int, significant: int) -> str:
     return text
 
 
-def root_to_decimal(y: Fraction, q: int, significant: int) -> str:
-    """y**(1/q) rounded to `significant` digits, for y >= 0 whose q-th root is
-    zero or irrational (so no rounding tie can occur); integers only."""
+def root_to_decimal(y: Fraction, q: int) -> str:
+    """y**(1/q) rounded to `SIGNIFICANT_DIGITS` digits, for y >= 0 whose q-th
+    root is zero or irrational (so no rounding tie can occur); integers only."""
     if not y:
         return "0"
     e = _floor_log10_fraction(y) // q  # 10**e <= y**(1/q) < 10**(e + 1)
-    shift = (significant - 1 - e) * q
+    shift = (SIGNIFICANT_DIGITS - 1 - e) * q
     # plain integers: Fraction arithmetic would take gcds of huge powers
     num, den = y.numerator << q, y.denominator
     if shift >= 0:
         num *= 10 ** shift
     else:
         den *= 10 ** -shift
-    twice = iroot(num // den, q)  # floor(2 * y**(1/q) * 10**(significant - 1 - e))
-    return _decimal_text((twice + 1) // 2, e, significant)
+    twice = iroot(num // den, q)  # floor(2 * y**(1/q) * 10**(SIGNIFICANT_DIGITS - 1 - e))
+    return _decimal_text((twice + 1) // 2, e)
 
 
 def _floor_log10_fraction(f: Fraction) -> int:

@@ -93,10 +93,10 @@ def norm_text(bid: SingleMindedBid, exponent: Fraction) -> str:
     """
     size = len(bid.bundle)
     try:
-        return (bid.amount * bundle_ratio_power(1, size, exponent)).to_decimal(12)
+        return (bid.amount * bundle_ratio_power(1, size, exponent)).to_decimal()
     except ExponentNotSupported:
         p, q = exponent.numerator, exponent.denominator
-        return root_to_decimal(order_key(bid.amount, size, p, q), q, 12)
+        return root_to_decimal(order_key(bid.amount, size, p, q), q)
 
 
 @dataclass(frozen=True, eq=False)

@@ -7,9 +7,6 @@ import pytest
 
 from camech.axioms import (
     Mechanism,
-    check_critical,
-    check_exactness,
-    check_participation,
     clarke_greedy_mechanism,
     critical_value,
     find_profitable_deviation,
@@ -17,7 +14,7 @@ from camech.axioms import (
     gva_mechanism,
     run_axiom_suite,
 )
-from camech.errors import BundleSpaceTooLarge, NonMonotoneDetected
+from camech.errors import BundleSpaceTooLarge, InvalidArgument, NonMonotoneDetected
 from camech.exact import SolverKind, run_gva
 from camech.experiments import random_instance
 from camech.greedy import run_greedy
@@ -168,21 +165,29 @@ def test_gva_critical_value_equals_clarke_payment():
     assert winners >= 200 and reserve_winners > 0
 
 
+def _window(instance):
+    # grants red only while its amount stays in (9.5, 15): not monotone
+    a = instance.bids[0].amount
+    granted = [0] if Money(F(19, 2)) < a < Money(15) else []
+    allocation = Allocation.of_indices(instance, granted)
+    return Outcome(allocation, (Money(0),) * 3, Money(0))
+
+
+WINDOW = Mechanism("window", _window, lambda i, j, bundle: [Money(F(19, 2)), Money(15)])
+
+
 def test_nonmonotone_detected_threshold_route():
-    inst = three_bidder_instance()
-
-    def window(instance):
-        # grants red only while its amount stays in (9.5, 15): not monotone
-        a = instance.bids[0].amount
-        granted = [0] if Money(F(19, 2)) < a < Money(15) else []
-        allocation = Allocation.of_indices(instance, granted)
-        return Outcome(allocation, (Money(0),) * 3, Money(0))
-
-    broken = Mechanism(
-        "window", window, lambda i, j, bundle: [Money(F(19, 2)), Money(15)]
-    )
     with pytest.raises(NonMonotoneDetected):
-        critical_value(broken, inst, 0)
+        critical_value(WINDOW, three_bidder_instance(), 0)
+
+
+def test_nonmonotone_is_a_violated_critical_check():
+    inst = three_bidder_instance().with_amount(0, 12)  # red wins inside its window
+    with pytest.raises(NonMonotoneDetected) as raised:
+        critical_value(WINDOW, inst, 0)
+    (check,) = run_axiom_suite(WINDOW, [inst], ["critical"]).checks
+    assert (check.axiom, check.verdict, check.samples) == ("critical", "violated", 1)
+    assert check.detail == str(raised.value) and check.witness is None
 
 
 def test_nonmonotone_detected_probing_route():
@@ -217,14 +222,15 @@ def test_greedy_passes_all_axioms_small_suite():
 def test_gva_passes_exactness_participation():
     mech = gva_mechanism(SolverKind.BITMASK_DP)
     instances = _sample(15, tag="gva-ax")
-    assert check_exactness(mech, instances).holds
-    assert check_participation(mech, instances).holds
+    report = run_axiom_suite(mech, instances, ["exactness", "participation"])
+    assert [c.axiom for c in report.checks] == ["exactness", "participation"]
+    assert all(c.holds for c in report.checks)
 
 
 def test_gva_critical_exact():
     mech = gva_mechanism(SolverKind.BITMASK_DP)
     instances = _sample(4, k=4, n=5, tag="gva-crit")
-    check = check_critical(mech, instances)
+    (check,) = run_axiom_suite(mech, instances, ["critical"]).checks
     assert check.holds
 
 
@@ -245,7 +251,9 @@ def test_planted_partial_grant_fails_exactness():
         allocation = Allocation({1: frozenset(bundle)})
         return Outcome(allocation, (Money(0),) * len(instance.bids), Money(0))
 
-    check = check_exactness(Mechanism("partial", partial, no_thresholds), [three_bidder_instance()])
+    (check,) = run_axiom_suite(
+        Mechanism("partial", partial, no_thresholds), [three_bidder_instance()], ["exactness"]
+    ).checks
     assert check.verdict == "violated"
     assert check.witness is not None and check.witness.bid_index == 1
 
@@ -259,14 +267,16 @@ def test_planted_loser_charge_fails_participation():
                 payments[j] = Money(1)
         return Outcome(out.allocation, tuple(payments), out.revenue, trace=out.trace)
 
-    check = check_participation(Mechanism("charge", charge, no_thresholds), [three_bidder_instance()])
+    (check,) = run_axiom_suite(
+        Mechanism("charge", charge, no_thresholds), [three_bidder_instance()], ["participation"]
+    ).checks
     assert check.verdict == "violated"
 
 
 def test_clarke_with_greedy_fails_critical_with_witness():
     mech = clarke_greedy_mechanism(L1)
     inst = three_bidder_instance(truthful=True)
-    check = check_critical(mech, [inst])
+    (check,) = run_axiom_suite(mech, [inst], ["critical"]).checks
     assert check.verdict == "violated"
     assert check.witness.bid_index == 0
     assert "11" in check.witness.description and "9.5" in check.witness.description
@@ -278,7 +288,29 @@ def test_greedy_critical_exact_on_paper_examples():
         ("a", "b"),
         (bid("red", "ab", 20), bid("green", "a", 9), bid("black", "b", 1)),
     )
-    assert check_critical(mech, [three_bidder_instance(), strong]).holds
+    (check,) = run_axiom_suite(mech, [three_bidder_instance(), strong], ["critical"]).checks
+    assert check.holds and check.samples == 2
+
+
+def test_suite_runs_each_instance_once():
+    runs = []
+
+    def counting_run(instance, run=greedy_mechanism(L1).run):
+        runs.append(instance)
+        return run(instance)
+
+    mech = replace(greedy_mechanism(L1), run=counting_run)
+    instances = _sample(5, tag="run-once")
+    report = run_axiom_suite(mech, instances, ["participation", "exactness"])
+    assert [c.axiom for c in report.checks] == ["exactness", "participation"]
+    assert runs == instances
+    runs.clear()
+    assert run_axiom_suite(mech, instances, []).checks == () and runs == []
+
+
+def test_suite_rejects_unknown_axiom():
+    with pytest.raises(InvalidArgument, match="unknown axiom name: bogus"):
+        run_axiom_suite(greedy_mechanism(L1), [three_bidder_instance()], ["exactness", "bogus"])
 
 
 # -- deviation search -------------------------------------------------------

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from camech.axioms import AXIOMS, MECHANISMS
 from camech.cli import main
 
 THREE = {
@@ -229,6 +230,14 @@ def test_check_critical_violated_for_clarke_greedy(capsys, three_path):
     assert entry["witness"]["instance"]["bids"]  # replayable witness embedded
 
 
+def test_check_unknown_axiom_exit_2(capsys, three_path):
+    code, out = run_cli(capsys, "check", three_path, "--axioms", "exactness,bogus")
+    assert code == 2
+    assert json.loads(out) == {
+        "error": {"kind": "error", "message": "unknown axiom name: bogus"}
+    }
+
+
 def test_check_ties_rejected_exit_3(capsys, tmp_path):
     path = tmp_path / "tied.json"
     path.write_text(json.dumps(TIED))
@@ -341,6 +350,14 @@ GOLDEN = [
      "cd2d7e2ea622b1e4d2c806ea085769884e8313ad382b546319dedc6d00ca5b2f"),
     (["check", "THREE_PATH", "--mechanism", "clarke-greedy", "--deviations"], 1,
      "b58c00462dbc7a72624433252ea2050f3a5d291d857fa64909295186b918d534"),
+    (["experiment", "--suite", "tight", "--l", "1/2"], 0,
+     "3d9897e6e669db663373894bb010d21c0332c43fbc77a2d526d4d0d7ceedf26a"),
+    (["experiment", "--suite", "tight", "--l", "1", "--k", "5"], 0,
+     "7b6e23d4d486a99bf49bd38f16165db8244a17c2ebed2bdc750ecd83b928ca7f"),
+    (["check", "THREE_PATH", "--mechanism", "clarke-greedy", "--axioms", "exactness,critical"], 1,
+     "8222cc1d38b7dfbd1f7ac90734ea83f43e34fccef878b4dc8f2695754fb95513"),
+    (["check", "THREE_PATH", "--axioms", "none", "--deviations"], 0,
+     "6c311c45c92ae9cd58a0d095116be3132ec6adaeabb8c8b0033d76fc817866f5"),
 ]
 
 
@@ -433,6 +450,18 @@ def test_gen_gives_up_on_ties_quickly(bids):
     assert set(json.loads(result.stdout)) == {"error"}
 
 
+@pytest.mark.parametrize("goods, bids", [("63", "1000000"), ("8", "200001")])
+def test_gen_rejects_bid_counts_past_the_draw_limit(goods, bids):
+    # no instance over 200,000 bids is drawn, however many goods it has
+    result = subprocess.run(
+        [sys.executable, "-m", "camech.cli", "gen", "--goods", goods, "--bids", bids, "--seed", "1"],
+        capture_output=True, text=True, timeout=5,
+    )
+    assert result.returncode == 2, result.stderr
+    (error,) = json.loads(result.stdout).values()
+    assert "0 to 200000 bids" in error["message"]
+
+
 def test_run_largest_norm_exponent(capsys, tmp_path):
     # narrow pays wide's crossing value, 5 / 8**1000, which must render without a float
     goods = [f"g{i}" for i in range(8)]
@@ -505,4 +534,47 @@ def test_fuzz_run_amounts_and_exponents(bids, p, q, mechanism, tie_rule):
         code = main(["run", "-", "--norm-exponent", f"{p}/{q}",
                      "--mechanism", mechanism, "--tie-rule", tie_rule])
     assert code in (0, 2, 3)
+    json.loads(out.getvalue())
+
+
+_counts = st.integers(min_value=-1, max_value=6)
+_check_argv = st.builds(
+    lambda axioms, samples, mechanism, p, q, deviations: [
+        "check", "-", "--axioms", axioms, "--samples", str(samples), "--mechanism", mechanism,
+        "--norm-exponent", f"{p}/{q}", *(["--deviations"] if deviations else []),
+    ],
+    st.one_of(
+        st.sampled_from(["all", "none"]),
+        st.lists(st.sampled_from(AXIOMS + ("bogus",)), max_size=5).map(",".join),
+    ),
+    st.integers(min_value=-1, max_value=5),
+    st.sampled_from(sorted(MECHANISMS)),
+    st.integers(min_value=0, max_value=1000),
+    _terms,
+    st.booleans(),
+)
+_experiment_argv = st.builds(
+    lambda suite, k, n, trials, exponent: [
+        "experiment", "--suite", suite, "--k", str(k), "--n", str(n),
+        "--trials", str(trials), "--l", exponent,
+    ],
+    st.sampled_from(["ratio", "tight"]),
+    _counts,
+    _counts,
+    _counts,
+    st.one_of(
+        st.sampled_from(["0", "1/2", "1", "2"]),
+        st.builds(lambda p, q: f"{p}/{q}", st.integers(min_value=0, max_value=1000), _terms),
+    ),
+)
+
+
+@given(st.one_of(_check_argv, _experiment_argv))
+@settings(max_examples=100, derandomize=True, deadline=None)
+def test_fuzz_check_and_experiment_flags(argv):
+    # any exit code 0-4 with exactly one JSON document on stdout, never a traceback
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), mock.patch.object(sys, "stdin", io.StringIO(json.dumps(THREE))):
+        code = main(argv)
+    assert code in (0, 1, 2, 3, 4)
     json.loads(out.getvalue())

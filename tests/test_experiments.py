@@ -11,11 +11,13 @@ from camech.exact import SolverKind, optimal_allocation
 from camech.experiments import (
     complex_player_utility,
     random_instance,
+    ratio_bound,
     ratio_experiment,
     reproduce_all,
     revenue_compare_tie_orders,
     scenario,
     scenario_names,
+    tight_experiment,
     tight_family,
 )
 from camech.greedy import greedy_allocate, run_greedy
@@ -121,6 +123,23 @@ def test_ratio_experiment_single_bid_is_exactly_optimal():
     stats = ratio_experiment(4, 1, 10, F(1), "ratio-single")
     assert stats.max_ratio == 1.0
     assert stats.bound_label == "4"
+
+
+def test_ratio_bound_sides_and_labels():
+    # ratio**2 against k at l = 1/2, ratio against k at l = 1, no bound elsewhere
+    assert ratio_bound(F(2), 4, F(1, 2)) == (0, "sqrt(4)")
+    assert ratio_bound(F(21, 10), 4, F(1, 2)) == (1, "sqrt(4)")
+    assert ratio_bound(F(399, 100), 4, F(1)) == (-1, "4")
+    assert ratio_bound(F(4), 4, F(1)) == (0, "4")
+    assert ratio_bound(F(9), 4, F(2)) == (None, "none")
+
+
+def test_tight_experiment_rows():
+    (row,) = tight_experiment(F(1), (2,))
+    assert (row.goods_count, row.bound_label) == (2, "2")
+    assert (row.greedy, row.optimal, row.ratio) == (F(1001, 1000), F(2), F(2000, 1001))
+    assert row.reaches_bound  # 2000/1001 >= 19/20 * 2
+    assert [r.goods_count for r in tight_experiment(F(1, 2))] == [4, 9, 16]
 
 
 def test_tight_family_l1():

@@ -110,9 +110,9 @@ def test_to_decimal():
     # sqrt(2) to 12 significant digits
     assert Money.sqrt(2).to_decimal() == "1.41421356237"
     assert Money.root_term(F(13, 2), 2).to_decimal() == "9.19238815543"
-    # round-half-even at the cut digit: 12.5 -> 12, 13.5 -> 14
-    assert Money(F(125, 1000)).to_decimal(2) == "0.12"
-    assert Money(F(135, 1000)).to_decimal(2) == "0.14"
+    # round-half-even at the cut digit: ...012.5 -> ...012, ...013.5 -> ...014
+    assert Money(F(1234567890125, 10 ** 13)).to_decimal() == "0.123456789012"
+    assert Money(F(1234567890135, 10 ** 13)).to_decimal() == "0.123456789014"
 
 
 def test_fraction_to_decimal_exact():
@@ -136,7 +136,7 @@ def test_parse_decimal_bounds_literal_size():
 def test_to_decimal_extreme_magnitudes():
     assert Money(F(3, 10 ** 700)).to_decimal() == "0." + "0" * 699 + "3"
     assert Money(10 ** 5000).to_decimal() == "1" + "0" * 5000
-    assert Money(F(1, 2 ** 3000)).to_decimal(3) == "0." + "0" * 903 + "813"
+    assert Money(F(1, 2 ** 3000)).to_decimal() == "0." + "0" * 903 + "812854862556"
 
 
 @given(st.fractions(), st.fractions())
