@@ -22,7 +22,7 @@ from .norm import NormConfig, TieRule, crossing_value, rank
 from . import exact as _exact
 from .greedy import run_greedy
 
-#: Probe points sit at this fraction of the local gap away from a threshold.
+#: Probes sit this fraction of the local gap off a threshold's rational bracket.
 PROBE_SCALE = Fraction(1, 2 ** 20)
 #: Draws tried for one tie-free monotonicity perturbation before giving up.
 PERTURBATION_ATTEMPTS = 20
@@ -103,24 +103,36 @@ class CriticalValue:
     probes: int = 0
 
 
+def _brackets(thresholds: Sequence[Money]) -> list[tuple[Fraction, Fraction]]:
+    """Rational bounds (lo, hi) around sorted, distinct thresholds, at doubling
+    precision until no two overlap; a rational threshold is its own bracket."""
+    bits = 64  # the precision `Money.to_decimal` starts at
+    while True:
+        brackets = [t.bounds(bits) for t in thresholds]
+        if all(hi < lo for (_, hi), (lo, _) in zip(brackets, brackets[1:])):
+            return brackets
+        bits *= 2
+
+
 def critical_value(mech: Mechanism, instance: AuctionInstance, j: int) -> CriticalValue:
     """Bid j's grant threshold: the mechanism's first threshold above which,
     probed once inside each region between thresholds, j wins its bundle.
 
-    Raises `NonMonotoneDetected` when a probe finds a denial above a grant,
-    i.e. when no single threshold exists.
+    Probes are rational, between the brackets of consecutive thresholds and
+    zero.  Raises `NonMonotoneDetected` when a probe finds a denial above a
+    grant, i.e. when no single threshold exists.
     """
     bundle = instance.bids[j].bundle
     thresholds = sorted({t for t in mech.thresholds(instance, j, bundle) if t.sign() > 0})
     # one probe inside each region between consecutive thresholds
-    probes: list[Money] = []
     if not thresholds:
-        probes.append(Money(PROBE_SCALE))
+        probes = [PROBE_SCALE]
     else:
-        probes.append(thresholds[0] * (1 - PROBE_SCALE))
-        for a, b in zip(thresholds, thresholds[1:]):
-            probes.append(a + (b - a) * PROBE_SCALE)
-        probes.append(thresholds[-1] * (1 + PROBE_SCALE))
+        brackets = _brackets([Money(0), *thresholds])[1:]
+        probes = [brackets[0][0] * (1 - PROBE_SCALE)]
+        probes += [a + (b - a) * PROBE_SCALE for (_, a), (b, _) in zip(brackets, brackets[1:])]
+        probes.append(brackets[-1][1] * (1 + PROBE_SCALE))
+    probes = [Money(v) for v in probes]
     status = [
         mech.run(instance.with_amount(j, v)).allocation.bundle_granted(j) == bundle
         for v in probes
@@ -329,18 +341,17 @@ class DeviationReport:
 
 
 def _candidate_values(thresholds: Sequence[Money], true_amount: Money) -> list[Money]:
-    """Zero, the true amount, and one probe on each side of every threshold."""
-    zero = Money(0)
-    candidates = {zero, true_amount}
-    ts = sorted({t for t in thresholds if t >= zero})
-    for i, t in enumerate(ts):
-        left_gap = t - ts[i - 1] if i > 0 else t
-        right_gap = ts[i + 1] - t if i + 1 < len(ts) else (t if t > zero else Money(1))
-        below = t - left_gap * PROBE_SCALE
-        if below >= zero:
+    """Zero, the true amount, and a rational probe on each side of each threshold."""
+    candidates = {Fraction(0), true_amount.as_fraction()}
+    brackets = _brackets(sorted({t for t in thresholds if t.sign() >= 0}))
+    for i, (lo, hi) in enumerate(brackets):
+        left_gap = lo - brackets[i - 1][1] if i > 0 else lo
+        right_gap = brackets[i + 1][0] - hi if i + 1 < len(brackets) else (hi if hi > 0 else 1)
+        below = lo - left_gap * PROBE_SCALE
+        if below >= 0:
             candidates.add(below)
-        candidates.add(t + right_gap * PROBE_SCALE)
-    return sorted(candidates)
+        candidates.add(hi + right_gap * PROBE_SCALE)
+    return [Money(v) for v in sorted(candidates)]
 
 
 def find_profitable_deviation(

@@ -32,12 +32,11 @@ from .experiments import (
     ratio_experiment,
     random_instance,
     reproduce_all,
-    revenue_compare_tie_orders,
-    scenario,
+    revenue_experiment,
     tight_experiment,
 )
 from .model import validate_instance
-from .money import Money, parse_decimal
+from .money import parse_decimal
 from .norm import NormConfig, TieRule
 
 EXIT_OK = 0
@@ -207,20 +206,8 @@ def _cmd_experiment(args) -> tuple[dict, int]:
     if args.suite == "revenue":
         if not args.scenario:
             raise ParseError("the revenue suite needs --scenario")
-        sc = scenario(args.scenario)
-        comparison = revenue_compare_tie_orders(sc.instance, NormConfig(args.l))
-        doc = documents.tie_orders_document(sc.name, comparison)
-        expected = {
-            e.quantity: e.expected
-            for e in sc.expectations
-            if e.mechanism == "tie-orders"
-        }
-        ok = True
-        if "avg_revenue" in expected:
-            ok = comparison.greedy_average == Money(Fraction(expected["avg_revenue"]))
-            doc["expected_greedy_average"] = expected["avg_revenue"]
-            doc["pass"] = ok
-        return doc, EXIT_OK if ok else EXIT_CHECK_FAILED
+        check = revenue_experiment(args.scenario, args.l)
+        return documents.tie_orders_document(check), EXIT_OK if check.passed else EXIT_CHECK_FAILED
     rows = tight_experiment(args.l, TIGHT_GOODS_COUNTS if args.k is None else (args.k,))
     doc = documents.tight_document(args.l, rows)
     return doc, EXIT_OK if doc["all_pass"] else EXIT_CHECK_FAILED

@@ -12,7 +12,7 @@ from typing import Any, Mapping, Optional
 
 from .axioms import AxiomCheck, AxiomReport, DeviationReport, Mechanism
 from .errors import ParseError
-from .experiments import RatioStats, ReproRow, TieOrderComparison, TightRow
+from .experiments import RatioStats, ReproRow, RevenueCheck, TightRow
 from .model import AuctionInstance, Outcome, SingleMindedBid, Violation
 from .money import MAX_LITERAL_DIGITS, Money, fraction_to_decimal, parse_decimal
 from .norm import RankedList, norm_text
@@ -306,14 +306,18 @@ def tight_document(exponent, rows: list[TightRow]) -> dict:
     }
 
 
-def tie_orders_document(name: str, comparison: TieOrderComparison) -> dict:
-    return {
-        "scenario": name,
-        "orders": comparison.orders,
-        "tie_group_sizes": list(comparison.group_sizes),
-        "greedy_average_revenue": comparison.greedy_average.to_decimal(),
-        "gva_revenue": comparison.gva_revenue.to_decimal(),
+def tie_orders_document(check: RevenueCheck) -> dict:
+    doc = {
+        "scenario": check.scenario,
+        "orders": check.comparison.orders,
+        "tie_group_sizes": list(check.comparison.group_sizes),
+        "greedy_average_revenue": check.comparison.greedy_average.to_decimal(),
+        "gva_revenue": check.comparison.gva_revenue.to_decimal(),
     }
+    if check.expected is not None:
+        doc["expected_greedy_average"] = check.expected
+        doc["pass"] = check.passed
+    return doc
 
 
 def to_json(doc: Mapping) -> str:

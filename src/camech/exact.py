@@ -15,7 +15,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import Callable, Sequence
 
-from .errors import InstanceTooLarge
+from .errors import InstanceTooLarge, InvalidArgument
 from .greedy import greedy_allocate
 from .model import Allocation, AuctionInstance, Outcome, allocation_value, assemble_outcome
 from .money import Money
@@ -42,28 +42,14 @@ class ExactSolution:
         return self.optima_count == 1
 
 
-def _weights(instance: AuctionInstance):
-    """Bid amounts as integers over a common denominator when rational.
-
-    Falls back to Money weights (slower, still exact) otherwise.
-    Returns (weights, zero, to_money).
-    """
-    integer = instance.integer_amounts
-    if integer is not None:
-        denom = integer.denominator
-        return integer.weights, 0, lambda v: Money(Fraction(v, denom))
-    weights = [b.amount for b in instance.bids]
-    return weights, Money(0), lambda v: v
-
-
-def _solve_brute(masks: Sequence[int], weights, zero) -> tuple[object, tuple[int, ...], int]:
+def _solve_brute(masks: Sequence[int], weights) -> tuple[int, tuple[int, ...], int]:
     n = len(masks)
-    best = zero
+    best = 0
     best_set: tuple[int, ...] = ()
     count = 1  # the empty allocation
     for sub in range(1, 1 << n):
         goods = 0
-        value = zero
+        value = 0
         s = sub
         ok = True
         while s:
@@ -99,14 +85,14 @@ def _indices(sub: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _solve_dp(masks: Sequence[int], weights, zero, k: int) -> tuple[object, tuple[int, ...], int]:
+def _solve_dp(masks: Sequence[int], weights, k: int) -> tuple[int, tuple[int, ...], int]:
     n = len(masks)
     size = 1 << k
     full = size - 1
     # suffix tables: best[j][S] = max value using bids j.. with goods S free
     best = [None] * (n + 1)
     cnt = [None] * (n + 1)
-    best[n] = [zero] * size
+    best[n] = [0] * size
     cnt[n] = [1] * size
     for j in range(n - 1, -1, -1):
         prev = best[j + 1]
@@ -133,7 +119,7 @@ def _solve_dp(masks: Sequence[int], weights, zero, k: int) -> tuple[object, tupl
     chosen: list[int] = []
     s = full
     for j in range(n):
-        if not best[j][s] > zero:
+        if not best[j][s] > 0:
             break
         m = masks[j]
         if m & s == m and weights[j] + best[j + 1][s ^ m] == best[j][s]:
@@ -143,20 +129,26 @@ def _solve_dp(masks: Sequence[int], weights, zero, k: int) -> tuple[object, tupl
 
 
 def optimal_allocation(instance: AuctionInstance, solver: SolverKind) -> ExactSolution:
-    """Value-maximising conflict-free bid set, deterministically tie-broken."""
+    """Value-maximising conflict-free bid set, deterministically tie-broken.
+
+    Raises `InvalidArgument` when an amount is irrational.
+    """
     n = len(instance.bids)
     k = len(instance.goods)
-    weights, zero, to_money = _weights(instance)
+    integer = instance.integer_amounts
+    if integer is None:
+        raise InvalidArgument("exact solvers need rational amounts")
     masks = instance.bid_masks
     if solver is SolverKind.BRUTE_FORCE_BID_SUBSETS:
         if n > MAX_BRUTE_BIDS:
             raise InstanceTooLarge(f"brute-force solver handles at most {MAX_BRUTE_BIDS} bids")
-        value, indices, count = _solve_brute(masks, weights, zero)
+        value, indices, count = _solve_brute(masks, integer.weights)
     else:
         if k > MAX_DP_GOODS:
             raise InstanceTooLarge(f"bitmask DP handles at most {MAX_DP_GOODS} goods")
-        value, indices, count = _solve_dp(masks, weights, zero, k)
-    return ExactSolution(Allocation.of_indices(instance, indices), to_money(value), count)
+        value, indices, count = _solve_dp(masks, integer.weights, k)
+    value = Money(Fraction(value, integer.denominator))
+    return ExactSolution(Allocation.of_indices(instance, indices), value, count)
 
 
 def _clarke(

@@ -55,6 +55,9 @@ class Expectation:
     expected: str   # exact literal ("9.5", "2/3") or sorted name list ("blue,red")
     provenance: str  # paper | derived | trivial
 
+    def met_by(self, actual: Money) -> bool:
+        return actual == Money(F(self.expected))
+
 
 @dataclass(frozen=True, eq=False)
 class Scenario:
@@ -358,7 +361,7 @@ def _evaluate(sc: Scenario, exp: Expectation) -> tuple[str, bool]:
     cfg = NormConfig(F(1))
 
     def numeric(actual: Money) -> tuple[str, bool]:
-        return actual.to_decimal(), actual == Money(F(exp.expected))
+        return actual.to_decimal(), exp.met_by(actual)
 
     if exp.mechanism in MECHANISMS:
         out = MECHANISMS[exp.mechanism](cfg, SolverKind.BITMASK_DP).run(inst)
@@ -454,6 +457,26 @@ def revenue_compare_tie_orders(instance: AuctionInstance, cfg: NormConfig) -> Ti
     return TieOrderComparison(
         revenue_sum / count, gva.revenue, count, tuple(len(g) for g in groups)
     )
+
+
+@dataclass(frozen=True, eq=False)
+class RevenueCheck:
+    """A scenario's tie-order comparison and its expected average revenue, if any."""
+
+    scenario: str
+    comparison: TieOrderComparison
+    expected: Optional[str] = None
+    passed: bool = True
+
+
+def revenue_experiment(name: str, exponent: Fraction) -> RevenueCheck:
+    """Tie-order revenue of a registered scenario, checked against the registry."""
+    sc = scenario(name)
+    compared = revenue_compare_tie_orders(sc.instance, NormConfig(exponent))
+    for e in sc.expectations:
+        if (e.mechanism, e.quantity) == ("tie-orders", "avg_revenue"):
+            return RevenueCheck(sc.name, compared, e.expected, e.met_by(compared.greedy_average))
+    return RevenueCheck(sc.name, compared)
 
 
 # --------------------------------------------------------------------------

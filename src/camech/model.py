@@ -131,11 +131,7 @@ class AuctionInstance:
         masks[j] = self.mask_of(new_bid.bundle)
         cache["bid_masks"] = tuple(masks)
         amount = new_bid.amount
-        if not amount.is_rational:
-            cache["all_amounts_rational"] = False
-            cache["integer_amounts"] = None
-        elif self.integer_amounts is not None:
-            cache["all_amounts_rational"] = True
+        if amount.is_rational and self.integer_amounts is not None:
             cache["integer_amounts"] = self.integer_amounts.replaced(j, amount.as_fraction())
         return child
 

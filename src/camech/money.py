@@ -215,19 +215,6 @@ class Money:
 
     __rmul__ = __mul__
 
-    def __pow__(self, exponent: int):
-        if not isinstance(exponent, int) or exponent < 0:
-            return NotImplemented
-        result = Money(1)
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
-
     def __truediv__(self, other):
         if isinstance(other, (int, Fraction)):
             if other == 0:
@@ -265,15 +252,15 @@ class Money:
             return -1
         bits = 32
         while True:
-            lo, hi = self._bounds(bits)
+            lo, hi = self.bounds(bits)
             if lo > 0:
                 return 1
             if hi < 0:
                 return -1
             bits *= 2
 
-    def _bounds(self, bits: int) -> tuple[Fraction, Fraction]:
-        """Exact rational bounds lo <= value <= hi at the given precision."""
+    def bounds(self, bits: int) -> tuple[Fraction, Fraction]:
+        """Exact rational bounds lo <= value <= hi, roots taken to `bits` fractional bits."""
         lo = hi = _ZERO
         scale = 1 << bits
         for m, c in self._terms.items():
@@ -350,7 +337,7 @@ class Money:
         """floor(log10(self)) for self > 0."""
         bits = 64
         while True:
-            lo, hi = self._bounds(bits)
+            lo, hi = self.bounds(bits)
             if lo > 0:
                 elo = _floor_log10_fraction(lo)
                 ehi = _floor_log10_fraction(hi)
@@ -365,7 +352,7 @@ class Money:
             return _round_half_even(self._terms[1] * scale)
         bits = 64
         while True:
-            lo, hi = self._bounds(bits)
+            lo, hi = self.bounds(bits)
             rlo = _round_half_even(lo * scale)
             rhi = _round_half_even(hi * scale)
             if rlo == rhi:

@@ -2,11 +2,11 @@
 
 A bid (s, a) scores a / |s|**l for a configurable rational exponent l >= 0.
 All comparisons are exact: for l = p/q bids rank as their order keys
-a**q / |s|**p do.  Rational instances rank on integers: with amounts
-w / d over one denominator and L the lcm of the bundle sizes, the key
-w**q * (L / |s|)**p is the order key times (d**q * L**p).  Instances with
-radical amounts (crossing values and probes at l = 1/2) keep exact `Money`
-keys.
+a**q / |s|**p do.  Instances rank on integers: with amounts w / d over
+one denominator and L the lcm of the bundle sizes, the key
+w**q * (L / |s|)**p is the order key times (d**q * L**p).  Every instance a
+mechanism runs on is rational, probes included; radicals appear only in
+crossing values, and so in thresholds, payments, revenue and utilities.
 """
 
 from __future__ import annotations
@@ -50,15 +50,14 @@ class NormConfig:
 
 
 @lru_cache(maxsize=4096)
-def bundle_ratio_power(w_num: int, w_den: int, exponent: Fraction) -> Money:
-    """(w_num / w_den) ** exponent as an exact value.
+def bundle_ratio_power(w_num: int, w_den: int, p: int, q: int) -> Money:
+    """(w_num / w_den) ** (p / q) as an exact value, for p / q in lowest terms.
 
     Closed forms exist for integer and half-integer exponents; other rational
     exponents are accepted only when the power happens to be rational.
     """
     if w_num < 1 or w_den < 1:
         raise InvalidArgument("bundle sizes must be positive")
-    p, q = exponent.numerator, exponent.denominator
     a, b = w_num ** p, w_den ** p
     g = gcd(a, b)
     a, b = a // g, b // g
@@ -71,13 +70,14 @@ def bundle_ratio_power(w_num: int, w_den: int, exponent: Fraction) -> Money:
     if ra ** q == a and rb ** q == b:
         return Money(Fraction(ra, rb))
     raise ExponentNotSupported(
-        f"({w_num}/{w_den})**{exponent} has no exact representation here"
+        f"({w_num}/{w_den})**{Fraction(p, q)} has no exact representation here"
     )
 
 
 def crossing_value(bid: SingleMindedBid, size: int, exponent: Fraction) -> Money:
     """The declared value at which a size-`size` bundle's norm equals `bid`'s."""
-    return bid.amount * bundle_ratio_power(size, len(bid.bundle), exponent)
+    p, q = exponent.numerator, exponent.denominator
+    return bid.amount * bundle_ratio_power(size, len(bid.bundle), p, q)
 
 
 def order_key(amount: Money, size: int, p: int, q: int) -> Fraction:
@@ -92,10 +92,10 @@ def norm_text(bid: SingleMindedBid, exponent: Fraction) -> str:
     q-th root of a rational amount's order key, rounded from integer roots.
     """
     size = len(bid.bundle)
+    p, q = exponent.numerator, exponent.denominator
     try:
-        return (bid.amount * bundle_ratio_power(1, size, exponent)).to_decimal()
+        return (bid.amount * bundle_ratio_power(1, size, p, q)).to_decimal()
     except ExponentNotSupported:
-        p, q = exponent.numerator, exponent.denominator
         return root_to_decimal(order_key(bid.amount, size, p, q), q)
 
 
@@ -103,14 +103,14 @@ def norm_text(bid: SingleMindedBid, exponent: Fraction) -> str:
 class RankedList:
     """A total order over bid indices, norm-descending, ties resolved.
 
-    `keys[j]` is bid j's order key amount**q / size**p, scaled to an integer
-    for rational instances: equal keys are equal norms.
+    `keys[j]` is bid j's order key amount**q / size**p, scaled to an
+    integer: equal keys are equal norms.
     """
 
     order: tuple[int, ...]
     exponent: Fraction
     had_ties: bool
-    keys: tuple[int | Money, ...]
+    keys: tuple[int, ...]
 
 
 def rank(instance: AuctionInstance, cfg: NormConfig) -> RankedList:
@@ -119,7 +119,8 @@ def rank(instance: AuctionInstance, cfg: NormConfig) -> RankedList:
     Deterministic for every tie rule.  With `REJECT` the presence of any two
     equal-norm bids raises `TiesPresent`; with `CANONICAL` ties break by
     higher amount, then smaller bundle bitset, then lower bid index; with
-    `EXPLICIT` ties break by position in `cfg.explicit_order`.
+    `EXPLICIT` ties break by position in `cfg.explicit_order`.  Raises
+    `InvalidArgument` when an amount is irrational.
     """
     bids = instance.bids
     n = len(bids)
@@ -129,16 +130,14 @@ def rank(instance: AuctionInstance, cfg: NormConfig) -> RankedList:
             raise InvalidArgument("explicit order must be a permutation of the bid indices")
         explicit_pos = {j: p for p, j in enumerate(cfg.explicit_order)}
 
+    integer = instance.integer_amounts
+    if integer is None:
+        raise InvalidArgument("ranking needs rational amounts")
     p, q = exponent.numerator, exponent.denominator
     sizes = [len(b.bundle) for b in bids]
-    integer = instance.integer_amounts
-    if integer is not None:
-        amounts = integer.weights
-        top = lcm(*sizes)
-        keys = [w ** q * (top // s) ** p for w, s in zip(amounts, sizes)]
-    else:
-        amounts = [b.amount for b in bids]
-        keys = [a ** q / s ** p for a, s in zip(amounts, sizes)]
+    amounts = integer.weights
+    top = lcm(*sizes)
+    keys = [w ** q * (top // s) ** p for w, s in zip(amounts, sizes)]
     order = sorted(range(n), key=keys.__getitem__, reverse=True)
     ties = [(i, j) for i, j in zip(order, order[1:]) if keys[i] == keys[j]]
     if ties:

@@ -374,6 +374,26 @@ def test_deviation_search_runs_every_candidate_once():
     assert found > 0
 
 
+def test_checkers_run_mechanisms_on_rational_instances_only():
+    # at l = 1/2 most crossings are radicals; the probes around them are not
+    for base in (greedy_mechanism(LHALF), clarke_greedy_mechanism(LHALF)):
+        ran = []
+
+        def recording_run(instance, run=base.run):
+            ran.append(instance)
+            return run(instance)
+
+        mech = replace(base, run=recording_run)
+        for t in range(3):
+            inst = random_instance(3, 4, seed=t + 1)
+            assert any(not v.is_rational for v in mech.thresholds(inst, 0, inst.bids[0].bundle))
+            for j in sorted(base.run(inst).allocation.grants):
+                critical_value(mech, inst, j)
+            for j in range(len(inst.bids)):
+                find_profitable_deviation(mech, inst, j)
+        assert ran and all(i.integer_amounts is not None for i in ran)
+
+
 def test_deviation_guard():
     goods = tuple(f"g{i}" for i in range(17))
     inst = AuctionInstance(goods, (bid("x", {"g0"}, 1),))

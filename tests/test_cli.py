@@ -24,6 +24,18 @@ THREE = {
     ],
 }
 
+#: What `camech gen --goods 3 --bids 4 --seed 1` writes: at l = 1/2, bid
+#: b2's best misreport under clarke-greedy sits next to an irrational crossing.
+GEN_3_4_SEED_1 = {
+    "goods": ["g1", "g2", "g3"],
+    "bids": [
+        {"bidder": "b1", "bundle": ["g1"], "amount": "620.136"},
+        {"bidder": "b2", "bundle": ["g1", "g3"], "amount": "876.631"},
+        {"bidder": "b3", "bundle": ["g1", "g2", "g3"], "amount": "769.8"},
+        {"bidder": "b4", "bundle": ["g2"], "amount": "667.428"},
+    ],
+}
+
 TIED = {
     "goods": ["a", "b", "c", "d"],
     "bids": [
@@ -358,15 +370,23 @@ GOLDEN = [
      "8222cc1d38b7dfbd1f7ac90734ea83f43e34fccef878b4dc8f2695754fb95513"),
     (["check", "THREE_PATH", "--axioms", "none", "--deviations"], 0,
      "6c311c45c92ae9cd58a0d095116be3132ec6adaeabb8c8b0033d76fc817866f5"),
+    (["check", "THREE_PATH", "--norm-exponent", "1/2", "--seed", "13", "--samples", "5"], 0,
+     "f9c34d9ebc4497458501d18a6adf5c3a2a84cec13a65d09c998fb4fd565960b7"),
+    (["check", "GEN_PATH", "--mechanism", "clarke-greedy", "--norm-exponent", "1/2",
+      "--deviations"], 1,
+     "f4c1ac6b9811126d313e93e11b966b8c4683ea1f9b84c2a9b6f785133d7e85d2"),
 ]
 
 
 @pytest.mark.parametrize(
     "argv, code, sha", GOLDEN, ids=[" ".join(argv) for argv, _, _ in GOLDEN]
 )
-def test_golden_stdout(capsys, monkeypatch, three_path, argv, code, sha):
+def test_golden_stdout(capsys, monkeypatch, tmp_path, three_path, argv, code, sha):
     monkeypatch.delenv("CAMECH_SEED", raising=False)
-    argv = [three_path if a == "THREE_PATH" else a for a in argv]
+    gen_path = tmp_path / "gen.json"
+    gen_path.write_text(json.dumps(GEN_3_4_SEED_1))
+    paths = {"THREE_PATH": three_path, "GEN_PATH": str(gen_path)}
+    argv = [paths.get(a, a) for a in argv]
     got_code, out = run_cli(capsys, *argv)
     assert (got_code, hashlib.sha256(out.encode("utf-8")).hexdigest()) == (code, sha)
 

@@ -86,7 +86,7 @@ def test_division():
         lambda: Money.sqrt(-2),
         lambda: Money.sqrt(2).as_fraction(),
         lambda: Money(1) / (Money.sqrt(2) + Money.sqrt(3)),
-        lambda: bundle_ratio_power(0, 1, F(1)),
+        lambda: bundle_ratio_power(0, 1, 1, 1),
     ],
     ids=["square_parts", "iroot-n", "iroot-k", "sqrt", "as_fraction", "division",
          "bundle_ratio_power"],
@@ -94,11 +94,6 @@ def test_division():
 def test_out_of_domain_raises_camech_error(call):
     with pytest.raises(CamechError):
         call()
-
-
-def test_pow():
-    assert (Money.sqrt(2) + 1) ** 2 == Money(3) + Money.root_term(2, 2)
-    assert Money(F(3, 2)) ** 0 == Money(1)
 
 
 def test_to_decimal():

@@ -8,14 +8,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from camech.errors import ExponentNotSupported, TiesPresent
+from camech.errors import ExponentNotSupported, InvalidArgument, TiesPresent
+from camech.exact import SolverKind, optimal_allocation
 from camech.model import AuctionInstance, SingleMindedBid
 from camech.money import Money
 from camech.norm import (
     NormConfig,
     TieRule,
     bundle_ratio_power,
-    crossing_value,
     norm_text,
     rank,
 )
@@ -50,13 +50,13 @@ def test_norm_compare_exponent_zero_orders_by_amount():
 
 
 def test_bundle_ratio_power():
-    assert bundle_ratio_power(4, 2, F(1)) == Money(2)
-    assert bundle_ratio_power(2, 1, F(1, 2)) == Money.sqrt(2)
-    assert bundle_ratio_power(1, 2, F(1, 2)) == Money(1) / Money.sqrt(2)
-    assert bundle_ratio_power(8, 1, F(1, 3)) == Money(2)  # perfect cube
-    assert bundle_ratio_power(5, 5, F(7, 3)) == Money(1)
-    with pytest.raises(ExponentNotSupported):
-        bundle_ratio_power(2, 1, F(1, 3))
+    assert bundle_ratio_power(4, 2, 1, 1) == Money(2)
+    assert bundle_ratio_power(2, 1, 1, 2) == Money.sqrt(2)
+    assert bundle_ratio_power(1, 2, 1, 2) == Money(1) / Money.sqrt(2)
+    assert bundle_ratio_power(8, 1, 1, 3) == Money(2)  # perfect cube
+    assert bundle_ratio_power(5, 5, 7, 3) == Money(1)
+    with pytest.raises(ExponentNotSupported, match=r"^\(2/1\)\*\*1/3 has no exact"):
+        bundle_ratio_power(2, 1, 1, 3)
 
 
 def test_rank_paper_order():
@@ -165,14 +165,17 @@ def test_norm_compare_is_a_total_preorder(s1, s2, s3, a1, a2, a3, exponent):
         assert norm_compare(b1, b3, exponent) >= 0
 
 
-def test_norm_value_irrational_amounts():
-    # probes produce irrational amounts; comparisons stay exact
+def test_rank_and_solvers_reject_irrational_amounts():
+    # probes are rational, so no mechanism ranks or solves a radical amount;
+    # its norm still renders exactly
     surd = Money.root_term(F(19, 2), 2)  # 9.5 * sqrt(2) ~ 13.435
-    b1, b2 = bid("x", "ab", surd), bid("y", "a", F(67, 10))
-    # 9.5*sqrt(2)/2 ~ 6.717 > 6.7
-    assert norm_compare(b1, b2, F(1)) == 1
-    assert norm_compare(b2, b1, F(1)) == -1
-    assert norm_text(b1, F(1)) == "6.71751442127"
+    inst = AuctionInstance(GOODS, (bid("x", "ab", surd), bid("y", "a", F(67, 10))))
+    with pytest.raises(InvalidArgument):
+        rank(inst, NormConfig(F(1)))
+    for solver in SolverKind:
+        with pytest.raises(InvalidArgument):
+            optimal_allocation(inst, solver)
+    assert norm_text(inst.bids[0], F(1)) == "6.71751442127"
 
 
 def test_norm_text_without_closed_form():
@@ -194,7 +197,9 @@ def reference_rank(instance, exponent, explicit_order=None):
 
     def norm_cmp(i, j):  # negative when bid i has the larger norm
         bi, bj = bids[i], bids[j]
-        return (bj.amount ** q * len(bi.bundle) ** p).compare(bi.amount ** q * len(bj.bundle) ** p)
+        lhs = bj.amount.as_fraction() ** q * len(bi.bundle) ** p
+        rhs = bi.amount.as_fraction() ** q * len(bj.bundle) ** p
+        return (lhs > rhs) - (lhs < rhs)
 
     by_norm = sorted(range(len(bids)), key=cmp_to_key(norm_cmp))
     pairs = [(i, j) for i, j in zip(by_norm, by_norm[1:]) if norm_cmp(i, j) == 0]
@@ -205,37 +210,6 @@ def reference_rank(instance, exponent, explicit_order=None):
         order = sorted(range(len(bids)), key=lambda i: masks[i])
         order = sorted(order, key=lambda i: bids[i].amount, reverse=True)
     return tuple(sorted(order, key=cmp_to_key(norm_cmp))), pairs
-
-
-@pytest.mark.parametrize("exponent", [F(1, 2), F(1)], ids=["1/2", "1"])
-def test_rank_matches_cross_multiplication(exponent):
-    # each instance has one irrational probe amount: a bid's l = 1/2 crossing
-    # value for another bundle size, exactly or nudged as probes are
-    rng = random.Random(f"rank-reference:{exponent}")
-    tied = 0
-    for _ in range(200):
-        bids = [
-            bid(f"b{i}", rng.sample(GOODS, rng.randint(1, 4)), rng.randint(1, 4))
-            for i in range(rng.randint(2, 6))
-        ]
-        j, i = rng.sample(range(len(bids)), 2)
-        probe = crossing_value(bids[i], len(bids[j].bundle), F(1, 2))
-        if probe.is_rational:
-            probe = probe * Money.sqrt(2)
-        probe = probe * rng.choice([1, 1 - F(1, 2 ** 20), 1 + F(1, 2 ** 20)])
-        bids[j] = bids[j].with_amount(probe)
-        inst = AuctionInstance(GOODS, tuple(bids))
-        order, pairs = reference_rank(inst, exponent)
-        ranked = rank(inst, NormConfig(exponent))
-        assert (ranked.order, ranked.had_ties) == (order, bool(pairs))
-        if pairs:
-            tied += 1
-            with pytest.raises(TiesPresent) as err:
-                rank(inst, NormConfig(exponent, TieRule.REJECT))
-            assert list(err.value.pairs) == pairs
-        else:
-            assert rank(inst, NormConfig(exponent, TieRule.REJECT)).order == order
-    assert tied > 0
 
 
 @pytest.mark.parametrize(
