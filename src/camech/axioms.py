@@ -77,8 +77,7 @@ def gva_mechanism(solver: _exact.SolverKind) -> Mechanism:
             j, SingleMindedBid(inst.bids[j].bidder, bundle, big, inst.bids[j].is_reserve)
         )
         compatible = _exact.optimal_allocation(forced, solver).value - big
-        t = opt_without - compatible
-        return [t if t.sign() > 0 else Money(0)]
+        return [Money(max(opt_without - compatible, 0))]
 
     return Mechanism("gva", lambda inst: _exact.run_gva(inst, solver), thresholds)
 
@@ -118,8 +117,8 @@ def critical_value(mech: Mechanism, instance: AuctionInstance, j: int) -> Critic
     """Bid j's grant threshold: the mechanism's first threshold above which,
     probed once inside each region between thresholds, j wins its bundle.
 
-    Probes are rational, between the brackets of consecutive thresholds and
-    zero.  Raises `NonMonotoneDetected` when a probe finds a denial above a
+    Probes are `Fraction`s, between the brackets of consecutive thresholds
+    and zero.  Raises `NonMonotoneDetected` when a probe finds a denial above a
     grant, i.e. when no single threshold exists.
     """
     bundle = instance.bids[j].bundle
@@ -132,7 +131,6 @@ def critical_value(mech: Mechanism, instance: AuctionInstance, j: int) -> Critic
         probes = [brackets[0][0] * (1 - PROBE_SCALE)]
         probes += [a + (b - a) * PROBE_SCALE for (_, a), (b, _) in zip(brackets, brackets[1:])]
         probes.append(brackets[-1][1] * (1 + PROBE_SCALE))
-    probes = [Money(v) for v in probes]
     status = [
         mech.run(instance.with_amount(j, v)).allocation.bundle_granted(j) == bundle
         for v in probes
@@ -143,8 +141,8 @@ def critical_value(mech: Mechanism, instance: AuctionInstance, j: int) -> Critic
     for i in range(first + 1, len(status)):
         if not status[i]:
             raise NonMonotoneDetected(
-                f"bid {j}: granted at {probes[first].to_decimal()} "
-                f"but denied at {probes[i].to_decimal()}",
+                f"bid {j}: granted at {Money(probes[first]).to_decimal()} "
+                f"but denied at {Money(probes[i]).to_decimal()}",
                 witness={"instance": instance, "bid": j,
                          "granted_at": probes[first], "denied_at": probes[i]},
             )
@@ -236,10 +234,12 @@ def _monotonicity_witness(rng, perturbations, mech, inst, out) -> tuple[Optional
             new_inst, new_bid = perturbed
             result = mech.run(new_inst)
             if result.allocation.bundle_granted(j) != new_bid.bundle:
-                return Witness(new_inst, j,
-                               f"bid {j} was granted as {sorted(bid.bundle)}@"
-                               f"{bid.amount.to_decimal()} but lost after moving to "
-                               f"{sorted(new_bid.bundle)}@{new_bid.amount.to_decimal()}"), tried
+                return Witness(
+                    new_inst, j,
+                    f"bid {j} was granted as {sorted(bid.bundle)}@"
+                    f"{Money(bid.amount).to_decimal()} but lost after moving to "
+                    f"{sorted(new_bid.bundle)}@{Money(new_bid.amount).to_decimal()}",
+                ), tried
     return None, tried
 
 
@@ -340,9 +340,9 @@ class DeviationReport:
     )
 
 
-def _candidate_values(thresholds: Sequence[Money], true_amount: Money) -> list[Money]:
+def _candidate_values(thresholds: Sequence[Money], true_amount: Fraction) -> list[Fraction]:
     """Zero, the true amount, and a rational probe on each side of each threshold."""
-    candidates = {Fraction(0), true_amount.as_fraction()}
+    candidates = {Fraction(0), true_amount}
     brackets = _brackets(sorted({t for t in thresholds if t.sign() >= 0}))
     for i, (lo, hi) in enumerate(brackets):
         left_gap = lo - brackets[i - 1][1] if i > 0 else lo
@@ -351,7 +351,7 @@ def _candidate_values(thresholds: Sequence[Money], true_amount: Money) -> list[M
         if below >= 0:
             candidates.add(below)
         candidates.add(hi + right_gap * PROBE_SCALE)
-    return [Money(v) for v in sorted(candidates)]
+    return sorted(candidates)
 
 
 def find_profitable_deviation(
@@ -382,7 +382,7 @@ def find_profitable_deviation(
     best: Optional[tuple[Money, SingleMindedBid]] = None
     tested = 0
     # a norm mechanism's thresholds depend on the bundle's size alone
-    candidates: dict[tuple[Money, ...], list[Money]] = {}
+    candidates: dict[tuple[Money, ...], list[Fraction]] = {}
     for bundle_bits in range(1, 1 << k):
         bundle = frozenset(goods[i] for i in range(k) if bundle_bits >> i & 1)
         thresholds = tuple(mech.thresholds(base, j, bundle))

@@ -51,7 +51,7 @@ def _default_seed() -> int:
     try:
         return int(raw)
     except ValueError:
-        return 0
+        raise ParseError(f"CAMECH_SEED must be an integer, not {raw!r}") from None
 
 
 def _fraction(text: str) -> Fraction:
@@ -188,7 +188,6 @@ def _cmd_gen(args) -> tuple[dict, int]:
 
 
 def _cmd_experiment(args) -> tuple[dict, int]:
-    seed = args.seed if args.seed is not None else _default_seed()
     if args.suite == "reproduce":
         rows = reproduce_all()
         ok = all(r.passed for r in rows)
@@ -197,6 +196,7 @@ def _cmd_experiment(args) -> tuple[dict, int]:
             return documents.repro_text(rows), code
         return documents.repro_document(rows), code
     if args.suite == "ratio":
+        seed = args.seed if args.seed is not None else _default_seed()
         stats = ratio_experiment(
             8 if args.k is None else args.k, 12 if args.n is None else args.n,
             args.trials, args.l, seed, bundle_prob=args.bundle_prob,

@@ -8,6 +8,7 @@ round-trip; computed money is rendered at 12 significant digits.
 from __future__ import annotations
 
 import json
+from fractions import Fraction
 from typing import Any, Mapping, Optional
 
 from .axioms import AxiomCheck, AxiomReport, DeviationReport, Mechanism
@@ -17,21 +18,17 @@ from .model import AuctionInstance, Outcome, SingleMindedBid, Violation
 from .money import MAX_LITERAL_DIGITS, Money, fraction_to_decimal, parse_decimal
 from .norm import RankedList, norm_text
 
-def amount_text(value: Money) -> str:
-    """Exact literal for an amount that must survive a round trip."""
-    return fraction_to_decimal(value.as_fraction())
-
 
 # --------------------------------------------------------------------------
 # instances
 # --------------------------------------------------------------------------
 
 
-def _parse_amount(raw: Any, where: str) -> Money:
+def _parse_amount(raw: Any, where: str) -> Fraction:
     if isinstance(raw, bool) or not isinstance(raw, (str, int)):
         raise ParseError(f"{where}: amount must be a decimal string or integer")
     try:
-        return Money(parse_decimal(str(raw)))
+        return parse_decimal(str(raw))
     except ParseError as exc:
         raise ParseError(f"{where}: {exc}") from None
 
@@ -81,7 +78,11 @@ def parse_instance(doc: Any) -> AuctionInstance:
             _parse_bid(entry, f"true_types[{i}]", allow_reserve=False)
             for i, entry in enumerate(raw)
         ]
-        true_types = {t.bidder: t for t in parsed}
+        true_types = {}
+        for i, t in enumerate(parsed):
+            if t.bidder in true_types:
+                raise ParseError(f"true_types[{i}]: second true type for bidder {t.bidder!r}")
+            true_types[t.bidder] = t
     return AuctionInstance(tuple(goods), bids, true_types)
 
 
@@ -104,7 +105,7 @@ def instance_document(instance: AuctionInstance) -> dict:
             {
                 "bidder": b.bidder,
                 "bundle": sorted(b.bundle),
-                "amount": amount_text(b.amount),
+                "amount": fraction_to_decimal(b.amount),
                 **({"reserve": True} if b.is_reserve else {}),
             }
             for b in instance.bids
@@ -115,7 +116,7 @@ def instance_document(instance: AuctionInstance) -> dict:
             {
                 "bidder": t.bidder,
                 "bundle": sorted(t.bundle),
-                "amount": amount_text(t.amount),
+                "amount": fraction_to_decimal(t.amount),
             }
             for t in sorted(instance.true_types.values(), key=lambda t: t.bidder)
         ]
@@ -211,7 +212,7 @@ def deviation_document(bidder: str, report: Optional[DeviationReport]) -> dict:
         "bidder": bidder,
         "profitable_deviation": {
             "bundle": sorted(report.misreport.bundle),
-            "amount": report.misreport.amount.to_decimal(),
+            "amount": Money(report.misreport.amount).to_decimal(),
             "truthful_utility": report.truthful_utility.to_decimal(),
             "deviating_utility": report.deviating_utility.to_decimal(),
             "bundles_searched": report.bundles_searched,

@@ -15,7 +15,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import Callable, Sequence
 
-from .errors import InstanceTooLarge, InvalidArgument
+from .errors import InstanceTooLarge
 from .greedy import greedy_allocate
 from .model import Allocation, AuctionInstance, Outcome, allocation_value, assemble_outcome
 from .money import Money
@@ -34,7 +34,7 @@ MAX_DP_GOODS = 24
 @dataclass(frozen=True, eq=False)
 class ExactSolution:
     allocation: Allocation
-    value: Money
+    value: Fraction
     optima_count: int
 
     @property
@@ -129,15 +129,10 @@ def _solve_dp(masks: Sequence[int], weights, k: int) -> tuple[int, tuple[int, ..
 
 
 def optimal_allocation(instance: AuctionInstance, solver: SolverKind) -> ExactSolution:
-    """Value-maximising conflict-free bid set, deterministically tie-broken.
-
-    Raises `InvalidArgument` when an amount is irrational.
-    """
+    """Value-maximising conflict-free bid set, deterministically tie-broken."""
     n = len(instance.bids)
     k = len(instance.goods)
     integer = instance.integer_amounts
-    if integer is None:
-        raise InvalidArgument("exact solvers need rational amounts")
     masks = instance.bid_masks
     if solver is SolverKind.BRUTE_FORCE_BID_SUBSETS:
         if n > MAX_BRUTE_BIDS:
@@ -147,13 +142,13 @@ def optimal_allocation(instance: AuctionInstance, solver: SolverKind) -> ExactSo
         if k > MAX_DP_GOODS:
             raise InstanceTooLarge(f"bitmask DP handles at most {MAX_DP_GOODS} goods")
         value, indices, count = _solve_dp(masks, integer.weights, k)
-    value = Money(Fraction(value, integer.denominator))
+    value = Fraction(value, integer.denominator)
     return ExactSolution(Allocation.of_indices(instance, indices), value, count)
 
 
 def _clarke(
-    instance: AuctionInstance, allocation: Allocation, total: Money,
-    value_without_j: Callable[[AuctionInstance], Money],
+    instance: AuctionInstance, allocation: Allocation, total: Fraction,
+    value_without_j: Callable[[AuctionInstance], Fraction],
 ) -> tuple[Money, ...]:
     """Bid j pays `value_without_j` of the instance with j's amount at zero,
     minus what the other bids get of `total`, the value of `allocation`."""
@@ -162,9 +157,9 @@ def _clarke(
         granted = j in allocation.grants
         others = total - b.amount if granted else total
         p = value_without_j(instance.with_amount(j, 0)) - others
-        if not granted and p != Money(0):
+        if not granted and p != 0:
             raise AssertionError("a losing bid computed a non-zero Clarke payment")
-        payments.append(p)
+        payments.append(Money(p))
     return tuple(payments)
 
 

@@ -66,12 +66,12 @@ class Scenario:
     instance: AuctionInstance
     variants: Mapping[str, AuctionInstance] = field(default_factory=dict)
     complex_owner: Optional[str] = None
-    complex_table: Optional[Mapping[frozenset, Money]] = None
+    complex_table: Optional[Mapping[frozenset, Fraction]] = None
     expectations: tuple[Expectation, ...] = ()
 
 
 def _inst(goods, bids, truthful=False) -> AuctionInstance:
-    built = tuple(SingleMindedBid(name, frozenset(bundle), Money(amount)) for name, bundle, amount in bids)
+    built = tuple(SingleMindedBid(name, frozenset(bundle), amount) for name, bundle, amount in bids)
     inst = AuctionInstance(tuple(goods), built)
     assert not validate_instance(inst)
     return inst.assuming_truthful() if truthful else inst
@@ -163,9 +163,9 @@ def _complex_green_instance(pair_amount) -> AuctionInstance:
 
 def _scenario_complex_green() -> Scenario:
     table = {
-        frozenset({"a"}): Money(10),
-        frozenset({"b"}): Money(10),
-        frozenset({"a", "b"}): Money(30),
+        frozenset({"a"}): 10,
+        frozenset({"b"}): 10,
+        frozenset({"a", "b"}): 30,
     }
     return Scenario(
         name="complex-green",
@@ -383,7 +383,7 @@ def _evaluate(sc: Scenario, exp: Expectation) -> tuple[str, bool]:
             names = _granted_names(inst, solution.allocation.grants)
             return names, names == exp.expected
         if quantity == "value":
-            return numeric(solution.value)
+            return numeric(Money(solution.value))
     elif exp.mechanism == "tie-orders":
         comparison = revenue_compare_tie_orders(inst, cfg)
         if quantity == "avg_revenue":
@@ -527,7 +527,7 @@ def random_instance(
             bundles.append(bundle)
         amounts = rng.sample(range(1, 10 ** 6 + 1), bids_count)
         bids = tuple(
-            SingleMindedBid(f"b{i + 1}", bundle, Money(F(amount, 1000)))
+            SingleMindedBid(f"b{i + 1}", bundle, F(amount, 1000))
             for i, (bundle, amount) in enumerate(zip(bundles, amounts))
         )
         inst = AuctionInstance(goods, bids)
@@ -554,8 +554,8 @@ class RatioStats:
 def greedy_and_optimal_values(instance: AuctionInstance, cfg: NormConfig) -> tuple[Fraction, Fraction]:
     """A rational instance's greedy value under `cfg` and its optimal value."""
     allocation, _ = greedy_allocate(instance, cfg)
-    greedy = allocation_value(instance, allocation).as_fraction()
-    return greedy, optimal_allocation(instance, SolverKind.BITMASK_DP).value.as_fraction()
+    greedy = allocation_value(instance, allocation)
+    return greedy, optimal_allocation(instance, SolverKind.BITMASK_DP).value
 
 
 def ratio_bound(ratio: Fraction, goods_count: int, exponent: Fraction) -> tuple[Optional[int], str]:
@@ -660,8 +660,8 @@ def tight_family(goods_count: int, exponent: Fraction) -> AuctionInstance:
     return AuctionInstance(
         goods,
         (
-            SingleMindedBid("point", frozenset({goods[0]}), Money(1 + epsilon)),
-            SingleMindedBid("sweep", frozenset(goods), Money(sweep_amount)),
+            SingleMindedBid("point", frozenset({goods[0]}), 1 + epsilon),
+            SingleMindedBid("sweep", frozenset(goods), sweep_amount),
         ),
     )
 
@@ -684,7 +684,7 @@ def owned_bid_indices(instance: AuctionInstance, owner: str) -> list[int]:
 def complex_player_utility(
     instance: AuctionInstance,
     owner: str,
-    valuation_table: Mapping[frozenset, Money],
+    valuation_table: Mapping[frozenset, Fraction],
     outcome: Outcome,
 ) -> Money:
     """Value of everything the owner's agents won, minus everything they paid.

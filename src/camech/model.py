@@ -1,7 +1,9 @@
 """Core auction data: goods, single-bundle bids, instances, allocations, outcomes.
 
-All values are immutable after construction and every operation is a pure
-function, so everything here can be shared freely across threads.
+Declared amounts are `Fraction`s; `Money` holds only what mechanisms compute
+from them: payments, revenue and utilities.  All values are immutable after
+construction and every operation is a pure function, so everything here can
+be shared freely across threads.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ from functools import cached_property
 from math import gcd, lcm
 from typing import Iterable, Mapping, NamedTuple, Optional
 
+from .errors import InvalidArgument
 from .money import Money
 
 Good = str
@@ -22,25 +25,32 @@ MAX_GOODS = 63
 
 @dataclass(frozen=True)
 class SingleMindedBid:
-    """A bidder's declared type: one bundle of goods and one amount.
+    """A bidder's declared type: one bundle of goods and one rational amount.
 
-    `is_reserve` marks a bid placed by the auctioneer itself; a granted
-    reserve bid leaves its goods unsold and contributes nothing to revenue.
+    The amount is a `Fraction` (an `int` is converted); anything else, a
+    `Money` included, raises `InvalidArgument`.  `is_reserve` marks a bid
+    placed by the auctioneer itself; a granted reserve bid leaves its goods
+    unsold and contributes nothing to revenue.
     """
 
     bidder: str
     bundle: frozenset[Good]
-    amount: Money
+    amount: Fraction
     is_reserve: bool = False
 
     def __post_init__(self):
         if not isinstance(self.bundle, frozenset):
             object.__setattr__(self, "bundle", frozenset(self.bundle))
-        if not isinstance(self.amount, Money):
-            object.__setattr__(self, "amount", Money(self.amount))
+        amount = self.amount
+        if type(amount) is not Fraction:
+            if isinstance(amount, bool) or not isinstance(amount, (int, Fraction)):
+                raise InvalidArgument(
+                    f"a bid amount must be a Fraction or an int, not {type(amount).__name__}"
+                )
+            object.__setattr__(self, "amount", Fraction(amount))
 
     def with_amount(self, amount) -> "SingleMindedBid":
-        return SingleMindedBid(self.bidder, self.bundle, Money(amount), self.is_reserve)
+        return SingleMindedBid(self.bidder, self.bundle, amount, self.is_reserve)
 
 
 class IntegerAmounts(NamedTuple):
@@ -104,14 +114,14 @@ class AuctionInstance:
 
     @cached_property
     def all_amounts_rational(self) -> bool:
-        return all(b.amount.is_rational for b in self.bids)
+        # always true now that amounts are `Fraction`s by type; kept as a
+        # cached property because perfbench's tracer reads its `.func`
+        return True
 
     @cached_property
-    def integer_amounts(self) -> Optional[IntegerAmounts]:
-        """The amounts over their common denominator; None when any is irrational."""
-        if not self.all_amounts_rational:
-            return None
-        return IntegerAmounts.of([b.amount.as_fraction() for b in self.bids])
+    def integer_amounts(self) -> IntegerAmounts:
+        """The amounts over their common denominator."""
+        return IntegerAmounts.of([b.amount for b in self.bids])
 
     def mask_of(self, bundle: Iterable[Good]) -> int:
         index = self.good_index
@@ -130,9 +140,7 @@ class AuctionInstance:
         masks = list(self.bid_masks)
         masks[j] = self.mask_of(new_bid.bundle)
         cache["bid_masks"] = tuple(masks)
-        amount = new_bid.amount
-        if amount.is_rational and self.integer_amounts is not None:
-            cache["integer_amounts"] = self.integer_amounts.replaced(j, amount.as_fraction())
+        cache["integer_amounts"] = self.integer_amounts.replaced(j, new_bid.amount)
         return child
 
     def with_amount(self, j: int, amount) -> "AuctionInstance":
@@ -229,7 +237,7 @@ def validate_instance(instance: AuctionInstance) -> list[Violation]:
         unknown = b.bundle - goods
         if unknown:
             out.append(Violation(j, f"unknown good: {', '.join(sorted(unknown))}"))
-        if b.amount.sign() < 0:
+        if b.amount < 0:
             out.append(Violation(j, "negative amount"))
         if b.bidder in seen_bidders:
             out.append(Violation(j, f"duplicate bidder id: {b.bidder}"))
@@ -239,7 +247,7 @@ def validate_instance(instance: AuctionInstance) -> list[Violation]:
             out.append(Violation(None, f"true type for unknown bidder: {name}"))
         if not t.bundle or t.bundle - goods:
             out.append(Violation(None, f"true type for {name} uses an invalid bundle"))
-        if t.amount.sign() < 0:
+        if t.amount < 0:
             out.append(Violation(None, f"true type for {name} has a negative amount"))
     return out
 
@@ -260,9 +268,9 @@ def bidder_utility(true_type: SingleMindedBid, granted_bundle: Iterable[Good], p
     return value - payment
 
 
-def allocation_value(instance: AuctionInstance, allocation: Allocation) -> Money:
+def allocation_value(instance: AuctionInstance, allocation: Allocation) -> Fraction:
     """Sum of the declared amounts of the granted bids."""
-    return sum((instance.bids[j].amount for j in allocation.grants), Money(0))
+    return sum((instance.bids[j].amount for j in allocation.grants), Fraction(0))
 
 
 def assemble_outcome(

@@ -1,11 +1,12 @@
 """Exact money arithmetic.
 
-Amounts, payments and norm comparisons must never depend on a floating-point
-epsilon, so money values are kept as rational linear combinations of square
-roots of square-free integers.  That set is closed under addition and
-multiplication, equality is decidable from the canonical form alone, and the
-sign of a non-zero value can always be resolved by refining integer
-square-root bounds.
+Declared amounts are `Fraction`s.  The prices a mechanism computes from them
+(thresholds, payments, revenue and utilities) need square roots at norm
+exponent 1/2 and must never depend on a floating-point epsilon, so they are
+`Money`: rational linear combinations of square roots of square-free
+integers.  That set is closed under addition and multiplication, equality is
+decidable from the canonical form alone, and the sign of a non-zero value
+can always be resolved by refining integer square-root bounds.
 """
 
 from __future__ import annotations
@@ -134,12 +135,6 @@ class Money:
     def is_rational(self) -> bool:
         return _rational_value(self._terms) is not None
 
-    def as_fraction(self) -> Fraction:
-        f = _rational_value(self._terms)
-        if f is None:
-            raise InvalidArgument(f"{self!r} is irrational")
-        return f
-
     def terms(self) -> tuple[tuple[int, Fraction], ...]:
         """Canonical (radicand, coefficient) pairs, sorted by radicand."""
         return tuple(sorted(self._terms.items()))
@@ -149,7 +144,9 @@ class Money:
     def _coerce(self, other) -> "Money | None":
         if isinstance(other, Money):
             return other
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, Fraction):
+            return Money._rational(other)
+        if isinstance(other, int):
             return Money(other)
         return None
 
@@ -221,16 +218,6 @@ class Money:
                 raise ZeroDivisionError("money division by zero")
             inv = Fraction(1, 1) / Fraction(other)
             return Money._from_terms({m: c * inv for m, c in self._terms.items()})
-        if isinstance(other, Money):
-            if not other._terms:
-                raise ZeroDivisionError("money division by zero")
-            if other.is_rational:
-                return self / other.as_fraction()
-            if len(other._terms) == 1:
-                ((m, c),) = other._terms.items()
-                # 1 / (c * sqrt(m)) == sqrt(m) / (c * m)
-                return self * Money._from_terms({m: Fraction(1, 1) / (c * m)})
-            raise InvalidArgument("division by a multi-term irrational value")
         return NotImplemented
 
     def __bool__(self):

@@ -4,9 +4,9 @@ A bid (s, a) scores a / |s|**l for a configurable rational exponent l >= 0.
 All comparisons are exact: for l = p/q bids rank as their order keys
 a**q / |s|**p do.  Instances rank on integers: with amounts w / d over
 one denominator and L the lcm of the bundle sizes, the key
-w**q * (L / |s|)**p is the order key times (d**q * L**p).  Every instance a
-mechanism runs on is rational, probes included; radicals appear only in
-crossing values, and so in thresholds, payments, revenue and utilities.
+w**q * (L / |s|)**p is the order key times (d**q * L**p).  Amounts are
+`Fraction`s by type, probes included; radicals appear only in crossing
+values, and so in thresholds, payments, revenue and utilities.
 """
 
 from __future__ import annotations
@@ -77,26 +77,21 @@ def bundle_ratio_power(w_num: int, w_den: int, p: int, q: int) -> Money:
 def crossing_value(bid: SingleMindedBid, size: int, exponent: Fraction) -> Money:
     """The declared value at which a size-`size` bundle's norm equals `bid`'s."""
     p, q = exponent.numerator, exponent.denominator
-    return bid.amount * bundle_ratio_power(size, len(bid.bundle), p, q)
-
-
-def order_key(amount: Money, size: int, p: int, q: int) -> Fraction:
-    """amount**q / size**p for a rational amount, order-isomorphic to the norm for l = p/q."""
-    return amount.as_fraction() ** q / size ** p
+    return bundle_ratio_power(size, len(bid.bundle), p, q) * bid.amount
 
 
 def norm_text(bid: SingleMindedBid, exponent: Fraction) -> str:
     """The norm a / size**exponent at 12 significant digits, without floats.
 
     Exact where the norm has a closed form; otherwise it is the irrational
-    q-th root of a rational amount's order key, rounded from integer roots.
+    q-th root of the order key amount**q / size**p, rounded from integer roots.
     """
     size = len(bid.bundle)
     p, q = exponent.numerator, exponent.denominator
     try:
-        return (bid.amount * bundle_ratio_power(1, size, p, q)).to_decimal()
+        return (bundle_ratio_power(1, size, p, q) * bid.amount).to_decimal()
     except ExponentNotSupported:
-        return root_to_decimal(order_key(bid.amount, size, p, q), q)
+        return root_to_decimal(bid.amount ** q / size ** p, q)
 
 
 @dataclass(frozen=True, eq=False)
@@ -119,8 +114,7 @@ def rank(instance: AuctionInstance, cfg: NormConfig) -> RankedList:
     Deterministic for every tie rule.  With `REJECT` the presence of any two
     equal-norm bids raises `TiesPresent`; with `CANONICAL` ties break by
     higher amount, then smaller bundle bitset, then lower bid index; with
-    `EXPLICIT` ties break by position in `cfg.explicit_order`.  Raises
-    `InvalidArgument` when an amount is irrational.
+    `EXPLICIT` ties break by position in `cfg.explicit_order`.
     """
     bids = instance.bids
     n = len(bids)
@@ -130,12 +124,9 @@ def rank(instance: AuctionInstance, cfg: NormConfig) -> RankedList:
             raise InvalidArgument("explicit order must be a permutation of the bid indices")
         explicit_pos = {j: p for p, j in enumerate(cfg.explicit_order)}
 
-    integer = instance.integer_amounts
-    if integer is None:
-        raise InvalidArgument("ranking needs rational amounts")
     p, q = exponent.numerator, exponent.denominator
     sizes = [len(b.bundle) for b in bids]
-    amounts = integer.weights
+    amounts = instance.integer_amounts.weights
     top = lcm(*sizes)
     keys = [w ** q * (top // s) ** p for w, s in zip(amounts, sizes)]
     order = sorted(range(n), key=keys.__getitem__, reverse=True)

@@ -123,8 +123,8 @@ def test_criterion_4_approximation_bounds():
         for exponent in (F(1, 2), F(1)):
             inst = tight_family(k, exponent)
             allocation, _ = greedy_allocate(inst, NormConfig(exponent))
-            greedy_value = allocation_value(inst, allocation).as_fraction()
-            opt = optimal_allocation(inst, SolverKind.BITMASK_DP).value.as_fraction()
+            greedy_value = allocation_value(inst, allocation)
+            opt = optimal_allocation(inst, SolverKind.BITMASK_DP).value
             ratio = opt / greedy_value
             if exponent == F(1):
                 assert ratio >= F(19, 20) * k, (k, exponent, ratio)

@@ -27,7 +27,7 @@ LHALF = NormConfig(F(1, 2))
 
 
 def bid(name, bundle, amount):
-    return SingleMindedBid(name, frozenset(bundle), Money(amount))
+    return SingleMindedBid(name, frozenset(bundle), amount)
 
 
 def three_bidder_instance(truthful=False):
@@ -64,8 +64,8 @@ def probe_bracket(mech, instance, j):
     def granted_at(v):
         return mech.run(instance.with_amount(j, v)).allocation.bundle_granted(j) == bundle
 
-    ceiling = (sum((b.amount for b in instance.bids), Money(0)) + 1) * 2
-    lo, hi, v = Money(0), None, Money(1)
+    ceiling = (sum(b.amount for b in instance.bids) + 1) * 2
+    lo, hi, v = F(0), None, F(1)
     while v <= ceiling:
         if granted_at(v):
             hi = v
@@ -76,7 +76,7 @@ def probe_bracket(mech, instance, j):
     for check in (hi * 2, hi * 4):  # spot-check monotonicity above the bracket
         if check <= ceiling and not granted_at(check):
             raise NonMonotoneDetected(f"bid {j}: granted at {hi} but denied at {check}")
-    while (hi - lo).compare(BRACKET_WIDTH) > 0:
+    while hi - lo > BRACKET_WIDTH:
         mid = (lo + hi) / 2
         if granted_at(mid):
             hi = mid
@@ -392,6 +392,7 @@ def test_checkers_run_mechanisms_on_rational_instances_only():
             for j in range(len(inst.bids)):
                 find_profitable_deviation(mech, inst, j)
         assert ran and all(i.integer_amounts is not None for i in ran)
+        assert all(type(b.amount) is F for i in ran for b in i.bids)
 
 
 def test_deviation_guard():

@@ -189,6 +189,38 @@ def test_env_seed_default(capsys, monkeypatch):
     assert with_env == explicit
 
 
+@pytest.mark.parametrize("raw", ["abc", "12x"])
+def test_malformed_env_seed_exit_2(capsys, monkeypatch, three_path, raw):
+    # an unreadable seed is an error wherever it is read, never a silent 0
+    monkeypatch.setenv("CAMECH_SEED", raw)
+    for argv in (["check", three_path, "--axioms", "none"], ["gen", "--goods", "2", "--bids", "2"],
+                 ["experiment", "--suite", "ratio", "--trials", "1"]):
+        code, out = run_cli(capsys, *argv)
+        assert code == 2
+        error = json.loads(out)["error"]
+        assert error["kind"] == "parse" and "CAMECH_SEED" in error["message"]
+    # an explicit --seed, and `run`, never read it
+    assert run_cli(capsys, "gen", "--goods", "2", "--bids", "2", "--seed", "0")[0] == 0
+    assert run_cli(capsys, "check", three_path, "--axioms", "none", "--seed", "0")[0] == 0
+    assert run_cli(capsys, "run", three_path)[0] == 0
+
+
+@pytest.mark.parametrize(
+    "argv", [["run"], ["check", "--deviations"], ["run", "--mechanism", "gva"]], ids=" ".join
+)
+def test_duplicate_true_type_exit_2(capsys, tmp_path, argv):
+    doc = dict(THREE, true_types=[
+        {"bidder": "red", "bundle": ["a"], "amount": "5"},
+        {"bidder": "red", "bundle": ["a"], "amount": "12"},
+    ])
+    path = tmp_path / "twice.json"
+    path.write_text(json.dumps(doc))
+    code, out = run_cli(capsys, argv[0], str(path), *argv[1:])
+    assert code == 2
+    error = json.loads(out)["error"]
+    assert error["kind"] == "parse" and "'red'" in error["message"]
+
+
 def test_check_greedy_all_axioms_exit_0(capsys, three_path):
     code, out = run_cli(capsys, "check", three_path, "--mechanism", "greedy")
     assert code == 0
@@ -595,6 +627,69 @@ def test_fuzz_check_and_experiment_flags(argv):
     # any exit code 0-4 with exactly one JSON document on stdout, never a traceback
     out = io.StringIO()
     with contextlib.redirect_stdout(out), mock.patch.object(sys, "stdin", io.StringIO(json.dumps(THREE))):
+        code = main(argv)
+    assert code in (0, 1, 2, 3, 4)
+    json.loads(out.getvalue())
+
+
+#: One fault at most per entry, so most documents get past the parser.
+_ENTRY_FAULTS = [{}] * 10 + [
+    {"bundle": []}, {"bundle": ["a", "a"]}, {"bundle": ["z"]}, {"bundle": "a"},
+    {"amount": True}, {"amount": 1.5}, {"amount": float("nan")}, {"amount": None},
+    {"amount": "1/0"}, {"amount": "x"}, {"amount": "-2"}, {"bidder": ""}, {"price": 1},
+]
+
+
+def _doc_entries(bidders, faults):
+    return st.builds(
+        lambda bidder, bundle, amount, fault: {
+            "bidder": bidder, "bundle": bundle, "amount": amount, **fault
+        },
+        st.sampled_from(bidders),
+        st.lists(st.sampled_from("abc"), min_size=1, max_size=3, unique=True),
+        st.one_of(st.sampled_from(["9.5", "0.001", "7/3", "1e3"]), st.integers(0, 100)),
+        st.sampled_from(faults),
+    )
+
+
+_documents = st.builds(
+    lambda bids, true_types: dict(
+        {"goods": ["a", "b", "c"], "bids": bids},
+        **({} if true_types is None else {"true_types": true_types}),
+    ),
+    st.lists(_doc_entries(
+        ["r", "g", "b", "w"], _ENTRY_FAULTS + [{"reserve": True}, {"reserve": "yes"}]
+    ), max_size=4),
+    st.none() | st.lists(_doc_entries(
+        ["r", "g", "ghost"], _ENTRY_FAULTS + [{"reserve": False}]
+    ), max_size=3),
+)
+_document_runs = st.tuples(
+    st.sampled_from([
+        ["run"], ["run", "--mechanism", "gva"],
+        ["check", "--samples", "2", "--seed", "1"],
+        ["check", "--axioms", "none", "--deviations", "--seed", "1"],
+    ]),
+    _documents,
+).map(lambda pair: ([pair[0][0], "-", *pair[0][1:]], json.dumps(pair[1])))
+_gen_runs = st.builds(
+    lambda goods, bids, prob: (
+        ["gen", "--goods", str(goods), "--bids", str(bids), "--bundle-prob", prob, "--seed", "1"],
+        "",
+    ),
+    st.integers(min_value=-1, max_value=64),
+    st.integers(min_value=-1, max_value=40),
+    st.sampled_from(["0", "1e-300", "0.4", "1", "1.5", "nan"]),
+)
+
+
+@given(st.one_of(_document_runs, _gen_runs))
+@settings(max_examples=100, derandomize=True, deadline=None)
+def test_fuzz_document_grammar_and_gen(run):
+    # malformed documents and gen flags: exit 0-4 with exactly one JSON document
+    argv, stdin = run
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), mock.patch.object(sys, "stdin", io.StringIO(stdin)):
         code = main(argv)
     assert code in (0, 1, 2, 3, 4)
     json.loads(out.getvalue())

@@ -57,10 +57,10 @@ def test_roundtrip_with_true_types_and_reserve():
     inst = AuctionInstance(
         ("a", "b"),
         (
-            SingleMindedBid("red", {"a"}, Money(F(101, 1000))),
-            SingleMindedBid("seller", {"a", "b"}, Money(30), is_reserve=True),
+            SingleMindedBid("red", {"a"}, F(101, 1000)),
+            SingleMindedBid("seller", {"a", "b"}, 30, is_reserve=True),
         ),
-        {"red": SingleMindedBid("red", {"a"}, Money(F(1, 3)))},
+        {"red": SingleMindedBid("red", {"a"}, F(1, 3))},
     )
     doc = instance_document(inst)
     assert doc["bids"][0]["amount"] == "0.101"

@@ -23,7 +23,7 @@ L1 = NormConfig(F(1))
 
 
 def bid(name, bundle, amount):
-    return SingleMindedBid(name, frozenset(bundle), Money(amount))
+    return SingleMindedBid(name, frozenset(bundle), amount)
 
 
 def three_bidder_instance(truthful=False):

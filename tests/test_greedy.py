@@ -16,7 +16,7 @@ L1 = NormConfig(F(1))
 
 
 def bid(name, bundle, amount, reserve=False):
-    return SingleMindedBid(name, frozenset(bundle), Money(amount), reserve)
+    return SingleMindedBid(name, frozenset(bundle), amount, reserve)
 
 
 def three_bidder_instance():

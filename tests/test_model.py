@@ -1,10 +1,15 @@
 """Model types: validation, conflicts, utilities, allocation values."""
 
+from fractions import Fraction
 from fractions import Fraction as F
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from camech.documents import parse_instance
+from camech.errors import InvalidArgument
+from camech.experiments import random_instance, tight_family
 from camech.model import (
     Allocation,
     AuctionInstance,
@@ -48,7 +53,7 @@ def test_validate_negative_amount_and_duplicate_bidder():
     inst = AuctionInstance(
         ("a", "b"),
         (
-            SingleMindedBid("x", {"a"}, Money(F(-1))),
+            SingleMindedBid("x", {"a"}, -1),
             SingleMindedBid("x", {"b"}, 1),
         ),
     )
@@ -140,9 +145,8 @@ def test_with_bid_reseeds_caches():
     assert swapped.bid_masks[0] == inst.bid_masks[2]
     assert swapped.bid_masks[1:] == inst.bid_masks[1:]
     assert inst.bids[0].bundle == frozenset({"a"})
-    # the common denominator grows by the lcm (3, 6, 3 * 2**20), shrinks
-    # once the thirds and then the 2**20ths are gone, and an irrational
-    # amount drops the integer form
+    # the common denominator grows by the lcm (3, 6, 3 * 2**20) and shrinks
+    # once the thirds and then the 2**20ths are gone
     steps = [(1, F(19, 3)), (0, F(1, 6)), (1, F(7, 2 ** 20)), (0, 4), (1, 19)]
     for j, amount in steps:
         inst = inst.with_amount(j, amount)
@@ -151,10 +155,32 @@ def test_with_bid_reseeds_caches():
         assert inst.integer_amounts == fresh.integer_amounts
         assert inst.all_amounts_rational is True
     assert inst.integer_amounts == (1, (4, 19, 8))
-    probed = inst.with_amount(2, Money.sqrt(2))
-    assert probed.integer_amounts is None and probed.all_amounts_rational is False
     fresh = AuctionInstance(inst.goods, inst.bids[:2] + (inst.bids[2].with_amount(F(3, 4)),))
-    assert probed.with_amount(2, F(3, 4)).integer_amounts == fresh.integer_amounts == (4, (16, 76, 3))
+    assert inst.with_amount(2, F(3, 4)).integer_amounts == fresh.integer_amounts == (4, (16, 76, 3))
+
+
+@pytest.mark.parametrize(
+    "amount",
+    [Money(3), Money.root_term(F(19, 2), 2), 1.5, "10", True],
+    ids=["rational-money", "irrational-money", "float", "string", "bool"],
+)
+def test_bid_rejects_non_rational_amount_types(amount):
+    with pytest.raises(InvalidArgument):
+        SingleMindedBid("x", {"a"}, amount)
+
+
+def test_bid_amounts_are_fractions_by_type():
+    amounts = [b.amount for b in three_bidder_instance().with_amount(1, 7).bids]
+    doc = {"goods": ["a"], "bids": [
+        {"bidder": f"b{i}", "bundle": ["a"], "amount": raw}
+        for i, raw in enumerate(("9.5", 3, "1/3"))
+    ]}
+    amounts += [b.amount for b in parse_instance(doc).bids]
+    amounts += [b.amount for b in random_instance(3, 4, seed=1).bids]
+    amounts += [b.amount for b in tight_family(4, F(1, 2)).bids]
+    half = F(1, 2)
+    assert SingleMindedBid("x", {"a"}, half).amount is half  # kept, not rebuilt
+    assert amounts and all(type(a) is Fraction for a in amounts)
 
 
 def test_assuming_truthful():

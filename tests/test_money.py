@@ -33,9 +33,9 @@ def test_iroot():
 
 
 def test_rational_roundtrip():
-    assert Money(F(19, 2)).as_fraction() == F(19, 2)
-    assert Money(3).as_fraction() == 3
-    assert Money(0).as_fraction() == 0
+    assert Money(F(19, 2)).terms() == ((1, F(19, 2)),)
+    assert Money(3) == 3 and Money(F(19, 2)) == F(19, 2)
+    assert Money(0).terms() == ()
     assert not Money(0)
     assert Money(1)
 
@@ -54,8 +54,7 @@ def test_sqrt_normalisation():
 def test_irrational_values_are_not_rational():
     v = Money.root_term(F(13, 2), 2)
     assert not v.is_rational
-    with pytest.raises(ValueError):
-        v.as_fraction()
+    assert (v * v).is_rational and Money(F(19, 2)).is_rational
 
 
 def test_ordering_exact():
@@ -69,12 +68,9 @@ def test_ordering_exact():
 
 def test_division():
     assert Money(5) / 2 == Money(F(5, 2))
-    assert Money.sqrt(2) / Money.sqrt(2) == Money(1)
-    assert Money(13) / Money.sqrt(2) == Money.root_term(F(13, 2), 2)
-    with pytest.raises(ValueError):
-        Money(1) / (Money.sqrt(2) + Money.sqrt(3))
+    assert Money.root_term(13, 2) / F(2, 3) == Money.root_term(F(39, 2), 2)
     with pytest.raises(ZeroDivisionError):
-        Money(1) / Money(0)
+        Money(1) / 0
 
 
 @pytest.mark.parametrize(
@@ -84,12 +80,9 @@ def test_division():
         lambda: iroot(-1, 2),
         lambda: iroot(8, 0),
         lambda: Money.sqrt(-2),
-        lambda: Money.sqrt(2).as_fraction(),
-        lambda: Money(1) / (Money.sqrt(2) + Money.sqrt(3)),
         lambda: bundle_ratio_power(0, 1, 1, 1),
     ],
-    ids=["square_parts", "iroot-n", "iroot-k", "sqrt", "as_fraction", "division",
-         "bundle_ratio_power"],
+    ids=["square_parts", "iroot-n", "iroot-k", "sqrt", "bundle_ratio_power"],
 )
 def test_out_of_domain_raises_camech_error(call):
     with pytest.raises(CamechError):
@@ -137,9 +130,9 @@ def test_to_decimal_extreme_magnitudes():
 @given(st.fractions(), st.fractions())
 @settings(max_examples=60, deadline=None)
 def test_rational_arithmetic_matches_fraction(a, b):
-    assert (Money(a) + Money(b)).as_fraction() == a + b
-    assert (Money(a) * Money(b)).as_fraction() == a * b
-    assert (Money(a) - Money(b)).as_fraction() == a - b
+    assert Money(a) + Money(b) == Money(a + b)
+    assert Money(a) * Money(b) == Money(a * b)
+    assert Money(a) - Money(b) == Money(a - b)
     assert Money(a).compare(Money(b)) == (a > b) - (a < b)
 
 
