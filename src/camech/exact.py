@@ -6,6 +6,14 @@ program over goods subsets.  Both are exactness-restricted (winners receive
 exactly their declared bundles) and break ties between co-optimal solutions
 by the lexicographically smallest set of granted bid indices, so payments
 are deterministic.
+
+Clarke payments need the optimum without each bid j.  The DP route solves
+the allocation once, then takes every "without j" optimum from two
+value-only passes over the goods subsets, one over the prefixes of the bid
+order and one over its suffixes.  The brute-force oracle re-solves the
+instance with j's amount at zero, once per bid.  The DP keeps
+(bids + 1) * 2**goods table cells; past `MAX_DP_CELLS` it raises
+`InstanceTooLarge` before building any table.
 """
 
 from __future__ import annotations
@@ -13,7 +21,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Callable, Sequence
+from operator import add
+from typing import Sequence
 
 from .errors import InstanceTooLarge
 from .greedy import greedy_allocate
@@ -28,7 +37,10 @@ class SolverKind(Enum):
 
 
 MAX_BRUTE_BIDS = 24
-MAX_DP_GOODS = 24
+#: Most DP table cells, (bids + 1) * 2**goods: about 64 MB of table
+#: pointers, since each table comes in two (values and counts, or prefix
+#: and suffix values).  It also bounds the goods at 22.
+MAX_DP_CELLS = 1 << 22
 
 
 @dataclass(frozen=True, eq=False)
@@ -128,6 +140,30 @@ def _solve_dp(masks: Sequence[int], weights, k: int) -> tuple[int, tuple[int, ..
     return best[0][full], tuple(chosen), cnt[0][full]
 
 
+def _value_tables(masks: Sequence[int], weights, k: int) -> list[list[int]]:
+    """tables[j][S]: the best value of bids j.. that uses only the goods in S.
+
+    `_solve_dp`'s recurrence without the optima counts.
+    """
+    size = 1 << k
+    full = size - 1
+    tables = [[0] * size]
+    for m, w in zip(reversed(masks), reversed(weights)):
+        prev = tables[-1]
+        cur = prev.copy()
+        s = m
+        while True:  # every superset of m
+            take = w + prev[s ^ m]
+            if take > cur[s]:
+                cur[s] = take
+            if s == full:
+                break
+            s = (s + 1) | m
+        tables.append(cur)
+    tables.reverse()
+    return tables
+
+
 def optimal_allocation(instance: AuctionInstance, solver: SolverKind) -> ExactSolution:
     """Value-maximising conflict-free bid set, deterministically tie-broken."""
     n = len(instance.bids)
@@ -139,8 +175,12 @@ def optimal_allocation(instance: AuctionInstance, solver: SolverKind) -> ExactSo
             raise InstanceTooLarge(f"brute-force solver handles at most {MAX_BRUTE_BIDS} bids")
         value, indices, count = _solve_brute(masks, integer.weights)
     else:
-        if k > MAX_DP_GOODS:
-            raise InstanceTooLarge(f"bitmask DP handles at most {MAX_DP_GOODS} goods")
+        cells = (n + 1) << k
+        if cells > MAX_DP_CELLS:
+            raise InstanceTooLarge(
+                f"bitmask DP handles at most {MAX_DP_CELLS} table cells, (bids + 1) * 2**goods;"
+                f" {n} bids over {k} goods need {cells}"
+            )
         value, indices, count = _solve_dp(masks, integer.weights, k)
     value = Fraction(value, integer.denominator)
     return ExactSolution(Allocation.of_indices(instance, indices), value, count)
@@ -148,28 +188,55 @@ def optimal_allocation(instance: AuctionInstance, solver: SolverKind) -> ExactSo
 
 def _clarke(
     instance: AuctionInstance, allocation: Allocation, total: Fraction,
-    value_without_j: Callable[[AuctionInstance], Fraction],
+    value_without_j: Sequence[Fraction],
 ) -> tuple[Money, ...]:
-    """Bid j pays `value_without_j` of the instance with j's amount at zero,
-    minus what the other bids get of `total`, the value of `allocation`."""
+    """Bid j pays `value_without_j[j]`, the value reached with j's amount at
+    zero, minus what the other bids get of `total`, the value of `allocation`.
+
+    A losing bid's payment must come out zero, which also checks each
+    `value_without_j` entry of a losing bid against `total`.
+    """
     payments = []
     for j, b in enumerate(instance.bids):
         granted = j in allocation.grants
         others = total - b.amount if granted else total
-        p = value_without_j(instance.with_amount(j, 0)) - others
+        p = value_without_j[j] - others
         if not granted and p != 0:
             raise AssertionError("a losing bid computed a non-zero Clarke payment")
         payments.append(Money(p))
     return tuple(payments)
 
 
+def _dp_values_without_each(instance: AuctionInstance) -> list[Fraction]:
+    """OPT without bid j, for every j, from one prefix and one suffix pass.
+
+    With every bid before j in `prefix[j]` and every bid after it in
+    `suffix[j + 1]`, the optimum without j splits the goods between the two:
+    the maximum over S of prefix[j][S] + suffix[j + 1][full ^ S].  As
+    full ^ S == full - S, the suffix table is read reversed.
+    """
+    integer = instance.integer_amounts
+    masks, weights = instance.bid_masks, integer.weights
+    k = len(instance.goods)
+    suffix = _value_tables(masks, weights, k)
+    prefix = _value_tables(masks[::-1], weights[::-1], k)[::-1]
+    return [
+        Fraction(max(map(add, prefix[j], reversed(suffix[j + 1]))), integer.denominator)
+        for j in range(len(masks))
+    ]
+
+
 def run_gva(instance: AuctionInstance, solver: SolverKind) -> Outcome:
     """Efficient allocation plus Clarke payments."""
     actual = optimal_allocation(instance, solver)
-    payments = _clarke(
-        instance, actual.allocation, actual.value,
-        lambda inst: optimal_allocation(inst, solver).value,
-    )
+    if solver is SolverKind.BITMASK_DP:
+        without = _dp_values_without_each(instance)
+    else:
+        without = [
+            optimal_allocation(instance.with_amount(j, 0), solver).value
+            for j in range(len(instance.bids))
+        ]
+    payments = _clarke(instance, actual.allocation, actual.value, without)
     meta = {"unique_optimum": actual.unique, "solver": solver.value}
     return assemble_outcome(instance, actual.allocation, payments, None, meta)
 
@@ -182,8 +249,9 @@ def clarke_with_greedy(instance: AuctionInstance, cfg: NormConfig) -> Outcome:
     and are not clamped.
     """
     allocation, trace = greedy_allocate(instance, cfg)
-    payments = _clarke(
-        instance, allocation, allocation_value(instance, allocation),
-        lambda inst: allocation_value(inst, greedy_allocate(inst, cfg)[0]),
-    )
+    without = []
+    for j in range(len(instance.bids)):
+        inst = instance.with_amount(j, 0)
+        without.append(allocation_value(inst, greedy_allocate(inst, cfg)[0]))
+    payments = _clarke(instance, allocation, allocation_value(instance, allocation), without)
     return assemble_outcome(instance, allocation, payments, trace)

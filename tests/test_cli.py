@@ -162,6 +162,15 @@ def test_gen_too_large_exit_4(capsys):
     assert json.loads(out)["error"]["kind"] == "too-large"
 
 
+def test_dp_cell_bound_exit_4(capsys):
+    # 12 bids over 24 goods need 13 * 2**24 DP cells: refused before any table is built
+    code, out = run_cli(capsys, "experiment", "--suite", "ratio", "--k", "24", "--trials", "1")
+    assert code == 4
+    error = json.loads(out)["error"]
+    assert error["kind"] == "too-large"
+    assert "table cells" in error["message"]
+
+
 def test_gen_deterministic_and_valid(capsys):
     code1, out1 = run_cli(capsys, "gen", "--goods", "4", "--bids", "6", "--seed", "7")
     code2, out2 = run_cli(capsys, "gen", "--goods", "4", "--bids", "6", "--seed", "7")

@@ -1,19 +1,22 @@
 """Exact solvers, Clarke payments, GVA, and the Clarke-with-greedy demonstrator."""
 
 import itertools
+import random
 from fractions import Fraction as F
 
 import pytest
 
+from camech import exact
 from camech.errors import InstanceTooLarge
 from camech.exact import (
+    MAX_DP_CELLS,
     SolverKind,
     clarke_with_greedy,
     optimal_allocation,
     run_gva,
 )
 from camech.experiments import random_instance
-from camech.model import AuctionInstance, SingleMindedBid
+from camech.model import AuctionInstance, SingleMindedBid, assemble_outcome
 from camech.money import Money
 from camech.norm import NormConfig
 
@@ -183,11 +186,90 @@ def test_size_guards():
     inst = AuctionInstance(goods, (bid("x", {"g0"}, 1),))
     with pytest.raises(InstanceTooLarge):
         optimal_allocation(inst, DP)
+    # one bid past the DP's table-cell bound: (bids + 1) * 2**20 cells
+    goods = tuple(f"g{i}" for i in range(20))
+    n = MAX_DP_CELLS >> 20
+    over = AuctionInstance(goods, tuple(bid(f"b{i}", {f"g{i}"}, i + 1) for i in range(n)))
+    with pytest.raises(InstanceTooLarge, match="table cells"):
+        optimal_allocation(over, DP)
+    with pytest.raises(InstanceTooLarge, match="table cells"):
+        run_gva(over, DP)
     many = AuctionInstance(
         ("a",), tuple(bid(f"b{i}", "a", i + 1) for i in range(25))
     )
     with pytest.raises(InstanceTooLarge):
         optimal_allocation(many, BRUTE)
+
+
+def _gva_by_per_bid_solves(inst):
+    """GVA outcome with each "without j" optimum from its own DP solve."""
+    actual = optimal_allocation(inst, DP)
+    payments = []
+    for j, b in enumerate(inst.bids):
+        others = actual.value - b.amount if j in actual.allocation.grants else actual.value
+        payments.append(Money(optimal_allocation(inst.with_amount(j, 0), DP).value - others))
+    meta = {"unique_optimum": actual.unique, "solver": DP.value}
+    return assemble_outcome(inst, actual.allocation, tuple(payments), None, meta)
+
+
+def _gva_dump(out):
+    meta = {key: value for key, value in out.meta.items() if key != "solver"}
+    return out.allocation.grants, out.payments, out.revenue, meta
+
+
+def _tie_heavy_instances(count, seed):
+    rng = random.Random(seed)
+    goods = ("a", "b", "c", "d")
+    for _ in range(count):
+        yield AuctionInstance(goods, tuple(
+            SingleMindedBid(
+                f"b{i}", frozenset(rng.sample(goods, rng.randint(1, 3))),
+                rng.randint(0, 3), is_reserve=rng.random() < 0.2,
+            )
+            for i in range(rng.randint(0, 7))
+        ))
+
+
+def test_gva_leave_one_out_parity():
+    # the prefix/suffix merge against per-bid DP re-solves and the brute-force oracle
+    instances = [
+        AuctionInstance(("a",), ()),
+        AuctionInstance(("a",), (bid("x", "a", 7),)),
+        *(random_instance(6, 9, seed=f"loo-parity:{t}") for t in range(20)),
+        *_tie_heavy_instances(150, "loo-ties"),
+        *(random_instance(12, 16, seed=f"loo-parity-large:{t}") for t in range(3)),
+    ]
+    for inst in instances:
+        dp = run_gva(inst, DP)
+        assert dp.meta["solver"] == DP.value
+        assert _gva_dump(dp) == _gva_dump(_gva_by_per_bid_solves(inst))
+        assert _gva_dump(dp) == _gva_dump(run_gva(inst, BRUTE))
+
+
+def _count_calls(monkeypatch, name):
+    calls = []
+    original = getattr(exact, name)
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(exact, name, counted)
+    return calls
+
+
+def test_gva_work_pinned(monkeypatch):
+    # the DP route solves once and builds value tables in two passes; the
+    # brute-force oracle re-solves once per bid
+    inst = random_instance(6, 9, seed="gva-work")
+    solves = _count_calls(monkeypatch, "optimal_allocation")
+    passes = _count_calls(monkeypatch, "_value_tables")
+    run_gva(inst, DP)
+    assert (len(solves), len(passes)) == (1, 2)
+    solves.clear()
+    passes.clear()
+    run_gva(inst, BRUTE)
+    assert (len(solves), len(passes)) == (len(inst.bids) + 1, 0)
 
 
 def _exhaustive_oracle(inst):
