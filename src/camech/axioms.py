@@ -13,6 +13,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Callable, Iterable, Optional, Sequence
 
 from .errors import BundleSpaceTooLarge, InvalidArgument, NonMonotoneDetected, TiesPresent
@@ -68,10 +69,16 @@ def clarke_greedy_mechanism(cfg: NormConfig) -> Mechanism:
 
 
 def gva_mechanism(solver: _exact.SolverKind) -> Mechanism:
+    # the misreport search asks for every bundle of one (instance, j) in a
+    # row, and the optimum without j does not depend on the bundle
+    @lru_cache(maxsize=1)
+    def value_without(inst: AuctionInstance, j: int) -> Fraction:
+        return _exact.optimal_allocation(inst.with_amount(j, 0), solver).value
+
     def thresholds(inst: AuctionInstance, j: int, bundle: frozenset):
         # the one value where j (with this bundle) enters the optimal
         # allocation; for j's own bundle it is j's Clarke payment
-        opt_without = _exact.optimal_allocation(inst.with_amount(j, 0), solver).value
+        opt_without = value_without(inst, j)
         big = opt_without + 1
         forced = inst.with_bid(
             j, SingleMindedBid(inst.bids[j].bidder, bundle, big, inst.bids[j].is_reserve)
@@ -102,14 +109,22 @@ class CriticalValue:
     probes: int = 0
 
 
-def _brackets(thresholds: Sequence[Money]) -> list[tuple[Fraction, Fraction]]:
-    """Rational bounds (lo, hi) around sorted, distinct thresholds, at doubling
-    precision until no two overlap; a rational threshold is its own bracket."""
+def _brackets(thresholds: Iterable[Money]) -> tuple[list[Money], list[tuple[Fraction, Fraction]]]:
+    """Distinct thresholds in increasing order, with rational bounds (lo, hi)
+    around each; a rational threshold is its own bracket.
+
+    The thresholds are sorted by their brackets, taken at doubling precision
+    until neighbouring brackets are disjoint, so no two are ever subtracted.
+    """
+    thresholds = list(thresholds)
     bits = 64  # the precision `Money.to_decimal` starts at
     while True:
-        brackets = [t.bounds(bits) for t in thresholds]
+        bounds = [t.bounds(bits) for t in thresholds]
+        # equal lower bounds overlap, so ordering by lo alone is enough
+        order = sorted(range(len(thresholds)), key=lambda i: bounds[i][0])
+        brackets = [bounds[i] for i in order]
         if all(hi < lo for (_, hi), (lo, _) in zip(brackets, brackets[1:])):
-            return brackets
+            return [thresholds[i] for i in order], brackets
         bits *= 2
 
 
@@ -122,12 +137,14 @@ def critical_value(mech: Mechanism, instance: AuctionInstance, j: int) -> Critic
     grant, i.e. when no single threshold exists.
     """
     bundle = instance.bids[j].bundle
-    thresholds = sorted({t for t in mech.thresholds(instance, j, bundle) if t.sign() > 0})
+    positive = {t for t in mech.thresholds(instance, j, bundle) if t.sign() > 0}
+    # zero is bracketed too, so the first probe stays above it
+    thresholds, brackets = _brackets({Money(0), *positive})
+    del thresholds[0], brackets[0]
     # one probe inside each region between consecutive thresholds
     if not thresholds:
         probes = [PROBE_SCALE]
     else:
-        brackets = _brackets([Money(0), *thresholds])[1:]
         probes = [brackets[0][0] * (1 - PROBE_SCALE)]
         probes += [a + (b - a) * PROBE_SCALE for (_, a), (b, _) in zip(brackets, brackets[1:])]
         probes.append(brackets[-1][1] * (1 + PROBE_SCALE))
@@ -343,7 +360,7 @@ class DeviationReport:
 def _candidate_values(thresholds: Sequence[Money], true_amount: Fraction) -> list[Fraction]:
     """Zero, the true amount, and a rational probe on each side of each threshold."""
     candidates = {Fraction(0), true_amount}
-    brackets = _brackets(sorted({t for t in thresholds if t.sign() >= 0}))
+    _, brackets = _brackets({t for t in thresholds if t.sign() >= 0})
     for i, (lo, hi) in enumerate(brackets):
         left_gap = lo - brackets[i - 1][1] if i > 0 else lo
         right_gap = brackets[i + 1][0] - hi if i + 1 < len(brackets) else (hi if hi > 0 else 1)

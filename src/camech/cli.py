@@ -118,10 +118,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _read_input(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
-    with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
+    try:
+        if path == "-":
+            return sys.stdin.read()
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"input is not UTF-8 text: {exc}") from None
 
 
 def _write_output(doc, path) -> None:
@@ -221,30 +224,35 @@ _HANDLERS = {
 }
 
 
+def _handle(args) -> tuple[dict, int]:
+    """The command's document and exit code, or the error document and its code."""
+    try:
+        return _HANDLERS[args.command](args)
+    except _Invalid as exc:
+        return documents.violations_document(exc.violations), EXIT_INVALID
+    except ParseError as exc:
+        return documents.error_document("parse", str(exc)), EXIT_INVALID
+    except TiesPresent as exc:
+        return documents.error_document("ties", str(exc)), EXIT_TIES
+    except (InstanceTooLarge, BundleSpaceTooLarge, TooManyTieOrders) as exc:
+        return documents.error_document("too-large", str(exc)), EXIT_TOO_LARGE
+    except UnknownScenario as exc:
+        return documents.error_document("unknown-scenario", str(exc)), EXIT_INVALID
+    except CamechError as exc:
+        return documents.error_document("error", str(exc)), EXIT_INVALID
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        doc, code = _HANDLERS[args.command](args)
-    except _Invalid as exc:
-        _write_output(documents.violations_document(exc.violations), args.output)
+        doc, code = _handle(args)
+        _write_output(doc, args.output)
+    except OSError as exc:
+        # reading the input or writing the output failed; the output file
+        # may be what failed, so this document always goes to stdout
+        _write_output(documents.error_document("error", str(exc)), None)
         return EXIT_INVALID
-    except ParseError as exc:
-        _write_output(documents.error_document("parse", str(exc)), args.output)
-        return EXIT_INVALID
-    except TiesPresent as exc:
-        _write_output(documents.error_document("ties", str(exc)), args.output)
-        return EXIT_TIES
-    except (InstanceTooLarge, BundleSpaceTooLarge, TooManyTieOrders) as exc:
-        _write_output(documents.error_document("too-large", str(exc)), args.output)
-        return EXIT_TOO_LARGE
-    except UnknownScenario as exc:
-        _write_output(documents.error_document("unknown-scenario", str(exc)), args.output)
-        return EXIT_INVALID
-    except CamechError as exc:
-        _write_output(documents.error_document("error", str(exc)), args.output)
-        return EXIT_INVALID
-    _write_output(doc, args.output)
     return code
 
 

@@ -5,18 +5,23 @@ grants every bid whose bundle is disjoint from all bundles granted so far.
 A granted bid pays the declared value at which its norm would exactly match
 the norm of its blocker: the first bid after it in the ranking that was
 denied, conflicts with it, and conflicts with no other granted bid ranked
-earlier.  Bids without a blocker, and denied bids, pay nothing.
+earlier.  Bids without a blocker, and denied bids, pay nothing.  A
+payment is computed when it is first read, so a rerun that reads only the
+allocation prices nothing.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
+from fractions import Fraction
+from operator import index
 from typing import Mapping, Optional
 
 from .errors import NotGranted
-from .model import Allocation, AuctionInstance, Outcome, assemble_outcome
+from .model import Allocation, AuctionInstance, Outcome, SingleMindedBid, assemble_outcome
 from .money import Money
-from .norm import NormConfig, RankedList, crossing_value, rank
+from .norm import NormConfig, RankedList, bundle_ratio_power, crossing_value, rank
 
 
 @dataclass(frozen=True, eq=False)
@@ -62,12 +67,58 @@ def blocker(trace: GreedyTrace, j: int) -> Optional[int]:
         raise NotGranted(f"bid {j} was denied; it has no blocker") from None
 
 
+class GreedyPayments(Sequence):
+    """Bid j's payment, computed when `self[j]` is first read and then cached.
+
+    A winner pays its blocker's crossing value at the winner's bundle size;
+    a loser, or a winner without a blocker, pays zero.
+    """
+
+    __slots__ = ("_bids", "_blockers", "_exponent", "_prices")
+
+    def __init__(
+        self, bids: tuple[SingleMindedBid, ...], blockers: Mapping[int, Optional[int]],
+        exponent: Fraction,
+    ):
+        self._bids = bids
+        self._blockers = blockers
+        self._exponent = exponent
+        self._prices: dict[int, Money] = {}
+
+    def __len__(self) -> int:
+        return len(self._bids)
+
+    def __getitem__(self, j) -> Money:
+        n = len(self._bids)
+        j = index(j)
+        if j < 0:
+            j += n
+        if not 0 <= j < n:
+            raise IndexError("payment index out of range")
+        price = self._prices.get(j)
+        if price is None:
+            i = self._blockers.get(j)
+            bids = self._bids
+            price = (
+                Money(0) if i is None
+                else crossing_value(bids[i], len(bids[j].bundle), self._exponent)
+            )
+            self._prices[j] = price
+        return price
+
+
 def run_greedy(instance: AuctionInstance, cfg: NormConfig) -> Outcome:
-    """Allocate greedily and charge each winner its blocker's crossing value."""
+    """Allocate greedily and charge each winner its blocker's crossing value.
+
+    The crossing values are computed on first read, but their size ratio
+    powers are looked up here, so an exponent without an exact payment
+    raises `ExponentNotSupported` from this call.
+    """
     allocation, trace = greedy_allocate(instance, cfg)
     bids = instance.bids
-    payments = [Money(0)] * len(bids)
+    p, q = cfg.exponent.numerator, cfg.exponent.denominator
     for j, i in trace.blockers.items():
         if i is not None:
-            payments[j] = crossing_value(bids[i], len(bids[j].bundle), cfg.exponent)
-    return assemble_outcome(instance, allocation, tuple(payments), trace)
+            bundle_ratio_power(len(bids[j].bundle), len(bids[i].bundle), p, q)
+    payments = GreedyPayments(bids, trace.blockers, cfg.exponent)
+    return assemble_outcome(instance, allocation, payments, trace)

@@ -3,7 +3,10 @@
 Declared amounts are `Fraction`s; `Money` holds only what mechanisms compute
 from them: payments, revenue and utilities.  All values are immutable after
 construction and every operation is a pure function, so everything here can
-be shared freely across threads.
+be shared freely across threads.  An `Outcome`'s prices may be computed on
+first read and cached; that changes no value, since each is a pure function
+of the outcome's inputs, and two threads racing to fill a cache store equal
+values, so an outcome stays immutable and thread-safe.
 """
 
 from __future__ import annotations
@@ -12,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
-from typing import Iterable, Mapping, NamedTuple, Optional
+from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
 from .errors import InvalidArgument
 from .money import Money
@@ -199,17 +202,50 @@ class Allocation:
 
 @dataclass(frozen=True, eq=False)
 class Outcome:
-    """Result of running a mechanism: who got what, who pays what."""
+    """Result of running a mechanism: who got what, who pays what.
 
+    The allocation is built eagerly, since every caller reads it.  Prices
+    are not: `payments` may be a lazy sequence that prices bid j when
+    `payments[j]` is first read (`run_greedy` returns one), and `revenue`
+    and `utilities` are computed from the payments on first read and
+    cached.  `instance` is the instance the mechanism ran on; its reserve
+    flags keep bids out of revenue and its true types, when known, value
+    the utilities.  Build one with `assemble_outcome`.
+    """
+
+    instance: AuctionInstance
     allocation: Allocation
-    payments: tuple[Money, ...]
-    revenue: Money
-    utilities: Optional[Mapping[int, Money]] = None
+    payments: Sequence[Money]
     trace: object = None
     meta: Optional[Mapping[str, object]] = None
 
     def is_granted(self, j: int) -> bool:
         return j in self.allocation.grants
+
+    @cached_property
+    def revenue(self) -> Money:
+        """The sum of the non-reserve payments."""
+        payments = self.payments
+        return sum(
+            (payments[j] for j, b in enumerate(self.instance.bids) if not b.is_reserve), Money(0)
+        )
+
+    @cached_property
+    def utilities(self) -> Optional[dict[int, Money]]:
+        """Each non-reserve bid's utility under its true type; None when the
+        instance has no true types."""
+        instance = self.instance
+        if instance.true_types is None:
+            return None
+        utilities = {}
+        for j, b in enumerate(instance.bids):
+            if b.is_reserve:
+                continue
+            true_type = instance.true_types.get(b.bidder, b)
+            utilities[j] = bidder_utility(
+                true_type, self.allocation.bundle_granted(j), self.payments[j]
+            )
+        return utilities
 
 
 @dataclass(frozen=True)
@@ -276,18 +312,10 @@ def allocation_value(instance: AuctionInstance, allocation: Allocation) -> Fract
 def assemble_outcome(
     instance: AuctionInstance,
     allocation: Allocation,
-    payments: tuple[Money, ...],
+    payments: Sequence[Money],
     trace: object = None,
     meta: Optional[Mapping[str, object]] = None,
 ) -> Outcome:
-    """Fill in revenue (non-reserve payments) and, when true types are known, utilities."""
-    revenue = sum((payments[j] for j, b in enumerate(instance.bids) if not b.is_reserve), Money(0))
-    utilities: Optional[dict[int, Money]] = None
-    if instance.true_types is not None:
-        utilities = {}
-        for j, b in enumerate(instance.bids):
-            if b.is_reserve:
-                continue
-            true_type = instance.true_types.get(b.bidder, b)
-            utilities[j] = bidder_utility(true_type, allocation.bundle_granted(j), payments[j])
-    return Outcome(allocation, payments, revenue, utilities, trace, meta)
+    """The outcome of `instance`; revenue and utilities follow from the
+    payments when first read."""
+    return Outcome(instance, allocation, payments, trace, meta)

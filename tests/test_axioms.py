@@ -4,9 +4,13 @@ from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from camech import exact
 from camech.axioms import (
     Mechanism,
+    _brackets,
     clarke_greedy_mechanism,
     critical_value,
     find_profitable_deviation,
@@ -18,12 +22,13 @@ from camech.errors import BundleSpaceTooLarge, InvalidArgument, NonMonotoneDetec
 from camech.exact import SolverKind, run_gva
 from camech.experiments import random_instance
 from camech.greedy import run_greedy
-from camech.model import Allocation, AuctionInstance, Outcome, SingleMindedBid
+from camech.model import Allocation, AuctionInstance, SingleMindedBid, assemble_outcome
 from camech.money import Money
 from camech.norm import NormConfig
 
 L1 = NormConfig(F(1))
 LHALF = NormConfig(F(1, 2))
+DP = SolverKind.BITMASK_DP
 
 
 def bid(name, bundle, amount):
@@ -116,7 +121,7 @@ def test_critical_value_infinite():
 
     def denies_red(instance):
         allocation = Allocation.of_indices(instance, [1])
-        return Outcome(allocation, (Money(0), Money(0)), Money(0))
+        return assemble_outcome(instance, allocation, (Money(0), Money(0)))
 
     walled = Mechanism("wall", denies_red, no_thresholds)
     cv = critical_value(walled, inst, 0)
@@ -170,7 +175,7 @@ def _window(instance):
     a = instance.bids[0].amount
     granted = [0] if Money(F(19, 2)) < a < Money(15) else []
     allocation = Allocation.of_indices(instance, granted)
-    return Outcome(allocation, (Money(0),) * 3, Money(0))
+    return assemble_outcome(instance, allocation, (Money(0),) * 3)
 
 
 WINDOW = Mechanism("window", _window, lambda i, j, bundle: [Money(F(19, 2)), Money(15)])
@@ -197,7 +202,7 @@ def test_nonmonotone_detected_probing_route():
     def window(instance):
         a = instance.bids[0].amount
         granted = [0] if Money(F(1, 2)) < a < Money(3) else []
-        return Outcome(Allocation.of_indices(instance, granted), (Money(0),), Money(0))
+        return assemble_outcome(instance, Allocation.of_indices(instance, granted), (Money(0),))
 
     broken = Mechanism("window", window, lambda i, j, bundle: [Money(F(1, 2)), Money(3)])
     with pytest.raises(NonMonotoneDetected):
@@ -249,7 +254,7 @@ def test_planted_partial_grant_fails_exactness():
     def partial(instance):
         bundle = sorted(instance.bids[1].bundle)[:1]
         allocation = Allocation({1: frozenset(bundle)})
-        return Outcome(allocation, (Money(0),) * len(instance.bids), Money(0))
+        return assemble_outcome(instance, allocation, (Money(0),) * len(instance.bids))
 
     (check,) = run_axiom_suite(
         Mechanism("partial", partial, no_thresholds), [three_bidder_instance()], ["exactness"]
@@ -265,7 +270,7 @@ def test_planted_loser_charge_fails_participation():
         for j in range(len(instance.bids)):
             if j not in out.allocation.grants:
                 payments[j] = Money(1)
-        return Outcome(out.allocation, tuple(payments), out.revenue, trace=out.trace)
+        return assemble_outcome(instance, out.allocation, tuple(payments), out.trace)
 
     (check,) = run_axiom_suite(
         Mechanism("charge", charge, no_thresholds), [three_bidder_instance()], ["participation"]
@@ -349,6 +354,98 @@ def test_gva_no_deviation_small():
         inst = random_instance(4, 5, seed=f"gva-dev:{t}")
         for j in range(len(inst.bids)):
             assert find_profitable_deviation(mech, inst, j) is None
+
+
+def test_gva_search_solves_value_without_j_once(monkeypatch):
+    # the optimum without j is the same for all 15 bundles over 4 goods:
+    # one solve for it plus one forced solve per bundle, not two per bundle
+    inst = random_instance(4, 5, seed="gva-solves:0")
+    mech = gva_mechanism(SolverKind.BITMASK_DP)
+
+    def reference(instance, j, bundle):
+        opt_without = exact.optimal_allocation(instance.with_amount(j, 0), DP).value
+        big = opt_without + 1
+        old = instance.bids[j]
+        forced = instance.with_bid(j, SingleMindedBid(old.bidder, bundle, big, old.is_reserve))
+        compatible = exact.optimal_allocation(forced, DP).value - big
+        return [Money(max(opt_without - compatible, 0))]
+
+    inside, solves = [], []
+    solve = exact.optimal_allocation
+
+    def counting_solve(instance, solver):
+        if inside:
+            solves.append(instance)
+        return solve(instance, solver)
+
+    def counting_thresholds(instance, j, bundle):
+        inside.append(bundle)
+        try:
+            cached = mech.thresholds(instance, j, bundle)
+        finally:
+            inside.pop()
+        assert cached == reference(instance, j, bundle)
+        return cached
+
+    monkeypatch.setattr(exact, "optimal_allocation", counting_solve)
+    counting = replace(mech, thresholds=counting_thresholds)
+    for j in range(len(inst.bids)):
+        solves.clear()
+        report = find_profitable_deviation(counting, inst, j)
+        assert len(solves) == 15 + 1
+        expected = find_profitable_deviation(replace(mech, thresholds=reference), inst, j)
+        assert report is None and expected is None
+
+
+@st.composite
+def _radical(draw):
+    """c * sqrt(m) + r with c > 0 and m square-free."""
+    m = draw(st.sampled_from([2, 3, 5, 6, 7, 10, 11]))
+    c = F(draw(st.integers(1, 10 ** 6)), draw(st.integers(1, 10 ** 3)))
+    r = F(draw(st.integers(-10 ** 6, 10 ** 6)), draw(st.integers(1, 10 ** 3)))
+    return Money.root_term(c, m) + r
+
+
+@st.composite
+def _thresholds(draw):
+    """Rationals and radicals, with near-equal pairs that agree to more than
+    64 bits, and tiny positive radicals whose 64-bit lower bound is <= 0."""
+    ts = []
+    for kind in draw(st.lists(st.sampled_from(["rational", "radical", "near", "tiny"]),
+                              min_size=1, max_size=8)):
+        if kind == "rational":
+            ts.append(Money(F(draw(st.integers(-10 ** 6, 10 ** 6)), draw(st.integers(1, 99)))))
+            continue
+        x = draw(_radical())
+        ts.append(x)
+        lo, hi = x.bounds(draw(st.integers(65, 300)))
+        if kind == "near":
+            ts.append(Money(draw(st.sampled_from([lo, hi]))))
+        elif kind == "tiny":
+            ts.append(x - lo)
+    return ts
+
+
+@given(_thresholds())
+@settings(max_examples=200, derandomize=True, deadline=None)
+def test_brackets_order_thresholds(ts):
+    ordered, brackets = _brackets(set(ts))
+    assert ordered == sorted(set(ts))
+    assert len(brackets) == len(ordered)
+    for t, (lo, hi) in zip(ordered, brackets):
+        assert Money(lo) <= t <= Money(hi)
+        assert (lo == hi) == t.is_rational
+    assert all(hi < lo for (_, hi), (lo, _) in zip(brackets, brackets[1:]))
+
+
+def test_brackets_separate_tiny_radical_from_zero():
+    x = Money.sqrt(2)
+    tiny = x - Money(x.bounds(200)[0])
+    assert tiny.sign() > 0 and tiny.bounds(64)[0] <= 0
+    ordered, brackets = _brackets({tiny, Money(0)})
+    assert ordered == [Money(0), tiny]
+    assert brackets[0] == (0, 0) and brackets[1][0] > 0
+    assert _brackets([]) == ([], [])
 
 
 def test_deviation_search_runs_every_candidate_once():

@@ -148,6 +148,40 @@ def test_run_parse_error_exit_2(capsys, tmp_path):
     assert json.loads(out)["error"]["kind"] == "parse"
 
 
+def _one_error(out, kind):
+    doc = json.loads(out)
+    assert list(doc) == ["error"] and doc["error"]["kind"] == kind
+    return doc["error"]["message"]
+
+
+def test_run_missing_file_exit_2(capsys, tmp_path):
+    missing = str(tmp_path / "missing.json")
+    code, out = run_cli(capsys, "run", missing)
+    assert code == 2
+    assert missing in _one_error(out, "error")
+
+
+def test_run_directory_exit_2(capsys, tmp_path):
+    code, out = run_cli(capsys, "run", str(tmp_path))
+    assert code == 2
+    _one_error(out, "error")
+
+
+def test_run_undecodable_bytes_exit_2(capsys, tmp_path):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(json.dumps(THREE).replace("green", "gr\u00fcn").encode("latin-1"))
+    code, out = run_cli(capsys, "run", str(path))
+    assert code == 2
+    assert "UTF-8" in _one_error(out, "parse")
+
+
+def test_gen_unwritable_output_exit_2(capsys, tmp_path):
+    target = str(tmp_path / "nodir" / "x.json")
+    code, out = run_cli(capsys, "gen", "--goods", "2", "--bids", "2", "--output", target)
+    assert code == 2
+    assert target in _one_error(out, "error")
+
+
 def test_run_ties_rejected_exit_3(capsys, tmp_path):
     path = tmp_path / "tied.json"
     path.write_text(json.dumps(TIED))

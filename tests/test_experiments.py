@@ -206,21 +206,21 @@ def test_complex_player_utility_values():
 def test_complex_player_utility_empty():
     sc = scenario("complex-green")
     inst = sc.instance
-    from camech.model import Allocation, Outcome
+    from camech.model import Allocation, assemble_outcome
 
-    nothing = Outcome(Allocation({}), (Money(0),) * 4, Money(0))
+    nothing = assemble_outcome(inst, Allocation({}), (Money(0),) * 4)
     assert complex_player_utility(inst, "green", sc.complex_table, nothing) == Money(0)
 
 
 def test_complex_player_utility_undefined():
     sc = scenario("complex-green")
     inst = sc.instance
-    from camech.model import Allocation, Outcome
+    from camech.model import Allocation, assemble_outcome
 
     # grant red only; red is not green's agent, so query the table with {a}
     # granted to green via a fake grant of a bundle outside the table
     table = {frozenset({"a", "b"}): Money(30)}
-    out = Outcome(Allocation({2: frozenset({"b"})}), (Money(0),) * 4, Money(0))
+    out = assemble_outcome(inst, Allocation({2: frozenset({"b"})}), (Money(0),) * 4)
     with pytest.raises(ValuationUndefined):
         complex_player_utility(inst, "green", table, out)
 

@@ -5,14 +5,17 @@ from fractions import Fraction as F
 
 import pytest
 
+from camech import greedy
+from camech.axioms import critical_value, greedy_mechanism
 from camech.errors import ExponentNotSupported, NotGranted, TiesPresent
 from camech.greedy import blocker, greedy_allocate, run_greedy
-from camech.model import AuctionInstance, SingleMindedBid, allocation_value
+from camech.model import AuctionInstance, SingleMindedBid, allocation_value, bidder_utility
 from camech.money import Money
 from camech.norm import NormConfig, TieRule, crossing_value
 from camech.experiments import random_instance
 
 L1 = NormConfig(F(1))
+LHALF = NormConfig(F(1, 2))
 
 
 def bid(name, bundle, amount, reserve=False):
@@ -284,3 +287,86 @@ def test_blockers_match_rescan_on_tied_instances():
             ):
                 tied += _check_blockers_against_rescan(inst, cfg).trace.ranking.had_ties
     assert tied > 500
+
+
+def _counting_crossing_value(monkeypatch):
+    calls = []
+
+    def counting(bid, size, exponent):
+        calls.append((bid.bidder, size))
+        return crossing_value(bid, size, exponent)
+
+    monkeypatch.setattr(greedy, "crossing_value", counting)
+    return calls
+
+
+def test_rerun_reading_only_the_allocation_prices_nothing(monkeypatch):
+    calls = _counting_crossing_value(monkeypatch)
+    inst = random_instance(8, 12, seed="lazy-prices:0")
+    mech = greedy_mechanism(LHALF)
+    out = mech.run(inst)
+    assert out.allocation.granted and not calls
+    # the critical check's probes read only each rerun's allocation
+    for j in sorted(out.allocation.grants):
+        assert critical_value(mech, inst, j).probes > 1
+    assert not calls
+    priced = [j for j, i in out.trace.blockers.items() if i is not None]
+    assert priced
+    tuple(out.payments)
+    assert len(calls) == len(priced)
+
+
+def test_payment_read_twice_is_computed_once(monkeypatch):
+    calls = _counting_crossing_value(monkeypatch)
+    out = run_greedy(three_bidder_instance(), L1)
+    assert out.payments[0] is out.payments[0] is out.payments[-3]
+    assert out.payments[0] == Money(F(19, 2))
+    assert calls == [("green", 1)]
+    with pytest.raises(IndexError):
+        out.payments[3]
+    with pytest.raises(IndexError):
+        out.payments[-4]
+
+
+def _eager_reference(inst, cfg):
+    """Payments, revenue and utilities computed up front from the greedy
+    trace: the reference a lazily priced outcome must equal."""
+    allocation, trace = greedy_allocate(inst, cfg)
+    bids = inst.bids
+    payments = [Money(0)] * len(bids)
+    for j, i in trace.blockers.items():
+        if i is not None:
+            payments[j] = crossing_value(bids[i], len(bids[j].bundle), cfg.exponent)
+    revenue = sum((payments[j] for j, b in enumerate(bids) if not b.is_reserve), Money(0))
+    utilities = {
+        j: bidder_utility(inst.true_types.get(b.bidder, b), allocation.bundle_granted(j),
+                          payments[j])
+        for j, b in enumerate(bids) if not b.is_reserve
+    }
+    return tuple(payments), revenue, utilities
+
+
+@pytest.mark.parametrize("exponent", [F(1), F(1, 2)], ids=str)
+def test_lazy_prices_equal_eager_reference(exponent):
+    cfg = NormConfig(exponent)
+    rng = random.Random(f"lazy-reference:{exponent}")
+    reserves = 0
+    for t in range(60):
+        inst = random_instance(6, 9, seed=f"lazy-reference:{t}")
+        bids = [
+            SingleMindedBid(b.bidder, b.bundle, b.amount, rng.random() < 0.2)
+            for b in inst.bids
+        ]
+        liars = rng.sample(bids, 3)
+        true_types = {
+            b.bidder: b.with_amount(b.amount * F(rng.randint(1, 20), 10)) for b in liars
+        }
+        inst = AuctionInstance(inst.goods, tuple(bids), true_types)
+        out = run_greedy(inst, cfg)
+        payments, revenue, utilities = _eager_reference(inst, cfg)
+        assert len(out.payments) == len(payments)
+        assert tuple(out.payments) == payments
+        assert out.revenue == revenue
+        assert out.utilities == utilities
+        reserves += sum(b.is_reserve for b in bids)
+    assert reserves > 0
