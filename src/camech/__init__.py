@@ -50,7 +50,6 @@ from .model import (
     Violation,
     allocation_value,
     bidder_utility,
-    conflicts,
     validate_instance,
 )
 from .money import Money
@@ -86,7 +85,6 @@ __all__ = [
     "clarke_greedy_mechanism",
     "clarke_with_greedy",
     "complex_player_utility",
-    "conflicts",
     "critical_value",
     "find_profitable_deviation",
     "greedy_allocate",

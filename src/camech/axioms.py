@@ -37,7 +37,9 @@ class Mechanism:
 
     `thresholds(instance, j, bundle)` lists the declared values at which bid
     j, moved to `bundle`, may change its outcome: the exact critical values
-    and the misreport search probe around them.  `norm` is the ranking norm
+    and the misreport search probe around them.  It need not run the
+    mechanism: the GVA's thresholds are read off one DP value table of the
+    other bids, whichever solver `run` uses.  `norm` is the ranking norm
     of a norm-based mechanism.
     """
 
@@ -69,22 +71,19 @@ def clarke_greedy_mechanism(cfg: NormConfig) -> Mechanism:
 
 
 def gva_mechanism(solver: _exact.SolverKind) -> Mechanism:
+    """The GVA run by `solver`.  Its thresholds come from the DP's value
+    table whatever the solver, so brute-force payments are checked against
+    values the DP derived."""
     # the misreport search asks for every bundle of one (instance, j) in a
-    # row, and the optimum without j does not depend on the bundle
-    @lru_cache(maxsize=1)
-    def value_without(inst: AuctionInstance, j: int) -> Fraction:
-        return _exact.optimal_allocation(inst.with_amount(j, 0), solver).value
+    # row, and the others' value table does not depend on the bundle
+    entry_table = lru_cache(maxsize=1)(_exact._entry_table)
 
     def thresholds(inst: AuctionInstance, j: int, bundle: frozenset):
-        # the one value where j (with this bundle) enters the optimal
-        # allocation; for j's own bundle it is j's Clarke payment
-        opt_without = value_without(inst, j)
-        big = opt_without + 1
-        forced = inst.with_bid(
-            j, SingleMindedBid(inst.bids[j].bidder, bundle, big, inst.bids[j].is_reserve)
-        )
-        compatible = _exact.optimal_allocation(forced, solver).value - big
-        return [Money(max(opt_without - compatible, 0))]
+        # the one value where j (with this bundle) enters the optimal allocation
+        best = entry_table(inst, j)
+        full = len(best) - 1
+        entry = best[full] - best[full ^ inst.mask_of(bundle)]
+        return [Money(Fraction(entry, inst.integer_amounts.denominator))]
 
     return Mechanism("gva", lambda inst: _exact.run_gva(inst, solver), thresholds)
 

@@ -7,13 +7,16 @@ exactly their declared bundles) and break ties between co-optimal solutions
 by the lexicographically smallest set of granted bid indices, so payments
 are deterministic.
 
-Clarke payments need the optimum without each bid j.  The DP route solves
-the allocation once, then takes every "without j" optimum from two
-value-only passes over the goods subsets, one over the prefixes of the bid
-order and one over its suffixes.  The brute-force oracle re-solves the
-instance with j's amount at zero, once per bid.  The DP keeps
-(bids + 1) * 2**goods table cells; past `MAX_DP_CELLS` it raises
-`InstanceTooLarge` before building any table.
+The DP has one recurrence, `_value_tables`: the best value of bids j..
+inside each goods set.  The solver reads the optimum and its winners off
+those tables and counts the optima by walking forward over the optimal
+choices only.  Clarke payments need the optimum without each bid j: the DP
+route takes every one of them from two more passes, one over the prefixes
+of the bid order and one over its suffixes, while the brute-force oracle
+re-solves the instance with j's amount at zero, once per bid.  The GVA's
+entry values come from the table of the bids other than j, whatever the
+solver.  A DP over n bids keeps (n + 1) * 2**goods table cells; past
+`MAX_DP_CELLS` it raises `InstanceTooLarge` before building any table.
 """
 
 from __future__ import annotations
@@ -26,7 +29,9 @@ from typing import Sequence
 
 from .errors import InstanceTooLarge
 from .greedy import greedy_allocate
-from .model import Allocation, AuctionInstance, Outcome, allocation_value, assemble_outcome
+from .model import (
+    MAX_GOODS, Allocation, AuctionInstance, Outcome, allocation_value, assemble_outcome,
+)
 from .money import Money
 from .norm import NormConfig
 
@@ -38,8 +43,8 @@ class SolverKind(Enum):
 
 MAX_BRUTE_BIDS = 24
 #: Most DP table cells, (bids + 1) * 2**goods: about 64 MB of table
-#: pointers, since each table comes in two (values and counts, or prefix
-#: and suffix values).  It also bounds the goods at 22.
+#: pointers for the prefix and suffix passes together.  It also bounds the
+#: goods at 22.
 MAX_DP_CELLS = 1 << 22
 
 
@@ -97,54 +102,8 @@ def _indices(sub: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _solve_dp(masks: Sequence[int], weights, k: int) -> tuple[int, tuple[int, ...], int]:
-    n = len(masks)
-    size = 1 << k
-    full = size - 1
-    # suffix tables: best[j][S] = max value using bids j.. with goods S free
-    best = [None] * (n + 1)
-    cnt = [None] * (n + 1)
-    best[n] = [0] * size
-    cnt[n] = [1] * size
-    for j in range(n - 1, -1, -1):
-        prev = best[j + 1]
-        prev_cnt = cnt[j + 1]
-        cur = prev.copy()
-        cur_cnt = prev_cnt.copy()
-        m = masks[j]
-        w = weights[j]
-        s = m
-        while True:  # every superset of m
-            take = w + prev[s ^ m]
-            if take > cur[s]:
-                cur[s] = take
-                cur_cnt[s] = prev_cnt[s ^ m]
-            elif take == cur[s]:
-                cur_cnt[s] = cur_cnt[s] + prev_cnt[s ^ m]
-            if s == full:
-                break
-            s = (s + 1) | m
-        best[j] = cur
-        cnt[j] = cur_cnt
-    # lexicographically smallest optimal set: take a bid whenever doing so
-    # still reaches the optimum; stop once the remaining optimum is zero
-    chosen: list[int] = []
-    s = full
-    for j in range(n):
-        if not best[j][s] > 0:
-            break
-        m = masks[j]
-        if m & s == m and weights[j] + best[j + 1][s ^ m] == best[j][s]:
-            chosen.append(j)
-            s ^= m
-    return best[0][full], tuple(chosen), cnt[0][full]
-
-
 def _value_tables(masks: Sequence[int], weights, k: int) -> list[list[int]]:
-    """tables[j][S]: the best value of bids j.. that uses only the goods in S.
-
-    `_solve_dp`'s recurrence without the optima counts.
-    """
+    """tables[j][S]: the best value of bids j.. that uses only the goods in S."""
     size = 1 << k
     full = size - 1
     tables = [[0] * size]
@@ -164,24 +123,58 @@ def _value_tables(masks: Sequence[int], weights, k: int) -> list[list[int]]:
     return tables
 
 
+def _solve_dp(masks: Sequence[int], weights, k: int) -> tuple[int, tuple[int, ...], int]:
+    tables = _value_tables(masks, weights, k)
+    full = (1 << k) - 1
+    # lexicographically smallest optimal set: take a bid whenever doing so
+    # still reaches the optimum; stop once the remaining optimum is zero
+    chosen: list[int] = []
+    s = full
+    for j, (m, w) in enumerate(zip(masks, weights)):
+        if not tables[j][s] > 0:
+            break
+        if m & s == m and w + tables[j + 1][s ^ m] == tables[j][s]:
+            chosen.append(j)
+            s ^= m
+    # optima: follow only the optimal choices forward, counting the ways to
+    # reach each set of goods still free after bids 0..j
+    ways = {full: 1}
+    for j, (m, w) in enumerate(zip(masks, weights)):
+        here, after = tables[j], tables[j + 1]
+        step: dict[int, int] = {}
+        for s, count in ways.items():
+            if after[s] == here[s]:
+                step[s] = step.get(s, 0) + count
+            if m & s == m and w + after[s ^ m] == here[s]:
+                step[s ^ m] = step.get(s ^ m, 0) + count
+        ways = step
+    return tables[0][full], tuple(chosen), sum(ways.values())
+
+
+def _check_cells(bids: int, k: int) -> None:
+    """Raise `InstanceTooLarge` when the DP over `bids` bids and k goods
+    passes `MAX_DP_CELLS`.  k is checked first, so a huge goods count is
+    refused before anything is shifted or printed."""
+    if k > MAX_GOODS or (bids + 1) << k > MAX_DP_CELLS:
+        cells = (bids + 1) << k if k <= MAX_GOODS else f"{bids + 1} * 2**{k}"
+        raise InstanceTooLarge(
+            f"bitmask DP handles at most {MAX_DP_CELLS} table cells, (bids + 1) * 2**goods;"
+            f" {bids} bids over {k} goods need {cells}"
+        )
+
+
 def optimal_allocation(instance: AuctionInstance, solver: SolverKind) -> ExactSolution:
     """Value-maximising conflict-free bid set, deterministically tie-broken."""
     n = len(instance.bids)
     k = len(instance.goods)
     integer = instance.integer_amounts
-    masks = instance.bid_masks
     if solver is SolverKind.BRUTE_FORCE_BID_SUBSETS:
         if n > MAX_BRUTE_BIDS:
             raise InstanceTooLarge(f"brute-force solver handles at most {MAX_BRUTE_BIDS} bids")
-        value, indices, count = _solve_brute(masks, integer.weights)
+        value, indices, count = _solve_brute(instance.bid_masks, integer.weights)
     else:
-        cells = (n + 1) << k
-        if cells > MAX_DP_CELLS:
-            raise InstanceTooLarge(
-                f"bitmask DP handles at most {MAX_DP_CELLS} table cells, (bids + 1) * 2**goods;"
-                f" {n} bids over {k} goods need {cells}"
-            )
-        value, indices, count = _solve_dp(masks, integer.weights, k)
+        _check_cells(n, k)
+        value, indices, count = _solve_dp(instance.bid_masks, integer.weights, k)
     value = Fraction(value, integer.denominator)
     return ExactSolution(Allocation.of_indices(instance, indices), value, count)
 
@@ -224,6 +217,21 @@ def _dp_values_without_each(instance: AuctionInstance) -> list[Fraction]:
         Fraction(max(map(add, prefix[j], reversed(suffix[j + 1]))), integer.denominator)
         for j in range(len(masks))
     ]
+
+
+def _entry_table(instance: AuctionInstance, j: int) -> list[int]:
+    """Row 0 of `_value_tables` over every bid but j: the others' best value
+    inside each goods set, in the instance's integer weights.
+
+    Bid j with bundle B enters the optimal allocation at the value
+    T[full] - T[full ^ mask(B)], the others' optimum less their best on the
+    goods B leaves free; for a winning j's own bundle that is its Clarke
+    payment.
+    """
+    k = len(instance.goods)
+    _check_cells(len(instance.bids) - 1, k)
+    masks, weights = instance.bid_masks, instance.integer_amounts.weights
+    return _value_tables(masks[:j] + masks[j + 1:], weights[:j] + weights[j + 1:], k)[0]
 
 
 def run_gva(instance: AuctionInstance, solver: SolverKind) -> Outcome:

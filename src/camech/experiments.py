@@ -647,6 +647,8 @@ def tight_family(goods_count: int, exponent: Fraction) -> AuctionInstance:
     """
     if goods_count < 2:
         raise InvalidArgument("the family needs at least two goods")
+    if goods_count > MAX_GOODS:
+        raise InstanceTooLarge(f"at most {MAX_GOODS} goods are supported")
     exponent = F(exponent)
     goods = tuple(f"g{i + 1}" for i in range(goods_count))
     epsilon = F(1, 1000)

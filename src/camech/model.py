@@ -188,17 +188,6 @@ class Allocation:
     def bundle_granted(self, j: int) -> frozenset[Good]:
         return self.grants.get(j, frozenset())
 
-    def is_conflict_free(self) -> bool:
-        seen: set[Good] = set()
-        for bundle in self.grants.values():
-            if seen & bundle:
-                return False
-            seen |= bundle
-        return True
-
-    def is_exact(self, instance: AuctionInstance) -> bool:
-        return all(bundle == instance.bids[j].bundle for j, bundle in self.grants.items())
-
 
 @dataclass(frozen=True, eq=False)
 class Outcome:
@@ -286,11 +275,6 @@ def validate_instance(instance: AuctionInstance) -> list[Violation]:
         if t.amount < 0:
             out.append(Violation(None, f"true type for {name} has a negative amount"))
     return out
-
-
-def conflicts(b1: SingleMindedBid, b2: SingleMindedBid) -> bool:
-    """Two bids conflict when their bundles intersect."""
-    return bool(b1.bundle & b2.bundle)
 
 
 def bidder_utility(true_type: SingleMindedBid, granted_bundle: Iterable[Good], payment: Money) -> Money:

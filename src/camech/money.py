@@ -249,20 +249,21 @@ class Money:
     def bounds(self, bits: int) -> tuple[Fraction, Fraction]:
         """Exact rational bounds lo <= value <= hi, roots taken to `bits` fractional bits."""
         lo = hi = _ZERO
-        scale = 1 << bits
         for m, c in self._terms.items():
             if m == 1:
                 lo += c
                 hi += c
                 continue
             r = isqrt(m << (2 * bits))
-            rlo, rhi = Fraction(r, scale), Fraction(r + 1, scale)
+            # c times the root's bounds r / 2**bits and (r + 1) / 2**bits
+            below = Fraction(c.numerator * r, c.denominator << bits)
+            above = Fraction(c.numerator * (r + 1), c.denominator << bits)
             if c > 0:
-                lo += c * rlo
-                hi += c * rhi
+                lo += below
+                hi += above
             else:
-                lo += c * rhi
-                hi += c * rlo
+                lo += above
+                hi += below
         return lo, hi
 
     def compare(self, other) -> int:

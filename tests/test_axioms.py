@@ -1,5 +1,7 @@
 """Axiom checks, critical values, and the misreport search."""
 
+import itertools
+import random
 from dataclasses import replace
 from fractions import Fraction as F
 
@@ -18,7 +20,9 @@ from camech.axioms import (
     gva_mechanism,
     run_axiom_suite,
 )
-from camech.errors import BundleSpaceTooLarge, InvalidArgument, NonMonotoneDetected
+from camech.errors import (
+    BundleSpaceTooLarge, InstanceTooLarge, InvalidArgument, NonMonotoneDetected,
+)
 from camech.exact import SolverKind, run_gva
 from camech.experiments import random_instance
 from camech.greedy import run_greedy
@@ -356,27 +360,36 @@ def test_gva_no_deviation_small():
             assert find_profitable_deviation(mech, inst, j) is None
 
 
-def test_gva_search_solves_value_without_j_once(monkeypatch):
-    # the optimum without j is the same for all 15 bundles over 4 goods:
-    # one solve for it plus one forced solve per bundle, not two per bundle
+def _forced_bid_entry(instance, j, bundle):
+    """The GVA entry value by re-solving: OPT without j, less the value of
+    the optimum once j is forced in with this bundle at a winning amount."""
+    opt_without = exact.optimal_allocation(instance.with_amount(j, 0), DP).value
+    big = opt_without + 1
+    old = instance.bids[j]
+    forced = instance.with_bid(j, SingleMindedBid(old.bidder, bundle, big, old.is_reserve))
+    compatible = exact.optimal_allocation(forced, DP).value - big
+    return [Money(max(opt_without - compatible, 0))]
+
+
+def test_gva_search_builds_one_table_per_bidder(monkeypatch):
+    # every bundle of one search reads one value table of the other bids,
+    # and no threshold re-solves the instance
     inst = random_instance(4, 5, seed="gva-solves:0")
     mech = gva_mechanism(SolverKind.BITMASK_DP)
+    inside, solves, tables = [], [], []
 
-    def reference(instance, j, bundle):
-        opt_without = exact.optimal_allocation(instance.with_amount(j, 0), DP).value
-        big = opt_without + 1
-        old = instance.bids[j]
-        forced = instance.with_bid(j, SingleMindedBid(old.bidder, bundle, big, old.is_reserve))
-        compatible = exact.optimal_allocation(forced, DP).value - big
-        return [Money(max(opt_without - compatible, 0))]
+    def counted(name, calls):
+        original = getattr(exact, name)
 
-    inside, solves = [], []
-    solve = exact.optimal_allocation
+        def count(*args):
+            if inside:
+                calls.append(args)
+            return original(*args)
 
-    def counting_solve(instance, solver):
-        if inside:
-            solves.append(instance)
-        return solve(instance, solver)
+        monkeypatch.setattr(exact, name, count)
+
+    counted("optimal_allocation", solves)
+    counted("_value_tables", tables)
 
     def counting_thresholds(instance, j, bundle):
         inside.append(bundle)
@@ -384,17 +397,52 @@ def test_gva_search_solves_value_without_j_once(monkeypatch):
             cached = mech.thresholds(instance, j, bundle)
         finally:
             inside.pop()
-        assert cached == reference(instance, j, bundle)
+        assert cached == _forced_bid_entry(instance, j, bundle)
         return cached
 
-    monkeypatch.setattr(exact, "optimal_allocation", counting_solve)
     counting = replace(mech, thresholds=counting_thresholds)
     for j in range(len(inst.bids)):
-        solves.clear()
+        tables.clear()
         report = find_profitable_deviation(counting, inst, j)
-        assert len(solves) == 15 + 1
-        expected = find_profitable_deviation(replace(mech, thresholds=reference), inst, j)
+        assert (len(tables), len(solves)) == (1, 0)
+        expected = find_profitable_deviation(replace(mech, thresholds=_forced_bid_entry), inst, j)
         assert report is None and expected is None
+
+
+def test_gva_thresholds_match_forced_bid_entry():
+    # seeded and tie-heavy instances, reserve bids and zero amounts included
+    rng = random.Random("gva-entry")
+    goods = ("a", "b", "c", "d")
+    ties = [
+        AuctionInstance(goods, tuple(
+            SingleMindedBid(f"b{i}", frozenset(rng.sample(goods, rng.randint(1, 3))),
+                            F(rng.randint(0, 3), rng.choice([1, 2])), rng.random() < 0.2)
+            for i in range(rng.randint(1, 6))
+        ))
+        for _ in range(30)
+    ]
+    seeded = [random_instance(5, 7, seed=f"gva-entry:{t}") for t in range(5)]
+    for inst in [*seeded, *ties]:
+        mech = gva_mechanism(SolverKind.BRUTE_FORCE_BID_SUBSETS)
+        bundles = [
+            frozenset(c) for r in range(1, len(inst.goods) + 1)
+            for c in itertools.combinations(inst.goods, r)
+        ]
+        for j in range(len(inst.bids)):
+            for bundle in bundles:
+                assert mech.thresholds(inst, j, bundle) == _forced_bid_entry(inst, j, bundle)
+
+
+def test_gva_brute_critical_refused_past_table_bound(monkeypatch):
+    # 17 bids over 18 goods: the brute-force solver could run them, but the
+    # thresholds' table of the other 16 bids needs 17 * 2**18 cells
+    goods = tuple(f"g{i}" for i in range(18))
+    inst = AuctionInstance(goods, tuple(bid(f"b{i}", {goods[i]}, i + 1) for i in range(17)))
+    built = []
+    monkeypatch.setattr(exact, "_value_tables", lambda *args: built.append(args))
+    with pytest.raises(InstanceTooLarge, match="table cells"):
+        critical_value(gva_mechanism(SolverKind.BRUTE_FORCE_BID_SUBSETS), inst, 0)
+    assert built == []
 
 
 @st.composite

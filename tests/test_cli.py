@@ -205,6 +205,17 @@ def test_dp_cell_bound_exit_4(capsys):
     assert "table cells" in error["message"]
 
 
+@pytest.mark.parametrize("k", ["20000", "1000000"])
+def test_tight_suite_goods_past_bound_exit_4(k):
+    # refused on the goods count before any bundle mask or cell count is built
+    result = subprocess.run(
+        [sys.executable, "-m", "camech.cli", "experiment", "--suite", "tight", "--k", k, "--l", "1"],
+        capture_output=True, text=True, timeout=5,
+    )
+    assert result.returncode == 4, result.stderr
+    assert json.loads(result.stdout)["error"]["kind"] == "too-large"
+
+
 def test_gen_deterministic_and_valid(capsys):
     code1, out1 = run_cli(capsys, "gen", "--goods", "4", "--bids", "6", "--seed", "7")
     code2, out2 = run_cli(capsys, "gen", "--goods", "4", "--bids", "6", "--seed", "7")

@@ -199,6 +199,12 @@ def test_size_guards():
     )
     with pytest.raises(InstanceTooLarge):
         optimal_allocation(many, BRUTE)
+    # a goods count far past the bound is refused on k alone: no bundle
+    # masks are built and the cell count is never printed in full
+    huge = AuctionInstance(tuple(f"g{i}" for i in range(20000)), (bid("x", {"g0"}, 1),))
+    with pytest.raises(InstanceTooLarge, match=r"need 2 \* 2\*\*20000"):
+        optimal_allocation(huge, DP)
+    assert "bid_masks" not in huge.__dict__
 
 
 def _gva_by_per_bid_solves(inst):
@@ -259,13 +265,13 @@ def _count_calls(monkeypatch, name):
 
 
 def test_gva_work_pinned(monkeypatch):
-    # the DP route solves once and builds value tables in two passes; the
-    # brute-force oracle re-solves once per bid
+    # the DP route is one solve, itself one value-table pass, plus the
+    # prefix and suffix passes; the brute-force oracle re-solves once per bid
     inst = random_instance(6, 9, seed="gva-work")
     solves = _count_calls(monkeypatch, "optimal_allocation")
     passes = _count_calls(monkeypatch, "_value_tables")
     run_gva(inst, DP)
-    assert (len(solves), len(passes)) == (1, 2)
+    assert (len(solves), len(passes)) == (1, 3)
     solves.clear()
     passes.clear()
     run_gva(inst, BRUTE)
@@ -309,8 +315,9 @@ def test_gva_outcome_invariants_random():
     for t in range(25):
         inst = random_instance(6, 9, seed=f"gva-inv:{t}")
         out = run_gva(inst, DP)
-        assert out.allocation.is_conflict_free()
-        assert out.allocation.is_exact(inst)
+        granted = [inst.bid_masks[j] for j in out.allocation.grants]
+        assert not any(a & b for a, b in itertools.combinations(granted, 2))
+        assert all(out.allocation.grants[j] == inst.bids[j].bundle for j in out.allocation.grants)
         for j in range(len(inst.bids)):
             assert out.payments[j] >= Money(0)
             if not out.is_granted(j):
@@ -321,23 +328,37 @@ def test_gva_outcome_invariants_random():
 
 def test_solver_equivalence_tie_heavy():
     # tiny integer amounts force many co-optimal allocations; both solvers
-    # must still pick the same lexicographically smallest winner set
-    import random as _random
-
-    rng = _random.Random("tie-heavy")
+    # must still pick the same lexicographically smallest winner set and
+    # count the same optima
+    rng = random.Random("tie-heavy")
     goods = ("a", "b", "c", "d")
+    instances = []
     for _ in range(120):
         n = rng.randint(1, 6)
         bids = tuple(
             bid(f"b{i}", rng.sample(goods, rng.randint(1, 3)), rng.randint(0, 3))
             for i in range(n)
         )
-        inst = AuctionInstance(goods, bids)
+        instances.append(AuctionInstance(goods, bids))
+    # all amounts zero: every conflict-free subset, the empty one included, is optimal
+    zeros = AuctionInstance(goods, tuple(bid(f"z{i}", m, 0) for i, m in enumerate(
+        ["a", "b", "ab", "cd", "c", "abcd", "d", "bc"]
+    )))
+    # two equal bids on each of six goods: 2**6 optima
+    six = tuple("abcdef")
+    pairs = AuctionInstance(six, tuple(bid(f"{g}{i}", g, 1) for g in six for i in range(2)))
+    for inst in [*instances, zeros, pairs]:
         dp = optimal_allocation(inst, DP)
         brute = optimal_allocation(inst, BRUTE)
         assert dp.value == brute.value
         assert dp.allocation.granted == brute.allocation.granted
         assert dp.optima_count == brute.optima_count
+    assert optimal_allocation(zeros, DP).optima_count == sum(
+        not any(a & b for a, b in itertools.combinations(sub, 2))
+        for r in range(len(zeros.bids) + 1)
+        for sub in itertools.combinations(zeros.bid_masks, r)
+    )
+    assert optimal_allocation(pairs, DP).optima_count == 2 ** 6
 
 
 def test_optimal_dominates_greedy():

@@ -1,5 +1,6 @@
 """Greedy allocation, blockers, and the critical payment scheme."""
 
+import itertools
 import random
 from fractions import Fraction as F
 
@@ -200,8 +201,9 @@ def _invariants(inst, cfg):
     allocation, trace = out.allocation, out.trace
     masks = inst.bid_masks
     # exactness + conflict-freedom
-    assert allocation.is_exact(inst)
-    assert allocation.is_conflict_free()
+    assert all(bundle == inst.bids[j].bundle for j, bundle in allocation.grants.items())
+    granted = [masks[j] for j in allocation.grants]
+    assert not any(a & b for a, b in itertools.combinations(granted, 2))
     # order-maximality: every denied bid conflicts with an earlier granted one
     for j in range(len(inst.bids)):
         if j not in allocation.grants:

@@ -1,4 +1,4 @@
-"""Model types: validation, conflicts, utilities, allocation values."""
+"""Model types: validation, utilities, allocations and their values."""
 
 from fractions import Fraction
 from fractions import Fraction as F
@@ -16,7 +16,6 @@ from camech.model import (
     SingleMindedBid,
     allocation_value,
     bidder_utility,
-    conflicts,
     validate_instance,
 )
 from camech.money import Money
@@ -77,15 +76,6 @@ def test_validate_true_types():
     assert any("unknown bidder" in v.reason for v in validate_instance(inst))
 
 
-def test_conflicts():
-    red = SingleMindedBid("red", {"a"}, 10)
-    green = SingleMindedBid("green", {"a", "b"}, 19)
-    blue = SingleMindedBid("blue", {"b"}, 8)
-    assert not conflicts(red, blue)
-    assert conflicts(red, green)
-    assert conflicts(red, red)
-
-
 def test_bidder_utility_paper_values():
     # overcharged winner
     red = SingleMindedBid("red", {"a"}, 10)
@@ -111,14 +101,24 @@ def test_allocation_value():
     assert allocation_value(inst, Allocation.of_indices(inst, [1])) == Money(19)
 
 
+def _conflict_free(allocation):
+    bundles = list(allocation.grants.values())
+    return sum(map(len, bundles)) == len(frozenset().union(*bundles))
+
+
+def _exact(allocation, inst):
+    return all(bundle == inst.bids[j].bundle for j, bundle in allocation.grants.items())
+
+
 def test_allocation_flags():
     inst = three_bidder_instance()
     ok = Allocation.of_indices(inst, [0, 2])
-    assert ok.is_conflict_free() and ok.is_exact(inst)
+    assert ok.granted == {0, 2} and ok.bundle_granted(1) == frozenset()
+    assert _conflict_free(ok) and _exact(ok, inst)
     clash = Allocation.of_indices(inst, [0, 1])
-    assert not clash.is_conflict_free()
+    assert not _conflict_free(clash)
     partial = Allocation({1: frozenset({"a"})})
-    assert not partial.is_exact(inst)
+    assert not _exact(partial, inst)
 
 
 @given(st.lists(st.integers(min_value=0, max_value=5), unique=True))
