@@ -384,7 +384,6 @@ def find_profitable_deviation(
         raise BundleSpaceTooLarge(f"cannot enumerate bundles over {k} goods")
     declared = instance.bids[j]
     true_type = (instance.true_types or {}).get(declared.bidder, declared)
-    base = instance.without_true_types()
 
     def utility(out: Outcome) -> Money:
         return bidder_utility(true_type, out.allocation.bundle_granted(j), out.payments[j])
@@ -392,23 +391,23 @@ def find_profitable_deviation(
     truthful_bid = SingleMindedBid(
         declared.bidder, true_type.bundle, true_type.amount, declared.is_reserve
     )
-    truthful_utility = utility(mech.run(base.with_bid(j, truthful_bid)))
+    truthful_utility = utility(mech.run(instance.with_bid(j, truthful_bid)))
 
-    goods = base.goods
+    goods = instance.goods
     best: Optional[tuple[Money, SingleMindedBid]] = None
     tested = 0
     # a norm mechanism's thresholds depend on the bundle's size alone
     candidates: dict[tuple[Money, ...], list[Fraction]] = {}
     for bundle_bits in range(1, 1 << k):
         bundle = frozenset(goods[i] for i in range(k) if bundle_bits >> i & 1)
-        thresholds = tuple(mech.thresholds(base, j, bundle))
+        thresholds = tuple(mech.thresholds(instance, j, bundle))
         values = candidates.get(thresholds)
         if values is None:
             values = candidates[thresholds] = _candidate_values(thresholds, true_type.amount)
         for v in values:
             tested += 1
             attempt = SingleMindedBid(declared.bidder, bundle, v, declared.is_reserve)
-            u = utility(mech.run(base.with_bid(j, attempt)))
+            u = utility(mech.run(instance.with_bid(j, attempt)))
             if best is None or u > best[0]:
                 best = (u, attempt)
     if best is not None and best[0] > truthful_utility:

@@ -157,7 +157,7 @@ def _flag_mechanism(args) -> Mechanism:
 def _cmd_run(args) -> tuple[dict, int]:
     instance = _load_valid_instance(args)
     mech = _flag_mechanism(args)
-    return documents.outcome_document(instance, mech.run(instance), mech), EXIT_OK
+    return documents.outcome_document(mech.run(instance), mech), EXIT_OK
 
 
 def _cmd_check(args) -> tuple[dict, int]:

@@ -128,8 +128,10 @@ def instance_document(instance: AuctionInstance) -> dict:
 # --------------------------------------------------------------------------
 
 
-def outcome_document(instance: AuctionInstance, outcome: Outcome, mech: Mechanism) -> dict:
-    """What `mech` granted, charged and denied; its norm or its solver from `outcome.meta`."""
+def outcome_document(outcome: Outcome, mech: Mechanism) -> dict:
+    """What `mech` granted, charged and denied on `outcome.instance`; its norm
+    or its solver from `outcome.meta`."""
+    instance = outcome.instance
     cfg = mech.norm
     meta = outcome.meta or {}
     trace = outcome.trace

@@ -455,7 +455,7 @@ def revenue_compare_tie_orders(instance: AuctionInstance, cfg: NormConfig) -> Ti
     assert count == total_orders
     gva = run_gva(instance, SolverKind.BITMASK_DP)
     return TieOrderComparison(
-        revenue_sum / count, gva.revenue, count, tuple(len(g) for g in groups)
+        revenue_sum * F(1, count), gva.revenue, count, tuple(len(g) for g in groups)
     )
 
 

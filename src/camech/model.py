@@ -149,14 +149,6 @@ class AuctionInstance:
     def with_amount(self, j: int, amount) -> "AuctionInstance":
         return self.with_bid(j, self.bids[j].with_amount(amount))
 
-    def without_true_types(self) -> "AuctionInstance":
-        if self.true_types is None:
-            return self
-        child = AuctionInstance(self.goods, self.bids, None)
-        child.__dict__["good_index"] = self.good_index
-        child.__dict__["bid_masks"] = self.bid_masks
-        return child
-
     def assuming_truthful(self) -> "AuctionInstance":
         """Copy whose true types are exactly the declared bids."""
         return AuctionInstance(self.goods, self.bids, {b.bidder: b for b in self.bids})

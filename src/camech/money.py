@@ -4,16 +4,16 @@ Declared amounts are `Fraction`s.  The prices a mechanism computes from them
 (thresholds, payments, revenue and utilities) need square roots at norm
 exponent 1/2 and must never depend on a floating-point epsilon, so they are
 `Money`: rational linear combinations of square roots of square-free
-integers.  That set is closed under addition and multiplication, equality is
-decidable from the canonical form alone, and the sign of a non-zero value
-can always be resolved by refining integer square-root bounds.
+integers.  That set is closed under addition and under scaling by a
+rational, which is all the mechanisms need; equality is decidable from the
+canonical form alone, and the sign and the decimal digits of a non-zero
+value can always be resolved by refining integer square-root bounds.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
-from functools import lru_cache
 from math import isqrt
 from typing import Union
 
@@ -33,7 +33,6 @@ SIGNIFICANT_DIGITS = 12
 _EXPONENT = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)\s*$")
 
 
-@lru_cache(maxsize=None)
 def square_parts(n: int) -> tuple[int, int]:
     """Split n >= 1 into (outer, core) with n == outer**2 * core, core square-free."""
     if n < 1:
@@ -124,11 +123,6 @@ class Money:
             return cls(outer)
         return cls._from_terms({core: Fraction(outer)})
 
-    @classmethod
-    def root_term(cls, coefficient: Rational, radicand: int) -> "Money":
-        """coefficient * sqrt(radicand), normalised."""
-        return cls(coefficient) * cls.sqrt(radicand)
-
     # -- predicates ---------------------------------------------------------
 
     @property
@@ -188,37 +182,13 @@ class Money:
         return o + (-self)
 
     def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
+        """Scaling by an `int` or a `Fraction`; a product of two `Money`s is
+        not defined."""
+        if not isinstance(other, (int, Fraction)):
             return NotImplemented
-        a, b = _rational_value(self._terms), _rational_value(o._terms)
-        if a is not None and b is not None:
-            return Money._rational(a * b)
-        out: dict[int, Fraction] = {}
-        for m1, c1 in self._terms.items():
-            for m2, c2 in o._terms.items():
-                if m1 == m2:
-                    m, extra = 1, m1
-                else:
-                    outer, core = square_parts(m1 * m2)
-                    m, extra = core, outer
-                c = c1 * c2 * extra
-                s = out.get(m, _ZERO) + c
-                if s:
-                    out[m] = s
-                else:
-                    out.pop(m, None)
-        return Money._from_terms(out)
+        return Money._from_terms({m: c * other for m, c in self._terms.items()})
 
     __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        if isinstance(other, (int, Fraction)):
-            if other == 0:
-                raise ZeroDivisionError("money division by zero")
-            inv = Fraction(1, 1) / Fraction(other)
-            return Money._from_terms({m: c * inv for m, c in self._terms.items()})
-        return NotImplemented
 
     def __bool__(self):
         return bool(self._terms)
@@ -294,14 +264,13 @@ class Money:
         return self.compare(other) >= 0
 
     def __hash__(self):
+        # a rational value hashes as the `Fraction` it equals
         if self._hash is None:
-            self._hash = hash(self.terms())
+            f = _rational_value(self._terms)
+            self._hash = hash(self.terms()) if f is None else hash(f)
         return self._hash
 
     # -- rendering ----------------------------------------------------------
-
-    def __float__(self):
-        return float(sum(float(c) * m ** 0.5 for m, c in self._terms.items()))
 
     def __repr__(self):
         if not self._terms:
@@ -312,40 +281,40 @@ class Money:
         return f"Money<{parts}>"
 
     def to_decimal(self) -> str:
-        """Decimal string rounded (half-even) to `SIGNIFICANT_DIGITS` digits, zeros stripped."""
-        s = self.sign()
-        if s == 0:
+        """Decimal string rounded (half-even) to `SIGNIFICANT_DIGITS` digits, zeros stripped.
+
+        Bounds are refined until both round to the same sign, decimal
+        exponent and digits, which the value between them then shares.
+        """
+        if not self._terms:
             return "0"
-        x = -self if s < 0 else self
-        e = x._floor_log10()
-        text = _decimal_text(x._scaled_round(SIGNIFICANT_DIGITS - 1 - e), e)
-        return "-" + text if s < 0 else text
-
-    def _floor_log10(self) -> int:
-        """floor(log10(self)) for self > 0."""
         bits = 64
         while True:
             lo, hi = self.bounds(bits)
-            if lo > 0:
-                elo = _floor_log10_fraction(lo)
-                ehi = _floor_log10_fraction(hi)
-                if elo == ehi:
-                    return elo
+            rounded = _rounded(lo)
+            if rounded[0] and rounded == _rounded(hi):
+                sign, n, e = rounded
+                text = _decimal_text(n, e)
+                return "-" + text if sign < 0 else text
             bits *= 2
 
-    def _scaled_round(self, shift: int) -> int:
-        """round-half-even of self * 10**shift, for self > 0."""
-        scale = Fraction(10) ** shift
-        if self.is_rational:
-            return _round_half_even(self._terms[1] * scale)
-        bits = 64
-        while True:
-            lo, hi = self.bounds(bits)
-            rlo = _round_half_even(lo * scale)
-            rhi = _round_half_even(hi * scale)
-            if rlo == rhi:
-                return rlo
-            bits *= 2
+
+def _rounded(f: Fraction) -> tuple[int, int, int]:
+    """(sign, n, e) with e = floor(log10|f|) and n = |f| * 10**(SIGNIFICANT_DIGITS - 1 - e)
+    rounded half to even; (0, 0, 0) for zero.  Integers only."""
+    n, d = abs(f.numerator), f.denominator
+    if not n:
+        return 0, 0, 0
+    e = _decimal_exponent(n, d)
+    shift = SIGNIFICANT_DIGITS - 1 - e
+    if shift >= 0:
+        n *= 10 ** shift
+    else:
+        d *= 10 ** -shift
+    q, r = divmod(n, d)
+    if 2 * r > d or (2 * r == d and q % 2):
+        q += 1
+    return (-1 if f.numerator < 0 else 1), q, e
 
 
 def _decimal_text(n: int, e: int) -> str:
@@ -371,7 +340,7 @@ def root_to_decimal(y: Fraction, q: int) -> str:
     root is zero or irrational (so no rounding tie can occur); integers only."""
     if not y:
         return "0"
-    e = _floor_log10_fraction(y) // q  # 10**e <= y**(1/q) < 10**(e + 1)
+    e = _decimal_exponent(y.numerator, y.denominator) // q  # 10**e <= y**(1/q) < 10**(e + 1)
     shift = (SIGNIFICANT_DIGITS - 1 - e) * q
     # plain integers: Fraction arithmetic would take gcds of huge powers
     num, den = y.numerator << q, y.denominator
@@ -383,11 +352,10 @@ def root_to_decimal(y: Fraction, q: int) -> str:
     return _decimal_text((twice + 1) // 2, e)
 
 
-def _floor_log10_fraction(f: Fraction) -> int:
-    """floor(log10(f)) for f > 0, in integers only."""
-    n, d = f.numerator, f.denominator
+def _decimal_exponent(n: int, d: int) -> int:
+    """floor(log10(n / d)) for n, d > 0, in integers only."""
 
-    def below(e: int) -> bool:  # f < 10**e
+    def below(e: int) -> bool:  # n / d < 10**e
         return n < d * 10 ** e if e >= 0 else n * 10 ** -e < d
 
     e = (n.bit_length() - d.bit_length()) * 30103 // 100000  # log10(2) ~ 0.30103
@@ -396,14 +364,6 @@ def _floor_log10_fraction(f: Fraction) -> int:
     while not below(e + 1):
         e += 1
     return e
-
-
-def _round_half_even(f: Fraction) -> int:
-    q, r = divmod(f.numerator, f.denominator)
-    twice = 2 * r
-    if twice > f.denominator or (twice == f.denominator and q % 2):
-        q += 1
-    return q
 
 
 def fraction_to_decimal(f: Fraction) -> str:

@@ -19,7 +19,7 @@ from math import gcd, lcm
 
 from .errors import ExponentNotSupported, InvalidArgument, TiesPresent
 from .model import AuctionInstance, SingleMindedBid
-from .money import Money, iroot, root_to_decimal, square_parts
+from .money import Money, iroot, root_to_decimal
 
 #: Largest numerator or denominator of a norm exponent, so exact powers stay small.
 MAX_EXPONENT_TERM = 1000
@@ -64,8 +64,7 @@ def bundle_ratio_power(w_num: int, w_den: int, p: int, q: int) -> Money:
     if q == 1 or a == b:
         return Money(Fraction(a, b))
     if q == 2:
-        outer, core = square_parts(a * b)
-        return Money.root_term(Fraction(outer, b), core)
+        return Money.sqrt(a * b) * Fraction(1, b)
     ra, rb = iroot(a, q), iroot(b, q)
     if ra ** q == a and rb ** q == b:
         return Money(Fraction(ra, rb))

@@ -451,7 +451,7 @@ def _radical(draw):
     m = draw(st.sampled_from([2, 3, 5, 6, 7, 10, 11]))
     c = F(draw(st.integers(1, 10 ** 6)), draw(st.integers(1, 10 ** 3)))
     r = F(draw(st.integers(-10 ** 6, 10 ** 6)), draw(st.integers(1, 10 ** 3)))
-    return Money.root_term(c, m) + r
+    return Money.sqrt(m) * c + r
 
 
 @st.composite

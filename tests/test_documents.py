@@ -103,7 +103,7 @@ def test_outcome_document_greedy():
     inst = parse_instance(THREE)
     cfg = NormConfig(F(1))
     out = run_greedy(inst, cfg)
-    doc = outcome_document(inst, out, greedy_mechanism(cfg))
+    doc = outcome_document(out, greedy_mechanism(cfg))
     assert doc["mechanism"] == "greedy"
     assert doc["norm_exponent"] == "1"
     assert doc["tie_rule"] == "canonical"
@@ -119,7 +119,7 @@ def test_outcome_document_greedy():
 def test_outcome_document_gva_with_utilities():
     inst = parse_instance(THREE).assuming_truthful()
     out = run_gva(inst, SolverKind.BITMASK_DP)
-    doc = outcome_document(inst, out, gva_mechanism(SolverKind.BITMASK_DP))
+    doc = outcome_document(out, gva_mechanism(SolverKind.BITMASK_DP))
     assert doc["norm_exponent"] is None
     assert doc["solver"] == "dp"
     assert doc["unique_optimum"] is True

@@ -173,7 +173,7 @@ def test_halfinteger_exponent_payment_is_exact_surd():
     out = run_greedy(inst, NormConfig(F(1, 2)))
     assert sorted(out.allocation.grants) == [0, 2]
     # red pays green's norm 13/sqrt(2) = (13/2) sqrt(2)
-    assert out.payments[0] == Money.root_term(F(13, 2), 2)
+    assert out.payments[0] == Money.sqrt(2) * F(13, 2)
     assert out.payments[0].to_decimal() == "9.19238815543"
 
 

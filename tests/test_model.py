@@ -161,7 +161,7 @@ def test_with_bid_reseeds_caches():
 
 @pytest.mark.parametrize(
     "amount",
-    [Money(3), Money.root_term(F(19, 2), 2), 1.5, "10", True],
+    [Money(3), Money.sqrt(2) * F(19, 2), 1.5, "10", True],
     ids=["rational-money", "irrational-money", "float", "string", "bool"],
 )
 def test_bid_rejects_non_rational_amount_types(amount):

@@ -1,6 +1,9 @@
 """Exact arithmetic: canonical forms, ordering, and decimal rendering."""
 
+import random
+from decimal import ROUND_HALF_EVEN, Decimal, localcontext
 from fractions import Fraction as F
+from math import isqrt
 
 import pytest
 from hypothesis import given, settings
@@ -42,19 +45,20 @@ def test_rational_roundtrip():
 
 def test_sqrt_normalisation():
     assert Money.sqrt(4) == Money(2)
-    assert Money.sqrt(8) == Money.root_term(2, 2)
+    assert Money.sqrt(8) == Money.sqrt(2) * 2
     assert Money.sqrt(0) == Money(0)
-    # sqrt(2)*sqrt(2) == 2, sqrt(2)*sqrt(3) == sqrt(6)
-    r2, r3 = Money.sqrt(2), Money.sqrt(3)
-    assert r2 * r2 == Money(2)
-    assert r2 * r3 == Money.sqrt(6)
-    assert (r2 + r3) * (r2 - r3) == Money(-1)
+    assert Money.sqrt(12) * F(1, 2) == Money.sqrt(3)
+    # Money scales by rationals only: the product of two radicals is undefined
+    with pytest.raises(TypeError):
+        Money.sqrt(2) * Money.sqrt(3)
+    with pytest.raises(TypeError):
+        Money(2) * Money(3)
 
 
 def test_irrational_values_are_not_rational():
-    v = Money.root_term(F(13, 2), 2)
-    assert not v.is_rational
-    assert (v * v).is_rational and Money(F(19, 2)).is_rational
+    v = Money.sqrt(2) * F(13, 2)
+    assert not v.is_rational and not (v + 1).is_rational
+    assert (v - v).is_rational and (v * 0).is_rational and Money(F(19, 2)).is_rational
 
 
 def test_ordering_exact():
@@ -67,10 +71,23 @@ def test_ordering_exact():
 
 
 def test_division():
-    assert Money(5) / 2 == Money(F(5, 2))
-    assert Money.root_term(13, 2) / F(2, 3) == Money.root_term(F(39, 2), 2)
-    with pytest.raises(ZeroDivisionError):
-        Money(1) / 0
+    # dividing is scaling by the reciprocal; `/` and `float()` are not defined
+    assert Money(5) * F(1, 2) == Money(F(5, 2))
+    assert Money.sqrt(2) * 13 * F(3, 2) == Money.sqrt(2) * F(39, 2)
+    assert F(1, 4) * Money.sqrt(8) == Money.sqrt(2) * F(1, 2)
+    with pytest.raises(TypeError):
+        Money(5) / 2
+    with pytest.raises(TypeError):
+        float(Money.sqrt(2))
+
+
+def test_rational_money_hashes_like_its_fraction():
+    assert hash(Money(F(3, 2))) == hash(F(3, 2))
+    assert hash(Money(3)) == hash(3) and hash(Money(0)) == hash(0)
+    assert len({Money(0), 0}) == 1
+    assert {Money(F(3, 2)), F(3, 2), Money(7), 7, F(7)} == {F(3, 2), 7}
+    r = Money.sqrt(2) * F(1, 3)
+    assert hash(r) == hash(Money.sqrt(8) * F(1, 6)) and len({r, Money.sqrt(2)}) == 2
 
 
 @pytest.mark.parametrize(
@@ -97,10 +114,70 @@ def test_to_decimal():
     assert Money(F(2, 3)).to_decimal() == "0.666666666667"
     # sqrt(2) to 12 significant digits
     assert Money.sqrt(2).to_decimal() == "1.41421356237"
-    assert Money.root_term(F(13, 2), 2).to_decimal() == "9.19238815543"
+    assert (Money.sqrt(2) * F(13, 2)).to_decimal() == "9.19238815543"
     # round-half-even at the cut digit: ...012.5 -> ...012, ...013.5 -> ...014
     assert Money(F(1234567890125, 10 ** 13)).to_decimal() == "0.123456789012"
     assert Money(F(1234567890135, 10 ** 13)).to_decimal() == "0.123456789014"
+
+
+def _reference_decimal(v: Money) -> str:
+    """`v` to 12 significant digits, half to even, by Python's `decimal` at 80 digits."""
+    with localcontext() as ctx:
+        ctx.prec = 80
+        x = sum(
+            Decimal(c.numerator) / Decimal(c.denominator) * Decimal(m).sqrt()
+            for m, c in v.terms()
+        )
+        x = x.quantize(Decimal(1).scaleb(x.adjusted() - 11), rounding=ROUND_HALF_EVEN)
+    text = format(x, "f")
+    return text.rstrip("0").rstrip(".") if "." in text else text
+
+
+def _near(target: F, m: int, rng: random.Random) -> Money:
+    """c * sqrt(m) within about 2**-120 of `target` > 0, relatively, on a random side of it."""
+    bits = 120 - (target.numerator.bit_length() - target.denominator.bit_length())
+    scaled = target * target * F(4) ** bits / m
+    c = isqrt(scaled.numerator // scaled.denominator) + rng.randint(0, 1)
+    return Money.sqrt(m) * (c / F(2) ** bits)
+
+
+def _reference_values(rng: random.Random):
+    """(value, the power of ten it lies a hair off, or None)."""
+    radicands = [2, 3, 5, 6, 7, 8, 10, 12, 13, 30, 101, 2 * 3 * 5 * 7 * 11 * 13]
+    for i in range(5200):
+        kind = i % 6
+        scale = F(10) ** rng.choice([rng.randint(-4, 4), rng.randint(-300, 300)])
+        sign = rng.choice([1, -1])
+        if kind == 0:  # rationals
+            yield Money(F(rng.randint(-10 ** 15, 10 ** 15), rng.randint(1, 10 ** 6)) * scale), None
+        elif kind == 1:  # rationals exactly half-way between two 12-digit decimals
+            n = rng.randint(10 ** 11, 10 ** 12 - 1)
+            yield Money(sign * F(2 * n + 1, 2) * scale / 10 ** 11), None
+        elif kind in (2, 3):  # 1 to 4 terms, mixed signs
+            v = Money(0)
+            for _ in range(rng.randint(1, 4)):
+                c = F(rng.randint(-10 ** 9, 10 ** 9), rng.randint(1, 10 ** 4))
+                v = v + Money.sqrt(rng.choice(radicands + [1])) * c
+            yield v * scale, None
+        elif kind == 4:  # a hair off a power of ten: 64-bit bounds straddle it
+            yield _near(scale, rng.choice(radicands[:-1]), rng) * sign, scale * sign
+        else:  # a hair off a rounding half-way point
+            n = rng.randint(10 ** 11, 10 ** 12 - 1)
+            target = F(2 * n + 1, 2) * scale / 10 ** 11
+            yield _near(target, rng.choice(radicands), rng) * sign, None
+
+
+def test_to_decimal_matches_decimal_reference():
+    values = [(v, power) for v, power in _reference_values(random.Random(2002)) if v]
+    assert len(values) >= 5000
+    assert sum(not v.is_rational for v, _ in values) >= 2500
+    straddling = 0
+    for v, power in values:
+        assert v.to_decimal() == _reference_decimal(v), v
+        if power is not None:
+            lo, hi = v.bounds(64)
+            straddling += lo < power < hi
+    assert straddling >= 500
 
 
 def test_fraction_to_decimal_exact():
@@ -131,26 +208,36 @@ def test_to_decimal_extreme_magnitudes():
 @settings(max_examples=60, deadline=None)
 def test_rational_arithmetic_matches_fraction(a, b):
     assert Money(a) + Money(b) == Money(a + b)
-    assert Money(a) * Money(b) == Money(a * b)
+    assert Money(a) * b == b * Money(a) == Money(a * b)
     assert Money(a) - Money(b) == Money(a - b)
     assert Money(a).compare(Money(b)) == (a > b) - (a < b)
 
 
 _small_surd = st.builds(
-    Money.root_term,
+    lambda c, m: Money.sqrt(m) * c,
     st.fractions(min_value=-5, max_value=5),
     st.integers(min_value=1, max_value=30),
 )
 _values = st.one_of(st.fractions(min_value=-10, max_value=10).map(Money), _small_surd)
+_scalars = st.fractions(min_value=-10, max_value=10)
 
 
-@given(_values, _values, _values)
+def _approx(v: Money) -> float:
+    """A float evaluation, independent of `Money`'s own refinement."""
+    return sum(float(c) * m ** 0.5 for m, c in v.terms())
+
+
+@given(_values, _values, _values, _scalars, _scalars)
 @settings(max_examples=60, deadline=None)
-def test_ring_laws(a, b, c):
+def test_ring_laws(a, b, c, r, s):
+    # additive group laws plus scaling by rationals: a vector space over Q
     assert a + b == b + a
     assert (a + b) + c == a + (b + c)
-    assert a * (b + c) == a * b + a * c
     assert (a + b) - b == a
+    assert (a + b) * r == a * r + b * r
+    assert a * (r + s) == a * r + a * s
+    assert (a * r) * s == a * (r * s)
+    assert a * 1 == a and a * 0 == Money(0)
 
 
 @given(_values, _values)
@@ -158,7 +245,7 @@ def test_ring_laws(a, b, c):
 def test_total_order(a, b):
     assert (a < b) + (a == b) + (a > b) == 1
     # sign agrees with a float evaluation well away from the boundary
-    fa, fb = float(a), float(b)
+    fa, fb = _approx(a), _approx(b)
     if abs(fa - fb) > 1e-6:
         assert (a < b) == (fa < fb)
 
@@ -167,6 +254,4 @@ def test_total_order(a, b):
 @settings(max_examples=40, deadline=None)
 def test_decimal_render_is_close(v):
     text = v.to_decimal()
-    assert abs(float(F(text) if "/" not in text else F(text)) - float(v)) <= max(
-        1e-9, abs(float(v)) * 1e-9
-    )
+    assert abs(float(F(text)) - _approx(v)) <= max(1e-9, abs(_approx(v)) * 1e-9)

@@ -51,11 +51,20 @@ def test_norm_compare_exponent_zero_orders_by_amount():
 def test_bundle_ratio_power():
     assert bundle_ratio_power(4, 2, 1, 1) == Money(2)
     assert bundle_ratio_power(2, 1, 1, 2) == Money.sqrt(2)
-    assert bundle_ratio_power(1, 2, 1, 2) == Money.root_term(F(1, 2), 2)
+    assert bundle_ratio_power(1, 2, 1, 2) == Money.sqrt(2) * F(1, 2)
     assert bundle_ratio_power(8, 1, 1, 3) == Money(2)  # perfect cube
     assert bundle_ratio_power(5, 5, 7, 3) == Money(1)
     with pytest.raises(ExponentNotSupported, match=r"^\(2/1\)\*\*1/3 has no exact"):
         bundle_ratio_power(2, 1, 1, 3)
+    # half-integer powers: one term c * sqrt(m), c > 0 and m square-free,
+    # that squares back to the rational power, checked on coefficients alone
+    primes = [d for d in range(2, 64) if all(d % k for k in range(2, d))]
+    for p in (1, 3, 5, 7, 9):
+        for w_num in range(1, 64):
+            for w_den in range(1, 64):
+                ((m, c),) = bundle_ratio_power(w_num, w_den, p, 2).terms()
+                assert c > 0 and c * c * m == F(w_num, w_den) ** p
+                assert all(m % (d * d) for d in primes)
 
 
 def test_rank_paper_order():
