@@ -40,13 +40,16 @@ class Mechanism:
     and the misreport search probe around them.  It need not run the
     mechanism: the GVA's thresholds are read off one DP value table of the
     other bids, whichever solver `run` uses.  `norm` is the ranking norm
-    of a norm-based mechanism.
+    of a norm-based mechanism.  `thresholds_guard(instance)`, when given,
+    raises `InstanceTooLarge` if `thresholds` would refuse the instance,
+    without building anything, so a suite can refuse it before any run.
     """
 
     name: str
     run: Callable[[AuctionInstance], Outcome]
     thresholds: Callable[[AuctionInstance, int, frozenset], Sequence[Money]]
     norm: Optional[NormConfig] = None
+    thresholds_guard: Optional[Callable[[AuctionInstance], None]] = None
 
 
 def _norm_mechanism(
@@ -85,7 +88,14 @@ def gva_mechanism(solver: _exact.SolverKind) -> Mechanism:
         entry = best[full] - best[full ^ inst.mask_of(bundle)]
         return [Money(Fraction(entry, inst.integer_amounts.denominator))]
 
-    return Mechanism("gva", lambda inst: _exact.run_gva(inst, solver), thresholds)
+    def thresholds_guard(inst: AuctionInstance) -> None:
+        # the bound `_entry_table` checks on the other bids
+        _exact._check_cells(len(inst.bids) - 1, len(inst.goods))
+
+    return Mechanism(
+        "gva", lambda inst: _exact.run_gva(inst, solver), thresholds,
+        thresholds_guard=thresholds_guard,
+    )
 
 
 #: Mechanism name -> constructor taking the norm and the exact solver; a
@@ -299,7 +309,9 @@ def run_axiom_suite(
 
     The mechanism runs once per instance and every selected check reads that
     outcome; a check stops at its first violation, and a `NonMonotoneDetected`
-    from the critical-value search is a violated critical check.
+    from the critical-value search is a violated critical check.  With the
+    critical check selected, every instance passes the mechanism's
+    `thresholds_guard` before the first run.
     """
     selected = set(axioms)
     unknown = sorted(selected - set(AXIOMS))
@@ -308,6 +320,9 @@ def run_axiom_suite(
     if "monotonicity" in selected and perturbations < 1:
         raise InvalidArgument("monotonicity needs at least one perturbation per granted bid")
     instances = list(instances)
+    if "critical" in selected and mech.thresholds_guard is not None:
+        for inst in instances:
+            mech.thresholds_guard(inst)
     rng = random.Random(f"monotonicity:{seed}")
     tried = 0
     pending = [name for name in AXIOMS if name in selected]

@@ -6,7 +6,14 @@ construction and every operation is a pure function, so everything here can
 be shared freely across threads.  An `Outcome`'s prices may be computed on
 first read and cached; that changes no value, since each is a pure function
 of the outcome's inputs, and two threads racing to fill a cache store equal
-values, so an outcome stays immutable and thread-safe.
+values, so an outcome stays immutable and thread-safe.  The same holds for
+an instance's caches.  A `with_bid` child's `origin` is set before the
+child is returned and never changes.  `rankings` holds, per `NormConfig`,
+the instance's ranking and one slot with the position of the last bid its
+children replaced; two threads racing may both append a ranking for one
+configuration, and they are equal.  `norm.rank` replaces the slot by one
+assignment of a whole tuple, so a reader sees either the old slot or the
+new one, each correct for the bid it names.
 """
 
 from __future__ import annotations
@@ -15,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
-from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
+from typing import ClassVar, Iterable, Mapping, NamedTuple, Optional, Sequence
 
 from .errors import InvalidArgument
 from .money import Money
@@ -98,6 +105,9 @@ class AuctionInstance:
     goods: tuple[Good, ...]
     bids: tuple[SingleMindedBid, ...]
     true_types: Optional[Mapping[str, SingleMindedBid]] = None
+    #: `(parent, j)` when this instance is `parent` with bid j replaced, set
+    #: by `with_bid`; `parent` itself never has an origin.
+    origin: ClassVar[Optional[tuple["AuctionInstance", int]]] = None
 
     def __post_init__(self):
         if not isinstance(self.goods, tuple):
@@ -123,8 +133,18 @@ class AuctionInstance:
 
     @cached_property
     def integer_amounts(self) -> IntegerAmounts:
-        """The amounts over their common denominator."""
+        """The amounts over their common denominator; a `with_bid` child
+        derives its form from its origin's."""
+        if self.origin is not None:
+            parent, j = self.origin
+            return parent.integer_amounts.replaced(j, self.bids[j].amount)
         return IntegerAmounts.of([b.amount for b in self.bids])
+
+    @cached_property
+    def rankings(self) -> list:
+        """What `norm.rank` keeps here to rank this instance's `with_bid`
+        children: `(NormConfig, ranking)` pairs, one per configuration."""
+        return []
 
     def mask_of(self, bundle: Iterable[Good]) -> int:
         index = self.good_index
@@ -134,7 +154,16 @@ class AuctionInstance:
         return mask
 
     def with_bid(self, j: int, new_bid: SingleMindedBid) -> "AuctionInstance":
-        """Copy of the instance with bid j replaced; caches are reseeded."""
+        """Copy of the instance with bid j replaced; caches are reseeded.
+
+        The child records its `origin`, the instance it differs from in bid
+        j alone: this one, or this one's own origin when that replaced the
+        same bid.  A child of a child that replaces another bid records
+        none, so an origin keeps at most one ancestor alive.  A child with
+        an origin derives its `integer_amounts` from the origin's on first
+        read, and `norm.rank` inserts bid j into the origin's ranking of
+        the other bids instead of sorting them again.
+        """
         bids = list(self.bids)
         bids[j] = new_bid
         child = AuctionInstance(self.goods, tuple(bids), self.true_types)
@@ -143,7 +172,13 @@ class AuctionInstance:
         masks = list(self.bid_masks)
         masks[j] = self.mask_of(new_bid.bundle)
         cache["bid_masks"] = tuple(masks)
-        cache["integer_amounts"] = self.integer_amounts.replaced(j, new_bid.amount)
+        origin = self.origin
+        if origin is None:
+            cache["origin"] = (self, j)
+        elif origin[1] == j:
+            cache["origin"] = origin
+        else:
+            cache["integer_amounts"] = self.integer_amounts.replaced(j, new_bid.amount)
         return child
 
     def with_amount(self, j: int, amount) -> "AuctionInstance":

@@ -85,13 +85,20 @@ class Money:
     square-free), which makes equality a structural check: square roots of
     distinct square-free integers are linearly independent over the
     rationals.
+
+    A `Money` is built from an int, a `Fraction`, a string `Fraction`
+    parses (as `repr` renders it) or another `Money`.  A float raises
+    `TypeError`: its binary value is seldom the number meant, and `Money`
+    arithmetic rejects floats too.
     """
 
     __slots__ = ("_terms", "_hash")
 
-    def __init__(self, value: Rational | "Money" = 0):
+    def __init__(self, value: Rational | str | "Money" = 0):
         if isinstance(value, Money):
             self._terms = value._terms
+        elif isinstance(value, float):
+            raise TypeError("Money does not take a float; pass a Fraction or a string")
         else:
             f = Fraction(value)
             self._terms = {1: f} if f else {}

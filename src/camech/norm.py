@@ -11,10 +11,11 @@ values, and so in thresholds, payments, revenue and utilities.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from bisect import bisect_left
+from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import gcd, lcm
 
 from .errors import ExponentNotSupported, InvalidArgument, TiesPresent
@@ -95,16 +96,137 @@ def norm_text(bid: SingleMindedBid, exponent: Fraction) -> str:
 
 @dataclass(frozen=True, eq=False)
 class RankedList:
-    """A total order over bid indices, norm-descending, ties resolved.
+    """A total order over the bid indices of `instance`, norm-descending,
+    ties resolved.
 
     `keys[j]` is bid j's order key amount**q / size**p, scaled to an
-    integer: equal keys are equal norms.
+    integer: equal keys are equal norms.  It is computed on first read.
     """
 
     order: tuple[int, ...]
     exponent: Fraction
     had_ties: bool
-    keys: tuple[int, ...]
+    instance: AuctionInstance = field(repr=False)
+
+    @cached_property
+    def keys(self) -> tuple[int, ...]:
+        return tuple(_integer_keys(self.instance, self.exponent)[0])
+
+
+def _integer_keys(instance: AuctionInstance, exponent: Fraction) -> tuple[list[int], int]:
+    """Every bid's integer order key, and the lcm of the bundle sizes."""
+    p, q = exponent.numerator, exponent.denominator
+    sizes = [len(b.bundle) for b in instance.bids]
+    top = lcm(*sizes)
+    amounts = instance.integer_amounts.weights
+    return [w ** q * (top // s) ** p for w, s in zip(amounts, sizes)], top
+
+
+def _sorted(instance: AuctionInstance, cfg: NormConfig) -> tuple[list[int], list[int], int, bool]:
+    """The full sort: order, keys, lcm of the sizes and whether keys tie."""
+    bids = instance.bids
+    n = len(bids)
+    if cfg.tie_rule is TieRule.EXPLICIT:
+        if sorted(cfg.explicit_order) != list(range(n)):
+            raise InvalidArgument("explicit order must be a permutation of the bid indices")
+        explicit_pos = {j: p for p, j in enumerate(cfg.explicit_order)}
+
+    keys, top = _integer_keys(instance, cfg.exponent)
+    order = sorted(range(n), key=keys.__getitem__, reverse=True)
+    ties = [(i, j) for i, j in zip(order, order[1:]) if keys[i] == keys[j]]
+    if ties:
+        if cfg.tie_rule is TieRule.REJECT:
+            raise TiesPresent("distinct bids share a norm value", ties)
+        if cfg.tie_rule is TieRule.EXPLICIT:
+            order = sorted(range(n), key=lambda i: (keys[i], -explicit_pos[i]), reverse=True)
+        else:
+            amounts, masks = instance.integer_amounts.weights, instance.bid_masks
+            order = sorted(
+                range(n), key=lambda i: (keys[i], amounts[i], -masks[i], -i), reverse=True
+            )
+    return order, keys, top, bool(ties)
+
+
+class _ParentRanking:
+    """An instance's ranking under one `NormConfig`, kept for its children:
+    the order, the negated keys in that order (so ascending), whether any
+    keys tie, and in `without` the last replaced bid j, its position in the
+    order and whether the other bids' keys tie."""
+
+    __slots__ = ("order", "neg_keys", "scale", "tied", "without")
+
+    def __init__(self, instance: AuctionInstance, cfg: NormConfig):
+        order, keys, top, self.tied = _sorted(instance, cfg)
+        self.order = tuple(order)
+        self.neg_keys = [-keys[i] for i in order]
+        p, q = cfg.exponent.numerator, cfg.exponent.denominator
+        self.scale = instance.integer_amounts.denominator ** q * top ** p
+        self.without = None
+
+    def without_bid(self, j: int) -> tuple[int, int, bool]:
+        without = self.without
+        if without is None or without[0] != j:
+            at = self.order.index(j)
+            others = self.neg_keys[:at] + self.neg_keys[at + 1:]
+            ties = any(a == b for a, b in zip(others, others[1:]))
+            without = self.without = (j, at, ties)
+        return without
+
+
+def _parent_ranking(parent: AuctionInstance, cfg: NormConfig) -> _ParentRanking | None:
+    """The ranking kept in `parent.rankings` for cfg, computed on first use;
+    None when it raised `TiesPresent`."""
+    rankings = parent.rankings
+    # a scan, not a dict: hashing a `NormConfig` hashes its Fraction
+    for kept, ranking in rankings:
+        if kept is cfg or kept == cfg:
+            return ranking
+    ranking = None
+    if cfg.tie_rule is not TieRule.EXPLICIT:  # an explicit order is checked by the sort
+        # without tied keys, every tie rule gives the same order
+        ranking = next((
+            kept_ranking for kept, kept_ranking in rankings
+            if kept_ranking is not None and not kept_ranking.tied
+            and kept.exponent == cfg.exponent
+        ), None)
+    if ranking is None:
+        try:
+            ranking = _ParentRanking(parent, cfg)
+        except TiesPresent:
+            pass
+    rankings.append((cfg, ranking))
+    return ranking
+
+
+def _inserted(instance: AuctionInstance, cfg: NormConfig) -> RankedList | None:
+    """The ranking of a `with_bid` child from its origin's: the other bids
+    keep their order, and bid j goes in by one bisect on exact keys.  None
+    when bid j's key ties another, or the origin's ranking raised."""
+    parent, j = instance.origin
+    ranking = _parent_ranking(parent, cfg)
+    if ranking is None:
+        return None
+    _, at, ties = ranking.without_bid(j)
+    # the parent's key of bid i is its order key times `ranking.scale`, and
+    # bid j's order key is (num / d)**q / s**p: bid i ranks above j exactly
+    # when its key exceeds num**q * scale / (d**q * s**p), or that value's floor
+    bid = instance.bids[j]
+    amount = bid.amount
+    p, q = cfg.exponent.numerator, cfg.exponent.denominator
+    floor, rest = divmod(
+        amount.numerator ** q * ranking.scale, amount.denominator ** q * len(bid.bundle) ** p
+    )
+    neg_keys = ranking.neg_keys
+    pos = bisect_left(neg_keys, -floor)  # counts j's old key when it is above
+    rival = pos + 1 if pos == at else pos
+    if not rest and rival < len(neg_keys) and neg_keys[rival] == -floor:
+        return None
+    order = ranking.order
+    if pos <= at:
+        order = order[:pos] + (j,) + order[pos:at] + order[at + 1:]
+    else:
+        order = order[:at] + order[at + 1:pos] + (j,) + order[pos:]
+    return RankedList(order, cfg.exponent, ties, instance)
 
 
 def rank(instance: AuctionInstance, cfg: NormConfig) -> RankedList:
@@ -114,30 +236,21 @@ def rank(instance: AuctionInstance, cfg: NormConfig) -> RankedList:
     equal-norm bids raises `TiesPresent`; with `CANONICAL` ties break by
     higher amount, then smaller bundle bitset, then lower bid index; with
     `EXPLICIT` ties break by position in `cfg.explicit_order`.
-    """
-    bids = instance.bids
-    n = len(bids)
-    exponent = cfg.exponent
-    if cfg.tie_rule is TieRule.EXPLICIT:
-        if sorted(cfg.explicit_order) != list(range(n)):
-            raise InvalidArgument("explicit order must be a permutation of the bid indices")
-        explicit_pos = {j: p for p, j in enumerate(cfg.explicit_order)}
 
-    p, q = exponent.numerator, exponent.denominator
-    sizes = [len(b.bundle) for b in bids]
-    amounts = instance.integer_amounts.weights
-    top = lcm(*sizes)
-    keys = [w ** q * (top // s) ** p for w, s in zip(amounts, sizes)]
-    order = sorted(range(n), key=keys.__getitem__, reverse=True)
-    ties = [(i, j) for i, j in zip(order, order[1:]) if keys[i] == keys[j]]
-    if ties:
-        if cfg.tie_rule is TieRule.REJECT:
-            raise TiesPresent("distinct bids share a norm value", ties)
-        if cfg.tie_rule is TieRule.EXPLICIT:
-            order = sorted(range(n), key=lambda i: (keys[i], -explicit_pos[i]), reverse=True)
-        else:
-            masks = instance.bid_masks
-            order = sorted(
-                range(n), key=lambda i: (keys[i], amounts[i], -masks[i], -i), reverse=True
-            )
-    return RankedList(tuple(order), exponent, bool(ties), tuple(keys))
+    A `with_bid` child inherits its origin's ranking of the other bids.
+    Rescaling the amounts to a new common denominator, or the sizes to a
+    new lcm, multiplies every other bid's key and amount by one positive
+    factor, so they keep their order, tie breaks included.  The origin's
+    ranking under `cfg` is computed once and kept in its `rankings` (a
+    tie-free one serves every tie rule but `EXPLICIT`), with the position
+    of the last replaced bid j, and j is placed by one bisect on the
+    origin's keys.  When j's key ties another bid's, or the origin's
+    `REJECT` ranking raised (as it does whenever the other bids tie), the
+    child is sorted in full like an instance without an origin.
+    """
+    if instance.origin is not None:
+        ranked = _inserted(instance, cfg)
+        if ranked is not None:
+            return ranked
+    order, _, _, ties = _sorted(instance, cfg)
+    return RankedList(tuple(order), cfg.exponent, ties, instance)

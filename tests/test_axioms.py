@@ -445,6 +445,23 @@ def test_gva_brute_critical_refused_past_table_bound(monkeypatch):
     assert built == []
 
 
+def test_gva_critical_suite_refused_before_first_run(monkeypatch):
+    # the same 17 bids over 18 goods: a suite with the critical check refuses
+    # them before the brute-force GVA runs at all
+    goods = tuple(f"g{i}" for i in range(18))
+    inst = AuctionInstance(goods, tuple(bid(f"b{i}", {goods[i]}, i + 1) for i in range(17)))
+    ran, built = [], []
+    monkeypatch.setattr(exact, "run_gva", lambda *args: ran.append(args))
+    monkeypatch.setattr(exact, "_value_tables", lambda *args: built.append(args))
+    mech = gva_mechanism(SolverKind.BRUTE_FORCE_BID_SUBSETS)
+    with pytest.raises(InstanceTooLarge, match="table cells"):
+        run_axiom_suite(mech, [three_bidder_instance(), inst], ["exactness", "critical"])
+    assert ran == [] and built == []
+    # in bound, the guard builds no table
+    mech.thresholds_guard(three_bidder_instance())
+    assert built == []
+
+
 @st.composite
 def _radical(draw):
     """c * sqrt(m) + r with c > 0 and m square-free."""

@@ -508,6 +508,24 @@ def test_out_of_range_flag_exit_2(three_path, argv):
     assert set(json.loads(result.stdout)) == {"error"}
 
 
+def test_gva_critical_check_past_table_bound_exit_4(tmp_path):
+    # 17 one-good bids over 18 goods: the critical check's value table of the
+    # other 16 bids would pass the DP bound, so the check is refused at once
+    # rather than after the brute-force GVA run
+    goods = [f"g{i}" for i in range(18)]
+    path = tmp_path / "b17.json"
+    path.write_text(json.dumps({"goods": goods, "bids": [
+        {"bidder": f"b{i}", "bundle": [goods[i]], "amount": str(i + 1)} for i in range(17)
+    ]}))
+    result = subprocess.run(
+        [sys.executable, "-m", "camech.cli", "check", str(path), "--mechanism", "gva",
+         "--solver", "brute", "--axioms", "critical"],
+        capture_output=True, text=True, timeout=3,
+    )
+    assert result.returncode == 4, result.stderr
+    assert json.loads(result.stdout)["error"]["kind"] == "too-large"
+
+
 @pytest.mark.parametrize(
     "amount", ["1e999999999", "1e-999999999", "1e5000", "1" * 1001],
     ids=["1e999999999", "1e-999999999", "1e5000", "1001-digits"],

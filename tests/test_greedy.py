@@ -6,13 +6,13 @@ from fractions import Fraction as F
 
 import pytest
 
-from camech import greedy
+from camech import greedy, norm
 from camech.axioms import critical_value, greedy_mechanism
 from camech.errors import ExponentNotSupported, NotGranted, TiesPresent
 from camech.greedy import blocker, greedy_allocate, run_greedy
 from camech.model import AuctionInstance, SingleMindedBid, allocation_value, bidder_utility
 from camech.money import Money
-from camech.norm import NormConfig, TieRule, crossing_value
+from camech.norm import NormConfig, TieRule, crossing_value, rank
 from camech.experiments import random_instance
 
 L1 = NormConfig(F(1))
@@ -372,3 +372,100 @@ def test_lazy_prices_equal_eager_reference(exponent):
         assert out.utilities == utilities
         reserves += sum(b.is_reserve for b in bids)
     assert reserves > 0
+
+
+def _tie_heavy_instance(rng, exponent):
+    """Bids whose norms take a few values, zero included, on bundles of
+    sizes m**q, so equal norms recur across sizes: amount v * m**p has norm v."""
+    p, q = exponent.numerator, exponent.denominator
+    goods = tuple("abcdefgh")
+    sides = [m for m in (1, 2) if m ** q <= len(goods)]
+    bids = []
+    for i in range(rng.randint(2, 8)):
+        m = rng.choice(sides)
+        v = F(rng.choice([0, 0, 1, 2, 3]), rng.choice([1, 2]))
+        bids.append(bid(f"b{i}", rng.sample(goods, m ** q), v * m ** p))
+    return AuctionInstance(goods, tuple(bids))
+
+
+def _moved_bid(rng, inst, j, exponent):
+    """A replacement for bid j: a tie-prone amount on a size-m**q bundle, the
+    old bundle at a nudged, zero or new-denominator amount, or another
+    bid's exact norm carried to bid j's bundle."""
+    p, q = exponent.numerator, exponent.denominator
+    old = inst.bids[j]
+    kind = rng.randrange(4)
+    if kind == 0:
+        m = rng.choice([m for m in (1, 2) if m ** q <= len(inst.goods)])
+        bundle = frozenset(rng.sample(inst.goods, m ** q))
+        amount = F(rng.choice([0, 1, 2, 3]), rng.choice([1, 2])) * m ** p
+    elif kind == 1:
+        bundle = old.bundle
+        amount = rng.choice([
+            0, old.amount * (1 + F(1, 2 ** 20)), old.amount * (1 - F(1, 2 ** 20)),
+            F(rng.randint(1, 40), rng.choice([1, 3, 7, 2 ** 20])),
+        ])
+    else:
+        other = inst.bids[rng.randrange(len(inst.bids))]
+        bundle = other.bundle if kind == 2 else old.bundle
+        amount = other.amount  # same norm when the sizes agree
+    return SingleMindedBid(old.bidder, bundle, amount, old.is_reserve)
+
+
+def _ranked_and_run(inst, cfg):
+    """Everything `rank` and `run_greedy` report, or the tied pairs raised."""
+    try:
+        ranked = rank(inst, cfg)
+    except TiesPresent as exc:
+        with pytest.raises(TiesPresent) as again:
+            run_greedy(inst, cfg)
+        assert list(again.value.pairs) == list(exc.pairs)
+        return "ties", list(exc.pairs)
+    out = run_greedy(inst, cfg)
+    trace = out.trace
+    assert trace.ranking.order == ranked.order
+    return (
+        ranked.order, ranked.had_ties, ranked.keys,
+        out.allocation.grants, trace.blocked_by, list(trace.blockers.items()),
+        list(out.payments),
+    )
+
+
+@pytest.mark.parametrize("rule", list(TieRule), ids=lambda r: r.value)
+@pytest.mark.parametrize("exponent", [F(0), F(1, 2), F(1), F(2)], ids=str)
+def test_with_bid_children_rank_like_a_full_sort(exponent, rule):
+    # a `with_bid` child inserts the moved bid into its origin's ranking;
+    # the same bids rebuilt without an origin are sorted in full.  Each child
+    # is also ranked under another tie rule and another exponent, so the
+    # origin keeps several rankings and may share a tie-free one.
+    rng = random.Random(f"insertion-parity:{exponent}:{rule.value}")
+    other_rule = TieRule.REJECT if rule is TieRule.CANONICAL else TieRule.CANONICAL
+    other_exponent = F(1, 2) if exponent == 1 else F(1)
+    inserted = fallback = 0
+    for t in range(80):
+        if t % 2:
+            inst = random_instance(6, rng.randint(2, 8), seed=f"insertion-parity:{t}")
+        else:
+            inst = _tie_heavy_instance(rng, exponent)
+        n = len(inst.bids)
+        explicit = tuple(rng.sample(range(n), n)) if rule is TieRule.EXPLICIT else None
+        cfg = NormConfig(exponent, rule, explicit)
+        cfgs = (cfg, NormConfig(exponent, other_rule), NormConfig(other_exponent))
+        for _ in range(5):
+            j = rng.randrange(n)
+            child = inst.with_bid(j, _moved_bid(rng, inst, j, exponent))
+            # a same-bid child of the child, whose origin is inst, and a
+            # child replacing another bid, which has none
+            k = rng.randrange(n)
+            family = [child, child.with_bid(j, _moved_bid(rng, child, j, exponent)),
+                      child.with_bid(k, _moved_bid(rng, child, k, exponent))]
+            for member in family:
+                parentless = AuctionInstance(member.goods, member.bids)
+                for each in cfgs[::1 if rng.random() < 0.5 else -1]:
+                    assert _ranked_and_run(member, each) == _ranked_and_run(parentless, each)
+                if member.origin is not None:
+                    if norm._inserted(member, cfg) is None:
+                        fallback += 1
+                    else:
+                        inserted += 1
+    assert inserted > 100 and fallback > 10

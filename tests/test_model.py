@@ -1,7 +1,10 @@
 """Model types: validation, utilities, allocations and their values."""
 
+import gc
+import weakref
 from fractions import Fraction
 from fractions import Fraction as F
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -13,6 +16,7 @@ from camech.experiments import random_instance, tight_family
 from camech.model import (
     Allocation,
     AuctionInstance,
+    IntegerAmounts,
     SingleMindedBid,
     allocation_value,
     bidder_utility,
@@ -138,6 +142,14 @@ def test_allocation_value_additive(indices):
     assert whole == split
 
 
+def _no_full_rebuild():
+    """Patch `IntegerAmounts.of` to fail: a `with_bid` child's form must come
+    from its parent's, never from a pass over all the amounts."""
+    return mock.patch.object(
+        IntegerAmounts, "of", side_effect=AssertionError("integer amounts rebuilt in full")
+    )
+
+
 def test_with_bid_reseeds_caches():
     inst = three_bidder_instance()
     _ = inst.bid_masks
@@ -147,16 +159,43 @@ def test_with_bid_reseeds_caches():
     assert inst.bids[0].bundle == frozenset({"a"})
     # the common denominator grows by the lcm (3, 6, 3 * 2**20) and shrinks
     # once the thirds and then the 2**20ths are gone
+    _ = inst.integer_amounts
     steps = [(1, F(19, 3)), (0, F(1, 6)), (1, F(7, 2 ** 20)), (0, 4), (1, 19)]
     for j, amount in steps:
-        inst = inst.with_amount(j, amount)
-        assert "integer_amounts" in inst.__dict__  # seeded, not recomputed
+        with _no_full_rebuild():  # derived from the parent's form, not recomputed
+            inst = inst.with_amount(j, amount)
+            seeded = inst.integer_amounts
         fresh = AuctionInstance(inst.goods, inst.bids)
-        assert inst.integer_amounts == fresh.integer_amounts
+        assert seeded == fresh.integer_amounts
         assert inst.all_amounts_rational is True
     assert inst.integer_amounts == (1, (4, 19, 8))
     fresh = AuctionInstance(inst.goods, inst.bids[:2] + (inst.bids[2].with_amount(F(3, 4)),))
-    assert inst.with_amount(2, F(3, 4)).integer_amounts == fresh.integer_amounts == (4, (16, 76, 3))
+    with _no_full_rebuild():
+        seeded = inst.with_amount(2, F(3, 4)).integer_amounts
+    assert seeded == fresh.integer_amounts == (4, (16, 76, 3))
+
+
+def test_with_bid_origin_keeps_one_ancestor():
+    base = three_bidder_instance()
+    child = base.with_amount(0, 11)
+    assert child.origin == (base, 0)
+    assert child.with_amount(0, 12).origin == (base, 0)  # same bid: the grandparent
+    assert "integer_amounts" not in child.__dict__  # derived on first read
+    assert child.with_amount(1, 12).origin is None  # another bid: no origin
+    # a long chain alternating between two bids keeps no early instance alive
+    inst = three_bidder_instance()
+    early = weakref.ref(inst)
+    for step in range(10_000):
+        inst = inst.with_amount(step % 2, F(step % 7 + 1, step % 3 + 1))
+    gc.collect()
+    assert early() is None
+    chain = 0
+    origin = inst.origin
+    while origin is not None:
+        chain += 1
+        origin = origin[0].origin
+    assert chain <= 1
+    assert inst.integer_amounts == AuctionInstance(inst.goods, inst.bids).integer_amounts
 
 
 @pytest.mark.parametrize(

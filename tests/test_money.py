@@ -81,6 +81,19 @@ def test_division():
         float(Money.sqrt(2))
 
 
+def test_money_rejects_floats():
+    # a float's binary value is not the decimal it was written as
+    for value in (0.1, 1.0, -0.0, float("inf")):
+        with pytest.raises(TypeError):
+            Money(value)
+    with pytest.raises(TypeError):
+        Money(1) + 0.5
+    # strings stay accepted: `repr` renders a rational as Money('3/2')
+    assert repr(Money(F(3, 2))) == "Money('3/2')"
+    assert eval(repr(Money(F(3, 2)))) == Money("3/2") == F(3, 2)
+    assert Money("0.1") == F(1, 10) and Money(Money(7)) == 7
+
+
 def test_rational_money_hashes_like_its_fraction():
     assert hash(Money(F(3, 2))) == hash(F(3, 2))
     assert hash(Money(3)) == hash(3) and hash(Money(0)) == hash(0)

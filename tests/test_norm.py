@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from camech.errors import ExponentNotSupported, TiesPresent
+from camech import norm
+from camech.errors import ExponentNotSupported, InvalidArgument, TiesPresent
 from camech.model import AuctionInstance, SingleMindedBid
 from camech.money import Money
 from camech.norm import (
@@ -115,6 +116,21 @@ def test_rank_explicit_permutation():
     assert ranked.order == (2, 0, 1)
     with pytest.raises(ValueError):
         rank(inst, NormConfig(F(1), TieRule.EXPLICIT, (0, 1)))
+
+
+def test_child_ranking_reuses_origin_and_checks_explicit_order():
+    inst = AuctionInstance(GOODS, (bid("x", "a", 3), bid("y", "b", 2), bid("z", "ab", 5)))
+    l1 = NormConfig(F(1))
+    # a re-declared bid meets only its own old key: inserted, not sorted
+    same = inst.with_bid(0, inst.bids[0])
+    assert norm._inserted(same, l1).order == rank(inst, l1).order == (0, 2, 1)
+    # the origin's tie-free ranking serves every tie rule, but an explicit
+    # order is still checked
+    child = inst.with_amount(1, 4)
+    assert rank(child, NormConfig(F(1), TieRule.REJECT)).order == (1, 0, 2)
+    with pytest.raises(InvalidArgument):
+        rank(child, NormConfig(F(1), TieRule.EXPLICIT, (0, 0, 1)))
+    assert rank(child, NormConfig(F(1), TieRule.EXPLICIT, (2, 1, 0))).order == (1, 0, 2)
 
 
 def test_rank_deterministic():
