@@ -16,7 +16,9 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Iterable, Optional, Sequence
 
-from .errors import BundleSpaceTooLarge, InvalidArgument, NonMonotoneDetected, TiesPresent
+from .errors import (
+    BundleSpaceTooLarge, InstanceTooLarge, InvalidArgument, NonMonotoneDetected, TiesPresent,
+)
 from .model import AuctionInstance, Outcome, SingleMindedBid, bidder_utility
 from .money import Money
 from .norm import NormConfig, TieRule, crossing_value, rank
@@ -29,6 +31,12 @@ PROBE_SCALE = Fraction(1, 2 ** 20)
 PERTURBATION_ATTEMPTS = 20
 #: The four properties, in the order a suite reports them.
 AXIOMS = ("exactness", "monotonicity", "participation", "critical")
+#: Most goods whose bundles the misreport search enumerates.
+MAX_SEARCH_GOODS = 16
+#: Most mechanism reruns a check may plan, checked before the first one runs
+#: as `exact.MAX_DP_CELLS` is before a table is built: about half a minute
+#: of greedy reruns at 6 goods and 8 bids.
+MAX_PLANNED_RERUNS = 1 << 20
 
 
 @dataclass(frozen=True, eq=False)
@@ -56,11 +64,28 @@ def _norm_mechanism(
     name: str, run: Callable[[AuctionInstance], Outcome], cfg: NormConfig
 ) -> Mechanism:
     """A mechanism allocating greedily by cfg's norm, so its thresholds are
-    the values at which the bundle's norm crosses each other bid's."""
+    the values at which the bundle's norm crosses each other bid's.
+
+    Those depend on the bundle's size alone.  The crossing values of the
+    last (instance, j) asked for are kept per size, so the misreport search
+    computes each at most once, k * (n - 1) in all, and gets one tuple back
+    for every bundle of a size.  The cache holds one instance, like
+    `gva_mechanism`'s value table.
+    """
+
+    @lru_cache(maxsize=1)
+    def by_size(inst: AuctionInstance, j: int) -> dict[int, tuple[Money, ...]]:
+        return {}
 
     def thresholds(inst: AuctionInstance, j: int, bundle: frozenset):
         size = len(bundle)
-        return [crossing_value(b, size, cfg.exponent) for i, b in enumerate(inst.bids) if i != j]
+        sized = by_size(inst, j)
+        crossings = sized.get(size)
+        if crossings is None:
+            crossings = sized[size] = tuple(
+                crossing_value(b, size, cfg.exponent) for i, b in enumerate(inst.bids) if i != j
+            )
+        return crossings
 
     return Mechanism(name, run, thresholds, cfg)
 
@@ -385,6 +410,37 @@ def _candidate_values(thresholds: Sequence[Money], true_amount: Fraction) -> lis
     return sorted(candidates)
 
 
+def _bundle_count(k: int) -> int:
+    """The non-empty bundles over k goods; raises `BundleSpaceTooLarge` past
+    `MAX_SEARCH_GOODS`."""
+    if k > MAX_SEARCH_GOODS:
+        raise BundleSpaceTooLarge(f"cannot enumerate bundles over {k} goods")
+    return (1 << k) - 1
+
+
+def check_planned_reruns(
+    instance: AuctionInstance, *, perturbations: int = 0, deviations: bool = False
+) -> None:
+    """Raise `InstanceTooLarge` when a check on `instance` plans more than
+    `MAX_PLANNED_RERUNS` mechanism reruns, before any of them runs.
+
+    Monotonicity plans at most `perturbations` reruns per bid.  With
+    `deviations`, each non-reserve bidder's misreport search plans, per
+    bundle, zero, the true amount and one value on each side of each other
+    bid's threshold: (2**k - 1) * (2 * (n - 1) + 2) reruns.  Past
+    `MAX_SEARCH_GOODS` goods the search raises `BundleSpaceTooLarge` here.
+    """
+    n = len(instance.bids)
+    runs = n * max(perturbations, 0)
+    if deviations:
+        bidders = sum(not b.is_reserve for b in instance.bids)
+        runs += _bundle_count(len(instance.goods)) * (2 * (n - 1) + 2) * bidders
+    if runs > MAX_PLANNED_RERUNS:
+        raise InstanceTooLarge(
+            f"the check plans {runs} mechanism reruns; at most {MAX_PLANNED_RERUNS} are allowed"
+        )
+
+
 def find_profitable_deviation(
     mech: Mechanism, instance: AuctionInstance, j: int
 ) -> Optional[DeviationReport]:
@@ -395,8 +451,7 @@ def find_profitable_deviation(
     deviating utility was computed by re-running the mechanism.
     """
     k = len(instance.goods)
-    if k > 16:
-        raise BundleSpaceTooLarge(f"cannot enumerate bundles over {k} goods")
+    bundles = _bundle_count(k)
     declared = instance.bids[j]
     true_type = (instance.true_types or {}).get(declared.bidder, declared)
 
@@ -413,7 +468,7 @@ def find_profitable_deviation(
     tested = 0
     # a norm mechanism's thresholds depend on the bundle's size alone
     candidates: dict[tuple[Money, ...], list[Fraction]] = {}
-    for bundle_bits in range(1, 1 << k):
+    for bundle_bits in range(1, bundles + 1):
         bundle = frozenset(goods[i] for i in range(k) if bundle_bits >> i & 1)
         thresholds = tuple(mech.thresholds(instance, j, bundle))
         values = candidates.get(thresholds)
@@ -433,7 +488,7 @@ def find_profitable_deviation(
             misreport=best[1],
             truthful_utility=truthful_utility,
             deviating_utility=best[0],
-            bundles_searched=(1 << k) - 1,
+            bundles_searched=bundles,
             candidates_tested=tested,
         )
     return None

@@ -16,7 +16,14 @@ import sys
 from fractions import Fraction
 
 from . import documents
-from .axioms import AXIOMS, MECHANISMS, Mechanism, find_profitable_deviation, run_axiom_suite
+from .axioms import (
+    AXIOMS,
+    MECHANISMS,
+    Mechanism,
+    check_planned_reruns,
+    find_profitable_deviation,
+    run_axiom_suite,
+)
 from .errors import (
     BundleSpaceTooLarge,
     CamechError,
@@ -170,6 +177,11 @@ def _cmd_check(args) -> tuple[dict, int]:
         selected = ()
     else:
         selected = [a.strip() for a in args.axioms.split(",") if a.strip()]
+    check_planned_reruns(
+        instance,
+        perturbations=args.samples if "monotonicity" in selected else 0,
+        deviations=args.deviations,
+    )
     report = run_axiom_suite(mech, [instance], selected, seed=seed, perturbations=args.samples)
     deviations = None
     if args.deviations:

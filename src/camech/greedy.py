@@ -38,25 +38,34 @@ def greedy_allocate(instance: AuctionInstance, cfg: NormConfig) -> tuple[Allocat
 
     A denied bid meeting exactly one granted bid is that bid's blocker when
     the bid has none yet: the bids granted so far are exactly the grants
-    ranked before it.
+    ranked before it.  Granted bundles are disjoint, so the walk needs no
+    list of every granted bid a denied bid meets.  The first one in grant
+    order is the bid it is `blocked_by`, and the scan stops there; it is
+    the only one exactly when the denied bid's overlap with all granted
+    goods lies inside its bundle.
     """
     ranking = rank(instance, cfg)
+    bids = instance.bids
     masks = instance.bid_masks
     used = 0
+    grants: dict[int, frozenset] = {}
     blocked: dict[int, int] = {}
     blockers: dict[int, Optional[int]] = {}
     for j in ranking.order:
         m = masks[j]
-        if used & m:
-            hits = [g for g in blockers if masks[g] & m]
-            g = blocked[j] = hits[0]
-            if len(hits) == 1 and blockers[g] is None:
+        overlap = used & m
+        if overlap:
+            for g in blockers:
+                if masks[g] & m:
+                    break
+            blocked[j] = g
+            if not overlap & ~masks[g] and blockers[g] is None:
                 blockers[g] = j
         else:
             used |= m
             blockers[j] = None
-    allocation = Allocation.of_indices(instance, blockers)
-    return allocation, GreedyTrace(ranking, blocked, blockers)
+            grants[j] = bids[j].bundle
+    return Allocation(grants), GreedyTrace(ranking, blocked, blockers)
 
 
 def blocker(trace: GreedyTrace, j: int) -> Optional[int]:
@@ -100,7 +109,7 @@ class GreedyPayments(Sequence):
             i = self._blockers.get(j)
             bids = self._bids
             price = (
-                Money(0) if i is None
+                Money.ZERO if i is None
                 else crossing_value(bids[i], len(bids[j].bundle), self._exponent)
             )
             self._prices[j] = price
@@ -112,13 +121,16 @@ def run_greedy(instance: AuctionInstance, cfg: NormConfig) -> Outcome:
 
     The crossing values are computed on first read, but their size ratio
     powers are looked up here, so an exponent without an exact payment
-    raises `ExponentNotSupported` from this call.
+    raises `ExponentNotSupported` from this call.  A power has a closed form
+    whenever the exponent's denominator q is 1 or 2, so the lookups run only
+    when q > 2.
     """
     allocation, trace = greedy_allocate(instance, cfg)
     bids = instance.bids
     p, q = cfg.exponent.numerator, cfg.exponent.denominator
-    for j, i in trace.blockers.items():
-        if i is not None:
-            bundle_ratio_power(len(bids[j].bundle), len(bids[i].bundle), p, q)
+    if q > 2:
+        for j, i in trace.blockers.items():
+            if i is not None:
+                bundle_ratio_power(len(bids[j].bundle), len(bids[i].bundle), p, q)
     payments = GreedyPayments(bids, trace.blockers, cfg.exponent)
     return assemble_outcome(instance, allocation, payments, trace)

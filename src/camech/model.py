@@ -310,9 +310,9 @@ def bidder_utility(true_type: SingleMindedBid, granted_bundle: Iterable[Good], p
     The true bundle is worth its amount when fully covered by the granted
     bundle (free disposal) and nothing otherwise.
     """
-    granted = frozenset(granted_bundle)
-    value = true_type.amount if true_type.bundle <= granted else Money(0)
-    return value - payment
+    if true_type.bundle <= frozenset(granted_bundle):
+        return true_type.amount - payment
+    return -payment
 
 
 def allocation_value(instance: AuctionInstance, allocation: Allocation) -> Fraction:

@@ -90,6 +90,12 @@ class Money:
     parses (as `repr` renders it) or another `Money`.  A float raises
     `TypeError`: its binary value is seldom the number meant, and `Money`
     arithmetic rejects floats too.
+
+    Rational values take shortcuts: a sum, a difference from a `Fraction`,
+    a product with a scalar and a comparison of two rational `Money`s are
+    one `Fraction` operation, with no term map merged.  Every zero result
+    of arithmetic is the one shared `Money.ZERO`; a `Money` never changes
+    after it is built, so sharing it is safe.
     """
 
     __slots__ = ("_terms", "_hash")
@@ -106,15 +112,21 @@ class Money:
 
     @classmethod
     def _from_terms(cls, terms: dict[int, Fraction]) -> "Money":
+        """The value of a canonical term map: square-free radicands, no zero
+        coefficient."""
+        if not terms:
+            return cls.ZERO
         self = object.__new__(cls)
-        self._terms = {m: c for m, c in terms.items() if c}
+        self._terms = terms
         self._hash = None
         return self
 
     @classmethod
     def _rational(cls, value: Fraction) -> "Money":
+        if not value:
+            return cls.ZERO
         self = object.__new__(cls)
-        self._terms = {1: value} if value else {}
+        self._terms = {1: value}
         self._hash = None
         return self
 
@@ -174,6 +186,11 @@ class Money:
     __radd__ = __add__
 
     def __neg__(self):
+        if not self._terms:
+            return self
+        a = _rational_value(self._terms)
+        if a is not None:
+            return Money._rational(-a)
         return Money._from_terms({m: -c for m, c in self._terms.items()})
 
     def __sub__(self, other):
@@ -183,6 +200,10 @@ class Money:
         return self + (-o)
 
     def __rsub__(self, other):
+        if isinstance(other, (int, Fraction)):
+            a = _rational_value(self._terms)
+            if a is not None:
+                return Money._rational(other - a)
         o = self._coerce(other)
         if o is None:
             return NotImplemented
@@ -193,6 +214,11 @@ class Money:
         not defined."""
         if not isinstance(other, (int, Fraction)):
             return NotImplemented
+        if not other or not self._terms:
+            return Money.ZERO
+        a = _rational_value(self._terms)
+        if a is not None:
+            return Money._rational(a * other)
         return Money._from_terms({m: c * other for m, c in self._terms.items()})
 
     __rmul__ = __mul__
@@ -244,12 +270,14 @@ class Money:
         return lo, hi
 
     def compare(self, other) -> int:
-        o = self._coerce(other)
+        if other is self:
+            return 0
+        o = other if type(other) is Money else self._coerce(other)
         if o is None:
             raise TypeError(f"cannot compare Money with {type(other).__name__}")
         a, b = _rational_value(self._terms), _rational_value(o._terms)
         if a is not None and b is not None:
-            return -1 if a < b else (1 if a > b else 0)
+            return 0 if a == b else (-1 if a < b else 1)
         return (self - o).sign()
 
     def __eq__(self, other):
@@ -304,6 +332,9 @@ class Money:
                 text = _decimal_text(n, e)
                 return "-" + text if sign < 0 else text
             bits *= 2
+
+
+Money.ZERO = Money()
 
 
 def _rounded(f: Fraction) -> tuple[int, int, int]:

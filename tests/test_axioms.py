@@ -1,7 +1,9 @@
 """Axiom checks, critical values, and the misreport search."""
 
+import gc
 import itertools
 import random
+import weakref
 from dataclasses import replace
 from fractions import Fraction as F
 
@@ -9,10 +11,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from camech import exact
+from camech import axioms, exact
 from camech.axioms import (
     Mechanism,
     _brackets,
+    check_planned_reruns,
     clarke_greedy_mechanism,
     critical_value,
     find_profitable_deviation,
@@ -28,7 +31,7 @@ from camech.experiments import random_instance
 from camech.greedy import run_greedy
 from camech.model import Allocation, AuctionInstance, SingleMindedBid, assemble_outcome
 from camech.money import Money
-from camech.norm import NormConfig
+from camech.norm import NormConfig, crossing_value
 
 L1 = NormConfig(F(1))
 LHALF = NormConfig(F(1, 2))
@@ -555,6 +558,63 @@ def test_checkers_run_mechanisms_on_rational_instances_only():
                 find_profitable_deviation(mech, inst, j)
         assert ran and all(i.integer_amounts is not None for i in ran)
         assert all(type(b.amount) is F for i in ran for b in i.bids)
+
+
+def test_norm_thresholds_computed_once_per_size(monkeypatch):
+    # a norm mechanism's thresholds depend on the bundle's size alone, so a
+    # search prices each other bid's crossing once per size
+    calls = []
+
+    def counting(b, size, exponent):
+        calls.append((b.bidder, size))
+        return crossing_value(b, size, exponent)
+
+    monkeypatch.setattr(axioms, "crossing_value", counting)
+    mech = greedy_mechanism(L1)
+    asked = []
+
+    def recording(instance, j, bundle):
+        thresholds = mech.thresholds(instance, j, bundle)
+        asked.append((bundle, thresholds))
+        return thresholds
+
+    inst = random_instance(6, 8, seed="per-size:0").assuming_truthful()
+    for j in (3, 5, 3):  # bidders searched in turn on one instance
+        calls.clear()
+        asked.clear()
+        find_profitable_deviation(replace(mech, thresholds=recording), inst, j)
+        assert len(asked) == 63 and 0 < len(calls) <= 6 * 7
+        assert len(set(calls)) == len(calls)
+        by_size = {}
+        for bundle, thresholds in asked:
+            assert by_size.setdefault(len(bundle), thresholds) is thresholds
+            assert list(thresholds) == [
+                crossing_value(b, len(bundle), L1.exponent)
+                for i, b in enumerate(inst.bids) if i != j
+            ]
+    # the cache keeps the last instance only
+    first = weakref.ref(inst)
+    del inst, asked, by_size
+    find_profitable_deviation(mech, random_instance(6, 8, seed="per-size:1"), 0)
+    gc.collect()
+    assert first() is None
+
+
+def test_planned_reruns_bound(monkeypatch):
+    inst = random_instance(6, 8, seed="planned:0")
+    # 63 bundles x 16 candidates x 8 bidders, and 8 bids x 100 perturbations
+    monkeypatch.setattr(axioms, "MAX_PLANNED_RERUNS", 63 * 16 * 8 + 800)
+    check_planned_reruns(inst, perturbations=100, deviations=True)
+    with pytest.raises(InstanceTooLarge, match="8872 mechanism reruns"):
+        check_planned_reruns(inst, perturbations=101, deviations=True)
+    # reserve bidders are not searched: 63 x 16 x 7 + 8 x 226 is the bound again
+    reserve = inst.with_bid(0, SingleMindedBid("b1", inst.bids[0].bundle, 1, True))
+    check_planned_reruns(reserve, perturbations=226, deviations=True)
+    check_planned_reruns(inst, perturbations=-1)
+    wide = AuctionInstance(tuple(f"g{i}" for i in range(17)), (bid("x", {"g0"}, 1),))
+    check_planned_reruns(wide, perturbations=1)
+    with pytest.raises(BundleSpaceTooLarge):
+        check_planned_reruns(wide, deviations=True)
 
 
 def test_deviation_guard():

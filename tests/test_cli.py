@@ -527,6 +527,30 @@ def test_gva_critical_check_past_table_bound_exit_4(tmp_path):
 
 
 @pytest.mark.parametrize(
+    "goods, bids, check",
+    [
+        # 65,535 bundles x 80 candidates x 40 bidders: about 2 * 10**8 reruns
+        (16, 40, ["--deviations", "--axioms", "none"]),
+        # 5 bids x 10**8 perturbations
+        (4, 5, ["--samples", "100000000", "--axioms", "monotonicity"]),
+    ],
+    ids=["deviations-16-goods", "monotonicity-1e8-samples"],
+)
+def test_check_past_rerun_bound_exit_4(tmp_path, goods, bids, check):
+    # the planned reruns are counted before the first one, so the check is
+    # refused at once instead of running for hours
+    path = str(tmp_path / "gen.json")
+    assert main(["gen", "--goods", str(goods), "--bids", str(bids), "--seed", "1",
+                 "--output", path]) == 0
+    result = subprocess.run(
+        [sys.executable, "-m", "camech.cli", "check", path, *check],
+        capture_output=True, text=True, timeout=5,
+    )
+    assert result.returncode == 4, result.stderr
+    assert json.loads(result.stdout)["error"]["kind"] == "too-large"
+
+
+@pytest.mark.parametrize(
     "amount", ["1e999999999", "1e-999999999", "1e5000", "1" * 1001],
     ids=["1e999999999", "1e-999999999", "1e5000", "1001-digits"],
 )

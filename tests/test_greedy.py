@@ -469,3 +469,89 @@ def test_with_bid_children_rank_like_a_full_sort(exponent, rule):
                     else:
                         inserted += 1
     assert inserted > 100 and fallback > 10
+
+
+def _list_scan_walk(instance, ranking):
+    """Reference walk: each denied bid lists every granted bid it meets; the
+    first is the bid it is blocked by, and a sole one gets it as blocker."""
+    masks = instance.bid_masks
+    used = 0
+    blocked, blockers = {}, {}
+    for j in ranking.order:
+        m = masks[j]
+        if used & m:
+            hits = [g for g in blockers if masks[g] & m]
+            g = blocked[j] = hits[0]
+            if len(hits) == 1 and blockers[g] is None:
+                blockers[g] = j
+        else:
+            used |= m
+            blockers[j] = None
+    return blocked, blockers, {j: instance.bids[j].bundle for j in blockers}
+
+
+def _check_walk(inst, cfg):
+    allocation, trace = greedy_allocate(inst, cfg)
+    blocked, blockers, grants = _list_scan_walk(inst, trace.ranking)
+    assert trace.blocked_by == blocked
+    assert list(trace.blockers.items()) == list(blockers.items())
+    assert list(allocation.grants.items()) == list(grants.items())
+    return trace
+
+
+@pytest.mark.parametrize("rule", list(TieRule), ids=lambda r: r.value)
+def test_walk_matches_list_scan_reference(rule):
+    # the walk stops at the first granted bid a denied bid meets and tests
+    # sole overlap on masks; the reference lists every granted bid it meets
+    rng = random.Random(f"walk-parity:{rule.value}")
+    walks = several = already = 0
+    for t in range(200):
+        exponent = rng.choice([F(0), F(1, 2), F(1)])
+        if t % 2:
+            base = random_instance(6, rng.randint(1, 10), seed=f"walk-parity:{t}")
+        else:
+            base = _tie_heavy_instance(rng, exponent)
+        bids = tuple(
+            SingleMindedBid(b.bidder, b.bundle, b.amount, rng.random() < 0.2) for b in base.bids
+        )
+        inst = AuctionInstance(base.goods, bids)
+        n = len(bids)
+        explicit = tuple(rng.sample(range(n), n)) if rule is TieRule.EXPLICIT else None
+        try:
+            trace = _check_walk(inst, NormConfig(exponent, rule, explicit))
+        except TiesPresent:
+            continue
+        walks += 1
+        masks = inst.bid_masks
+        position = {b: p for p, b in enumerate(trace.ranking.order)}
+        for j, g in trace.blocked_by.items():
+            several += sum(bool(masks[h] & masks[j]) for h in trace.blockers) > 1
+            # g already had a blocker when j was denied
+            i = trace.blockers[g]
+            already += i is not None and position[i] < position[j]
+    assert walks > 100 and several > 100 and already > 100
+
+
+def test_walk_denied_bid_meeting_two_grants():
+    # C meets both A and B: it is blocked by A, the first granted, and it
+    # blocks neither, since neither alone kept it out
+    inst = AuctionInstance(
+        ("a", "b"), (bid("A", "a", 10), bid("B", "b", 9), bid("C", "ab", 5)),
+    )
+    trace = _check_walk(inst, L1)
+    assert trace.blocked_by == {2: 0}
+    assert trace.blockers == {0: None, 1: None}
+
+
+def test_walk_first_grant_met_already_has_a_blocker():
+    # D blocks A; E then meets A alone and F meets A and B: both are
+    # blocked by A, whose blocker stays D, and B keeps none
+    inst = AuctionInstance(
+        ("a", "b"),
+        (bid("A", "a", 10), bid("B", "b", 9), bid("D", "a", 8), bid("E", "a", 7),
+         bid("F", "ab", 2)),
+    )
+    trace = _check_walk(inst, L1)
+    assert trace.blocked_by == {2: 0, 3: 0, 4: 0}
+    assert trace.blockers == {0: 2, 1: None}
+    assert run_greedy(inst, L1).payments[0] == Money(8)

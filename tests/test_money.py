@@ -224,6 +224,17 @@ def test_rational_arithmetic_matches_fraction(a, b):
     assert Money(a) * b == b * Money(a) == Money(a * b)
     assert Money(a) - Money(b) == Money(a - b)
     assert Money(a).compare(Money(b)) == (a > b) - (a < b)
+    # the rational shortcuts: Fraction - Money, scaling, negation, compare
+    results = [a - Money(b), 2 - Money(b), Money(a) * b, Money(a) * 0, -Money(a),
+               Money(a) - Money(a), Money(b) * F(0)]
+    assert all(type(r) is Money for r in results)
+    assert results[:5] == [Money(a - b), Money(2 - b), Money(a * b), Money(0), Money(-a)]
+    assert Money(a).compare(Money(a)) == 0 and Money(a).compare(a) == 0
+    assert Money(a).compare(b) == (a > b) - (a < b)
+    # a zero result equals and hashes as 0
+    for zero in (Money(a) * 0, Money(a) - Money(a), a - Money(a), Money(b) * F(0)):
+        assert zero == 0 == Money(0) and hash(zero) == hash(0) and not zero
+        assert zero.terms() == () and zero.sign() == 0 and zero.is_rational
 
 
 _small_surd = st.builds(
@@ -251,6 +262,14 @@ def test_ring_laws(a, b, c, r, s):
     assert a * (r + s) == a * r + a * s
     assert (a * r) * s == a * (r * s)
     assert a * 1 == a and a * 0 == Money(0)
+    # radical operands take the general path; results stay `Money`s
+    results = [r - a, a * r, -a, a - a, a * 0, (a + b) - b]
+    assert all(type(v) is Money for v in results)
+    assert r - a == Money(r) + (-a) and (r - a) + a == Money(r)
+    assert (a * r).terms() == tuple((m, c * r) for m, c in a.terms() if c * r)
+    assert (-a).terms() == tuple((m, -c) for m, c in a.terms())
+    assert a.compare(b) == (a - b).sign() == -b.compare(a)
+    assert a.compare(a) == 0 and hash(a - a) == hash(0) == hash(a * 0)
 
 
 @given(_values, _values)
