@@ -275,10 +275,12 @@ def _monotonicity_witness(rng, perturbations, mech, inst, out) -> tuple[Optional
     property is stated under.  Also returns the perturbations tried.
     """
     tried = 0
+    # one config for every attempt, so `rank` finds the kept ranking by `is`
+    reject = None if mech.norm is None else NormConfig(mech.norm.exponent, TieRule.REJECT)
     for j in sorted(out.allocation.grants):
         bid = inst.bids[j]
         for _ in range(perturbations):
-            perturbed = _tie_free_perturbation(rng, mech, inst, j)
+            perturbed = _tie_free_perturbation(rng, reject, inst, j)
             if perturbed is None:
                 continue
             tried += 1
@@ -294,7 +296,10 @@ def _monotonicity_witness(rng, perturbations, mech, inst, out) -> tuple[Optional
     return None, tried
 
 
-def _tie_free_perturbation(rng, mech, inst, j):
+def _tie_free_perturbation(rng, reject: Optional[NormConfig], inst, j):
+    """A perturbed copy of bid j and its instance, kept when `rank` under
+    `reject` finds no tie (always, when `reject` is None); None if none of
+    `PERTURBATION_ATTEMPTS` draws is tie-free."""
     bid = inst.bids[j]
     for _ in range(PERTURBATION_ATTEMPTS):
         if len(bid.bundle) > 1 and rng.random() < 0.5:
@@ -306,9 +311,9 @@ def _tie_free_perturbation(rng, mech, inst, j):
             bump = 1 + Fraction(rng.randint(1, 10 ** 6), 10 ** 6)
             new_bid = bid.with_amount(bid.amount * bump)
         new_inst = inst.with_bid(j, new_bid)
-        if mech.norm is not None:
+        if reject is not None:
             try:
-                rank(new_inst, NormConfig(mech.norm.exponent, TieRule.REJECT))
+                rank(new_inst, reject)
             except TiesPresent:
                 continue
         return new_inst, new_bid
@@ -419,19 +424,25 @@ def _bundle_count(k: int) -> int:
 
 
 def check_planned_reruns(
-    instance: AuctionInstance, *, perturbations: int = 0, deviations: bool = False
+    instance: AuctionInstance, *, perturbations: int = 0, deviations: bool = False,
+    critical: bool = False,
 ) -> None:
     """Raise `InstanceTooLarge` when a check on `instance` plans more than
     `MAX_PLANNED_RERUNS` mechanism reruns, before any of them runs.
 
     Monotonicity plans at most `perturbations` reruns per bid.  With
-    `deviations`, each non-reserve bidder's misreport search plans, per
-    bundle, zero, the true amount and one value on each side of each other
-    bid's threshold: (2**k - 1) * (2 * (n - 1) + 2) reruns.  Past
+    `critical`, each of the n bids may win, and `critical_value` probes a
+    winner once more than its distinct positive thresholds, which number at
+    most n - 1 for a norm mechanism and one for the GVA: n * max(n, 2)
+    reruns.  With `deviations`, each non-reserve bidder's misreport search
+    plans, per bundle, zero, the true amount and one value on each side of
+    each other bid's threshold: (2**k - 1) * (2 * (n - 1) + 2) reruns.  Past
     `MAX_SEARCH_GOODS` goods the search raises `BundleSpaceTooLarge` here.
     """
     n = len(instance.bids)
     runs = n * max(perturbations, 0)
+    if critical:
+        runs += n * max(n, 2)
     if deviations:
         bidders = sum(not b.is_reserve for b in instance.bids)
         runs += _bundle_count(len(instance.goods)) * (2 * (n - 1) + 2) * bidders

@@ -181,6 +181,7 @@ def _cmd_check(args) -> tuple[dict, int]:
         instance,
         perturbations=args.samples if "monotonicity" in selected else 0,
         deviations=args.deviations,
+        critical="critical" in selected,
     )
     report = run_axiom_suite(mech, [instance], selected, seed=seed, perturbations=args.samples)
     deviations = None

@@ -11,12 +11,13 @@ The DP has one recurrence, `_value_tables`: the best value of bids j..
 inside each goods set.  The solver reads the optimum and its winners off
 those tables and counts the optima by walking forward over the optimal
 choices only.  Clarke payments need the optimum without each bid j: the DP
-route takes every one of them from two more passes, one over the prefixes
-of the bid order and one over its suffixes, while the brute-force oracle
-re-solves the instance with j's amount at zero, once per bid.  The GVA's
-entry values come from the table of the bids other than j, whatever the
-solver.  A DP over n bids keeps (n + 1) * 2**goods table cells; past
-`MAX_DP_CELLS` it raises `InstanceTooLarge` before building any table.
+route reads every one of them off the solve's own tables with one forward
+walk over the goods sets that packings of the bids before j use, while the
+brute-force oracle re-solves the instance with j's amount at zero, once per
+bid.  The GVA's entry values come from the table of the bids other than j,
+whatever the solver.  A DP over n bids keeps (n + 1) * 2**goods table
+cells; past `MAX_DP_CELLS` it raises `InstanceTooLarge` before building any
+table.
 """
 
 from __future__ import annotations
@@ -42,9 +43,9 @@ class SolverKind(Enum):
 
 
 MAX_BRUTE_BIDS = 24
-#: Most DP table cells, (bids + 1) * 2**goods: about 64 MB of table
-#: pointers for the prefix and suffix passes together.  It also bounds the
-#: goods at 22.
+#: Most DP table cells, (bids + 1) * 2**goods: about 32 MB of table
+#: pointers for one pass, plus at most three lists of 2**goods for the
+#: GVA's forward walk.  It also bounds the goods at 22.
 MAX_DP_CELLS = 1 << 22
 
 
@@ -123,9 +124,12 @@ def _value_tables(masks: Sequence[int], weights, k: int) -> list[list[int]]:
     return tables
 
 
-def _solve_dp(masks: Sequence[int], weights, k: int) -> tuple[int, tuple[int, ...], int]:
-    tables = _value_tables(masks, weights, k)
-    full = (1 << k) - 1
+def _solve_dp(
+    tables: list[list[int]], masks: Sequence[int], weights,
+) -> tuple[int, tuple[int, ...], int]:
+    """The optimum, its lexicographically smallest winner set and the number
+    of optima, read off `tables`, the `_value_tables` of the same bids."""
+    full = len(tables[0]) - 1
     # lexicographically smallest optimal set: take a bid whenever doing so
     # still reaches the optimum; stop once the remaining optimum is zero
     chosen: list[int] = []
@@ -163,20 +167,28 @@ def _check_cells(bids: int, k: int) -> None:
         )
 
 
+def _dp_tables(instance: AuctionInstance) -> list[list[int]]:
+    """`_value_tables` over every bid, once `_check_cells` allows them."""
+    k = len(instance.goods)
+    _check_cells(len(instance.bids), k)
+    return _value_tables(instance.bid_masks, instance.integer_amounts.weights, k)
+
+
+def _solution(instance: AuctionInstance, value: int, indices, count: int) -> ExactSolution:
+    value = Fraction(value, instance.integer_amounts.denominator)
+    return ExactSolution(Allocation.of_indices(instance, indices), value, count)
+
+
 def optimal_allocation(instance: AuctionInstance, solver: SolverKind) -> ExactSolution:
     """Value-maximising conflict-free bid set, deterministically tie-broken."""
-    n = len(instance.bids)
-    k = len(instance.goods)
-    integer = instance.integer_amounts
     if solver is SolverKind.BRUTE_FORCE_BID_SUBSETS:
-        if n > MAX_BRUTE_BIDS:
+        if len(instance.bids) > MAX_BRUTE_BIDS:
             raise InstanceTooLarge(f"brute-force solver handles at most {MAX_BRUTE_BIDS} bids")
-        value, indices, count = _solve_brute(instance.bid_masks, integer.weights)
+        found = _solve_brute(instance.bid_masks, instance.integer_amounts.weights)
     else:
-        _check_cells(n, k)
-        value, indices, count = _solve_dp(instance.bid_masks, integer.weights, k)
-    value = Fraction(value, integer.denominator)
-    return ExactSolution(Allocation.of_indices(instance, indices), value, count)
+        tables = _dp_tables(instance)
+        found = _solve_dp(tables, instance.bid_masks, instance.integer_amounts.weights)
+    return _solution(instance, *found)
 
 
 def _clarke(
@@ -200,23 +212,39 @@ def _clarke(
     return tuple(payments)
 
 
-def _dp_values_without_each(instance: AuctionInstance) -> list[Fraction]:
-    """OPT without bid j, for every j, from one prefix and one suffix pass.
+def _dp_values_without_each(instance: AuctionInstance, tables: list[list[int]]) -> list[Fraction]:
+    """OPT without bid j, for every j, from the solve's `_value_tables` and
+    one forward walk over the bids.
 
-    With every bid before j in `prefix[j]` and every bid after it in
-    `suffix[j + 1]`, the optimum without j splits the goods between the two:
-    the maximum over S of prefix[j][S] + suffix[j + 1][full ^ S].  As
-    full ^ S == full - S, the suffix table is read reversed.
+    An allocation without j splits into a packing of bids 0..j-1 that uses
+    exactly some goods u and a packing of bids j+1.. inside the rest, so OPT
+    without j is the maximum over u of best[u] + tables[j + 1][full ^ u],
+    `best` holding each reached u's best packing value (-1 if none reaches
+    it).  Bid j then extends every reached set it is disjoint from.  A bid
+    worth nothing extends nothing, since leaving it out loses no value, so
+    every reached value is a sum of positive weights.
     """
-    integer = instance.integer_amounts
-    masks, weights = instance.bid_masks, integer.weights
-    k = len(instance.goods)
-    suffix = _value_tables(masks, weights, k)
-    prefix = _value_tables(masks[::-1], weights[::-1], k)[::-1]
-    return [
-        Fraction(max(map(add, prefix[j], reversed(suffix[j + 1]))), integer.denominator)
-        for j in range(len(masks))
-    ]
+    masks, weights = instance.bid_masks, instance.integer_amounts.weights
+    full = len(tables[0]) - 1
+    best = [-1] * (full + 1)
+    best[0] = 0
+    reached, free = [0], [full]  # the sets reached so far, and full ^ each
+    without = []
+    for j, (m, w) in enumerate(zip(masks, weights)):
+        after = tables[j + 1]
+        without.append(max(map(add, map(best.__getitem__, reached), map(after.__getitem__, free))))
+        if w > 0:
+            for u in reached[:]:
+                if not u & m:
+                    t, v = u | m, best[u] + w
+                    if best[t] < 0:
+                        reached.append(t)
+                        free.append(full ^ t)
+                        best[t] = v
+                    elif v > best[t]:
+                        best[t] = v
+    d = instance.integer_amounts.denominator
+    return [Fraction(v, d) for v in without]
 
 
 def _entry_table(instance: AuctionInstance, j: int) -> list[int]:
@@ -236,10 +264,13 @@ def _entry_table(instance: AuctionInstance, j: int) -> list[int]:
 
 def run_gva(instance: AuctionInstance, solver: SolverKind) -> Outcome:
     """Efficient allocation plus Clarke payments."""
-    actual = optimal_allocation(instance, solver)
     if solver is SolverKind.BITMASK_DP:
-        without = _dp_values_without_each(instance)
+        tables = _dp_tables(instance)
+        masks, weights = instance.bid_masks, instance.integer_amounts.weights
+        actual = _solution(instance, *_solve_dp(tables, masks, weights))
+        without = _dp_values_without_each(instance, tables)
     else:
+        actual = optimal_allocation(instance, solver)
         without = [
             optimal_allocation(instance.with_amount(j, 0), solver).value
             for j in range(len(instance.bids))

@@ -610,6 +610,10 @@ def test_planned_reruns_bound(monkeypatch):
     # reserve bidders are not searched: 63 x 16 x 7 + 8 x 226 is the bound again
     reserve = inst.with_bid(0, SingleMindedBid("b1", inst.bids[0].bundle, 1, True))
     check_planned_reruns(reserve, perturbations=226, deviations=True)
+    # the critical check probes at most 8 values for each of the 8 bids
+    check_planned_reruns(inst, perturbations=92, deviations=True, critical=True)
+    with pytest.raises(InstanceTooLarge, match="8872 mechanism reruns"):
+        check_planned_reruns(inst, perturbations=93, deviations=True, critical=True)
     check_planned_reruns(inst, perturbations=-1)
     wide = AuctionInstance(tuple(f"g{i}" for i in range(17)), (bid("x", {"g0"}, 1),))
     check_planned_reruns(wide, perturbations=1)

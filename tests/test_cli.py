@@ -533,8 +533,10 @@ def test_gva_critical_check_past_table_bound_exit_4(tmp_path):
         (16, 40, ["--deviations", "--axioms", "none"]),
         # 5 bids x 10**8 perturbations
         (4, 5, ["--samples", "100000000", "--axioms", "monotonicity"]),
+        # 2,000 possible winners x up to 2,000 critical-value probes each
+        (20, 2000, ["--axioms", "critical"]),
     ],
-    ids=["deviations-16-goods", "monotonicity-1e8-samples"],
+    ids=["deviations-16-goods", "monotonicity-1e8-samples", "critical-2000-bids"],
 )
 def test_check_past_rerun_bound_exit_4(tmp_path, goods, bids, check):
     # the planned reruns are counted before the first one, so the check is

@@ -237,10 +237,25 @@ def _tie_heavy_instances(count, seed):
 
 
 def test_gva_leave_one_out_parity():
-    # the prefix/suffix merge against per-bid DP re-solves and the brute-force oracle
+    # the forward walk against per-bid DP re-solves and the brute-force oracle
+    twelve = tuple(f"g{i}" for i in range(12))
+    four = ("a", "b", "c", "d")
     instances = [
         AuctionInstance(("a",), ()),
         AuctionInstance(("a",), (bid("x", "a", 7),)),
+        # disjoint bids: the walk reaches every one of the 2**12 goods sets
+        AuctionInstance(twelve, tuple(bid(f"b{i}", {g}, i + 1) for i, g in enumerate(twelve))),
+        # every bid on the full bundle
+        AuctionInstance(four, tuple(bid(f"b{i}", four, a) for i, a in enumerate((5, 9, 2, 9, 7)))),
+        # repeated identical bundles at equal amounts
+        AuctionInstance(four, tuple(bid(f"b{i}", "ab" if i % 2 else "cd", 4) for i in range(6))),
+        # bids worth zero, which the walk never extends by
+        AuctionInstance(four, (
+            bid("z0", "a", 0), bid("x", "ab", 3), bid("z1", "cd", 0),
+            bid("y", "c", 2), bid("z2", four, 0), bid("w", "d", 1),
+        )),
+        # three one-good bids on each good
+        AuctionInstance(four, tuple(bid(f"b{i}", four[i % 4], 1 + i % 3) for i in range(12))),
         *(random_instance(6, 9, seed=f"loo-parity:{t}") for t in range(20)),
         *_tie_heavy_instances(150, "loo-ties"),
         *(random_instance(12, 16, seed=f"loo-parity-large:{t}") for t in range(3)),
@@ -265,13 +280,13 @@ def _count_calls(monkeypatch, name):
 
 
 def test_gva_work_pinned(monkeypatch):
-    # the DP route is one solve, itself one value-table pass, plus the
-    # prefix and suffix passes; the brute-force oracle re-solves once per bid
+    # the DP route reads the allocation and every "without j" optimum off
+    # one value-table pass; the brute-force oracle re-solves once per bid
     inst = random_instance(6, 9, seed="gva-work")
     solves = _count_calls(monkeypatch, "optimal_allocation")
     passes = _count_calls(monkeypatch, "_value_tables")
     run_gva(inst, DP)
-    assert (len(solves), len(passes)) == (1, 3)
+    assert (len(solves), len(passes)) == (0, 1)
     solves.clear()
     passes.clear()
     run_gva(inst, BRUTE)
