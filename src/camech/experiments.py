@@ -25,7 +25,7 @@ from .errors import (
     UnknownScenario,
     ValuationUndefined,
 )
-from .exact import SolverKind, optimal_allocation, run_gva
+from .exact import SolverKind, _check_cells, optimal_allocation, run_gva
 from .greedy import greedy_allocate, run_greedy
 from .model import (
     MAX_GOODS,
@@ -495,16 +495,8 @@ MAX_DRAWN_BIDS = 200_000
 MAX_BUNDLE_DRAWS = 10 ** 7
 
 
-def random_instance(
-    goods_count: int, bids_count: int, *, seed, bundle_prob: float = 0.4
-) -> AuctionInstance:
-    """Seeded instance with distinct norms under each of `TIE_FREE_EXPONENTS`.
-
-    Bundles include each good independently with `bundle_prob` (empty bundles
-    are redrawn); amounts are distinct integers up to 10**6 thousandths, so
-    they serialise exactly.  The whole draw is retried on a norm collision,
-    which keeps every suite tie-free by construction.
-    """
+def _check_draw(goods_count: int, bids_count: int, bundle_prob: float) -> None:
+    """Raise what `random_instance` raises for these arguments, before any draw."""
     if goods_count > MAX_GOODS:
         raise InstanceTooLarge(f"at most {MAX_GOODS} goods are supported")
     if goods_count < 1 or not 0 <= bids_count <= MAX_DRAWN_BIDS or not 0 < bundle_prob <= 1:
@@ -516,6 +508,19 @@ def random_instance(
     nonempty = 1.0 if bundle_prob == 1 else -expm1(goods_count * log1p(-bundle_prob))
     if bids_count > MAX_BUNDLE_DRAWS * nonempty:
         raise InvalidArgument(f"bundle probability too small for {MAX_BUNDLE_DRAWS} bundle draws")
+
+
+def random_instance(
+    goods_count: int, bids_count: int, *, seed, bundle_prob: float = 0.4
+) -> AuctionInstance:
+    """Seeded instance with distinct norms under each of `TIE_FREE_EXPONENTS`.
+
+    Bundles include each good independently with `bundle_prob` (empty bundles
+    are redrawn); amounts are distinct integers up to 10**6 thousandths, so
+    they serialise exactly.  The whole draw is retried on a norm collision,
+    which keeps every suite tie-free by construction.
+    """
+    _check_draw(goods_count, bids_count, bundle_prob)
     rng = random.Random(f"camech-instance:{seed}")
     goods = tuple(f"g{i + 1}" for i in range(goods_count))
     for _ in range(min(MAX_DRAW_ATTEMPTS, MAX_DRAWN_BIDS // max(bids_count, 1))):
@@ -538,6 +543,17 @@ def random_instance(
             continue
         return inst
     raise InvalidArgument("could not draw a tie-free instance; lower the bid count")
+
+
+#: Most DP cells the ratio suite may plan over all its trials, checked before
+#: the first one as `axioms.MAX_PLANNED_RERUNS` is before the first rerun:
+#: on a 2-vCPU host, 3.4 s of trials at 8 goods and 12 bids, 6.4 s at one
+#: good and one bid.
+MAX_RATIO_CELLS = 1 << 25
+#: A trial's table counts as at least this many goods wide: drawing, ranking
+#: and solving cost about 2**8 DP cells a bid on small tables, so a suite of
+#: tiny instances is bounded too.
+RATIO_MIN_TABLE_GOODS = 8
 
 
 @dataclass(frozen=True, eq=False)
@@ -588,9 +604,21 @@ def ratio_experiment(
 
     Each ratio is checked exactly against `ratio_bound`: the square root of
     the number of goods for exponent 1/2, the number of goods for exponent 1.
+    Before the first trial the arguments pass `random_instance`'s checks
+    and the DP's table bound, and the planned work, trials * (n + 1) *
+    2**max(k, `RATIO_MIN_TABLE_GOODS`) cells, must stay within
+    `MAX_RATIO_CELLS`; past it the suite raises `InstanceTooLarge`.
     """
     if goods_count < 1 or bids_count < 1 or trials < 1:
         raise InvalidArgument("the ratio suite needs at least one good, one bid and one trial")
+    _check_draw(goods_count, bids_count, bundle_prob)
+    _check_cells(bids_count, goods_count)
+    cells = trials * ((bids_count + 1) << max(goods_count, RATIO_MIN_TABLE_GOODS))
+    if cells > MAX_RATIO_CELLS:
+        raise InstanceTooLarge(
+            f"the ratio suite plans {cells} DP cells over {trials} trials;"
+            f" at most {MAX_RATIO_CELLS} are allowed"
+        )
     exponent = F(exponent)
     cfg = NormConfig(exponent)
     violations = []

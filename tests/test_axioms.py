@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from camech import axioms, exact
+from camech import axioms, exact, greedy, norm
 from camech.axioms import (
     Mechanism,
     _brackets,
@@ -318,6 +318,35 @@ def test_suite_runs_each_instance_once():
     assert runs == instances
     runs.clear()
     assert run_axiom_suite(mech, instances, []).checks == () and runs == []
+
+
+def test_suite_ranks_each_perturbation_once(monkeypatch):
+    # a perturbation's tie test reads the mechanism's own ranking, so a
+    # seeded l = 1/2 suite ranks exactly once per mechanism run; a draw with
+    # tied norms still runs the mechanism once and is then redrawn
+    ranks = []
+    rank = norm.rank
+
+    def counting_rank(instance, cfg):
+        ranks.append(instance)
+        return rank(instance, cfg)
+
+    for module in (norm, greedy, axioms, exact):
+        if vars(module).get("rank") is rank:
+            monkeypatch.setattr(module, "rank", counting_rank)
+    runs = []
+
+    def counting_run(instance, run=greedy_mechanism(LHALF).run):
+        runs.append(instance)
+        return run(instance)
+
+    mech = replace(greedy_mechanism(LHALF), run=counting_run)
+    tied = AuctionInstance(("a", "b", "c"), (
+        bid("red", "ab", 4), bid("green", "c", 2), bid("blue", "a", 2), bid("black", "bc", 3),
+    ))
+    run_axiom_suite(mech, [*_sample(6, tag="rank-once"), tied], seed=401)
+    assert any(rank(inst, LHALF).had_ties for inst in runs)
+    assert ranks == runs
 
 
 def test_suite_rejects_unknown_axiom():

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from camech.axioms import AXIOMS, MECHANISMS
-from camech.cli import main
+from camech.cli import build_parser, main
 
 THREE = {
     "goods": ["a", "b"],
@@ -420,6 +420,53 @@ def test_entry_point_subprocess(three_path):
     assert json.loads(result.stdout)["revenue"] == "9.5"
 
 
+# -- one parser per process: no call sees another's arguments ----------------
+
+
+def test_parser_built_once_per_process():
+    assert build_parser() is build_parser()
+
+
+def test_cached_parser_takes_env_seed_after_explicit_seed(capsys, monkeypatch, three_path):
+    code, out = run_cli(capsys, "check", three_path, "--seed", "7")
+    assert code == 0 and json.loads(out)["seed"] == 7
+    monkeypatch.setenv("CAMECH_SEED", "42")
+    code, out = run_cli(capsys, "check", three_path)
+    assert code == 0 and json.loads(out)["seed"] == 42
+
+
+def test_cached_parser_run_after_gen_output_writes_stdout(capsys, tmp_path):
+    path = tmp_path / "gen.json"
+    code, out = run_cli(capsys, "gen", "--goods", "4", "--bids", "5", "--seed", "3",
+                        "--output", str(path))
+    assert code == 0 and out == ""
+    written = path.read_text()
+    code, out = run_cli(capsys, "run", str(path))
+    assert code == 0 and "granted" in json.loads(out)
+    assert path.read_text() == written
+
+
+def test_cached_parser_recovers_after_usage_error(capsys, three_path):
+    _, before = run_cli(capsys, "run", three_path)
+    with pytest.raises(SystemExit) as exc:
+        main(["run", three_path, "--mechanism", "bogus", "--norm-exponent", "1/2"])
+    assert exc.value.code == 2
+    assert "invalid choice" in capsys.readouterr().err
+    code, after = run_cli(capsys, "run", three_path)
+    assert code == 0 and after == before
+
+
+def test_cached_parser_help_is_stable(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    texts = []
+    for _ in range(2):
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--help"])
+        assert exc.value.code == 0
+        texts.append(capsys.readouterr().out)
+    assert texts[0] == texts[1] and texts[0].startswith("usage: camech run")
+
+
 # (argv, exit code, sha256 of stdout): any change to the bytes a command
 # prints fails here.  THREE_PATH stands for the three-bid file.
 GOLDEN = [
@@ -550,6 +597,24 @@ def test_check_past_rerun_bound_exit_4(tmp_path, goods, bids, check):
     )
     assert result.returncode == 4, result.stderr
     assert json.loads(result.stdout)["error"]["kind"] == "too-large"
+
+
+@pytest.mark.parametrize(
+    "extra",
+    [["--trials", "100000000"], ["--k", "1", "--n", "1", "--trials", "100000000"],
+     ["--k", "8", "--n", "12", "--trials", "20000"]],
+    ids=["1e8-trials", "1e8-trials-1-good", "20000-trials"],
+)
+def test_ratio_suite_past_planned_cells_exit_4(extra):
+    # the suite's DP cells over all trials are counted before the first
+    # trial, so an out-of-range --trials is refused at once
+    result = subprocess.run(
+        [sys.executable, "-m", "camech.cli", "experiment", "--suite", "ratio", *extra],
+        capture_output=True, text=True, timeout=5,
+    )
+    assert result.returncode == 4, result.stderr
+    error = json.loads(result.stdout)["error"]
+    assert error["kind"] == "too-large" and "ratio suite plans" in error["message"]
 
 
 @pytest.mark.parametrize(

@@ -6,7 +6,9 @@ from math import factorial
 import pytest
 
 from camech import experiments
-from camech.errors import TiesPresent, TooManyTieOrders, UnknownScenario, ValuationUndefined
+from camech.errors import (
+    InstanceTooLarge, TiesPresent, TooManyTieOrders, UnknownScenario, ValuationUndefined,
+)
 from camech.exact import SolverKind, optimal_allocation
 from camech.experiments import (
     complex_player_utility,
@@ -123,6 +125,24 @@ def test_ratio_experiment_single_bid_is_exactly_optimal():
     stats = ratio_experiment(4, 1, 10, F(1), "ratio-single")
     assert stats.max_ratio == 1.0
     assert stats.bound_label == "4"
+
+
+def test_ratio_experiment_planned_cells_bound(monkeypatch):
+    # trials * (n + 1) * 2**max(k, 8) cells, refused before the first draw;
+    # criterion 4's 1000 trials at 8 goods and 12 bids plan 3,328,000
+    class Drawn(Exception):
+        pass
+
+    def draw(*args, **kwargs):
+        raise Drawn
+
+    monkeypatch.setattr(experiments, "random_instance", draw)
+    for k, n in ((8, 12), (1, 1), (12, 3)):
+        most = experiments.MAX_RATIO_CELLS // ((n + 1) << max(k, 8))
+        with pytest.raises(InstanceTooLarge, match="ratio suite plans"):
+            ratio_experiment(k, n, most + 1, F(1, 2), "bound")
+        with pytest.raises(Drawn):
+            ratio_experiment(k, n, most, F(1, 2), "bound")
 
 
 def test_ratio_bound_sides_and_labels():

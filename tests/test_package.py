@@ -1,10 +1,12 @@
 """The package's public surface, and the names the benchmark's tracer binds."""
 
+import contextlib
 import importlib.util
+import io
 from pathlib import Path
 
 import camech
-from camech import greedy, norm
+from camech import cli, greedy, norm
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -20,11 +22,21 @@ def test_benchmark_tracer_binds_every_traced_name():
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
     original = greedy.run_greedy
+    # the parser's cache wrapper is what `main` calls, so wrapping it keeps
+    # `cli.build_parser.calls` counting every call
+    parser_builder = cli.build_parser
     tracer = tracing.Tracer()
     try:
         tracer.install()
         assert greedy.run_greedy is not original
+        assert cli.build_parser is not parser_builder
+        with contextlib.redirect_stdout(io.StringIO()):
+            for _ in range(2):
+                assert cli.main(["gen", "--goods", "2", "--bids", "2", "--seed", "1"]) == 0
+        calls = tracer.totals.calls
+        assert calls["cli.build_parser"] == calls["cli.main"] == 2
     finally:
         tracer.uninstall()
     assert greedy.run_greedy is original
+    assert cli.build_parser is parser_builder
     assert norm.bundle_ratio_power.cache_info().maxsize > 0
