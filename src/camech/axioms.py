@@ -14,13 +14,14 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 from typing import Callable, Iterable, Optional, Sequence
 
 from .errors import (
     BundleSpaceTooLarge, InstanceTooLarge, InvalidArgument, NonMonotoneDetected, TiesPresent,
 )
 from .model import AuctionInstance, Outcome, SingleMindedBid, bidder_utility
-from .money import Money
+from .money import Money, Rational
 from .norm import NormConfig, crossing_value
 from . import exact as _exact
 from .greedy import run_greedy
@@ -150,17 +151,35 @@ def _brackets(thresholds: Iterable[Money]) -> tuple[list[Money], list[tuple[Frac
 
     The thresholds are sorted by their brackets, taken at doubling precision
     until neighbouring brackets are disjoint, so no two are ever subtracted.
+    The sort and the disjointness check compare the bounds' exact integer
+    images over one common denominator rather than `Fraction`s.
     """
     thresholds = list(thresholds)
     bits = 64  # the precision `Money.to_decimal` starts at
     while True:
         bounds = [t.bounds(bits) for t in thresholds]
+        # pairwise: lcm(*generator) builds an argument tuple per call, and
+        # CPython's tuple free list keeps thousands of them alive
+        common = 1
+        for lo, hi in bounds:
+            common = lcm(common, lo.denominator, hi.denominator)
+        scaled = [
+            (lo.numerator * (common // lo.denominator), hi.numerator * (common // hi.denominator))
+            for lo, hi in bounds
+        ]
         # equal lower bounds overlap, so ordering by lo alone is enough
-        order = sorted(range(len(thresholds)), key=lambda i: bounds[i][0])
-        brackets = [bounds[i] for i in order]
-        if all(hi < lo for (_, hi), (lo, _) in zip(brackets, brackets[1:])):
-            return [thresholds[i] for i in order], brackets
+        order = sorted(range(len(thresholds)), key=lambda i: scaled[i][0])
+        if all(scaled[a][1] < scaled[b][0] for a, b in zip(order, order[1:])):
+            return [thresholds[i] for i in order], [bounds[i] for i in order]
         bits *= 2
+
+
+def _toward(a: Rational, b: Rational) -> Fraction:
+    """a + (b - a) * PROBE_SCALE, built as one `Fraction` from integer
+    cross-products rather than three `Fraction` operations."""
+    s, t = PROBE_SCALE.numerator, PROBE_SCALE.denominator
+    an, ad, bn, bd = a.numerator, a.denominator, b.numerator, b.denominator
+    return Fraction(an * bd * (t - s) + bn * ad * s, ad * bd * t)
 
 
 def critical_value(mech: Mechanism, instance: AuctionInstance, j: int) -> CriticalValue:
@@ -174,15 +193,15 @@ def critical_value(mech: Mechanism, instance: AuctionInstance, j: int) -> Critic
     bundle = instance.bids[j].bundle
     positive = {t for t in mech.thresholds(instance, j, bundle) if t.sign() > 0}
     # zero is bracketed too, so the first probe stays above it
-    thresholds, brackets = _brackets({Money(0), *positive})
+    thresholds, brackets = _brackets({Money.ZERO, *positive})
     del thresholds[0], brackets[0]
     # one probe inside each region between consecutive thresholds
     if not thresholds:
         probes = [PROBE_SCALE]
     else:
-        probes = [brackets[0][0] * (1 - PROBE_SCALE)]
-        probes += [a + (b - a) * PROBE_SCALE for (_, a), (b, _) in zip(brackets, brackets[1:])]
-        probes.append(brackets[-1][1] * (1 + PROBE_SCALE))
+        probes = [_toward(brackets[0][0], 0)]
+        probes += [_toward(a, b) for (_, a), (b, _) in zip(brackets, brackets[1:])]
+        probes.append(_toward(brackets[-1][1], 2 * brackets[-1][1]))
     status = [
         mech.run(instance.with_amount(j, v)).allocation.bundle_granted(j) == bundle
         for v in probes
@@ -412,12 +431,12 @@ def _candidate_values(thresholds: Sequence[Money], true_amount: Fraction) -> lis
     candidates = {Fraction(0), true_amount}
     _, brackets = _brackets({t for t in thresholds if t.sign() >= 0})
     for i, (lo, hi) in enumerate(brackets):
-        left_gap = lo - brackets[i - 1][1] if i > 0 else lo
-        right_gap = brackets[i + 1][0] - hi if i + 1 < len(brackets) else (hi if hi > 0 else 1)
-        below = lo - left_gap * PROBE_SCALE
+        left = brackets[i - 1][1] if i > 0 else 0
+        right = brackets[i + 1][0] if i + 1 < len(brackets) else (2 * hi if hi > 0 else hi + 1)
+        below = _toward(lo, left)
         if below >= 0:
             candidates.add(below)
-        candidates.add(hi + right_gap * PROBE_SCALE)
+        candidates.add(_toward(hi, right))
     return sorted(candidates)
 
 

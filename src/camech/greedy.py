@@ -24,13 +24,19 @@ from .money import Money
 from .norm import NormConfig, RankedList, bundle_ratio_power, crossing_value, rank
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class GreedyTrace:
     """Execution record: the ranking used, deny reasons, and each winner's blocker."""
 
     ranking: RankedList
     blocked_by: Mapping[int, int]  # denied bid -> earliest granted conflicting bid
     blockers: Mapping[int, Optional[int]]  # granted bid, in grant order -> its blocker
+
+    def __init__(
+        self, ranking: RankedList, blocked_by: Mapping[int, int],
+        blockers: Mapping[int, Optional[int]],
+    ):
+        self.__dict__.update(ranking=ranking, blocked_by=blocked_by, blockers=blockers)
 
 
 def greedy_allocate(instance: AuctionInstance, cfg: NormConfig) -> tuple[Allocation, GreedyTrace]:

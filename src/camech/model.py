@@ -14,6 +14,15 @@ children replaced; two threads racing may both append a ranking for one
 configuration, and they are equal.  `norm.rank` replaces the slot by one
 assignment of a whole tuple, so a reader sees either the old slot or the
 new one, each correct for the bid it names.
+
+Records built once per mechanism rerun (bids, instances, allocations and
+outcomes here; rankings and traces in `norm` and `greedy`) are frozen
+dataclasses with hand-written `__init__`s.  A bid checks and sets its own
+fields, with no `__post_init__` call, and keeps the compact attribute
+storage that instance pools holding bids by the thousand rely on.  The
+short-lived records fill their fields in one `__dict__` update instead of
+one `object.__setattr__` per field, and a `with_bid` child copies its
+parent's normalised fields without any `__init__`.
 """
 
 from __future__ import annotations
@@ -32,15 +41,18 @@ Good = str
 #: Bundles are held as fixed-width bitsets, one bit per good.
 MAX_GOODS = 63
 
+_set = object.__setattr__
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, init=False)
 class SingleMindedBid:
     """A bidder's declared type: one bundle of goods and one rational amount.
 
     The amount is a `Fraction` (an `int` is converted); anything else, a
-    `Money` included, raises `InvalidArgument`.  `is_reserve` marks a bid
-    placed by the auctioneer itself; a granted reserve bid leaves its goods
-    unsold and contributes nothing to revenue.
+    `Money` included, raises `InvalidArgument`.  Any iterable bundle is
+    held as a `frozenset`.  `is_reserve` marks a bid placed by the
+    auctioneer itself; a granted reserve bid leaves its goods unsold and
+    contributes nothing to revenue.
     """
 
     bidder: str
@@ -48,16 +60,21 @@ class SingleMindedBid:
     amount: Fraction
     is_reserve: bool = False
 
-    def __post_init__(self):
-        if not isinstance(self.bundle, frozenset):
-            object.__setattr__(self, "bundle", frozenset(self.bundle))
-        amount = self.amount
+    def __init__(
+        self, bidder: str, bundle: Iterable[Good], amount: Fraction, is_reserve: bool = False
+    ):
+        if not isinstance(bundle, frozenset):
+            bundle = frozenset(bundle)
         if type(amount) is not Fraction:
             if isinstance(amount, bool) or not isinstance(amount, (int, Fraction)):
                 raise InvalidArgument(
                     f"a bid amount must be a Fraction or an int, not {type(amount).__name__}"
                 )
-            object.__setattr__(self, "amount", Fraction(amount))
+            amount = Fraction(amount)
+        _set(self, "bidder", bidder)
+        _set(self, "bundle", bundle)
+        _set(self, "amount", amount)
+        _set(self, "is_reserve", is_reserve)
 
     def with_amount(self, amount) -> "SingleMindedBid":
         return SingleMindedBid(self.bidder, self.bundle, amount, self.is_reserve)
@@ -166,12 +183,16 @@ class AuctionInstance:
         """
         bids = list(self.bids)
         bids[j] = new_bid
-        child = AuctionInstance(self.goods, tuple(bids), self.true_types)
-        cache = child.__dict__
-        cache["good_index"] = self.good_index
         masks = list(self.bid_masks)
         masks[j] = self.mask_of(new_bid.bundle)
-        cache["bid_masks"] = tuple(masks)
+        # this instance's fields are normalised already, so the child skips
+        # the dataclass __init__ and __post_init__
+        child = object.__new__(AuctionInstance)
+        cache = child.__dict__
+        cache.update(
+            goods=self.goods, bids=tuple(bids), true_types=self.true_types,
+            good_index=self.good_index, bid_masks=tuple(masks),
+        )
         origin = self.origin
         if origin is None:
             cache["origin"] = (self, j)
@@ -189,7 +210,7 @@ class AuctionInstance:
         return AuctionInstance(self.goods, self.bids, {b.bidder: b for b in self.bids})
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Allocation:
     """Map from bid index to the bundle actually handed over.
 
@@ -200,9 +221,8 @@ class Allocation:
 
     grants: Mapping[int, frozenset[Good]]
 
-    def __post_init__(self):
-        if not isinstance(self.grants, dict):
-            object.__setattr__(self, "grants", dict(self.grants))
+    def __init__(self, grants: Mapping[int, frozenset[Good]]):
+        self.__dict__["grants"] = grants if isinstance(grants, dict) else dict(grants)
 
     @classmethod
     def of_indices(cls, instance: AuctionInstance, indices: Iterable[int]) -> "Allocation":
@@ -216,7 +236,7 @@ class Allocation:
         return self.grants.get(j, frozenset())
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class Outcome:
     """Result of running a mechanism: who got what, who pays what.
 
@@ -234,6 +254,14 @@ class Outcome:
     payments: Sequence[Money]
     trace: object = None
     meta: Optional[Mapping[str, object]] = None
+
+    def __init__(
+        self, instance: AuctionInstance, allocation: Allocation, payments: Sequence[Money],
+        trace: object = None, meta: Optional[Mapping[str, object]] = None,
+    ):
+        self.__dict__.update(
+            instance=instance, allocation=allocation, payments=payments, trace=trace, meta=meta
+        )
 
     def is_granted(self, j: int) -> bool:
         return j in self.allocation.grants

@@ -230,15 +230,16 @@ class Money:
 
     def sign(self) -> int:
         """-1, 0 or +1; exact."""
-        if not self._terms:
+        terms = self._terms
+        if len(terms) == 1:  # a rational, or a rational multiple of one root
+            (c,) = terms.values()
+            return -1 if c.numerator < 0 else 1
+        if not terms:
             return 0
-        if self.is_rational:
-            f = self._terms[1]
-            return -1 if f < 0 else 1
-        coeffs = list(self._terms.values())
-        if all(c > 0 for c in coeffs):
+        positive = [c.numerator > 0 for c in terms.values()]
+        if all(positive):
             return 1
-        if all(c < 0 for c in coeffs):
+        if not any(positive):
             return -1
         bits = 32
         while True:
@@ -250,23 +251,28 @@ class Money:
             bits *= 2
 
     def bounds(self, bits: int) -> tuple[Fraction, Fraction]:
-        """Exact rational bounds lo <= value <= hi, roots taken to `bits` fractional bits."""
-        lo = hi = _ZERO
+        """Exact rational bounds lo <= value <= hi, roots taken to `bits` fractional bits.
+
+        A one-term value's bounds are that term's, with no sum taken.
+        """
+        lo = hi = None
         for m, c in self._terms.items():
             if m == 1:
-                lo += c
-                hi += c
-                continue
-            r = isqrt(m << (2 * bits))
-            # c times the root's bounds r / 2**bits and (r + 1) / 2**bits
-            below = Fraction(c.numerator * r, c.denominator << bits)
-            above = Fraction(c.numerator * (r + 1), c.denominator << bits)
-            if c > 0:
+                below = above = c
+            else:
+                r = isqrt(m << (2 * bits))
+                # c times the root's bounds r / 2**bits and (r + 1) / 2**bits
+                n, d = c.numerator, c.denominator << bits
+                below, above = Fraction(n * r, d), Fraction(n * (r + 1), d)
+                if n < 0:
+                    below, above = above, below
+            if lo is None:
+                lo, hi = below, above
+            else:
                 lo += below
                 hi += above
-            else:
-                lo += above
-                hi += below
+        if lo is None:
+            return _ZERO, _ZERO
         return lo, hi
 
     def compare(self, other) -> int:
@@ -299,10 +305,13 @@ class Money:
         return self.compare(other) >= 0
 
     def __hash__(self):
-        # a rational value hashes as the `Fraction` it equals
+        # a rational value hashes as the `Fraction` it equals; an irrational
+        # one, which equals no `Fraction`, hashes its canonical integers
         if self._hash is None:
             f = _rational_value(self._terms)
-            self._hash = hash(self.terms()) if f is None else hash(f)
+            self._hash = hash(f) if f is not None else hash(frozenset(
+                (m, c.numerator, c.denominator) for m, c in self._terms.items()
+            ))
         return self._hash
 
     # -- rendering ----------------------------------------------------------
@@ -373,21 +382,28 @@ def _decimal_text(n: int, e: int) -> str:
     return text
 
 
-def root_to_decimal(y: Fraction, q: int) -> str:
-    """y**(1/q) rounded to `SIGNIFICANT_DIGITS` digits, for y >= 0 whose q-th
-    root is zero or irrational (so no rounding tie can occur); integers only."""
-    if not y:
+def over_power_to_decimal(amount: Fraction, base: int, exponent: Fraction) -> str:
+    """amount / base**exponent rounded to `SIGNIFICANT_DIGITS` digits, for
+    amount >= 0, base >= 1 and an irrational base**exponent (so no rounding
+    tie can occur).
+
+    base**(p/q) is bracketed by the integer q-th roots of base**p at doubling
+    precision until both ends of the quotient's bracket round alike.  The
+    work grows with the digits of the amount and the size of base**p, never
+    with the q-th power of the amount.
+    """
+    if not amount:
         return "0"
-    e = _decimal_exponent(y.numerator, y.denominator) // q  # 10**e <= y**(1/q) < 10**(e + 1)
-    shift = (SIGNIFICANT_DIGITS - 1 - e) * q
-    # plain integers: Fraction arithmetic would take gcds of huge powers
-    num, den = y.numerator << q, y.denominator
-    if shift >= 0:
-        num *= 10 ** shift
-    else:
-        den *= 10 ** -shift
-    twice = iroot(num // den, q)  # floor(2 * y**(1/q) * 10**(SIGNIFICANT_DIGITS - 1 - e))
-    return _decimal_text((twice + 1) // 2, e)
+    q = exponent.denominator
+    power = base ** exponent.numerator
+    n, d = amount.numerator, amount.denominator
+    bits = 64
+    while True:
+        r = iroot(power << (q * bits), q)  # r < base**exponent * 2**bits < r + 1
+        rounded = _rounded(Fraction(n << bits, d * (r + 1)))
+        if rounded == _rounded(Fraction(n << bits, d * r)):
+            return _decimal_text(rounded[1], rounded[2])
+        bits *= 2
 
 
 def _decimal_exponent(n: int, d: int) -> int:

@@ -18,12 +18,19 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import gcd, lcm
 
-from .errors import ExponentNotSupported, InvalidArgument, TiesPresent
+from .errors import ExponentNotSupported, InstanceTooLarge, InvalidArgument, TiesPresent
 from .model import AuctionInstance, SingleMindedBid
-from .money import Money, iroot, root_to_decimal
+from .money import Money, iroot, over_power_to_decimal
 
 #: Largest numerator or denominator of a norm exponent, so exact powers stay small.
 MAX_EXPONENT_TERM = 1000
+#: Most bits the integer order keys of one instance may hold together,
+#: checked before any key is built.  A key w**q * (L / s)**p has about
+#: q * bits(w) + p * bits(L / s) bits: 3.3 million for one 999-digit amount
+#: at q = 1000, and at most 22 million for 200,000 generated bids at l = 1.
+#: On a 2-vCPU host, `run` on ten 990-digit bids at l = 999/1000 (33
+#: million bits) takes 2.4 s; twenty such bids are refused.
+MAX_KEY_BITS = 1 << 25
 
 
 class TieRule(Enum):
@@ -83,18 +90,18 @@ def crossing_value(bid: SingleMindedBid, size: int, exponent: Fraction) -> Money
 def norm_text(bid: SingleMindedBid, exponent: Fraction) -> str:
     """The norm a / size**exponent at 12 significant digits, without floats.
 
-    Exact where the norm has a closed form; otherwise it is the irrational
-    q-th root of the order key amount**q / size**p, rounded from integer roots.
+    Exact where the norm has a closed form; otherwise the irrational
+    size**l is bracketed by integer roots and the quotient rounded.
     """
     size = len(bid.bundle)
     p, q = exponent.numerator, exponent.denominator
     try:
         return (bundle_ratio_power(1, size, p, q) * bid.amount).to_decimal()
     except ExponentNotSupported:
-        return root_to_decimal(bid.amount ** q / size ** p, q)
+        return over_power_to_decimal(bid.amount, size, exponent)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class RankedList:
     """A total order over the bid indices of `instance`, norm-descending,
     ties resolved.
@@ -108,17 +115,33 @@ class RankedList:
     had_ties: bool
     instance: AuctionInstance = field(repr=False)
 
+    def __init__(
+        self, order: tuple[int, ...], exponent: Fraction, had_ties: bool,
+        instance: AuctionInstance,
+    ):
+        self.__dict__.update(order=order, exponent=exponent, had_ties=had_ties, instance=instance)
+
     @cached_property
     def keys(self) -> tuple[int, ...]:
         return tuple(_integer_keys(self.instance, self.exponent)[0])
 
 
 def _integer_keys(instance: AuctionInstance, exponent: Fraction) -> tuple[list[int], int]:
-    """Every bid's integer order key, and the lcm of the bundle sizes."""
+    """Every bid's integer order key, and the lcm of the bundle sizes.
+
+    Raises `InstanceTooLarge`, before any key is built, when the keys
+    would hold more than `MAX_KEY_BITS` bits together.
+    """
     p, q = exponent.numerator, exponent.denominator
     sizes = [len(b.bundle) for b in instance.bids]
     top = lcm(*sizes)
     amounts = instance.integer_amounts.weights
+    bits = sum(q * w.bit_length() + p * (top // s).bit_length() for w, s in zip(amounts, sizes))
+    if bits > MAX_KEY_BITS:
+        raise InstanceTooLarge(
+            f"ranking at norm exponent {exponent} needs order keys of about {bits} bits;"
+            f" at most {MAX_KEY_BITS} are allowed"
+        )
     return [w ** q * (top // s) ** p for w, s in zip(amounts, sizes)], top
 
 
@@ -150,8 +173,8 @@ def _sorted(instance: AuctionInstance, cfg: NormConfig) -> tuple[list[int], list
 class _ParentRanking:
     """An instance's ranking under one `NormConfig`, kept for its children:
     the order, the negated keys in that order (so ascending), whether any
-    keys tie, and in `without` the last replaced bid j, its position in the
-    order and whether the other bids' keys tie."""
+    keys tie, and in `without` the last replaced bid j with the other bids'
+    order, their negated keys and whether those tie."""
 
     __slots__ = ("order", "neg_keys", "scale", "tied", "without")
 
@@ -163,13 +186,14 @@ class _ParentRanking:
         self.scale = instance.integer_amounts.denominator ** q * top ** p
         self.without = None
 
-    def without_bid(self, j: int) -> tuple[int, int, bool]:
+    def without_bid(self, j: int) -> tuple[int, tuple[int, ...], list[int], bool]:
         without = self.without
         if without is None or without[0] != j:
             at = self.order.index(j)
+            order = self.order[:at] + self.order[at + 1:]
             others = self.neg_keys[:at] + self.neg_keys[at + 1:]
             ties = any(a == b for a, b in zip(others, others[1:]))
-            without = self.without = (j, at, ties)
+            without = self.without = (j, order, others, ties)
         return without
 
 
@@ -206,7 +230,7 @@ def _inserted(instance: AuctionInstance, cfg: NormConfig) -> RankedList | None:
     ranking = _parent_ranking(parent, cfg)
     if ranking is None:
         return None
-    _, at, ties = ranking.without_bid(j)
+    _, order, neg_keys, ties = ranking.without_bid(j)
     # the parent's key of bid i is its order key times `ranking.scale`, and
     # bid j's order key is (num / d)**q / s**p: bid i ranks above j exactly
     # when its key exceeds num**q * scale / (d**q * s**p), or that value's floor
@@ -216,17 +240,10 @@ def _inserted(instance: AuctionInstance, cfg: NormConfig) -> RankedList | None:
     floor, rest = divmod(
         amount.numerator ** q * ranking.scale, amount.denominator ** q * len(bid.bundle) ** p
     )
-    neg_keys = ranking.neg_keys
-    pos = bisect_left(neg_keys, -floor)  # counts j's old key when it is above
-    rival = pos + 1 if pos == at else pos
-    if not rest and rival < len(neg_keys) and neg_keys[rival] == -floor:
+    pos = bisect_left(neg_keys, -floor)
+    if not rest and pos < len(neg_keys) and neg_keys[pos] == -floor:
         return None
-    order = ranking.order
-    if pos <= at:
-        order = order[:pos] + (j,) + order[pos:at] + order[at + 1:]
-    else:
-        order = order[:at] + order[at + 1:pos] + (j,) + order[pos:]
-    return RankedList(order, cfg.exponent, ties, instance)
+    return RankedList(order[:pos] + (j,) + order[pos:], cfg.exponent, ties, instance)
 
 
 def rank(instance: AuctionInstance, cfg: NormConfig) -> RankedList:

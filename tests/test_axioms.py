@@ -1,6 +1,7 @@
 """Axiom checks, critical values, and the misreport search."""
 
 import gc
+import hashlib
 import itertools
 import random
 import weakref
@@ -13,8 +14,11 @@ from hypothesis import strategies as st
 
 from camech import axioms, exact, greedy, norm
 from camech.axioms import (
+    PROBE_SCALE,
     Mechanism,
     _brackets,
+    _candidate_values,
+    _toward,
     check_planned_reruns,
     clarke_greedy_mechanism,
     critical_value,
@@ -543,6 +547,96 @@ def test_brackets_separate_tiny_radical_from_zero():
     assert ordered == [Money(0), tiny]
     assert brackets[0] == (0, 0) and brackets[1][0] > 0
     assert _brackets([]) == ([], [])
+
+
+@given(st.one_of(st.fractions(), st.integers()), st.one_of(st.fractions(), st.integers()))
+@settings(max_examples=200, derandomize=True, deadline=None)
+def test_toward_is_the_probe_expression(a, b):
+    probe = _toward(a, b)
+    assert type(probe) is F and probe == a + (b - a) * PROBE_SCALE
+
+
+#: Per (norm exponent, seed) of `random_instance(6, 8, seed=f"pin:{seed}")`
+#: under the greedy mechanism: a sha256 prefix over every bid's critical value,
+#: probe count and probed amounts and its `_candidate_values` at bundle sizes
+#: 1 to 6, then each bid's critical value.  Recorded from the implementation
+#: that built every probe and candidate with `Fraction` arithmetic.
+_SCAN_PINS = {
+    ("1/2", 0): ("a7801cf94289f087", [
+        "Money<(188161/1000)*sqrt(3)>", "Money<(714601/1000)*sqrt(3)>",
+        "Money<(852409/3000)*sqrt(3)>", "Money('852409/1000')", "Money<(852409/3000)*sqrt(6)>",
+        "Money(0)", "Money<(852409/3000)*sqrt(3)>", "Money<(714601/1000)*sqrt(3)>",
+    ]),
+    ("1/2", 1): ("f93578ac3e8c6c9c", [
+        "Money(0)", "Money<(192761/400)*sqrt(2)>", "Money<(24506/25)*sqrt(2)>", "Money(0)",
+        "Money<(102251/200)*sqrt(2)>", "Money<(152639/400)*sqrt(2)>", "Money('192761/200')",
+        "Money<(401841/500)*sqrt(3)>",
+    ]),
+    ("1/2", 2): ("dfa3c778ce24157d", [
+        "Money(0)", "Money<(805861/3000)*sqrt(6)>", "Money<(10939/25)*sqrt(3)>",
+        "Money<(805861/1500)*sqrt(3)>", "Money<(805861/3000)*sqrt(6)>",
+        "Money<(805861/3000)*sqrt(6)>", "Money('805861/1000')", "Money<(805861/3000)*sqrt(6)>",
+    ]),
+    ("1/2", 3): ("438d0bd7a5140933", [
+        "Money<(12347/1000)*sqrt(2)>", "Money<(447057/500)*sqrt(3)>",
+        "Money<(447057/500)*sqrt(3)>", "Money<(17569/60)*sqrt(3)>",
+        "Money<(90647/250)*sqrt(3)>", "Money(0)", "Money<(447057/500)*sqrt(3)>",
+        "Money<(34439/125)*sqrt(2)>",
+    ]),
+    ("1/2", 4): ("556d8faea7f0c4e8", [
+        "Money<(846301/1000)*sqrt(2)>", "Money<(42577/500)*sqrt(2)>",
+        "Money<(846301/1000)*sqrt(3)>", "Money<(846301/1000)*sqrt(2)>",
+        "Money<(85273/125)*sqrt(2)>", "Money<(392329/1000)*sqrt(2)>",
+        "Money<(846301/1000)*sqrt(3)>", "Money('170546/125')",
+    ]),
+    ("1", 0): ("81efe6446b4eee4a", [
+        "Money('564483/1000')", "Money('2143803/1000')", "Money('852409/3000')",
+        "Money('852409/1000')", "Money('852409/1500')", "Money(0)", "Money('852409/3000')",
+        "Money('2143803/1000')",
+    ]),
+    ("1", 1): ("63f65cc7794e37cc", [
+        "Money(0)", "Money('192761/400')", "Money('49012/25')", "Money(0)",
+        "Money('102251/100')", "Money(0)", "Money('133794/125')", "Money('1205523/500')",
+    ]),
+    ("1", 2): ("a858813fb0656520", [
+        "Money(0)", "Money('171897/500')", "Money('1814793/2000')", "Money('604931/500')",
+        "Money('604931/1000')", "Money('283143/500')", "Money('114039/250')",
+        "Money('35071/500')",
+    ]),
+    ("1", 3): ("69f3ff241e274b71", [
+        "Money('12347/1000')", "Money('1341171/500')", "Money('1341171/500')",
+        "Money('17569/60')", "Money('271941/250')", "Money('579893/3000')",
+        "Money('1341171/500')", "Money('68878/125')",
+    ]),
+    ("1", 4): ("86b74b0888e8c36c", [
+        "Money('846301/500')", "Money('42577/500')", "Money('2538903/1000')",
+        "Money('846301/500')", "Money('170546/125')", "Money('392329/1000')",
+        "Money('2538903/1000')", "Money('341092/125')",
+    ]),
+}
+
+
+@pytest.mark.parametrize("exponent, seed", list(_SCAN_PINS))
+def test_critical_scan_outputs_pinned(exponent, seed):
+    mech = greedy_mechanism(NormConfig(F(exponent)))
+    inst = random_instance(6, 8, seed=f"pin:{seed}")
+    digest = hashlib.sha256()
+    values = []
+    for j in range(len(inst.bids)):
+        probed = []
+
+        def run(instance, j=j, probed=probed):
+            probed.append(instance.bids[j].amount)
+            return mech.run(instance)
+
+        cv = critical_value(Mechanism(mech.name, run, mech.thresholds, mech.norm), inst, j)
+        assert cv.probes == len(probed) == 8
+        values.append(repr(cv.value))
+        digest.update(repr((cv.value, cv.probes, probed)).encode())
+        for size in range(1, len(inst.goods) + 1):
+            thresholds = mech.thresholds(inst, j, frozenset(inst.goods[:size]))
+            digest.update(repr(_candidate_values(thresholds, inst.bids[j].amount)).encode())
+    assert (digest.hexdigest()[:16], values) == _SCAN_PINS[exponent, seed]
 
 
 def test_deviation_search_runs_every_candidate_once():

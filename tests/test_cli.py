@@ -4,8 +4,10 @@ import contextlib
 import hashlib
 import io
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -51,6 +53,20 @@ def three_path(tmp_path):
     path = tmp_path / "three.json"
     path.write_text(json.dumps(THREE))
     return str(path)
+
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+
+
+def run_module(*argv, timeout=None):
+    """`python -m camech.cli *argv` in a child process that imports camech
+    from this checkout's `src`, ahead of any other `PYTHONPATH` entry."""
+    path = os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH"))))
+    env = dict(os.environ, PYTHONPATH=path)
+    return subprocess.run(
+        [sys.executable, "-m", "camech.cli", *argv],
+        capture_output=True, text=True, timeout=timeout, env=env,
+    )
 
 
 def run_cli(capsys, *argv):
@@ -208,10 +224,7 @@ def test_dp_cell_bound_exit_4(capsys):
 @pytest.mark.parametrize("k", ["20000", "1000000"])
 def test_tight_suite_goods_past_bound_exit_4(k):
     # refused on the goods count before any bundle mask or cell count is built
-    result = subprocess.run(
-        [sys.executable, "-m", "camech.cli", "experiment", "--suite", "tight", "--k", k, "--l", "1"],
-        capture_output=True, text=True, timeout=5,
-    )
+    result = run_module("experiment", "--suite", "tight", "--k", k, "--l", "1", timeout=5)
     assert result.returncode == 4, result.stderr
     assert json.loads(result.stdout)["error"]["kind"] == "too-large"
 
@@ -412,10 +425,7 @@ def test_experiment_tight(capsys):
 
 
 def test_entry_point_subprocess(three_path):
-    result = subprocess.run(
-        [sys.executable, "-m", "camech.cli", "run", three_path],
-        capture_output=True, text=True,
-    )
+    result = run_module("run", three_path)
     assert result.returncode == 0
     assert json.loads(result.stdout)["revenue"] == "9.5"
 
@@ -547,10 +557,7 @@ def test_golden_stdout(capsys, monkeypatch, tmp_path, three_path, argv, code, sh
 )
 def test_out_of_range_flag_exit_2(three_path, argv):
     argv = [three_path if a == "THREE_PATH" else a for a in argv]
-    result = subprocess.run(
-        [sys.executable, "-m", "camech.cli", *argv],
-        capture_output=True, text=True, timeout=5,
-    )
+    result = run_module(*argv, timeout=5)
     assert result.returncode == 2, result.stderr
     assert set(json.loads(result.stdout)) == {"error"}
 
@@ -564,10 +571,9 @@ def test_gva_critical_check_past_table_bound_exit_4(tmp_path):
     path.write_text(json.dumps({"goods": goods, "bids": [
         {"bidder": f"b{i}", "bundle": [goods[i]], "amount": str(i + 1)} for i in range(17)
     ]}))
-    result = subprocess.run(
-        [sys.executable, "-m", "camech.cli", "check", str(path), "--mechanism", "gva",
-         "--solver", "brute", "--axioms", "critical"],
-        capture_output=True, text=True, timeout=3,
+    result = run_module(
+        "check", str(path), "--mechanism", "gva", "--solver", "brute", "--axioms", "critical",
+        timeout=3,
     )
     assert result.returncode == 4, result.stderr
     assert json.loads(result.stdout)["error"]["kind"] == "too-large"
@@ -591,10 +597,7 @@ def test_check_past_rerun_bound_exit_4(tmp_path, goods, bids, check):
     path = str(tmp_path / "gen.json")
     assert main(["gen", "--goods", str(goods), "--bids", str(bids), "--seed", "1",
                  "--output", path]) == 0
-    result = subprocess.run(
-        [sys.executable, "-m", "camech.cli", "check", path, *check],
-        capture_output=True, text=True, timeout=5,
-    )
+    result = run_module("check", path, *check, timeout=5)
     assert result.returncode == 4, result.stderr
     assert json.loads(result.stdout)["error"]["kind"] == "too-large"
 
@@ -608,10 +611,7 @@ def test_check_past_rerun_bound_exit_4(tmp_path, goods, bids, check):
 def test_ratio_suite_past_planned_cells_exit_4(extra):
     # the suite's DP cells over all trials are counted before the first
     # trial, so an out-of-range --trials is refused at once
-    result = subprocess.run(
-        [sys.executable, "-m", "camech.cli", "experiment", "--suite", "ratio", *extra],
-        capture_output=True, text=True, timeout=5,
-    )
+    result = run_module("experiment", "--suite", "ratio", *extra, timeout=5)
     assert result.returncode == 4, result.stderr
     error = json.loads(result.stdout)["error"]
     assert error["kind"] == "too-large" and "ratio suite plans" in error["message"]
@@ -626,10 +626,7 @@ def test_oversized_amount_literal_exit_2(tmp_path, amount):
     doc["bids"][0]["amount"] = amount
     path = tmp_path / "big.json"
     path.write_text(json.dumps(doc))
-    result = subprocess.run(
-        [sys.executable, "-m", "camech.cli", "run", str(path)],
-        capture_output=True, text=True, timeout=5,
-    )
+    result = run_module("run", str(path), timeout=5)
     assert result.returncode == 2, result.stderr
     assert json.loads(result.stdout)["error"]["kind"] == "parse"
 
@@ -646,10 +643,7 @@ def test_oversized_amount_literal_exit_2(tmp_path, amount):
 def test_pathological_json_exit_2(tmp_path, text):
     path = tmp_path / "bad.json"
     path.write_text(text)
-    result = subprocess.run(
-        [sys.executable, "-m", "camech.cli", "run", str(path)],
-        capture_output=True, text=True, timeout=10,
-    )
+    result = run_module("run", str(path), timeout=10)
     assert result.returncode == 2, result.stderr
     assert json.loads(result.stdout)["error"]["kind"] == "parse"
 
@@ -657,10 +651,7 @@ def test_pathological_json_exit_2(tmp_path, text):
 @pytest.mark.parametrize("bids", ["20000", "100000"])
 def test_gen_gives_up_on_ties_quickly(bids):
     # so many bids almost never come out tie-free; the redraws stop early
-    result = subprocess.run(
-        [sys.executable, "-m", "camech.cli", "gen", "--goods", "8", "--bids", bids, "--seed", "1"],
-        capture_output=True, text=True, timeout=10,
-    )
+    result = run_module("gen", "--goods", "8", "--bids", bids, "--seed", "1", timeout=10)
     assert result.returncode == 2, result.stderr
     assert set(json.loads(result.stdout)) == {"error"}
 
@@ -668,13 +659,33 @@ def test_gen_gives_up_on_ties_quickly(bids):
 @pytest.mark.parametrize("goods, bids", [("63", "1000000"), ("8", "200001")])
 def test_gen_rejects_bid_counts_past_the_draw_limit(goods, bids):
     # no instance over 200,000 bids is drawn, however many goods it has
-    result = subprocess.run(
-        [sys.executable, "-m", "camech.cli", "gen", "--goods", goods, "--bids", bids, "--seed", "1"],
-        capture_output=True, text=True, timeout=5,
-    )
+    result = run_module("gen", "--goods", goods, "--bids", bids, "--seed", "1", timeout=5)
     assert result.returncode == 2, result.stderr
     (error,) = json.loads(result.stdout).values()
     assert "0 to 200000 bids" in error["message"]
+
+
+def test_gen_refuses_draws_past_the_goods_times_bids_budget():
+    # one draw of 63 goods times 200,000 bids took seconds only to tie
+    result = run_module("gen", "--goods", "63", "--bids", "200000", "--seed", "1", timeout=5)
+    assert result.returncode == 4, result.stderr
+    (error,) = json.loads(result.stdout).values()
+    assert error["kind"] == "too-large"
+
+
+def test_run_refuses_rank_keys_past_the_bit_budget(tmp_path):
+    # twenty 990-digit amounts at l = 999/1000: each order key w**1000 has
+    # 3.3 million bits, and building them all took seconds
+    goods = [f"g{i}" for i in range(40)]
+    bids = [
+        {"bidder": f"b{i}", "bundle": goods[2 * i:2 * i + 2], "amount": f"{i + 1}{'0' * 988}7"}
+        for i in range(20)
+    ]
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"goods": goods, "bids": bids}))
+    result = run_module("run", str(path), "--norm-exponent", "999/1000", timeout=5)
+    assert result.returncode == 4, result.stderr
+    assert json.loads(result.stdout)["error"]["kind"] == "too-large"
 
 
 def test_run_largest_norm_exponent(capsys, tmp_path):

@@ -268,3 +268,14 @@ def test_random_instance_redraws_on_ties(monkeypatch):
     inst = random_instance(4, 5, seed="redraw")
     assert len(inst.bids) == 5
     assert len(calls) > 1
+
+
+def test_random_instance_draw_budget_keeps_the_largest_tie_free_draws():
+    # at 63 goods, 8,500 bids draw tie-free at seeds 1 to 5, seed 5 on its
+    # 21st draw; the goods-times-bids budget leaves them enough redraws
+    assert experiments._check_draw(63, 8500, 0.4) >= 21
+    assert len(random_instance(63, 8500, seed=3).bids) == 8500  # its first draw
+    with pytest.raises(InstanceTooLarge):
+        experiments._check_draw(63, 200_000, 0.4)
+    # small bid counts keep every redraw
+    assert experiments._check_draw(8, 12, 0.4) == experiments.MAX_DRAW_ATTEMPTS

@@ -1,7 +1,9 @@
 """Model types: validation, utilities, allocations and their values."""
 
 import gc
+import random
 import weakref
+from dataclasses import FrozenInstanceError, replace
 from fractions import Fraction
 from fractions import Fraction as F
 from unittest import mock
@@ -11,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from camech.documents import parse_instance
-from camech.errors import InvalidArgument
+from camech.errors import InvalidArgument, TiesPresent
 from camech.experiments import random_instance, tight_family
 from camech.model import (
     Allocation,
@@ -19,10 +21,13 @@ from camech.model import (
     IntegerAmounts,
     SingleMindedBid,
     allocation_value,
+    assemble_outcome,
     bidder_utility,
     validate_instance,
 )
 from camech.money import Money
+from camech.greedy import run_greedy
+from camech.norm import NormConfig, TieRule, rank
 
 
 def three_bidder_instance() -> AuctionInstance:
@@ -225,3 +230,86 @@ def test_bid_amounts_are_fractions_by_type():
 def test_assuming_truthful():
     inst = three_bidder_instance().assuming_truthful()
     assert inst.true_types["red"].amount == Money(10)
+
+
+def _ranked(instance, cfg):
+    try:
+        ranking = rank(instance, cfg)
+    except TiesPresent:
+        return "ties"
+    return ranking.order, ranking.had_ties
+
+
+def test_with_bid_child_matches_a_fresh_instance():
+    # children skip the dataclass __init__; they must hold what a fresh
+    # instance normalises its fields to, and rank the same under every rule
+    rng = random.Random(7)
+    for t in range(30):
+        inst = random_instance(5, 7, seed=f"child:{t}")
+        if t % 2:
+            inst = inst.assuming_truthful()
+        order = tuple(rng.sample(range(7), 7))
+        configs = [
+            NormConfig(exponent, rule, order if rule is TieRule.EXPLICIT else None)
+            for exponent in (F(1), F(1, 2), F(2, 3)) for rule in TieRule
+        ]
+        for cfg in configs:
+            _ranked(inst, cfg)  # the parent's rankings, which children insert into
+        for _ in range(6):
+            j = rng.randrange(7)
+            other = inst.bids[rng.randrange(7)]
+            # half the time copy another bid's bundle and amount, so norms tie
+            bundle = rng.sample(inst.goods, rng.randint(1, 5))
+            if rng.random() < 0.5:
+                bundle = other.bundle
+            amount = other.amount if rng.random() < 0.5 else F(rng.randint(1, 10 ** 6), 1000)
+            child = inst.with_bid(j, SingleMindedBid(inst.bids[j].bidder, bundle, amount))
+            fresh = AuctionInstance(list(child.goods), list(child.bids), child.true_types)
+            assert type(child.goods) is type(fresh.goods) is tuple
+            assert type(child.bids) is type(fresh.bids) is tuple
+            assert type(child.true_types) is type(fresh.true_types)
+            assert (child.goods, child.bids, child.true_types) == (
+                fresh.goods, fresh.bids, fresh.true_types
+            )
+            assert child.bid_masks == fresh.bid_masks
+            assert child.integer_amounts == fresh.integer_amounts
+            for cfg in configs:
+                assert _ranked(child, cfg) == _ranked(fresh, cfg)
+
+
+def test_bid_normalises_its_fields_and_keeps_eq_and_hash():
+    listed = SingleMindedBid("x", ["b", "a", "a"], 3)
+    assert type(listed.bundle) is frozenset and listed.bundle == {"a", "b"}
+    assert type(listed.amount) is Fraction and listed.amount == 3
+    same = SingleMindedBid(bidder="x", bundle=frozenset("ab"), amount=F(3), is_reserve=False)
+    assert listed == same and hash(listed) == hash(same) and len({listed, same}) == 1
+    assert listed != SingleMindedBid("x", "ab", 3, True)
+    assert listed != SingleMindedBid("x", "ab", F(7, 2))
+    assert replace(listed, amount=4) == SingleMindedBid("x", "ab", 4)
+    assert listed.with_amount(5) == SingleMindedBid("x", "ab", 5)
+    assert repr(listed) == (
+        f"SingleMindedBid(bidder='x', bundle={listed.bundle!r}, amount=Fraction(3, 1),"
+        " is_reserve=False)"
+    )
+
+
+def test_records_stay_frozen():
+    inst = three_bidder_instance()
+    child = inst.with_amount(0, 11)
+    out = run_greedy(child, NormConfig(F(1, 2)))
+    records = {
+        "bid": child.bids[0],
+        "instance": inst,
+        "child": child,
+        "allocation": out.allocation,
+        "outcome": out,
+        "trace": out.trace,
+        "ranking": out.trace.ranking,
+        "assembled": assemble_outcome(child, Allocation({}), []),
+    }
+    for name, record in records.items():
+        field = next(iter(record.__dataclass_fields__))
+        with pytest.raises(FrozenInstanceError):
+            setattr(record, field, None)
+        with pytest.raises(FrozenInstanceError):
+            setattr(record, "extra", None)

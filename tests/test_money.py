@@ -287,3 +287,55 @@ def test_total_order(a, b):
 def test_decimal_render_is_close(v):
     text = v.to_decimal()
     assert abs(float(F(text)) - _approx(v)) <= max(1e-9, abs(_approx(v)) * 1e-9)
+
+
+_squarefree = st.sampled_from([2, 3, 5, 6, 7, 10, 11, 13, 30, 210])
+_nonzero = st.fractions(min_value=-10 ** 6, max_value=10 ** 6, max_denominator=10 ** 6).filter(bool)
+
+
+@given(_nonzero, _squarefree, st.integers(min_value=1, max_value=300))
+@settings(max_examples=100, deadline=None)
+def test_one_term_bounds_are_the_term_bounds(c, m, bits):
+    lo, hi = (Money.sqrt(m) * c).bounds(bits)
+    # the per-term formula: c times the root's bounds r / 2**bits and (r + 1) / 2**bits
+    r = isqrt(m << (2 * bits))
+    assert (lo, hi) == tuple(sorted((c * F(r, 2 ** bits), c * F(r + 1, 2 ** bits))))
+    # and they bracket c * sqrt(m), checked on squares alone
+    low, high = sorted((lo / c, hi / c))
+    assert 0 < low and low ** 2 < m < high ** 2 and high - low == F(1, 2 ** bits)
+    assert Money(c).bounds(bits) == (c, c) and Money(0).bounds(bits) == (0, 0)
+
+
+@given(_values, _scalars, _scalars)
+@settings(max_examples=60, deadline=None)
+def test_equal_values_hash_equal_whatever_built_them(a, r, s):
+    v = Money.sqrt(2) * r + Money.sqrt(3) * s + a
+    same = [
+        a + Money.sqrt(3) * s + Money.sqrt(2) * r,  # another term order
+        (v * 2) * F(1, 2),
+        v + v - v,
+        Money.sqrt(8) * (r / 2) + Money.sqrt(12) * (s / 2) + a,  # other radicands
+    ]
+    for w in same:
+        assert w == v and hash(w) == hash(v)
+    assert hash(Money.sqrt(8) * F(1, 2)) == hash(Money.sqrt(2))
+    assert hash(Money.sqrt(2) + Money.sqrt(2)) == hash(Money.sqrt(2) * 2) == hash(Money.sqrt(8))
+    if not v.is_rational:
+        assert hash(v) == hash(frozenset((m, c.numerator, c.denominator) for m, c in v.terms()))
+
+
+@given(_values, _values, st.integers(min_value=1, max_value=200))
+@settings(max_examples=100, deadline=None)
+def test_sign_agrees_with_bounds(a, b, bits):
+    for v in (a, a - b, a + b * F(1, 3)):
+        sign = v.sign()
+        lo, hi = v.bounds(bits)
+        assert lo <= hi
+        if sign > 0:
+            assert hi > 0
+        elif sign < 0:
+            assert lo < 0
+        else:
+            assert lo == hi == 0
+        if lo > 0 or hi < 0:
+            assert sign == (1 if lo > 0 else -1)
