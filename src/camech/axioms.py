@@ -319,9 +319,9 @@ def _tie_free_perturbation(rng, mech: Mechanism, inst, j):
 
     A norm mechanism's own ranking decides, so each draw is ranked once: it
     ties when the outcome's trace ranking `had_ties`, or when a `REJECT`
-    run raises `TiesPresent`.  Such a run ranks the perturbed instance
-    first; clarke-greedy's later rankings, each with one amount set to
-    zero, tie only where the unperturbed instance's run already raised.
+    run raises `TiesPresent`.  Only the perturbed instance's own ranking
+    can raise: clarke-greedy's reruns with one amount set to zero break
+    ties canonically.
     """
     bid = inst.bids[j]
     for _ in range(PERTURBATION_ATTEMPTS):
@@ -484,7 +484,10 @@ def find_profitable_deviation(
 
     The bidder's true type comes from `instance.true_types` (falling back to
     the declared bid).  Any report returned is genuinely profitable: the
-    deviating utility was computed by re-running the mechanism.
+    deviating utility was computed by re-running the mechanism.  A
+    candidate whose rerun raises `TiesPresent` is skipped and not counted
+    as tested; a tie on the truthful rerun comes from the input and
+    propagates.
     """
     k = len(instance.goods)
     bundles = _bundle_count(k)
@@ -511,9 +514,12 @@ def find_profitable_deviation(
         if values is None:
             values = candidates[thresholds] = _candidate_values(thresholds, true_type.amount)
         for v in values:
-            tested += 1
             attempt = SingleMindedBid(declared.bidder, bundle, v, declared.is_reserve)
-            u = utility(mech.run(instance.with_bid(j, attempt)))
+            try:
+                u = utility(mech.run(instance.with_bid(j, attempt)))
+            except TiesPresent:
+                continue
+            tested += 1
             if best is None or u > best[0]:
                 best = (u, attempt)
     if best is not None and best[0] > truthful_utility:

@@ -34,7 +34,7 @@ from .model import (
     MAX_GOODS, Allocation, AuctionInstance, Outcome, allocation_value, assemble_outcome,
 )
 from .money import Money
-from .norm import NormConfig
+from .norm import NormConfig, TieRule
 
 
 class SolverKind(Enum):
@@ -286,11 +286,17 @@ def clarke_with_greedy(instance: AuctionInstance, cfg: NormConfig) -> Outcome:
     Kept as a runnable mechanism so the axiom and deviation checkers have a
     concrete failure to exhibit.  Payments can exceed the declared amount
     and are not clamped.
+
+    A zero-norm bid ranks after every positive one under every tie rule,
+    so the order among zero-norm bids cannot change an allocation's value:
+    the reruns with bid j zeroed break such ties canonically instead of
+    raising under `REJECT`.
     """
     allocation, trace = greedy_allocate(instance, cfg)
+    zeroed_cfg = NormConfig(cfg.exponent) if cfg.tie_rule is TieRule.REJECT else cfg
     without = []
     for j in range(len(instance.bids)):
         inst = instance.with_amount(j, 0)
-        without.append(allocation_value(inst, greedy_allocate(inst, cfg)[0]))
+        without.append(allocation_value(inst, greedy_allocate(inst, zeroed_cfg)[0]))
     payments = _clarke(instance, allocation, allocation_value(instance, allocation), without)
     return assemble_outcome(instance, allocation, payments, trace)

@@ -36,7 +36,7 @@ from .model import (
     validate_instance,
 )
 from .money import Money
-from .norm import NormConfig, TieRule, rank
+from .norm import NormConfig, TieRule, _sorted, rank
 
 F = Fraction
 
@@ -431,10 +431,10 @@ def revenue_compare_tie_orders(instance: AuctionInstance, cfg: NormConfig) -> Ti
     count is the product of the groups' factorials) and compares against the
     GVA's single revenue figure.
     """
-    base = rank(instance, NormConfig(cfg.exponent, TieRule.CANONICAL))
+    order, keys, _, _ = _sorted(instance, NormConfig(cfg.exponent))
     groups: list[list[int]] = []
-    for j in base.order:
-        if groups and base.keys[groups[-1][0]] == base.keys[j]:
+    for j in order:
+        if groups and keys[groups[-1][0]] == keys[j]:
             groups[-1].append(j)
         else:
             groups.append([j])

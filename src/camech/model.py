@@ -8,12 +8,8 @@ first read and cached; that changes no value, since each is a pure function
 of the outcome's inputs, and two threads racing to fill a cache store equal
 values, so an outcome stays immutable and thread-safe.  The same holds for
 an instance's caches.  A `with_bid` child's `origin` is set before the
-child is returned and never changes.  `rankings` holds, per `NormConfig`,
-the instance's ranking and one slot with the position of the last bid its
-children replaced; two threads racing may both append a ranking for one
-configuration, and they are equal.  `norm.rank` replaces the slot by one
-assignment of a whole tuple, so a reader sees either the old slot or the
-new one, each correct for the bid it names.
+child is returned and never changes; `norm` documents the rankings it
+keeps in `rankings`.
 
 Records built once per mechanism rerun (bids, instances, allocations and
 outcomes here; rankings and traces in `norm` and `greedy`) are frozen
@@ -30,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import gcd, lcm
+from math import lcm
 from typing import ClassVar, Iterable, Mapping, NamedTuple, Optional, Sequence
 
 from .errors import InvalidArgument
@@ -96,19 +92,6 @@ class IntegerAmounts(NamedTuple):
         d = lcm(*(a.denominator for a in amounts))
         return cls(d, tuple(a.numerator * (d // a.denominator) for a in amounts))
 
-    def replaced(self, j: int, amount: Fraction) -> "IntegerAmounts":
-        """The same form with amount j replaced, rescaled by the lcm of the
-        denominators and reduced back to lowest terms."""
-        d = lcm(self.denominator, amount.denominator)
-        scale = d // self.denominator
-        weights = [w * scale for w in self.weights]
-        weights[j] = amount.numerator * (d // amount.denominator)
-        g = gcd(d, *weights)
-        if g != 1:
-            d //= g
-            weights = [w // g for w in weights]
-        return IntegerAmounts(d, tuple(weights))
-
 
 @dataclass(frozen=True, eq=False)
 class AuctionInstance:
@@ -150,11 +133,6 @@ class AuctionInstance:
 
     @cached_property
     def integer_amounts(self) -> IntegerAmounts:
-        """The amounts over their common denominator; a `with_bid` child
-        derives its form from its origin's."""
-        if self.origin is not None:
-            parent, j = self.origin
-            return parent.integer_amounts.replaced(j, self.bids[j].amount)
         return IntegerAmounts.of([b.amount for b in self.bids])
 
     @cached_property
@@ -173,13 +151,10 @@ class AuctionInstance:
     def with_bid(self, j: int, new_bid: SingleMindedBid) -> "AuctionInstance":
         """Copy of the instance with bid j replaced; caches are reseeded.
 
-        The child records its `origin`, the instance it differs from in bid
-        j alone: this one, or this one's own origin when that replaced the
-        same bid.  A child of a child that replaces another bid records
-        none, so an origin keeps at most one ancestor alive.  A child with
-        an origin derives its `integer_amounts` from the origin's on first
-        read, and `norm.rank` inserts bid j into the origin's ranking of
-        the other bids instead of sorting them again.
+        A copy of an instance without an origin records `(self, j)` as its
+        `origin`, from which `norm.rank` reuses this instance's ranking; a
+        copy of a copy records none, so an origin keeps at most one
+        ancestor alive.
         """
         bids = list(self.bids)
         bids[j] = new_bid
@@ -193,13 +168,8 @@ class AuctionInstance:
             goods=self.goods, bids=tuple(bids), true_types=self.true_types,
             good_index=self.good_index, bid_masks=tuple(masks),
         )
-        origin = self.origin
-        if origin is None:
+        if self.origin is None:
             cache["origin"] = (self, j)
-        elif origin[1] == j:
-            cache["origin"] = origin
-        else:
-            cache["integer_amounts"] = self.integer_amounts.replaced(j, new_bid.amount)
         return child
 
     def with_amount(self, j: int, amount) -> "AuctionInstance":

@@ -7,15 +7,22 @@ one denominator and L the lcm of the bundle sizes, the key
 w**q * (L / |s|)**p is the order key times (d**q * L**p).  Amounts are
 `Fraction`s by type, probes included; radicals appear only in crossing
 values, and so in thresholds, payments, revenue and utilities.
+
+`rank` keeps, in an instance's `rankings`, its ranking under each
+`NormConfig` it was asked for, with one slot holding the position of the
+last bid its `with_bid` children replaced.  Two threads racing may both
+append a ranking for one configuration, and they are equal.  The slot is
+replaced by one assignment of a whole tuple, so a reader sees either the
+old slot or the new one, each correct for the bid it names.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from math import gcd, lcm
 
 from .errors import ExponentNotSupported, InstanceTooLarge, InvalidArgument, TiesPresent
@@ -103,27 +110,14 @@ def norm_text(bid: SingleMindedBid, exponent: Fraction) -> str:
 
 @dataclass(frozen=True, eq=False, init=False)
 class RankedList:
-    """A total order over the bid indices of `instance`, norm-descending,
-    ties resolved.
-
-    `keys[j]` is bid j's order key amount**q / size**p, scaled to an
-    integer: equal keys are equal norms.  It is computed on first read.
-    """
+    """A total order over bid indices, norm-descending, ties resolved."""
 
     order: tuple[int, ...]
     exponent: Fraction
     had_ties: bool
-    instance: AuctionInstance = field(repr=False)
 
-    def __init__(
-        self, order: tuple[int, ...], exponent: Fraction, had_ties: bool,
-        instance: AuctionInstance,
-    ):
-        self.__dict__.update(order=order, exponent=exponent, had_ties=had_ties, instance=instance)
-
-    @cached_property
-    def keys(self) -> tuple[int, ...]:
-        return tuple(_integer_keys(self.instance, self.exponent)[0])
+    def __init__(self, order: tuple[int, ...], exponent: Fraction, had_ties: bool):
+        self.__dict__.update(order=order, exponent=exponent, had_ties=had_ties)
 
 
 def _integer_keys(instance: AuctionInstance, exponent: Fraction) -> tuple[list[int], int]:
@@ -172,14 +166,14 @@ def _sorted(instance: AuctionInstance, cfg: NormConfig) -> tuple[list[int], list
 
 class _ParentRanking:
     """An instance's ranking under one `NormConfig`, kept for its children:
-    the order, the negated keys in that order (so ascending), whether any
-    keys tie, and in `without` the last replaced bid j with the other bids'
-    order, their negated keys and whether those tie."""
+    the order, the negated keys in that order (so ascending), and in
+    `without` the last replaced bid j with the other bids' order, their
+    negated keys and whether those tie."""
 
-    __slots__ = ("order", "neg_keys", "scale", "tied", "without")
+    __slots__ = ("order", "neg_keys", "scale", "without")
 
     def __init__(self, instance: AuctionInstance, cfg: NormConfig):
-        order, keys, top, self.tied = _sorted(instance, cfg)
+        order, keys, top, _ = _sorted(instance, cfg)
         self.order = tuple(order)
         self.neg_keys = [-keys[i] for i in order]
         p, q = cfg.exponent.numerator, cfg.exponent.denominator
@@ -205,19 +199,10 @@ def _parent_ranking(parent: AuctionInstance, cfg: NormConfig) -> _ParentRanking 
     for kept, ranking in rankings:
         if kept is cfg or kept == cfg:
             return ranking
-    ranking = None
-    if cfg.tie_rule is not TieRule.EXPLICIT:  # an explicit order is checked by the sort
-        # without tied keys, every tie rule gives the same order
-        ranking = next((
-            kept_ranking for kept, kept_ranking in rankings
-            if kept_ranking is not None and not kept_ranking.tied
-            and kept.exponent == cfg.exponent
-        ), None)
-    if ranking is None:
-        try:
-            ranking = _ParentRanking(parent, cfg)
-        except TiesPresent:
-            pass
+    try:
+        ranking = _ParentRanking(parent, cfg)
+    except TiesPresent:
+        ranking = None
     rankings.append((cfg, ranking))
     return ranking
 
@@ -243,7 +228,7 @@ def _inserted(instance: AuctionInstance, cfg: NormConfig) -> RankedList | None:
     pos = bisect_left(neg_keys, -floor)
     if not rest and pos < len(neg_keys) and neg_keys[pos] == -floor:
         return None
-    return RankedList(order[:pos] + (j,) + order[pos:], cfg.exponent, ties, instance)
+    return RankedList(order[:pos] + (j,) + order[pos:], cfg.exponent, ties)
 
 
 def rank(instance: AuctionInstance, cfg: NormConfig) -> RankedList:
@@ -254,20 +239,15 @@ def rank(instance: AuctionInstance, cfg: NormConfig) -> RankedList:
     higher amount, then smaller bundle bitset, then lower bid index; with
     `EXPLICIT` ties break by position in `cfg.explicit_order`.
 
-    A `with_bid` child inherits its origin's ranking of the other bids.
-    Rescaling the amounts to a new common denominator, or the sizes to a
-    new lcm, multiplies every other bid's key and amount by one positive
-    factor, so they keep their order, tie breaks included.  The origin's
-    ranking under `cfg` is computed once and kept in its `rankings` (a
-    tie-free one serves every tie rule but `EXPLICIT`), with the position
-    of the last replaced bid j, and j is placed by one bisect on the
-    origin's keys.  When j's key ties another bid's, or the origin's
-    `REJECT` ranking raised (as it does whenever the other bids tie), the
-    child is sorted in full like an instance without an origin.
+    A `with_bid` child keeps its origin's order of the other bids, tie
+    breaks included, since rescaling the amounts or sizes multiplies every
+    key by one positive factor; bid j goes in by one bisect on the
+    origin's keys.  The child is sorted in full when j's key ties another
+    bid's, or the origin's `REJECT` ranking raised.
     """
     if instance.origin is not None:
         ranked = _inserted(instance, cfg)
         if ranked is not None:
             return ranked
     order, _, _, ties = _sorted(instance, cfg)
-    return RankedList(tuple(order), cfg.exponent, ties, instance)
+    return RankedList(tuple(order), cfg.exponent, ties)

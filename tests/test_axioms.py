@@ -5,6 +5,7 @@ import hashlib
 import itertools
 import random
 import weakref
+from unittest import mock
 from dataclasses import replace
 from fractions import Fraction as F
 
@@ -28,14 +29,16 @@ from camech.axioms import (
     run_axiom_suite,
 )
 from camech.errors import (
-    BundleSpaceTooLarge, InstanceTooLarge, InvalidArgument, NonMonotoneDetected,
+    BundleSpaceTooLarge, InstanceTooLarge, InvalidArgument, NonMonotoneDetected, TiesPresent,
 )
 from camech.exact import SolverKind, run_gva
 from camech.experiments import random_instance
 from camech.greedy import run_greedy
-from camech.model import Allocation, AuctionInstance, SingleMindedBid, assemble_outcome
+from camech.model import (
+    Allocation, AuctionInstance, IntegerAmounts, SingleMindedBid, assemble_outcome,
+)
 from camech.money import Money
-from camech.norm import NormConfig, crossing_value
+from camech.norm import NormConfig, TieRule, crossing_value
 
 L1 = NormConfig(F(1))
 LHALF = NormConfig(F(1, 2))
@@ -660,6 +663,47 @@ def test_deviation_search_runs_every_candidate_once():
                 found += 1
                 assert len(runs) == report.candidates_tested + 1
     assert found > 0
+
+
+def test_deviation_search_skips_candidates_that_tie():
+    # under REJECT a candidate at 0 ties the zero bid; it is skipped and
+    # not counted, while a tie in the input itself still raises
+    reject = NormConfig(F(1), TieRule.REJECT)
+    inst = AuctionInstance(("x", "y", "z"), (bid("a", "x", 5), bid("b", "y", 0), bid("c", "z", 3)))
+    assert find_profitable_deviation(greedy_mechanism(reject), inst, 0) is None
+    inst = AuctionInstance(
+        ("a", "b", "c"),
+        (bid("red", "a", 10), bid("green", "ab", 19), bid("blue", "b", 8), bid("zero", "c", 0)),
+    ).assuming_truthful()
+    mech = clarke_greedy_mechanism(reject)
+    completed, tied = [], []
+
+    def recording_run(instance, run=mech.run):
+        try:
+            out = run(instance)
+        except TiesPresent:
+            tied.append(instance)
+            raise
+        completed.append(instance)
+        return out
+
+    report = find_profitable_deviation(replace(mech, run=recording_run), inst, 0)
+    assert report is not None and tied
+    assert report.candidates_tested == len(completed) - 1  # less the truthful run
+    tied_input = AuctionInstance(("a", "b"), (bid("red", "a", 4), bid("blue", "b", 4)))
+    with pytest.raises(TiesPresent):
+        find_profitable_deviation(greedy_mechanism(reject), tied_input, 0)
+
+
+def test_greedy_deviation_search_builds_integer_amounts_once():
+    # every rerun inserts its moved bid into the searched instance's
+    # ranking, so only that instance's own sort builds the integer amounts
+    inst = random_instance(6, 8, seed="integer-amounts-once")
+    inst = AuctionInstance(inst.goods, inst.bids)  # nothing cached yet
+    with mock.patch.object(IntegerAmounts, "of", wraps=IntegerAmounts.of) as built:
+        find_profitable_deviation(greedy_mechanism(L1), inst, 0)
+    assert built.call_count == 1
+    assert built.call_args.args == ([b.amount for b in inst.bids],)
 
 
 def test_checkers_run_mechanisms_on_rational_instances_only():

@@ -47,6 +47,17 @@ TIED = {
     ],
 }
 
+#: Tie-free, but bid a at 0, as the clarke-greedy reruns and the misreport
+#: search set it, ties b.
+ZERO_BID = {
+    "goods": ["x", "y", "z"],
+    "bids": [
+        {"bidder": "a", "bundle": ["x"], "amount": "5"},
+        {"bidder": "b", "bundle": ["y"], "amount": "0"},
+        {"bidder": "c", "bundle": ["z"], "amount": "3"},
+    ],
+}
+
 
 @pytest.fixture()
 def three_path(tmp_path):
@@ -204,6 +215,28 @@ def test_run_ties_rejected_exit_3(capsys, tmp_path):
     code, out = run_cli(capsys, "run", str(path), "--tie-rule", "reject")
     assert code == 3
     assert json.loads(out)["error"]["kind"] == "ties"
+
+
+def test_run_clarke_greedy_reject_prices_zeroed_reruns_exit_0(capsys, tmp_path):
+    path = tmp_path / "zero.json"
+    path.write_text(json.dumps(ZERO_BID))
+    argv = ("run", str(path), "--mechanism", "clarke-greedy", "--tie-rule")
+    code, out = run_cli(capsys, *argv, "reject")
+    assert code == 0
+    _, canonical = run_cli(capsys, *argv, "canonical")
+    doc, expected = json.loads(out), json.loads(canonical)
+    assert doc.pop("tie_rule") == "reject" and expected.pop("tie_rule") == "canonical"
+    assert doc == expected
+
+
+def test_check_deviations_reject_skips_tied_candidates_exit_0(capsys, tmp_path):
+    path = tmp_path / "zero.json"
+    path.write_text(json.dumps(ZERO_BID))
+    code, out = run_cli(
+        capsys, "check", str(path), "--tie-rule", "reject", "--deviations", "--axioms", "none"
+    )
+    assert code == 0
+    assert [d["profitable_deviation"] for d in json.loads(out)["deviations"]] == [None] * 3
 
 
 def test_gen_too_large_exit_4(capsys):

@@ -18,7 +18,7 @@ from camech.exact import (
 from camech.experiments import random_instance
 from camech.model import AuctionInstance, SingleMindedBid, assemble_outcome
 from camech.money import Money
-from camech.norm import NormConfig
+from camech.norm import NormConfig, TieRule
 
 DP = SolverKind.BITMASK_DP
 BRUTE = SolverKind.BRUTE_FORCE_BID_SUBSETS
@@ -179,6 +179,20 @@ def test_clarke_with_greedy_can_go_negative():
     out = clarke_with_greedy(inst, L1)
     assert sorted(out.allocation.grants) == [0, 2]
     assert out.payments[0] == Money(-25)
+
+
+def test_clarke_with_greedy_zeroed_reruns_do_not_reject_ties():
+    # the input is tie-free, but zeroing bid a ties it with b @ 0; a
+    # zero-norm bid ranks last under every tie rule, so REJECT prices as
+    # CANONICAL does instead of raising
+    inst = AuctionInstance(
+        ("x", "y", "z"), (bid("a", "x", 5), bid("b", "y", 0), bid("c", "z", 3))
+    )
+    for exponent in (F(1), F(1, 2)):
+        canonical = clarke_with_greedy(inst, NormConfig(exponent))
+        rejecting = clarke_with_greedy(inst, NormConfig(exponent, TieRule.REJECT))
+        assert rejecting.allocation.grants == canonical.allocation.grants
+        assert list(rejecting.payments) == list(canonical.payments)
 
 
 def test_size_guards():

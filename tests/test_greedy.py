@@ -425,7 +425,7 @@ def _ranked_and_run(inst, cfg):
     trace = out.trace
     assert trace.ranking.order == ranked.order
     return (
-        ranked.order, ranked.had_ties, ranked.keys,
+        ranked.order, ranked.had_ties,
         out.allocation.grants, trace.blocked_by, list(trace.blockers.items()),
         list(out.payments),
     )
@@ -437,7 +437,7 @@ def test_with_bid_children_rank_like_a_full_sort(exponent, rule):
     # a `with_bid` child inserts the moved bid into its origin's ranking;
     # the same bids rebuilt without an origin are sorted in full.  Each child
     # is also ranked under another tie rule and another exponent, so the
-    # origin keeps several rankings and may share a tie-free one.
+    # origin keeps one ranking for each configuration.
     rng = random.Random(f"insertion-parity:{exponent}:{rule.value}")
     other_rule = TieRule.REJECT if rule is TieRule.CANONICAL else TieRule.CANONICAL
     other_exponent = F(1, 2) if exponent == 1 else F(1)
@@ -454,8 +454,8 @@ def test_with_bid_children_rank_like_a_full_sort(exponent, rule):
         for _ in range(5):
             j = rng.randrange(n)
             child = inst.with_bid(j, _moved_bid(rng, inst, j, exponent))
-            # a same-bid child of the child, whose origin is inst, and a
-            # child replacing another bid, which has none
+            # children of the child, which have no origin: one replacing the
+            # same bid again and one replacing another bid
             k = rng.randrange(n)
             family = [child, child.with_bid(j, _moved_bid(rng, child, j, exponent)),
                       child.with_bid(k, _moved_bid(rng, child, k, exponent))]

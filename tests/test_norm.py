@@ -124,8 +124,8 @@ def test_child_ranking_reuses_origin_and_checks_explicit_order():
     # a re-declared bid meets only its own old key: inserted, not sorted
     same = inst.with_bid(0, inst.bids[0])
     assert norm._inserted(same, l1).order == rank(inst, l1).order == (0, 2, 1)
-    # the origin's tie-free ranking serves every tie rule, but an explicit
-    # order is still checked
+    # the origin is ranked once under each tie rule, so an explicit order
+    # is checked
     child = inst.with_amount(1, 4)
     assert rank(child, NormConfig(F(1), TieRule.REJECT)).order == (1, 0, 2)
     with pytest.raises(InvalidArgument):

@@ -1,5 +1,6 @@
 """The package's public surface, and the names the benchmark's tracer binds."""
 
+import ast
 import contextlib
 import importlib.util
 import io
@@ -8,7 +9,8 @@ from pathlib import Path
 import camech
 from camech import cli, greedy, norm
 
-TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+ROOT = Path(__file__).resolve().parents[1]
+TRACING = ROOT / "perfbench" / "tracing.py"
 
 
 def test_every_export_resolves():
@@ -40,3 +42,30 @@ def test_benchmark_tracer_binds_every_traced_name():
     assert greedy.run_greedy is original
     assert cli.build_parser is parser_builder
     assert norm.bundle_ratio_power.cache_info().maxsize > 0
+
+
+def _unused_imports(tree: ast.Module) -> list[str]:
+    """Names a module imports and never reads."""
+    imported = {}
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+        elif isinstance(node, ast.Name):
+            used.add(node.id)
+    return sorted(f"{name} (line {line})" for name, line in imported.items() if name not in used)
+
+
+def test_modules_import_only_what_they_use():
+    unused = {}
+    for path in sorted((ROOT / "src" / "camech").glob("*.py")):
+        if path.name == "__init__.py":  # imports names to re-export them
+            continue
+        names = _unused_imports(ast.parse(path.read_text(), str(path)))
+        if names:
+            unused[path.name] = names
+    assert unused == {}
