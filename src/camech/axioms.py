@@ -38,6 +38,10 @@ MAX_SEARCH_GOODS = 16
 #: as `exact.MAX_DP_CELLS` is before a table is built: about half a minute
 #: of greedy reruns at 6 goods and 8 bids.
 MAX_PLANNED_RERUNS = 1 << 20
+#: Most order-key bits the planned reruns of a norm mechanism may build.
+#: On a 2-vCPU host, `check --axioms critical` at l = 999/1000 on four
+#: two-good bids of 990 digits (16 reruns of 3.3 million bits) takes 6 s.
+MAX_RERUN_KEY_BITS = 1 << 26
 
 
 @dataclass(frozen=True, eq=False)
@@ -450,7 +454,7 @@ def _bundle_count(k: int) -> int:
 
 def check_planned_reruns(
     instance: AuctionInstance, *, perturbations: int = 0, deviations: bool = False,
-    critical: bool = False,
+    critical: bool = False, cfg: Optional[NormConfig] = None,
 ) -> None:
     """Raise `InstanceTooLarge` when a check on `instance` plans more than
     `MAX_PLANNED_RERUNS` mechanism reruns, before any of them runs.
@@ -463,6 +467,8 @@ def check_planned_reruns(
     plans, per bundle, zero, the true amount and one value on each side of
     each other bid's threshold: (2**k - 1) * (2 * (n - 1) + 2) reruns.  Past
     `MAX_SEARCH_GOODS` goods the search raises `BundleSpaceTooLarge` here.
+    A rerun ranking by `cfg` builds a key of about q * bits(largest weight)
+    + p * bits(lcm of sizes) bits; past `MAX_RERUN_KEY_BITS` in all it raises.
     """
     n = len(instance.bids)
     runs = n * max(perturbations, 0)
@@ -475,6 +481,16 @@ def check_planned_reruns(
         raise InstanceTooLarge(
             f"the check plans {runs} mechanism reruns; at most {MAX_PLANNED_RERUNS} are allowed"
         )
+    if cfg is not None and runs:
+        p, q = cfg.exponent.numerator, cfg.exponent.denominator
+        top = lcm(*(len(b.bundle) for b in instance.bids))
+        weight = max(instance.integer_amounts.weights)
+        bits = runs * (q * weight.bit_length() + p * top.bit_length())
+        if bits > MAX_RERUN_KEY_BITS:
+            raise InstanceTooLarge(
+                f"the check's {runs} reruns at norm exponent {cfg.exponent} build order keys"
+                f" of about {bits} bits; at most {MAX_RERUN_KEY_BITS} are allowed"
+            )
 
 
 def find_profitable_deviation(

@@ -102,7 +102,7 @@ def build_parser() -> argparse.ArgumentParser:
         add_common(p)
         p.add_argument("--mechanism", choices=tuple(MECHANISMS), default="greedy")
         p.add_argument("--norm-exponent", type=_fraction, default=Fraction(1))
-        p.add_argument("--tie-rule", choices=("canonical", "reject"), default="canonical")
+        p.add_argument("--tie-rule", choices=tuple(r.value for r in TieRule), default="canonical")
         p.add_argument("--solver", choices=("dp", "brute"), default="dp")
     check_p.add_argument(
         "--axioms",
@@ -198,6 +198,7 @@ def _cmd_check(args) -> tuple[dict, int]:
         perturbations=args.samples if "monotonicity" in selected else 0,
         deviations=args.deviations,
         critical="critical" in selected,
+        cfg=mech.norm,
     )
     report = run_axiom_suite(mech, [instance], selected, seed=seed, perturbations=args.samples)
     deviations = None

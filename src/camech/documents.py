@@ -145,7 +145,7 @@ def outcome_document(outcome: Outcome, mech: Mechanism) -> dict:
                 "bidder": b.bidder,
                 "bundle": sorted(outcome.allocation.bundle_granted(j)),
                 "payment": outcome.payments[j].to_decimal(),
-                "norm": norm_text(b, ranking.exponent) if ranking else None,
+                "norm": norm_text(b, cfg.exponent) if ranking else None,
             }
             granted.append(entry)
         else:

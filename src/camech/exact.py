@@ -29,12 +29,12 @@ from operator import add
 from typing import Sequence
 
 from .errors import InstanceTooLarge
-from .greedy import greedy_allocate
+from .greedy import _walk, greedy_allocate
 from .model import (
     MAX_GOODS, Allocation, AuctionInstance, Outcome, allocation_value, assemble_outcome,
 )
 from .money import Money
-from .norm import NormConfig, TieRule
+from .norm import NormConfig, RankedList
 
 
 class SolverKind(Enum):
@@ -287,16 +287,16 @@ def clarke_with_greedy(instance: AuctionInstance, cfg: NormConfig) -> Outcome:
     concrete failure to exhibit.  Payments can exceed the declared amount
     and are not clamped.
 
-    A zero-norm bid ranks after every positive one under every tie rule,
-    so the order among zero-norm bids cannot change an allocation's value:
-    the reruns with bid j zeroed break such ties canonically instead of
-    raising under `REJECT`.
+    The value without bid j is the walk's along the outcome's own ranking
+    with j left out: j at amount zero would leave the others' order as it
+    is and rank after every bid of positive norm, where it adds no value
+    and keeps out only bids of zero value.
     """
     allocation, trace = greedy_allocate(instance, cfg)
-    zeroed_cfg = NormConfig(cfg.exponent) if cfg.tie_rule is TieRule.REJECT else cfg
+    ranking = trace.ranking
     without = []
     for j in range(len(instance.bids)):
-        inst = instance.with_amount(j, 0)
-        without.append(allocation_value(inst, greedy_allocate(inst, zeroed_cfg)[0]))
+        others = RankedList(tuple(i for i in ranking.order if i != j), ranking.had_ties)
+        without.append(allocation_value(instance, _walk(instance, others)[0]))
     payments = _clarke(instance, allocation, allocation_value(instance, allocation), without)
     return assemble_outcome(instance, allocation, payments, trace)

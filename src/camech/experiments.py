@@ -26,7 +26,7 @@ from .errors import (
     ValuationUndefined,
 )
 from .exact import SolverKind, _check_cells, optimal_allocation, run_gva
-from .greedy import greedy_allocate, run_greedy
+from .greedy import _priced, _walk, greedy_allocate
 from .model import (
     MAX_GOODS,
     AuctionInstance,
@@ -36,7 +36,7 @@ from .model import (
     validate_instance,
 )
 from .money import Money
-from .norm import NormConfig, TieRule, _sorted, rank
+from .norm import NormConfig, RankedList, TieRule, _sorted, rank
 
 F = Fraction
 
@@ -428,34 +428,25 @@ def revenue_compare_tie_orders(instance: AuctionInstance, cfg: NormConfig) -> Ti
     """Average greedy revenue over every resolution of the norm ties.
 
     Enumerates all permutations within each group of equal-norm bids (their
-    count is the product of the groups' factorials) and compares against the
-    GVA's single revenue figure.
+    count is the product of the groups' factorials), walks and prices each
+    resulting order as `run_greedy` does, and compares against the GVA's
+    single revenue figure.
     """
-    order, keys, _, _ = _sorted(instance, NormConfig(cfg.exponent))
-    groups: list[list[int]] = []
-    for j in order:
-        if groups and keys[groups[-1][0]] == keys[j]:
-            groups[-1].append(j)
-        else:
-            groups.append([j])
+    order, keys, _, ties = _sorted(instance, NormConfig(cfg.exponent))
+    groups = [list(g) for _, g in itertools.groupby(order, key=keys.__getitem__)]
     total_orders = 1
     for g in groups:
         total_orders *= factorial(len(g))
         if total_orders > MAX_TIE_ORDERS:
-            raise TooManyTieOrders(
-                f"tie groups admit more than {MAX_TIE_ORDERS} orders"
-            )
+            raise TooManyTieOrders(f"tie groups admit more than {MAX_TIE_ORDERS} orders")
     revenue_sum = Money(0)
-    count = 0
     for perm_groups in itertools.product(*(itertools.permutations(g) for g in groups)):
         order = tuple(itertools.chain.from_iterable(perm_groups))
-        out = run_greedy(instance, NormConfig(cfg.exponent, TieRule.EXPLICIT, order))
-        revenue_sum = revenue_sum + out.revenue
-        count += 1
-    assert count == total_orders
+        out = _priced(instance, *_walk(instance, RankedList(order, ties)), cfg.exponent)
+        revenue_sum += out.revenue
     gva = run_gva(instance, SolverKind.BITMASK_DP)
     return TieOrderComparison(
-        revenue_sum * F(1, count), gva.revenue, count, tuple(len(g) for g in groups)
+        revenue_sum * F(1, total_orders), gva.revenue, total_orders, tuple(len(g) for g in groups)
     )
 
 

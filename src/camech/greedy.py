@@ -8,6 +8,9 @@ denied, conflicts with it, and conflicts with no other granted bid ranked
 earlier.  Bids without a blocker, and denied bids, pay nothing.  A
 payment is computed when it is first read, so a rerun that reads only the
 allocation prices nothing.
+
+The walk takes any order: the tie-order enumeration walks each resolution
+of the norm ties, and Clarke-with-greedy walks its ranking without bid j.
 """
 
 from __future__ import annotations
@@ -40,7 +43,12 @@ class GreedyTrace:
 
 
 def greedy_allocate(instance: AuctionInstance, cfg: NormConfig) -> tuple[Allocation, GreedyTrace]:
-    """Rank, then grant greedily; records why each denied bid lost.
+    """Rank, then grant greedily; records why each denied bid lost."""
+    return _walk(instance, rank(instance, cfg))
+
+
+def _walk(instance: AuctionInstance, ranking: RankedList) -> tuple[Allocation, GreedyTrace]:
+    """Grant along `ranking.order` every bid disjoint from the grants so far.
 
     A denied bid meeting exactly one granted bid is that bid's blocker when
     the bid has none yet: the bids granted so far are exactly the grants
@@ -50,7 +58,6 @@ def greedy_allocate(instance: AuctionInstance, cfg: NormConfig) -> tuple[Allocat
     the only one exactly when the denied bid's overlap with all granted
     goods lies inside its bundle.
     """
-    ranking = rank(instance, cfg)
     bids = instance.bids
     masks = instance.bid_masks
     used = 0
@@ -123,7 +130,14 @@ class GreedyPayments(Sequence):
 
 
 def run_greedy(instance: AuctionInstance, cfg: NormConfig) -> Outcome:
-    """Allocate greedily and charge each winner its blocker's crossing value.
+    """Allocate greedily and charge each winner its blocker's crossing value."""
+    return _priced(instance, *greedy_allocate(instance, cfg), cfg.exponent)
+
+
+def _priced(
+    instance: AuctionInstance, allocation: Allocation, trace: GreedyTrace, exponent: Fraction
+) -> Outcome:
+    """The outcome of a walk, each winner charged its blocker's crossing value.
 
     The crossing values are computed on first read, but their size ratio
     powers are looked up here, so an exponent without an exact payment
@@ -131,12 +145,11 @@ def run_greedy(instance: AuctionInstance, cfg: NormConfig) -> Outcome:
     whenever the exponent's denominator q is 1 or 2, so the lookups run only
     when q > 2.
     """
-    allocation, trace = greedy_allocate(instance, cfg)
     bids = instance.bids
-    p, q = cfg.exponent.numerator, cfg.exponent.denominator
+    p, q = exponent.numerator, exponent.denominator
     if q > 2:
         for j, i in trace.blockers.items():
             if i is not None:
                 bundle_ratio_power(len(bids[j].bundle), len(bids[i].bundle), p, q)
-    payments = GreedyPayments(bids, trace.blockers, cfg.exponent)
+    payments = GreedyPayments(bids, trace.blockers, exponent)
     return assemble_outcome(instance, allocation, payments, trace)

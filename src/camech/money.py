@@ -383,20 +383,23 @@ def _decimal_text(n: int, e: int) -> str:
 
 
 def over_power_to_decimal(amount: Fraction, base: int, exponent: Fraction) -> str:
-    """amount / base**exponent rounded to `SIGNIFICANT_DIGITS` digits, for
-    amount >= 0, base >= 1 and an irrational base**exponent (so no rounding
-    tie can occur).
+    """amount / base**exponent rounded (half-even) to `SIGNIFICANT_DIGITS`
+    digits, for amount >= 0 and base >= 1.
 
-    base**(p/q) is bracketed by the integer q-th roots of base**p at doubling
-    precision until both ends of the quotient's bracket round alike.  The
-    work grows with the digits of the amount and the size of base**p, never
-    with the q-th power of the amount.
+    An integer base**(p/q) is divided out at once.  An irrational one, which
+    leaves no rounding tie, is bracketed by the integer q-th roots of
+    base**p at doubling precision until both ends of the quotient's bracket
+    round alike.  The work grows with the digits of the amount and the size
+    of base**p, never with the q-th power of the amount.
     """
     if not amount:
         return "0"
     q = exponent.denominator
     power = base ** exponent.numerator
     n, d = amount.numerator, amount.denominator
+    r = iroot(power, q)
+    if r ** q == power:
+        return _decimal_text(*_rounded(Fraction(n, d * r))[1:])
     bits = 64
     while True:
         r = iroot(power << (q * bits), q)  # r < base**exponent * 2**bits < r + 1

@@ -44,7 +44,6 @@ class TieRule(Enum):
     """How bids with exactly equal norms are ordered."""
 
     CANONICAL = "canonical"
-    EXPLICIT = "explicit"
     REJECT = "reject"
 
 
@@ -52,7 +51,6 @@ class TieRule(Enum):
 class NormConfig:
     exponent: Fraction = Fraction(1)
     tie_rule: TieRule = TieRule.CANONICAL
-    explicit_order: tuple[int, ...] | None = None
 
     def __post_init__(self):
         if not isinstance(self.exponent, Fraction):
@@ -60,8 +58,6 @@ class NormConfig:
         e = self.exponent
         if e < 0 or max(e.numerator, e.denominator) > MAX_EXPONENT_TERM:
             raise InvalidArgument(f"norm exponent must be p/q >= 0 with p, q <= {MAX_EXPONENT_TERM}")
-        if self.tie_rule is TieRule.EXPLICIT and self.explicit_order is None:
-            raise InvalidArgument("explicit tie rule requires an explicit order")
 
 
 @lru_cache(maxsize=4096)
@@ -95,17 +91,8 @@ def crossing_value(bid: SingleMindedBid, size: int, exponent: Fraction) -> Money
 
 
 def norm_text(bid: SingleMindedBid, exponent: Fraction) -> str:
-    """The norm a / size**exponent at 12 significant digits, without floats.
-
-    Exact where the norm has a closed form; otherwise the irrational
-    size**l is bracketed by integer roots and the quotient rounded.
-    """
-    size = len(bid.bundle)
-    p, q = exponent.numerator, exponent.denominator
-    try:
-        return (bundle_ratio_power(1, size, p, q) * bid.amount).to_decimal()
-    except ExponentNotSupported:
-        return over_power_to_decimal(bid.amount, size, exponent)
+    """The norm a / size**exponent at 12 significant digits, without floats."""
+    return over_power_to_decimal(bid.amount, len(bid.bundle), exponent)
 
 
 @dataclass(frozen=True, eq=False, init=False)
@@ -113,11 +100,10 @@ class RankedList:
     """A total order over bid indices, norm-descending, ties resolved."""
 
     order: tuple[int, ...]
-    exponent: Fraction
     had_ties: bool
 
-    def __init__(self, order: tuple[int, ...], exponent: Fraction, had_ties: bool):
-        self.__dict__.update(order=order, exponent=exponent, had_ties=had_ties)
+    def __init__(self, order: tuple[int, ...], had_ties: bool):
+        self.__dict__.update(order=order, had_ties=had_ties)
 
 
 def _integer_keys(instance: AuctionInstance, exponent: Fraction) -> tuple[list[int], int]:
@@ -141,26 +127,15 @@ def _integer_keys(instance: AuctionInstance, exponent: Fraction) -> tuple[list[i
 
 def _sorted(instance: AuctionInstance, cfg: NormConfig) -> tuple[list[int], list[int], int, bool]:
     """The full sort: order, keys, lcm of the sizes and whether keys tie."""
-    bids = instance.bids
-    n = len(bids)
-    if cfg.tie_rule is TieRule.EXPLICIT:
-        if sorted(cfg.explicit_order) != list(range(n)):
-            raise InvalidArgument("explicit order must be a permutation of the bid indices")
-        explicit_pos = {j: p for p, j in enumerate(cfg.explicit_order)}
-
+    n = len(instance.bids)
     keys, top = _integer_keys(instance, cfg.exponent)
     order = sorted(range(n), key=keys.__getitem__, reverse=True)
     ties = [(i, j) for i, j in zip(order, order[1:]) if keys[i] == keys[j]]
     if ties:
         if cfg.tie_rule is TieRule.REJECT:
             raise TiesPresent("distinct bids share a norm value", ties)
-        if cfg.tie_rule is TieRule.EXPLICIT:
-            order = sorted(range(n), key=lambda i: (keys[i], -explicit_pos[i]), reverse=True)
-        else:
-            amounts, masks = instance.integer_amounts.weights, instance.bid_masks
-            order = sorted(
-                range(n), key=lambda i: (keys[i], amounts[i], -masks[i], -i), reverse=True
-            )
+        amounts, masks = instance.integer_amounts.weights, instance.bid_masks
+        order = sorted(range(n), key=lambda i: (keys[i], amounts[i], -masks[i], -i), reverse=True)
     return order, keys, top, bool(ties)
 
 
@@ -228,7 +203,7 @@ def _inserted(instance: AuctionInstance, cfg: NormConfig) -> RankedList | None:
     pos = bisect_left(neg_keys, -floor)
     if not rest and pos < len(neg_keys) and neg_keys[pos] == -floor:
         return None
-    return RankedList(order[:pos] + (j,) + order[pos:], cfg.exponent, ties)
+    return RankedList(order[:pos] + (j,) + order[pos:], ties)
 
 
 def rank(instance: AuctionInstance, cfg: NormConfig) -> RankedList:
@@ -236,8 +211,7 @@ def rank(instance: AuctionInstance, cfg: NormConfig) -> RankedList:
 
     Deterministic for every tie rule.  With `REJECT` the presence of any two
     equal-norm bids raises `TiesPresent`; with `CANONICAL` ties break by
-    higher amount, then smaller bundle bitset, then lower bid index; with
-    `EXPLICIT` ties break by position in `cfg.explicit_order`.
+    higher amount, then smaller bundle bitset, then lower bid index.
 
     A `with_bid` child keeps its origin's order of the other bids, tie
     breaks included, since rescaling the amounts or sizes multiplies every
@@ -250,4 +224,4 @@ def rank(instance: AuctionInstance, cfg: NormConfig) -> RankedList:
         if ranked is not None:
             return ranked
     order, _, _, ties = _sorted(instance, cfg)
-    return RankedList(tuple(order), cfg.exponent, ties)
+    return RankedList(tuple(order), ties)

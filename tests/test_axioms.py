@@ -788,6 +788,22 @@ def test_planned_reruns_bound(monkeypatch):
         check_planned_reruns(wide, deviations=True)
 
 
+def test_planned_rerun_key_bits_bound(monkeypatch):
+    # each planned rerun is charged the instance's largest order key: x's
+    # weight 2**99 has 100 bits, so at l = 2/3 with L / s = 2 it holds about
+    # 3 * 100 + 2 * 2 = 304 bits
+    inst = AuctionInstance(("a", "b"), (bid("x", "a", 2 ** 99), bid("y", "ab", 3)))
+    cfg = NormConfig(F(2, 3))
+    monkeypatch.setattr(axioms, "MAX_RERUN_KEY_BITS", 4 * 304)
+    # the critical check plans 2 * max(2, 2) = 4 reruns
+    check_planned_reruns(inst, critical=True, cfg=cfg)
+    with pytest.raises(InstanceTooLarge, match="1824 bits"):
+        check_planned_reruns(inst, critical=True, perturbations=1, cfg=cfg)
+    # a mechanism that ranks no keys, such as the GVA, is not charged
+    check_planned_reruns(inst, critical=True, perturbations=1)
+    check_planned_reruns(AuctionInstance(("a",), ()), critical=True, cfg=cfg)
+
+
 def test_deviation_guard():
     goods = tuple(f"g{i}" for i in range(17))
     inst = AuctionInstance(goods, (bid("x", {"g0"}, 1),))

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 from camech.axioms import AXIOMS, MECHANISMS
 from camech.cli import build_parser, main
+from camech.norm import TieRule
 
 THREE = {
     "goods": ["a", "b"],
@@ -47,8 +48,7 @@ TIED = {
     ],
 }
 
-#: Tie-free, but bid a at 0, as the clarke-greedy reruns and the misreport
-#: search set it, ties b.
+#: Tie-free, but bid a at 0, as the misreport search sets it, ties b.
 ZERO_BID = {
     "goods": ["x", "y", "z"],
     "bids": [
@@ -227,6 +227,17 @@ def test_run_clarke_greedy_reject_prices_zeroed_reruns_exit_0(capsys, tmp_path):
     doc, expected = json.loads(out), json.loads(canonical)
     assert doc.pop("tie_rule") == "reject" and expected.pop("tie_rule") == "canonical"
     assert doc == expected
+
+
+def test_every_tie_rule_is_a_cli_choice(capsys, three_path):
+    # the choices come from `TieRule`, in its order, so no rule is library-only
+    assert [r.value for r in TieRule] == ["canonical", "reject"]
+    for rule in TieRule:
+        code, out = run_cli(capsys, "run", three_path, "--tie-rule", rule.value)
+        assert code == 0 and json.loads(out)["tie_rule"] == rule.value
+    with pytest.raises(SystemExit):
+        main(["run", three_path, "--tie-rule", "explicit"])
+    assert "choose from 'canonical', 'reject'" in capsys.readouterr().err
 
 
 def test_check_deviations_reject_skips_tied_candidates_exit_0(capsys, tmp_path):
@@ -719,6 +730,25 @@ def test_run_refuses_rank_keys_past_the_bit_budget(tmp_path):
     result = run_module("run", str(path), "--norm-exponent", "999/1000", timeout=5)
     assert result.returncode == 4, result.stderr
     assert json.loads(result.stdout)["error"]["kind"] == "too-large"
+
+
+def test_check_refuses_rerun_keys_past_the_bit_budget(tmp_path):
+    # ten 990-digit amounts at l = 999/1000: each critical-value rerun raises
+    # a probe amount to the 1000th power, and the check took 13-18 s
+    goods = [f"g{i}" for i in range(6)]
+    bids = [
+        {"bidder": f"b{i}", "bundle": [goods[i % 6], goods[(i + 1 + i // 6) % 6]],
+         "amount": f"{i + 1}{'0' * 988}7"}
+        for i in range(10)
+    ]
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"goods": goods, "bids": bids}))
+    result = run_module(
+        "check", str(path), "--norm-exponent", "999/1000", "--axioms", "critical", timeout=5
+    )
+    assert result.returncode == 4, result.stderr
+    error = json.loads(result.stdout)["error"]
+    assert error["kind"] == "too-large" and "order keys" in error["message"]
 
 
 def test_run_largest_norm_exponent(capsys, tmp_path):

@@ -7,7 +7,7 @@ from fractions import Fraction as F
 import pytest
 
 from camech import exact
-from camech.errors import InstanceTooLarge
+from camech.errors import InstanceTooLarge, TiesPresent
 from camech.exact import (
     MAX_DP_CELLS,
     SolverKind,
@@ -16,7 +16,8 @@ from camech.exact import (
     run_gva,
 )
 from camech.experiments import random_instance
-from camech.model import AuctionInstance, SingleMindedBid, assemble_outcome
+from camech.greedy import greedy_allocate
+from camech.model import AuctionInstance, SingleMindedBid, allocation_value, assemble_outcome
 from camech.money import Money
 from camech.norm import NormConfig, TieRule
 
@@ -182,9 +183,9 @@ def test_clarke_with_greedy_can_go_negative():
 
 
 def test_clarke_with_greedy_zeroed_reruns_do_not_reject_ties():
-    # the input is tie-free, but zeroing bid a ties it with b @ 0; a
-    # zero-norm bid ranks last under every tie rule, so REJECT prices as
-    # CANONICAL does instead of raising
+    # the input is tie-free, but bid a at zero would tie b @ 0; the value
+    # without a is read off the ranking with a left out, so REJECT prices
+    # as CANONICAL does instead of raising
     inst = AuctionInstance(
         ("x", "y", "z"), (bid("a", "x", 5), bid("b", "y", 0), bid("c", "z", 3))
     )
@@ -193,6 +194,63 @@ def test_clarke_with_greedy_zeroed_reruns_do_not_reject_ties():
         rejecting = clarke_with_greedy(inst, NormConfig(exponent, TieRule.REJECT))
         assert rejecting.allocation.grants == canonical.allocation.grants
         assert list(rejecting.payments) == list(canonical.payments)
+
+
+def _zeroed_rerun_payments(inst, cfg):
+    """Clarke-with-greedy's payments with each value without bid j taken
+    from a greedy rerun with j's amount at zero, under the canonical tie
+    rule: the reference the walk with j left out must equal."""
+    allocation, _ = greedy_allocate(inst, cfg)
+    total = allocation_value(inst, allocation)
+    payments = []
+    for j, b in enumerate(inst.bids):
+        zeroed = inst.with_amount(j, 0)
+        without = allocation_value(zeroed, greedy_allocate(zeroed, NormConfig(cfg.exponent))[0])
+        others = total - b.amount if j in allocation.grants else total
+        payments.append(Money(without - others))
+    return payments
+
+
+@pytest.mark.parametrize("rule", list(TieRule), ids=lambda r: r.value)
+@pytest.mark.parametrize("exponent", [F(0), F(1, 2), F(1), F(2)], ids=str)
+def test_clarke_with_greedy_matches_zeroed_reruns(exponent, rule):
+    # tie-heavy draws: norms v on bundles of sizes m**q (amount v * m**p),
+    # v often zero; and tie-free draws with one amount set to zero, which
+    # bid j at zero ties under REJECT
+    p, q = exponent.numerator, exponent.denominator
+    rng = random.Random(f"clarke-greedy-parity:{exponent}:{rule.value}")
+    cfg = NormConfig(exponent, rule)
+    checked = zero = reserve = 0
+    for t in range(300):
+        if t % 2:
+            base = random_instance(6, rng.randint(1, 7), seed=f"clarke-greedy-parity:{t}")
+            goods = base.goods
+            zeroed = rng.randrange(len(base.bids))
+            drawn = [(b.bundle, 0 if i == zeroed else b.amount) for i, b in enumerate(base.bids)]
+        else:
+            goods = tuple("abcdef")
+            drawn = []
+            for _ in range(rng.randint(1, 7)):
+                m = rng.choice([m for m in (1, 2) if m ** q <= len(goods)])
+                v = F(rng.choice([0, 0, 1, 2, 3]), rng.choice([1, 2]))
+                drawn.append((rng.sample(goods, m ** q), v * m ** p))
+        bids = tuple(
+            SingleMindedBid(f"b{i}", bundle, amount, rng.random() < 0.2)
+            for i, (bundle, amount) in enumerate(drawn)
+        )
+        inst = AuctionInstance(goods, bids)
+        try:
+            expected = _zeroed_rerun_payments(inst, cfg)
+        except TiesPresent:
+            with pytest.raises(TiesPresent):
+                clarke_with_greedy(inst, cfg)
+            continue
+        out = clarke_with_greedy(inst, cfg)
+        assert list(out.payments) == expected
+        checked += 1
+        zero += any(b.amount == 0 for b in bids)
+        reserve += any(b.is_reserve for b in bids)
+    assert checked > 150 and zero > 150 and reserve > 75
 
 
 def test_size_guards():

@@ -1,5 +1,6 @@
 """Greedy allocation, blockers, and the critical payment scheme."""
 
+import functools
 import itertools
 import random
 from fractions import Fraction as F
@@ -12,8 +13,8 @@ from camech.errors import ExponentNotSupported, NotGranted, TiesPresent
 from camech.greedy import blocker, greedy_allocate, run_greedy
 from camech.model import AuctionInstance, SingleMindedBid, allocation_value, bidder_utility
 from camech.money import Money
-from camech.norm import NormConfig, TieRule, crossing_value, rank
-from camech.experiments import random_instance
+from camech.norm import NormConfig, RankedList, TieRule, crossing_value, rank
+from camech.experiments import random_instance, revenue_compare_tie_orders, scenario
 
 L1 = NormConfig(F(1))
 LHALF = NormConfig(F(1, 2))
@@ -248,8 +249,14 @@ def _rescan_blocker(trace, instance, granted, j):
     return None
 
 
-def _check_blockers_against_rescan(inst, cfg):
-    out = run_greedy(inst, cfg)
+def _check_blockers_against_rescan(inst, cfg, order=None):
+    """Blockers and payments of `run_greedy`, or of the walk along `order`
+    priced as `run_greedy` prices, against the rescan reference."""
+    if order is None:
+        out = run_greedy(inst, cfg)
+    else:
+        walked = greedy._walk(inst, RankedList(order, False))
+        out = greedy._priced(inst, *walked, cfg.exponent)
     trace, granted = out.trace, out.allocation.grants
     assert list(trace.blockers) == [j for j in trace.ranking.order if j in granted]
     for j, i in trace.blockers.items():
@@ -283,12 +290,11 @@ def test_blockers_match_rescan_on_tied_instances():
         for exponent in (F(0), F(1, 2), F(1)):
             order = list(range(len(bids)))
             rng.shuffle(order)
-            for cfg in (
-                NormConfig(exponent),
-                NormConfig(exponent, TieRule.EXPLICIT, tuple(order)),
-            ):
-                tied += _check_blockers_against_rescan(inst, cfg).trace.ranking.had_ties
-    assert tied > 500
+            cfg = NormConfig(exponent)
+            tied += _check_blockers_against_rescan(inst, cfg).trace.ranking.had_ties
+            # a random order, walked as given
+            _check_blockers_against_rescan(inst, cfg, tuple(order))
+    assert tied > 250
 
 
 def _counting_crossing_value(monkeypatch):
@@ -448,8 +454,7 @@ def test_with_bid_children_rank_like_a_full_sort(exponent, rule):
         else:
             inst = _tie_heavy_instance(rng, exponent)
         n = len(inst.bids)
-        explicit = tuple(rng.sample(range(n), n)) if rule is TieRule.EXPLICIT else None
-        cfg = NormConfig(exponent, rule, explicit)
+        cfg = NormConfig(exponent, rule)
         cfgs = (cfg, NormConfig(exponent, other_rule), NormConfig(other_exponent))
         for _ in range(5):
             j = rng.randrange(n)
@@ -490,8 +495,8 @@ def _list_scan_walk(instance, ranking):
     return blocked, blockers, {j: instance.bids[j].bundle for j in blockers}
 
 
-def _check_walk(inst, cfg):
-    allocation, trace = greedy_allocate(inst, cfg)
+def _check_walk(inst, ranking):
+    allocation, trace = greedy._walk(inst, ranking)
     blocked, blockers, grants = _list_scan_walk(inst, trace.ranking)
     assert trace.blocked_by == blocked
     assert list(trace.blockers.items()) == list(blockers.items())
@@ -499,11 +504,12 @@ def _check_walk(inst, cfg):
     return trace
 
 
-@pytest.mark.parametrize("rule", list(TieRule), ids=lambda r: r.value)
-def test_walk_matches_list_scan_reference(rule):
+@pytest.mark.parametrize("source", ["canonical", "explicit", "reject"])
+def test_walk_matches_list_scan_reference(source):
     # the walk stops at the first granted bid a denied bid meets and tests
-    # sole overlap on masks; the reference lists every granted bid it meets
-    rng = random.Random(f"walk-parity:{rule.value}")
+    # sole overlap on masks; the reference lists every granted bid it meets.
+    # The order walked is `rank`'s under a tie rule, or an explicit random one
+    rng = random.Random(f"walk-parity:{source}")
     walks = several = already = 0
     for t in range(200):
         exponent = rng.choice([F(0), F(1, 2), F(1)])
@@ -516,11 +522,14 @@ def test_walk_matches_list_scan_reference(rule):
         )
         inst = AuctionInstance(base.goods, bids)
         n = len(bids)
-        explicit = tuple(rng.sample(range(n), n)) if rule is TieRule.EXPLICIT else None
-        try:
-            trace = _check_walk(inst, NormConfig(exponent, rule, explicit))
-        except TiesPresent:
-            continue
+        if source == "explicit":
+            ranking = RankedList(tuple(rng.sample(range(n), n)), False)
+        else:
+            try:
+                ranking = rank(inst, NormConfig(exponent, TieRule(source)))
+            except TiesPresent:
+                continue
+        trace = _check_walk(inst, ranking)
         walks += 1
         masks = inst.bid_masks
         position = {b: p for p, b in enumerate(trace.ranking.order)}
@@ -532,13 +541,66 @@ def test_walk_matches_list_scan_reference(rule):
     assert walks > 100 and several > 100 and already > 100
 
 
+def _tie_order_reference(inst, exponent):
+    """Average revenue, order count and tie-group sizes over every order
+    of the equal-norm bids, norms compared by cross-multiplying and each
+    order walked by the list scan."""
+    p, q = exponent.numerator, exponent.denominator
+    bids = inst.bids
+
+    def norm_cmp(i, j):  # negative when bid i has the larger norm
+        lhs = bids[j].amount ** q * len(bids[i].bundle) ** p
+        rhs = bids[i].amount ** q * len(bids[j].bundle) ** p
+        return (lhs > rhs) - (lhs < rhs)
+
+    groups = []
+    for j in sorted(range(len(bids)), key=functools.cmp_to_key(norm_cmp)):
+        if groups and norm_cmp(groups[-1][0], j) == 0:
+            groups[-1].append(j)
+        else:
+            groups.append([j])
+    revenues = []
+    for parts in itertools.product(*(itertools.permutations(g) for g in groups)):
+        order = tuple(itertools.chain.from_iterable(parts))
+        _, blockers, _ = _list_scan_walk(inst, RankedList(order, False))
+        revenues.append(sum(
+            (crossing_value(bids[i], len(bids[j].bundle), exponent)
+             for j, i in blockers.items() if i is not None and not bids[j].is_reserve),
+            Money(0),
+        ))
+    average = sum(revenues, Money(0)) * F(1, len(revenues))
+    return average, len(revenues), tuple(len(g) for g in groups)
+
+
+@pytest.mark.parametrize("exponent", [F(0), F(1, 2), F(1), F(2)], ids=str)
+def test_tie_order_average_matches_list_scan_reference(exponent):
+    rng = random.Random(f"tie-orders:{exponent}")
+    tied = 0
+    for name in ("better", "notgood"):
+        inst = scenario(name).instance
+        compared = revenue_compare_tie_orders(inst, NormConfig(exponent))
+        expected = _tie_order_reference(inst, exponent)
+        assert (compared.greedy_average, compared.orders, compared.group_sizes) == expected
+    for _ in range(60):
+        base = _tie_heavy_instance(rng, exponent)
+        bids = tuple(
+            SingleMindedBid(b.bidder, b.bundle, b.amount, rng.random() < 0.2) for b in base.bids
+        )
+        inst = AuctionInstance(base.goods, bids)
+        compared = revenue_compare_tie_orders(inst, NormConfig(exponent))
+        expected = _tie_order_reference(inst, exponent)
+        assert (compared.greedy_average, compared.orders, compared.group_sizes) == expected
+        tied += compared.orders > 1
+    assert tied > 30
+
+
 def test_walk_denied_bid_meeting_two_grants():
     # C meets both A and B: it is blocked by A, the first granted, and it
     # blocks neither, since neither alone kept it out
     inst = AuctionInstance(
         ("a", "b"), (bid("A", "a", 10), bid("B", "b", 9), bid("C", "ab", 5)),
     )
-    trace = _check_walk(inst, L1)
+    trace = _check_walk(inst, rank(inst, L1))
     assert trace.blocked_by == {2: 0}
     assert trace.blockers == {0: None, 1: None}
 
@@ -551,7 +613,7 @@ def test_walk_first_grant_met_already_has_a_blocker():
         (bid("A", "a", 10), bid("B", "b", 9), bid("D", "a", 8), bid("E", "a", 7),
          bid("F", "ab", 2)),
     )
-    trace = _check_walk(inst, L1)
+    trace = _check_walk(inst, rank(inst, L1))
     assert trace.blocked_by == {2: 0, 3: 0, 4: 0}
     assert trace.blockers == {0: 2, 1: None}
     assert run_greedy(inst, L1).payments[0] == Money(8)

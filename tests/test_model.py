@@ -235,10 +235,8 @@ def test_with_bid_child_matches_a_fresh_instance():
         inst = random_instance(5, 7, seed=f"child:{t}")
         if t % 2:
             inst = inst.assuming_truthful()
-        order = tuple(rng.sample(range(7), 7))
         configs = [
-            NormConfig(exponent, rule, order if rule is TieRule.EXPLICIT else None)
-            for exponent in (F(1), F(1, 2), F(2, 3)) for rule in TieRule
+            NormConfig(exponent, rule) for exponent in (F(1), F(1, 2), F(2, 3)) for rule in TieRule
         ]
         for cfg in configs:
             _ranked(inst, cfg)  # the parent's rankings, which children insert into

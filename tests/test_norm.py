@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from camech import norm
-from camech.errors import ExponentNotSupported, InvalidArgument, TiesPresent
+from camech.errors import ExponentNotSupported, TiesPresent
 from camech.model import AuctionInstance, SingleMindedBid
 from camech.money import Money
 from camech.norm import (
@@ -109,28 +109,16 @@ def test_rank_canonical_tie_break_documented_order():
     assert ranked.had_ties
 
 
-def test_rank_explicit_permutation():
-    inst = tied_instance()
-    cfg = NormConfig(F(1), TieRule.EXPLICIT, (2, 0, 1))
-    ranked = rank(inst, cfg)
-    assert ranked.order == (2, 0, 1)
-    with pytest.raises(ValueError):
-        rank(inst, NormConfig(F(1), TieRule.EXPLICIT, (0, 1)))
-
-
-def test_child_ranking_reuses_origin_and_checks_explicit_order():
+def test_child_ranking_reuses_origin():
     inst = AuctionInstance(GOODS, (bid("x", "a", 3), bid("y", "b", 2), bid("z", "ab", 5)))
     l1 = NormConfig(F(1))
     # a re-declared bid meets only its own old key: inserted, not sorted
     same = inst.with_bid(0, inst.bids[0])
     assert norm._inserted(same, l1).order == rank(inst, l1).order == (0, 2, 1)
-    # the origin is ranked once under each tie rule, so an explicit order
-    # is checked
+    # the origin is ranked once under each tie rule
     child = inst.with_amount(1, 4)
     assert rank(child, NormConfig(F(1), TieRule.REJECT)).order == (1, 0, 2)
-    with pytest.raises(InvalidArgument):
-        rank(child, NormConfig(F(1), TieRule.EXPLICIT, (0, 0, 1)))
-    assert rank(child, NormConfig(F(1), TieRule.EXPLICIT, (2, 1, 0))).order == (1, 0, 2)
+    assert rank(child, l1).order == (1, 0, 2)
 
 
 def test_rank_deterministic():
@@ -189,6 +177,17 @@ def test_norm_compare_is_a_total_preorder(s1, s2, s3, a1, a2, a3, exponent):
         assert norm_compare(b1, b3, exponent) >= 0
 
 
+def test_norm_text_rounds_integer_roots_half_even():
+    # size**l is an integer, so a / size**l can fall exactly halfway between
+    # two 12-digit decimals: 1 + 5e-12 keeps its even last digit, and
+    # 1 + 1.5e-11 rounds up to an even one
+    even, odd = F(2 * 10 ** 11 + 1, 2 * 10 ** 11), F(2 * 10 ** 11 + 3, 2 * 10 ** 11)
+    for bundle, exponent, root in (("abcd", F(1, 2), 2), ("abcdefgh", F(1, 3), 2),
+                                   ("abcd", F(3, 2), 8), ("abc", F(0), 1), ("ab", F(1), 2)):
+        assert norm_text(bid("x", bundle, even * root), exponent) == "1"
+        assert norm_text(bid("x", bundle, odd * root), exponent) == "1.00000000002"
+
+
 def test_norm_text_without_closed_form():
     # no closed form: rounded from integer roots, no floats (checked against
     # 50-digit decimal arithmetic)
@@ -199,10 +198,10 @@ def test_norm_text_without_closed_form():
     assert norm_text(ten.bids[0], F(1000, 3)) == "0." + "0" * 332 + "324911218353"
 
 
-def reference_rank(instance, exponent, explicit_order=None):
+def reference_rank(instance, exponent):
     """Order, tie flag and tied neighbour pairs by cross-multiplying
     a1**q * s2**p against a2**q * s1**p on every comparison; ties break
-    canonically, or by position in `explicit_order` when one is given."""
+    canonically."""
     p, q = exponent.numerator, exponent.denominator
     bids, masks = instance.bids, instance.bid_masks
 
@@ -214,12 +213,9 @@ def reference_rank(instance, exponent, explicit_order=None):
 
     by_norm = sorted(range(len(bids)), key=cmp_to_key(norm_cmp))
     pairs = [(i, j) for i, j in zip(by_norm, by_norm[1:]) if norm_cmp(i, j) == 0]
-    if explicit_order is not None:
-        order = list(explicit_order)
-    else:
-        # stable sorts, last key first: smaller bundle mask, higher amount, larger norm
-        order = sorted(range(len(bids)), key=lambda i: masks[i])
-        order = sorted(order, key=lambda i: bids[i].amount, reverse=True)
+    # stable sorts, last key first: smaller bundle mask, higher amount, larger norm
+    order = sorted(range(len(bids)), key=lambda i: masks[i])
+    order = sorted(order, key=lambda i: bids[i].amount, reverse=True)
     return tuple(sorted(order, key=cmp_to_key(norm_cmp))), pairs
 
 
@@ -242,12 +238,8 @@ def test_rank_matches_cross_multiplication_rational(exponent):
         nudge = rng.choice([1 - F(1, 2 ** 20), 1 + F(1, 2 ** 20), None])
         amount = bids[j].amount * nudge if nudge else rng.randint(1, 4)
         inst = AuctionInstance(GOODS, tuple(bids)).with_amount(j, amount)
-        explicit = tuple(rng.sample(range(len(bids)), len(bids)))
         order, pairs = reference_rank(inst, exponent)
         ranked = rank(inst, NormConfig(exponent))
-        assert (ranked.order, ranked.had_ties) == (order, bool(pairs))
-        order, _ = reference_rank(inst, exponent, explicit)
-        ranked = rank(inst, NormConfig(exponent, TieRule.EXPLICIT, explicit))
         assert (ranked.order, ranked.had_ties) == (order, bool(pairs))
         if pairs:
             tied += 1
