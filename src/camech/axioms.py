@@ -13,7 +13,6 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from math import lcm
 from typing import Callable, Iterable, Optional, Sequence
 
@@ -42,15 +41,26 @@ MAX_PLANNED_RERUNS = 1 << 20
 #: On a 2-vCPU host, `check --axioms critical` at l = 999/1000 on four
 #: two-good bids of 990 digits (16 reruns of 3.3 million bits) takes 6 s.
 MAX_RERUN_KEY_BITS = 1 << 26
+#: Most DP table cells the planned reruns and entry-value tables of a GVA
+#: check may fill, and most bid subsets its brute-force reruns may visit.
+#: On a 2-vCPU host a GVA run took 9-200 ns a cell (the most with one-good
+#: bids, whose bundles have the most supersets and whose packings reach
+#: every goods set) and 0.36-1.7 us a subset, so each budget is at most
+#: about 7 s of work.
+MAX_RERUN_DP_CELLS = 1 << 25
+MAX_RERUN_BRUTE_SUBSETS = 1 << 22
 
 
 @dataclass(frozen=True, eq=False)
 class Mechanism:
     """A deterministic runnable mechanism: instance -> Outcome.
 
-    `thresholds(instance, j, bundle)` lists the declared values at which bid
-    j, moved to `bundle`, may change its outcome: the exact critical values
-    and the misreport search probe around them.  It need not run the
+    `thresholds(instance, j)` is bid j's threshold function: given a bundle,
+    it lists the declared values at which bid j, moved to that bundle, may
+    change its outcome.  The exact critical values and the misreport search
+    probe around them, asking for the function once and calling it for
+    every bundle they try, so what it computes for one bundle it may keep
+    for the next; nothing outlives the function.  It need not run the
     mechanism: the GVA's thresholds are read off one DP value table of the
     other bids, whichever solver `run` uses.  `norm` is the ranking norm
     of a norm-based mechanism, whose outcomes carry a `GreedyTrace`.
@@ -61,7 +71,7 @@ class Mechanism:
 
     name: str
     run: Callable[[AuctionInstance], Outcome]
-    thresholds: Callable[[AuctionInstance, int, frozenset], Sequence[Money]]
+    thresholds: Callable[[AuctionInstance, int], Callable[[frozenset], Sequence[Money]]]
     norm: Optional[NormConfig] = None
     thresholds_guard: Optional[Callable[[AuctionInstance], None]] = None
 
@@ -72,26 +82,22 @@ def _norm_mechanism(
     """A mechanism allocating greedily by cfg's norm, so its thresholds are
     the values at which the bundle's norm crosses each other bid's.
 
-    Those depend on the bundle's size alone.  The crossing values of the
-    last (instance, j) asked for are kept per size, so the misreport search
-    computes each at most once, k * (n - 1) in all, and gets one tuple back
-    for every bundle of a size.  The cache holds one instance, like
-    `gva_mechanism`'s value table.
+    Those depend on the bundle's size alone, so bid j's function computes
+    each size's crossing values once, k * (n - 1) in a whole misreport
+    search, and returns one tuple for every bundle of a size.
     """
 
-    @lru_cache(maxsize=1)
-    def by_size(inst: AuctionInstance, j: int) -> dict[int, tuple[Money, ...]]:
-        return {}
+    def thresholds(inst: AuctionInstance, j: int):
+        others = inst.bids[:j] + inst.bids[j + 1:]
+        by_size: dict[int, tuple[Money, ...]] = {}
 
-    def thresholds(inst: AuctionInstance, j: int, bundle: frozenset):
-        size = len(bundle)
-        sized = by_size(inst, j)
-        crossings = sized.get(size)
-        if crossings is None:
-            crossings = sized[size] = tuple(
-                crossing_value(b, size, cfg.exponent) for i, b in enumerate(inst.bids) if i != j
-            )
-        return crossings
+        def of_bundle(bundle: frozenset) -> tuple[Money, ...]:
+            size = len(bundle)
+            if size not in by_size:
+                by_size[size] = tuple(crossing_value(b, size, cfg.exponent) for b in others)
+            return by_size[size]
+
+        return of_bundle
 
     return Mechanism(name, run, thresholds, cfg)
 
@@ -108,16 +114,11 @@ def gva_mechanism(solver: _exact.SolverKind) -> Mechanism:
     """The GVA run by `solver`.  Its thresholds come from the DP's value
     table whatever the solver, so brute-force payments are checked against
     values the DP derived."""
-    # the misreport search asks for every bundle of one (instance, j) in a
-    # row, and the others' value table does not depend on the bundle
-    entry_table = lru_cache(maxsize=1)(_exact._entry_table)
-
-    def thresholds(inst: AuctionInstance, j: int, bundle: frozenset):
-        # the one value where j (with this bundle) enters the optimal allocation
-        best = entry_table(inst, j)
-        full = len(best) - 1
-        entry = best[full] - best[full ^ inst.mask_of(bundle)]
-        return [Money(Fraction(entry, inst.integer_amounts.denominator))]
+    def thresholds(inst: AuctionInstance, j: int):
+        # the one value where j, with a given bundle, enters the optimal allocation
+        best = _exact._entry_table(inst, j)
+        full, d = len(best) - 1, inst.integer_amounts.denominator
+        return lambda bundle: [Money(Fraction(best[full] - best[full ^ inst.mask_of(bundle)], d))]
 
     def thresholds_guard(inst: AuctionInstance) -> None:
         # the bound `_entry_table` checks on the other bids
@@ -195,7 +196,7 @@ def critical_value(mech: Mechanism, instance: AuctionInstance, j: int) -> Critic
     grant, i.e. when no single threshold exists.
     """
     bundle = instance.bids[j].bundle
-    positive = {t for t in mech.thresholds(instance, j, bundle) if t.sign() > 0}
+    positive = {t for t in mech.thresholds(instance, j)(bundle) if t.sign() > 0}
     # zero is bracketed too, so the first probe stays above it
     thresholds, brackets = _brackets({Money.ZERO, *positive})
     del thresholds[0], brackets[0]
@@ -455,6 +456,7 @@ def _bundle_count(k: int) -> int:
 def check_planned_reruns(
     instance: AuctionInstance, *, perturbations: int = 0, deviations: bool = False,
     critical: bool = False, cfg: Optional[NormConfig] = None,
+    solver: Optional[_exact.SolverKind] = None,
 ) -> None:
     """Raise `InstanceTooLarge` when a check on `instance` plans more than
     `MAX_PLANNED_RERUNS` mechanism reruns, before any of them runs.
@@ -463,20 +465,28 @@ def check_planned_reruns(
     `critical`, each of the n bids may win, and `critical_value` probes a
     winner once more than its distinct positive thresholds, which number at
     most n - 1 for a norm mechanism and one for the GVA: n * max(n, 2)
-    reruns.  With `deviations`, each non-reserve bidder's misreport search
-    plans, per bundle, zero, the true amount and one value on each side of
-    each other bid's threshold: (2**k - 1) * (2 * (n - 1) + 2) reruns.  Past
+    reruns, or 2 * n for the GVA, which a `solver` stands for.  With
+    `deviations`, each non-reserve bidder's misreport search plans, per
+    bundle, zero, the true amount and one value on each side of each other
+    bid's threshold: (2**k - 1) * (2 * (n - 1) + 2) reruns.  Past
     `MAX_SEARCH_GOODS` goods the search raises `BundleSpaceTooLarge` here.
     A rerun ranking by `cfg` builds a key of about q * bits(largest weight)
     + p * bits(lcm of sizes) bits; past `MAX_RERUN_KEY_BITS` in all it raises.
+    A GVA rerun by `solver` fills (n + 1) * 2**k DP cells or visits
+    (n + 1) * 2**n bid subsets, and the GVA's thresholds build one entry-value
+    table of n * 2**k cells per critical bid and per searched bidder; past
+    `MAX_RERUN_DP_CELLS` or `MAX_RERUN_BRUTE_SUBSETS` it raises.
     """
-    n = len(instance.bids)
+    n, k = len(instance.bids), len(instance.goods)
     runs = n * max(perturbations, 0)
+    tables = 0
     if critical:
-        runs += n * max(n, 2)
+        runs += n * (2 if solver else max(n, 2))
+        tables += n
     if deviations:
         bidders = sum(not b.is_reserve for b in instance.bids)
-        runs += _bundle_count(len(instance.goods)) * (2 * (n - 1) + 2) * bidders
+        runs += _bundle_count(k) * (2 * (n - 1) + 2) * bidders
+        tables += bidders
     if runs > MAX_PLANNED_RERUNS:
         raise InstanceTooLarge(
             f"the check plans {runs} mechanism reruns; at most {MAX_PLANNED_RERUNS} are allowed"
@@ -491,6 +501,20 @@ def check_planned_reruns(
                 f"the check's {runs} reruns at norm exponent {cfg.exponent} build order keys"
                 f" of about {bits} bits; at most {MAX_RERUN_KEY_BITS} are allowed"
             )
+    if solver is not None:
+        if solver is _exact.SolverKind.BITMASK_DP:
+            cells, subsets = (tables * n + runs * (n + 1)) << k, 0
+        else:
+            cells, subsets = tables * n << k, runs * (n + 1) << n
+        for planned, most, unit in (
+            (cells, MAX_RERUN_DP_CELLS, "DP table cells"),
+            (subsets, MAX_RERUN_BRUTE_SUBSETS, "brute-force bid subsets"),
+        ):
+            if planned > most:
+                raise InstanceTooLarge(
+                    f"the check's {runs} GVA reruns and {tables} entry-value tables need more"
+                    f" than {most} {unit}, the most allowed"
+                )
 
 
 def find_profitable_deviation(
@@ -521,11 +545,12 @@ def find_profitable_deviation(
     goods = instance.goods
     best: Optional[tuple[Money, SingleMindedBid]] = None
     tested = 0
+    thresholds_of = mech.thresholds(instance, j)
     # a norm mechanism's thresholds depend on the bundle's size alone
     candidates: dict[tuple[Money, ...], list[Fraction]] = {}
     for bundle_bits in range(1, bundles + 1):
         bundle = frozenset(goods[i] for i in range(k) if bundle_bits >> i & 1)
-        thresholds = tuple(mech.thresholds(instance, j, bundle))
+        thresholds = tuple(thresholds_of(bundle))
         values = candidates.get(thresholds)
         if values is None:
             values = candidates[thresholds] = _candidate_values(thresholds, true_type.amount)

@@ -199,6 +199,7 @@ def _cmd_check(args) -> tuple[dict, int]:
         deviations=args.deviations,
         critical="critical" in selected,
         cfg=mech.norm,
+        solver=SolverKind(args.solver) if args.mechanism == "gva" else None,
     )
     report = run_axiom_suite(mech, [instance], selected, seed=seed, perturbations=args.samples)
     deviations = None

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from math import isqrt
+from math import isqrt, log2
 from typing import Union
 
 from .errors import InvalidArgument, ParseError
@@ -60,15 +60,21 @@ def iroot(n: int, k: int) -> int:
         return n
     if k == 2:
         return isqrt(n)
-    x = 1 << (-(-n.bit_length() // k))
+    # start just above the root, from a float estimate (doubled should the
+    # float fall short): from above, Newton's step never drops below the
+    # floor and descends until it stops there, in a few steps, where a start
+    # at a power of two above the root shrinks by only about (k - 1) / k a step
+    t = log2(n) / k
+    shift = max(int(t) - 52, 0)
+    x = int(2.0 ** (t - shift))
+    x = (x + (x >> 20) + 2) << shift
+    while x ** k <= n:
+        x <<= 1
     while True:
         y = ((k - 1) * x + n // x ** (k - 1)) // k
         if y >= x:
-            break
+            return x
         x = y
-    while x ** k > n:
-        x -= 1
-    return x
 
 
 def _rational_value(terms: dict[int, Fraction]) -> Fraction | None:

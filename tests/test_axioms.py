@@ -4,6 +4,7 @@ import gc
 import hashlib
 import itertools
 import random
+import threading
 import weakref
 from unittest import mock
 from dataclasses import replace
@@ -15,6 +16,7 @@ from hypothesis import strategies as st
 
 from camech import axioms, exact, greedy, norm
 from camech.axioms import (
+    MECHANISMS,
     PROBE_SCALE,
     Mechanism,
     _brackets,
@@ -67,8 +69,8 @@ def competitive_instance():
 # -- critical values --------------------------------------------------------
 
 
-def no_thresholds(instance, j, bundle):
-    return []
+def no_thresholds(instance, j):
+    return lambda bundle: []
 
 
 #: The reference prober stops once its bracket is this narrow.
@@ -192,7 +194,7 @@ def _window(instance):
     return assemble_outcome(instance, allocation, (Money(0),) * 3)
 
 
-WINDOW = Mechanism("window", _window, lambda i, j, bundle: [Money(F(19, 2)), Money(15)])
+WINDOW = Mechanism("window", _window, lambda i, j: lambda bundle: [Money(F(19, 2)), Money(15)])
 
 
 def test_nonmonotone_detected_threshold_route():
@@ -218,7 +220,7 @@ def test_nonmonotone_detected_probing_route():
         granted = [0] if Money(F(1, 2)) < a < Money(3) else []
         return assemble_outcome(instance, Allocation.of_indices(instance, granted), (Money(0),))
 
-    broken = Mechanism("window", window, lambda i, j, bundle: [Money(F(1, 2)), Money(3)])
+    broken = Mechanism("window", window, lambda i, j: lambda bundle: [Money(F(1, 2)), Money(3)])
     with pytest.raises(NonMonotoneDetected):
         critical_value(broken, inst, 0)
     with pytest.raises(NonMonotoneDetected):
@@ -399,15 +401,19 @@ def test_gva_no_deviation_small():
             assert find_profitable_deviation(mech, inst, j) is None
 
 
-def _forced_bid_entry(instance, j, bundle):
-    """The GVA entry value by re-solving: OPT without j, less the value of
-    the optimum once j is forced in with this bundle at a winning amount."""
+def _forced_bid_entry(instance, j):
+    """Bid j's GVA entry values by re-solving: OPT without j, less the value
+    of the optimum once j is forced in with a bundle at a winning amount."""
     opt_without = exact.optimal_allocation(instance.with_amount(j, 0), DP).value
     big = opt_without + 1
     old = instance.bids[j]
-    forced = instance.with_bid(j, SingleMindedBid(old.bidder, bundle, big, old.is_reserve))
-    compatible = exact.optimal_allocation(forced, DP).value - big
-    return [Money(max(opt_without - compatible, 0))]
+
+    def entry(bundle):
+        forced = instance.with_bid(j, SingleMindedBid(old.bidder, bundle, big, old.is_reserve))
+        compatible = exact.optimal_allocation(forced, DP).value - big
+        return [Money(max(opt_without - compatible, 0))]
+
+    return entry
 
 
 def test_gva_search_builds_one_table_per_bidder(monkeypatch):
@@ -430,14 +436,23 @@ def test_gva_search_builds_one_table_per_bidder(monkeypatch):
     counted("optimal_allocation", solves)
     counted("_value_tables", tables)
 
-    def counting_thresholds(instance, j, bundle):
-        inside.append(bundle)
+    def inside_thresholds(call, *args):
+        inside.append(args)
         try:
-            cached = mech.thresholds(instance, j, bundle)
+            return call(*args)
         finally:
             inside.pop()
-        assert cached == _forced_bid_entry(instance, j, bundle)
-        return cached
+
+    def counting_thresholds(instance, j):
+        of_bundle = inside_thresholds(mech.thresholds, instance, j)
+        forced = _forced_bid_entry(instance, j)
+
+        def checked(bundle):
+            entry = inside_thresholds(of_bundle, bundle)
+            assert entry == forced(bundle)
+            return entry
+
+        return checked
 
     counting = replace(mech, thresholds=counting_thresholds)
     for j in range(len(inst.bids)):
@@ -468,8 +483,9 @@ def test_gva_thresholds_match_forced_bid_entry():
             for c in itertools.combinations(inst.goods, r)
         ]
         for j in range(len(inst.bids)):
+            of_bundle, forced = mech.thresholds(inst, j), _forced_bid_entry(inst, j)
             for bundle in bundles:
-                assert mech.thresholds(inst, j, bundle) == _forced_bid_entry(inst, j, bundle)
+                assert of_bundle(bundle) == forced(bundle)
 
 
 def test_gva_brute_critical_refused_past_table_bound(monkeypatch):
@@ -636,8 +652,9 @@ def test_critical_scan_outputs_pinned(exponent, seed):
         assert cv.probes == len(probed) == 8
         values.append(repr(cv.value))
         digest.update(repr((cv.value, cv.probes, probed)).encode())
+        of_bundle = mech.thresholds(inst, j)
         for size in range(1, len(inst.goods) + 1):
-            thresholds = mech.thresholds(inst, j, frozenset(inst.goods[:size]))
+            thresholds = of_bundle(frozenset(inst.goods[:size]))
             digest.update(repr(_candidate_values(thresholds, inst.bids[j].amount)).encode())
     assert (digest.hexdigest()[:16], values) == _SCAN_PINS[exponent, seed]
 
@@ -718,7 +735,7 @@ def test_checkers_run_mechanisms_on_rational_instances_only():
         mech = replace(base, run=recording_run)
         for t in range(3):
             inst = random_instance(3, 4, seed=t + 1)
-            assert any(not v.is_rational for v in mech.thresholds(inst, 0, inst.bids[0].bundle))
+            assert any(not v.is_rational for v in mech.thresholds(inst, 0)(inst.bids[0].bundle))
             for j in sorted(base.run(inst).allocation.grants):
                 critical_value(mech, inst, j)
             for j in range(len(inst.bids)):
@@ -740,10 +757,15 @@ def test_norm_thresholds_computed_once_per_size(monkeypatch):
     mech = greedy_mechanism(L1)
     asked = []
 
-    def recording(instance, j, bundle):
-        thresholds = mech.thresholds(instance, j, bundle)
-        asked.append((bundle, thresholds))
-        return thresholds
+    def recording(instance, j):
+        of_bundle = mech.thresholds(instance, j)
+
+        def record(bundle):
+            thresholds = of_bundle(bundle)
+            asked.append((bundle, thresholds))
+            return thresholds
+
+        return record
 
     inst = random_instance(6, 8, seed="per-size:0").assuming_truthful()
     for j in (3, 5, 3):  # bidders searched in turn on one instance
@@ -759,12 +781,105 @@ def test_norm_thresholds_computed_once_per_size(monkeypatch):
                 crossing_value(b, len(bundle), L1.exponent)
                 for i, b in enumerate(inst.bids) if i != j
             ]
-    # the cache keeps the last instance only
+    # the mechanism keeps none of them once the searches return
     first = weakref.ref(inst)
     del inst, asked, by_size
-    find_profitable_deviation(mech, random_instance(6, 8, seed="per-size:1"), 0)
     gc.collect()
     assert first() is None
+
+
+EXPONENTS = pytest.mark.parametrize("exponent", [F(1, 2), F(1)], ids=["lhalf", "l1"])
+
+
+@pytest.mark.parametrize("name", sorted(MECHANISMS))
+@EXPONENTS
+def test_threshold_function_matches_a_fresh_one_on_every_bundle(name, exponent):
+    # what bid j's function keeps from one bundle never changes its answer for
+    # another: bundles are asked in a shuffled order, so sizes come back
+    mech = MECHANISMS[name](NormConfig(exponent), DP)
+    inst = random_instance(4, 6, seed=f"fresh:{name}")
+    bundles = [
+        frozenset(c) for r in range(1, 5) for c in itertools.combinations(inst.goods, r)
+    ]
+    random.Random(name).shuffle(bundles)
+    for j in range(len(inst.bids)):
+        of_bundle = mech.thresholds(inst, j)
+        for bundle in bundles + bundles[:5]:
+            assert list(of_bundle(bundle)) == list(mech.thresholds(inst, j)(bundle))
+
+
+def _interleaved_searches(mech, searches):
+    """`find_profitable_deviation` for each of two (instance, j) in two
+    threads that take turns, one mechanism run each; returns the reports."""
+    turns = [threading.Semaphore(1), threading.Semaphore(0)]
+    done = [False, False]
+    reports = [None, None]
+
+    def search(k):
+        def run(instance):
+            if not done[1 - k]:
+                turns[k].acquire()
+            try:
+                return mech.run(instance)
+            finally:
+                turns[1 - k].release()
+
+        try:
+            reports[k] = find_profitable_deviation(replace(mech, run=run), *searches[k])
+        finally:
+            done[k] = True
+            turns[1 - k].release()
+
+    threads = [threading.Thread(target=search, args=(k,), name=f"search-{k}") for k in (0, 1)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=60)
+    assert not any(t.is_alive() for t in threads)
+    return reports
+
+
+def _found(report):
+    return report and (report.misreport, report.deviating_utility, report.candidates_tested)
+
+
+@pytest.mark.parametrize("name", sorted(MECHANISMS))
+@EXPONENTS
+def test_interleaved_searches_share_no_thresholds(monkeypatch, name, exponent):
+    # two searches taking turns on one mechanism each keep their own
+    # thresholds: one GVA value table, and one crossing value per other bid
+    # and bundle size, per search; the instances die once the searches return
+    # (the brute-force GVA runs build no value table of their own)
+    mech = MECHANISMS[name](NormConfig(exponent), SolverKind.BRUTE_FORCE_BID_SUBSETS)
+    k, n = 4, 5
+    instances = [
+        random_instance(k, n, seed=f"interleaved:{t}").assuming_truthful() for t in range(2)
+    ]
+    searches = [(instances[0], 1), (instances[1], 3)]
+    expected = [_found(find_profitable_deviation(mech, *s)) for s in searches]
+    tables, crossings = [], []
+    original_tables = exact._value_tables
+
+    def counting_tables(*args):
+        tables.append(args)
+        return original_tables(*args)
+
+    def counting_crossings(b, size, exponent):
+        crossings.append((threading.current_thread().name, b.bidder, size))
+        return crossing_value(b, size, exponent)
+
+    monkeypatch.setattr(exact, "_value_tables", counting_tables)
+    monkeypatch.setattr(axioms, "crossing_value", counting_crossings)
+    reports = _interleaved_searches(mech, searches)
+    assert [_found(r) for r in reports] == expected
+    if mech.norm is None:
+        assert (len(tables), len(crossings)) == (2, 0)
+    else:
+        assert len(tables) == 0 and len(crossings) == len(set(crossings)) == 2 * k * (n - 1)
+    refs = [weakref.ref(inst) for inst in instances]
+    del instances, searches, reports
+    gc.collect()
+    assert [r() for r in refs] == [None, None]
 
 
 def test_planned_reruns_bound(monkeypatch):
@@ -802,6 +917,34 @@ def test_planned_rerun_key_bits_bound(monkeypatch):
     # a mechanism that ranks no keys, such as the GVA, is not charged
     check_planned_reruns(inst, critical=True, perturbations=1)
     check_planned_reruns(AuctionInstance(("a",), ()), critical=True, cfg=cfg)
+
+
+def test_planned_gva_solve_work_bound(monkeypatch):
+    # three bids over two goods: the critical check plans 2 probes per bid
+    # and one entry-value table of 3 * 2**2 cells per bid, and each DP rerun
+    # fills 4 * 2**2 cells: (3 * 3 + 6 * 4) * 4 = 132 cells
+    inst = three_bidder_instance()
+    monkeypatch.setattr(axioms, "MAX_RERUN_DP_CELLS", 132)
+    check_planned_reruns(inst, critical=True, solver=DP)
+    with pytest.raises(InstanceTooLarge, match="9 GVA reruns and 3 entry-value tables"):
+        check_planned_reruns(inst, critical=True, perturbations=1, solver=DP)
+    # the search plans 3 bundles x 6 candidates per bidder and one table each
+    monkeypatch.setattr(axioms, "MAX_RERUN_DP_CELLS", (3 * 3 + 54 * 4) * 4)
+    check_planned_reruns(inst, deviations=True, solver=DP)
+    with pytest.raises(InstanceTooLarge, match="DP table cells"):
+        check_planned_reruns(inst, deviations=True, perturbations=1, solver=DP)
+    # a brute-force rerun visits 4 * 2**3 bid subsets; the tables stay DP cells
+    brute = SolverKind.BRUTE_FORCE_BID_SUBSETS
+    monkeypatch.setattr(axioms, "MAX_RERUN_BRUTE_SUBSETS", 6 * 32)
+    monkeypatch.setattr(axioms, "MAX_RERUN_DP_CELLS", 3 * 3 * 4)
+    check_planned_reruns(inst, critical=True, solver=brute)
+    with pytest.raises(InstanceTooLarge, match="192 brute-force bid subsets"):
+        check_planned_reruns(inst, critical=True, perturbations=1, solver=brute)
+    monkeypatch.setattr(axioms, "MAX_RERUN_DP_CELLS", 3 * 3 * 4 - 1)
+    with pytest.raises(InstanceTooLarge, match="DP table cells"):
+        check_planned_reruns(inst, critical=True, solver=brute)
+    # without a solver nothing is charged for solving
+    check_planned_reruns(inst, critical=True, deviations=True, perturbations=1)
 
 
 def test_deviation_guard():

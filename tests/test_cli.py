@@ -578,6 +578,32 @@ def test_golden_stdout(capsys, monkeypatch, tmp_path, three_path, argv, code, sh
     assert (got_code, hashlib.sha256(out.encode("utf-8")).hexdigest()) == (code, sha)
 
 
+#: The benchmark's record of `gen --goods 8 --bids 12 --seed SEED` then
+#: `run --mechanism greedy --norm-exponent 1/2`, as sha256 digests per seed.
+CLI_DIGESTS = Path(__file__).resolve().parent.parent / "perfbench" / "cli_digests.txt"
+
+
+def test_recorded_cli_digests_replay(capsys, tmp_path):
+    # every recorded seed's `gen` file and `run` stdout stay byte-identical
+    def sha(text):
+        return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+    path = tmp_path / "gen.json"
+    recorded = [
+        line.split() for line in CLI_DIGESTS.read_text(encoding="utf-8").splitlines()
+        if line and not line.startswith("#")
+    ]
+    assert len(recorded) == 1024
+    for seed, gen_sha, run_sha in recorded:
+        gen_code = main(["gen", "--goods", "8", "--bids", "12", "--seed", seed,
+                         "--output", str(path)])
+        run_code, printed = run_cli(
+            capsys, "run", str(path), "--mechanism", "greedy", "--norm-exponent", "1/2"
+        )
+        written = path.read_text(encoding="utf-8")
+        assert (gen_code, run_code, sha(written), sha(printed)) == (0, 0, gen_sha, run_sha), seed
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -632,8 +658,11 @@ def test_gva_critical_check_past_table_bound_exit_4(tmp_path):
         (4, 5, ["--samples", "100000000", "--axioms", "monotonicity"]),
         # 2,000 possible winners x up to 2,000 critical-value probes each
         (20, 2000, ["--axioms", "critical"]),
+        # 960,000 GVA reruns of 17 * 2**12 DP cells each
+        (12, 16, ["--mechanism", "gva", "--samples", "60000", "--axioms", "monotonicity"]),
     ],
-    ids=["deviations-16-goods", "monotonicity-1e8-samples", "critical-2000-bids"],
+    ids=["deviations-16-goods", "monotonicity-1e8-samples", "critical-2000-bids",
+         "gva-monotonicity-60000-samples"],
 )
 def test_check_past_rerun_bound_exit_4(tmp_path, goods, bids, check):
     # the planned reruns are counted before the first one, so the check is
@@ -644,6 +673,32 @@ def test_check_past_rerun_bound_exit_4(tmp_path, goods, bids, check):
     result = run_module("check", path, *check, timeout=5)
     assert result.returncode == 4, result.stderr
     assert json.loads(result.stdout)["error"]["kind"] == "too-large"
+
+
+@pytest.mark.parametrize(
+    "goods, bids, check",
+    [
+        # two bids over 16 goods: 524,280 reruns of a 3 * 2**16-cell DP, about an hour
+        ("abcdefghijklmnop", [("x", "a", "5"), ("y", "bc", "3")],
+         ["--deviations", "--axioms", "none"]),
+        # 20 one-good bids: one brute-force GVA run alone took 17 s
+        ("abcd", [(f"b{i}", "abcd"[i % 4], str(i + 1)) for i in range(20)],
+         ["--solver", "brute", "--deviations"]),
+    ],
+    ids=["dp-16-goods", "brute-20-bids"],
+)
+def test_check_past_gva_solve_budget_exit_4(tmp_path, goods, bids, check):
+    # each planned GVA rerun is charged one run's solve, so a check that
+    # plans few reruns of a large solve is refused at once
+    path = tmp_path / "gva.json"
+    path.write_text(json.dumps({"goods": list(goods), "bids": [
+        {"bidder": name, "bundle": list(bundle), "amount": amount}
+        for name, bundle, amount in bids
+    ]}))
+    result = run_module("check", str(path), "--mechanism", "gva", *check, timeout=5)
+    assert result.returncode == 4, result.stderr
+    error = json.loads(result.stdout)["error"]
+    assert error["kind"] == "too-large" and "GVA reruns" in error["message"]
 
 
 @pytest.mark.parametrize(
@@ -766,6 +821,22 @@ def test_run_largest_norm_exponent(capsys, tmp_path):
     code, out = run_cli(capsys, "run", str(path), "--norm-exponent", "1000")
     assert code == 0
     assert json.loads(out)["granted"][0]["norm"] == "1"
+
+
+def test_run_smallest_norm_exponent_renders_quickly(tmp_path):
+    # each norm divides by size**(1/1000), an integer 1000th root taken at
+    # doubling precision; starting Newton at a power of two took 4 s (2-vCPU host)
+    goods, bids = [], []
+    for i, size in enumerate((2, 3, 4, 5, 2, 3, 4, 5)):
+        bundle = [f"g{len(goods) + t}" for t in range(size)]
+        goods += bundle
+        bids.append({"bidder": f"b{i}", "bundle": bundle, "amount": f"{123456789 + 1000 * i}/1000"})
+    path = tmp_path / "eight.json"
+    path.write_text(json.dumps({"goods": goods, "bids": bids}))
+    result = run_module("run", str(path), "--norm-exponent", "1/1000", timeout=5)
+    assert result.returncode == 0, result.stderr
+    granted = json.loads(result.stdout)["granted"]
+    assert [g["norm"] for g in granted[:2]] == ["123371.244926", "123322.231232"]
 
 
 @pytest.mark.parametrize(

@@ -35,6 +35,18 @@ def test_iroot():
             assert r ** k <= n < (r + 1) ** k
 
 
+def test_iroot_large_degrees_and_operands():
+    # the floor root of up to 70,000-bit operands at degrees up to 2,000,
+    # exact powers and their neighbours included
+    rng = random.Random("iroot")
+    cases = [(rng.getrandbits(rng.randint(1, 70_000)), rng.randint(3, 2_000)) for _ in range(150)]
+    cases += [(rng.getrandbits(rng.randint(1, 2_000)), rng.randint(3, 12)) for _ in range(150)]
+    cases += [(b ** k + d, k) for b in (2, 3, 10 ** 20 + 7) for k in (3, 7, 1_000) for d in (-1, 0, 1)]
+    for n, k in cases:
+        r = iroot(n, k)
+        assert r ** k <= n < (r + 1) ** k
+
+
 def test_rational_roundtrip():
     assert Money(F(19, 2)).terms() == ((1, F(19, 2)),)
     assert Money(3) == 3 and Money(F(19, 2)) == F(19, 2)
