@@ -5,7 +5,8 @@ bundle or nothing), monotonicity (more money for fewer goods never loses),
 participation (denied bids pay zero), and critical pricing (winners pay the
 threshold below which they would have lost).  A mechanism passing all four
 on an instance family should admit no profitable single-bundle misreport;
-`find_profitable_deviation` tests exactly that by exhaustive re-runs.
+`find_profitable_deviation` tests exactly that by re-runs over every bundle,
+one per class of bundles the mechanisms cannot tell apart.
 """
 
 from __future__ import annotations
@@ -60,7 +61,12 @@ class Mechanism:
     change its outcome.  The exact critical values and the misreport search
     probe around them, asking for the function once and calling it for
     every bundle they try, so what it computes for one bundle it may keep
-    for the next; nothing outlives the function.  It need not run the
+    for the next; nothing outlives the function.  The misreport search
+    calls it only for the first bundle of each class (same size, same other
+    bids overlapped, true bundle covered or not) and reruns later members
+    only on a threshold, so it is complete only for a mechanism whose
+    thresholds, and whose outcome for bid j off them, are the same across a
+    class, as the registered mechanisms' are.  It need not run the
     mechanism: the GVA's thresholds are read off one DP value table of the
     other bids, whichever solver `run` uses.  `norm` is the ranking norm
     of a norm-based mechanism, whose outcomes carry a `GreedyTrace`.
@@ -415,7 +421,15 @@ def run_axiom_suite(
 
 @dataclass(frozen=True, eq=False)
 class DeviationReport:
-    """A strictly profitable misreport found by exhaustive search."""
+    """A strictly profitable misreport found by exhaustive search.
+
+    The search is complete for a mechanism whose outcome for bid j is
+    piecewise-constant in the declared value between its thresholds and,
+    off them, reads the bundle only through its size, the other bids it
+    overlaps and whether it covers the true bundle; it is sound for any
+    mechanism.  `note` states the first condition in the `check` JSON,
+    which keeps its bytes.
+    """
 
     bidder: str
     bid_index: int
@@ -445,6 +459,13 @@ def _candidate_values(thresholds: Sequence[Money], true_amount: Fraction) -> lis
     return sorted(candidates)
 
 
+def _tied_candidates(thresholds: Sequence[Money], true_amount: Fraction) -> list[Fraction]:
+    """The candidates of `_candidate_values` equal to one of the thresholds:
+    only zero and the true amount can be, since every probe lies strictly
+    between brackets."""
+    return [v for v in sorted({Fraction(0), true_amount}) if any(t == v for t in thresholds)]
+
+
 def _bundle_count(k: int) -> int:
     """The non-empty bundles over k goods; raises `BundleSpaceTooLarge` past
     `MAX_SEARCH_GOODS`."""
@@ -454,22 +475,26 @@ def _bundle_count(k: int) -> int:
 
 
 def check_planned_reruns(
-    instance: AuctionInstance, *, perturbations: int = 0, deviations: bool = False,
-    critical: bool = False, cfg: Optional[NormConfig] = None,
+    instance: AuctionInstance, *, suite: bool = False, perturbations: int = 0,
+    deviations: bool = False, critical: bool = False, cfg: Optional[NormConfig] = None,
     solver: Optional[_exact.SolverKind] = None,
 ) -> None:
     """Raise `InstanceTooLarge` when a check on `instance` plans more than
     `MAX_PLANNED_RERUNS` mechanism reruns, before any of them runs.
 
-    Monotonicity plans at most `perturbations` reruns per bid.  With
-    `critical`, each of the n bids may win, and `critical_value` probes a
-    winner once more than its distinct positive thresholds, which number at
-    most n - 1 for a norm mechanism and one for the GVA: n * max(n, 2)
-    reruns, or 2 * n for the GVA, which a `solver` stands for.  With
-    `deviations`, each non-reserve bidder's misreport search plans, per
-    bundle, zero, the true amount and one value on each side of each other
-    bid's threshold: (2**k - 1) * (2 * (n - 1) + 2) reruns.  Past
-    `MAX_SEARCH_GOODS` goods the search raises `BundleSpaceTooLarge` here.
+    With `suite`, the axiom suite runs the mechanism once.  Monotonicity
+    plans at most `perturbations` reruns per bid.  With `critical`, each of
+    the n bids may win, and `critical_value` probes a winner once more than
+    its distinct positive thresholds, which number at most n - 1 for a norm
+    mechanism and one for the GVA: n * max(n, 2) reruns, or 2 * n for the
+    GVA, which a `solver` stands for.  With `deviations`, each non-reserve
+    bidder's misreport search plans its truthful rerun and, per bundle,
+    zero, the true amount and one value on each side of each other bid's
+    threshold: (2**k - 1) * (2 * (n - 1) + 2) + 1 reruns.  That counts
+    every bundle, an upper bound on the search, which reruns one bundle per
+    class; counting the classes would itself take 2**k * n steps before a
+    refusal.  Past `MAX_SEARCH_GOODS` goods the search raises
+    `BundleSpaceTooLarge` here.
     A rerun ranking by `cfg` builds a key of about q * bits(largest weight)
     + p * bits(lcm of sizes) bits; past `MAX_RERUN_KEY_BITS` in all it raises.
     A GVA rerun by `solver` fills (n + 1) * 2**k DP cells or visits
@@ -478,14 +503,14 @@ def check_planned_reruns(
     `MAX_RERUN_DP_CELLS` or `MAX_RERUN_BRUTE_SUBSETS` it raises.
     """
     n, k = len(instance.bids), len(instance.goods)
-    runs = n * max(perturbations, 0)
+    runs = n * max(perturbations, 0) + suite
     tables = 0
     if critical:
         runs += n * (2 if solver else max(n, 2))
         tables += n
     if deviations:
         bidders = sum(not b.is_reserve for b in instance.bids)
-        runs += _bundle_count(k) * (2 * (n - 1) + 2) * bidders
+        runs += (_bundle_count(k) * (2 * (n - 1) + 2) + 1) * bidders
         tables += bidders
     if runs > MAX_PLANNED_RERUNS:
         raise InstanceTooLarge(
@@ -494,7 +519,7 @@ def check_planned_reruns(
     if cfg is not None and runs:
         p, q = cfg.exponent.numerator, cfg.exponent.denominator
         top = lcm(*(len(b.bundle) for b in instance.bids))
-        weight = max(instance.integer_amounts.weights)
+        weight = max(instance.integer_amounts.weights, default=0)
         bits = runs * (q * weight.bit_length() + p * top.bit_length())
         if bits > MAX_RERUN_KEY_BITS:
             raise InstanceTooLarge(
@@ -528,6 +553,17 @@ def find_profitable_deviation(
     candidate whose rerun raises `TiesPresent` is skipped and not counted
     as tested; a tie on the truthful rerun comes from the input and
     propagates.
+
+    The mechanisms read a misreported bundle through its size, the other
+    bids it overlaps and whether it covers the true bundle, so bundles
+    agreeing on all three form a class with one thresholds tuple and, off
+    those thresholds, one grant and payment for bid j.  Bundles are tried
+    in bit order; the first of a class reruns every candidate, and a later
+    one only the candidates sitting on a threshold, where a `CANONICAL` tie
+    breaks by bundle.  A skipped pair repeats an earlier one, so the report
+    is the first pair reaching the best utility, as without classes.
+    `bundles_searched` counts every bundle, `candidates_tested` the reruns
+    made.
     """
     k = len(instance.goods)
     bundles = _bundle_count(k)
@@ -546,14 +582,38 @@ def find_profitable_deviation(
     best: Optional[tuple[Money, SingleMindedBid]] = None
     tested = 0
     thresholds_of = mech.thresholds(instance, j)
-    # a norm mechanism's thresholds depend on the bundle's size alone
-    candidates: dict[tuple[Money, ...], list[Fraction]] = {}
+    # a norm mechanism's thresholds depend on the bundle's size alone: per
+    # thresholds tuple, its candidates and those that may sit on a threshold
+    candidates: dict[tuple[Money, ...], tuple[list[Fraction], list[Fraction]]] = {}
+    # per class of bundles, the candidates its later members still rerun
+    classes: dict[tuple[int, int, bool], list[Fraction]] = {}
+    masks = instance.bid_masks
+    # the other bids each good meets, as a mask over bid indices
+    meets = [
+        sum(1 << i for i, m in enumerate(masks) if i != j and m >> g & 1) for g in range(k)
+    ]
+    overlaps = [0] * (bundles + 1)
+    # a true good outside the instance is covered by no bundle; leaving it
+    # out of the mask only splits classes further
+    index = instance.good_index
+    true_mask = instance.mask_of(g for g in true_type.bundle if g in index)
     for bundle_bits in range(1, bundles + 1):
+        low = bundle_bits & -bundle_bits
+        overlap = overlaps[bundle_bits] = overlaps[bundle_bits ^ low] | meets[low.bit_length() - 1]
+        key = (bundle_bits.bit_count(), overlap, bundle_bits & true_mask == true_mask)
+        values = classes.get(key)
+        if values is not None and not values:
+            continue
         bundle = frozenset(goods[i] for i in range(k) if bundle_bits >> i & 1)
-        thresholds = tuple(thresholds_of(bundle))
-        values = candidates.get(thresholds)
         if values is None:
-            values = candidates[thresholds] = _candidate_values(thresholds, true_type.amount)
+            thresholds = tuple(thresholds_of(bundle))
+            found = candidates.get(thresholds)
+            if found is None:
+                found = candidates[thresholds] = (
+                    _candidate_values(thresholds, true_type.amount),
+                    _tied_candidates(thresholds, true_type.amount),
+                )
+            values, classes[key] = found
         for v in values:
             attempt = SingleMindedBid(declared.bidder, bundle, v, declared.is_reserve)
             try:

@@ -195,6 +195,7 @@ def _cmd_check(args) -> tuple[dict, int]:
         selected = [a.strip() for a in args.axioms.split(",") if a.strip()]
     check_planned_reruns(
         instance,
+        suite=bool(selected),
         perturbations=args.samples if "monotonicity" in selected else 0,
         deviations=args.deviations,
         critical="critical" in selected,

@@ -661,7 +661,7 @@ def test_critical_scan_outputs_pinned(exponent, seed):
 
 def test_deviation_search_runs_every_candidate_once():
     # candidate lists are shared by bundles with equal thresholds, but each
-    # candidate is still one mechanism run, plus one for the truthful report
+    # candidate tested is one mechanism run, plus one for the truthful report
     found = 0
     for t in range(6):
         inst = random_instance(4, 6, seed=f"count-runs:{t}").assuming_truthful()
@@ -744,9 +744,23 @@ def test_checkers_run_mechanisms_on_rational_instances_only():
         assert all(type(b.amount) is F for i in ran for b in i.bids)
 
 
+def _bundle_classes(inst, j):
+    """Bid j's misreport bundles in bit order, grouped by size, the other
+    bids they meet and whether they cover j's true bundle."""
+    declared = inst.bids[j]
+    true_bundle = (inst.true_types or {}).get(declared.bidder, declared).bundle
+    classes = {}
+    for bits in range(1, 1 << len(inst.goods)):
+        bundle = frozenset(g for i, g in enumerate(inst.goods) if bits >> i & 1)
+        met = frozenset(i for i, b in enumerate(inst.bids) if i != j and b.bundle & bundle)
+        classes.setdefault((len(bundle), met, true_bundle <= bundle), []).append(bundle)
+    return list(classes.values())
+
+
 def test_norm_thresholds_computed_once_per_size(monkeypatch):
     # a norm mechanism's thresholds depend on the bundle's size alone, so a
-    # search prices each other bid's crossing once per size
+    # search prices each other bid's crossing once per size; it asks for
+    # them once per class of bundles, for the class's first bundle
     calls = []
 
     def counting(b, size, exponent):
@@ -772,7 +786,8 @@ def test_norm_thresholds_computed_once_per_size(monkeypatch):
         calls.clear()
         asked.clear()
         find_profitable_deviation(replace(mech, thresholds=recording), inst, j)
-        assert len(asked) == 63 and 0 < len(calls) <= 6 * 7
+        assert [bundle for bundle, _ in asked] == [c[0] for c in _bundle_classes(inst, j)]
+        assert 0 < len(calls) <= 6 * 7
         assert len(set(calls)) == len(calls)
         by_size = {}
         for bundle, thresholds in asked:
@@ -786,6 +801,167 @@ def test_norm_thresholds_computed_once_per_size(monkeypatch):
     del inst, asked, by_size
     gc.collect()
     assert first() is None
+
+
+#: Every `MECHANISMS` entry: greedy and clarke-greedy at l in {0, 1/2, 1}
+#: under both tie rules, and the GVA under both solvers.
+EVERY_MECHANISM = pytest.mark.parametrize("name, cfg, solver", [
+    pytest.param(name, NormConfig(l, rule), DP, id=f"{name}-{tag}-{rule.value}")
+    for name in ("greedy", "clarke-greedy")
+    for l, tag in ((F(0), "l0"), (F(1, 2), "lhalf"), (F(1), "l1"))
+    for rule in TieRule
+] + [pytest.param("gva", L1, solver, id=f"gva-{solver.value}") for solver in SolverKind])
+
+
+def _tie_heavy(rng, k, n):
+    """k goods and n bids with zero amounts, reserve bids and amounts of one
+    or two per good, so norms coincide at l = 0 and at l = 1."""
+    goods = tuple("abcdefgh"[:k])
+    bids = []
+    for i in range(n):
+        bundle = frozenset(rng.sample(goods, rng.randint(1, k)))
+        amount = rng.choice([0, 1, 2, len(bundle), 2 * len(bundle)])
+        bids.append(SingleMindedBid(f"b{i}", bundle, amount, rng.random() < 0.2))
+    return AuctionInstance(goods, tuple(bids))
+
+
+def _bid_j_outcome(mech, inst, j, bundle, v):
+    """Bid j moved to `bundle` at v: whether it wins, whether what it wins
+    covers its true bundle, and its payment; "ties" when the rerun raises
+    `TiesPresent`."""
+    old = inst.bids[j]
+    true_bundle = (inst.true_types or {}).get(old.bidder, old).bundle
+    try:
+        out = mech.run(inst.with_bid(j, SingleMindedBid(old.bidder, bundle, v, old.is_reserve)))
+    except TiesPresent:
+        return "ties"
+    granted = out.allocation.bundle_granted(j)
+    return bool(granted), true_bundle <= granted, out.payments[j]
+
+
+@EVERY_MECHANISM
+def test_outcome_is_the_same_across_a_bundle_class(name, cfg, solver):
+    # every bundle of a class has the first one's thresholds and, at every
+    # candidate off them, bid j's grant and payment: what lets the search
+    # rerun only a class's first bundle; only zero and the true amount can
+    # sit on a threshold
+    mech = MECHANISMS[name](cfg, solver)
+    rng = random.Random(f"classes:{name}")
+    instances = [random_instance(4, 5, seed=f"classes:{t}") for t in range(3)]
+    instances += [_tie_heavy(rng, 4, 5) for _ in range(4)]
+    compared = 0
+    for inst in instances:
+        for j in range(len(inst.bids)):
+            of_bundle = mech.thresholds(inst, j)
+            amount = inst.bids[j].amount
+            for first, *rest in _bundle_classes(inst, j):
+                thresholds = list(of_bundle(first))
+                candidates = _candidate_values(thresholds, amount)
+                on = [v for v in candidates if any(t == v for t in thresholds)]
+                assert axioms._tied_candidates(thresholds, amount) == on
+                off = [v for v in candidates if v not in on]
+                expected = [_bid_j_outcome(mech, inst, j, first, v) for v in off]
+                for bundle in rest:
+                    assert list(of_bundle(bundle)) == thresholds
+                    assert [_bid_j_outcome(mech, inst, j, bundle, v) for v in off] == expected
+                    compared += len(off)
+    assert compared > 0
+
+
+def test_canonical_tie_breaks_a_class_apart_on_its_threshold():
+    # j = e@7 and i = bc@5 at l = 1: ab and cd are one class for j (two
+    # goods, meeting bc, not covering e), but at its threshold 5 j's norm
+    # ties bc's and the tie breaks by bundle: ab ranks before bc and wins
+    # paying 5, cd ranks after it and loses
+    inst = AuctionInstance(tuple("abcde"), (bid("j", "e", 7), bid("i", "bc", 5)))
+    mech = greedy_mechanism(L1)
+    (members,) = [c for c in _bundle_classes(inst, 0) if frozenset("ab") in c]
+    assert members[0] == frozenset("ab") and frozenset("cd") in members
+    assert _bid_j_outcome(mech, inst, 0, frozenset("ab"), F(5)) == (True, False, Money(5))
+    assert _bid_j_outcome(mech, inst, 0, frozenset("cd"), F(5)) == (False, False, Money(0))
+    # when a candidate sits there, as a true amount of 5 does, the search
+    # reruns every bundle of the class at 5, and at no other value
+    lying = AuctionInstance(inst.goods, inst.bids, {"j": bid("j", "e", 5)})
+    ran = []
+
+    def recording_run(instance, run=mech.run):
+        ran.append(instance.bids[0])
+        return run(instance)
+
+    assert find_profitable_deviation(replace(mech, run=recording_run), lying, 0) is None
+    tried = {}
+    for b in ran[1:]:  # less the truthful run
+        tried.setdefault(b.bundle, []).append(b.amount)
+    assert F(5) in tried[members[0]] and len(tried[members[0]]) > 1
+    assert all(tried[b] == [F(5)] for b in members[1:])
+
+
+@EVERY_MECHANISM
+def test_deviation_search_reports_what_every_bundle_would(name, cfg, solver):
+    # the search agrees with one rerunning every candidate of every bundle,
+    # on seeded and tie-heavy instances; clarke-greedy at l = 0 and l = 1
+    # finds lies here
+    mech = MECHANISMS[name](cfg, solver)
+
+    def every_bundle(inst, j):
+        declared = inst.bids[j]
+        true_type = (inst.true_types or {}).get(declared.bidder, declared)
+
+        def utility(attempt):
+            out = mech.run(inst.with_bid(j, attempt))
+            granted = out.allocation.bundle_granted(j)
+            value = true_type.amount if true_type.bundle <= granted else 0
+            return value - out.payments[j]
+
+        truthful = utility(replace(declared, bundle=true_type.bundle, amount=true_type.amount))
+        best = None
+        of_bundle = mech.thresholds(inst, j)
+        for bits in range(1, 1 << len(inst.goods)):
+            bundle = frozenset(g for i, g in enumerate(inst.goods) if bits >> i & 1)
+            for v in _candidate_values(of_bundle(bundle), true_type.amount):
+                attempt = replace(declared, bundle=bundle, amount=v)
+                try:
+                    u = utility(attempt)
+                except TiesPresent:
+                    continue
+                if best is None or u > best[0]:
+                    best = (u, attempt)
+        return best and best[0] > truthful and (best[1], truthful, best[0])
+
+    rng = random.Random(f"every-bundle:{name}")
+    instances = [three_bidder_instance(truthful=True)]
+    instances += [random_instance(4, 5, seed=f"every-bundle:{t}").assuming_truthful()
+                  for t in range(2)]
+    instances += [_tie_heavy(rng, 4, 4) for _ in range(3)]
+    for inst in instances:
+        for j in range(len(inst.bids)):
+            try:
+                expected = every_bundle(inst, j)
+            except TiesPresent:
+                with pytest.raises(TiesPresent):
+                    find_profitable_deviation(mech, inst, j)
+                continue
+            report = find_profitable_deviation(mech, inst, j)
+            got = report and (report.misreport, report.truthful_utility, report.deviating_utility)
+            assert got == (expected or None)
+
+
+def test_deviation_search_work_pinned():
+    # criterion 3's first instance: the 8 greedy searches at l = 1 make
+    # 5,400 mechanism runs in all, a truthful run each and one rerun per
+    # candidate of each class's first bundle (plus any candidate on a
+    # threshold); rerunning every bundle made 8 + 63 * 16 * 8 = 8,072
+    inst = random_instance(6, 8, seed="deviation-accept:0")
+    mech = greedy_mechanism(L1)
+    runs = []
+
+    def counting_run(instance, run=mech.run):
+        runs.append(instance)
+        return run(instance)
+
+    for j in range(len(inst.bids)):
+        assert find_profitable_deviation(replace(mech, run=counting_run), inst, j) is None
+    assert len(runs) == 5400
 
 
 EXPONENTS = pytest.mark.parametrize("exponent", [F(1, 2), F(1)], ids=["lhalf", "l1"])
@@ -884,17 +1060,22 @@ def test_interleaved_searches_share_no_thresholds(monkeypatch, name, exponent):
 
 def test_planned_reruns_bound(monkeypatch):
     inst = random_instance(6, 8, seed="planned:0")
-    # 63 bundles x 16 candidates x 8 bidders, and 8 bids x 100 perturbations
-    monkeypatch.setattr(axioms, "MAX_PLANNED_RERUNS", 63 * 16 * 8 + 800)
+    # 63 bundles x 16 candidates plus the truthful rerun, for each of 8
+    # bidders, and 8 bids x 100 perturbations
+    monkeypatch.setattr(axioms, "MAX_PLANNED_RERUNS", (63 * 16 + 1) * 8 + 800)
     check_planned_reruns(inst, perturbations=100, deviations=True)
-    with pytest.raises(InstanceTooLarge, match="8872 mechanism reruns"):
+    with pytest.raises(InstanceTooLarge, match="8880 mechanism reruns"):
         check_planned_reruns(inst, perturbations=101, deviations=True)
-    # reserve bidders are not searched: 63 x 16 x 7 + 8 x 226 is the bound again
+    # the axiom suite's own run of the mechanism is charged too
+    with pytest.raises(InstanceTooLarge, match="8873 mechanism reruns"):
+        check_planned_reruns(inst, suite=True, perturbations=100, deviations=True)
+    # reserve bidders are not searched: 1 + (63 x 16 + 1) x 7 + 8 x 226 is
+    # the bound again
     reserve = inst.with_bid(0, SingleMindedBid("b1", inst.bids[0].bundle, 1, True))
-    check_planned_reruns(reserve, perturbations=226, deviations=True)
+    check_planned_reruns(reserve, suite=True, perturbations=226, deviations=True)
     # the critical check probes at most 8 values for each of the 8 bids
     check_planned_reruns(inst, perturbations=92, deviations=True, critical=True)
-    with pytest.raises(InstanceTooLarge, match="8872 mechanism reruns"):
+    with pytest.raises(InstanceTooLarge, match="8880 mechanism reruns"):
         check_planned_reruns(inst, perturbations=93, deviations=True, critical=True)
     check_planned_reruns(inst, perturbations=-1)
     wide = AuctionInstance(tuple(f"g{i}" for i in range(17)), (bid("x", {"g0"}, 1),))
@@ -916,7 +1097,7 @@ def test_planned_rerun_key_bits_bound(monkeypatch):
         check_planned_reruns(inst, critical=True, perturbations=1, cfg=cfg)
     # a mechanism that ranks no keys, such as the GVA, is not charged
     check_planned_reruns(inst, critical=True, perturbations=1)
-    check_planned_reruns(AuctionInstance(("a",), ()), critical=True, cfg=cfg)
+    check_planned_reruns(AuctionInstance(("a",), ()), suite=True, critical=True, cfg=cfg)
 
 
 def test_planned_gva_solve_work_bound(monkeypatch):
@@ -928,8 +1109,9 @@ def test_planned_gva_solve_work_bound(monkeypatch):
     check_planned_reruns(inst, critical=True, solver=DP)
     with pytest.raises(InstanceTooLarge, match="9 GVA reruns and 3 entry-value tables"):
         check_planned_reruns(inst, critical=True, perturbations=1, solver=DP)
-    # the search plans 3 bundles x 6 candidates per bidder and one table each
-    monkeypatch.setattr(axioms, "MAX_RERUN_DP_CELLS", (3 * 3 + 54 * 4) * 4)
+    # the search plans 3 bundles x 6 candidates and the truthful rerun per
+    # bidder, and one table each
+    monkeypatch.setattr(axioms, "MAX_RERUN_DP_CELLS", (3 * 3 + 57 * 4) * 4)
     check_planned_reruns(inst, deviations=True, solver=DP)
     with pytest.raises(InstanceTooLarge, match="DP table cells"):
         check_planned_reruns(inst, deviations=True, perturbations=1, solver=DP)

@@ -684,8 +684,11 @@ def test_check_past_rerun_bound_exit_4(tmp_path, goods, bids, check):
         # 20 one-good bids: one brute-force GVA run alone took 17 s
         ("abcd", [(f"b{i}", "abcd"[i % 4], str(i + 1)) for i in range(20)],
          ["--solver", "brute", "--deviations"]),
+        # the same bids with one cheap axiom: the suite's own run took 13.6 s
+        ("abcd", [(f"b{i}", "abcd"[i % 4], str(i + 1)) for i in range(20)],
+         ["--solver", "brute", "--axioms", "exactness"]),
     ],
-    ids=["dp-16-goods", "brute-20-bids"],
+    ids=["dp-16-goods", "brute-20-bids", "brute-20-bids-suite-run"],
 )
 def test_check_past_gva_solve_budget_exit_4(tmp_path, goods, bids, check):
     # each planned GVA rerun is charged one run's solve, so a check that
