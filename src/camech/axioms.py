@@ -193,6 +193,17 @@ def _toward(a: Rational, b: Rational) -> Fraction:
     return Fraction(an * bd * (t - s) + bn * ad * s, ad * bd * t)
 
 
+def _region_probes(brackets: Sequence[tuple[Fraction, Fraction]]) -> list[Fraction]:
+    """One probe inside each open region above a threshold: just above each
+    bracket, toward the next one or, past the last, toward twice its upper
+    bound (toward one above a zero threshold).  Empty without brackets."""
+    probes = [_toward(a, b) for (_, a), (b, _) in zip(brackets, brackets[1:])]
+    if brackets:
+        top = brackets[-1][1]
+        probes.append(_toward(top, 2 * top if top > 0 else top + 1))
+    return probes
+
+
 def critical_value(mech: Mechanism, instance: AuctionInstance, j: int) -> CriticalValue:
     """Bid j's grant threshold: the mechanism's first threshold above which,
     probed once inside each region between thresholds, j wins its bundle.
@@ -207,12 +218,7 @@ def critical_value(mech: Mechanism, instance: AuctionInstance, j: int) -> Critic
     thresholds, brackets = _brackets({Money.ZERO, *positive})
     del thresholds[0], brackets[0]
     # one probe inside each region between consecutive thresholds
-    if not thresholds:
-        probes = [PROBE_SCALE]
-    else:
-        probes = [_toward(brackets[0][0], 0)]
-        probes += [_toward(a, b) for (_, a), (b, _) in zip(brackets, brackets[1:])]
-        probes.append(_toward(brackets[-1][1], 2 * brackets[-1][1]))
+    probes = [_toward(brackets[0][0], 0), *_region_probes(brackets)] if brackets else [PROBE_SCALE]
     status = [
         mech.run(instance.with_amount(j, v)).allocation.bundle_granted(j) == bundle
         for v in probes
@@ -427,8 +433,7 @@ class DeviationReport:
     piecewise-constant in the declared value between its thresholds and,
     off them, reads the bundle only through its size, the other bids it
     overlaps and whether it covers the true bundle; it is sound for any
-    mechanism.  `note` states the first condition in the `check` JSON,
-    which keeps its bytes.
+    mechanism.  `note` states both conditions in the `check` JSON.
     """
 
     bidder: str
@@ -441,22 +446,24 @@ class DeviationReport:
     candidates_tested: int
     note: str = (
         "complete for mechanisms whose outcome is piecewise-constant in the "
-        "declared value between norm crossings; sound for any mechanism"
+        "declared value between thresholds and, off them, the same for any two "
+        "bundles of one size that overlap the same other bids and both cover or "
+        "both miss the true bundle; sound for any mechanism"
     )
 
 
 def _candidate_values(thresholds: Sequence[Money], true_amount: Fraction) -> list[Fraction]:
-    """Zero, the true amount, and a rational probe on each side of each threshold."""
-    candidates = {Fraction(0), true_amount}
+    """Zero, the true amount, and one rational probe inside each region
+    between the non-negative thresholds and above the last, in increasing
+    order.
+
+    The region below the lowest threshold holds zero already.  A mechanism
+    whose outcome is constant inside a region gives every value there the
+    probe's outcome, and a second probe there would come later in the
+    order, so it could never strictly beat what the search already holds.
+    """
     _, brackets = _brackets({t for t in thresholds if t.sign() >= 0})
-    for i, (lo, hi) in enumerate(brackets):
-        left = brackets[i - 1][1] if i > 0 else 0
-        right = brackets[i + 1][0] if i + 1 < len(brackets) else (2 * hi if hi > 0 else hi + 1)
-        below = _toward(lo, left)
-        if below >= 0:
-            candidates.add(below)
-        candidates.add(_toward(hi, right))
-    return sorted(candidates)
+    return sorted({Fraction(0), true_amount, *_region_probes(brackets)})
 
 
 def _tied_candidates(thresholds: Sequence[Money], true_amount: Fraction) -> list[Fraction]:
@@ -489,12 +496,12 @@ def check_planned_reruns(
     mechanism and one for the GVA: n * max(n, 2) reruns, or 2 * n for the
     GVA, which a `solver` stands for.  With `deviations`, each non-reserve
     bidder's misreport search plans its truthful rerun and, per bundle,
-    zero, the true amount and one value on each side of each other bid's
-    threshold: (2**k - 1) * (2 * (n - 1) + 2) + 1 reruns.  That counts
-    every bundle, an upper bound on the search, which reruns one bundle per
-    class; counting the classes would itself take 2**k * n steps before a
-    refusal.  Past `MAX_SEARCH_GOODS` goods the search raises
-    `BundleSpaceTooLarge` here.
+    zero, the true amount and one value inside each region above one of
+    the at most n - 1 other bids' thresholds: (2**k - 1) * (n + 1) + 1
+    reruns.  That counts every bundle, an upper bound on the search, which
+    reruns one bundle per class; counting the classes would itself take
+    2**k * n steps before a refusal.  Past `MAX_SEARCH_GOODS` goods the
+    search raises `BundleSpaceTooLarge` here.
     A rerun ranking by `cfg` builds a key of about q * bits(largest weight)
     + p * bits(lcm of sizes) bits; past `MAX_RERUN_KEY_BITS` in all it raises.
     A GVA rerun by `solver` fills (n + 1) * 2**k DP cells or visits
@@ -510,7 +517,7 @@ def check_planned_reruns(
         tables += n
     if deviations:
         bidders = sum(not b.is_reserve for b in instance.bids)
-        runs += (_bundle_count(k) * (2 * (n - 1) + 2) + 1) * bidders
+        runs += (_bundle_count(k) * (n + 1) + 1) * bidders
         tables += bidders
     if runs > MAX_PLANNED_RERUNS:
         raise InstanceTooLarge(
@@ -545,7 +552,8 @@ def check_planned_reruns(
 def find_profitable_deviation(
     mech: Mechanism, instance: AuctionInstance, j: int
 ) -> Optional[DeviationReport]:
-    """Search every bundle and every norm-crossing value for a profitable lie.
+    """Search every bundle, at zero, the true amount and one value inside
+    each region between thresholds, for a profitable lie.
 
     The bidder's true type comes from `instance.true_types` (falling back to
     the declared bid).  Any report returned is genuinely profitable: the

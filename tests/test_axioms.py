@@ -577,57 +577,59 @@ def test_toward_is_the_probe_expression(a, b):
 
 #: Per (norm exponent, seed) of `random_instance(6, 8, seed=f"pin:{seed}")`
 #: under the greedy mechanism: a sha256 prefix over every bid's critical value,
-#: probe count and probed amounts and its `_candidate_values` at bundle sizes
-#: 1 to 6, then each bid's critical value.  Recorded from the implementation
-#: that built every probe and candidate with `Fraction` arithmetic.
+#: probe count and probed amounts; one over its `_candidate_values` at bundle
+#: sizes 1 to 6; then each bid's critical value.  The scan half was recorded
+#: from the implementation that built every probe with `Fraction` arithmetic,
+#: the candidate half from the search that probes each region between
+#: thresholds once.
 _SCAN_PINS = {
-    ("1/2", 0): ("a7801cf94289f087", [
+    ("1/2", 0): ("baf48c5836d1c441", "7e39311a1cd3a4a3", [
         "Money<(188161/1000)*sqrt(3)>", "Money<(714601/1000)*sqrt(3)>",
         "Money<(852409/3000)*sqrt(3)>", "Money('852409/1000')", "Money<(852409/3000)*sqrt(6)>",
         "Money(0)", "Money<(852409/3000)*sqrt(3)>", "Money<(714601/1000)*sqrt(3)>",
     ]),
-    ("1/2", 1): ("f93578ac3e8c6c9c", [
+    ("1/2", 1): ("7656191b90625fef", "433197e42c250af9", [
         "Money(0)", "Money<(192761/400)*sqrt(2)>", "Money<(24506/25)*sqrt(2)>", "Money(0)",
         "Money<(102251/200)*sqrt(2)>", "Money<(152639/400)*sqrt(2)>", "Money('192761/200')",
         "Money<(401841/500)*sqrt(3)>",
     ]),
-    ("1/2", 2): ("dfa3c778ce24157d", [
+    ("1/2", 2): ("4e0d41281e39cfb1", "09ac281845e977d6", [
         "Money(0)", "Money<(805861/3000)*sqrt(6)>", "Money<(10939/25)*sqrt(3)>",
         "Money<(805861/1500)*sqrt(3)>", "Money<(805861/3000)*sqrt(6)>",
         "Money<(805861/3000)*sqrt(6)>", "Money('805861/1000')", "Money<(805861/3000)*sqrt(6)>",
     ]),
-    ("1/2", 3): ("438d0bd7a5140933", [
+    ("1/2", 3): ("bd1fdab59fe1bd97", "a8902b95461f0de7", [
         "Money<(12347/1000)*sqrt(2)>", "Money<(447057/500)*sqrt(3)>",
         "Money<(447057/500)*sqrt(3)>", "Money<(17569/60)*sqrt(3)>",
         "Money<(90647/250)*sqrt(3)>", "Money(0)", "Money<(447057/500)*sqrt(3)>",
         "Money<(34439/125)*sqrt(2)>",
     ]),
-    ("1/2", 4): ("556d8faea7f0c4e8", [
+    ("1/2", 4): ("17f2d1fcd906baee", "f50124e418cabc74", [
         "Money<(846301/1000)*sqrt(2)>", "Money<(42577/500)*sqrt(2)>",
         "Money<(846301/1000)*sqrt(3)>", "Money<(846301/1000)*sqrt(2)>",
         "Money<(85273/125)*sqrt(2)>", "Money<(392329/1000)*sqrt(2)>",
         "Money<(846301/1000)*sqrt(3)>", "Money('170546/125')",
     ]),
-    ("1", 0): ("81efe6446b4eee4a", [
+    ("1", 0): ("32641cf091a23eba", "f466a59f09509a5c", [
         "Money('564483/1000')", "Money('2143803/1000')", "Money('852409/3000')",
         "Money('852409/1000')", "Money('852409/1500')", "Money(0)", "Money('852409/3000')",
         "Money('2143803/1000')",
     ]),
-    ("1", 1): ("63f65cc7794e37cc", [
+    ("1", 1): ("4a1a800d88d9287a", "655acbcdd63f5568", [
         "Money(0)", "Money('192761/400')", "Money('49012/25')", "Money(0)",
         "Money('102251/100')", "Money(0)", "Money('133794/125')", "Money('1205523/500')",
     ]),
-    ("1", 2): ("a858813fb0656520", [
+    ("1", 2): ("045aa20d8bba3620", "80c0bec6c3ac92ae", [
         "Money(0)", "Money('171897/500')", "Money('1814793/2000')", "Money('604931/500')",
         "Money('604931/1000')", "Money('283143/500')", "Money('114039/250')",
         "Money('35071/500')",
     ]),
-    ("1", 3): ("69f3ff241e274b71", [
+    ("1", 3): ("d33b6af4094d53cf", "eadf9f91234c802f", [
         "Money('12347/1000')", "Money('1341171/500')", "Money('1341171/500')",
         "Money('17569/60')", "Money('271941/250')", "Money('579893/3000')",
         "Money('1341171/500')", "Money('68878/125')",
     ]),
-    ("1", 4): ("86b74b0888e8c36c", [
+    ("1", 4): ("dd5006bec09d707c", "1416b59774299c0a", [
         "Money('846301/500')", "Money('42577/500')", "Money('2538903/1000')",
         "Money('846301/500')", "Money('170546/125')", "Money('392329/1000')",
         "Money('2538903/1000')", "Money('341092/125')",
@@ -639,7 +641,7 @@ _SCAN_PINS = {
 def test_critical_scan_outputs_pinned(exponent, seed):
     mech = greedy_mechanism(NormConfig(F(exponent)))
     inst = random_instance(6, 8, seed=f"pin:{seed}")
-    digest = hashlib.sha256()
+    scan, candidates = hashlib.sha256(), hashlib.sha256()
     values = []
     for j in range(len(inst.bids)):
         probed = []
@@ -651,12 +653,13 @@ def test_critical_scan_outputs_pinned(exponent, seed):
         cv = critical_value(Mechanism(mech.name, run, mech.thresholds, mech.norm), inst, j)
         assert cv.probes == len(probed) == 8
         values.append(repr(cv.value))
-        digest.update(repr((cv.value, cv.probes, probed)).encode())
+        scan.update(repr((cv.value, cv.probes, probed)).encode())
         of_bundle = mech.thresholds(inst, j)
         for size in range(1, len(inst.goods) + 1):
             thresholds = of_bundle(frozenset(inst.goods[:size]))
-            digest.update(repr(_candidate_values(thresholds, inst.bids[j].amount)).encode())
-    assert (digest.hexdigest()[:16], values) == _SCAN_PINS[exponent, seed]
+            candidates.update(repr(_candidate_values(thresholds, inst.bids[j].amount)).encode())
+    got = (scan.hexdigest()[:16], candidates.hexdigest()[:16], values)
+    assert got == _SCAN_PINS[exponent, seed]
 
 
 def test_deviation_search_runs_every_candidate_once():
@@ -896,38 +899,58 @@ def test_canonical_tie_breaks_a_class_apart_on_its_threshold():
     assert all(tried[b] == [F(5)] for b in members[1:])
 
 
+def _every_bundle_search(mech, inst, j, candidates_of):
+    """A reference misreport search: bid j reruns every bundle at every value
+    `candidates_of(thresholds, true_amount)` lists, keeping the first pair
+    strictly beating the best so far.  Returns (misreport, truthful utility,
+    deviating utility) when that beats the truthful report, else a falsy
+    value; a tie on the truthful rerun raises `TiesPresent`."""
+    declared = inst.bids[j]
+    true_type = (inst.true_types or {}).get(declared.bidder, declared)
+
+    def utility(attempt):
+        out = mech.run(inst.with_bid(j, attempt))
+        granted = out.allocation.bundle_granted(j)
+        value = true_type.amount if true_type.bundle <= granted else 0
+        return value - out.payments[j]
+
+    truthful = utility(replace(declared, bundle=true_type.bundle, amount=true_type.amount))
+    best = None
+    of_bundle = mech.thresholds(inst, j)
+    for bits in range(1, 1 << len(inst.goods)):
+        bundle = frozenset(g for i, g in enumerate(inst.goods) if bits >> i & 1)
+        for v in candidates_of(of_bundle(bundle), true_type.amount):
+            attempt = replace(declared, bundle=bundle, amount=v)
+            try:
+                u = utility(attempt)
+            except TiesPresent:
+                continue
+            if best is None or u > best[0]:
+                best = (u, attempt)
+    return best and best[0] > truthful and (best[1], truthful, best[0])
+
+
+def _assert_search_matches(mech, inst, j, expected_of):
+    """`find_profitable_deviation` reports what `expected_of()` does, and
+    raises `TiesPresent` where it does; returns whether it found a lie."""
+    try:
+        expected = expected_of()
+    except TiesPresent:
+        with pytest.raises(TiesPresent):
+            find_profitable_deviation(mech, inst, j)
+        return False
+    report = find_profitable_deviation(mech, inst, j)
+    got = report and (report.misreport, report.truthful_utility, report.deviating_utility)
+    assert got == (expected or None)
+    return report is not None
+
+
 @EVERY_MECHANISM
 def test_deviation_search_reports_what_every_bundle_would(name, cfg, solver):
     # the search agrees with one rerunning every candidate of every bundle,
     # on seeded and tie-heavy instances; clarke-greedy at l = 0 and l = 1
     # finds lies here
     mech = MECHANISMS[name](cfg, solver)
-
-    def every_bundle(inst, j):
-        declared = inst.bids[j]
-        true_type = (inst.true_types or {}).get(declared.bidder, declared)
-
-        def utility(attempt):
-            out = mech.run(inst.with_bid(j, attempt))
-            granted = out.allocation.bundle_granted(j)
-            value = true_type.amount if true_type.bundle <= granted else 0
-            return value - out.payments[j]
-
-        truthful = utility(replace(declared, bundle=true_type.bundle, amount=true_type.amount))
-        best = None
-        of_bundle = mech.thresholds(inst, j)
-        for bits in range(1, 1 << len(inst.goods)):
-            bundle = frozenset(g for i, g in enumerate(inst.goods) if bits >> i & 1)
-            for v in _candidate_values(of_bundle(bundle), true_type.amount):
-                attempt = replace(declared, bundle=bundle, amount=v)
-                try:
-                    u = utility(attempt)
-                except TiesPresent:
-                    continue
-                if best is None or u > best[0]:
-                    best = (u, attempt)
-        return best and best[0] > truthful and (best[1], truthful, best[0])
-
     rng = random.Random(f"every-bundle:{name}")
     instances = [three_bidder_instance(truthful=True)]
     instances += [random_instance(4, 5, seed=f"every-bundle:{t}").assuming_truthful()
@@ -935,22 +958,77 @@ def test_deviation_search_reports_what_every_bundle_would(name, cfg, solver):
     instances += [_tie_heavy(rng, 4, 4) for _ in range(3)]
     for inst in instances:
         for j in range(len(inst.bids)):
-            try:
-                expected = every_bundle(inst, j)
-            except TiesPresent:
-                with pytest.raises(TiesPresent):
-                    find_profitable_deviation(mech, inst, j)
+            _assert_search_matches(
+                mech, inst, j, lambda: _every_bundle_search(mech, inst, j, _candidate_values)
+            )
+
+
+def _probes_on_both_sides(thresholds, true_amount):
+    """Zero, the true amount and a probe on each side of every non-negative
+    threshold, in increasing order, with (below, kept) pairs: each probe
+    just below a threshold and the lower value of its region that
+    `_candidate_values` keeps, the probe just above the threshold below it
+    or, under the lowest threshold, zero."""
+    candidates, pairs = {F(0), true_amount}, []
+    _, brackets = _brackets({t for t in thresholds if t.sign() >= 0})
+    for i, (lo, hi) in enumerate(brackets):
+        left = brackets[i - 1][1] if i else 0
+        right = brackets[i + 1][0] if i + 1 < len(brackets) else (2 * hi if hi > 0 else hi + 1)
+        below, kept = _toward(lo, left), _toward(left, lo) if i else F(0)
+        if below > kept:  # else a zero threshold's, which is zero itself
+            candidates.add(below)
+            pairs.append((below, kept))
+        candidates.add(_toward(hi, right))
+    return sorted(candidates), pairs
+
+
+@EVERY_MECHANISM
+def test_deviation_search_matches_probing_both_sides_of_every_threshold(name, cfg, solver):
+    # a reference search rerunning every bundle at zero, the true amount and
+    # a probe on each side of every threshold reports the same misreport
+    # and utilities as the search, which probes each region once; and on
+    # every bundle, each probe below a threshold gives bid j the grant and
+    # payment of the value the search keeps in that region
+    mech = MECHANISMS[name](cfg, solver)
+    rng = random.Random(f"both-sides:{name}:{cfg.exponent}:{cfg.tie_rule.value}")
+    instances = [random_instance(4, 5, seed=f"both-sides:{t}").assuming_truthful()
+                 for t in range(2)]
+    instances += [_tie_heavy(rng, 4, 4) for _ in range(2)]
+    found = compared = 0
+    for inst in instances:
+        for j in range(len(inst.bids)):
+            seen = {}  # (bundle, amount) -> bid j's grant and payment
+
+            def recording_run(instance, j=j, seen=seen):
+                out = mech.run(instance)
+                b = instance.bids[j]
+                seen[b.bundle, b.amount] = out.allocation.bundle_granted(j), out.payments[j]
+                return out
+
+            reference = replace(mech, run=recording_run)
+            found += _assert_search_matches(mech, inst, j, lambda: _every_bundle_search(
+                reference, inst, j, lambda *a: _probes_on_both_sides(*a)[0]
+            ))
+            if not seen:  # the truthful rerun tied
                 continue
-            report = find_profitable_deviation(mech, inst, j)
-            got = report and (report.misreport, report.truthful_utility, report.deviating_utility)
-            assert got == (expected or None)
+            of_bundle = mech.thresholds(inst, j)
+            for bits in range(1, 1 << len(inst.goods)):
+                bundle = frozenset(g for i, g in enumerate(inst.goods) if bits >> i & 1)
+                thresholds, amount = of_bundle(bundle), inst.bids[j].amount
+                searched = _candidate_values(thresholds, amount)
+                for below, kept in _probes_on_both_sides(thresholds, amount)[1]:
+                    assert kept in searched
+                    assert seen.get((bundle, below)) == seen.get((bundle, kept))
+                    compared += 1
+    assert compared > 0 and (found > 0) == (name == "clarke-greedy")
 
 
 def test_deviation_search_work_pinned():
     # criterion 3's first instance: the 8 greedy searches at l = 1 make
-    # 5,400 mechanism runs in all, a truthful run each and one rerun per
+    # 3,041 mechanism runs in all, a truthful run each and one rerun per
     # candidate of each class's first bundle (plus any candidate on a
-    # threshold); rerunning every bundle made 8 + 63 * 16 * 8 = 8,072
+    # threshold); a probe on each side of every threshold made 5,400, and
+    # rerunning every bundle with those 8 + 63 * 16 * 8 = 8,072
     inst = random_instance(6, 8, seed="deviation-accept:0")
     mech = greedy_mechanism(L1)
     runs = []
@@ -961,7 +1039,7 @@ def test_deviation_search_work_pinned():
 
     for j in range(len(inst.bids)):
         assert find_profitable_deviation(replace(mech, run=counting_run), inst, j) is None
-    assert len(runs) == 5400
+    assert len(runs) == 3041
 
 
 EXPONENTS = pytest.mark.parametrize("exponent", [F(1, 2), F(1)], ids=["lhalf", "l1"])
@@ -1060,22 +1138,26 @@ def test_interleaved_searches_share_no_thresholds(monkeypatch, name, exponent):
 
 def test_planned_reruns_bound(monkeypatch):
     inst = random_instance(6, 8, seed="planned:0")
-    # 63 bundles x 16 candidates plus the truthful rerun, for each of 8
-    # bidders, and 8 bids x 100 perturbations
-    monkeypatch.setattr(axioms, "MAX_PLANNED_RERUNS", (63 * 16 + 1) * 8 + 800)
+    # 63 bundles x 9 candidates (zero, the true amount and one probe above
+    # each of 7 thresholds) plus the truthful rerun, for each of 8 bidders,
+    # and 8 bids x 100 perturbations
+    monkeypatch.setattr(axioms, "MAX_PLANNED_RERUNS", (63 * 9 + 1) * 8 + 800)
     check_planned_reruns(inst, perturbations=100, deviations=True)
-    with pytest.raises(InstanceTooLarge, match="8880 mechanism reruns"):
+    with pytest.raises(InstanceTooLarge, match="5352 mechanism reruns"):
         check_planned_reruns(inst, perturbations=101, deviations=True)
     # the axiom suite's own run of the mechanism is charged too
-    with pytest.raises(InstanceTooLarge, match="8873 mechanism reruns"):
+    with pytest.raises(InstanceTooLarge, match="5345 mechanism reruns"):
         check_planned_reruns(inst, suite=True, perturbations=100, deviations=True)
-    # reserve bidders are not searched: 1 + (63 x 16 + 1) x 7 + 8 x 226 is
-    # the bound again
+    # reserve bidders are not searched: 1 + (63 x 9 + 1) x 7 + 8 x 170 is
+    # 5,337, within the bound of 5,344, and one more perturbation per bid
+    # passes it
     reserve = inst.with_bid(0, SingleMindedBid("b1", inst.bids[0].bundle, 1, True))
-    check_planned_reruns(reserve, suite=True, perturbations=226, deviations=True)
+    check_planned_reruns(reserve, suite=True, perturbations=170, deviations=True)
+    with pytest.raises(InstanceTooLarge, match="5345 mechanism reruns"):
+        check_planned_reruns(reserve, suite=True, perturbations=171, deviations=True)
     # the critical check probes at most 8 values for each of the 8 bids
     check_planned_reruns(inst, perturbations=92, deviations=True, critical=True)
-    with pytest.raises(InstanceTooLarge, match="8880 mechanism reruns"):
+    with pytest.raises(InstanceTooLarge, match="5352 mechanism reruns"):
         check_planned_reruns(inst, perturbations=93, deviations=True, critical=True)
     check_planned_reruns(inst, perturbations=-1)
     wide = AuctionInstance(tuple(f"g{i}" for i in range(17)), (bid("x", {"g0"}, 1),))
@@ -1109,9 +1191,9 @@ def test_planned_gva_solve_work_bound(monkeypatch):
     check_planned_reruns(inst, critical=True, solver=DP)
     with pytest.raises(InstanceTooLarge, match="9 GVA reruns and 3 entry-value tables"):
         check_planned_reruns(inst, critical=True, perturbations=1, solver=DP)
-    # the search plans 3 bundles x 6 candidates and the truthful rerun per
+    # the search plans 3 bundles x 4 candidates and the truthful rerun per
     # bidder, and one table each
-    monkeypatch.setattr(axioms, "MAX_RERUN_DP_CELLS", (3 * 3 + 57 * 4) * 4)
+    monkeypatch.setattr(axioms, "MAX_RERUN_DP_CELLS", (3 * 3 + 39 * 4) * 4)
     check_planned_reruns(inst, deviations=True, solver=DP)
     with pytest.raises(InstanceTooLarge, match="DP table cells"):
         check_planned_reruns(inst, deviations=True, perturbations=1, solver=DP)
