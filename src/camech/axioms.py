@@ -43,13 +43,12 @@ MAX_PLANNED_RERUNS = 1 << 20
 #: two-good bids of 990 digits (16 reruns of 3.3 million bits) takes 6 s.
 MAX_RERUN_KEY_BITS = 1 << 26
 #: Most DP table cells the planned reruns and entry-value tables of a GVA
-#: check may fill, and most bid subsets its brute-force reruns may visit.
-#: On a 2-vCPU host a GVA run took 9-200 ns a cell (the most with one-good
-#: bids, whose bundles have the most supersets and whose packings reach
-#: every goods set) and 0.36-1.7 us a subset, so each budget is at most
-#: about 7 s of work.
+#: check may fill; its brute-force reruns share `exact.MAX_BRUTE_SUBSETS`,
+#: the bound on one run.  On a 2-vCPU host a GVA run took 9-200 ns a cell
+#: (the most with one-good bids, whose bundles have the most supersets and
+#: whose packings reach every goods set), so the budget is at most about
+#: 7 s of work.
 MAX_RERUN_DP_CELLS = 1 << 25
-MAX_RERUN_BRUTE_SUBSETS = 1 << 22
 
 
 @dataclass(frozen=True, eq=False)
@@ -453,24 +452,40 @@ class DeviationReport:
 
 
 def _candidate_values(thresholds: Sequence[Money], true_amount: Fraction) -> list[Fraction]:
-    """Zero, the true amount, and one rational probe inside each region
-    between the non-negative thresholds and above the last, in increasing
-    order.
+    """One value inside each open region between the non-negative
+    thresholds and above the last, in increasing order: zero below the
+    lowest threshold, else the rational probe just above the bracket below.
 
-    The region below the lowest threshold holds zero already.  A mechanism
-    whose outcome is constant inside a region gives every value there the
-    probe's outcome, and a second probe there would come later in the
-    order, so it could never strictly beat what the search already holds.
+    The true amount, never negative, takes its region's value's place when
+    it lies below it and is dropped otherwise; inside a threshold's
+    bracket, which a rational threshold is itself, it is a value of its
+    own.  A mechanism whose outcome is constant inside a region gives
+    every value there one outcome, and the search keeps the first pair
+    strictly beating the best so far, so the later of two values in a
+    region could never be reported.  Over at most n - 1 thresholds that
+    leaves zero, n - 1 region values and the true amount in a bracket:
+    n + 1 at most.  The list is built in order, with no sort.
     """
     _, brackets = _brackets({t for t in thresholds if t.sign() >= 0})
-    return sorted({Fraction(0), true_amount, *_region_probes(brackets)})
+    values = [Fraction(0), *_region_probes(brackets)]
+    # values[r] is the value of the region below bracket r
+    a, r = true_amount, 0
+    while r < len(brackets) and brackets[r][1] < a:
+        r += 1
+    if r < len(brackets) and brackets[r][0] <= a:
+        if values[r] < a:  # else a is zero, in a bracket reaching down to it
+            values.insert(r + 1, a)
+    elif a < values[r]:
+        values[r] = a
+    return values
 
 
 def _tied_candidates(thresholds: Sequence[Money], true_amount: Fraction) -> list[Fraction]:
     """The candidates of `_candidate_values` equal to one of the thresholds:
     only zero and the true amount can be, since every probe lies strictly
-    between brackets."""
-    return [v for v in sorted({Fraction(0), true_amount}) if any(t == v for t in thresholds)]
+    between brackets and a true amount on a threshold lies in its bracket."""
+    values = [Fraction(0), true_amount] if true_amount else [Fraction(0)]
+    return [v for v in values if Money(v) in thresholds]
 
 
 def _bundle_count(k: int) -> int:
@@ -495,10 +510,12 @@ def check_planned_reruns(
     its distinct positive thresholds, which number at most n - 1 for a norm
     mechanism and one for the GVA: n * max(n, 2) reruns, or 2 * n for the
     GVA, which a `solver` stands for.  With `deviations`, each non-reserve
-    bidder's misreport search plans its truthful rerun and, per bundle,
-    zero, the true amount and one value inside each region above one of
-    the at most n - 1 other bids' thresholds: (2**k - 1) * (n + 1) + 1
-    reruns.  That counts every bundle, an upper bound on the search, which
+    bidder's misreport search plans its truthful rerun and, per bundle at
+    worst, zero, one value inside each region above one of the at most
+    n - 1 other bids' thresholds (the true amount in place of the region's
+    probe when it lies below it) and the true amount when it lies in a
+    threshold's bracket: (2**k - 1) * (n + 1) + 1 reruns.  That counts
+    every bundle, an upper bound on the search, which
     reruns one bundle per class; counting the classes would itself take
     2**k * n steps before a refusal.  Past `MAX_SEARCH_GOODS` goods the
     search raises `BundleSpaceTooLarge` here.
@@ -507,7 +524,7 @@ def check_planned_reruns(
     A GVA rerun by `solver` fills (n + 1) * 2**k DP cells or visits
     (n + 1) * 2**n bid subsets, and the GVA's thresholds build one entry-value
     table of n * 2**k cells per critical bid and per searched bidder; past
-    `MAX_RERUN_DP_CELLS` or `MAX_RERUN_BRUTE_SUBSETS` it raises.
+    `MAX_RERUN_DP_CELLS` or `exact.MAX_BRUTE_SUBSETS` it raises.
     """
     n, k = len(instance.bids), len(instance.goods)
     runs = n * max(perturbations, 0) + suite
@@ -540,7 +557,7 @@ def check_planned_reruns(
             cells, subsets = tables * n << k, runs * (n + 1) << n
         for planned, most, unit in (
             (cells, MAX_RERUN_DP_CELLS, "DP table cells"),
-            (subsets, MAX_RERUN_BRUTE_SUBSETS, "brute-force bid subsets"),
+            (subsets, _exact.MAX_BRUTE_SUBSETS, "brute-force bid subsets"),
         ):
             if planned > most:
                 raise InstanceTooLarge(
@@ -552,8 +569,10 @@ def check_planned_reruns(
 def find_profitable_deviation(
     mech: Mechanism, instance: AuctionInstance, j: int
 ) -> Optional[DeviationReport]:
-    """Search every bundle, at zero, the true amount and one value inside
-    each region between thresholds, for a profitable lie.
+    """Search every bundle, at zero and one value inside each open region
+    between thresholds, for a profitable lie; the true amount is that value
+    in its region when it lies below the region's probe, and a value of its
+    own when it lies in a threshold's bracket (see `_candidate_values`).
 
     The bidder's true type comes from `instance.true_types` (falling back to
     the declared bid).  Any report returned is genuinely profitable: the
@@ -586,8 +605,9 @@ def find_profitable_deviation(
     )
     truthful_utility = utility(mech.run(instance.with_bid(j, truthful_bid)))
 
-    goods = instance.goods
-    best: Optional[tuple[Money, SingleMindedBid]] = None
+    goods, amount = instance.goods, true_type.amount
+    best: Optional[Money] = None
+    best_bid: Optional[SingleMindedBid] = None
     tested = 0
     thresholds_of = mech.thresholds(instance, j)
     # a norm mechanism's thresholds depend on the bundle's size alone: per
@@ -605,6 +625,8 @@ def find_profitable_deviation(
     # out of the mask only splits classes further
     index = instance.good_index
     true_mask = instance.mask_of(g for g in true_type.bundle if g in index)
+    run, with_bid = mech.run, instance.with_bid
+    bidder, is_reserve = declared.bidder, declared.is_reserve
     for bundle_bits in range(1, bundles + 1):
         low = bundle_bits & -bundle_bits
         overlap = overlaps[bundle_bits] = overlaps[bundle_bits ^ low] | meets[low.bit_length() - 1]
@@ -618,27 +640,27 @@ def find_profitable_deviation(
             found = candidates.get(thresholds)
             if found is None:
                 found = candidates[thresholds] = (
-                    _candidate_values(thresholds, true_type.amount),
-                    _tied_candidates(thresholds, true_type.amount),
+                    _candidate_values(thresholds, amount), _tied_candidates(thresholds, amount),
                 )
             values, classes[key] = found
         for v in values:
-            attempt = SingleMindedBid(declared.bidder, bundle, v, declared.is_reserve)
+            attempt = SingleMindedBid(bidder, bundle, v, is_reserve)
             try:
-                u = utility(mech.run(instance.with_bid(j, attempt)))
+                out = run(with_bid(j, attempt))
             except TiesPresent:
                 continue
             tested += 1
-            if best is None or u > best[0]:
-                best = (u, attempt)
-    if best is not None and best[0] > truthful_utility:
+            u = utility(out)
+            if best is None or u > best:
+                best, best_bid = u, attempt
+    if best is not None and best > truthful_utility:
         return DeviationReport(
-            bidder=declared.bidder,
+            bidder=bidder,
             bid_index=j,
             true_type=true_type,
-            misreport=best[1],
+            misreport=best_bid,
             truthful_utility=truthful_utility,
-            deviating_utility=best[0],
+            deviating_utility=best,
             bundles_searched=bundles,
             candidates_tested=tested,
         )

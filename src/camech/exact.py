@@ -17,7 +17,8 @@ brute-force oracle re-solves the instance with j's amount at zero, once per
 bid.  The GVA's entry values come from the table of the bids other than j,
 whatever the solver.  A DP over n bids keeps (n + 1) * 2**goods table
 cells; past `MAX_DP_CELLS` it raises `InstanceTooLarge` before building any
-table.
+table.  A brute-force GVA run visits (n + 1) * 2**n bid subsets; past
+`MAX_BRUTE_SUBSETS` it raises before the first solve.
 """
 
 from __future__ import annotations
@@ -43,6 +44,12 @@ class SolverKind(Enum):
 
 
 MAX_BRUTE_BIDS = 24
+#: Most bid subsets one brute-force GVA run may visit, counted as
+#: (bids + 1) * 2**bids over its n + 1 solves, and most the planned GVA
+#: reruns of a check may visit together (`axioms.check_planned_reruns`).
+#: On a 2-vCPU host a subset took 0.36-1.7 us, so this is at most about
+#: 7 s of work; a run of 17 bids passes and one of 18 is refused.
+MAX_BRUTE_SUBSETS = 1 << 22
 #: Most DP table cells, (bids + 1) * 2**goods: about 32 MB of table
 #: pointers for one pass, plus at most three lists of 2**goods for the
 #: GVA's forward walk.  It also bounds the goods at 22.
@@ -270,6 +277,12 @@ def run_gva(instance: AuctionInstance, solver: SolverKind) -> Outcome:
         actual = _solution(instance, *_solve_dp(tables, masks, weights))
         without = _dp_values_without_each(instance, tables)
     else:
+        n = len(instance.bids)
+        if (n + 1) << n > MAX_BRUTE_SUBSETS:
+            raise InstanceTooLarge(
+                f"a brute-force GVA run of {n} bids visits (bids + 1) * 2**bids bid subsets;"
+                f" at most {MAX_BRUTE_SUBSETS} are allowed"
+            )
         actual = optimal_allocation(instance, solver)
         without = [
             optimal_allocation(instance.with_amount(j, 0), solver).value

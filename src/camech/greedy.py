@@ -111,12 +111,13 @@ class GreedyPayments(Sequence):
         return len(self._bids)
 
     def __getitem__(self, j) -> Money:
-        n = len(self._bids)
-        j = index(j)
-        if j < 0:
-            j += n
-        if not 0 <= j < n:
-            raise IndexError("payment index out of range")
+        if type(j) is not int or not 0 <= j < len(self._bids):
+            n = len(self._bids)
+            j = index(j)
+            if j < 0:
+                j += n
+            if not 0 <= j < n:
+                raise IndexError("payment index out of range")
         price = self._prices.get(j)
         if price is None:
             i = self._blockers.get(j)
@@ -146,8 +147,9 @@ def _priced(
     when q > 2.
     """
     bids = instance.bids
-    p, q = exponent.numerator, exponent.denominator
+    q = exponent.denominator
     if q > 2:
+        p = exponent.numerator
         for j, i in trace.blockers.items():
             if i is not None:
                 bundle_ratio_power(len(bids[j].bundle), len(bids[i].bundle), p, q)

@@ -141,17 +141,17 @@ def _sorted(instance: AuctionInstance, cfg: NormConfig) -> tuple[list[int], list
 
 class _ParentRanking:
     """An instance's ranking under one `NormConfig`, kept for its children:
-    the order, the negated keys in that order (so ascending), and in
-    `without` the last replaced bid j with the other bids' order, their
-    negated keys and whether those tie."""
+    the order, the negated keys in that order (so ascending), the key
+    scale, the exponent's p and q, and in `without` the last replaced bid
+    j with the other bids' order, their negated keys and whether those tie."""
 
-    __slots__ = ("order", "neg_keys", "scale", "without")
+    __slots__ = ("order", "neg_keys", "scale", "p", "q", "without")
 
     def __init__(self, instance: AuctionInstance, cfg: NormConfig):
         order, keys, top, _ = _sorted(instance, cfg)
         self.order = tuple(order)
         self.neg_keys = [-keys[i] for i in order]
-        p, q = cfg.exponent.numerator, cfg.exponent.denominator
+        self.p, self.q = p, q = cfg.exponent.numerator, cfg.exponent.denominator
         self.scale = instance.integer_amounts.denominator ** q * top ** p
         self.without = None
 
@@ -196,7 +196,7 @@ def _inserted(instance: AuctionInstance, cfg: NormConfig) -> RankedList | None:
     # when its key exceeds num**q * scale / (d**q * s**p), or that value's floor
     bid = instance.bids[j]
     amount = bid.amount
-    p, q = cfg.exponent.numerator, cfg.exponent.denominator
+    p, q = ranking.p, ranking.q
     floor, rest = divmod(
         amount.numerator ** q * ranking.scale, amount.denominator ** q * len(bid.bundle) ** p
     )

@@ -21,6 +21,7 @@ from camech.axioms import (
     Mechanism,
     _brackets,
     _candidate_values,
+    _region_probes,
     _toward,
     check_planned_reruns,
     clarke_greedy_mechanism,
@@ -580,56 +581,56 @@ def test_toward_is_the_probe_expression(a, b):
 #: probe count and probed amounts; one over its `_candidate_values` at bundle
 #: sizes 1 to 6; then each bid's critical value.  The scan half was recorded
 #: from the implementation that built every probe with `Fraction` arithmetic,
-#: the candidate half from the search that probes each region between
-#: thresholds once.
+#: the candidate half from the search that keeps one value per region
+#: between thresholds, the true amount included.
 _SCAN_PINS = {
-    ("1/2", 0): ("baf48c5836d1c441", "7e39311a1cd3a4a3", [
+    ("1/2", 0): ("baf48c5836d1c441", "133f611b48756b82", [
         "Money<(188161/1000)*sqrt(3)>", "Money<(714601/1000)*sqrt(3)>",
         "Money<(852409/3000)*sqrt(3)>", "Money('852409/1000')", "Money<(852409/3000)*sqrt(6)>",
         "Money(0)", "Money<(852409/3000)*sqrt(3)>", "Money<(714601/1000)*sqrt(3)>",
     ]),
-    ("1/2", 1): ("7656191b90625fef", "433197e42c250af9", [
+    ("1/2", 1): ("7656191b90625fef", "b58e62edb3e8f807", [
         "Money(0)", "Money<(192761/400)*sqrt(2)>", "Money<(24506/25)*sqrt(2)>", "Money(0)",
         "Money<(102251/200)*sqrt(2)>", "Money<(152639/400)*sqrt(2)>", "Money('192761/200')",
         "Money<(401841/500)*sqrt(3)>",
     ]),
-    ("1/2", 2): ("4e0d41281e39cfb1", "09ac281845e977d6", [
+    ("1/2", 2): ("4e0d41281e39cfb1", "47d246c331e80fb0", [
         "Money(0)", "Money<(805861/3000)*sqrt(6)>", "Money<(10939/25)*sqrt(3)>",
         "Money<(805861/1500)*sqrt(3)>", "Money<(805861/3000)*sqrt(6)>",
         "Money<(805861/3000)*sqrt(6)>", "Money('805861/1000')", "Money<(805861/3000)*sqrt(6)>",
     ]),
-    ("1/2", 3): ("bd1fdab59fe1bd97", "a8902b95461f0de7", [
+    ("1/2", 3): ("bd1fdab59fe1bd97", "12ad5bd57e9a8bce", [
         "Money<(12347/1000)*sqrt(2)>", "Money<(447057/500)*sqrt(3)>",
         "Money<(447057/500)*sqrt(3)>", "Money<(17569/60)*sqrt(3)>",
         "Money<(90647/250)*sqrt(3)>", "Money(0)", "Money<(447057/500)*sqrt(3)>",
         "Money<(34439/125)*sqrt(2)>",
     ]),
-    ("1/2", 4): ("17f2d1fcd906baee", "f50124e418cabc74", [
+    ("1/2", 4): ("17f2d1fcd906baee", "d759f81fb55e67ee", [
         "Money<(846301/1000)*sqrt(2)>", "Money<(42577/500)*sqrt(2)>",
         "Money<(846301/1000)*sqrt(3)>", "Money<(846301/1000)*sqrt(2)>",
         "Money<(85273/125)*sqrt(2)>", "Money<(392329/1000)*sqrt(2)>",
         "Money<(846301/1000)*sqrt(3)>", "Money('170546/125')",
     ]),
-    ("1", 0): ("32641cf091a23eba", "f466a59f09509a5c", [
+    ("1", 0): ("32641cf091a23eba", "9c32fcd6a121cb41", [
         "Money('564483/1000')", "Money('2143803/1000')", "Money('852409/3000')",
         "Money('852409/1000')", "Money('852409/1500')", "Money(0)", "Money('852409/3000')",
         "Money('2143803/1000')",
     ]),
-    ("1", 1): ("4a1a800d88d9287a", "655acbcdd63f5568", [
+    ("1", 1): ("4a1a800d88d9287a", "0ef25b75b9bac1f6", [
         "Money(0)", "Money('192761/400')", "Money('49012/25')", "Money(0)",
         "Money('102251/100')", "Money(0)", "Money('133794/125')", "Money('1205523/500')",
     ]),
-    ("1", 2): ("045aa20d8bba3620", "80c0bec6c3ac92ae", [
+    ("1", 2): ("045aa20d8bba3620", "9e06a5941545ee35", [
         "Money(0)", "Money('171897/500')", "Money('1814793/2000')", "Money('604931/500')",
         "Money('604931/1000')", "Money('283143/500')", "Money('114039/250')",
         "Money('35071/500')",
     ]),
-    ("1", 3): ("d33b6af4094d53cf", "eadf9f91234c802f", [
+    ("1", 3): ("d33b6af4094d53cf", "9741d42671942246", [
         "Money('12347/1000')", "Money('1341171/500')", "Money('1341171/500')",
         "Money('17569/60')", "Money('271941/250')", "Money('579893/3000')",
         "Money('1341171/500')", "Money('68878/125')",
     ]),
-    ("1", 4): ("dd5006bec09d707c", "1416b59774299c0a", [
+    ("1", 4): ("dd5006bec09d707c", "df55529fc71666de", [
         "Money('846301/500')", "Money('42577/500')", "Money('2538903/1000')",
         "Money('846301/500')", "Money('170546/125')", "Money('392329/1000')",
         "Money('2538903/1000')", "Money('341092/125')",
@@ -1023,12 +1024,87 @@ def test_deviation_search_matches_probing_both_sides_of_every_threshold(name, cf
     assert compared > 0 and (found > 0) == (name == "clarke-greedy")
 
 
+def _lying(rng, inst):
+    """`inst` with a true type for every bidder: its declared or another
+    bundle, at another bid's amount, just above it (1e-9 more), well above
+    it (half as much more), zero or its declared amount, in turn, so true
+    amounts land on thresholds, just above one, and further up."""
+    true_types = {}
+    for i, b in enumerate(inst.bids):
+        other = inst.bids[i - 1].amount
+        amount = [other, other + F(1, 10 ** 9), other * F(3, 2), F(0), b.amount][i % 5]
+        bundle = rng.choice([b.bundle, frozenset(rng.sample(inst.goods, 2))])
+        true_types[b.bidder] = SingleMindedBid(b.bidder, bundle, amount)
+    return AuctionInstance(inst.goods, inst.bids, true_types)
+
+
+@EVERY_MECHANISM
+def test_deviation_search_matches_rerunning_the_true_amount(name, cfg, solver):
+    # a reference search rerunning every bundle at zero, the true amount and
+    # every region's probe reports the same misreport and utilities as the
+    # search, which keeps one value per region between thresholds; and on
+    # every bundle, each of those values strictly inside a region, the true
+    # amount included, gives bid j the grant and payment of the one value
+    # the search keeps in that region, which comes no later; a value on a
+    # threshold is searched itself
+    mech = MECHANISMS[name](cfg, solver)
+    rng = random.Random(f"true-amount:{name}:{cfg.exponent}:{cfg.tie_rule.value}")
+    seeded = random_instance(4, 5, seed="true-amount")
+    instances = [seeded.assuming_truthful(), _lying(rng, seeded), _tie_heavy(rng, 4, 4)]
+
+    def every_value(thresholds, true_amount):
+        _, brackets = _brackets({t for t in thresholds if t.sign() >= 0})
+        return sorted({F(0), true_amount, *_region_probes(brackets)})
+
+    true_amounts = {"kept": 0, "dropped": 0}  # strictly inside a region
+    for inst in instances:
+        for j in range(len(inst.bids)):
+            seen = {}  # (bundle, amount) -> bid j's grant and payment
+            true_amount = (inst.true_types or {}).get(inst.bids[j].bidder, inst.bids[j]).amount
+
+            def recording_run(instance, j=j, seen=seen):
+                out = mech.run(instance)
+                b = instance.bids[j]
+                seen[b.bundle, b.amount] = out.allocation.bundle_granted(j), out.payments[j]
+                return out
+
+            reference = replace(mech, run=recording_run)
+            _assert_search_matches(
+                mech, inst, j, lambda: _every_bundle_search(reference, inst, j, every_value)
+            )
+            if not seen:  # the truthful rerun tied
+                continue
+            of_bundle = mech.thresholds(inst, j)
+            for bits in range(1, 1 << len(inst.goods)):
+                bundle = frozenset(g for i, g in enumerate(inst.goods) if bits >> i & 1)
+                thresholds = [t for t in of_bundle(bundle) if t.sign() >= 0]
+
+                def region(v):  # how many thresholds lie below v; None on one
+                    if not any(t == v for t in thresholds):
+                        return sum(t < v for t in thresholds)
+
+                searched = _candidate_values(thresholds, true_amount)
+                kept = {}
+                for c in searched:
+                    kept.setdefault(region(c), c)
+                for v in every_value(thresholds, true_amount):
+                    r = region(v)
+                    if r is None:  # on a threshold, where the search reruns it
+                        assert v in searched
+                        continue
+                    assert kept[r] <= v and seen.get((bundle, v)) == seen.get((bundle, kept[r]))
+                    if v == true_amount:
+                        true_amounts["kept" if kept[r] == v else "dropped"] += 1
+    assert all(true_amounts.values()), true_amounts
+
+
 def test_deviation_search_work_pinned():
     # criterion 3's first instance: the 8 greedy searches at l = 1 make
-    # 3,041 mechanism runs in all, a truthful run each and one rerun per
+    # 2,704 mechanism runs in all, a truthful run each and one rerun per
     # candidate of each class's first bundle (plus any candidate on a
-    # threshold); a probe on each side of every threshold made 5,400, and
-    # rerunning every bundle with those 8 + 63 * 16 * 8 = 8,072
+    # threshold); rerunning a true amount that repeats its region made
+    # 3,041, a probe on each side of every threshold 5,400, and rerunning
+    # every bundle with those 8 + 63 * 16 * 8 = 8,072
     inst = random_instance(6, 8, seed="deviation-accept:0")
     mech = greedy_mechanism(L1)
     runs = []
@@ -1039,7 +1115,7 @@ def test_deviation_search_work_pinned():
 
     for j in range(len(inst.bids)):
         assert find_profitable_deviation(replace(mech, run=counting_run), inst, j) is None
-    assert len(runs) == 3041
+    assert len(runs) == 2704
 
 
 EXPONENTS = pytest.mark.parametrize("exponent", [F(1, 2), F(1)], ids=["lhalf", "l1"])
@@ -1199,7 +1275,7 @@ def test_planned_gva_solve_work_bound(monkeypatch):
         check_planned_reruns(inst, deviations=True, perturbations=1, solver=DP)
     # a brute-force rerun visits 4 * 2**3 bid subsets; the tables stay DP cells
     brute = SolverKind.BRUTE_FORCE_BID_SUBSETS
-    monkeypatch.setattr(axioms, "MAX_RERUN_BRUTE_SUBSETS", 6 * 32)
+    monkeypatch.setattr(exact, "MAX_BRUTE_SUBSETS", 6 * 32)
     monkeypatch.setattr(axioms, "MAX_RERUN_DP_CELLS", 3 * 3 * 4)
     check_planned_reruns(inst, critical=True, solver=brute)
     with pytest.raises(InstanceTooLarge, match="192 brute-force bid subsets"):

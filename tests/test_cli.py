@@ -548,7 +548,7 @@ GOLDEN = [
     (["check", "THREE_PATH", "--mechanism", "gva"], 0,
      "cd2d7e2ea622b1e4d2c806ea085769884e8313ad382b546319dedc6d00ca5b2f"),
     (["check", "THREE_PATH", "--mechanism", "clarke-greedy", "--deviations"], 1,
-     "46d44ef6e426ce88217ca2925e6887a7fe6f7b54b0ae3697310faa7889210e9f"),
+     "62b220bcded022e8fca25b9eb902376853fa7074b72a477645e2deffb4c4c714"),
     (["experiment", "--suite", "tight", "--l", "1/2"], 0,
      "3d9897e6e669db663373894bb010d21c0332c43fbc77a2d526d4d0d7ceedf26a"),
     (["experiment", "--suite", "tight", "--l", "1", "--k", "5"], 0,
@@ -561,7 +561,7 @@ GOLDEN = [
      "f9c34d9ebc4497458501d18a6adf5c3a2a84cec13a65d09c998fb4fd565960b7"),
     (["check", "GEN_PATH", "--mechanism", "clarke-greedy", "--norm-exponent", "1/2",
       "--deviations"], 1,
-     "e7df3172af600a538622a8ab128c624826bf42962066df5593a9741d7a445cc9"),
+     "6305116200b040ddb7a99d8b9198845ebaf885fa8a3ee959e5d39c7a2be694e5"),
 ]
 
 
@@ -647,6 +647,19 @@ def test_gva_critical_check_past_table_bound_exit_4(tmp_path):
     )
     assert result.returncode == 4, result.stderr
     assert json.loads(result.stdout)["error"]["kind"] == "too-large"
+
+
+def test_gva_brute_run_past_subset_bound_exit_4(tmp_path):
+    # `gen --goods 12 --seed 1` with 18 bids: one brute-force GVA run makes
+    # 19 solves of 2**18 bid subsets, which took 2.0 s on a 2-vCPU host
+    # (2**24 subsets at 24 bids would take minutes), so the run is refused
+    # before the first solve
+    path = str(tmp_path / "gen.json")
+    assert main(["gen", "--goods", "12", "--bids", "18", "--seed", "1", "--output", path]) == 0
+    result = run_module("run", path, "--mechanism", "gva", "--solver", "brute", timeout=3)
+    assert result.returncode == 4, result.stderr
+    error = json.loads(result.stdout)["error"]
+    assert error["kind"] == "too-large" and "bid subsets" in error["message"]
 
 
 @pytest.mark.parametrize(

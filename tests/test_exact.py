@@ -9,6 +9,7 @@ import pytest
 from camech import exact
 from camech.errors import InstanceTooLarge, TiesPresent
 from camech.exact import (
+    MAX_BRUTE_SUBSETS,
     MAX_DP_CELLS,
     SolverKind,
     clarke_with_greedy,
@@ -277,6 +278,27 @@ def test_size_guards():
     with pytest.raises(InstanceTooLarge, match=r"need 2 \* 2\*\*20000"):
         optimal_allocation(huge, DP)
     assert "bid_masks" not in huge.__dict__
+
+
+def test_brute_force_gva_run_refused_past_subset_bound(monkeypatch):
+    # a brute-force GVA run makes n + 1 solves of 2**n bid subsets each:
+    # three bids visit 4 * 2**3 = 32
+    three = AuctionInstance(("a", "b"), (bid("x", "a", 3), bid("y", "ab", 5), bid("z", "b", 4)))
+    monkeypatch.setattr(exact, "MAX_BRUTE_SUBSETS", 32)
+    assert run_gva(three, BRUTE).payments == run_gva(three, DP).payments
+    monkeypatch.setattr(exact, "MAX_BRUTE_SUBSETS", 31)
+    with pytest.raises(InstanceTooLarge, match="bid subsets"):
+        run_gva(three, BRUTE)
+    monkeypatch.undo()
+    # at the real bound, 18 bids (19 * 2**18 subsets) are refused before
+    # the first solve, where 17 (18 * 2**17) would run; the DP runs them
+    eighteen = AuctionInstance(("a",), tuple(bid(f"b{i}", "a", i + 1) for i in range(18)))
+    solved = []
+    monkeypatch.setattr(exact, "_solve_brute", lambda *args: solved.append(args))
+    with pytest.raises(InstanceTooLarge, match="18 bids"):
+        run_gva(eighteen, BRUTE)
+    assert solved == [] and (18 << 17) <= MAX_BRUTE_SUBSETS < (19 << 18)
+    assert run_gva(eighteen, DP).allocation.granted == {17}
 
 
 def _gva_by_per_bid_solves(inst):
