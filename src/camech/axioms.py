@@ -21,7 +21,7 @@ from .errors import (
     BundleSpaceTooLarge, InstanceTooLarge, InvalidArgument, NonMonotoneDetected, TiesPresent,
 )
 from .model import AuctionInstance, Outcome, SingleMindedBid, bidder_utility
-from .money import Money, Rational
+from .money import Money
 from .norm import NormConfig, crossing_value
 from . import exact as _exact
 from .greedy import run_greedy
@@ -155,51 +155,58 @@ class CriticalValue:
     probes: int = 0
 
 
-def _brackets(thresholds: Iterable[Money]) -> tuple[list[Money], list[tuple[Fraction, Fraction]]]:
-    """Distinct thresholds in increasing order, with rational bounds (lo, hi)
-    around each; a rational threshold is its own bracket.
+def _brackets(
+    thresholds: Iterable[Money],
+) -> tuple[list[Money], int, list[tuple[int, int]]]:
+    """The distinct thresholds in increasing order, one common denominator d
+    and, for each threshold t, integers (lo, hi) with lo / d <= t <= hi / d;
+    a rational threshold is its own bracket, lo == hi.
 
+    Equal thresholds may be given more than once, and one of them is kept.
     The thresholds are sorted by their brackets, taken at doubling precision
-    until neighbouring brackets are disjoint, so no two are ever subtracted.
-    The sort and the disjointness check compare the bounds' exact integer
-    images over one common denominator rather than `Fraction`s.
+    until each two neighbours have disjoint brackets or are equal (equal
+    values have equal brackets), so no two are ever subtracted.
     """
     thresholds = list(thresholds)
     bits = 64  # the precision `Money.to_decimal` starts at
     while True:
-        bounds = [t.bounds(bits) for t in thresholds]
+        bounds = [t._integer_bounds(bits) for t in thresholds]
         # pairwise: lcm(*generator) builds an argument tuple per call, and
         # CPython's tuple free list keeps thousands of them alive
         common = 1
-        for lo, hi in bounds:
-            common = lcm(common, lo.denominator, hi.denominator)
-        scaled = [
-            (lo.numerator * (common // lo.denominator), hi.numerator * (common // hi.denominator))
-            for lo, hi in bounds
-        ]
+        for _, _, d in bounds:
+            common = lcm(common, d)
+        scaled = [(lo * (f := common // d), hi * f) for lo, hi, d in bounds]
         # equal lower bounds overlap, so ordering by lo alone is enough
         order = sorted(range(len(thresholds)), key=lambda i: scaled[i][0])
-        if all(scaled[a][1] < scaled[b][0] for a, b in zip(order, order[1:])):
-            return [thresholds[i] for i in order], [bounds[i] for i in order]
+        kept = order[:1]
+        for i in order[1:]:
+            k = kept[-1]
+            if scaled[k][1] < scaled[i][0]:
+                kept.append(i)
+            elif scaled[k] != scaled[i] or thresholds[k] != thresholds[i]:
+                break
+        else:
+            return [thresholds[i] for i in kept], common, [scaled[i] for i in kept]
         bits *= 2
 
 
-def _toward(a: Rational, b: Rational) -> Fraction:
-    """a + (b - a) * PROBE_SCALE, built as one `Fraction` from integer
-    cross-products rather than three `Fraction` operations."""
+def _toward(a: int, b: int, d: int) -> Fraction:
+    """(a + (b - a) * PROBE_SCALE) / d for integers a and b over d > 0,
+    built as one `Fraction` rather than three `Fraction` operations."""
     s, t = PROBE_SCALE.numerator, PROBE_SCALE.denominator
-    an, ad, bn, bd = a.numerator, a.denominator, b.numerator, b.denominator
-    return Fraction(an * bd * (t - s) + bn * ad * s, ad * bd * t)
+    return Fraction(a * (t - s) + b * s, d * t)
 
 
-def _region_probes(brackets: Sequence[tuple[Fraction, Fraction]]) -> list[Fraction]:
-    """One probe inside each open region above a threshold: just above each
-    bracket, toward the next one or, past the last, toward twice its upper
-    bound (toward one above a zero threshold).  Empty without brackets."""
-    probes = [_toward(a, b) for (_, a), (b, _) in zip(brackets, brackets[1:])]
+def _region_probes(brackets: Sequence[tuple[int, int]], d: int) -> list[Fraction]:
+    """One probe inside each open region above a threshold, from `_brackets`'
+    integer brackets over d: just above each bracket, toward the next one
+    or, past the last, toward twice its upper bound (toward one above a
+    zero threshold).  Empty without brackets."""
+    probes = [_toward(a, b, d) for (_, a), (b, _) in zip(brackets, brackets[1:])]
     if brackets:
         top = brackets[-1][1]
-        probes.append(_toward(top, 2 * top if top > 0 else top + 1))
+        probes.append(_toward(top, 2 * top if top > 0 else top + d, d))
     return probes
 
 
@@ -212,12 +219,15 @@ def critical_value(mech: Mechanism, instance: AuctionInstance, j: int) -> Critic
     grant, i.e. when no single threshold exists.
     """
     bundle = instance.bids[j].bundle
-    positive = {t for t in mech.thresholds(instance, j)(bundle) if t.sign() > 0}
+    positive = [t for t in mech.thresholds(instance, j)(bundle) if t.sign() > 0]
     # zero is bracketed too, so the first probe stays above it
-    thresholds, brackets = _brackets({Money.ZERO, *positive})
+    thresholds, d, brackets = _brackets([Money.ZERO, *positive])
     del thresholds[0], brackets[0]
     # one probe inside each region between consecutive thresholds
-    probes = [_toward(brackets[0][0], 0), *_region_probes(brackets)] if brackets else [PROBE_SCALE]
+    probes = (
+        [_toward(brackets[0][0], 0, d), *_region_probes(brackets, d)] if brackets
+        else [PROBE_SCALE]
+    )
     status = [
         mech.run(instance.with_amount(j, v)).allocation.bundle_granted(j) == bundle
         for v in probes
@@ -282,8 +292,8 @@ def _exactness_witness(mech, inst, out) -> Optional[Witness]:
 def _participation_witness(mech, inst, out) -> Optional[Witness]:
     """Denied bids pay exactly zero."""
     for j in range(len(inst.bids)):
-        if not out.is_granted(j) and out.payments[j] != 0:
-            return Witness(inst, j, f"denied bid {j} pays {out.payments[j].to_decimal()}")
+        if not out.is_granted(j) and out.payments[j]:
+            return Witness(inst, j, f"denied bid {j} pays {Money(out.payments[j]).to_decimal()}")
     return None
 
 
@@ -347,8 +357,11 @@ def _tie_free_perturbation(rng, mech: Mechanism, inst, j):
             new_bundle = frozenset(rng.sample(goods, keep))
             new_bid = SingleMindedBid(bid.bidder, new_bundle, bid.amount, bid.is_reserve)
         else:
-            bump = 1 + Fraction(rng.randint(1, 10 ** 6), 10 ** 6)
-            new_bid = bid.with_amount(bid.amount * bump)
+            # the amount times 1 + r / 10**6, as one `Fraction`
+            r, a = rng.randint(1, 10 ** 6), bid.amount
+            new_bid = bid.with_amount(
+                Fraction(a.numerator * (10 ** 6 + r), a.denominator * 10 ** 6)
+            )
         new_inst = inst.with_bid(j, new_bid)
         if mech.norm is None:
             return new_inst, new_bid, mech.run(new_inst)
@@ -466,13 +479,15 @@ def _candidate_values(thresholds: Sequence[Money], true_amount: Fraction) -> lis
     leaves zero, n - 1 region values and the true amount in a bracket:
     n + 1 at most.  The list is built in order, with no sort.
     """
-    _, brackets = _brackets({t for t in thresholds if t.sign() >= 0})
-    values = [Fraction(0), *_region_probes(brackets)]
-    # values[r] is the value of the region below bracket r
+    _, d, brackets = _brackets([t for t in thresholds if t.sign() >= 0])
+    values = [Fraction(0), *_region_probes(brackets, d)]
+    # values[r] is the value of the region below bracket r; a bound x / d
+    # lies below a = an / ad exactly when x * ad < an * d
     a, r = true_amount, 0
-    while r < len(brackets) and brackets[r][1] < a:
+    ad, scaled = a.denominator, a.numerator * d
+    while r < len(brackets) and brackets[r][1] * ad < scaled:
         r += 1
-    if r < len(brackets) and brackets[r][0] <= a:
+    if r < len(brackets) and brackets[r][0] * ad <= scaled:
         if values[r] < a:  # else a is zero, in a bracket reaching down to it
             values.insert(r + 1, a)
     elif a < values[r]:

@@ -18,7 +18,8 @@ fields, with no `__post_init__` call, and keeps the compact attribute
 storage that instance pools holding bids by the thousand rely on.  The
 short-lived records fill their fields in one `__dict__` update instead of
 one `object.__setattr__` per field, and a `with_bid` child copies its
-parent's normalised fields without any `__init__`.
+parent's normalised fields without any `__init__`; so does a bid's
+`with_amount` copy at a `Fraction` amount, which reruns build and drop.
 """
 
 from __future__ import annotations
@@ -73,7 +74,15 @@ class SingleMindedBid:
         _set(self, "is_reserve", is_reserve)
 
     def with_amount(self, amount) -> "SingleMindedBid":
-        return SingleMindedBid(self.bidder, self.bundle, amount, self.is_reserve)
+        if type(amount) is not Fraction:
+            return SingleMindedBid(self.bidder, self.bundle, amount, self.is_reserve)
+        # this bid's other fields are normalised already, so a `Fraction`
+        # amount skips the validating __init__
+        copy = object.__new__(SingleMindedBid)
+        copy.__dict__.update(
+            bidder=self.bidder, bundle=self.bundle, amount=amount, is_reserve=self.is_reserve
+        )
+        return copy
 
 
 class IntegerAmounts(NamedTuple):

@@ -7,14 +7,17 @@ exponent 1/2 and must never depend on a floating-point epsilon, so they are
 integers.  That set is closed under addition and under scaling by a
 rational, which is all the mechanisms need; equality is decidable from the
 canonical form alone, and the sign and the decimal digits of a non-zero
-value can always be resolved by refining integer square-root bounds.
+value can always be resolved by refining integer square-root bounds.  Those
+bounds are integers over one positive denominator (`Money._integer_bounds`),
+which the sign, the decimal rounding and the critical-value scan's brackets
+read without building a `Fraction`.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
-from math import isqrt, log2
+from math import isqrt, lcm, log2
 from typing import Union
 
 from .errors import InvalidArgument, ParseError
@@ -249,7 +252,7 @@ class Money:
             return -1
         bits = 32
         while True:
-            lo, hi = self.bounds(bits)
+            lo, hi, _ = self._integer_bounds(bits)
             if lo > 0:
                 return 1
             if hi < 0:
@@ -259,27 +262,49 @@ class Money:
     def bounds(self, bits: int) -> tuple[Fraction, Fraction]:
         """Exact rational bounds lo <= value <= hi, roots taken to `bits` fractional bits.
 
-        A one-term value's bounds are that term's, with no sum taken.
+        Two `Fraction`s built from `_integer_bounds`, whose integers the sign,
+        the decimal rendering and the critical scan's brackets read instead;
+        a rational value is its own bounds.
         """
-        lo = hi = None
-        for m, c in self._terms.items():
+        lo, hi, d = self._integer_bounds(bits)
+        return Fraction(lo, d), Fraction(hi, d)
+
+    def _integer_bounds(self, bits: int) -> tuple[int, int, int]:
+        """(lo, hi, d) with d > 0 and lo / d <= value <= hi / d, roots taken to
+        `bits` fractional bits; lo == hi exactly when the value is rational.
+
+        Each term c * sqrt(m) is bounded by c times the root's bounds
+        r / 2**bits and (r + 1) / 2**bits, r = isqrt(m * 4**bits); the terms
+        are summed over the lcm of the coefficients' denominators, shifted
+        by `bits` when a root is among them.  Integers only, so no bound is
+        normalised.
+        """
+        terms = self._terms
+        if len(terms) == 1:  # most thresholds: no lcm and no sum
+            ((m, c),) = terms.items()
+            n, d = c.numerator, c.denominator
             if m == 1:
-                below = above = c
-            else:
-                r = isqrt(m << (2 * bits))
-                # c times the root's bounds r / 2**bits and (r + 1) / 2**bits
-                n, d = c.numerator, c.denominator << bits
-                below, above = Fraction(n * r, d), Fraction(n * (r + 1), d)
-                if n < 0:
-                    below, above = above, below
-            if lo is None:
-                lo, hi = below, above
-            else:
-                lo += below
-                hi += above
-        if lo is None:
-            return _ZERO, _ZERO
-        return lo, hi
+                return n, n, d
+            lo = n * isqrt(m << (2 * bits))
+            return (lo, lo + n, d << bits) if n > 0 else (lo + n, lo, d << bits)
+        if not terms:
+            return 0, 0, 1
+        d = 1
+        for c in terms.values():
+            d = lcm(d, c.denominator)
+        rational = terms.get(1)
+        lo = hi = 0 if rational is None else rational.numerator * (d // rational.denominator) << bits
+        for m, c in terms.items():
+            if m != 1:
+                n = c.numerator * (d // c.denominator)
+                below = n * isqrt(m << (2 * bits))
+                if n > 0:
+                    lo += below
+                    hi += below + n
+                else:
+                    lo += below + n
+                    hi += below
+        return lo, hi, d << bits
 
     def compare(self, other) -> int:
         if other is self:
@@ -340,9 +365,9 @@ class Money:
             return "0"
         bits = 64
         while True:
-            lo, hi = self.bounds(bits)
-            rounded = _rounded(lo)
-            if rounded[0] and rounded == _rounded(hi):
+            lo, hi, d = self._integer_bounds(bits)
+            rounded = _rounded(lo, d)
+            if rounded[0] and (hi == lo or rounded == _rounded(hi, d)):
                 sign, n, e = rounded
                 text = _decimal_text(n, e)
                 return "-" + text if sign < 0 else text
@@ -352,12 +377,14 @@ class Money:
 Money.ZERO = Money()
 
 
-def _rounded(f: Fraction) -> tuple[int, int, int]:
-    """(sign, n, e) with e = floor(log10|f|) and n = |f| * 10**(SIGNIFICANT_DIGITS - 1 - e)
-    rounded half to even; (0, 0, 0) for zero.  Integers only."""
-    n, d = abs(f.numerator), f.denominator
+def _rounded(n: int, d: int) -> tuple[int, int, int]:
+    """(sign, q, e) for f = n / d, d > 0, with e = floor(log10|f|) and
+    q = |f| * 10**(SIGNIFICANT_DIGITS - 1 - e) rounded half to even; (0, 0, 0)
+    for zero.  Integers only; n / d need not be in lowest terms."""
     if not n:
         return 0, 0, 0
+    sign = -1 if n < 0 else 1
+    n = abs(n)
     e = _decimal_exponent(n, d)
     shift = SIGNIFICANT_DIGITS - 1 - e
     if shift >= 0:
@@ -367,7 +394,7 @@ def _rounded(f: Fraction) -> tuple[int, int, int]:
     q, r = divmod(n, d)
     if 2 * r > d or (2 * r == d and q % 2):
         q += 1
-    return (-1 if f.numerator < 0 else 1), q, e
+    return sign, q, e
 
 
 def _decimal_text(n: int, e: int) -> str:
@@ -405,12 +432,12 @@ def over_power_to_decimal(amount: Fraction, base: int, exponent: Fraction) -> st
     n, d = amount.numerator, amount.denominator
     r = iroot(power, q)
     if r ** q == power:
-        return _decimal_text(*_rounded(Fraction(n, d * r))[1:])
+        return _decimal_text(*_rounded(n, d * r)[1:])
     bits = 64
     while True:
         r = iroot(power << (q * bits), q)  # r < base**exponent * 2**bits < r + 1
-        rounded = _rounded(Fraction(n << bits, d * (r + 1)))
-        if rounded == _rounded(Fraction(n << bits, d * r)):
+        rounded = _rounded(n << bits, d * (r + 1))
+        if rounded == _rounded(n << bits, d * r):
             return _decimal_text(rounded[1], rounded[2])
         bits *= 2
 

@@ -281,18 +281,26 @@ def test_planted_partial_grant_fails_exactness():
 
 
 def test_planted_loser_charge_fails_participation():
-    def charge(instance):
-        out = run_greedy(instance, L1)
-        payments = list(out.payments)
-        for j in range(len(instance.bids)):
-            if j not in out.allocation.grants:
-                payments[j] = Money(1)
-        return assemble_outcome(instance, out.allocation, tuple(payments), out.trace)
+    # a loser charged one unit, a bare `Fraction`, a negative amount or a
+    # positive radical below 1e-8 is flagged alike
+    tiny = Money.sqrt(2) - Money(F(141421356, 10 ** 8))
+    assert 0 < tiny < Money(F(1, 10 ** 8))
+    for fee in (Money(1), F(1, 3), Money(-2), tiny):
+        def charge(instance, fee=fee):
+            out = run_greedy(instance, L1)
+            payments = list(out.payments)
+            for j in range(len(instance.bids)):
+                if j not in out.allocation.grants:
+                    payments[j] = fee
+            return assemble_outcome(instance, out.allocation, tuple(payments), out.trace)
 
-    (check,) = run_axiom_suite(
-        Mechanism("charge", charge, no_thresholds), [three_bidder_instance()], ["participation"]
-    ).checks
-    assert check.verdict == "violated"
+        (check,) = run_axiom_suite(
+            Mechanism("charge", charge, no_thresholds), [three_bidder_instance()],
+            ["participation"],
+        ).checks
+        assert check.verdict == "violated", fee
+        assert check.witness.bid_index == 1
+        assert check.witness.description.startswith("denied bid 1 pays ")
 
 
 def test_clarke_with_greedy_fails_critical_with_witness():
@@ -357,6 +365,40 @@ def test_suite_ranks_each_perturbation_once(monkeypatch):
     run_axiom_suite(mech, [*_sample(6, tag="rank-once"), tied], seed=401)
     assert any(rank(inst, LHALF).had_ties for inst in runs)
     assert ranks == runs
+
+
+#: Per norm exponent, over `random_instance(8, 12, seed=f"suite-pin:{t}")`
+#: for t < 8 in one seeded suite: the number of mechanism runs, and a sha256
+#: prefix over each rerun's replaced bid (index, sorted bundle, amount; the
+#: suite's own runs replace none) and every check's axiom, verdict, samples
+#: and detail.  Recorded from the scan that bracketed thresholds with
+#: `Fraction` bounds.
+_SUITE_PINS = {
+    "1/2": (514, "e739cac639a931b6"),
+    "1": (514, "73d54923a46ae880"),
+}
+
+
+@pytest.mark.parametrize("exponent", list(_SUITE_PINS))
+def test_axiom_suite_reruns_pinned(exponent):
+    mech = greedy_mechanism(NormConfig(F(exponent)))
+    h, runs = hashlib.sha256(), []
+
+    def recording_run(instance):
+        if instance.origin is None:
+            runs.append(None)
+        else:
+            j = instance.origin[1]
+            b = instance.bids[j]
+            runs.append((j, sorted(b.bundle), b.amount))
+        return mech.run(instance)
+
+    instances = [random_instance(8, 12, seed=f"suite-pin:{t}") for t in range(8)]
+    report = run_axiom_suite(replace(mech, run=recording_run), instances, seed=7)
+    h.update(repr(runs).encode())
+    for c in report.checks:
+        h.update(repr((c.axiom, c.verdict, c.samples, c.detail)).encode())
+    assert (len(runs), h.hexdigest()[:16]) == _SUITE_PINS[exponent]
 
 
 def test_suite_rejects_unknown_axiom():
@@ -550,11 +592,13 @@ def _thresholds(draw):
 @given(_thresholds())
 @settings(max_examples=200, derandomize=True, deadline=None)
 def test_brackets_order_thresholds(ts):
-    ordered, brackets = _brackets(set(ts))
+    # duplicates, some equal values built by other routes, keep one each
+    ts = [*ts, *(t * 3 * F(1, 3) + 1 - 1 for t in ts[::2]), Money.sqrt(8) * F(1, 2), Money.sqrt(2)]
+    ordered, d, brackets = _brackets(ts)
     assert ordered == sorted(set(ts))
-    assert len(brackets) == len(ordered)
+    assert len(brackets) == len(ordered) and d > 0
     for t, (lo, hi) in zip(ordered, brackets):
-        assert Money(lo) <= t <= Money(hi)
+        assert Money(F(lo, d)) <= t <= Money(F(hi, d))
         assert (lo == hi) == t.is_rational
     assert all(hi < lo for (_, hi), (lo, _) in zip(brackets, brackets[1:]))
 
@@ -563,17 +607,17 @@ def test_brackets_separate_tiny_radical_from_zero():
     x = Money.sqrt(2)
     tiny = x - Money(x.bounds(200)[0])
     assert tiny.sign() > 0 and tiny.bounds(64)[0] <= 0
-    ordered, brackets = _brackets({tiny, Money(0)})
+    ordered, d, brackets = _brackets([tiny, Money(0)])
     assert ordered == [Money(0), tiny]
     assert brackets[0] == (0, 0) and brackets[1][0] > 0
-    assert _brackets([]) == ([], [])
+    assert _brackets([]) == ([], 1, [])
 
 
-@given(st.one_of(st.fractions(), st.integers()), st.one_of(st.fractions(), st.integers()))
+@given(st.integers(), st.integers(), st.integers(1, 2 ** 200))
 @settings(max_examples=200, derandomize=True, deadline=None)
-def test_toward_is_the_probe_expression(a, b):
-    probe = _toward(a, b)
-    assert type(probe) is F and probe == a + (b - a) * PROBE_SCALE
+def test_toward_is_the_probe_expression(a, b, d):
+    probe = _toward(a, b, d)
+    assert type(probe) is F and probe == F(a, d) + (F(b, d) - F(a, d)) * PROBE_SCALE
 
 
 #: Per (norm exponent, seed) of `random_instance(6, 8, seed=f"pin:{seed}")`
@@ -971,15 +1015,15 @@ def _probes_on_both_sides(thresholds, true_amount):
     `_candidate_values` keeps, the probe just above the threshold below it
     or, under the lowest threshold, zero."""
     candidates, pairs = {F(0), true_amount}, []
-    _, brackets = _brackets({t for t in thresholds if t.sign() >= 0})
+    _, d, brackets = _brackets(t for t in thresholds if t.sign() >= 0)
     for i, (lo, hi) in enumerate(brackets):
         left = brackets[i - 1][1] if i else 0
-        right = brackets[i + 1][0] if i + 1 < len(brackets) else (2 * hi if hi > 0 else hi + 1)
-        below, kept = _toward(lo, left), _toward(left, lo) if i else F(0)
+        right = brackets[i + 1][0] if i + 1 < len(brackets) else (2 * hi if hi > 0 else hi + d)
+        below, kept = _toward(lo, left, d), _toward(left, lo, d) if i else F(0)
         if below > kept:  # else a zero threshold's, which is zero itself
             candidates.add(below)
             pairs.append((below, kept))
-        candidates.add(_toward(hi, right))
+        candidates.add(_toward(hi, right, d))
     return sorted(candidates), pairs
 
 
@@ -1053,8 +1097,8 @@ def test_deviation_search_matches_rerunning_the_true_amount(name, cfg, solver):
     instances = [seeded.assuming_truthful(), _lying(rng, seeded), _tie_heavy(rng, 4, 4)]
 
     def every_value(thresholds, true_amount):
-        _, brackets = _brackets({t for t in thresholds if t.sign() >= 0})
-        return sorted({F(0), true_amount, *_region_probes(brackets)})
+        _, d, brackets = _brackets(t for t in thresholds if t.sign() >= 0)
+        return sorted({F(0), true_amount, *_region_probes(brackets, d)})
 
     true_amounts = {"kept": 0, "dropped": 0}  # strictly inside a region
     for inst in instances:

@@ -318,6 +318,28 @@ def test_one_term_bounds_are_the_term_bounds(c, m, bits):
     assert Money(c).bounds(bits) == (c, c) and Money(0).bounds(bits) == (0, 0)
 
 
+@given(
+    st.lists(st.tuples(st.sampled_from([1, 2, 3, 5, 6, 7, 10, 210]), _nonzero),
+             min_size=2, max_size=6),
+    st.integers(min_value=1, max_value=300),
+)
+@settings(max_examples=150, deadline=None)
+def test_bounds_are_the_integer_bounds_over_their_denominator(terms, bits):
+    v = Money(0)
+    for m, c in terms:
+        v = v + Money.sqrt(m) * c
+    lo, hi, d = v._integer_bounds(bits)
+    assert d > 0 and lo <= hi and (lo == hi) == v.is_rational
+    assert v.bounds(bits) == (F(lo, d), F(hi, d))
+    # the per-term formula, summed as `Fraction`s
+    below = above = F(0)
+    for m, c in v.terms():
+        r = isqrt(m << (2 * bits))
+        ends = (c, c) if m == 1 else sorted((c * F(r, 2 ** bits), c * F(r + 1, 2 ** bits)))
+        below, above = below + ends[0], above + ends[1]
+    assert (F(lo, d), F(hi, d)) == (below, above)
+
+
 @given(_values, _scalars, _scalars)
 @settings(max_examples=60, deadline=None)
 def test_equal_values_hash_equal_whatever_built_them(a, r, s):
