@@ -68,17 +68,16 @@ class Mechanism:
     class, as the registered mechanisms' are.  It need not run the
     mechanism: the GVA's thresholds are read off one DP value table of the
     other bids, whichever solver `run` uses.  `norm` is the ranking norm
-    of a norm-based mechanism, whose outcomes carry a `GreedyTrace`.
-    `thresholds_guard(instance)`, when given, raises `InstanceTooLarge` if
-    `thresholds` would refuse the instance, without building anything, so
-    a suite can refuse it before any run.
+    of a norm-based mechanism, whose outcomes carry a `GreedyTrace`, and
+    `solver` the exact solver of the GVA.  `check_planned_reruns` reads
+    both to price a check's reruns before the first one runs.
     """
 
     name: str
     run: Callable[[AuctionInstance], Outcome]
     thresholds: Callable[[AuctionInstance, int], Callable[[frozenset], Sequence[Money]]]
     norm: Optional[NormConfig] = None
-    thresholds_guard: Optional[Callable[[AuctionInstance], None]] = None
+    solver: Optional[_exact.SolverKind] = None
 
 
 def _norm_mechanism(
@@ -125,14 +124,7 @@ def gva_mechanism(solver: _exact.SolverKind) -> Mechanism:
         full, d = len(best) - 1, inst.integer_amounts.denominator
         return lambda bundle: [Money(Fraction(best[full] - best[full ^ inst.mask_of(bundle)], d))]
 
-    def thresholds_guard(inst: AuctionInstance) -> None:
-        # the bound `_entry_table` checks on the other bids
-        _exact._check_cells(len(inst.bids) - 1, len(inst.goods))
-
-    return Mechanism(
-        "gva", lambda inst: _exact.run_gva(inst, solver), thresholds,
-        thresholds_guard=thresholds_guard,
-    )
+    return Mechanism("gva", lambda inst: _exact.run_gva(inst, solver), thresholds, solver=solver)
 
 
 #: Mechanism name -> constructor taking the norm and the exact solver; a
@@ -393,9 +385,8 @@ def run_axiom_suite(
 
     The mechanism runs once per instance and every selected check reads that
     outcome; a check stops at its first violation, and a `NonMonotoneDetected`
-    from the critical-value search is a violated critical check.  With the
-    critical check selected, every instance passes the mechanism's
-    `thresholds_guard` before the first run.
+    from the critical-value search is a violated critical check.  Every
+    instance passes `check_planned_reruns` before the first run.
     """
     selected = set(axioms)
     unknown = sorted(selected - set(AXIOMS))
@@ -404,9 +395,8 @@ def run_axiom_suite(
     if "monotonicity" in selected and perturbations < 1:
         raise InvalidArgument("monotonicity needs at least one perturbation per granted bid")
     instances = list(instances)
-    if "critical" in selected and mech.thresholds_guard is not None:
-        for inst in instances:
-            mech.thresholds_guard(inst)
+    for inst in instances:
+        check_planned_reruns(mech, inst, selected, perturbations=perturbations)
     rng = random.Random(f"monotonicity:{seed}")
     tried = 0
     pending = [name for name in AXIOMS if name in selected]
@@ -512,37 +502,46 @@ def _bundle_count(k: int) -> int:
 
 
 def check_planned_reruns(
-    instance: AuctionInstance, *, suite: bool = False, perturbations: int = 0,
-    deviations: bool = False, critical: bool = False, cfg: Optional[NormConfig] = None,
-    solver: Optional[_exact.SolverKind] = None,
+    mech: Mechanism, instance: AuctionInstance, axioms: Iterable[str] = (), *,
+    perturbations: int = 0, deviations: bool = False,
 ) -> None:
-    """Raise `InstanceTooLarge` when a check on `instance` plans more than
-    `MAX_PLANNED_RERUNS` mechanism reruns, before any of them runs.
+    """Raise `InstanceTooLarge` when checking the named axioms of `mech` on
+    `instance`, with every bidder's misreport search when `deviations` is
+    set, plans more work than a budget allows, before any rerun.  The
+    costs come from the mechanism: its `norm` and its `solver`.
 
-    With `suite`, the axiom suite runs the mechanism once.  Monotonicity
-    plans at most `perturbations` reruns per bid.  With `critical`, each of
-    the n bids may win, and `critical_value` probes a winner once more than
-    its distinct positive thresholds, which number at most n - 1 for a norm
-    mechanism and one for the GVA: n * max(n, 2) reruns, or 2 * n for the
-    GVA, which a `solver` stands for.  With `deviations`, each non-reserve
+    At most `MAX_PLANNED_RERUNS` reruns.  Names outside `AXIOMS` are
+    charged nothing; `run_axiom_suite` rejects them.  With any name, the
+    suite runs the mechanism once.  Monotonicity plans at most
+    `perturbations` reruns per bid.  With "critical", each of the n bids
+    may win, and `critical_value` probes a winner once more than its
+    distinct positive thresholds, which number at most n - 1 for a norm
+    mechanism and one for the GVA: n * max(n, 2) reruns, or 2 * n for a
+    mechanism with a `solver`.  With `deviations`, each non-reserve
     bidder's misreport search plans its truthful rerun and, per bundle at
     worst, zero, one value inside each region above one of the at most
     n - 1 other bids' thresholds (the true amount in place of the region's
     probe when it lies below it) and the true amount when it lies in a
     threshold's bracket: (2**k - 1) * (n + 1) + 1 reruns.  That counts
-    every bundle, an upper bound on the search, which
-    reruns one bundle per class; counting the classes would itself take
-    2**k * n steps before a refusal.  Past `MAX_SEARCH_GOODS` goods the
-    search raises `BundleSpaceTooLarge` here.
-    A rerun ranking by `cfg` builds a key of about q * bits(largest weight)
-    + p * bits(lcm of sizes) bits; past `MAX_RERUN_KEY_BITS` in all it raises.
-    A GVA rerun by `solver` fills (n + 1) * 2**k DP cells or visits
-    (n + 1) * 2**n bid subsets, and the GVA's thresholds build one entry-value
-    table of n * 2**k cells per critical bid and per searched bidder; past
-    `MAX_RERUN_DP_CELLS` or `exact.MAX_BRUTE_SUBSETS` it raises.
+    every bundle, an upper bound on the search, which reruns one bundle
+    per class; counting the classes would itself take 2**k * n steps
+    before a refusal.  Past `MAX_SEARCH_GOODS` goods the search raises
+    `BundleSpaceTooLarge` here.
+
+    At most `MAX_RERUN_KEY_BITS` key bits: a rerun ranking by `mech.norm`
+    builds a key of about q * bits(largest weight) + p * bits(lcm of
+    sizes) bits.  At most `MAX_RERUN_DP_CELLS` cells and
+    `exact.MAX_BRUTE_SUBSETS` subsets: a GVA rerun by `mech.solver` fills
+    (n + 1) * 2**k DP cells or visits (n + 1) * 2**n bid subsets, and the
+    GVA's thresholds build one entry-value table of n * 2**k cells per
+    critical bid and per searched bidder.  Last, with "critical", such a
+    table of the other n - 1 bids must pass the DP's own table bound, as
+    `exact` checks it before building one.
     """
+    axioms = set(axioms)
     n, k = len(instance.bids), len(instance.goods)
-    runs = n * max(perturbations, 0) + suite
+    critical, cfg, solver = "critical" in axioms, mech.norm, mech.solver
+    runs = bool(axioms) + (n * max(perturbations, 0) if "monotonicity" in axioms else 0)
     tables = 0
     if critical:
         runs += n * (2 if solver else max(n, 2))
@@ -579,6 +578,8 @@ def check_planned_reruns(
                     f"the check's {runs} GVA reruns and {tables} entry-value tables need more"
                     f" than {most} {unit}, the most allowed"
                 )
+        if critical:
+            _exact._check_cells(n - 1, k)
 
 
 def find_profitable_deviation(

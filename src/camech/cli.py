@@ -194,13 +194,7 @@ def _cmd_check(args) -> tuple[dict, int]:
     else:
         selected = [a.strip() for a in args.axioms.split(",") if a.strip()]
     check_planned_reruns(
-        instance,
-        suite=bool(selected),
-        perturbations=args.samples if "monotonicity" in selected else 0,
-        deviations=args.deviations,
-        critical="critical" in selected,
-        cfg=mech.norm,
-        solver=SolverKind(args.solver) if args.mechanism == "gva" else None,
+        mech, instance, selected, perturbations=args.samples, deviations=args.deviations
     )
     report = run_axiom_suite(mech, [instance], selected, seed=seed, perturbations=args.samples)
     deviations = None

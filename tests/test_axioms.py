@@ -303,6 +303,63 @@ def test_planted_loser_charge_fails_participation():
         assert check.witness.description.startswith("denied bid 1 pays ")
 
 
+def _grants_while(instance, keep):
+    """An outcome granting, for free, every bid j for which keep(j, bid) holds."""
+    granted = [j for j, b in enumerate(instance.bids) if keep(j, b)]
+    return assemble_outcome(
+        instance, Allocation.of_indices(instance, granted), (Money(0),) * len(instance.bids)
+    )
+
+
+def test_planted_loss_on_a_raise_fails_monotonicity():
+    # each bid wins only up to its declared amount, so the first raised
+    # perturbation of a winner loses, and the witness instance replays it
+    inst = AuctionInstance(("a", "b"), (bid("x", "a", 10), bid("y", "b", 8)))
+    declared = [b.amount for b in inst.bids]
+    capped = Mechanism(
+        "capped", lambda i: _grants_while(i, lambda j, b: b.amount <= declared[j]), no_thresholds
+    )
+    (check,) = run_axiom_suite(capped, [inst], ["monotonicity"]).checks
+    assert (check.verdict, check.samples, check.witness.bid_index) == ("violated", 1, 0)
+    witness = check.witness.instance
+    assert witness.bids[0].amount > declared[0]
+    assert capped.run(witness).allocation.bundle_granted(0) == frozenset()
+    assert "lost after moving to ['a']@" in check.witness.description
+
+
+def test_planted_grant_at_one_amount_has_infinite_critical_value():
+    # bid x wins only at exactly its declared amount, which no probe hits
+    inst = AuctionInstance(("a", "b"), (bid("x", "a", 10), bid("y", "b", 8)))
+    pinned = Mechanism(
+        "pinned", lambda i: _grants_while(i, lambda j, b: j == 0 and b.amount == 10),
+        lambda i, j: lambda bundle: [Money(10)],
+    )
+    (check,) = run_axiom_suite(pinned, [inst], ["critical"]).checks
+    assert (check.verdict, check.witness.bid_index) == ("violated", 0)
+    assert check.witness.description == "granted bid 0 has an infinite critical value"
+
+
+def test_monotonicity_skips_tied_perturbations():
+    # at l = 1, shrinking x's {a, b} at 10 to one good ties y's {c} at 10;
+    # under REJECT those draws raise and are redrawn, and only the tie-free
+    # ones are counted
+    inst = AuctionInstance(("a", "b", "c"), (bid("x", "ab", 10), bid("y", "c", 10)))
+    mech = greedy_mechanism(NormConfig(F(1), TieRule.REJECT))
+    tied = []
+
+    def run(instance):
+        try:
+            return mech.run(instance)
+        except TiesPresent:
+            tied.append(instance)
+            raise
+
+    counted = replace(mech, run=run)
+    (check,) = run_axiom_suite(counted, [inst], ["monotonicity"], perturbations=10).checks
+    assert check.holds and check.detail == "20 perturbations"
+    assert tied and all(len(i.bids[0].bundle) == 1 for i in tied)
+
+
 def test_clarke_with_greedy_fails_critical_with_witness():
     mech = clarke_greedy_mechanism(L1)
     inst = three_bidder_instance(truthful=True)
@@ -555,8 +612,8 @@ def test_gva_critical_suite_refused_before_first_run(monkeypatch):
     with pytest.raises(InstanceTooLarge, match="table cells"):
         run_axiom_suite(mech, [three_bidder_instance(), inst], ["exactness", "critical"])
     assert ran == [] and built == []
-    # in bound, the guard builds no table
-    mech.thresholds_guard(three_bidder_instance())
+    # in bound, the plan builds no table
+    check_planned_reruns(mech, three_bidder_instance(), ["critical"])
     assert built == []
 
 
@@ -1256,34 +1313,39 @@ def test_interleaved_searches_share_no_thresholds(monkeypatch, name, exponent):
     assert [r() for r in refs] == [None, None]
 
 
+#: A mechanism charged reruns only: it ranks no keys and solves no DP.
+PLAIN = replace(greedy_mechanism(L1), name="plain", norm=None)
+
+
 def test_planned_reruns_bound(monkeypatch):
     inst = random_instance(6, 8, seed="planned:0")
     # 63 bundles x 9 candidates (zero, the true amount and one probe above
     # each of 7 thresholds) plus the truthful rerun, for each of 8 bidders,
     # and 8 bids x 100 perturbations
     monkeypatch.setattr(axioms, "MAX_PLANNED_RERUNS", (63 * 9 + 1) * 8 + 800)
-    check_planned_reruns(inst, perturbations=100, deviations=True)
-    with pytest.raises(InstanceTooLarge, match="5352 mechanism reruns"):
-        check_planned_reruns(inst, perturbations=101, deviations=True)
+    check_planned_reruns(PLAIN, inst, ["monotonicity"], perturbations=99, deviations=True)
     # the axiom suite's own run of the mechanism is charged too
     with pytest.raises(InstanceTooLarge, match="5345 mechanism reruns"):
-        check_planned_reruns(inst, suite=True, perturbations=100, deviations=True)
+        check_planned_reruns(PLAIN, inst, ["monotonicity"], perturbations=100, deviations=True)
+    # perturbations are charged only to monotonicity
+    check_planned_reruns(PLAIN, inst, ["exactness"], perturbations=10 ** 9, deviations=True)
     # reserve bidders are not searched: 1 + (63 x 9 + 1) x 7 + 8 x 170 is
     # 5,337, within the bound of 5,344, and one more perturbation per bid
     # passes it
     reserve = inst.with_bid(0, SingleMindedBid("b1", inst.bids[0].bundle, 1, True))
-    check_planned_reruns(reserve, suite=True, perturbations=170, deviations=True)
+    check_planned_reruns(PLAIN, reserve, ["monotonicity"], perturbations=170, deviations=True)
     with pytest.raises(InstanceTooLarge, match="5345 mechanism reruns"):
-        check_planned_reruns(reserve, suite=True, perturbations=171, deviations=True)
+        check_planned_reruns(PLAIN, reserve, ["monotonicity"], perturbations=171, deviations=True)
     # the critical check probes at most 8 values for each of the 8 bids
-    check_planned_reruns(inst, perturbations=92, deviations=True, critical=True)
-    with pytest.raises(InstanceTooLarge, match="5352 mechanism reruns"):
-        check_planned_reruns(inst, perturbations=93, deviations=True, critical=True)
-    check_planned_reruns(inst, perturbations=-1)
+    both = ["monotonicity", "critical"]
+    check_planned_reruns(PLAIN, inst, both, perturbations=91, deviations=True)
+    with pytest.raises(InstanceTooLarge, match="5345 mechanism reruns"):
+        check_planned_reruns(PLAIN, inst, both, perturbations=92, deviations=True)
+    check_planned_reruns(PLAIN, inst, ["monotonicity"], perturbations=-1)
     wide = AuctionInstance(tuple(f"g{i}" for i in range(17)), (bid("x", {"g0"}, 1),))
-    check_planned_reruns(wide, perturbations=1)
+    check_planned_reruns(PLAIN, wide, ["monotonicity"], perturbations=1)
     with pytest.raises(BundleSpaceTooLarge):
-        check_planned_reruns(wide, deviations=True)
+        check_planned_reruns(PLAIN, wide, deviations=True)
 
 
 def test_planned_rerun_key_bits_bound(monkeypatch):
@@ -1291,44 +1353,53 @@ def test_planned_rerun_key_bits_bound(monkeypatch):
     # weight 2**99 has 100 bits, so at l = 2/3 with L / s = 2 it holds about
     # 3 * 100 + 2 * 2 = 304 bits
     inst = AuctionInstance(("a", "b"), (bid("x", "a", 2 ** 99), bid("y", "ab", 3)))
-    cfg = NormConfig(F(2, 3))
-    monkeypatch.setattr(axioms, "MAX_RERUN_KEY_BITS", 4 * 304)
-    # the critical check plans 2 * max(2, 2) = 4 reruns
-    check_planned_reruns(inst, critical=True, cfg=cfg)
-    with pytest.raises(InstanceTooLarge, match="1824 bits"):
-        check_planned_reruns(inst, critical=True, perturbations=1, cfg=cfg)
-    # a mechanism that ranks no keys, such as the GVA, is not charged
-    check_planned_reruns(inst, critical=True, perturbations=1)
-    check_planned_reruns(AuctionInstance(("a",), ()), suite=True, critical=True, cfg=cfg)
+    mech = greedy_mechanism(NormConfig(F(2, 3)))
+    monkeypatch.setattr(axioms, "MAX_RERUN_KEY_BITS", 5 * 304)
+    # the suite's run and the critical check's 2 * max(2, 2) = 4 reruns
+    check_planned_reruns(mech, inst, ["critical"])
+    with pytest.raises(InstanceTooLarge, match="2128 bits"):
+        check_planned_reruns(mech, inst, ["critical", "monotonicity"], perturbations=1)
+    # a mechanism that ranks no keys is not charged
+    check_planned_reruns(PLAIN, inst, ["critical", "monotonicity"], perturbations=1)
+    check_planned_reruns(mech, AuctionInstance(("a",), ()), ["critical"])
 
 
 def test_planned_gva_solve_work_bound(monkeypatch):
-    # three bids over two goods: the critical check plans 2 probes per bid
-    # and one entry-value table of 3 * 2**2 cells per bid, and each DP rerun
-    # fills 4 * 2**2 cells: (3 * 3 + 6 * 4) * 4 = 132 cells
+    # three bids over two goods: the suite's run and the critical check's 2
+    # probes per bid, and one entry-value table of 3 * 2**2 cells per bid;
+    # each DP rerun fills 4 * 2**2 cells: (3 * 3 + 7 * 4) * 4 = 148 cells
     inst = three_bidder_instance()
-    monkeypatch.setattr(axioms, "MAX_RERUN_DP_CELLS", 132)
-    check_planned_reruns(inst, critical=True, solver=DP)
-    with pytest.raises(InstanceTooLarge, match="9 GVA reruns and 3 entry-value tables"):
-        check_planned_reruns(inst, critical=True, perturbations=1, solver=DP)
+    dp = gva_mechanism(DP)
+    monkeypatch.setattr(axioms, "MAX_RERUN_DP_CELLS", 148)
+    check_planned_reruns(dp, inst, ["critical"])
+    with pytest.raises(InstanceTooLarge, match="10 GVA reruns and 3 entry-value tables"):
+        check_planned_reruns(dp, inst, ["critical", "monotonicity"], perturbations=1)
     # the search plans 3 bundles x 4 candidates and the truthful rerun per
     # bidder, and one table each
     monkeypatch.setattr(axioms, "MAX_RERUN_DP_CELLS", (3 * 3 + 39 * 4) * 4)
-    check_planned_reruns(inst, deviations=True, solver=DP)
+    check_planned_reruns(dp, inst, deviations=True)
     with pytest.raises(InstanceTooLarge, match="DP table cells"):
-        check_planned_reruns(inst, deviations=True, perturbations=1, solver=DP)
+        check_planned_reruns(dp, inst, ["monotonicity"], perturbations=1, deviations=True)
     # a brute-force rerun visits 4 * 2**3 bid subsets; the tables stay DP cells
-    brute = SolverKind.BRUTE_FORCE_BID_SUBSETS
-    monkeypatch.setattr(exact, "MAX_BRUTE_SUBSETS", 6 * 32)
+    brute = gva_mechanism(SolverKind.BRUTE_FORCE_BID_SUBSETS)
+    monkeypatch.setattr(exact, "MAX_BRUTE_SUBSETS", 7 * 32)
     monkeypatch.setattr(axioms, "MAX_RERUN_DP_CELLS", 3 * 3 * 4)
-    check_planned_reruns(inst, critical=True, solver=brute)
-    with pytest.raises(InstanceTooLarge, match="192 brute-force bid subsets"):
-        check_planned_reruns(inst, critical=True, perturbations=1, solver=brute)
+    check_planned_reruns(brute, inst, ["critical"])
+    with pytest.raises(InstanceTooLarge, match="224 brute-force bid subsets"):
+        check_planned_reruns(brute, inst, ["critical", "monotonicity"], perturbations=1)
     monkeypatch.setattr(axioms, "MAX_RERUN_DP_CELLS", 3 * 3 * 4 - 1)
     with pytest.raises(InstanceTooLarge, match="DP table cells"):
-        check_planned_reruns(inst, critical=True, solver=brute)
+        check_planned_reruns(brute, inst, ["critical"])
+    # last, the entry-value table of the other bids meets the DP's own bound
+    monkeypatch.setattr(axioms, "MAX_RERUN_DP_CELLS", 148)
+    monkeypatch.setattr(exact, "MAX_DP_CELLS", 3 << 2)
+    check_planned_reruns(dp, inst, ["critical"])
+    monkeypatch.setattr(exact, "MAX_DP_CELLS", (3 << 2) - 1)
+    with pytest.raises(InstanceTooLarge, match="2 bids over 2 goods need 12"):
+        check_planned_reruns(dp, inst, ["critical"])
+    check_planned_reruns(dp, inst, ["exactness"])
     # without a solver nothing is charged for solving
-    check_planned_reruns(inst, critical=True, deviations=True, perturbations=1)
+    check_planned_reruns(PLAIN, inst, axioms.AXIOMS, perturbations=1, deviations=True)
 
 
 def test_deviation_guard():

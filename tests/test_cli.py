@@ -11,7 +11,7 @@ from pathlib import Path
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from camech.axioms import AXIOMS, MECHANISMS
@@ -578,6 +578,67 @@ def test_golden_stdout(capsys, monkeypatch, tmp_path, three_path, argv, code, sh
     assert (got_code, hashlib.sha256(out.encode("utf-8")).hexdigest()) == (code, sha)
 
 
+def _instance_doc(goods, bids):
+    """An instance document from goods and (bidder, bundle, amount) triples."""
+    return {"goods": list(goods), "bids": [
+        {"bidder": name, "bundle": list(bundle), "amount": amount} for name, bundle, amount in bids
+    ]}
+
+
+_GEN_16_40 = ["gen", "--goods", "16", "--bids", "40", "--seed", "1"]
+_ONE_GOOD_20 = _instance_doc("abcd", [(f"b{i}", "abcd"[i % 4], str(i + 1)) for i in range(20)])
+_GOODS_21 = [f"g{i}" for i in range(21)]
+
+# (instance, check flags, exit code, sha256 of stdout) for each way `check`
+# refuses work, or lets it through just short of a refusal.  An instance is
+# a `gen` command line or a document.
+REFUSALS = [
+    ("deviations-16-goods", _GEN_16_40, ["--deviations", "--axioms", "none"], 4,
+     "760b38c0150e279fb30094d300c787539372296bb82a0a9f9e024de41af95897"),
+    # the planned reruns are counted before the axiom names are checked
+    ("deviations-before-unknown-axiom", _GEN_16_40, ["--deviations", "--axioms", "bogus"], 4,
+     "84acf0723172600386a3267f8677fa77feeacba3664d5f88055bb561f3de9ab1"),
+    ("unknown-axiom", _GEN_16_40, ["--axioms", "bogus"], 2,
+     "2d4959de8a6248cdcd3b8b82ecf2c5bff286bc012aaf19bc5c4ec59cbd75b06a"),
+    ("no-axioms", _GEN_16_40, ["--axioms", "none"], 0,
+     "e5d68e3e4cb1d3e3d178e5c7eb30a7ded10383d675fb17375aabbc6f6f1a7b75"),
+    ("monotonicity-1e8-samples", ["gen", "--goods", "4", "--bids", "6", "--seed", "1"],
+     ["--samples", "100000000", "--axioms", "monotonicity"], 4,
+     "3bea23346809047e690e76da6773625cee9bef5a3c51972bc8bd2168c1ad2a4b"),
+    ("critical-990-digit-keys", _instance_doc(
+        ["g0", "g1"], [(f"b{i}", [f"g{i % 2}"], f"{i + 11}{'0' * 987}7") for i in range(10)]
+    ), ["--norm-exponent", "999/1000", "--axioms", "critical"], 4,
+     "0af6e9c5cff1494f5db18b20363f121c6695ed962daf5f0c091ed64d31d5d087"),
+    ("gva-dp-16-goods", _instance_doc(
+        "abcdefghijklmnop", [("x", "abcdefgh", "5"), ("y", "ijklmnop", "3")]
+    ), ["--mechanism", "gva", "--deviations"], 4,
+     "e4857839597f05880cf63ad0e3392492112825cc35c0b1b8262badad140a336b"),
+    ("gva-brute-20-bids", _ONE_GOOD_20,
+     ["--mechanism", "gva", "--solver", "brute", "--axioms", "exactness"], 4,
+     "ccad0df62f216d3d0edbfbca75897d513caaf06426f5010c5451c4a7164e9dee"),
+    # the critical check's entry-value table of 3 bids over 21 goods passes
+    # the DP bound although the planned reruns' budgets do not
+    ("gva-entry-table-21-goods", _instance_doc(
+        _GOODS_21, [(f"b{i}", [_GOODS_21[i]], str(i + 1)) for i in range(4)]
+    ), ["--mechanism", "gva", "--solver", "brute", "--axioms", "critical"], 4,
+     "efd06803996e6f12ee4246d3ad1762d8678784a6050792aee25fbb89c4e14e8d"),
+]
+
+
+@pytest.mark.parametrize(
+    "instance, flags, code, sha", [r[1:] for r in REFUSALS], ids=[r[0] for r in REFUSALS]
+)
+def test_check_refusals_pinned(capsys, monkeypatch, tmp_path, instance, flags, code, sha):
+    monkeypatch.delenv("CAMECH_SEED", raising=False)
+    path = tmp_path / "instance.json"
+    if isinstance(instance, list):
+        assert main([*instance, "--output", str(path)]) == 0
+    else:
+        path.write_text(json.dumps(instance))
+    got_code, out = run_cli(capsys, "check", str(path), *flags)
+    assert (got_code, hashlib.sha256(out.encode("utf-8")).hexdigest()) == (code, sha), out
+
+
 #: The benchmark's record of `gen --goods 8 --bids 12 --seed SEED` then
 #: `run --mechanism greedy --norm-exponent 1/2`, as sha256 digests per seed.
 CLI_DIGESTS = Path(__file__).resolve().parent.parent / "perfbench" / "cli_digests.txt"
@@ -707,10 +768,7 @@ def test_check_past_gva_solve_budget_exit_4(tmp_path, goods, bids, check):
     # each planned GVA rerun is charged one run's solve, so a check that
     # plans few reruns of a large solve is refused at once
     path = tmp_path / "gva.json"
-    path.write_text(json.dumps({"goods": list(goods), "bids": [
-        {"bidder": name, "bundle": list(bundle), "amount": amount}
-        for name, bundle, amount in bids
-    ]}))
+    path.write_text(json.dumps(_instance_doc(goods, bids)))
     result = run_module("check", str(path), "--mechanism", "gva", *check, timeout=5)
     assert result.returncode == 4, result.stderr
     error = json.loads(result.stdout)["error"]
@@ -1017,3 +1075,64 @@ def test_fuzz_document_grammar_and_gen(run):
         code = main(argv)
     assert code in (0, 1, 2, 3, 4)
     json.loads(out.getvalue())
+
+
+_check_amounts = st.one_of(
+    st.sampled_from(["0", "1", "0.001", "1e-9", "7/3"]),
+    st.builds(lambda p, q: f"{p}/{q}", st.integers(1, 1000), st.integers(1, 1000)),
+    st.integers(1, 9).map(lambda d: f"{d}{'0' * 198}{d}"),
+)
+
+
+@st.composite
+def _check_runs(draw):
+    """A check command line over a document of up to 4 goods and 5 bids."""
+    goods = "abcd"[:draw(st.integers(1, 4))]
+    bids = draw(st.lists(
+        st.tuples(st.sets(st.sampled_from(goods), min_size=1), _check_amounts, st.booleans()),
+        max_size=5,
+    ))
+    doc = {"goods": list(goods), "bids": [
+        {"bidder": f"b{i}", "bundle": sorted(bundle), "amount": amount,
+         **({"reserve": True} if reserve else {})}
+        for i, (bundle, amount, reserve) in enumerate(bids)
+    ]}
+    axioms = draw(st.one_of(
+        st.sampled_from(["all", "none", "critical,bogus", "bogus"]),
+        st.lists(st.sampled_from(AXIOMS), min_size=1, max_size=4, unique=True).map(",".join),
+    ))
+    argv = [
+        "check", "-", "--axioms", axioms,
+        "--mechanism", draw(st.sampled_from(sorted(MECHANISMS))),
+        "--solver", draw(st.sampled_from(["dp", "brute"])),
+        "--tie-rule", draw(st.sampled_from([r.value for r in TieRule])),
+        "--samples", str(draw(st.sampled_from([3, 1, 0, -1]))),
+        "--norm-exponent", draw(st.sampled_from(["0", "1/2", "1", "2", "1/3", "999/1000"])),
+        *(["--deviations"] if draw(st.booleans()) else []),
+    ]
+    return argv, json.dumps(doc)
+
+
+#: Five 200-digit bids at l = 999/1000: the misreport search's order keys pass their budget.
+_HUGE_KEYS_RUN = (
+    ["check", "-", "--norm-exponent", "999/1000", "--axioms", "none", "--deviations"],
+    json.dumps(_instance_doc(
+        "abcd", [(f"b{i}", "abcd"[i % 4], f"{i + 1}{'0' * 198}{i + 1}") for i in range(5)]
+    )),
+)
+
+
+@given(_check_runs())
+@example(_HUGE_KEYS_RUN)
+@example((["check", "-", "--tie-rule", "reject"], json.dumps(TIED)))
+@settings(max_examples=60, derandomize=True, deadline=None)
+def test_fuzz_check_verb(run):
+    # exit 0-4 with exactly one JSON document; a refusal or a tie says so in its kind
+    argv, stdin = run
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), mock.patch.object(sys, "stdin", io.StringIO(stdin)):
+        code = main(argv)
+    assert code in (0, 1, 2, 3, 4)
+    doc = json.loads(out.getvalue())
+    if code in (3, 4):
+        assert doc["error"]["kind"] == ("ties" if code == 3 else "too-large")

@@ -1,11 +1,14 @@
 """Scenario registry, reproduction rows, tie-order revenue, ratio suites."""
 
+import itertools
+import json
 from fractions import Fraction as F
 from math import factorial
 
 import pytest
 
 from camech import experiments
+from camech.cli import main
 from camech.errors import (
     InstanceTooLarge, TiesPresent, TooManyTieOrders, UnknownScenario, ValuationUndefined,
 )
@@ -125,6 +128,21 @@ def test_ratio_experiment_single_bid_is_exactly_optimal():
     stats = ratio_experiment(4, 1, 10, F(1), "ratio-single")
     assert stats.max_ratio == 1.0
     assert stats.bound_label == "4"
+
+
+def test_ratio_suite_reports_trials_past_the_bound(monkeypatch, capsys):
+    # a planted optimum three times the greedy value breaks sqrt(4) on every
+    # odd trial; the suite lists those trials and the CLI exits 1
+    optima = itertools.cycle((F(1), F(3)))
+    monkeypatch.setattr(
+        experiments, "greedy_and_optimal_values", lambda instance, cfg: (F(1), next(optima))
+    )
+    stats = ratio_experiment(4, 3, 4, F(1, 2), "planted")
+    assert (stats.violations, stats.max_ratio) == ((1, 3), 3.0)
+    code = main(["experiment", "--suite", "ratio", "--k", "4", "--n", "3", "--trials", "4",
+                 "--l", "1/2"])
+    doc = json.loads(capsys.readouterr().out)
+    assert (code, doc["violations"], doc["max_ratio"]) == (1, [1, 3], 3.0)
 
 
 def test_ratio_experiment_planned_cells_bound(monkeypatch):
