@@ -12,6 +12,7 @@ one per class of bundles the mechanisms cannot tell apart.
 from __future__ import annotations
 
 import random
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
@@ -22,7 +23,7 @@ from .errors import (
 )
 from .model import AuctionInstance, Outcome, SingleMindedBid, bidder_utility
 from .money import Money
-from .norm import NormConfig, crossing_value
+from .norm import NormConfig, TieRule, crossing_value
 from . import exact as _exact
 from .greedy import run_greedy
 
@@ -56,15 +57,20 @@ class Mechanism:
     """A deterministic runnable mechanism: instance -> Outcome.
 
     `thresholds(instance, j)` is bid j's threshold function: given a bundle,
-    it lists the declared values at which bid j, moved to that bundle, may
-    change its outcome.  The exact critical values and the misreport search
-    probe around them, asking for the function once and calling it for
-    every bundle they try, so what it computes for one bundle it may keep
-    for the next; nothing outlives the function.  The misreport search
-    calls it only for the first bundle of each class (same size, same other
-    bids overlapped, true bundle covered or not) and reruns later members
-    only on a threshold, so it is complete only for a mechanism whose
-    thresholds, and whose outcome for bid j off them, are the same across a
+    it returns the declared values at which bid j, moved to that bundle, may
+    change its outcome, and the grid of values they are drawn from.  The
+    exact critical values and the misreport search bracket the whole grid
+    and probe each region between kept values once, at a probe they would
+    make with every grid value kept: just above a kept value, toward the
+    next grid value.  A mechanism that keeps every value, as a norm
+    mechanism under `REJECT` and the GVA do, returns one list for both.
+    They ask for the function once and call it for every
+    bundle they try, so what it computes for one bundle it may keep for the
+    next; nothing outlives the function.  The misreport search calls it
+    only for the first bundle of each class (same size, same other bids
+    overlapped, true bundle covered or not) and reruns later members only
+    on a kept value, so it is complete only for a mechanism whose kept
+    values, and whose outcome for bid j off them, are the same across a
     class, as the registered mechanisms' are.  It need not run the
     mechanism: the GVA's thresholds are read off one DP value table of the
     other bids, whichever solver `run` uses.  `norm` is the ranking norm
@@ -75,7 +81,9 @@ class Mechanism:
 
     name: str
     run: Callable[[AuctionInstance], Outcome]
-    thresholds: Callable[[AuctionInstance, int], Callable[[frozenset], Sequence[Money]]]
+    thresholds: Callable[
+        [AuctionInstance, int], Callable[[frozenset], tuple[Sequence[Money], Sequence[Money]]]
+    ]
     norm: Optional[NormConfig] = None
     solver: Optional[_exact.SolverKind] = None
 
@@ -83,23 +91,42 @@ class Mechanism:
 def _norm_mechanism(
     name: str, run: Callable[[AuctionInstance], Outcome], cfg: NormConfig
 ) -> Mechanism:
-    """A mechanism allocating greedily by cfg's norm, so its thresholds are
-    the values at which the bundle's norm crosses each other bid's.
+    """A mechanism allocating greedily by cfg's norm, so its grid is the
+    values at which the bundle's norm crosses each other bid's.
 
     Those depend on the bundle's size alone, so bid j's function computes
     each size's crossing values once, k * (n - 1) in a whole misreport
-    search, and returns one tuple for every bundle of a size.
+    search, and returns one grid tuple for every bundle of a size.  Under
+    `CANONICAL` it keeps only the crossing values of the other bids the
+    bundle overlaps.  The walk grants a bid when no earlier granted bid
+    overlaps it, so the allocation depends only on the order within each
+    overlapping pair; a winner's blocker overlaps it, and clarke-greedy's
+    payment is the difference of two such allocations' values.  Moving bid
+    j across, or onto, the crossing value of a bid it does not overlap
+    reorders two independent bids and leaves j's grant and payment as they
+    are.  Under `REJECT` a tie with any bid raises `TiesPresent`, so every
+    crossing value is kept.
     """
+    canonical = cfg.tie_rule is TieRule.CANONICAL
 
     def thresholds(inst: AuctionInstance, j: int):
         others = inst.bids[:j] + inst.bids[j + 1:]
+        masks = inst.bid_masks[:j] + inst.bid_masks[j + 1:]
         by_size: dict[int, tuple[Money, ...]] = {}
 
-        def of_bundle(bundle: frozenset) -> tuple[Money, ...]:
+        def of_bundle(bundle: frozenset) -> tuple[Sequence[Money], tuple[Money, ...]]:
             size = len(bundle)
-            if size not in by_size:
-                by_size[size] = tuple(crossing_value(b, size, cfg.exponent) for b in others)
-            return by_size[size]
+            grid = by_size.get(size)
+            # no tuple built from a generator: CPython resizes it rather than
+            # taking it from the tuple free list of its size, but frees it
+            # onto that list, which then fills to 2000 dead tuples
+            if grid is None:
+                grid = tuple([crossing_value(b, size, cfg.exponent) for b in others])
+                by_size[size] = grid
+            if not canonical:
+                return grid, grid
+            mask = inst.mask_of(bundle)
+            return [t for t, m in zip(grid, masks) if m & mask], grid
 
         return of_bundle
 
@@ -122,7 +149,12 @@ def gva_mechanism(solver: _exact.SolverKind) -> Mechanism:
         # the one value where j, with a given bundle, enters the optimal allocation
         best = _exact._entry_table(inst, j)
         full, d = len(best) - 1, inst.integer_amounts.denominator
-        return lambda bundle: [Money(Fraction(best[full] - best[full ^ inst.mask_of(bundle)], d))]
+
+        def of_bundle(bundle: frozenset) -> tuple[list[Money], list[Money]]:
+            entry = [Money(Fraction(best[full] - best[full ^ inst.mask_of(bundle)], d))]
+            return entry, entry
+
+        return of_bundle
 
     return Mechanism("gva", lambda inst: _exact.run_gva(inst, solver), thresholds, solver=solver)
 
@@ -202,24 +234,36 @@ def _region_probes(brackets: Sequence[tuple[int, int]], d: int) -> list[Fraction
     return probes
 
 
-def critical_value(mech: Mechanism, instance: AuctionInstance, j: int) -> CriticalValue:
-    """Bid j's grant threshold: the mechanism's first threshold above which,
-    probed once inside each region between thresholds, j wins its bundle.
+def _grid(
+    thresholds: Iterable[Money],
+) -> tuple[dict[Money, int], int, list[tuple[int, int]], list[Fraction]]:
+    """`_brackets` of a grid of thresholds: each distinct threshold mapped
+    to its row, its place in increasing order, the common denominator d,
+    the rows' integer brackets over d and `_region_probes`' probe above
+    each row."""
+    ordered, d, brackets = _brackets(thresholds)
+    return {t: r for r, t in enumerate(ordered)}, d, brackets, _region_probes(brackets, d)
 
-    Probes are `Fraction`s, between the brackets of consecutive thresholds
-    and zero.  Raises `NonMonotoneDetected` when a probe finds a denial above a
-    grant, i.e. when no single threshold exists.
+
+def critical_value(mech: Mechanism, instance: AuctionInstance, j: int) -> CriticalValue:
+    """Bid j's grant threshold: the mechanism's first kept threshold above
+    which, probed once inside each region between kept thresholds, j wins
+    its bundle.
+
+    Probes are `Fraction`s placed on the grid: one just below its lowest
+    positive value and one just above each kept threshold's bracket,
+    toward the next grid value, so each is a probe the scan would make
+    with every grid value kept.  Raises `NonMonotoneDetected` when a probe
+    finds a denial above a grant, i.e. when no single threshold exists.
     """
     bundle = instance.bids[j].bundle
-    positive = [t for t in mech.thresholds(instance, j)(bundle) if t.sign() > 0]
+    kept, grid = mech.thresholds(instance, j)(bundle)
     # zero is bracketed too, so the first probe stays above it
-    thresholds, d, brackets = _brackets([Money.ZERO, *positive])
-    del thresholds[0], brackets[0]
-    # one probe inside each region between consecutive thresholds
-    probes = (
-        [_toward(brackets[0][0], 0, d), *_region_probes(brackets, d)] if brackets
-        else [PROBE_SCALE]
-    )
+    row, d, brackets, above = _grid([Money.ZERO, *(t for t in grid if t.sign() > 0)])
+    # zero's row is 0, so `row.get` drops kept values at or below zero
+    rows = sorted({r for t in kept if (r := row.get(t))})
+    first_probe = _toward(brackets[1][0], 0, d) if len(brackets) > 1 else PROBE_SCALE
+    probes = [first_probe, *(above[r] for r in rows)]
     status = [
         mech.run(instance.with_amount(j, v)).allocation.bundle_granted(j) == bundle
         for v in probes
@@ -235,7 +279,8 @@ def critical_value(mech: Mechanism, instance: AuctionInstance, j: int) -> Critic
                 witness={"instance": instance, "bid": j,
                          "granted_at": probes[first], "denied_at": probes[i]},
             )
-    return CriticalValue(Money(0) if first == 0 else thresholds[first - 1], len(probes))
+    value = Money(0) if first == 0 else list(row)[rows[first - 1]]
+    return CriticalValue(value, len(probes))
 
 
 @dataclass(frozen=True, eq=False)
@@ -454,43 +499,49 @@ class DeviationReport:
     )
 
 
-def _candidate_values(thresholds: Sequence[Money], true_amount: Fraction) -> list[Fraction]:
-    """One value inside each open region between the non-negative
-    thresholds and above the last, in increasing order: zero below the
-    lowest threshold, else the rational probe just above the bracket below.
+def _candidate_values(
+    kept: Iterable[Money], grid: tuple, true_amount: Fraction
+) -> tuple[list[Fraction], list[Fraction]]:
+    """One value inside each open region between the kept non-negative
+    thresholds and above the last, in increasing order, and those of them
+    that may sit on a kept threshold.  `grid` is `_grid` of the
+    non-negative grid the kept thresholds are drawn from.  A region's
+    value is zero below the lowest kept threshold, else the grid's probe
+    just above the kept bracket below, the lowest grid value above it.
 
     The true amount, never negative, takes its region's value's place when
-    it lies below it and is dropped otherwise; inside a threshold's
+    it lies below it and is dropped otherwise; inside a kept threshold's
     bracket, which a rational threshold is itself, it is a value of its
     own.  A mechanism whose outcome is constant inside a region gives
     every value there one outcome, and the search keeps the first pair
     strictly beating the best so far, so the later of two values in a
-    region could never be reported.  Over at most n - 1 thresholds that
-    leaves zero, n - 1 region values and the true amount in a bracket:
-    n + 1 at most.  The list is built in order, with no sort.
+    region could never be reported.  Over m kept thresholds that leaves
+    zero, m region values and the true amount in a bracket: m + 2 at most.
+    Only zero, when the lowest kept bracket is zero's, and a positive true
+    amount in a kept rational bracket can sit on a kept threshold; every
+    probe lies strictly between brackets.  The lists are built in order,
+    with no sort.
     """
-    _, d, brackets = _brackets([t for t in thresholds if t.sign() >= 0])
-    values = [Fraction(0), *_region_probes(brackets, d)]
-    # values[r] is the value of the region below bracket r; a bound x / d
-    # lies below a = an / ad exactly when x * ad < an * d
+    row, d, brackets, above = grid
+    rows = sorted({row[t] for t in kept if t in row})
+    values = [Fraction(0), *(above[r] for r in rows)]
+    tied = [values[0]] if rows and brackets[rows[0]] == (0, 0) else []
+    # the true amount lies below bracket r of the grid and above the i kept
+    # ones below r; a bound x / d lies below a = an / ad exactly when
+    # x * ad < an * d
     a, r = true_amount, 0
     ad, scaled = a.denominator, a.numerator * d
     while r < len(brackets) and brackets[r][1] * ad < scaled:
         r += 1
-    if r < len(brackets) and brackets[r][0] * ad <= scaled:
-        if values[r] < a:  # else a is zero, in a bracket reaching down to it
-            values.insert(r + 1, a)
-    elif a < values[r]:
-        values[r] = a
-    return values
-
-
-def _tied_candidates(thresholds: Sequence[Money], true_amount: Fraction) -> list[Fraction]:
-    """The candidates of `_candidate_values` equal to one of the thresholds:
-    only zero and the true amount can be, since every probe lies strictly
-    between brackets and a true amount on a threshold lies in its bracket."""
-    values = [Fraction(0), true_amount] if true_amount else [Fraction(0)]
-    return [v for v in values if Money(v) in thresholds]
+    i = bisect_left(rows, r)
+    if i < len(rows) and rows[i] == r and brackets[r][0] * ad <= scaled:
+        if values[i] < a:  # else a is zero, in a bracket reaching down to it
+            values.insert(i + 1, a)
+            if brackets[r][0] == brackets[r][1]:
+                tied.append(a)
+    elif a < values[i]:
+        values[i] = a
+    return values, tied
 
 
 def _bundle_count(k: int) -> int:
@@ -526,7 +577,10 @@ def check_planned_reruns(
     every bundle, an upper bound on the search, which reruns one bundle
     per class; counting the classes would itself take 2**k * n steps
     before a refusal.  Past `MAX_SEARCH_GOODS` goods the search raises
-    `BundleSpaceTooLarge` here.
+    `BundleSpaceTooLarge` here.  Under `CANONICAL` a norm mechanism keeps
+    only the thresholds of the other bids a bundle overlaps, so both scans
+    usually rerun fewer values than these n-based charges, which remain
+    upper bounds.
 
     At most `MAX_RERUN_KEY_BITS` key bits: a rerun ranking by `mech.norm`
     builds a key of about q * bits(largest weight) + p * bits(lcm of
@@ -599,11 +653,11 @@ def find_profitable_deviation(
 
     The mechanisms read a misreported bundle through its size, the other
     bids it overlaps and whether it covers the true bundle, so bundles
-    agreeing on all three form a class with one thresholds tuple and, off
-    those thresholds, one grant and payment for bid j.  Bundles are tried
-    in bit order; the first of a class reruns every candidate, and a later
-    one only the candidates sitting on a threshold, where a `CANONICAL` tie
-    breaks by bundle.  A skipped pair repeats an earlier one, so the report
+    agreeing on all three form a class with one grid and kept thresholds
+    and, off the kept thresholds, one grant and payment for bid j.  Bundles
+    are tried in bit order; the first of a class reruns every candidate,
+    and a later one only the candidates sitting on a kept threshold, where
+    a `CANONICAL` tie breaks by bundle.  A skipped pair repeats an earlier one, so the report
     is the first pair reaching the best utility, as without classes.
     `bundles_searched` counts every bundle, `candidates_tested` the reruns
     made.
@@ -626,9 +680,9 @@ def find_profitable_deviation(
     best_bid: Optional[SingleMindedBid] = None
     tested = 0
     thresholds_of = mech.thresholds(instance, j)
-    # a norm mechanism's thresholds depend on the bundle's size alone: per
-    # thresholds tuple, its candidates and those that may sit on a threshold
-    candidates: dict[tuple[Money, ...], tuple[list[Fraction], list[Fraction]]] = {}
+    # a norm mechanism's grid depends on the bundle's size alone, so each
+    # size's brackets and probes are built once
+    grids: dict[tuple[Money, ...], tuple] = {}
     # per class of bundles, the candidates its later members still rerun
     classes: dict[tuple[int, int, bool], list[Fraction]] = {}
     masks = instance.bid_masks
@@ -652,13 +706,12 @@ def find_profitable_deviation(
             continue
         bundle = frozenset(goods[i] for i in range(k) if bundle_bits >> i & 1)
         if values is None:
-            thresholds = tuple(thresholds_of(bundle))
-            found = candidates.get(thresholds)
+            kept, grid = thresholds_of(bundle)
+            grid = tuple(grid)
+            found = grids.get(grid)
             if found is None:
-                found = candidates[thresholds] = (
-                    _candidate_values(thresholds, amount), _tied_candidates(thresholds, amount),
-                )
-            values, classes[key] = found
+                found = grids[grid] = _grid(t for t in grid if t.sign() >= 0)
+            values, classes[key] = _candidate_values(kept, found, amount)
         for v in values:
             attempt = SingleMindedBid(bidder, bundle, v, is_reserve)
             try:

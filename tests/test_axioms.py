@@ -21,6 +21,7 @@ from camech.axioms import (
     Mechanism,
     _brackets,
     _candidate_values,
+    _grid,
     _region_probes,
     _toward,
     check_planned_reruns,
@@ -70,8 +71,13 @@ def competitive_instance():
 # -- critical values --------------------------------------------------------
 
 
-def no_thresholds(instance, j):
-    return lambda bundle: []
+def _fixed(*values):
+    """A planted threshold function listing `values` for every bundle, as
+    both the kept values and the grid."""
+    return lambda instance, j: lambda bundle: (list(values), list(values))
+
+
+no_thresholds = _fixed()
 
 
 #: The reference prober stops once its bracket is this narrow.
@@ -195,7 +201,7 @@ def _window(instance):
     return assemble_outcome(instance, allocation, (Money(0),) * 3)
 
 
-WINDOW = Mechanism("window", _window, lambda i, j: lambda bundle: [Money(F(19, 2)), Money(15)])
+WINDOW = Mechanism("window", _window, _fixed(Money(F(19, 2)), Money(15)))
 
 
 def test_nonmonotone_detected_threshold_route():
@@ -221,7 +227,7 @@ def test_nonmonotone_detected_probing_route():
         granted = [0] if Money(F(1, 2)) < a < Money(3) else []
         return assemble_outcome(instance, Allocation.of_indices(instance, granted), (Money(0),))
 
-    broken = Mechanism("window", window, lambda i, j: lambda bundle: [Money(F(1, 2)), Money(3)])
+    broken = Mechanism("window", window, _fixed(Money(F(1, 2)), Money(3)))
     with pytest.raises(NonMonotoneDetected):
         critical_value(broken, inst, 0)
     with pytest.raises(NonMonotoneDetected):
@@ -332,7 +338,7 @@ def test_planted_grant_at_one_amount_has_infinite_critical_value():
     inst = AuctionInstance(("a", "b"), (bid("x", "a", 10), bid("y", "b", 8)))
     pinned = Mechanism(
         "pinned", lambda i: _grants_while(i, lambda j, b: j == 0 and b.amount == 10),
-        lambda i, j: lambda bundle: [Money(10)],
+        _fixed(Money(10)),
     )
     (check,) = run_axiom_suite(pinned, [inst], ["critical"]).checks
     assert (check.verdict, check.witness.bid_index) == ("violated", 0)
@@ -428,11 +434,12 @@ def test_suite_ranks_each_perturbation_once(monkeypatch):
 #: for t < 8 in one seeded suite: the number of mechanism runs, and a sha256
 #: prefix over each rerun's replaced bid (index, sorted bundle, amount; the
 #: suite's own runs replace none) and every check's axiom, verdict, samples
-#: and detail.  Recorded from the scan that bracketed thresholds with
-#: `Fraction` bounds.
+#: and detail.  Recorded from the scan that probes only above the thresholds
+#: of the bids a winner's bundle overlaps; its checks are those of the scan
+#: that probed above every other bid's threshold, which made 514 runs.
 _SUITE_PINS = {
-    "1/2": (514, "e739cac639a931b6"),
-    "1": (514, "73d54923a46ae880"),
+    "1/2": (396, "a59f48f8f361d5a1"),
+    "1": (396, "62bcc3458efbd9bd"),
 }
 
 
@@ -502,8 +509,9 @@ def test_gva_no_deviation_small():
 
 
 def _forced_bid_entry(instance, j):
-    """Bid j's GVA entry values by re-solving: OPT without j, less the value
-    of the optimum once j is forced in with a bundle at a winning amount."""
+    """Bid j's GVA entry value by re-solving, as a threshold function: OPT
+    without j, less the value of the optimum once j is forced in with a
+    bundle at a winning amount."""
     opt_without = exact.optimal_allocation(instance.with_amount(j, 0), DP).value
     big = opt_without + 1
     old = instance.bids[j]
@@ -511,7 +519,8 @@ def _forced_bid_entry(instance, j):
     def entry(bundle):
         forced = instance.with_bid(j, SingleMindedBid(old.bidder, bundle, big, old.is_reserve))
         compatible = exact.optimal_allocation(forced, DP).value - big
-        return [Money(max(opt_without - compatible, 0))]
+        value = [Money(max(opt_without - compatible, 0))]
+        return value, value
 
     return entry
 
@@ -680,58 +689,60 @@ def test_toward_is_the_probe_expression(a, b, d):
 #: Per (norm exponent, seed) of `random_instance(6, 8, seed=f"pin:{seed}")`
 #: under the greedy mechanism: a sha256 prefix over every bid's critical value,
 #: probe count and probed amounts; one over its `_candidate_values` at bundle
-#: sizes 1 to 6; then each bid's critical value.  The scan half was recorded
-#: from the implementation that built every probe with `Fraction` arithmetic,
-#: the candidate half from the search that keeps one value per region
-#: between thresholds, the true amount included.
+#: sizes 1 to 6, with every grid value kept; then each bid's critical value.
+#: The scan half was recorded from the scan that probes only above the
+#: thresholds of the bids a bundle overlaps, whose critical values are those
+#: of the scan that probed above every threshold; the candidate half from
+#: the search that keeps one value per region between thresholds, the true
+#: amount included.
 _SCAN_PINS = {
-    ("1/2", 0): ("baf48c5836d1c441", "133f611b48756b82", [
+    ("1/2", 0): ("45db3d496376bfc0", "133f611b48756b82", [
         "Money<(188161/1000)*sqrt(3)>", "Money<(714601/1000)*sqrt(3)>",
         "Money<(852409/3000)*sqrt(3)>", "Money('852409/1000')", "Money<(852409/3000)*sqrt(6)>",
         "Money(0)", "Money<(852409/3000)*sqrt(3)>", "Money<(714601/1000)*sqrt(3)>",
     ]),
-    ("1/2", 1): ("7656191b90625fef", "b58e62edb3e8f807", [
+    ("1/2", 1): ("ea00703ffcbb7b10", "b58e62edb3e8f807", [
         "Money(0)", "Money<(192761/400)*sqrt(2)>", "Money<(24506/25)*sqrt(2)>", "Money(0)",
         "Money<(102251/200)*sqrt(2)>", "Money<(152639/400)*sqrt(2)>", "Money('192761/200')",
         "Money<(401841/500)*sqrt(3)>",
     ]),
-    ("1/2", 2): ("4e0d41281e39cfb1", "47d246c331e80fb0", [
+    ("1/2", 2): ("309f22e98323ac25", "47d246c331e80fb0", [
         "Money(0)", "Money<(805861/3000)*sqrt(6)>", "Money<(10939/25)*sqrt(3)>",
         "Money<(805861/1500)*sqrt(3)>", "Money<(805861/3000)*sqrt(6)>",
         "Money<(805861/3000)*sqrt(6)>", "Money('805861/1000')", "Money<(805861/3000)*sqrt(6)>",
     ]),
-    ("1/2", 3): ("bd1fdab59fe1bd97", "12ad5bd57e9a8bce", [
+    ("1/2", 3): ("5e1a9e8effed8f41", "12ad5bd57e9a8bce", [
         "Money<(12347/1000)*sqrt(2)>", "Money<(447057/500)*sqrt(3)>",
         "Money<(447057/500)*sqrt(3)>", "Money<(17569/60)*sqrt(3)>",
         "Money<(90647/250)*sqrt(3)>", "Money(0)", "Money<(447057/500)*sqrt(3)>",
         "Money<(34439/125)*sqrt(2)>",
     ]),
-    ("1/2", 4): ("17f2d1fcd906baee", "d759f81fb55e67ee", [
+    ("1/2", 4): ("0bd92f953a691f63", "d759f81fb55e67ee", [
         "Money<(846301/1000)*sqrt(2)>", "Money<(42577/500)*sqrt(2)>",
         "Money<(846301/1000)*sqrt(3)>", "Money<(846301/1000)*sqrt(2)>",
         "Money<(85273/125)*sqrt(2)>", "Money<(392329/1000)*sqrt(2)>",
         "Money<(846301/1000)*sqrt(3)>", "Money('170546/125')",
     ]),
-    ("1", 0): ("32641cf091a23eba", "9c32fcd6a121cb41", [
+    ("1", 0): ("c90d69bdf638fbdc", "9c32fcd6a121cb41", [
         "Money('564483/1000')", "Money('2143803/1000')", "Money('852409/3000')",
         "Money('852409/1000')", "Money('852409/1500')", "Money(0)", "Money('852409/3000')",
         "Money('2143803/1000')",
     ]),
-    ("1", 1): ("4a1a800d88d9287a", "0ef25b75b9bac1f6", [
+    ("1", 1): ("ed37da819b22d479", "0ef25b75b9bac1f6", [
         "Money(0)", "Money('192761/400')", "Money('49012/25')", "Money(0)",
         "Money('102251/100')", "Money(0)", "Money('133794/125')", "Money('1205523/500')",
     ]),
-    ("1", 2): ("045aa20d8bba3620", "9e06a5941545ee35", [
+    ("1", 2): ("ac5f25c624e112a0", "9e06a5941545ee35", [
         "Money(0)", "Money('171897/500')", "Money('1814793/2000')", "Money('604931/500')",
         "Money('604931/1000')", "Money('283143/500')", "Money('114039/250')",
         "Money('35071/500')",
     ]),
-    ("1", 3): ("d33b6af4094d53cf", "9741d42671942246", [
+    ("1", 3): ("8fbbdd8ff54d7f3d", "9741d42671942246", [
         "Money('12347/1000')", "Money('1341171/500')", "Money('1341171/500')",
         "Money('17569/60')", "Money('271941/250')", "Money('579893/3000')",
         "Money('1341171/500')", "Money('68878/125')",
     ]),
-    ("1", 4): ("dd5006bec09d707c", "df55529fc71666de", [
+    ("1", 4): ("884c8ac372cd6430", "df55529fc71666de", [
         "Money('846301/500')", "Money('42577/500')", "Money('2538903/1000')",
         "Money('846301/500')", "Money('170546/125')", "Money('392329/1000')",
         "Money('2538903/1000')", "Money('341092/125')",
@@ -753,13 +764,14 @@ def test_critical_scan_outputs_pinned(exponent, seed):
             return mech.run(instance)
 
         cv = critical_value(Mechanism(mech.name, run, mech.thresholds, mech.norm), inst, j)
-        assert cv.probes == len(probed) == 8
+        assert cv.probes == len(probed) <= 8
         values.append(repr(cv.value))
         scan.update(repr((cv.value, cv.probes, probed)).encode())
         of_bundle = mech.thresholds(inst, j)
         for size in range(1, len(inst.goods) + 1):
-            thresholds = of_bundle(frozenset(inst.goods[:size]))
-            candidates.update(repr(_candidate_values(thresholds, inst.bids[j].amount)).encode())
+            _, grid = of_bundle(frozenset(inst.goods[:size]))
+            searched, _ = _candidate_values(grid, _grid(grid), inst.bids[j].amount)
+            candidates.update(repr(searched).encode())
     got = (scan.hexdigest()[:16], candidates.hexdigest()[:16], values)
     assert got == _SCAN_PINS[exponent, seed]
 
@@ -840,7 +852,8 @@ def test_checkers_run_mechanisms_on_rational_instances_only():
         mech = replace(base, run=recording_run)
         for t in range(3):
             inst = random_instance(3, 4, seed=t + 1)
-            assert any(not v.is_rational for v in mech.thresholds(inst, 0)(inst.bids[0].bundle))
+            _, grid = mech.thresholds(inst, 0)(inst.bids[0].bundle)
+            assert any(not v.is_rational for v in grid)
             for j in sorted(base.run(inst).allocation.grants):
                 critical_value(mech, inst, j)
             for j in range(len(inst.bids)):
@@ -863,9 +876,10 @@ def _bundle_classes(inst, j):
 
 
 def test_norm_thresholds_computed_once_per_size(monkeypatch):
-    # a norm mechanism's thresholds depend on the bundle's size alone, so a
-    # search prices each other bid's crossing once per size; it asks for
-    # them once per class of bundles, for the class's first bundle
+    # a norm mechanism's grid depends on the bundle's size alone, so a
+    # search prices each other bid's crossing once per size and hands every
+    # bundle of a size one grid; it asks once per class of bundles, for the
+    # class's first bundle, and keeps the crossings of the bids it overlaps
     calls = []
 
     def counting(b, size, exponent):
@@ -895,12 +909,14 @@ def test_norm_thresholds_computed_once_per_size(monkeypatch):
         assert 0 < len(calls) <= 6 * 7
         assert len(set(calls)) == len(calls)
         by_size = {}
-        for bundle, thresholds in asked:
-            assert by_size.setdefault(len(bundle), thresholds) is thresholds
-            assert list(thresholds) == [
-                crossing_value(b, len(bundle), L1.exponent)
+        for bundle, (kept, grid) in asked:
+            assert by_size.setdefault(len(bundle), grid) is grid
+            crossings = [
+                (b.bundle & bundle, crossing_value(b, len(bundle), L1.exponent))
                 for i, b in enumerate(inst.bids) if i != j
             ]
+            assert list(grid) == [t for _, t in crossings]
+            assert list(kept) == [t for met, t in crossings if met]
     # the mechanism keeps none of them once the searches return
     first = weakref.ref(inst)
     del inst, asked, by_size
@@ -930,6 +946,25 @@ def _tie_heavy(rng, k, n):
     return AuctionInstance(goods, tuple(bids))
 
 
+def _searched(of_bundle, bundle, true_amount):
+    """The search's candidates for `bundle` and those that may sit on a kept
+    threshold, from bid j's threshold function `of_bundle`."""
+    kept, grid = of_bundle(bundle)
+    return _candidate_values(kept, _grid(t for t in grid if t.sign() >= 0), true_amount)
+
+
+def _full_grid(mech, inst, j):
+    """Bid j's thresholds on a bundle for a reference search: for a norm
+    mechanism every other bid's crossing value at the bundle's size, from
+    `crossing_value` rather than the mechanism; for the GVA its one entry
+    value."""
+    if mech.norm is None:
+        of_bundle = mech.thresholds(inst, j)
+        return lambda bundle: of_bundle(bundle)[1]
+    others = [b for i, b in enumerate(inst.bids) if i != j]
+    return lambda bundle: [crossing_value(b, len(bundle), mech.norm.exponent) for b in others]
+
+
 def _bid_j_outcome(mech, inst, j, bundle, v):
     """Bid j moved to `bundle` at v: whether it wins, whether what it wins
     covers its true bundle, and its payment; "ties" when the rerun raises
@@ -947,9 +982,9 @@ def _bid_j_outcome(mech, inst, j, bundle, v):
 @EVERY_MECHANISM
 def test_outcome_is_the_same_across_a_bundle_class(name, cfg, solver):
     # every bundle of a class has the first one's thresholds and, at every
-    # candidate off them, bid j's grant and payment: what lets the search
-    # rerun only a class's first bundle; only zero and the true amount can
-    # sit on a threshold
+    # candidate off the kept ones, bid j's grant and payment: what lets the
+    # search rerun only a class's first bundle; only zero and the true
+    # amount can sit on a kept threshold
     mech = MECHANISMS[name](cfg, solver)
     rng = random.Random(f"classes:{name}")
     instances = [random_instance(4, 5, seed=f"classes:{t}") for t in range(3)]
@@ -960,16 +995,60 @@ def test_outcome_is_the_same_across_a_bundle_class(name, cfg, solver):
             of_bundle = mech.thresholds(inst, j)
             amount = inst.bids[j].amount
             for first, *rest in _bundle_classes(inst, j):
-                thresholds = list(of_bundle(first))
-                candidates = _candidate_values(thresholds, amount)
-                on = [v for v in candidates if any(t == v for t in thresholds)]
-                assert axioms._tied_candidates(thresholds, amount) == on
+                kept, grid = of_bundle(first)
+                candidates, tied = _searched(of_bundle, first, amount)
+                on = [v for v in candidates if any(t == v for t in kept)]
+                assert tied == on
                 off = [v for v in candidates if v not in on]
                 expected = [_bid_j_outcome(mech, inst, j, first, v) for v in off]
                 for bundle in rest:
-                    assert list(of_bundle(bundle)) == thresholds
+                    assert of_bundle(bundle) == (kept, grid)
                     assert [_bid_j_outcome(mech, inst, j, bundle, v) for v in off] == expected
                     compared += len(off)
+    assert compared > 0
+
+
+@pytest.mark.parametrize("name", ["greedy", "clarke-greedy"])
+@pytest.mark.parametrize("exponent", [F(0), F(1, 2), F(1)], ids=["l0", "lhalf", "l1"])
+def test_crossing_a_bid_the_bundle_misses_changes_nothing(name, exponent):
+    # under CANONICAL, bid j moved to a bundle has one grant and payment
+    # just below, on and just above the crossing value of each other bid
+    # the bundle does not overlap, unless an overlapped bid crosses there
+    # too: what lets the threshold function keep only overlapped bids'
+    # crossings.  Under REJECT a tie with any bid raises, so it keeps all
+    mech = MECHANISMS[name](NormConfig(exponent), DP)
+    reject = MECHANISMS[name](NormConfig(exponent, TieRule.REJECT), DP)
+    rng = random.Random(f"misses:{name}:{exponent}")
+    instances = [random_instance(4, 5, seed=f"misses:{t}") for t in range(3)]
+    instances += [_tie_heavy(rng, 4, 5) for _ in range(4)]
+    compared = 0
+    for inst in instances:
+        for j in range(len(inst.bids)):
+            of_bundle = reject.thresholds(inst, j)
+            for bits in range(1, 1 << len(inst.goods)):
+                bundle = frozenset(g for i, g in enumerate(inst.goods) if bits >> i & 1)
+                crossings = [
+                    (b.bundle & bundle, crossing_value(b, len(bundle), exponent))
+                    for i, b in enumerate(inst.bids) if i != j
+                ]
+                every = [t for _, t in crossings]
+                assert [list(ts) for ts in of_bundle(bundle)] == [every, every]
+                met = [t for overlap, t in crossings if overlap]
+                ordered, d, brackets = _brackets(every)
+                for overlap, t in crossings:
+                    if overlap or t in met:
+                        continue
+                    r = ordered.index(t)
+                    lo, hi = brackets[r]
+                    right = brackets[r + 1][0] if r + 1 < len(brackets) else 2 * hi + d
+                    values = [_toward(hi, right, d)]
+                    if lo == hi:  # a rational crossing, which bid j can declare
+                        values.append(F(lo, d))
+                    if lo > 0:
+                        values.append(_toward(lo, brackets[r - 1][1] if r else 0, d))
+                    outcomes = {_bid_j_outcome(mech, inst, j, bundle, v) for v in values}
+                    assert len(outcomes) == 1, (j, sorted(bundle), t, values)
+                    compared += len(values)
     assert compared > 0
 
 
@@ -1003,7 +1082,7 @@ def test_canonical_tie_breaks_a_class_apart_on_its_threshold():
 
 def _every_bundle_search(mech, inst, j, candidates_of):
     """A reference misreport search: bid j reruns every bundle at every value
-    `candidates_of(thresholds, true_amount)` lists, keeping the first pair
+    `candidates_of(bundle, true_amount)` lists, keeping the first pair
     strictly beating the best so far.  Returns (misreport, truthful utility,
     deviating utility) when that beats the truthful report, else a falsy
     value; a tie on the truthful rerun raises `TiesPresent`."""
@@ -1018,10 +1097,9 @@ def _every_bundle_search(mech, inst, j, candidates_of):
 
     truthful = utility(replace(declared, bundle=true_type.bundle, amount=true_type.amount))
     best = None
-    of_bundle = mech.thresholds(inst, j)
     for bits in range(1, 1 << len(inst.goods)):
         bundle = frozenset(g for i, g in enumerate(inst.goods) if bits >> i & 1)
-        for v in candidates_of(of_bundle(bundle), true_type.amount):
+        for v in candidates_of(bundle, true_type.amount):
             attempt = replace(declared, bundle=bundle, amount=v)
             try:
                 u = utility(attempt)
@@ -1060,37 +1138,52 @@ def test_deviation_search_reports_what_every_bundle_would(name, cfg, solver):
     instances += [_tie_heavy(rng, 4, 4) for _ in range(3)]
     for inst in instances:
         for j in range(len(inst.bids)):
-            _assert_search_matches(
-                mech, inst, j, lambda: _every_bundle_search(mech, inst, j, _candidate_values)
-            )
+            of_bundle = mech.thresholds(inst, j)
+            _assert_search_matches(mech, inst, j, lambda: _every_bundle_search(
+                mech, inst, j, lambda bundle, a: _searched(of_bundle, bundle, a)[0]
+            ))
 
 
 def _probes_on_both_sides(thresholds, true_amount):
     """Zero, the true amount and a probe on each side of every non-negative
-    threshold, in increasing order, with (below, kept) pairs: each probe
-    just below a threshold and the lower value of its region that
-    `_candidate_values` keeps, the probe just above the threshold below it
-    or, under the lowest threshold, zero."""
-    candidates, pairs = {F(0), true_amount}, []
+    threshold, in increasing order."""
+    candidates = {F(0), true_amount}
     _, d, brackets = _brackets(t for t in thresholds if t.sign() >= 0)
     for i, (lo, hi) in enumerate(brackets):
         left = brackets[i - 1][1] if i else 0
         right = brackets[i + 1][0] if i + 1 < len(brackets) else (2 * hi if hi > 0 else hi + d)
-        below, kept = _toward(lo, left, d), _toward(left, lo, d) if i else F(0)
-        if below > kept:  # else a zero threshold's, which is zero itself
-            candidates.add(below)
-            pairs.append((below, kept))
+        if lo > 0:  # else a zero threshold's, which is zero itself
+            candidates.add(_toward(lo, left, d))
         candidates.add(_toward(hi, right, d))
-    return sorted(candidates), pairs
+    return sorted(candidates)
+
+
+def _assert_searched_or_repeated(seen, bundle, searched, kept, values):
+    """On `bundle`, every value of a reference search is searched, or gives
+    bid j (per `seen`, the reference's reruns) the grant and payment of the
+    highest searched value at or below it; a value on a `kept` threshold is
+    searched itself, and every searched value is a reference value.
+    Returns the number of values compared."""
+    assert set(searched) <= set(values)
+    compared = 0
+    for v in values:
+        if v in searched:
+            continue
+        assert not any(t == v for t in kept)
+        below = max(c for c in searched if c <= v)
+        assert seen.get((bundle, v)) == seen.get((bundle, below))
+        compared += 1
+    return compared
 
 
 @EVERY_MECHANISM
 def test_deviation_search_matches_probing_both_sides_of_every_threshold(name, cfg, solver):
     # a reference search rerunning every bundle at zero, the true amount and
-    # a probe on each side of every threshold reports the same misreport
-    # and utilities as the search, which probes each region once; and on
-    # every bundle, each probe below a threshold gives bid j the grant and
-    # payment of the value the search keeps in that region
+    # a probe on each side of every other bid's threshold, all n - 1 of them
+    # for a norm mechanism, reports the same misreport and utilities as the
+    # search, which probes each region between kept thresholds once; and on
+    # every bundle, each probe the search skips gives bid j the grant and
+    # payment of the value the search keeps in its region
     mech = MECHANISMS[name](cfg, solver)
     rng = random.Random(f"both-sides:{name}:{cfg.exponent}:{cfg.tie_rule.value}")
     instances = [random_instance(4, 5, seed=f"both-sides:{t}").assuming_truthful()
@@ -1100,6 +1193,7 @@ def test_deviation_search_matches_probing_both_sides_of_every_threshold(name, cf
     for inst in instances:
         for j in range(len(inst.bids)):
             seen = {}  # (bundle, amount) -> bid j's grant and payment
+            full = _full_grid(mech, inst, j)
 
             def recording_run(instance, j=j, seen=seen):
                 out = mech.run(instance)
@@ -1109,19 +1203,18 @@ def test_deviation_search_matches_probing_both_sides_of_every_threshold(name, cf
 
             reference = replace(mech, run=recording_run)
             found += _assert_search_matches(mech, inst, j, lambda: _every_bundle_search(
-                reference, inst, j, lambda *a: _probes_on_both_sides(*a)[0]
+                reference, inst, j, lambda bundle, a: _probes_on_both_sides(full(bundle), a)
             ))
             if not seen:  # the truthful rerun tied
                 continue
             of_bundle = mech.thresholds(inst, j)
             for bits in range(1, 1 << len(inst.goods)):
                 bundle = frozenset(g for i, g in enumerate(inst.goods) if bits >> i & 1)
-                thresholds, amount = of_bundle(bundle), inst.bids[j].amount
-                searched = _candidate_values(thresholds, amount)
-                for below, kept in _probes_on_both_sides(thresholds, amount)[1]:
-                    assert kept in searched
-                    assert seen.get((bundle, below)) == seen.get((bundle, kept))
-                    compared += 1
+                amount = inst.bids[j].amount
+                compared += _assert_searched_or_repeated(
+                    seen, bundle, _searched(of_bundle, bundle, amount)[0], of_bundle(bundle)[0],
+                    _probes_on_both_sides(full(bundle), amount),
+                )
     assert compared > 0 and (found > 0) == (name == "clarke-greedy")
 
 
@@ -1142,12 +1235,13 @@ def _lying(rng, inst):
 @EVERY_MECHANISM
 def test_deviation_search_matches_rerunning_the_true_amount(name, cfg, solver):
     # a reference search rerunning every bundle at zero, the true amount and
-    # every region's probe reports the same misreport and utilities as the
-    # search, which keeps one value per region between thresholds; and on
-    # every bundle, each of those values strictly inside a region, the true
+    # the probe above every other bid's threshold, all n - 1 of them for a
+    # norm mechanism, reports the same misreport and utilities as the
+    # search, which keeps one value per region between kept thresholds; and
+    # on every bundle, each of those values the search skips, the true
     # amount included, gives bid j the grant and payment of the one value
-    # the search keeps in that region, which comes no later; a value on a
-    # threshold is searched itself
+    # the search keeps in its region, which comes no later; a value on a
+    # kept threshold is searched itself
     mech = MECHANISMS[name](cfg, solver)
     rng = random.Random(f"true-amount:{name}:{cfg.exponent}:{cfg.tie_rule.value}")
     seeded = random_instance(4, 5, seed="true-amount")
@@ -1157,11 +1251,12 @@ def test_deviation_search_matches_rerunning_the_true_amount(name, cfg, solver):
         _, d, brackets = _brackets(t for t in thresholds if t.sign() >= 0)
         return sorted({F(0), true_amount, *_region_probes(brackets, d)})
 
-    true_amounts = {"kept": 0, "dropped": 0}  # strictly inside a region
+    true_amounts = {"kept": 0, "dropped": 0}  # off every threshold
     for inst in instances:
         for j in range(len(inst.bids)):
             seen = {}  # (bundle, amount) -> bid j's grant and payment
             true_amount = (inst.true_types or {}).get(inst.bids[j].bidder, inst.bids[j]).amount
+            full = _full_grid(mech, inst, j)
 
             def recording_run(instance, j=j, seen=seen):
                 out = mech.run(instance)
@@ -1170,42 +1265,34 @@ def test_deviation_search_matches_rerunning_the_true_amount(name, cfg, solver):
                 return out
 
             reference = replace(mech, run=recording_run)
-            _assert_search_matches(
-                mech, inst, j, lambda: _every_bundle_search(reference, inst, j, every_value)
-            )
+            _assert_search_matches(mech, inst, j, lambda: _every_bundle_search(
+                reference, inst, j, lambda bundle, a: every_value(full(bundle), a)
+            ))
             if not seen:  # the truthful rerun tied
                 continue
             of_bundle = mech.thresholds(inst, j)
             for bits in range(1, 1 << len(inst.goods)):
                 bundle = frozenset(g for i, g in enumerate(inst.goods) if bits >> i & 1)
-                thresholds = [t for t in of_bundle(bundle) if t.sign() >= 0]
-
-                def region(v):  # how many thresholds lie below v; None on one
-                    if not any(t == v for t in thresholds):
-                        return sum(t < v for t in thresholds)
-
-                searched = _candidate_values(thresholds, true_amount)
-                kept = {}
-                for c in searched:
-                    kept.setdefault(region(c), c)
-                for v in every_value(thresholds, true_amount):
-                    r = region(v)
-                    if r is None:  # on a threshold, where the search reruns it
-                        assert v in searched
-                        continue
-                    assert kept[r] <= v and seen.get((bundle, v)) == seen.get((bundle, kept[r]))
-                    if v == true_amount:
-                        true_amounts["kept" if kept[r] == v else "dropped"] += 1
+                thresholds = full(bundle)
+                searched = _searched(of_bundle, bundle, true_amount)[0]
+                _assert_searched_or_repeated(
+                    seen, bundle, searched, of_bundle(bundle)[0],
+                    every_value(thresholds, true_amount),
+                )
+                if not any(t == true_amount for t in thresholds):
+                    true_amounts["kept" if true_amount in searched else "dropped"] += 1
     assert all(true_amounts.values()), true_amounts
 
 
 def test_deviation_search_work_pinned():
     # criterion 3's first instance: the 8 greedy searches at l = 1 make
-    # 2,704 mechanism runs in all, a truthful run each and one rerun per
-    # candidate of each class's first bundle (plus any candidate on a
-    # threshold); rerunning a true amount that repeats its region made
-    # 3,041, a probe on each side of every threshold 5,400, and rerunning
-    # every bundle with those 8 + 63 * 16 * 8 = 8,072
+    # 2,032 mechanism runs in all, a truthful run each and one rerun per
+    # candidate of each class's first bundle (plus any candidate on a kept
+    # threshold); a probe above the threshold of every other bid, not only
+    # of those the bundle overlaps, made 2,704, rerunning a true amount
+    # that repeats its region 3,041, a probe on each side of every
+    # threshold 5,400, and rerunning every bundle with those
+    # 8 + 63 * 16 * 8 = 8,072
     inst = random_instance(6, 8, seed="deviation-accept:0")
     mech = greedy_mechanism(L1)
     runs = []
@@ -1216,7 +1303,7 @@ def test_deviation_search_work_pinned():
 
     for j in range(len(inst.bids)):
         assert find_profitable_deviation(replace(mech, run=counting_run), inst, j) is None
-    assert len(runs) == 2704
+    assert len(runs) == 2032
 
 
 EXPONENTS = pytest.mark.parametrize("exponent", [F(1, 2), F(1)], ids=["lhalf", "l1"])

@@ -548,7 +548,7 @@ GOLDEN = [
     (["check", "THREE_PATH", "--mechanism", "gva"], 0,
      "cd2d7e2ea622b1e4d2c806ea085769884e8313ad382b546319dedc6d00ca5b2f"),
     (["check", "THREE_PATH", "--mechanism", "clarke-greedy", "--deviations"], 1,
-     "62b220bcded022e8fca25b9eb902376853fa7074b72a477645e2deffb4c4c714"),
+     "91cbb4a128b9941e347876b7d94bf1b0113ffc559f83e397312f06cdb6a4f99b"),
     (["experiment", "--suite", "tight", "--l", "1/2"], 0,
      "3d9897e6e669db663373894bb010d21c0332c43fbc77a2d526d4d0d7ceedf26a"),
     (["experiment", "--suite", "tight", "--l", "1", "--k", "5"], 0,
@@ -561,7 +561,7 @@ GOLDEN = [
      "f9c34d9ebc4497458501d18a6adf5c3a2a84cec13a65d09c998fb4fd565960b7"),
     (["check", "GEN_PATH", "--mechanism", "clarke-greedy", "--norm-exponent", "1/2",
       "--deviations"], 1,
-     "6305116200b040ddb7a99d8b9198845ebaf885fa8a3ee959e5d39c7a2be694e5"),
+     "c4b738d80ad70333c2e2ab94e1042264237785ef3f95da82c07aa71f8cae5441"),
 ]
 
 

@@ -314,9 +314,10 @@ def test_rerun_reading_only_the_allocation_prices_nothing(monkeypatch):
     mech = greedy_mechanism(LHALF)
     out = mech.run(inst)
     assert out.allocation.granted and not calls
-    # the critical check's probes read only each rerun's allocation
-    for j in sorted(out.allocation.grants):
-        assert critical_value(mech, inst, j).probes > 1
+    # the critical check's probes read only each rerun's allocation; a
+    # winner overlapping no other bid has one region to probe
+    probes = [critical_value(mech, inst, j).probes for j in sorted(out.allocation.grants)]
+    assert min(probes) >= 1 and max(probes) > 1
     assert not calls
     priced = [j for j, i in out.trace.blockers.items() if i is not None]
     assert priced
