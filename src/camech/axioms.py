@@ -1,17 +1,17 @@
 """Executable axioms, critical-value computation, and misreport search.
 
-Four properties are checked against a runnable mechanism: exactness (full
-bundle or nothing), monotonicity (more money for fewer goods never loses),
-participation (denied bids pay zero), and critical pricing (winners pay the
-threshold below which they would have lost).  A mechanism passing all four
-on an instance family should admit no profitable single-bundle misreport;
-`find_profitable_deviation` tests exactly that by re-runs over every bundle,
-one per class of bundles the mechanisms cannot tell apart.
+Four properties are checked against a runnable mechanism, each decided by
+reruns: exactness (full bundle or nothing), monotonicity (more money, or
+fewer goods, never loses), participation (denied bids pay zero), and
+critical pricing (winners pay the threshold below which they would have
+lost).  A mechanism passing all four on an instance family should admit no
+profitable single-bundle misreport; `find_profitable_deviation` tests
+exactly that by re-runs over every bundle, one per class of bundles the
+mechanisms cannot tell apart.
 """
 
 from __future__ import annotations
 
-import random
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
@@ -29,8 +29,6 @@ from .greedy import run_greedy
 
 #: Probes sit this fraction of the local gap off a threshold's rational bracket.
 PROBE_SCALE = Fraction(1, 2 ** 20)
-#: Draws tried for one tie-free monotonicity perturbation before giving up.
-PERTURBATION_ATTEMPTS = 20
 #: The four properties, in the order a suite reports them.
 AXIOMS = ("exactness", "monotonicity", "participation", "critical")
 #: Most goods whose bundles the misreport search enumerates.
@@ -245,6 +243,15 @@ def _grid(
     return {t: r for r, t in enumerate(ordered)}, d, brackets, _region_probes(brackets, d)
 
 
+@dataclass(frozen=True, eq=False)
+class Witness:
+    """Replayable evidence for a violated axiom."""
+
+    instance: AuctionInstance
+    bid_index: Optional[int]
+    description: str
+
+
 def critical_value(mech: Mechanism, instance: AuctionInstance, j: int) -> CriticalValue:
     """Bid j's grant threshold: the mechanism's first kept threshold above
     which, probed once inside each region between kept thresholds, j wins
@@ -254,7 +261,8 @@ def critical_value(mech: Mechanism, instance: AuctionInstance, j: int) -> Critic
     positive value and one just above each kept threshold's bracket,
     toward the next grid value, so each is a probe the scan would make
     with every grid value kept.  Raises `NonMonotoneDetected` when a probe
-    finds a denial above a grant, i.e. when no single threshold exists.
+    finds a denial above a grant, i.e. when no single threshold exists; its
+    witness is the instance with bid j at the denied probe.
     """
     bundle = instance.bids[j].bundle
     kept, grid = mech.thresholds(instance, j)(bundle)
@@ -273,23 +281,12 @@ def critical_value(mech: Mechanism, instance: AuctionInstance, j: int) -> Critic
         return CriticalValue(None, len(probes))
     for i in range(first + 1, len(status)):
         if not status[i]:
-            raise NonMonotoneDetected(
-                f"bid {j}: granted at {Money(probes[first]).to_decimal()} "
-                f"but denied at {Money(probes[i]).to_decimal()}",
-                witness={"instance": instance, "bid": j,
-                         "granted_at": probes[first], "denied_at": probes[i]},
-            )
+            message = (f"bid {j}: granted at {Money(probes[first]).to_decimal()} "
+                       f"but denied at {Money(probes[i]).to_decimal()}")
+            witness = Witness(instance.with_amount(j, probes[i]), j, message)
+            raise NonMonotoneDetected(message, witness)
     value = Money(0) if first == 0 else list(row)[rows[first - 1]]
     return CriticalValue(value, len(probes))
-
-
-@dataclass(frozen=True, eq=False)
-class Witness:
-    """Replayable evidence for a violated axiom."""
-
-    instance: AuctionInstance
-    bid_index: Optional[int]
-    description: str
 
 
 @dataclass(frozen=True, eq=False)
@@ -308,7 +305,6 @@ class AxiomCheck:
 @dataclass(frozen=True, eq=False)
 class AxiomReport:
     mechanism: str
-    seed: Optional[int]
     instances: int
     checks: tuple[AxiomCheck, ...]
 
@@ -317,7 +313,7 @@ class AxiomReport:
         return all(c.verdict != "violated" for c in self.checks)
 
 
-def _exactness_witness(mech, inst, out) -> Optional[Witness]:
+def _exactness_witness(mech, inst, out, scan, counts) -> Optional[Witness]:
     """Every bid receives exactly its declared bundle or nothing at all."""
     for j, granted in out.allocation.grants.items():
         if granted and granted != inst.bids[j].bundle:
@@ -326,7 +322,7 @@ def _exactness_witness(mech, inst, out) -> Optional[Witness]:
     return None
 
 
-def _participation_witness(mech, inst, out) -> Optional[Witness]:
+def _participation_witness(mech, inst, out, scan, counts) -> Optional[Witness]:
     """Denied bids pay exactly zero."""
     for j in range(len(inst.bids)):
         if not out.is_granted(j) and out.payments[j]:
@@ -334,13 +330,12 @@ def _participation_witness(mech, inst, out) -> Optional[Witness]:
     return None
 
 
-def _critical_witness(mech, inst, out) -> Optional[Witness]:
-    """Winners pay exactly their critical value.
-
-    Propagates `NonMonotoneDetected` from the critical-value search.
-    """
+def _critical_witness(mech, inst, out, scan, counts) -> Optional[Witness]:
+    """Winners pay exactly their critical value, which their scan finds."""
     for j in sorted(out.allocation.grants):
-        cv = critical_value(mech, inst, j)
+        cv = scan(j)
+        if isinstance(cv, Witness):
+            return cv
         pay = out.payments[j]
         if cv.value is None:
             return Witness(inst, j, f"granted bid {j} has an infinite critical value")
@@ -350,126 +345,134 @@ def _critical_witness(mech, inst, out) -> Optional[Witness]:
     return None
 
 
-def _monotonicity_witness(rng, perturbations, mech, inst, out) -> tuple[Optional[Witness], int]:
-    """Raising a winner's amount, or shrinking its bundle, keeps it winning.
+def _holders(instance: AuctionInstance) -> list[int]:
+    """Per good, the mask over bid indices of the bids holding it."""
+    masks = instance.bid_masks
+    return [sum(1 << i for i, m in enumerate(masks) if m >> g & 1)
+            for g in range(len(instance.goods))]
 
-    Perturbations are sampled (the space is infinite) and kept tie-free when
-    the mechanism ranks by a norm, since the tie-free assumption is what the
-    property is stated under.  Also returns the perturbations tried.
+
+def _sub_bundle_classes(mask: int, holders: Sequence[int],
+                        most: Optional[int] = None) -> Optional[list[int]]:
+    """The least member of each class of a bid mask's non-empty proper
+    sub-masks, in increasing order, a class being one size and one union of
+    `_holders` (for a bid's own mask: the other bids overlapped, as the bid
+    holds each of its goods); None once there are more than `most` classes.
+
+    A DP over the goods keeps per state (size, overlap) the least partial
+    mask reaching it: masks in one state have the same extensions, each
+    disjoint from them, so the least one left is its class's least member.
+    No state leaves a later level, so the DP stops at the first level of
+    more than `most` + 2 states, the empty and the whole bundle among them.
     """
-    tried = 0
+    # a state is its overlap shifted above its size
+    shift = mask.bit_count().bit_length()
+    level, top = {0: 0}, mask + 1
+    for bit in [1 << g for g in range(mask.bit_length()) if mask >> g & 1]:
+        meet = holders[bit.bit_length() - 1] << shift
+        grown = dict(level)
+        for state, least in level.items():
+            state, least = (state | meet) + 1, least | bit
+            if least < grown.get(state, top):
+                grown[state] = least
+        if most is not None and len(grown) > most + 2:
+            return None
+        level = grown
+    return sorted(m for m in level.values() if 0 < m < mask)
+
+
+def _monotonicity_witness(mech, inst, out, scan, counts) -> Optional[Witness]:
+    """A winner keeps winning when its amount rises or its bundle shrinks.
+
+    For a mechanism constant between its declared thresholds, the critical
+    scan decides every raise; one rerun just above the amount (toward twice
+    it, as the scan's top probe) catches thresholds that leave out a loss
+    there.  A shrink at the amount reruns each `_sub_bundle_classes` class's
+    least member: the registered mechanisms read a bundle only through its
+    size and the other bids it overlaps.  A rerun that ties (`TiesPresent`,
+    or a ranking that `had_ties`) is skipped, as the property is stated
+    tie-free.  counts[0] adds the reruns compared, counts[1] those skipped.
+    """
+    goods, holders = inst.goods, _holders(inst)
     for j in sorted(out.allocation.grants):
-        bid = inst.bids[j]
-        for _ in range(perturbations):
-            perturbed = _tie_free_perturbation(rng, mech, inst, j)
-            if perturbed is None:
-                continue
-            tried += 1
-            new_inst, new_bid, result = perturbed
-            if result.allocation.bundle_granted(j) != new_bid.bundle:
-                return Witness(
-                    new_inst, j,
-                    f"bid {j} was granted as {sorted(bid.bundle)}@"
-                    f"{Money(bid.amount).to_decimal()} but lost after moving to "
-                    f"{sorted(new_bid.bundle)}@{Money(new_bid.amount).to_decimal()}",
-                ), tried
-    return None, tried
-
-
-def _tie_free_perturbation(rng, mech: Mechanism, inst, j):
-    """A perturbed copy of bid j, its instance and the mechanism's outcome
-    on it; None if none of `PERTURBATION_ATTEMPTS` draws is tie-free.
-
-    A norm mechanism's own ranking decides, so each draw is ranked once: it
-    ties when the outcome's trace ranking `had_ties`, or when a `REJECT`
-    run raises `TiesPresent`.  Only the perturbed instance's own ranking
-    can raise: clarke-greedy's reruns with one amount set to zero break
-    ties canonically.
-    """
-    bid = inst.bids[j]
-    for _ in range(PERTURBATION_ATTEMPTS):
-        if len(bid.bundle) > 1 and rng.random() < 0.5:
-            keep = rng.randint(1, len(bid.bundle) - 1)
-            goods = sorted(bid.bundle)
-            new_bundle = frozenset(rng.sample(goods, keep))
-            new_bid = SingleMindedBid(bid.bidder, new_bundle, bid.amount, bid.is_reserve)
-        else:
-            # the amount times 1 + r / 10**6, as one `Fraction`
-            r, a = rng.randint(1, 10 ** 6), bid.amount
-            new_bid = bid.with_amount(
-                Fraction(a.numerator * (10 ** 6 + r), a.denominator * 10 ** 6)
-            )
-        new_inst = inst.with_bid(j, new_bid)
-        if mech.norm is None:
-            return new_inst, new_bid, mech.run(new_inst)
-        try:
-            result = mech.run(new_inst)
-        except TiesPresent:
-            continue
-        if not result.trace.ranking.had_ties:
-            return new_inst, new_bid, result
+        cv = scan(j)
+        if isinstance(cv, Witness):
+            return cv
+        bid, (p, q) = inst.bids[j], inst.bids[j].amount.as_integer_ratio()
+        moves = [bid.with_amount(_toward(p, 2 * p or q, q))]
+        moves += [SingleMindedBid(bid.bidder, [g for i, g in enumerate(goods) if m >> i & 1],
+                                  bid.amount, bid.is_reserve)
+                  for m in _sub_bundle_classes(inst.bid_masks[j], holders)]
+        for moved in moves:
+            moved_inst = inst.with_bid(j, moved)
+            try:
+                result = mech.run(moved_inst)
+                tied = mech.norm is not None and result.trace.ranking.had_ties
+            except TiesPresent:
+                tied = True
+            counts[tied] += 1
+            if not tied and result.allocation.bundle_granted(j) != moved.bundle:
+                return Witness(moved_inst, j, f"bid {j} was granted as {sorted(bid.bundle)}@"
+                               f"{Money(bid.amount).to_decimal()} but lost after moving to "
+                               f"{sorted(moved.bundle)}@{Money(moved.amount).to_decimal()}")
     return None
 
 
 _WITNESSES = {
     "exactness": _exactness_witness,
+    "monotonicity": _monotonicity_witness,
     "participation": _participation_witness,
     "critical": _critical_witness,
 }
 
 
 def run_axiom_suite(
-    mech: Mechanism,
-    instances: Iterable[AuctionInstance],
-    axioms: Iterable[str] = AXIOMS,
-    *,
-    seed: int = 0,
-    perturbations: int = 10,
+    mech: Mechanism, instances: Iterable[AuctionInstance], axioms: Iterable[str] = AXIOMS
 ) -> AxiomReport:
     """Check the named axioms over the instances, reported in `AXIOMS` order.
 
     The mechanism runs once per instance and every selected check reads that
-    outcome; a check stops at its first violation, and a `NonMonotoneDetected`
-    from the critical-value search is a violated critical check.  Every
-    instance passes `check_planned_reruns` before the first run.
+    outcome; a check stops at its first violation.  The critical and
+    monotonicity checks share each winner's `critical_value` scan, made at
+    most once per instance and bid; a scan finding a denial above a grant
+    violates both.  Every instance passes `check_planned_reruns` before the
+    first run.
     """
     selected = set(axioms)
     unknown = sorted(selected - set(AXIOMS))
     if unknown:
         raise InvalidArgument(f"unknown axiom name: {unknown[0]}")
-    if "monotonicity" in selected and perturbations < 1:
-        raise InvalidArgument("monotonicity needs at least one perturbation per granted bid")
     instances = list(instances)
     for inst in instances:
-        check_planned_reruns(mech, inst, selected, perturbations=perturbations)
-    rng = random.Random(f"monotonicity:{seed}")
-    tried = 0
-    pending = [name for name in AXIOMS if name in selected]
-    violated: dict[str, AxiomCheck] = {}
+        check_planned_reruns(mech, inst, selected)
+    counts = [0, 0]
+    checks: dict[str, Optional[AxiomCheck]] = {name: None for name in AXIOMS if name in selected}
     for samples, inst in enumerate(instances, 1):
+        pending = [name for name, check in checks.items() if check is None]
         if not pending:
             break
         out = mech.run(inst)
-        for name in list(pending):
-            try:
-                if name == "monotonicity":
-                    witness, count = _monotonicity_witness(rng, perturbations, mech, inst, out)
-                    tried += count
-                else:
-                    witness = _WITNESSES[name](mech, inst, out)
-                check = witness and AxiomCheck(name, "violated", samples, witness)
-            except NonMonotoneDetected as exc:
-                check = AxiomCheck(name, "violated", samples, detail=str(exc))
-            if check:
-                violated[name] = check
-                pending.remove(name)
-    checks = tuple(
-        violated.get(name)
-        or AxiomCheck(name, "holds", len(instances),
-                      detail=f"{tried} perturbations" if name == "monotonicity" else "")
-        for name in AXIOMS if name in selected
-    )
-    return AxiomReport(mech.name, seed, len(instances), checks)
+        scans: dict[int, CriticalValue | Witness] = {}
+
+        def scan(j):
+            # the module's own `critical_value`, looked up at each call
+            if j not in scans:
+                try:
+                    scans[j] = critical_value(mech, inst, j)
+                except NonMonotoneDetected as exc:
+                    scans[j] = exc.witness
+            return scans[j]
+
+        for name in pending:
+            witness = _WITNESSES[name](mech, inst, out, scan, counts)
+            if witness:
+                checks[name] = AxiomCheck(name, "violated", samples, witness)
+    moves = f"{counts[0]} moves rerun, {counts[1]} skipped on ties"
+    return AxiomReport(mech.name, len(instances), tuple(
+        check or AxiomCheck(name, "holds", len(instances),
+                            detail=moves if name == "monotonicity" else "")
+        for name, check in checks.items()
+    ))
 
 
 @dataclass(frozen=True, eq=False)
@@ -554,7 +557,7 @@ def _bundle_count(k: int) -> int:
 
 def check_planned_reruns(
     mech: Mechanism, instance: AuctionInstance, axioms: Iterable[str] = (), *,
-    perturbations: int = 0, deviations: bool = False,
+    deviations: bool = False,
 ) -> None:
     """Raise `InstanceTooLarge` when checking the named axioms of `mech` on
     `instance`, with every bidder's misreport search when `deviations` is
@@ -563,24 +566,21 @@ def check_planned_reruns(
 
     At most `MAX_PLANNED_RERUNS` reruns.  Names outside `AXIOMS` are
     charged nothing; `run_axiom_suite` rejects them.  With any name, the
-    suite runs the mechanism once.  Monotonicity plans at most
-    `perturbations` reruns per bid.  With "critical", each of the n bids
-    may win, and `critical_value` probes a winner once more than its
-    distinct positive thresholds, which number at most n - 1 for a norm
-    mechanism and one for the GVA: n * max(n, 2) reruns, or 2 * n for a
-    mechanism with a `solver`.  With `deviations`, each non-reserve
-    bidder's misreport search plans its truthful rerun and, per bundle at
-    worst, zero, one value inside each region above one of the at most
-    n - 1 other bids' thresholds (the true amount in place of the region's
-    probe when it lies below it) and the true amount when it lies in a
-    threshold's bracket: (2**k - 1) * (n + 1) + 1 reruns.  That counts
-    every bundle, an upper bound on the search, which reruns one bundle
-    per class; counting the classes would itself take 2**k * n steps
-    before a refusal.  Past `MAX_SEARCH_GOODS` goods the search raises
-    `BundleSpaceTooLarge` here.  Under `CANONICAL` a norm mechanism keeps
-    only the thresholds of the other bids a bundle overlaps, so both scans
-    usually rerun fewer values than these n-based charges, which remain
-    upper bounds.
+    suite runs the mechanism once.  With "critical" or "monotonicity",
+    each of the n bids may win, and the `critical_value` scan the two
+    share probes a winner once more than its distinct positive thresholds,
+    at most n - 1 for a norm mechanism and one for the GVA: n * max(n, 2)
+    reruns, or 2 * n with a `solver`.  Monotonicity adds, per bid, its
+    raise and one rerun per sub-bundle class, which `_sub_bundle_classes`
+    counts last, stopping once the plan passes the budget.  With
+    `deviations`, each non-reserve bidder's search plans its truthful rerun
+    and, per bundle, zero, a value inside each region above one of the at
+    most n - 1 other bids' thresholds and the true amount in a bracket:
+    (2**k - 1) * (n + 1) + 1 reruns, an upper bound on the search, which
+    reruns one bundle per class.  Past `MAX_SEARCH_GOODS` goods the search
+    raises `BundleSpaceTooLarge` here.  Under `CANONICAL` a norm mechanism
+    keeps only the thresholds of the bids a bundle overlaps, so both scans
+    usually rerun fewer values than these n-based upper bounds.
 
     At most `MAX_RERUN_KEY_BITS` key bits: a rerun ranking by `mech.norm`
     builds a key of about q * bits(largest weight) + p * bits(lcm of
@@ -588,16 +588,18 @@ def check_planned_reruns(
     `exact.MAX_BRUTE_SUBSETS` subsets: a GVA rerun by `mech.solver` fills
     (n + 1) * 2**k DP cells or visits (n + 1) * 2**n bid subsets, and the
     GVA's thresholds build one entry-value table of n * 2**k cells per
-    critical bid and per searched bidder.  Last, with "critical", such a
-    table of the other n - 1 bids must pass the DP's own table bound, as
-    `exact` checks it before building one.
+    scanned bid and per searched bidder.  Last, with a scan, such a table
+    of the other n - 1 bids must pass the DP's own table bound, as `exact`
+    checks it before building one.
     """
     axioms = set(axioms)
     n, k = len(instance.bids), len(instance.goods)
-    critical, cfg, solver = "critical" in axioms, mech.norm, mech.solver
-    runs = bool(axioms) + (n * max(perturbations, 0) if "monotonicity" in axioms else 0)
-    tables = 0
-    if critical:
+    cfg, solver = mech.norm, mech.solver
+    monotone = "monotonicity" in axioms
+    scanned = monotone or "critical" in axioms
+    # the suite's own run and, for monotonicity, each bid's raise
+    runs, tables = int(bool(axioms)) + n * monotone, 0
+    if scanned:
         runs += n * (2 if solver else max(n, 2))
         tables += n
     if deviations:
@@ -608,6 +610,14 @@ def check_planned_reruns(
         raise InstanceTooLarge(
             f"the check plans {runs} mechanism reruns; at most {MAX_PLANNED_RERUNS} are allowed"
         )
+    holders = _holders(instance) if monotone else []
+    for j, mask in enumerate(instance.bid_masks if monotone else ()):
+        # counted last, so the DP stops once the whole plan passes the budget
+        classes = _sub_bundle_classes(mask, holders, MAX_PLANNED_RERUNS - runs)
+        if classes is None:
+            raise InstanceTooLarge(f"bid {j}'s sub-bundle classes take the check past "
+                                   f"{MAX_PLANNED_RERUNS} mechanism reruns, the most allowed")
+        runs += len(classes)
     if cfg is not None and runs:
         p, q = cfg.exponent.numerator, cfg.exponent.denominator
         top = lcm(*(len(b.bundle) for b in instance.bids))
@@ -632,7 +642,7 @@ def check_planned_reruns(
                     f"the check's {runs} GVA reruns and {tables} entry-value tables need more"
                     f" than {most} {unit}, the most allowed"
                 )
-        if critical:
+        if scanned:
             _exact._check_cells(n - 1, k)
 
 
@@ -685,11 +695,8 @@ def find_profitable_deviation(
     grids: dict[tuple[Money, ...], tuple] = {}
     # per class of bundles, the candidates its later members still rerun
     classes: dict[tuple[int, int, bool], list[Fraction]] = {}
-    masks = instance.bid_masks
     # the other bids each good meets, as a mask over bid indices
-    meets = [
-        sum(1 << i for i, m in enumerate(masks) if i != j and m >> g & 1) for g in range(k)
-    ]
+    meets = [h & ~(1 << j) for h in _holders(instance)]
     overlaps = [0] * (bundles + 1)
     # a true good outside the instance is covered by no bundle; leaving it
     # out of the mask only splits classes further

@@ -4,12 +4,12 @@ Verbs: `run` a mechanism over an instance file, `check` axioms and
 misreports, `gen` seeded random instances, `experiment` for the bundled
 suites.  Every command writes one JSON document; exit codes are the only
 success channel (0 ok, 1 failed check, 2 parse/validation, 3 ties rejected,
-4 size guard).  All randomness flows through --seed (default: the
-CAMECH_SEED environment variable, then 0).
+4 size guard).  Only `gen` and the ratio suite draw at random, through
+--seed (default: the CAMECH_SEED environment variable, then 0).
 
 The argument parser is built once per process, on the first `main` call,
 and every call parses with it into a fresh namespace.  Building it (four
-subparsers, 36 arguments) took about 1.3 ms, more than half of an
+subparsers, then 36 arguments) took about 1.3 ms, more than half of an
 in-process `gen` plus `run` pair on an 8-good, 12-bid instance; with one
 parser per process such pairs went from 189 to 530 a second (2-vCPU host,
 Python 3.11).  A one-shot `camech` process builds one parser either way,
@@ -112,9 +112,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     check_p.add_argument("--deviations", action="store_true",
                          help="exhaustive misreport search for every bidder")
-    check_p.add_argument("--seed", type=int, default=None)
-    check_p.add_argument("--samples", type=int, default=10,
-                         help="monotonicity perturbations per granted bid")
 
     gen_p = sub.add_parser("gen", help="generate a seeded tie-free instance")
     add_common(gen_p, with_input=False)
@@ -186,17 +183,11 @@ def _cmd_run(args) -> tuple[dict, int]:
 def _cmd_check(args) -> tuple[dict, int]:
     instance = _load_valid_instance(args)
     mech = _flag_mechanism(args)
-    seed = args.seed if args.seed is not None else _default_seed()
-    if args.axioms == "all":
-        selected = AXIOMS
-    elif args.axioms == "none":
-        selected = ()
-    else:
+    selected = {"all": AXIOMS, "none": ()}.get(args.axioms)
+    if selected is None:
         selected = [a.strip() for a in args.axioms.split(",") if a.strip()]
-    check_planned_reruns(
-        mech, instance, selected, perturbations=args.samples, deviations=args.deviations
-    )
-    report = run_axiom_suite(mech, [instance], selected, seed=seed, perturbations=args.samples)
+    check_planned_reruns(mech, instance, selected, deviations=args.deviations)
+    report = run_axiom_suite(mech, [instance], selected)
     deviations = None
     if args.deviations:
         deviations = [

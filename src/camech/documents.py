@@ -231,7 +231,6 @@ def check_report_document(
     bidder's profitable deviation or None; all hold when nothing turned up."""
     doc: dict[str, Any] = {
         "mechanism": report.mechanism,
-        "seed": report.seed,
         "checks": [check_document(c) for c in report.checks],
     }
     ok = report.all_hold

@@ -34,7 +34,7 @@ class ExponentNotSupported(CamechError):
 
 
 class NonMonotoneDetected(CamechError):
-    """Probing found a denial above a granted value; the critical value is undefined."""
+    """A denial above a granted value leaves no critical value; `witness` replays it."""
 
     def __init__(self, message, witness=None):
         super().__init__(message)

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from camech import axioms, exact, greedy, norm
+from camech import axioms, documents, exact, greedy, norm
 from camech.axioms import (
     MECHANISMS,
     PROBE_SCALE,
@@ -210,12 +210,25 @@ def test_nonmonotone_detected_threshold_route():
 
 
 def test_nonmonotone_is_a_violated_critical_check():
+    # the denial above a grant violates both checks that read the scan, each
+    # with the same witness: red at the denied probe, which replays the loss
     inst = three_bidder_instance().with_amount(0, 12)  # red wins inside its window
     with pytest.raises(NonMonotoneDetected) as raised:
         critical_value(WINDOW, inst, 0)
-    (check,) = run_axiom_suite(WINDOW, [inst], ["critical"]).checks
-    assert (check.axiom, check.verdict, check.samples) == ("critical", "violated", 1)
-    assert check.detail == str(raised.value) and check.witness is None
+    report = run_axiom_suite(WINDOW, [inst], ["critical", "monotonicity"])
+    assert [(c.axiom, c.verdict, c.samples) for c in report.checks] == [
+        ("monotonicity", "violated", 1), ("critical", "violated", 1),
+    ]
+    for check in report.checks:
+        witness = check.witness
+        assert witness.description == str(raised.value) and witness.bid_index == 0
+        assert witness.instance.bids[0].amount > 15
+        assert WINDOW.run(witness.instance).allocation.bundle_granted(0) == frozenset()
+    doc = documents.check_report_document(report, None)
+    assert [c["witness"]["description"] for c in doc["checks"]] == [str(raised.value)] * 2
+    assert documents.parse_instance_text(
+        documents.to_json(doc["checks"][1]["witness"]["instance"])
+    ).bids[0].amount == witness.instance.bids[0].amount
 
 
 def test_nonmonotone_detected_probing_route():
@@ -243,7 +256,7 @@ def _sample(count, k=5, n=7, tag="axiom"):
 
 def test_greedy_passes_all_axioms_small_suite():
     for cfg in (L1, LHALF):
-        report = run_axiom_suite(greedy_mechanism(cfg), _sample(25), seed=3)
+        report = run_axiom_suite(greedy_mechanism(cfg), _sample(25))
         assert report.all_hold, [c for c in report.checks if not c.holds]
 
 
@@ -333,6 +346,106 @@ def test_planted_loss_on_a_raise_fails_monotonicity():
     assert "lost after moving to ['a']@" in check.witness.description
 
 
+def test_planted_loss_at_twice_the_amount_fails_monotonicity():
+    # each bid wins below twice its declared amount and declares that
+    # threshold, so the critical scan's probe just above it finds the loss,
+    # which no raise of at most double the amount reaches
+    inst = AuctionInstance(("a", "b"), (bid("x", "a", 10), bid("y", "b", 8)))
+    declared = [b.amount for b in inst.bids]
+    doubled = Mechanism(
+        "doubled", lambda i: _grants_while(i, lambda j, b: b.amount < 2 * declared[j]),
+        lambda instance, j: lambda bundle: ([Money(2 * declared[j])],) * 2,
+    )
+    (check,) = run_axiom_suite(doubled, [inst], ["monotonicity"]).checks
+    assert (check.verdict, check.samples, check.witness.bid_index) == ("violated", 1, 0)
+    witness = check.witness.instance
+    assert 20 < witness.bids[0].amount < F(201, 10)
+    assert doubled.run(witness).allocation.bundle_granted(0) == frozenset()
+    assert check.witness.description.startswith("bid 0: granted at 19.99")
+
+
+def test_planted_loss_on_a_smaller_bundle_fails_monotonicity():
+    # x wins {a, b, c} and loses every proper sub-bundle at its amount; {a}
+    # and {b}, which y does not overlap, form one class, so its least member
+    # {a} is the first sub-bundle rerun, and the witness replays its loss
+    inst = AuctionInstance(("a", "b", "c"), (bid("x", "abc", 10), bid("y", "c", 8)))
+    sizes = [len(b.bundle) for b in inst.bids]
+    whole = Mechanism(
+        "whole", lambda i: _grants_while(i, lambda j, b: len(b.bundle) == sizes[j]), no_thresholds
+    )
+    (check,) = run_axiom_suite(whole, [inst], ["monotonicity"]).checks
+    assert (check.verdict, check.samples, check.witness.bid_index) == ("violated", 1, 0)
+    witness = check.witness.instance
+    assert (witness.bids[0].bundle, witness.bids[0].amount) == (frozenset("a"), 10)
+    assert whole.run(witness).allocation.bundle_granted(0) == frozenset()
+    assert check.witness.description == (
+        "bid 0 was granted as ['a', 'b', 'c']@10 but lost after moving to ['a']@10"
+    )
+
+
+def _classes_by_submask(instance, j):
+    """Every non-empty proper sub-mask of bid j's mask grouped by size and
+    the set of other bids it meets, each group's least member, in order."""
+    masks = instance.bid_masks
+    mask, least = masks[j], {}
+    for sub in range(1, masks[j]):
+        if sub & mask == sub:
+            met = frozenset(i for i, m in enumerate(masks) if i != j and m & sub)
+            least.setdefault((sub.bit_count(), met), sub)
+    return sorted(least.values())
+
+
+def _classes_by_counts(instance, j):
+    """The same groups from how many goods a sub-bundle takes from each set
+    of goods that meet the same other bids: a least member takes each set's
+    lowest goods, so only those choices are tried."""
+    masks = instance.bid_masks
+    mask = masks[j]
+    alike = {}
+    for g in range(mask.bit_length()):
+        if mask >> g & 1:
+            meets = frozenset(i for i, m in enumerate(masks) if i != j and m >> g & 1)
+            alike.setdefault(meets, []).append(g)
+    least = {}
+    for counts in itertools.product(*(range(len(gs) + 1) for gs in alike.values())):
+        sub = sum(1 << g for gs, c in zip(alike.values(), counts) for g in gs[:c])
+        if 0 < sub < mask:
+            meets = frozenset().union(*(m for m, c in zip(alike, counts) if c))
+            key = (sub.bit_count(), meets)
+            least[key] = min(least.get(key, sub), sub)
+    return sorted(least.values())
+
+
+def _classes(instance, j, most=None):
+    """`axioms._sub_bundle_classes` of bid j."""
+    return axioms._sub_bundle_classes(instance.bid_masks[j], axioms._holders(instance), most)
+
+
+def test_sub_bundle_classes_match_every_sub_bundle():
+    rng = random.Random("sub-bundle-classes")
+    for t in range(12):
+        k, n = (16, 6) if t < 2 else (rng.randint(1, 12), rng.randint(1, 9))
+        goods = tuple(f"g{i}" for i in range(k))
+        bundles = [goods] if t < 2 else []
+        bundles += [rng.sample(goods, rng.randint(1, k)) for _ in range(n - len(bundles))]
+        inst = AuctionInstance(goods, tuple(bid(f"b{i}", b, 1) for i, b in enumerate(bundles)))
+        for j in range(n):
+            expected = _classes_by_submask(inst, j)
+            assert _classes(inst, j) == expected == _classes_by_counts(inst, j)
+            # the DP stops once it holds more classes than allowed
+            assert _classes(inst, j, len(expected)) == expected
+            if expected:
+                assert _classes(inst, j, len(expected) - 1) is None
+    # a 30-good bundle, 2**30 - 2 sub-bundles, met by three other bids
+    goods = tuple(f"g{i}" for i in range(32))
+    others = [rng.sample(goods, 6) for _ in range(3)]
+    inst = AuctionInstance(goods, tuple(
+        bid(f"b{i}", b, 1) for i, b in enumerate([goods[:30], *others])
+    ))
+    classes = _classes(inst, 0)
+    assert classes == _classes_by_counts(inst, 0) and len(classes) > 100
+
+
 def test_planted_grant_at_one_amount_has_infinite_critical_value():
     # bid x wins only at exactly its declared amount, which no probe hits
     inst = AuctionInstance(("a", "b"), (bid("x", "a", 10), bid("y", "b", 8)))
@@ -347,8 +460,9 @@ def test_planted_grant_at_one_amount_has_infinite_critical_value():
 
 def test_monotonicity_skips_tied_perturbations():
     # at l = 1, shrinking x's {a, b} at 10 to one good ties y's {c} at 10;
-    # under REJECT those draws raise and are redrawn, and only the tie-free
-    # ones are counted
+    # {a} and {b} overlap no other bid, so they form one class, rerun once
+    # at {a}; under REJECT that rerun raises and is skipped, and only the
+    # two raises are compared
     inst = AuctionInstance(("a", "b", "c"), (bid("x", "ab", 10), bid("y", "c", 10)))
     mech = greedy_mechanism(NormConfig(F(1), TieRule.REJECT))
     tied = []
@@ -361,9 +475,9 @@ def test_monotonicity_skips_tied_perturbations():
             raise
 
     counted = replace(mech, run=run)
-    (check,) = run_axiom_suite(counted, [inst], ["monotonicity"], perturbations=10).checks
-    assert check.holds and check.detail == "20 perturbations"
-    assert tied and all(len(i.bids[0].bundle) == 1 for i in tied)
+    (check,) = run_axiom_suite(counted, [inst], ["monotonicity"]).checks
+    assert check.holds and check.detail == "2 moves rerun, 1 skipped on ties"
+    assert [i.bids[0].bundle for i in tied] == [frozenset("a")]
 
 
 def test_clarke_with_greedy_fails_critical_with_witness():
@@ -402,9 +516,9 @@ def test_suite_runs_each_instance_once():
 
 
 def test_suite_ranks_each_perturbation_once(monkeypatch):
-    # a perturbation's tie test reads the mechanism's own ranking, so a
-    # seeded l = 1/2 suite ranks exactly once per mechanism run; a draw with
-    # tied norms still runs the mechanism once and is then redrawn
+    # a monotonicity rerun's tie test reads the mechanism's own ranking, so
+    # an l = 1/2 suite ranks exactly once per mechanism run; a rerun with
+    # tied norms still runs the mechanism once and is then skipped
     ranks = []
     rank = norm.rank
 
@@ -425,21 +539,24 @@ def test_suite_ranks_each_perturbation_once(monkeypatch):
     tied = AuctionInstance(("a", "b", "c"), (
         bid("red", "ab", 4), bid("green", "c", 2), bid("blue", "a", 2), bid("black", "bc", 3),
     ))
-    run_axiom_suite(mech, [*_sample(6, tag="rank-once"), tied], seed=401)
+    report = run_axiom_suite(mech, [*_sample(6, tag="rank-once"), tied])
     assert any(rank(inst, LHALF).had_ties for inst in runs)
+    assert report.checks[1].detail.endswith(" skipped on ties")
+    assert not report.checks[1].detail.endswith(" 0 skipped on ties")
     assert ranks == runs
 
 
 #: Per norm exponent, over `random_instance(8, 12, seed=f"suite-pin:{t}")`
-#: for t < 8 in one seeded suite: the number of mechanism runs, and a sha256
+#: for t < 8 in one suite: the number of mechanism runs, and a sha256
 #: prefix over each rerun's replaced bid (index, sorted bundle, amount; the
 #: suite's own runs replace none) and every check's axiom, verdict, samples
-#: and detail.  Recorded from the scan that probes only above the thresholds
-#: of the bids a winner's bundle overlaps; its checks are those of the scan
-#: that probed above every other bid's threshold, which made 514 runs.
+#: and detail.  Recorded from the suite whose critical and monotonicity
+#: checks share one scan per winner and whose monotonicity check reruns one
+#: raise and one sub-bundle per class (98 moves); the sampled check it
+#: replaced made 396 runs, the same verdicts.
 _SUITE_PINS = {
-    "1/2": (396, "a59f48f8f361d5a1"),
-    "1": (396, "62bcc3458efbd9bd"),
+    "1/2": (264, "7d4641f6be97f7b5"),
+    "1": (264, "a26d92f98eb81737"),
 }
 
 
@@ -458,7 +575,7 @@ def test_axiom_suite_reruns_pinned(exponent):
         return mech.run(instance)
 
     instances = [random_instance(8, 12, seed=f"suite-pin:{t}") for t in range(8)]
-    report = run_axiom_suite(replace(mech, run=recording_run), instances, seed=7)
+    report = run_axiom_suite(replace(mech, run=recording_run), instances)
     h.update(repr(runs).encode())
     for c in report.checks:
         h.update(repr((c.axiom, c.verdict, c.samples, c.detail)).encode())
@@ -1407,30 +1524,32 @@ PLAIN = replace(greedy_mechanism(L1), name="plain", norm=None)
 def test_planned_reruns_bound(monkeypatch):
     inst = random_instance(6, 8, seed="planned:0")
     # 63 bundles x 9 candidates (zero, the true amount and one probe above
-    # each of 7 thresholds) plus the truthful rerun, for each of 8 bidders,
-    # and 8 bids x 100 perturbations
-    monkeypatch.setattr(axioms, "MAX_PLANNED_RERUNS", (63 * 9 + 1) * 8 + 800)
-    check_planned_reruns(PLAIN, inst, ["monotonicity"], perturbations=99, deviations=True)
-    # the axiom suite's own run of the mechanism is charged too
-    with pytest.raises(InstanceTooLarge, match="5345 mechanism reruns"):
-        check_planned_reruns(PLAIN, inst, ["monotonicity"], perturbations=100, deviations=True)
-    # perturbations are charged only to monotonicity
-    check_planned_reruns(PLAIN, inst, ["exactness"], perturbations=10 ** 9, deviations=True)
-    # reserve bidders are not searched: 1 + (63 x 9 + 1) x 7 + 8 x 170 is
-    # 5,337, within the bound of 5,344, and one more perturbation per bid
-    # passes it
+    # each of 7 thresholds) plus the truthful rerun, for each of 8 bidders
+    search = (63 * 9 + 1) * 8
+    # the suite's own run, at most 8 scan probes for each of 8 bids, 8
+    # raises and one rerun per sub-bundle class of each bid
+    classes = [len(_classes(inst, j)) for j in range(8)]
+    assert classes == [0, 2, 0, 10, 6, 5, 2, 10]
+    monotonicity = 1 + 8 * 8 + 8 + 35
+    monkeypatch.setattr(axioms, "MAX_PLANNED_RERUNS", search + monotonicity)
+    check_planned_reruns(PLAIN, inst, ["monotonicity"], deviations=True)
+    # the critical check reads the same scan, so it adds nothing
+    check_planned_reruns(PLAIN, inst, ["monotonicity", "critical"], deviations=True)
+    # the classes are counted last, bid by bid, and bid 7's pass the budget
+    monkeypatch.setattr(axioms, "MAX_PLANNED_RERUNS", search + monotonicity - 1)
+    with pytest.raises(InstanceTooLarge, match="bid 7's sub-bundle classes take the check past"):
+        check_planned_reruns(PLAIN, inst, ["monotonicity"], deviations=True)
+    check_planned_reruns(PLAIN, inst, ["critical"], deviations=True)
+    # reserve bidders are not searched
     reserve = inst.with_bid(0, SingleMindedBid("b1", inst.bids[0].bundle, 1, True))
-    check_planned_reruns(PLAIN, reserve, ["monotonicity"], perturbations=170, deviations=True)
-    with pytest.raises(InstanceTooLarge, match="5345 mechanism reruns"):
-        check_planned_reruns(PLAIN, reserve, ["monotonicity"], perturbations=171, deviations=True)
-    # the critical check probes at most 8 values for each of the 8 bids
-    both = ["monotonicity", "critical"]
-    check_planned_reruns(PLAIN, inst, both, perturbations=91, deviations=True)
-    with pytest.raises(InstanceTooLarge, match="5345 mechanism reruns"):
-        check_planned_reruns(PLAIN, inst, both, perturbations=92, deviations=True)
-    check_planned_reruns(PLAIN, inst, ["monotonicity"], perturbations=-1)
+    check_planned_reruns(PLAIN, reserve, ["monotonicity"], deviations=True)
+    # the axiom suite's own run is charged too
+    monkeypatch.setattr(axioms, "MAX_PLANNED_RERUNS", search + 64)
+    check_planned_reruns(PLAIN, inst, deviations=True)
+    with pytest.raises(InstanceTooLarge, match=f"{search + 65} mechanism reruns"):
+        check_planned_reruns(PLAIN, inst, ["critical"], deviations=True)
     wide = AuctionInstance(tuple(f"g{i}" for i in range(17)), (bid("x", {"g0"}, 1),))
-    check_planned_reruns(PLAIN, wide, ["monotonicity"], perturbations=1)
+    check_planned_reruns(PLAIN, wide, ["monotonicity"])
     with pytest.raises(BundleSpaceTooLarge):
         check_planned_reruns(PLAIN, wide, deviations=True)
 
@@ -1444,10 +1563,11 @@ def test_planned_rerun_key_bits_bound(monkeypatch):
     monkeypatch.setattr(axioms, "MAX_RERUN_KEY_BITS", 5 * 304)
     # the suite's run and the critical check's 2 * max(2, 2) = 4 reruns
     check_planned_reruns(mech, inst, ["critical"])
-    with pytest.raises(InstanceTooLarge, match="2128 bits"):
-        check_planned_reruns(mech, inst, ["critical", "monotonicity"], perturbations=1)
+    # monotonicity adds 2 raises and y's 2 sub-bundle classes, {a} and {b}
+    with pytest.raises(InstanceTooLarge, match="9 reruns .* 2736 bits"):
+        check_planned_reruns(mech, inst, ["critical", "monotonicity"])
     # a mechanism that ranks no keys is not charged
-    check_planned_reruns(PLAIN, inst, ["critical", "monotonicity"], perturbations=1)
+    check_planned_reruns(PLAIN, inst, ["critical", "monotonicity"])
     check_planned_reruns(mech, AuctionInstance(("a",), ()), ["critical"])
 
 
@@ -1459,21 +1579,23 @@ def test_planned_gva_solve_work_bound(monkeypatch):
     dp = gva_mechanism(DP)
     monkeypatch.setattr(axioms, "MAX_RERUN_DP_CELLS", 148)
     check_planned_reruns(dp, inst, ["critical"])
-    with pytest.raises(InstanceTooLarge, match="10 GVA reruns and 3 entry-value tables"):
-        check_planned_reruns(dp, inst, ["critical", "monotonicity"], perturbations=1)
+    # monotonicity shares the scan and its tables, and adds 3 raises and
+    # green's 2 sub-bundle classes
+    with pytest.raises(InstanceTooLarge, match="12 GVA reruns and 3 entry-value tables"):
+        check_planned_reruns(dp, inst, ["critical", "monotonicity"])
     # the search plans 3 bundles x 4 candidates and the truthful rerun per
     # bidder, and one table each
     monkeypatch.setattr(axioms, "MAX_RERUN_DP_CELLS", (3 * 3 + 39 * 4) * 4)
     check_planned_reruns(dp, inst, deviations=True)
     with pytest.raises(InstanceTooLarge, match="DP table cells"):
-        check_planned_reruns(dp, inst, ["monotonicity"], perturbations=1, deviations=True)
+        check_planned_reruns(dp, inst, ["monotonicity"], deviations=True)
     # a brute-force rerun visits 4 * 2**3 bid subsets; the tables stay DP cells
     brute = gva_mechanism(SolverKind.BRUTE_FORCE_BID_SUBSETS)
     monkeypatch.setattr(exact, "MAX_BRUTE_SUBSETS", 7 * 32)
     monkeypatch.setattr(axioms, "MAX_RERUN_DP_CELLS", 3 * 3 * 4)
     check_planned_reruns(brute, inst, ["critical"])
     with pytest.raises(InstanceTooLarge, match="224 brute-force bid subsets"):
-        check_planned_reruns(brute, inst, ["critical", "monotonicity"], perturbations=1)
+        check_planned_reruns(brute, inst, ["critical", "monotonicity"])
     monkeypatch.setattr(axioms, "MAX_RERUN_DP_CELLS", 3 * 3 * 4 - 1)
     with pytest.raises(InstanceTooLarge, match="DP table cells"):
         check_planned_reruns(brute, inst, ["critical"])
@@ -1486,7 +1608,7 @@ def test_planned_gva_solve_work_bound(monkeypatch):
         check_planned_reruns(dp, inst, ["critical"])
     check_planned_reruns(dp, inst, ["exactness"])
     # without a solver nothing is charged for solving
-    check_planned_reruns(PLAIN, inst, axioms.AXIOMS, perturbations=1, deviations=True)
+    check_planned_reruns(PLAIN, inst, axioms.AXIOMS, deviations=True)
 
 
 def test_deviation_guard():
@@ -1502,7 +1624,7 @@ def test_sufficiency_pipeline_small():
         mech = greedy_mechanism(cfg)
         for t in range(6):
             inst = random_instance(4, 5, seed=f"pipeline:{t}")
-            report = run_axiom_suite(mech, [inst], seed=t)
+            report = run_axiom_suite(mech, [inst])
             assert report.all_hold
             for j in range(len(inst.bids)):
                 assert find_profitable_deviation(mech, inst, j) is None

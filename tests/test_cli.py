@@ -304,15 +304,15 @@ def test_env_seed_default(capsys, monkeypatch):
 def test_malformed_env_seed_exit_2(capsys, monkeypatch, three_path, raw):
     # an unreadable seed is an error wherever it is read, never a silent 0
     monkeypatch.setenv("CAMECH_SEED", raw)
-    for argv in (["check", three_path, "--axioms", "none"], ["gen", "--goods", "2", "--bids", "2"],
+    for argv in (["gen", "--goods", "2", "--bids", "2"],
                  ["experiment", "--suite", "ratio", "--trials", "1"]):
         code, out = run_cli(capsys, *argv)
         assert code == 2
         error = json.loads(out)["error"]
         assert error["kind"] == "parse" and "CAMECH_SEED" in error["message"]
-    # an explicit --seed, and `run`, never read it
+    # an explicit --seed, `run` and `check`, which draws nothing, never read it
     assert run_cli(capsys, "gen", "--goods", "2", "--bids", "2", "--seed", "0")[0] == 0
-    assert run_cli(capsys, "check", three_path, "--axioms", "none", "--seed", "0")[0] == 0
+    assert run_cli(capsys, "check", three_path)[0] == 0
     assert run_cli(capsys, "run", three_path)[0] == 0
 
 
@@ -402,7 +402,7 @@ def test_check_ties_rejected_exit_3(capsys, tmp_path):
 
 
 def test_check_deterministic(capsys, three_path):
-    args = ("check", three_path, "--seed", "5", "--samples", "4")
+    args = ("check", three_path, "--deviations")
     _, out1 = run_cli(capsys, *args)
     _, out2 = run_cli(capsys, *args)
     assert out1 == out2
@@ -481,12 +481,13 @@ def test_parser_built_once_per_process():
     assert build_parser() is build_parser()
 
 
-def test_cached_parser_takes_env_seed_after_explicit_seed(capsys, monkeypatch, three_path):
-    code, out = run_cli(capsys, "check", three_path, "--seed", "7")
-    assert code == 0 and json.loads(out)["seed"] == 7
+def test_cached_parser_takes_env_seed_after_explicit_seed(capsys, monkeypatch):
+    gen = ("gen", "--goods", "4", "--bids", "5")
+    code, explicit = run_cli(capsys, *gen, "--seed", "7")
+    assert code == 0
     monkeypatch.setenv("CAMECH_SEED", "42")
-    code, out = run_cli(capsys, "check", three_path)
-    assert code == 0 and json.loads(out)["seed"] == 42
+    code, out = run_cli(capsys, *gen)
+    assert code == 0 and out != explicit and out == run_cli(capsys, *gen, "--seed", "42")[1]
 
 
 def test_cached_parser_run_after_gen_output_writes_stdout(capsys, tmp_path):
@@ -530,8 +531,8 @@ GOLDEN = [
      "161ea60fc80c172a6d2b5bc4ac8c9f6066a3977c32892d95716803c4be893a37"),
     (["run", "THREE_PATH", "--mechanism", "gva"], 0,
      "1d485e09a87c54797e573a58587804a2ae68a86b0e27371fa74a2ea3735857d0"),
-    (["check", "THREE_PATH", "--seed", "13", "--samples", "5"], 0,
-     "7aa44bb7807fd7a9f8bfcca071bc24e351928e5677a41944e9347073113716d0"),
+    (["check", "THREE_PATH"], 0,
+     "b49c1e73ad1bf07b2a72f70708576228340a6e54a4d124062b76806fdbc0b4cc"),
     (["experiment", "--suite", "ratio", "--k", "4", "--n", "6", "--trials", "20",
       "--l", "1/2", "--seed", "13"], 0,
      "6c7ca1cff1bb744dc9649c0581d5a0d4eb43063752f1f1adb75e55619657ef7c"),
@@ -546,22 +547,22 @@ GOLDEN = [
     (["run", "THREE_PATH", "--norm-exponent", "1/2"], 0,
      "468a8997fe21ab0e7e9e7f86fc1d67b4b90090a20f08e222461026fe65698088"),
     (["check", "THREE_PATH", "--mechanism", "gva"], 0,
-     "cd2d7e2ea622b1e4d2c806ea085769884e8313ad382b546319dedc6d00ca5b2f"),
+     "44a25c46c91be1f647c74c8002b9578d34f7253f7a19f035470eeac6533e73a4"),
     (["check", "THREE_PATH", "--mechanism", "clarke-greedy", "--deviations"], 1,
-     "91cbb4a128b9941e347876b7d94bf1b0113ffc559f83e397312f06cdb6a4f99b"),
+     "1459b84cfb136fc4ffa2af09777de198e11a635a7764350902957cabae2d79d3"),
     (["experiment", "--suite", "tight", "--l", "1/2"], 0,
      "3d9897e6e669db663373894bb010d21c0332c43fbc77a2d526d4d0d7ceedf26a"),
     (["experiment", "--suite", "tight", "--l", "1", "--k", "5"], 0,
      "7b6e23d4d486a99bf49bd38f16165db8244a17c2ebed2bdc750ecd83b928ca7f"),
     (["check", "THREE_PATH", "--mechanism", "clarke-greedy", "--axioms", "exactness,critical"], 1,
-     "8222cc1d38b7dfbd1f7ac90734ea83f43e34fccef878b4dc8f2695754fb95513"),
+     "aa48d2a9fa7a1bcd83d7b959255bade242286071ed0077620024d3d1d4e920d8"),
     (["check", "THREE_PATH", "--axioms", "none", "--deviations"], 0,
-     "6c311c45c92ae9cd58a0d095116be3132ec6adaeabb8c8b0033d76fc817866f5"),
-    (["check", "THREE_PATH", "--norm-exponent", "1/2", "--seed", "13", "--samples", "5"], 0,
-     "f9c34d9ebc4497458501d18a6adf5c3a2a84cec13a65d09c998fb4fd565960b7"),
+     "33b3373dda763844861997959b137bf3f5a7a885e8b7e0ac35226aba44b9c452"),
+    (["check", "THREE_PATH", "--norm-exponent", "1/2"], 0,
+     "07d3b9bf006ea033425d856d99692d2185331c8c4b068cf31d99fcee98396f13"),
     (["check", "GEN_PATH", "--mechanism", "clarke-greedy", "--norm-exponent", "1/2",
       "--deviations"], 1,
-     "c4b738d80ad70333c2e2ab94e1042264237785ef3f95da82c07aa71f8cae5441"),
+     "0c089fa4cfc568c91bb1ec83e8c1b2ee9b87e1581facbbfed649556f7c363587"),
 ]
 
 
@@ -601,10 +602,12 @@ REFUSALS = [
     ("unknown-axiom", _GEN_16_40, ["--axioms", "bogus"], 2,
      "2d4959de8a6248cdcd3b8b82ecf2c5bff286bc012aaf19bc5c4ec59cbd75b06a"),
     ("no-axioms", _GEN_16_40, ["--axioms", "none"], 0,
-     "e5d68e3e4cb1d3e3d178e5c7eb30a7ded10383d675fb17375aabbc6f6f1a7b75"),
-    ("monotonicity-1e8-samples", ["gen", "--goods", "4", "--bids", "6", "--seed", "1"],
-     ["--samples", "100000000", "--axioms", "monotonicity"], 4,
-     "3bea23346809047e690e76da6773625cee9bef5a3c51972bc8bd2168c1ad2a4b"),
+     "82899ac42e6498e86b82fd6d9df4df138eaf84e97e3bd360bf4116b74171ef8b"),
+    # the sub-bundle classes of 50 bids over 63 goods number 4,365,466; the
+    # count stops once it passes the budget, at bid 13
+    ("monotonicity-classes-63-goods", ["gen", "--goods", "63", "--bids", "50", "--seed", "1"],
+     ["--axioms", "monotonicity"], 4,
+     "35b35d0546bfdda2fe8cfaa3d6b5c946c5b20627f0e0ae43224f66f74a40eabc"),
     ("critical-990-digit-keys", _instance_doc(
         ["g0", "g1"], [(f"b{i}", [f"g{i % 2}"], f"{i + 11}{'0' * 987}7") for i in range(10)]
     ), ["--norm-exponent", "999/1000", "--axioms", "critical"], 4,
@@ -612,7 +615,7 @@ REFUSALS = [
     ("gva-dp-16-goods", _instance_doc(
         "abcdefghijklmnop", [("x", "abcdefgh", "5"), ("y", "ijklmnop", "3")]
     ), ["--mechanism", "gva", "--deviations"], 4,
-     "e4857839597f05880cf63ad0e3392492112825cc35c0b1b8262badad140a336b"),
+     "aa137dba592e5b4b3cce75eef6a520d51e5daedd38dd6c9d8fe640397564103f"),
     ("gva-brute-20-bids", _ONE_GOOD_20,
      ["--mechanism", "gva", "--solver", "brute", "--axioms", "exactness"], 4,
      "ccad0df62f216d3d0edbfbca75897d513caaf06426f5010c5451c4a7164e9dee"),
@@ -678,7 +681,6 @@ def test_recorded_cli_digests_replay(capsys, tmp_path):
         ["experiment", "--suite", "ratio", "--k", "0", "--trials", "2"],
         ["experiment", "--suite", "ratio", "--n", "0", "--trials", "2"],
         ["experiment", "--suite", "ratio", "--trials", "-1"],
-        ["check", "THREE_PATH", "--samples", "-1"],
         ["run", "THREE_PATH", "--norm-exponent", "5000"],
         ["run", "THREE_PATH", "--norm-exponent", "1/10000000"],
         ["run", "THREE_PATH", "--norm-exponent", "10000000000000"],
@@ -691,6 +693,14 @@ def test_out_of_range_flag_exit_2(three_path, argv):
     result = run_module(*argv, timeout=5)
     assert result.returncode == 2, result.stderr
     assert set(json.loads(result.stdout)) == {"error"}
+
+
+@pytest.mark.parametrize("flag", ["--samples", "--seed"])
+def test_removed_check_flags_exit_2(three_path, flag):
+    # `check` decides monotonicity without drawing, so it takes neither a
+    # sample count nor a seed
+    result = run_module("check", three_path, flag, "5", timeout=5)
+    assert result.returncode == 2 and "unrecognized arguments" in result.stderr
 
 
 def test_gva_critical_check_past_table_bound_exit_4(tmp_path):
@@ -728,15 +738,16 @@ def test_gva_brute_run_past_subset_bound_exit_4(tmp_path):
     [
         # 65,535 bundles x 41 candidates x 40 bidders: about 10**8 reruns
         (16, 40, ["--deviations", "--axioms", "none"]),
-        # 5 bids x 10**8 perturbations
-        (4, 5, ["--samples", "100000000", "--axioms", "monotonicity"]),
+        # 4,365,466 sub-bundle classes, counted until they pass the budget
+        (63, 50, ["--axioms", "monotonicity"]),
         # 2,000 possible winners x up to 2,000 critical-value probes each
         (20, 2000, ["--axioms", "critical"]),
-        # 960,000 GVA reruns of 17 * 2**12 DP cells each
-        (12, 16, ["--mechanism", "gva", "--samples", "60000", "--axioms", "monotonicity"]),
+        # the scan, the raises and 454 sub-bundle classes: 503 GVA reruns of
+        # 17 * 2**12 DP cells each, where the critical check alone passes
+        (12, 16, ["--mechanism", "gva", "--axioms", "monotonicity"]),
     ],
-    ids=["deviations-16-goods", "monotonicity-1e8-samples", "critical-2000-bids",
-         "gva-monotonicity-60000-samples"],
+    ids=["deviations-16-goods", "monotonicity-classes-63-goods", "critical-2000-bids",
+         "gva-monotonicity-12-goods"],
 )
 def test_check_past_rerun_bound_exit_4(tmp_path, goods, bids, check):
     # the planned reruns are counted before the first one, so the check is
@@ -973,15 +984,14 @@ def test_fuzz_run_amounts_and_exponents(bids, p, q, mechanism, tie_rule):
 
 _counts = st.integers(min_value=-1, max_value=6)
 _check_argv = st.builds(
-    lambda axioms, samples, mechanism, p, q, deviations: [
-        "check", "-", "--axioms", axioms, "--samples", str(samples), "--mechanism", mechanism,
+    lambda axioms, mechanism, p, q, deviations: [
+        "check", "-", "--axioms", axioms, "--mechanism", mechanism,
         "--norm-exponent", f"{p}/{q}", *(["--deviations"] if deviations else []),
     ],
     st.one_of(
         st.sampled_from(["all", "none"]),
         st.lists(st.sampled_from(AXIOMS + ("bogus",)), max_size=5).map(",".join),
     ),
-    st.integers(min_value=-1, max_value=5),
     st.sampled_from(sorted(MECHANISMS)),
     st.integers(min_value=0, max_value=1000),
     _terms,
@@ -1049,8 +1059,8 @@ _documents = st.builds(
 _document_runs = st.tuples(
     st.sampled_from([
         ["run"], ["run", "--mechanism", "gva"],
-        ["check", "--samples", "2", "--seed", "1"],
-        ["check", "--axioms", "none", "--deviations", "--seed", "1"],
+        ["check"],
+        ["check", "--axioms", "none", "--deviations"],
     ]),
     _documents,
 ).map(lambda pair: ([pair[0][0], "-", *pair[0][1:]], json.dumps(pair[1])))
@@ -1106,7 +1116,6 @@ def _check_runs(draw):
         "--mechanism", draw(st.sampled_from(sorted(MECHANISMS))),
         "--solver", draw(st.sampled_from(["dp", "brute"])),
         "--tie-rule", draw(st.sampled_from([r.value for r in TieRule])),
-        "--samples", str(draw(st.sampled_from([3, 1, 0, -1]))),
         "--norm-exponent", draw(st.sampled_from(["0", "1/2", "1", "2", "1/3", "999/1000"])),
         *(["--deviations"] if draw(st.booleans()) else []),
     ]
