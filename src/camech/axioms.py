@@ -220,16 +220,14 @@ def _toward(a: int, b: int, d: int) -> Fraction:
     return Fraction(a * (t - s) + b * s, d * t)
 
 
-def _region_probes(brackets: Sequence[tuple[int, int]], d: int) -> list[Fraction]:
-    """One probe inside each open region above a threshold, from `_brackets`'
-    integer brackets over d: just above each bracket, toward the next one
-    or, past the last, toward twice its upper bound (toward one above a
-    zero threshold).  Empty without brackets."""
-    probes = [_toward(a, b, d) for (_, a), (b, _) in zip(brackets, brackets[1:])]
-    if brackets:
-        top = brackets[-1][1]
-        probes.append(_toward(top, 2 * top if top > 0 else top + d, d))
-    return probes
+def _probe_above(brackets: Sequence[tuple[int, int]], r: int, d: int) -> Fraction:
+    """The probe above row r of `_brackets`' integer brackets over d: just
+    above its bracket, toward the next one or, past the last, toward twice
+    its upper bound (toward one above a zero threshold)."""
+    top = brackets[r][1]
+    if r + 1 < len(brackets):
+        return _toward(top, brackets[r + 1][0], d)
+    return _toward(top, 2 * top if top > 0 else top + d, d)
 
 
 def _grid(
@@ -237,10 +235,10 @@ def _grid(
 ) -> tuple[dict[Money, int], int, list[tuple[int, int]], list[Fraction]]:
     """`_brackets` of a grid of thresholds: each distinct threshold mapped
     to its row, its place in increasing order, the common denominator d,
-    the rows' integer brackets over d and `_region_probes`' probe above
-    each row."""
+    the rows' integer brackets over d and `_probe_above` each row."""
     ordered, d, brackets = _brackets(thresholds)
-    return {t: r for r, t in enumerate(ordered)}, d, brackets, _region_probes(brackets, d)
+    above = [_probe_above(brackets, r, d) for r in range(len(brackets))]
+    return {t: r for r, t in enumerate(ordered)}, d, brackets, above
 
 
 @dataclass(frozen=True, eq=False)
@@ -267,11 +265,12 @@ def critical_value(mech: Mechanism, instance: AuctionInstance, j: int) -> Critic
     bundle = instance.bids[j].bundle
     kept, grid = mech.thresholds(instance, j)(bundle)
     # zero is bracketed too, so the first probe stays above it
-    row, d, brackets, above = _grid([Money.ZERO, *(t for t in grid if t.sign() > 0)])
+    ordered, d, brackets = _brackets([Money.ZERO, *(t for t in grid if t.sign() > 0)])
+    row = {t: r for r, t in enumerate(ordered)}
     # zero's row is 0, so `row.get` drops kept values at or below zero
     rows = sorted({r for t in kept if (r := row.get(t))})
     first_probe = _toward(brackets[1][0], 0, d) if len(brackets) > 1 else PROBE_SCALE
-    probes = [first_probe, *(above[r] for r in rows)]
+    probes = [first_probe, *(_probe_above(brackets, r, d) for r in rows)]
     status = [
         mech.run(instance.with_amount(j, v)).allocation.bundle_granted(j) == bundle
         for v in probes
@@ -285,7 +284,7 @@ def critical_value(mech: Mechanism, instance: AuctionInstance, j: int) -> Critic
                        f"but denied at {Money(probes[i]).to_decimal()}")
             witness = Witness(instance.with_amount(j, probes[i]), j, message)
             raise NonMonotoneDetected(message, witness)
-    value = Money(0) if first == 0 else list(row)[rows[first - 1]]
+    value = Money(0) if first == 0 else ordered[rows[first - 1]]
     return CriticalValue(value, len(probes))
 
 
@@ -313,7 +312,7 @@ class AxiomReport:
         return all(c.verdict != "violated" for c in self.checks)
 
 
-def _exactness_witness(mech, inst, out, scan, counts) -> Optional[Witness]:
+def _exactness_witness(mech, inst, out, scan, counts, classes) -> Optional[Witness]:
     """Every bid receives exactly its declared bundle or nothing at all."""
     for j, granted in out.allocation.grants.items():
         if granted and granted != inst.bids[j].bundle:
@@ -322,7 +321,7 @@ def _exactness_witness(mech, inst, out, scan, counts) -> Optional[Witness]:
     return None
 
 
-def _participation_witness(mech, inst, out, scan, counts) -> Optional[Witness]:
+def _participation_witness(mech, inst, out, scan, counts, classes) -> Optional[Witness]:
     """Denied bids pay exactly zero."""
     for j in range(len(inst.bids)):
         if not out.is_granted(j) and out.payments[j]:
@@ -330,7 +329,7 @@ def _participation_witness(mech, inst, out, scan, counts) -> Optional[Witness]:
     return None
 
 
-def _critical_witness(mech, inst, out, scan, counts) -> Optional[Witness]:
+def _critical_witness(mech, inst, out, scan, counts, classes) -> Optional[Witness]:
     """Winners pay exactly their critical value, which their scan finds."""
     for j in sorted(out.allocation.grants):
         cv = scan(j)
@@ -381,28 +380,27 @@ def _sub_bundle_classes(mask: int, holders: Sequence[int],
     return sorted(m for m in level.values() if 0 < m < mask)
 
 
-def _monotonicity_witness(mech, inst, out, scan, counts) -> Optional[Witness]:
+def _monotonicity_witness(mech, inst, out, scan, counts, classes) -> Optional[Witness]:
     """A winner keeps winning when its amount rises or its bundle shrinks.
 
     For a mechanism constant between its declared thresholds, the critical
     scan decides every raise; one rerun just above the amount (toward twice
     it, as the scan's top probe) catches thresholds that leave out a loss
-    there.  A shrink at the amount reruns each `_sub_bundle_classes` class's
-    least member: the registered mechanisms read a bundle only through its
-    size and the other bids it overlaps.  A rerun that ties (`TiesPresent`,
-    or a ranking that `had_ties`) is skipped, as the property is stated
+    there.  A shrink at the amount reruns the least member of each of bid
+    j's sub-bundle classes, classes[j] as `check_planned_reruns` counted
+    them: the registered mechanisms read a bundle only through its size and
+    the other bids it overlaps.  A rerun that ties (`TiesPresent`, or a
+    ranking that `had_ties`) is skipped, as the property is stated
     tie-free.  counts[0] adds the reruns compared, counts[1] those skipped.
     """
-    goods, holders = inst.goods, _holders(inst)
     for j in sorted(out.allocation.grants):
         cv = scan(j)
         if isinstance(cv, Witness):
             return cv
         bid, (p, q) = inst.bids[j], inst.bids[j].amount.as_integer_ratio()
         moves = [bid.with_amount(_toward(p, 2 * p or q, q))]
-        moves += [SingleMindedBid(bid.bidder, [g for i, g in enumerate(goods) if m >> i & 1],
-                                  bid.amount, bid.is_reserve)
-                  for m in _sub_bundle_classes(inst.bid_masks[j], holders)]
+        moves += [SingleMindedBid(bid.bidder, [g for i, g in enumerate(inst.goods) if m >> i & 1],
+                                  bid.amount, bid.is_reserve) for m in classes[j]]
         for moved in moves:
             moved_inst = inst.with_bid(j, moved)
             try:
@@ -435,19 +433,18 @@ def run_axiom_suite(
     outcome; a check stops at its first violation.  The critical and
     monotonicity checks share each winner's `critical_value` scan, made at
     most once per instance and bid; a scan finding a denial above a grant
-    violates both.  Every instance passes `check_planned_reruns` before the
-    first run.
+    violates both.  `check_planned_reruns` plans every instance before the
+    first run and the name check; monotonicity reruns the classes it counts.
     """
     selected = set(axioms)
+    instances = list(instances)
+    plans = [check_planned_reruns(mech, inst, selected) for inst in instances]
     unknown = sorted(selected - set(AXIOMS))
     if unknown:
         raise InvalidArgument(f"unknown axiom name: {unknown[0]}")
-    instances = list(instances)
-    for inst in instances:
-        check_planned_reruns(mech, inst, selected)
     counts = [0, 0]
     checks: dict[str, Optional[AxiomCheck]] = {name: None for name in AXIOMS if name in selected}
-    for samples, inst in enumerate(instances, 1):
+    for samples, (inst, classes) in enumerate(zip(instances, plans), 1):
         pending = [name for name, check in checks.items() if check is None]
         if not pending:
             break
@@ -464,7 +461,7 @@ def run_axiom_suite(
             return scans[j]
 
         for name in pending:
-            witness = _WITNESSES[name](mech, inst, out, scan, counts)
+            witness = _WITNESSES[name](mech, inst, out, scan, counts, classes)
             if witness:
                 checks[name] = AxiomCheck(name, "violated", samples, witness)
     moves = f"{counts[0]} moves rerun, {counts[1]} skipped on ties"
@@ -558,11 +555,13 @@ def _bundle_count(k: int) -> int:
 def check_planned_reruns(
     mech: Mechanism, instance: AuctionInstance, axioms: Iterable[str] = (), *,
     deviations: bool = False,
-) -> None:
+) -> list[list[int]]:
     """Raise `InstanceTooLarge` when checking the named axioms of `mech` on
     `instance`, with every bidder's misreport search when `deviations` is
     set, plans more work than a budget allows, before any rerun.  The
-    costs come from the mechanism: its `norm` and its `solver`.
+    costs come from the mechanism: its `norm` and its `solver`.  Returns,
+    with monotonicity, each bid's `_sub_bundle_classes`, which the check
+    reruns; else an empty list.
 
     At most `MAX_PLANNED_RERUNS` reruns.  Names outside `AXIOMS` are
     charged nothing; `run_axiom_suite` rejects them.  With any name, the
@@ -610,14 +609,14 @@ def check_planned_reruns(
         raise InstanceTooLarge(
             f"the check plans {runs} mechanism reruns; at most {MAX_PLANNED_RERUNS} are allowed"
         )
-    holders = _holders(instance) if monotone else []
+    holders, classes = _holders(instance) if monotone else [], []
     for j, mask in enumerate(instance.bid_masks if monotone else ()):
         # counted last, so the DP stops once the whole plan passes the budget
-        classes = _sub_bundle_classes(mask, holders, MAX_PLANNED_RERUNS - runs)
-        if classes is None:
+        classes.append(_sub_bundle_classes(mask, holders, MAX_PLANNED_RERUNS - runs))
+        if classes[j] is None:
             raise InstanceTooLarge(f"bid {j}'s sub-bundle classes take the check past "
                                    f"{MAX_PLANNED_RERUNS} mechanism reruns, the most allowed")
-        runs += len(classes)
+        runs += len(classes[j])
     if cfg is not None and runs:
         p, q = cfg.exponent.numerator, cfg.exponent.denominator
         top = lcm(*(len(b.bundle) for b in instance.bids))
@@ -644,6 +643,7 @@ def check_planned_reruns(
                 )
         if scanned:
             _exact._check_cells(n - 1, k)
+    return classes
 
 
 def find_profitable_deviation(

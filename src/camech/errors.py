@@ -41,11 +41,11 @@ class NonMonotoneDetected(CamechError):
         self.witness = witness
 
 
-class BundleSpaceTooLarge(CamechError):
+class BundleSpaceTooLarge(InstanceTooLarge):
     """Too many goods to enumerate every bundle."""
 
 
-class TooManyTieOrders(CamechError):
+class TooManyTieOrders(InstanceTooLarge):
     """The tie groups admit more permutations than the enumeration guard allows."""
 
 

@@ -17,8 +17,8 @@ brute-force oracle re-solves the instance with j's amount at zero, once per
 bid.  The GVA's entry values come from the table of the bids other than j,
 whatever the solver.  A DP over n bids keeps (n + 1) * 2**goods table
 cells; past `MAX_DP_CELLS` it raises `InstanceTooLarge` before building any
-table.  A brute-force GVA run visits (n + 1) * 2**n bid subsets; past
-`MAX_BRUTE_SUBSETS` it raises before the first solve.
+table.  A brute-force solve visits 2**n bid subsets, a GVA run (n + 1) *
+2**n; past `MAX_BRUTE_SUBSETS` either raises before the first solve.
 """
 
 from __future__ import annotations
@@ -43,12 +43,11 @@ class SolverKind(Enum):
     BITMASK_DP = "dp"
 
 
-MAX_BRUTE_BIDS = 24
-#: Most bid subsets one brute-force GVA run may visit, counted as
-#: (bids + 1) * 2**bids over its n + 1 solves, and most the planned GVA
-#: reruns of a check may visit together (`axioms.check_planned_reruns`).
-#: On a 2-vCPU host a subset took 0.36-1.7 us, so this is at most about
-#: 7 s of work; a run of 17 bids passes and one of 18 is refused.
+#: Most bid subsets one brute-force solve may visit, 2**bids, one GVA run,
+#: (bids + 1) * 2**bids over its n + 1 solves, and the planned GVA reruns
+#: of a check together (`axioms.check_planned_reruns`).  On a 2-vCPU host
+#: a subset took 0.36-1.7 us, so this is at most about 7 s of work: a solve
+#: of 22 bids and a run of 17 pass, and 23 and 18 bids are refused.
 MAX_BRUTE_SUBSETS = 1 << 22
 #: Most DP table cells, (bids + 1) * 2**goods: about 32 MB of table
 #: pointers for one pass, plus at most three lists of 2**goods for the
@@ -189,8 +188,9 @@ def _solution(instance: AuctionInstance, value: int, indices, count: int) -> Exa
 def optimal_allocation(instance: AuctionInstance, solver: SolverKind) -> ExactSolution:
     """Value-maximising conflict-free bid set, deterministically tie-broken."""
     if solver is SolverKind.BRUTE_FORCE_BID_SUBSETS:
-        if len(instance.bids) > MAX_BRUTE_BIDS:
-            raise InstanceTooLarge(f"brute-force solver handles at most {MAX_BRUTE_BIDS} bids")
+        if 1 << (n := len(instance.bids)) > MAX_BRUTE_SUBSETS:
+            raise InstanceTooLarge(f"a brute-force solve of {n} bids visits 2**bids bid subsets;"
+                                   f" at most {MAX_BRUTE_SUBSETS} are allowed")
         found = _solve_brute(instance.bid_masks, instance.integer_amounts.weights)
     else:
         tables = _dp_tables(instance)

@@ -22,7 +22,6 @@ from camech.axioms import (
     _brackets,
     _candidate_values,
     _grid,
-    _region_probes,
     _toward,
     check_planned_reruns,
     clarke_greedy_mechanism,
@@ -585,6 +584,37 @@ def test_axiom_suite_reruns_pinned(exponent):
 def test_suite_rejects_unknown_axiom():
     with pytest.raises(InvalidArgument, match="unknown axiom name: bogus"):
         run_axiom_suite(greedy_mechanism(L1), [three_bidder_instance()], ["exactness", "bogus"])
+
+
+def test_suite_plans_before_rejecting_unknown_axiom(monkeypatch):
+    # as `check` orders its refusals: a plan past a budget wins over a bad name
+    monkeypatch.setattr(axioms, "MAX_PLANNED_RERUNS", 3)
+    with pytest.raises(InstanceTooLarge, match="mechanism reruns"):
+        run_axiom_suite(greedy_mechanism(L1), [three_bidder_instance()], ["critical", "bogus"])
+
+
+def test_suite_counts_each_bids_sub_bundle_classes_once(monkeypatch):
+    # the planner's one pass per bid is the list the monotonicity check
+    # reruns: no second count for the winners
+    passes = []
+    count = axioms._sub_bundle_classes
+
+    def counting(mask, holders, most=None):
+        passes.append(mask)
+        return count(mask, holders, most)
+
+    monkeypatch.setattr(axioms, "_sub_bundle_classes", counting)
+    mech = greedy_mechanism(L1)
+    instances = [random_instance(8, 12, seed=f"suite-pin:{t}") for t in range(3)]
+    for inst in instances:
+        passes.clear()
+        classes = check_planned_reruns(mech, inst, ["monotonicity"])
+        assert passes == list(inst.bid_masks)
+        assert classes == [count(m, axioms._holders(inst)) for m in inst.bid_masks]
+        assert check_planned_reruns(mech, inst, ["critical"], deviations=True) == []
+    passes.clear()
+    report = run_axiom_suite(mech, instances)
+    assert report.all_hold and passes == [m for inst in instances for m in inst.bid_masks]
 
 
 # -- deviation search -------------------------------------------------------
@@ -1365,8 +1395,8 @@ def test_deviation_search_matches_rerunning_the_true_amount(name, cfg, solver):
     instances = [seeded.assuming_truthful(), _lying(rng, seeded), _tie_heavy(rng, 4, 4)]
 
     def every_value(thresholds, true_amount):
-        _, d, brackets = _brackets(t for t in thresholds if t.sign() >= 0)
-        return sorted({F(0), true_amount, *_region_probes(brackets, d)})
+        *_, above = _grid(t for t in thresholds if t.sign() >= 0)
+        return sorted({F(0), true_amount, *above})
 
     true_amounts = {"kept": 0, "dropped": 0}  # off every threshold
     for inst in instances:

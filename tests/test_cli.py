@@ -14,6 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from camech import axioms, cli, errors
 from camech.axioms import AXIOMS, MECHANISMS
 from camech.cli import build_parser, main
 from camech.norm import TieRule
@@ -589,6 +590,9 @@ def _instance_doc(goods, bids):
 _GEN_16_40 = ["gen", "--goods", "16", "--bids", "40", "--seed", "1"]
 _ONE_GOOD_20 = _instance_doc("abcd", [(f"b{i}", "abcd"[i % 4], str(i + 1)) for i in range(20)])
 _GOODS_21 = [f"g{i}" for i in range(21)]
+_KEYS_990 = _instance_doc(
+    ["g0", "g1"], [(f"b{i}", [f"g{i % 2}"], f"{i + 11}{'0' * 987}7") for i in range(10)]
+)
 
 # (instance, check flags, exit code, sha256 of stdout) for each way `check`
 # refuses work, or lets it through just short of a refusal.  An instance is
@@ -608,9 +612,12 @@ REFUSALS = [
     ("monotonicity-classes-63-goods", ["gen", "--goods", "63", "--bids", "50", "--seed", "1"],
      ["--axioms", "monotonicity"], 4,
      "35b35d0546bfdda2fe8cfaa3d6b5c946c5b20627f0e0ae43224f66f74a40eabc"),
-    ("critical-990-digit-keys", _instance_doc(
-        ["g0", "g1"], [(f"b{i}", [f"g{i % 2}"], f"{i + 11}{'0' * 987}7") for i in range(10)]
-    ), ["--norm-exponent", "999/1000", "--axioms", "critical"], 4,
+    ("critical-990-digit-keys", _KEYS_990, ["--norm-exponent", "999/1000", "--axioms", "critical"],
+     4, "0af6e9c5cff1494f5db18b20363f121c6695ed962daf5f0c091ed64d31d5d087"),
+    # the axiom suite plans before it checks the names, so the key bits
+    # refuse the check first, as when `check` planned the command itself
+    ("critical-990-digit-keys-before-unknown-axiom", _KEYS_990,
+     ["--norm-exponent", "999/1000", "--axioms", "critical,bogus"], 4,
      "0af6e9c5cff1494f5db18b20363f121c6695ed962daf5f0c091ed64d31d5d087"),
     ("gva-dp-16-goods", _instance_doc(
         "abcdefghijklmnop", [("x", "abcdefgh", "5"), ("y", "ijklmnop", "3")]
@@ -640,6 +647,56 @@ def test_check_refusals_pinned(capsys, monkeypatch, tmp_path, instance, flags, c
         path.write_text(json.dumps(instance))
     got_code, out = run_cli(capsys, "check", str(path), *flags)
     assert (got_code, hashlib.sha256(out.encode("utf-8")).hexdigest()) == (code, sha), out
+
+
+@pytest.mark.parametrize("flags, passes", [([], 12), (["--deviations"], 24)])
+def test_check_counts_sub_bundle_classes_once_per_plan(capsys, monkeypatch, tmp_path, flags,
+                                                       passes):
+    # the axiom suite plans the check and its monotonicity check reruns the
+    # classes that plan counted, one pass per bid; only `--deviations` adds
+    # the command's own plan, which charges the search and the axioms together
+    path = tmp_path / "gen.json"
+    assert main(["gen", "--goods", "8", "--bids", "12", "--seed", "3", "--output", str(path)]) == 0
+    masks = []
+    count = axioms._sub_bundle_classes
+
+    def counting(mask, holders, most=None):
+        masks.append(mask)
+        return count(mask, holders, most)
+
+    monkeypatch.setattr(axioms, "_sub_bundle_classes", counting)
+    code, out = run_cli(capsys, "check", str(path), "--norm-exponent", "1/2", *flags)
+    assert code == 0 and json.loads(out)["all_hold"]
+    assert len(masks) == passes and len(set(masks)) == 12
+
+
+def _camech_errors():
+    return sorted((c for c in vars(errors).values()
+                   if isinstance(c, type) and issubclass(c, errors.CamechError)),
+                  key=lambda c: c.__name__)
+
+
+@pytest.mark.parametrize("error", _camech_errors(), ids=lambda c: c.__name__)
+def test_every_error_inside_check_exits_with_one_error_document(capsys, monkeypatch, three_path,
+                                                                 error):
+    # whatever package error a handler raises, `main` writes one JSON error
+    # document and exits 2, 3 or 4, never a traceback
+    def failing(*args, **kwargs):
+        raise error("raised inside check")
+
+    monkeypatch.setattr(cli, "run_axiom_suite", failing)
+    code = main(["check", three_path])
+    captured = capsys.readouterr()
+    if issubclass(error, errors.InstanceTooLarge):
+        expected = (4, "too-large")
+    elif issubclass(error, errors.TiesPresent):
+        expected = (3, "ties")
+    else:
+        kinds = {errors.ParseError: "parse", errors.UnknownScenario: "unknown-scenario"}
+        expected = (2, kinds.get(error, "error"))
+    doc = json.loads(captured.out)
+    assert (code, doc["error"]["kind"]) == expected and captured.err == ""
+    assert doc == {"error": {"kind": expected[1], "message": "raised inside check"}}
 
 
 #: The benchmark's record of `gen --goods 8 --bids 12 --seed SEED` then

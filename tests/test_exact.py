@@ -301,6 +301,25 @@ def test_brute_force_gva_run_refused_past_subset_bound(monkeypatch):
     assert run_gva(eighteen, DP).allocation.granted == {17}
 
 
+def test_brute_force_solve_refused_past_subset_bound(monkeypatch):
+    # one brute-force solve visits 2**n bid subsets, charged against the
+    # bound a GVA run shares: three bids visit 8
+    three = AuctionInstance(("a", "b"), (bid("x", "a", 3), bid("y", "ab", 5), bid("z", "b", 4)))
+    monkeypatch.setattr(exact, "MAX_BRUTE_SUBSETS", 8)
+    assert optimal_allocation(three, BRUTE).value == optimal_allocation(three, DP).value == 7
+    monkeypatch.setattr(exact, "MAX_BRUTE_SUBSETS", 7)
+    with pytest.raises(InstanceTooLarge, match="3 bids visits 2\\*\\*bids bid subsets"):
+        optimal_allocation(three, BRUTE)
+    monkeypatch.undo()
+    # at the real bound, 23 bids are refused before the sweep, where 22 would run
+    many = AuctionInstance(("a",), tuple(bid(f"b{i}", "a", i + 1) for i in range(23)))
+    solved = []
+    monkeypatch.setattr(exact, "_solve_brute", lambda *args: solved.append(args))
+    with pytest.raises(InstanceTooLarge, match="23 bids"):
+        optimal_allocation(many, BRUTE)
+    assert solved == [] and 1 << 22 <= MAX_BRUTE_SUBSETS < 1 << 23
+
+
 def _gva_by_per_bid_solves(inst):
     """GVA outcome with each "without j" optimum from its own DP solve."""
     actual = optimal_allocation(inst, DP)
