@@ -16,7 +16,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 from .errors import (
     BundleSpaceTooLarge, InstanceTooLarge, InvalidArgument, NonMonotoneDetected, TiesPresent,
@@ -29,6 +29,7 @@ from .greedy import run_greedy
 
 #: Probes sit this fraction of the local gap off a threshold's rational bracket.
 PROBE_SCALE = Fraction(1, 2 ** 20)
+_ZERO = Fraction(0)
 #: The four properties, in the order a suite reports them.
 AXIOMS = ("exactness", "monotonicity", "participation", "critical")
 #: Most goods whose bundles the misreport search enumerates.
@@ -64,7 +65,9 @@ class Mechanism:
     mechanism under `REJECT` and the GVA do, returns one list for both.
     They ask for the function once and call it for every
     bundle they try, so what it computes for one bundle it may keep for the
-    next; nothing outlives the function.  The misreport search calls it
+    next; nothing outlives the function.  The misreport search builds the
+    brackets of each grid object it is handed once, so a function handing
+    one object to every bundle with that grid saves the rebuild.  It calls it
     only for the first bundle of each class (same size, same other bids
     overlapped, true bundle covered or not) and reruns later members only
     on a kept value, so it is complete only for a mechanism whose kept
@@ -230,15 +233,50 @@ def _probe_above(brackets: Sequence[tuple[int, int]], r: int, d: int) -> Fractio
     return _toward(top, 2 * top if top > 0 else top + d, d)
 
 
-def _grid(
-    thresholds: Iterable[Money],
-) -> tuple[dict[Money, int], int, list[tuple[int, int]], list[Fraction]]:
-    """`_brackets` of a grid of thresholds: each distinct threshold mapped
-    to its row, its place in increasing order, the common denominator d,
-    the rows' integer brackets over d and `_probe_above` each row."""
+class _Grid(NamedTuple):
+    """A grid of non-negative thresholds, bracketed by `_brackets`, with a
+    misreport search's true amount placed on it once for every class of
+    bundles that shares the grid."""
+
+    #: each distinct threshold -> its row, its place in increasing order
+    row: dict[Money, int]
+    #: `_probe_above` each row
+    above: list[Fraction]
+    #: whether row 0 is zero's bracket, (0, 0)
+    zero: bool
+    #: the true amount a, never negative
+    amount: Fraction
+    #: the first row whose bracket's upper bound is not below a, or the
+    #: number of rows when every bracket lies below a
+    at: int
+    #: whether a lies inside row `at`'s bracket
+    inside: bool
+    #: whether a is row `at`'s threshold itself, a rational one
+    on_threshold: bool
+    #: per row, whether a lies below its probe
+    below: list[bool]
+
+
+def _grid(thresholds: Iterable[Money], true_amount: Fraction) -> _Grid:
+    """The `_Grid` of non-negative `thresholds` and `true_amount`.
+
+    A bound x / d of the common denominator d lies below a = an / ad
+    exactly when x * ad < an * d, so the true amount is placed on the
+    integer brackets; only its place against each probe takes a
+    `Fraction` comparison, one per row and grid.
+    """
     ordered, d, brackets = _brackets(thresholds)
     above = [_probe_above(brackets, r, d) for r in range(len(brackets))]
-    return {t: r for r, t in enumerate(ordered)}, d, brackets, above
+    a = true_amount
+    ad, scaled = a.denominator, a.numerator * d
+    r = 0
+    while r < len(brackets) and brackets[r][1] * ad < scaled:
+        r += 1
+    inside = r < len(brackets) and brackets[r][0] * ad <= scaled
+    return _Grid(
+        {t: r for r, t in enumerate(ordered)}, above, bool(brackets) and brackets[0] == (0, 0),
+        a, r, inside, inside and brackets[r][0] == brackets[r][1], [a < p for p in above],
+    )
 
 
 @dataclass(frozen=True, eq=False)
@@ -425,7 +463,8 @@ _WITNESSES = {
 
 
 def run_axiom_suite(
-    mech: Mechanism, instances: Iterable[AuctionInstance], axioms: Iterable[str] = AXIOMS
+    mech: Mechanism, instances: Iterable[AuctionInstance], axioms: Iterable[str] = AXIOMS,
+    *, deviations: bool = False,
 ) -> AxiomReport:
     """Check the named axioms over the instances, reported in `AXIOMS` order.
 
@@ -435,10 +474,14 @@ def run_axiom_suite(
     most once per instance and bid; a scan finding a denial above a grant
     violates both.  `check_planned_reruns` plans every instance before the
     first run and the name check; monotonicity reruns the classes it counts.
+    With `deviations` each plan also charges every bidder's misreport
+    search, which the caller runs after the suite, so the two share one
+    budget and one count of the classes.
     """
     selected = set(axioms)
     instances = list(instances)
-    plans = [check_planned_reruns(mech, inst, selected) for inst in instances]
+    plans = [check_planned_reruns(mech, inst, selected, deviations=deviations)
+             for inst in instances]
     unknown = sorted(selected - set(AXIOMS))
     if unknown:
         raise InvalidArgument(f"unknown axiom name: {unknown[0]}")
@@ -499,15 +542,14 @@ class DeviationReport:
     )
 
 
-def _candidate_values(
-    kept: Iterable[Money], grid: tuple, true_amount: Fraction
-) -> tuple[list[Fraction], list[Fraction]]:
+def _candidate_values(kept: Iterable[Money], grid: _Grid) -> tuple[list[Fraction], list[Fraction]]:
     """One value inside each open region between the kept non-negative
     thresholds and above the last, in increasing order, and those of them
     that may sit on a kept threshold.  `grid` is `_grid` of the
-    non-negative grid the kept thresholds are drawn from.  A region's
-    value is zero below the lowest kept threshold, else the grid's probe
-    just above the kept bracket below, the lowest grid value above it.
+    non-negative grid the kept thresholds are drawn from and the true
+    amount.  A region's value is zero below the lowest kept threshold,
+    else the grid's probe just above the kept bracket below, the lowest
+    grid value above it.
 
     The true amount, never negative, takes its region's value's place when
     it lies below it and is dropped otherwise; inside a kept threshold's
@@ -520,26 +562,25 @@ def _candidate_values(
     Only zero, when the lowest kept bracket is zero's, and a positive true
     amount in a kept rational bracket can sit on a kept threshold; every
     probe lies strictly between brackets.  The lists are built in order,
-    with no sort.
+    with no sort, and the grid has placed the true amount already, so a
+    class costs list and integer work alone.
     """
-    row, d, brackets, above = grid
-    rows = sorted({row[t] for t in kept if t in row})
-    values = [Fraction(0), *(above[r] for r in rows)]
-    tied = [values[0]] if rows and brackets[rows[0]] == (0, 0) else []
-    # the true amount lies below bracket r of the grid and above the i kept
-    # ones below r; a bound x / d lies below a = an / ad exactly when
-    # x * ad < an * d
-    a, r = true_amount, 0
-    ad, scaled = a.denominator, a.numerator * d
-    while r < len(brackets) and brackets[r][1] * ad < scaled:
-        r += 1
+    row, above, zero, a, r, inside, on_threshold, below = grid
+    get = row.get
+    rows = sorted({x for t in kept if (x := get(t)) is not None})
+    values = [_ZERO]
+    values += [above[x] for x in rows]
+    tied = [_ZERO] if zero and rows and not rows[0] else []
+    # the true amount lies below grid row r and above the i kept rows below r
     i = bisect_left(rows, r)
-    if i < len(rows) and rows[i] == r and brackets[r][0] * ad <= scaled:
-        if values[i] < a:  # else a is zero, in a bracket reaching down to it
+    if inside and i < len(rows) and rows[i] == r:
+        # the value below a kept bracket holding a is zero, or a probe below
+        # the bracket: below a unless a is zero, in a bracket reaching down to it
+        if i or a:
             values.insert(i + 1, a)
-            if brackets[r][0] == brackets[r][1]:
+            if on_threshold:
                 tied.append(a)
-    elif a < values[i]:
+    elif i and below[rows[i - 1]]:  # zero, values[0], is never above a
         values[i] = a
     return values, tied
 
@@ -677,22 +718,22 @@ def find_profitable_deviation(
     declared = instance.bids[j]
     true_type = (instance.true_types or {}).get(declared.bidder, declared)
 
-    def utility(out: Outcome) -> Money:
-        return bidder_utility(true_type, out.allocation.bundle_granted(j), out.payments[j])
-
     truthful_bid = SingleMindedBid(
         declared.bidder, true_type.bundle, true_type.amount, declared.is_reserve
     )
-    truthful_utility = utility(mech.run(instance.with_bid(j, truthful_bid)))
+    out = mech.run(instance.with_bid(j, truthful_bid))
+    truthful_utility = bidder_utility(true_type, out.allocation.bundle_granted(j), out.payments[j])
 
     goods, amount = instance.goods, true_type.amount
     best: Optional[Money] = None
     best_bid: Optional[SingleMindedBid] = None
     tested = 0
     thresholds_of = mech.thresholds(instance, j)
-    # a norm mechanism's grid depends on the bundle's size alone, so each
-    # size's brackets and probes are built once
-    grids: dict[tuple[Money, ...], tuple] = {}
+    # a norm mechanism hands every bundle of a size one grid object, so each
+    # size's brackets, probes and place of the true amount are built once;
+    # keyed by identity, hashing no `Money`, and holding each grid so that
+    # no id is reused while the search runs
+    grids: dict[int, tuple[Sequence[Money], _Grid]] = {}
     # per class of bundles, the candidates its later members still rerun
     classes: dict[tuple[int, int, bool], list[Fraction]] = {}
     # the other bids each good meets, as a mask over bid indices
@@ -714,11 +755,10 @@ def find_profitable_deviation(
         bundle = frozenset(goods[i] for i in range(k) if bundle_bits >> i & 1)
         if values is None:
             kept, grid = thresholds_of(bundle)
-            grid = tuple(grid)
-            found = grids.get(grid)
+            found = grids.get(id(grid))
             if found is None:
-                found = grids[grid] = _grid(t for t in grid if t.sign() >= 0)
-            values, classes[key] = _candidate_values(kept, found, amount)
+                found = grids[id(grid)] = (grid, _grid([t for t in grid if t.sign() >= 0], amount))
+            values, classes[key] = _candidate_values(kept, found[1])
         for v in values:
             attempt = SingleMindedBid(bidder, bundle, v, is_reserve)
             try:
@@ -726,7 +766,7 @@ def find_profitable_deviation(
             except TiesPresent:
                 continue
             tested += 1
-            u = utility(out)
+            u = bidder_utility(true_type, out.allocation.bundle_granted(j), out.payments[j])
             if best is None or u > best:
                 best, best_bid = u, attempt
     if best is not None and best > truthful_utility:

@@ -29,7 +29,6 @@ from .axioms import (
     AXIOMS,
     MECHANISMS,
     Mechanism,
-    check_planned_reruns,
     find_profitable_deviation,
     run_axiom_suite,
 )
@@ -184,10 +183,8 @@ def _cmd_check(args) -> tuple[dict, int]:
     selected = {"all": AXIOMS, "none": ()}.get(args.axioms)
     if selected is None:
         selected = [a.strip() for a in args.axioms.split(",") if a.strip()]
-    if args.deviations:
-        # the search shares one budget with the axioms, which the suite plans
-        check_planned_reruns(mech, instance, selected, deviations=True)
-    report = run_axiom_suite(mech, [instance], selected)
+    # the search shares one budget with the axioms, which the suite plans
+    report = run_axiom_suite(mech, [instance], selected, deviations=args.deviations)
     deviations = None
     if args.deviations:
         deviations = [

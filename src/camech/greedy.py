@@ -132,7 +132,8 @@ class GreedyPayments(Sequence):
 
 def run_greedy(instance: AuctionInstance, cfg: NormConfig) -> Outcome:
     """Allocate greedily and charge each winner its blocker's crossing value."""
-    return _priced(instance, *greedy_allocate(instance, cfg), cfg.exponent)
+    allocation, trace = _walk(instance, rank(instance, cfg))
+    return _priced(instance, allocation, trace, cfg.exponent)
 
 
 def _priced(

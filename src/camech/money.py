@@ -100,9 +100,10 @@ class Money:
     `TypeError`: its binary value is seldom the number meant, and `Money`
     arithmetic rejects floats too.
 
-    Rational values take shortcuts: a sum, a difference from a `Fraction`,
-    a product with a scalar and a comparison of two rational `Money`s are
-    one `Fraction` operation, with no term map merged.  Every zero result
+    Rational values take shortcuts: a sum, a difference from a `Fraction`
+    and a product with a scalar are one `Fraction` operation, with no term
+    map merged, and two rational `Money`s compare by one integer
+    cross-multiplication.  Every zero result
     of arithmetic is the one shared `Money.ZERO`; a `Money` never changes
     after it is built, so sharing it is safe.
     """
@@ -314,7 +315,9 @@ class Money:
             raise TypeError(f"cannot compare Money with {type(other).__name__}")
         a, b = _rational_value(self._terms), _rational_value(o._terms)
         if a is not None and b is not None:
-            return 0 if a == b else (-1 if a < b else 1)
+            # denominators are positive, so one cross-multiplication decides
+            x, y = a.numerator * b.denominator, b.numerator * a.denominator
+            return (x > y) - (x < y)
         return (self - o).sign()
 
     def __eq__(self, other):

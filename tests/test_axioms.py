@@ -6,6 +6,7 @@ import itertools
 import random
 import threading
 import weakref
+from bisect import bisect_left
 from unittest import mock
 from dataclasses import replace
 from fractions import Fraction as F
@@ -22,6 +23,7 @@ from camech.axioms import (
     _brackets,
     _candidate_values,
     _grid,
+    _probe_above,
     _toward,
     check_planned_reruns,
     clarke_greedy_mechanism,
@@ -917,10 +919,106 @@ def test_critical_scan_outputs_pinned(exponent, seed):
         of_bundle = mech.thresholds(inst, j)
         for size in range(1, len(inst.goods) + 1):
             _, grid = of_bundle(frozenset(inst.goods[:size]))
-            searched, _ = _candidate_values(grid, _grid(grid), inst.bids[j].amount)
+            searched, _ = _candidate_values(grid, _grid(grid, inst.bids[j].amount))
             candidates.update(repr(searched).encode())
     got = (scan.hexdigest()[:16], candidates.hexdigest()[:16], values)
     assert got == _SCAN_PINS[exponent, seed]
+
+
+def _reference_grid(thresholds):
+    """The search's grid as it was built before the true amount was placed
+    on it: each distinct threshold mapped to its row, the common
+    denominator d, the rows' integer brackets over d and the probes."""
+    ordered, d, brackets = _brackets(thresholds)
+    above = [_probe_above(brackets, r, d) for r in range(len(brackets))]
+    return {t: r for r, t in enumerate(ordered)}, d, brackets, above
+
+
+def _reference_candidate_values(kept, grid, true_amount):
+    """The per-class candidate table that walked the brackets and compared
+    `Fraction`s for every class: the oracle for `_candidate_values`."""
+    row, d, brackets, above = grid
+    rows = sorted({row[t] for t in kept if t in row})
+    values = [F(0), *(above[r] for r in rows)]
+    tied = [values[0]] if rows and brackets[rows[0]] == (0, 0) else []
+    a, r = true_amount, 0
+    ad, scaled = a.denominator, a.numerator * d
+    while r < len(brackets) and brackets[r][1] * ad < scaled:
+        r += 1
+    i = bisect_left(rows, r)
+    if i < len(rows) and rows[i] == r and brackets[r][0] * ad <= scaled:
+        if values[i] < a:
+            values.insert(i + 1, a)
+            if brackets[r][0] == brackets[r][1]:
+                tied.append(a)
+    elif a < values[i]:
+        values[i] = a
+    return values, tied
+
+
+def _planted_amounts(grid, declared):
+    """True amounts to place on a reference grid, tagged: the declared
+    amount, zero, each rational threshold, a point inside each radical's
+    bracket, one between each bracket and the probe above it, one below
+    the first bracket and one above the last."""
+    _, d, brackets, above = grid
+    amounts = [("declared", declared), ("zero", F(0))]
+    for (lo, hi), probe in zip(brackets, above):
+        if lo == hi:
+            amounts.append(("on-rational", F(lo, d)))
+        else:
+            amounts.append(("inside-radical", F(lo + hi, 2 * d)))
+        amounts.append(("below-probe", (F(hi, d) + probe) / 2))
+    if brackets and brackets[0][0] > 0:
+        amounts.append(("below-first", F(brackets[0][0], 2 * d)))
+    if brackets:
+        amounts.append(("above-last", F(2 * brackets[-1][1] + d, d)))
+    return amounts
+
+
+@pytest.mark.parametrize("rule", list(TieRule), ids=lambda r: r.value)
+@pytest.mark.parametrize("exponent", [F(0), F(1, 2), F(1)], ids=["l0", "lhalf", "l1"])
+def test_candidate_table_matches_the_per_class_bracket_walk(exponent, rule):
+    # the grid places the true amount once; every class's candidates and
+    # tied values then equal those of the walk that placed it per class,
+    # for every bidder and class of seeded and tie-heavy instances, at the
+    # declared amount and at amounts planted on, inside, below and above
+    # the grid's brackets
+    mech = greedy_mechanism(NormConfig(exponent, rule))
+    rng = random.Random(f"candidate-oracle:{exponent}:{rule.value}")
+    instances = [random_instance(5, 6, seed=f"candidate-oracle:{t}") for t in range(3)]
+    instances += [_tie_heavy(rng, 4, 5) for _ in range(3)]
+    # how the true amount entered: replacing its region's value, or as a
+    # value of its own on a rational threshold or inside a radical's bracket
+    seen = {"replaced": 0, "on-threshold": 0, "inside-radical": 0}
+    planted = set()
+    for inst in instances:
+        for j in range(len(inst.bids)):
+            of_bundle = mech.thresholds(inst, j)
+            grids = {}
+            for members in _bundle_classes(inst, j):
+                kept, grid = of_bundle(members[0])
+                non_negative = [t for t in grid if t.sign() >= 0]
+                reference = _reference_grid(non_negative)
+                for tag, amount in _planted_amounts(reference, inst.bids[j].amount):
+                    placed = grids.get((id(grid), amount))
+                    if placed is None:
+                        placed = grids[id(grid), amount] = _grid(non_negative, amount)
+                    got = _candidate_values(kept, placed)
+                    want = _reference_candidate_values(kept, reference, amount)
+                    assert got == want, (tag, amount)
+                    planted.add(tag)
+                    values, tied = got
+                    rows = {reference[0][t] for t in kept if t in reference[0]}
+                    if len(values) == len(rows) + 2:
+                        seen["on-threshold" if amount in tied else "inside-radical"] += 1
+                    elif amount and amount in values:
+                        seen["replaced"] += 1
+    assert planted >= {"declared", "zero", "on-rational", "below-probe", "below-first",
+                       "above-last"}
+    assert ("inside-radical" in planted) == (exponent == F(1, 2))
+    assert seen["replaced"] and seen["on-threshold"], seen
+    assert bool(seen["inside-radical"]) == (exponent == F(1, 2)), seen
 
 
 def test_deviation_search_runs_every_candidate_once():
@@ -1097,7 +1195,7 @@ def _searched(of_bundle, bundle, true_amount):
     """The search's candidates for `bundle` and those that may sit on a kept
     threshold, from bid j's threshold function `of_bundle`."""
     kept, grid = of_bundle(bundle)
-    return _candidate_values(kept, _grid(t for t in grid if t.sign() >= 0), true_amount)
+    return _candidate_values(kept, _grid([t for t in grid if t.sign() >= 0], true_amount))
 
 
 def _full_grid(mech, inst, j):
@@ -1395,7 +1493,7 @@ def test_deviation_search_matches_rerunning_the_true_amount(name, cfg, solver):
     instances = [seeded.assuming_truthful(), _lying(rng, seeded), _tie_heavy(rng, 4, 4)]
 
     def every_value(thresholds, true_amount):
-        *_, above = _grid(t for t in thresholds if t.sign() >= 0)
+        above = _grid([t for t in thresholds if t.sign() >= 0], true_amount).above
         return sorted({F(0), true_amount, *above})
 
     true_amounts = {"kept": 0, "dropped": 0}  # off every threshold

@@ -4,6 +4,7 @@ import random
 from decimal import ROUND_HALF_EVEN, Decimal, localcontext
 from fractions import Fraction as F
 from math import isqrt
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -261,6 +262,40 @@ _scalars = st.fractions(min_value=-10, max_value=10)
 def _approx(v: Money) -> float:
     """A float evaluation, independent of `Money`'s own refinement."""
     return sum(float(c) * m ** 0.5 for m, c in v.terms())
+
+
+_rationals = st.one_of(
+    st.integers(min_value=-10 ** 30, max_value=10 ** 30),
+    st.fractions(),
+    st.fractions(max_denominator=7),
+    st.sampled_from([0, F(0), 1, -1, F(1, 3), F(-1, 3), F(2, 6)]),
+)
+
+
+@given(_rationals, _rationals)
+@settings(max_examples=300)
+def test_rational_compare_matches_fraction_order(a, b):
+    # two rational values compare by integer cross-multiplication: both
+    # signs, zero, equal values and `int` operands order as `Fraction`s do
+    want = (F(a) > F(b)) - (F(a) < F(b))
+    assert Money(a).compare(Money(b)) == want == -Money(b).compare(Money(a))
+    assert Money(a).compare(b) == want and Money(a).compare(F(b)) == want
+    assert Money(a).compare(Money(F(a))) == 0 == Money(a).compare(a)
+    assert ((Money(a) < b), (Money(a) <= b), (Money(a) > b), (Money(a) >= b)) == (
+        F(a) < F(b), F(a) <= F(b), F(a) > F(b), F(a) >= F(b))
+
+
+@given(_rationals, _small_surd.filter(lambda v: not v.is_rational))
+@settings(max_examples=100)
+def test_mixed_compare_is_decided_through_sign(r, s):
+    # a rational against an irrational value takes no rational shortcut
+    with mock.patch.object(Money, "sign", autospec=True, side_effect=Money.sign) as sign:
+        got = Money(r).compare(s), s.compare(r), s.compare(Money(r))
+    assert sign.call_count == 3
+    want = (Money(r) - s).sign()
+    assert got == (want, -want, -want) and want != 0
+    if abs(F(r)) < 10 ** 6 and abs(float(F(r)) - _approx(s)) > 1e-6:
+        assert (want < 0) == (float(F(r)) < _approx(s))
 
 
 @given(_values, _values, _values, _scalars, _scalars)
