@@ -3,14 +3,15 @@
 Declared amounts are `Fraction`s.  The prices a mechanism computes from them
 (thresholds, payments, revenue and utilities) need square roots at norm
 exponent 1/2 and must never depend on a floating-point epsilon, so they are
-`Money`: rational linear combinations of square roots of square-free
-integers.  That set is closed under addition and under scaling by a
-rational, which is all the mechanisms need; equality is decidable from the
-canonical form alone, and the sign and the decimal digits of a non-zero
-value can always be resolved by refining integer square-root bounds.  Those
-bounds are integers over one positive denominator (`Money._integer_bounds`),
-which the sign, the decimal rounding and the critical-value scan's brackets
-read without building a `Fraction`.
+`Money`: a rational part plus rational multiples of square roots of
+square-free integers above 1, the two held in separate fields.  That set
+is closed under addition and under scaling by a rational, which is all the
+mechanisms need; equality is decidable from the canonical form alone, and
+the sign and the decimal digits of a non-zero value can always be resolved
+by refining integer square-root bounds.  Those bounds are integers over one
+positive denominator (`Money._integer_bounds`), which the sign, the decimal
+rounding and the critical-value scan's brackets read without building a
+`Fraction`.
 """
 
 from __future__ import annotations
@@ -23,8 +24,6 @@ from typing import Union
 from .errors import InvalidArgument, ParseError
 
 Rational = Union[int, Fraction]
-
-_ZERO = Fraction(0)
 
 #: Most digits plus decimal exponent a literal may have: amounts stay far below
 #: Python's 4,300-digit int-to-str limit and `Fraction` builds no huge power of ten.
@@ -80,173 +79,148 @@ def iroot(n: int, k: int) -> int:
         x = y
 
 
-def _rational_value(terms: dict[int, Fraction]) -> Fraction | None:
-    """The value of a term map as a Fraction, or None when it is irrational."""
-    if not terms:
-        return _ZERO
-    return terms.get(1) if len(terms) == 1 else None
+#: The root map every rational value shares; no root map is mutated once a
+#: `Money` holds it.
+_NO_ROOTS: dict[int, Fraction] = {}
+
+
+def _money(r: Rational, roots: dict[int, Fraction]) -> "Money":
+    """The value r + sum(c * sqrt(m) for m, c in roots.items()), for a
+    canonical `roots` map; a zero value is the shared `Money.ZERO`."""
+    if not r:
+        if not roots:
+            return Money.ZERO
+        r = 0
+    self = object.__new__(Money)
+    self._r, self._roots, self._hash = r, roots, None
+    return self
 
 
 class Money:
-    """A sum of rational multiples of sqrt(m) over square-free integers m.
+    """A rational plus a sum of rational multiples of sqrt(m), m > 1 square-free.
 
-    The term map is canonical (no zero coefficients, every radicand
-    square-free), which makes equality a structural check: square roots of
-    distinct square-free integers are linearly independent over the
-    rationals.
+    Two fields hold the value: `_r`, the rational part, is the int 0 or a
+    non-zero rational, and `_roots` maps each radicand m > 1 to its non-zero
+    `Fraction` coefficient; every rational value shares one empty map.  The
+    form is canonical, which makes equality a structural check: square
+    roots of distinct square-free integers are linearly independent over
+    the rationals.
 
     A `Money` is built from an int, a `Fraction`, a string `Fraction`
     parses (as `repr` renders it) or another `Money`.  A float raises
     `TypeError`: its binary value is seldom the number meant, and `Money`
     arithmetic rejects floats too.
 
-    Rational values take shortcuts: a sum, a difference from a `Fraction`
-    and a product with a scalar are one `Fraction` operation, with no term
-    map merged, and two rational `Money`s compare by one integer
-    cross-multiplication.  Every zero result
-    of arithmetic is the one shared `Money.ZERO`; a `Money` never changes
-    after it is built, so sharing it is safe.
+    Each operation works on both fields in one path, with no separate path
+    for rational values, and does no `Fraction` work on a zero rational part
+    or an empty root map.  `sign` and `_integer_bounds` read a value with
+    one root and no rational part, as most thresholds are, straight off its
+    coefficient.  Every zero result of arithmetic is the one shared
+    `Money.ZERO`; a `Money` never changes after it is built, so sharing it
+    is safe.
     """
 
-    __slots__ = ("_terms", "_hash")
+    __slots__ = ("_r", "_roots", "_hash")
 
     def __init__(self, value: Rational | str | "Money" = 0):
         if isinstance(value, Money):
-            self._terms = value._terms
+            self._r, self._roots = value._r, value._roots
         elif isinstance(value, float):
             raise TypeError("Money does not take a float; pass a Fraction or a string")
         else:
-            f = Fraction(value)
-            self._terms = {1: f} if f else {}
+            self._r, self._roots = Fraction(value) or 0, _NO_ROOTS
         self._hash = None
-
-    @classmethod
-    def _from_terms(cls, terms: dict[int, Fraction]) -> "Money":
-        """The value of a canonical term map: square-free radicands, no zero
-        coefficient."""
-        if not terms:
-            return cls.ZERO
-        self = object.__new__(cls)
-        self._terms = terms
-        self._hash = None
-        return self
-
-    @classmethod
-    def _rational(cls, value: Fraction) -> "Money":
-        if not value:
-            return cls.ZERO
-        self = object.__new__(cls)
-        self._terms = {1: value}
-        self._hash = None
-        return self
 
     @classmethod
     def sqrt(cls, n: int) -> "Money":
         """Exact square root of a non-negative integer."""
         if n < 0:
             raise InvalidArgument("sqrt of a negative integer")
-        if n == 0:
-            return cls()
-        outer, core = square_parts(n)
-        if core == 1:
-            return cls(outer)
-        return cls._from_terms({core: Fraction(outer)})
+        outer, core = square_parts(n) if n else (0, 1)
+        return cls(outer) if core == 1 else _money(0, {core: Fraction(outer)})
 
     # -- predicates ---------------------------------------------------------
 
     @property
     def is_rational(self) -> bool:
-        return _rational_value(self._terms) is not None
+        return not self._roots
 
     def terms(self) -> tuple[tuple[int, Fraction], ...]:
-        """Canonical (radicand, coefficient) pairs, sorted by radicand."""
-        return tuple(sorted(self._terms.items()))
+        """Canonical (radicand, coefficient) pairs, sorted by radicand; the
+        rational part, when non-zero, is radicand 1."""
+        roots = sorted(self._roots.items())
+        return ((1, Fraction(self._r)), *roots) if self._r else tuple(roots)
 
     # -- arithmetic ---------------------------------------------------------
 
-    def _coerce(self, other) -> "Money | None":
-        if isinstance(other, Money):
-            return other
-        if isinstance(other, Fraction):
-            return Money._rational(other)
-        if isinstance(other, int):
-            return Money(other)
-        return None
-
     def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
+        if isinstance(other, Money):
+            r, roots = other._r, other._roots
+        elif isinstance(other, (int, Fraction)):
+            r, roots = other, _NO_ROOTS
+        else:
             return NotImplemented
-        if not self._terms:
-            return o
-        if not o._terms:
-            return self
-        a, b = _rational_value(self._terms), _rational_value(o._terms)
-        if a is not None and b is not None:
-            return Money._rational(a + b)
-        terms = dict(self._terms)
-        for m, c in o._terms.items():
-            s = terms.get(m, _ZERO) + c
-            if s:
-                terms[m] = s
-            else:
-                terms.pop(m, None)
-        return Money._from_terms(terms)
+        if self._r:
+            r = self._r + r if r else self._r
+        if not roots:
+            roots = self._roots
+        elif self._roots:
+            merged = dict(self._roots)
+            for m, c in roots.items():
+                if m in merged:
+                    c += merged.pop(m)
+                if c:
+                    merged[m] = c
+            roots = merged
+        return _money(r, roots)
 
     __radd__ = __add__
 
     def __neg__(self):
-        if not self._terms:
-            return self
-        a = _rational_value(self._terms)
-        if a is not None:
-            return Money._rational(-a)
-        return Money._from_terms({m: -c for m, c in self._terms.items()})
+        roots = self._roots
+        if not (roots or self._r):  # most losing bids' payments: nothing to build
+            return Money.ZERO
+        return _money(-self._r, {m: -c for m, c in roots.items()} if roots else roots)
 
     def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
+        return self + -other if isinstance(other, (Money, int, Fraction)) else NotImplemented
 
     def __rsub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            a = _rational_value(self._terms)
-            if a is not None:
-                return Money._rational(other - a)
-        o = self._coerce(other)
-        if o is None:
+        if not isinstance(other, (int, Fraction)):
             return NotImplemented
-        return o + (-self)
+        roots = self._roots
+        return _money(other - self._r if self._r else other,
+                      {m: -c for m, c in roots.items()} if roots else roots)
 
     def __mul__(self, other):
         """Scaling by an `int` or a `Fraction`; a product of two `Money`s is
         not defined."""
         if not isinstance(other, (int, Fraction)):
             return NotImplemented
-        if not other or not self._terms:
+        if not other:
             return Money.ZERO
-        a = _rational_value(self._terms)
-        if a is not None:
-            return Money._rational(a * other)
-        return Money._from_terms({m: c * other for m, c in self._terms.items()})
+        roots = self._roots
+        return _money(self._r * other if self._r else 0,
+                      {m: c * other for m, c in roots.items()} if roots else roots)
 
     __rmul__ = __mul__
 
     def __bool__(self):
-        return bool(self._terms)
+        return bool(self._roots or self._r)
 
     # -- ordering -----------------------------------------------------------
 
     def sign(self) -> int:
         """-1, 0 or +1; exact."""
-        terms = self._terms
-        if len(terms) == 1:  # a rational, or a rational multiple of one root
-            (c,) = terms.values()
-            return -1 if c.numerator < 0 else 1
-        if not terms:
-            return 0
-        positive = [c.numerator > 0 for c in terms.values()]
+        n, roots = self._r.numerator, self._roots
+        if not roots:
+            return (n > 0) - (n < 0)
+        if len(roots) == 1 and not n:  # most thresholds: the coefficient's sign
+            (c,) = roots.values()
+            return 1 if c.numerator > 0 else -1
+        positive = [c.numerator > 0 for c in roots.values()]
+        if n:
+            positive.append(n > 0)
         if all(positive):
             return 1
         if not any(positive):
@@ -260,71 +234,58 @@ class Money:
                 return -1
             bits *= 2
 
-    def bounds(self, bits: int) -> tuple[Fraction, Fraction]:
-        """Exact rational bounds lo <= value <= hi, roots taken to `bits` fractional bits.
-
-        Two `Fraction`s built from `_integer_bounds`, whose integers the sign,
-        the decimal rendering and the critical scan's brackets read instead;
-        a rational value is its own bounds.
-        """
-        lo, hi, d = self._integer_bounds(bits)
-        return Fraction(lo, d), Fraction(hi, d)
-
     def _integer_bounds(self, bits: int) -> tuple[int, int, int]:
         """(lo, hi, d) with d > 0 and lo / d <= value <= hi / d, roots taken to
         `bits` fractional bits; lo == hi exactly when the value is rational.
 
-        Each term c * sqrt(m) is bounded by c times the root's bounds
-        r / 2**bits and (r + 1) / 2**bits, r = isqrt(m * 4**bits); the terms
-        are summed over the lcm of the coefficients' denominators, shifted
-        by `bits` when a root is among them.  Integers only, so no bound is
-        normalised.
+        Each root c * sqrt(m) is bounded by c times the root's bounds
+        r / 2**bits and (r + 1) / 2**bits, r = isqrt(m * 4**bits); the rational
+        part and the roots are summed over the lcm of the coefficients'
+        denominators, shifted by `bits` when there are roots.  Integers only,
+        so no bound is normalised.
         """
-        terms = self._terms
-        if len(terms) == 1:  # most thresholds: no lcm and no sum
-            ((m, c),) = terms.items()
+        r, roots = self._r, self._roots
+        if len(roots) == 1 and not r:  # most thresholds: no lcm and no sum
+            ((m, c),) = roots.items()
             n, d = c.numerator, c.denominator
-            if m == 1:
-                return n, n, d
             lo = n * isqrt(m << (2 * bits))
             return (lo, lo + n, d << bits) if n > 0 else (lo + n, lo, d << bits)
-        if not terms:
-            return 0, 0, 1
-        d = 1
-        for c in terms.values():
+        n, d = r.numerator, r.denominator
+        if not roots:
+            return n, n, d
+        for c in roots.values():
             d = lcm(d, c.denominator)
-        rational = terms.get(1)
-        lo = hi = 0 if rational is None else rational.numerator * (d // rational.denominator) << bits
-        for m, c in terms.items():
-            if m != 1:
-                n = c.numerator * (d // c.denominator)
-                below = n * isqrt(m << (2 * bits))
-                if n > 0:
-                    lo += below
-                    hi += below + n
-                else:
-                    lo += below + n
-                    hi += below
+        lo = hi = n * (d // r.denominator) << bits
+        for m, c in roots.items():
+            n = c.numerator * (d // c.denominator)
+            below = n * isqrt(m << (2 * bits))
+            if n > 0:
+                lo += below
+                hi += below + n
+            else:
+                lo += below + n
+                hi += below
         return lo, hi, d << bits
 
     def compare(self, other) -> int:
-        if other is self:
-            return 0
-        o = other if type(other) is Money else self._coerce(other)
-        if o is None:
+        if isinstance(other, Money):
+            r, roots = other._r, other._roots
+        elif isinstance(other, (int, Fraction)):
+            r, roots = other, _NO_ROOTS
+        else:
             raise TypeError(f"cannot compare Money with {type(other).__name__}")
-        a, b = _rational_value(self._terms), _rational_value(o._terms)
-        if a is not None and b is not None:
-            # denominators are positive, so one cross-multiplication decides
-            x, y = a.numerator * b.denominator, b.numerator * a.denominator
-            return (x > y) - (x < y)
-        return (self - o).sign()
+        if roots or self._roots:
+            return (self - other).sign()
+        # denominators are positive, so one cross-multiplication decides
+        x, y = self._r.numerator * r.denominator, r.numerator * self._r.denominator
+        return (x > y) - (x < y)
 
     def __eq__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self._terms == o._terms
+        if isinstance(other, Money):
+            return self._r == other._r and self._roots == other._roots
+        if isinstance(other, (int, Fraction)):
+            return not self._roots and self._r == other
+        return NotImplemented
 
     def __lt__(self, other):
         return self.compare(other) < 0
@@ -342,19 +303,16 @@ class Money:
         # a rational value hashes as the `Fraction` it equals; an irrational
         # one, which equals no `Fraction`, hashes its canonical integers
         if self._hash is None:
-            f = _rational_value(self._terms)
-            self._hash = hash(f) if f is not None else hash(frozenset(
-                (m, c.numerator, c.denominator) for m, c in self._terms.items()
-            ))
+            r, roots = self._r, self._roots
+            self._hash = hash(frozenset([(m, c.numerator, c.denominator) for m, c in (
+                {1: r, **roots} if r else roots).items()])) if roots else hash(r)
         return self._hash
 
     # -- rendering ----------------------------------------------------------
 
     def __repr__(self):
-        if not self._terms:
-            return "Money(0)"
-        if self.is_rational:
-            return f"Money({str(self._terms[1])!r})"
+        if not self._roots:
+            return f"Money({str(self._r)!r})" if self._r else "Money(0)"
         parts = " + ".join(f"({c})*sqrt({m})" for m, c in self.terms())
         return f"Money<{parts}>"
 
@@ -364,7 +322,7 @@ class Money:
         Bounds are refined until both round to the same sign, decimal
         exponent and digits, which the value between them then shares.
         """
-        if not self._terms:
+        if not self:
             return "0"
         bits = 64
         while True:

@@ -796,11 +796,11 @@ def _thresholds(draw):
             continue
         x = draw(_radical())
         ts.append(x)
-        lo, hi = x.bounds(draw(st.integers(65, 300)))
+        lo, hi, d = x._integer_bounds(draw(st.integers(65, 300)))
         if kind == "near":
-            ts.append(Money(draw(st.sampled_from([lo, hi]))))
+            ts.append(Money(F(draw(st.sampled_from([lo, hi])), d)))
         elif kind == "tiny":
-            ts.append(x - lo)
+            ts.append(x - F(lo, d))
     return ts
 
 
@@ -820,8 +820,9 @@ def test_brackets_order_thresholds(ts):
 
 def test_brackets_separate_tiny_radical_from_zero():
     x = Money.sqrt(2)
-    tiny = x - Money(x.bounds(200)[0])
-    assert tiny.sign() > 0 and tiny.bounds(64)[0] <= 0
+    lo, _, d = x._integer_bounds(200)
+    tiny = x - Money(F(lo, d))
+    assert tiny.sign() > 0 and tiny._integer_bounds(64)[0] <= 0
     ordered, d, brackets = _brackets([tiny, Money(0)])
     assert ordered == [Money(0), tiny]
     assert brackets[0] == (0, 0) and brackets[1][0] > 0

@@ -469,6 +469,15 @@ def test_experiment_tight(capsys):
     assert [row["goods"] for row in doc["rows"]] == [4, 9, 16]
 
 
+@pytest.mark.parametrize("l, optimal", [("1", 63.0), ("1/2", 7.937253)])
+def test_experiment_tight_runs_63_goods(capsys, l, optimal):
+    # a family has two bids: solved over 4 bid subsets, past the DP's cell bound
+    code, out = run_cli(capsys, "experiment", "--suite", "tight", "--k", "63", "--l", l)
+    assert code == 0
+    (row,) = json.loads(out)["rows"]
+    assert (row["goods"], row["optimal"], row["reaches_bound"]) == (63, optimal, True)
+
+
 def test_entry_point_subprocess(three_path):
     result = run_module("run", three_path)
     assert result.returncode == 0

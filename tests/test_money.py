@@ -61,6 +61,8 @@ def test_sqrt_normalisation():
     assert Money.sqrt(8) == Money.sqrt(2) * 2
     assert Money.sqrt(0) == Money(0)
     assert Money.sqrt(12) * F(1, 2) == Money.sqrt(3)
+    # a mixed value renders its rational part as radicand 1, first
+    assert repr(Money(3) + Money.sqrt(8) * F(1, 4)) == "Money<(3)*sqrt(1) + (1/2)*sqrt(2)>"
     # Money scales by rationals only: the product of two radicals is undefined
     with pytest.raises(TypeError):
         Money.sqrt(2) * Money.sqrt(3)
@@ -201,8 +203,8 @@ def test_to_decimal_matches_decimal_reference():
     for v, power in values:
         assert v.to_decimal() == _reference_decimal(v), v
         if power is not None:
-            lo, hi = v.bounds(64)
-            straddling += lo < power < hi
+            lo, hi, d = v._integer_bounds(64)
+            straddling += F(lo, d) < power < F(hi, d)
     assert straddling >= 500
 
 
@@ -244,10 +246,54 @@ def test_rational_arithmetic_matches_fraction(a, b):
     assert results[:5] == [Money(a - b), Money(2 - b), Money(a * b), Money(0), Money(-a)]
     assert Money(a).compare(Money(a)) == 0 and Money(a).compare(a) == 0
     assert Money(a).compare(b) == (a > b) - (a < b)
-    # a zero result equals and hashes as 0
-    for zero in (Money(a) * 0, Money(a) - Money(a), a - Money(a), Money(b) * F(0)):
+    # a zero result equals and hashes as 0, and is the one shared zero
+    for zero in (Money(a) * 0, Money(a) - Money(a), a - Money(a), Money(b) * F(0),
+                 -Money(0), Money(0) + Money(0), Money(0) - Money(0), Money(0) + 0):
         assert zero == 0 == Money(0) and hash(zero) == hash(0) and not zero
         assert zero.terms() == () and zero.sign() == 0 and zero.is_rational
+        assert zero is Money.ZERO
+
+
+_root_multiples = st.builds(
+    lambda c, m: Money.sqrt(m) * c,
+    st.fractions(min_value=-5, max_value=5, max_denominator=12),
+    st.integers(min_value=0, max_value=60),
+)
+
+
+@st.composite
+def _built_values(draw):
+    """Sums, differences, negations and scalings of c * sqrt(m), m from 0 to 60."""
+    v = draw(_root_multiples)
+    for step in draw(st.lists(st.sampled_from(["add", "sub", "rsub", "neg", "scale"]), max_size=8)):
+        if step == "add":
+            v = v + draw(_root_multiples)
+        elif step == "sub":
+            v = v - draw(_root_multiples)
+        elif step == "rsub":
+            v = draw(st.fractions(min_value=-5, max_value=5, max_denominator=12)) - v
+        elif step == "neg":
+            v = -v
+        else:
+            v = v * draw(st.sampled_from([0, 1, -1, 2, F(1, 3), F(-5, 2)]))
+    return v
+
+
+@given(_built_values())
+@settings(max_examples=300, deadline=None)
+def test_arithmetic_keeps_the_canonical_form(v):
+    terms = v.terms()
+    radicands = [m for m, _ in terms]
+    # sorted, each radicand once, the rational part (radicand 1) only first
+    assert radicands == sorted(set(radicands)) and 1 not in radicands[1:]
+    assert all(square_parts(m)[0] == 1 for m in radicands)
+    assert all(type(c) is F and c for _, c in terms)
+    assert v.is_rational == (radicands in ([], [1]))
+    rebuilt = sum((Money.sqrt(m) * c for m, c in terms), Money(0))
+    assert rebuilt == v and hash(rebuilt) == hash(v)
+    assert bool(v) == bool(terms)
+    if not v:
+        assert v is Money.ZERO
 
 
 _small_surd = st.builds(
@@ -343,14 +389,17 @@ _nonzero = st.fractions(min_value=-10 ** 6, max_value=10 ** 6, max_denominator=1
 @given(_nonzero, _squarefree, st.integers(min_value=1, max_value=300))
 @settings(max_examples=100, deadline=None)
 def test_one_term_bounds_are_the_term_bounds(c, m, bits):
-    lo, hi = (Money.sqrt(m) * c).bounds(bits)
+    lo, hi, d = (Money.sqrt(m) * c)._integer_bounds(bits)
+    lo, hi = F(lo, d), F(hi, d)
     # the per-term formula: c times the root's bounds r / 2**bits and (r + 1) / 2**bits
     r = isqrt(m << (2 * bits))
     assert (lo, hi) == tuple(sorted((c * F(r, 2 ** bits), c * F(r + 1, 2 ** bits))))
     # and they bracket c * sqrt(m), checked on squares alone
     low, high = sorted((lo / c, hi / c))
     assert 0 < low and low ** 2 < m < high ** 2 and high - low == F(1, 2 ** bits)
-    assert Money(c).bounds(bits) == (c, c) and Money(0).bounds(bits) == (0, 0)
+    n = c.numerator
+    assert Money(c)._integer_bounds(bits) == (n, n, c.denominator)
+    assert Money(0)._integer_bounds(bits) == (0, 0, 1)
 
 
 @given(
@@ -365,7 +414,6 @@ def test_bounds_are_the_integer_bounds_over_their_denominator(terms, bits):
         v = v + Money.sqrt(m) * c
     lo, hi, d = v._integer_bounds(bits)
     assert d > 0 and lo <= hi and (lo == hi) == v.is_rational
-    assert v.bounds(bits) == (F(lo, d), F(hi, d))
     # the per-term formula, summed as `Fraction`s
     below = above = F(0)
     for m, c in v.terms():
@@ -398,7 +446,7 @@ def test_equal_values_hash_equal_whatever_built_them(a, r, s):
 def test_sign_agrees_with_bounds(a, b, bits):
     for v in (a, a - b, a + b * F(1, 3)):
         sign = v.sign()
-        lo, hi = v.bounds(bits)
+        lo, hi, _ = v._integer_bounds(bits)
         assert lo <= hi
         if sign > 0:
             assert hi > 0
