@@ -18,9 +18,7 @@ from fractions import Fraction
 from math import lcm
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
-from .errors import (
-    BundleSpaceTooLarge, InstanceTooLarge, InvalidArgument, NonMonotoneDetected, TiesPresent,
-)
+from .errors import InstanceTooLarge, InvalidArgument, TiesPresent
 from .model import AuctionInstance, Outcome, SingleMindedBid, bidder_utility
 from .money import Money
 from .norm import NormConfig, TieRule, crossing_value
@@ -169,15 +167,27 @@ MECHANISMS: dict[str, Callable[[NormConfig, _exact.SolverKind], Mechanism]] = {
 }
 
 
+@dataclass(frozen=True, eq=False)
+class Witness:
+    """Replayable evidence for a violated axiom."""
+
+    instance: AuctionInstance
+    bid_index: Optional[int]
+    description: str
+
+
 @dataclass(frozen=True)
 class CriticalValue:
     """Threshold below which a bid loses and above which it wins.
 
-    `value` is None for +infinity; `probes` counts the mechanism runs.
+    `value` is None for +infinity, or when no threshold exists: then
+    `witness` replays a denial above a grant.  `probes` counts the
+    mechanism runs.
     """
 
     value: Optional[Money]
     probes: int = 0
+    witness: Optional[Witness] = None
 
 
 def _brackets(
@@ -279,15 +289,6 @@ def _grid(thresholds: Iterable[Money], true_amount: Fraction) -> _Grid:
     )
 
 
-@dataclass(frozen=True, eq=False)
-class Witness:
-    """Replayable evidence for a violated axiom."""
-
-    instance: AuctionInstance
-    bid_index: Optional[int]
-    description: str
-
-
 def critical_value(mech: Mechanism, instance: AuctionInstance, j: int) -> CriticalValue:
     """Bid j's grant threshold: the mechanism's first kept threshold above
     which, probed once inside each region between kept thresholds, j wins
@@ -296,9 +297,9 @@ def critical_value(mech: Mechanism, instance: AuctionInstance, j: int) -> Critic
     Probes are `Fraction`s placed on the grid: one just below its lowest
     positive value and one just above each kept threshold's bracket,
     toward the next grid value, so each is a probe the scan would make
-    with every grid value kept.  Raises `NonMonotoneDetected` when a probe
-    finds a denial above a grant, i.e. when no single threshold exists; its
-    witness is the instance with bid j at the denied probe.
+    with every grid value kept.  When a probe finds a denial above a grant,
+    no single threshold exists: `value` is then None and `witness` the
+    instance with bid j at the denied probe.
     """
     bundle = instance.bids[j].bundle
     kept, grid = mech.thresholds(instance, j)(bundle)
@@ -320,8 +321,8 @@ def critical_value(mech: Mechanism, instance: AuctionInstance, j: int) -> Critic
         if not status[i]:
             message = (f"bid {j}: granted at {Money(probes[first]).to_decimal()} "
                        f"but denied at {Money(probes[i]).to_decimal()}")
-            witness = Witness(instance.with_amount(j, probes[i]), j, message)
-            raise NonMonotoneDetected(message, witness)
+            return CriticalValue(None, len(probes),
+                                 Witness(instance.with_amount(j, probes[i]), j, message))
     value = Money(0) if first == 0 else ordered[rows[first - 1]]
     return CriticalValue(value, len(probes))
 
@@ -371,8 +372,8 @@ def _critical_witness(mech, inst, out, scan, counts, classes) -> Optional[Witnes
     """Winners pay exactly their critical value, which their scan finds."""
     for j in sorted(out.allocation.grants):
         cv = scan(j)
-        if isinstance(cv, Witness):
-            return cv
+        if cv.witness:
+            return cv.witness
         pay = out.payments[j]
         if cv.value is None:
             return Witness(inst, j, f"granted bid {j} has an infinite critical value")
@@ -433,8 +434,8 @@ def _monotonicity_witness(mech, inst, out, scan, counts, classes) -> Optional[Wi
     """
     for j in sorted(out.allocation.grants):
         cv = scan(j)
-        if isinstance(cv, Witness):
-            return cv
+        if cv.witness:
+            return cv.witness
         bid, (p, q) = inst.bids[j], inst.bids[j].amount.as_integer_ratio()
         moves = [bid.with_amount(_toward(p, 2 * p or q, q))]
         moves += [SingleMindedBid(bid.bidder, [g for i, g in enumerate(inst.goods) if m >> i & 1],
@@ -471,12 +472,12 @@ def run_axiom_suite(
     The mechanism runs once per instance and every selected check reads that
     outcome; a check stops at its first violation.  The critical and
     monotonicity checks share each winner's `critical_value` scan, made at
-    most once per instance and bid; a scan finding a denial above a grant
-    violates both.  `check_planned_reruns` plans every instance before the
-    first run and the name check; monotonicity reruns the classes it counts.
-    With `deviations` each plan also charges every bidder's misreport
-    search, which the caller runs after the suite, so the two share one
-    budget and one count of the classes.
+    most once per instance and bid; a scan's witness of a denial above a
+    grant violates both.  `check_planned_reruns` plans every instance
+    before the first run and the name check; monotonicity reruns the
+    classes it counts.  With `deviations` each plan also charges every
+    bidder's misreport search, which the caller runs after the suite, so
+    the two share one budget and one count of the classes.
     """
     selected = set(axioms)
     instances = list(instances)
@@ -492,15 +493,12 @@ def run_axiom_suite(
         if not pending:
             break
         out = mech.run(inst)
-        scans: dict[int, CriticalValue | Witness] = {}
+        scans: dict[int, CriticalValue] = {}
 
         def scan(j):
             # the module's own `critical_value`, looked up at each call
             if j not in scans:
-                try:
-                    scans[j] = critical_value(mech, inst, j)
-                except NonMonotoneDetected as exc:
-                    scans[j] = exc.witness
+                scans[j] = critical_value(mech, inst, j)
             return scans[j]
 
         for name in pending:
@@ -586,10 +584,10 @@ def _candidate_values(kept: Iterable[Money], grid: _Grid) -> tuple[list[Fraction
 
 
 def _bundle_count(k: int) -> int:
-    """The non-empty bundles over k goods; raises `BundleSpaceTooLarge` past
+    """The non-empty bundles over k goods; raises `InstanceTooLarge` past
     `MAX_SEARCH_GOODS`."""
     if k > MAX_SEARCH_GOODS:
-        raise BundleSpaceTooLarge(f"cannot enumerate bundles over {k} goods")
+        raise InstanceTooLarge(f"cannot enumerate bundles over {k} goods")
     return (1 << k) - 1
 
 
@@ -618,7 +616,7 @@ def check_planned_reruns(
     most n - 1 other bids' thresholds and the true amount in a bracket:
     (2**k - 1) * (n + 1) + 1 reruns, an upper bound on the search, which
     reruns one bundle per class.  Past `MAX_SEARCH_GOODS` goods the search
-    raises `BundleSpaceTooLarge` here.  Under `CANONICAL` a norm mechanism
+    raises `InstanceTooLarge` here.  Under `CANONICAL` a norm mechanism
     keeps only the thresholds of the bids a bundle overlaps, so both scans
     usually rerun fewer values than these n-based upper bounds.
 

@@ -9,7 +9,7 @@ success channel (0 ok, 1 failed check, 2 parse/validation, 3 ties rejected,
 
 The argument parser is built once per process, on the first `main` call,
 and every call parses with it into a fresh namespace.  Building it (four
-subparsers, then 36 arguments) took about 1.3 ms, more than half of an
+subparsers, then 29 arguments) took about 1.3 ms, more than half of an
 in-process `gen` plus `run` pair on an 8-good, 12-bid instance; with one
 parser per process such pairs went from 189 to 530 a second (2-vCPU host,
 Python 3.11).  A one-shot `camech` process builds one parser either way,

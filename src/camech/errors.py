@@ -1,4 +1,9 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.
+
+Each class names a failure that some caller acts on: `cli` maps each to one
+error kind and exit code.  A check's finding, such as a denial above a
+grant, is a result rather than an exception.
+"""
 
 
 class CamechError(Exception):
@@ -21,37 +26,13 @@ class TiesPresent(CamechError):
         self.pairs = tuple(pairs)
 
 
-class NotGranted(CamechError):
-    """A blocker query was made for a bid that was denied."""
-
-
 class InstanceTooLarge(CamechError):
-    """The instance exceeds a solver's size guard."""
+    """The work an input asks for exceeds a size guard."""
 
 
 class ExponentNotSupported(CamechError):
     """No exact closed form for this quantity at the requested norm exponent."""
 
 
-class NonMonotoneDetected(CamechError):
-    """A denial above a granted value leaves no critical value; `witness` replays it."""
-
-    def __init__(self, message, witness=None):
-        super().__init__(message)
-        self.witness = witness
-
-
-class BundleSpaceTooLarge(InstanceTooLarge):
-    """Too many goods to enumerate every bundle."""
-
-
-class TooManyTieOrders(InstanceTooLarge):
-    """The tie groups admit more permutations than the enumeration guard allows."""
-
-
 class UnknownScenario(CamechError):
     """The scenario name is not in the registry."""
-
-
-class ValuationUndefined(CamechError):
-    """A complex valuation table has no entry covering the queried bundle."""

@@ -17,14 +17,7 @@ from math import expm1, factorial, isqrt, log1p
 from typing import Mapping, Optional
 
 from .axioms import MECHANISMS, clarke_greedy_mechanism, find_profitable_deviation
-from .errors import (
-    InstanceTooLarge,
-    InvalidArgument,
-    TiesPresent,
-    TooManyTieOrders,
-    UnknownScenario,
-    ValuationUndefined,
-)
+from .errors import InstanceTooLarge, InvalidArgument, UnknownScenario
 from .exact import SolverKind, _check_cells, optimal_allocation, run_gva
 from .greedy import _priced, _walk, greedy_allocate
 from .model import (
@@ -36,7 +29,7 @@ from .model import (
     validate_instance,
 )
 from .money import Money
-from .norm import NormConfig, RankedList, TieRule, _sorted, rank
+from .norm import NormConfig, RankedList, _sorted, rank
 
 F = Fraction
 
@@ -438,7 +431,7 @@ def revenue_compare_tie_orders(instance: AuctionInstance, cfg: NormConfig) -> Ti
     for g in groups:
         total_orders *= factorial(len(g))
         if total_orders > MAX_TIE_ORDERS:
-            raise TooManyTieOrders(f"tie groups admit more than {MAX_TIE_ORDERS} orders")
+            raise InstanceTooLarge(f"tie groups admit more than {MAX_TIE_ORDERS} orders")
     revenue_sum = Money(0)
     for perm_groups in itertools.product(*(itertools.permutations(g) for g in groups)):
         order = tuple(itertools.chain.from_iterable(perm_groups))
@@ -543,12 +536,8 @@ def random_instance(
             for i, (bundle, amount) in enumerate(zip(bundles, amounts))
         )
         inst = AuctionInstance(goods, bids)
-        try:
-            for exponent in TIE_FREE_EXPONENTS:
-                rank(inst, NormConfig(exponent, TieRule.REJECT))
-        except TiesPresent:
-            continue
-        return inst
+        if not any(rank(inst, NormConfig(e)).had_ties for e in TIE_FREE_EXPONENTS):
+            return inst
     raise InvalidArgument("could not draw a tie-free instance; lower the bid count")
 
 
@@ -748,7 +737,7 @@ def complex_player_utility(
         return Money(0) - paid
     covered = [v for bundle, v in valuation_table.items() if bundle <= union]
     if not covered:
-        raise ValuationUndefined(
+        raise InvalidArgument(
             f"no valuation entry covers the union {sorted(union)} for owner {owner!r}"
         )
     return max(covered) - paid

@@ -21,7 +21,7 @@ from fractions import Fraction
 from operator import index
 from typing import Mapping, Optional
 
-from .errors import NotGranted
+from .errors import InvalidArgument
 from .model import Allocation, AuctionInstance, Outcome, SingleMindedBid, assemble_outcome
 from .money import Money
 from .norm import NormConfig, RankedList, bundle_ratio_power, crossing_value, rank
@@ -86,7 +86,7 @@ def blocker(trace: GreedyTrace, j: int) -> Optional[int]:
     try:
         return trace.blockers[j]
     except KeyError:
-        raise NotGranted(f"bid {j} was denied; it has no blocker") from None
+        raise InvalidArgument(f"bid {j} was denied; it has no blocker") from None
 
 
 class GreedyPayments(Sequence):

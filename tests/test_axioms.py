@@ -33,9 +33,7 @@ from camech.axioms import (
     gva_mechanism,
     run_axiom_suite,
 )
-from camech.errors import (
-    BundleSpaceTooLarge, InstanceTooLarge, InvalidArgument, NonMonotoneDetected, TiesPresent,
-)
+from camech.errors import InstanceTooLarge, InvalidArgument, TiesPresent
 from camech.exact import SolverKind, run_gva
 from camech.experiments import random_instance
 from camech.greedy import run_greedy
@@ -85,6 +83,10 @@ no_thresholds = _fixed()
 BRACKET_WIDTH = F(1, 10 ** 9)
 
 
+class ProbedNonMonotone(Exception):
+    """The reference prober found a denial above a grant."""
+
+
 def probe_bracket(mech, instance, j):
     """Reference oracle: grow, then bisect, a bracket (lo, hi] around bid j's
     critical value by re-running `mech`; None when j never wins."""
@@ -104,7 +106,7 @@ def probe_bracket(mech, instance, j):
         return None
     for check in (hi * 2, hi * 4):  # spot-check monotonicity above the bracket
         if check <= ceiling and not granted_at(check):
-            raise NonMonotoneDetected(f"bid {j}: granted at {hi} but denied at {check}")
+            raise ProbedNonMonotone(f"bid {j}: granted at {hi} but denied at {check}")
     while hi - lo > BRACKET_WIDTH:
         mid = (lo + hi) / 2
         if granted_at(mid):
@@ -206,27 +208,27 @@ WINDOW = Mechanism("window", _window, _fixed(Money(F(19, 2)), Money(15)))
 
 
 def test_nonmonotone_detected_threshold_route():
-    with pytest.raises(NonMonotoneDetected):
-        critical_value(WINDOW, three_bidder_instance(), 0)
+    cv = critical_value(WINDOW, three_bidder_instance(), 0)
+    assert cv.value is None and cv.witness.bid_index == 0
+    assert cv.witness.description.startswith("bid 0: granted at ")
 
 
 def test_nonmonotone_is_a_violated_critical_check():
     # the denial above a grant violates both checks that read the scan, each
     # with the same witness: red at the denied probe, which replays the loss
     inst = three_bidder_instance().with_amount(0, 12)  # red wins inside its window
-    with pytest.raises(NonMonotoneDetected) as raised:
-        critical_value(WINDOW, inst, 0)
+    scanned = critical_value(WINDOW, inst, 0).witness
     report = run_axiom_suite(WINDOW, [inst], ["critical", "monotonicity"])
     assert [(c.axiom, c.verdict, c.samples) for c in report.checks] == [
         ("monotonicity", "violated", 1), ("critical", "violated", 1),
     ]
     for check in report.checks:
         witness = check.witness
-        assert witness.description == str(raised.value) and witness.bid_index == 0
+        assert witness.description == scanned.description and witness.bid_index == 0
         assert witness.instance.bids[0].amount > 15
         assert WINDOW.run(witness.instance).allocation.bundle_granted(0) == frozenset()
     doc = documents.check_report_document(report, None)
-    assert [c["witness"]["description"] for c in doc["checks"]] == [str(raised.value)] * 2
+    assert [c["witness"]["description"] for c in doc["checks"]] == [scanned.description] * 2
     assert documents.parse_instance_text(
         documents.to_json(doc["checks"][1]["witness"]["instance"])
     ).bids[0].amount == witness.instance.bids[0].amount
@@ -242,9 +244,9 @@ def test_nonmonotone_detected_probing_route():
         return assemble_outcome(instance, Allocation.of_indices(instance, granted), (Money(0),))
 
     broken = Mechanism("window", window, _fixed(Money(F(1, 2)), Money(3)))
-    with pytest.raises(NonMonotoneDetected):
-        critical_value(broken, inst, 0)
-    with pytest.raises(NonMonotoneDetected):
+    cv = critical_value(broken, inst, 0)
+    assert cv.value is None and cv.witness.instance.bids[0].amount >= 3
+    with pytest.raises(ProbedNonMonotone):
         probe_bracket(broken, inst, 0)
 
 
@@ -1679,7 +1681,7 @@ def test_planned_reruns_bound(monkeypatch):
         check_planned_reruns(PLAIN, inst, ["critical"], deviations=True)
     wide = AuctionInstance(tuple(f"g{i}" for i in range(17)), (bid("x", {"g0"}, 1),))
     check_planned_reruns(PLAIN, wide, ["monotonicity"])
-    with pytest.raises(BundleSpaceTooLarge):
+    with pytest.raises(InstanceTooLarge, match="^cannot enumerate bundles over 17 goods$"):
         check_planned_reruns(PLAIN, wide, deviations=True)
 
 
@@ -1743,7 +1745,7 @@ def test_planned_gva_solve_work_bound(monkeypatch):
 def test_deviation_guard():
     goods = tuple(f"g{i}" for i in range(17))
     inst = AuctionInstance(goods, (bid("x", {"g0"}, 1),))
-    with pytest.raises(BundleSpaceTooLarge):
+    with pytest.raises(InstanceTooLarge, match="^cannot enumerate bundles over 17 goods$"):
         find_profitable_deviation(greedy_mechanism(L1), inst, 0)
 
 

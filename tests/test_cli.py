@@ -168,12 +168,54 @@ def test_run_validation_error_exit_2(capsys, tmp_path):
     assert json.loads(out)["error"]["kind"] == "validation"
 
 
+_ONE_BID = {"goods": ["a"], "bids": [{"bidder": "x", "bundle": ["a"], "amount": "1"}]}
+
+
+@pytest.mark.parametrize("doc, reason", [
+    ({**_ONE_BID, "goods": ["a", "a"]}, "duplicate good ids"),
+    ({**_ONE_BID, "true_types": [{"bidder": "x", "bundle": ["z"], "amount": "1"}]},
+     "true type for x uses an invalid bundle"),
+    ({**_ONE_BID, "true_types": [{"bidder": "x", "bundle": ["a"], "amount": "-1"}]},
+     "true type for x has a negative amount"),
+], ids=["duplicate-goods", "true-type-unknown-good", "true-type-negative"])
+def test_run_validation_reason_exit_2(capsys, tmp_path, doc, reason):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    code, out = run_cli(capsys, "run", str(path))
+    assert code == 2
+    assert json.loads(out) == {"error": {"kind": "validation", "violations": [
+        {"bid": None, "reason": reason},
+    ]}}
+
+
 def test_run_parse_error_exit_2(capsys, tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{")
     code, out = run_cli(capsys, "run", str(path))
     assert code == 2
     assert json.loads(out)["error"]["kind"] == "parse"
+
+
+@pytest.mark.parametrize("doc, message", [
+    ({"goods": ["a"], "bids": [1]}, "bids[0]: expected an object"),
+    ([], "instance document must be an object"),
+    ({**_ONE_BID, "true_types": {}}, "true_types must be a list"),
+], ids=["bid-not-object", "top-level-list", "true-types-not-list"])
+def test_run_parse_message_exit_2(capsys, tmp_path, doc, message):
+    path = tmp_path / "broken.json"
+    path.write_text(json.dumps(doc))
+    code, out = run_cli(capsys, "run", str(path))
+    assert code == 2
+    assert _one_error(out, "parse") == message
+
+
+def test_run_bad_norm_exponent_exit_2(capsys, three_path):
+    # argparse refuses the literal: usage on stderr, nothing on stdout
+    with pytest.raises(SystemExit) as exited:
+        main(["run", three_path, "--norm-exponent", "abc"])
+    captured = capsys.readouterr()
+    assert exited.value.code == 2 and captured.out == ""
+    assert "not a rational literal: 'abc'" in captured.err
 
 
 def _one_error(out, kind):
@@ -915,6 +957,13 @@ def test_gen_rejects_bid_counts_past_the_draw_limit(goods, bids):
     assert "0 to 200000 bids" in error["message"]
 
 
+def test_gen_gives_up_on_tied_draws_with_a_message(capsys):
+    # 6,000 bids over two goods tie in every draw, so the redraws run out
+    code, out = run_cli(capsys, "gen", "--goods", "2", "--bids", "6000", "--seed", "1")
+    assert code == 2
+    assert _one_error(out, "error") == "could not draw a tie-free instance; lower the bid count"
+
+
 def test_gen_refuses_draws_past_the_goods_times_bids_budget():
     # one draw of 63 goods times 200,000 bids took seconds only to tie
     result = run_module("gen", "--goods", "63", "--bids", "200000", "--seed", "1", timeout=5)
@@ -1157,18 +1206,21 @@ _check_amounts = st.one_of(
     st.sampled_from(["0", "1", "0.001", "1e-9", "7/3"]),
     st.builds(lambda p, q: f"{p}/{q}", st.integers(1, 1000), st.integers(1, 1000)),
     st.integers(1, 9).map(lambda d: f"{d}{'0' * 198}{d}"),
+    # the longest literal `parse_decimal` accepts
+    st.integers(1, 9).map(lambda d: f"{d}{'0' * 998}{d}"),
 )
 
 
 @st.composite
 def _check_runs(draw):
-    """A check command line over a document of up to 4 goods and 5 bids."""
-    goods = "abcd"[:draw(st.integers(1, 4))]
+    """A check command line over a document of 1-4, 17, 40 or 63 goods and
+    up to 5 bids."""
+    goods = [f"g{i}" for i in range(draw(st.sampled_from([1, 2, 3, 4, 17, 40, 63])))]
     bids = draw(st.lists(
         st.tuples(st.sets(st.sampled_from(goods), min_size=1), _check_amounts, st.booleans()),
         max_size=5,
     ))
-    doc = {"goods": list(goods), "bids": [
+    doc = {"goods": goods, "bids": [
         {"bidder": f"b{i}", "bundle": sorted(bundle), "amount": amount,
          **({"reserve": True} if reserve else {})}
         for i, (bundle, amount, reserve) in enumerate(bids)

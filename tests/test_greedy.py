@@ -9,7 +9,7 @@ import pytest
 
 from camech import greedy, norm
 from camech.axioms import critical_value, greedy_mechanism
-from camech.errors import ExponentNotSupported, NotGranted, TiesPresent
+from camech.errors import ExponentNotSupported, InvalidArgument, TiesPresent
 from camech.greedy import blocker, greedy_allocate, run_greedy
 from camech.model import AuctionInstance, SingleMindedBid, allocation_value, bidder_utility
 from camech.money import Money
@@ -60,7 +60,7 @@ def test_blocker_three_bidders():
     _, trace = greedy_allocate(inst, L1)
     assert blocker(trace, 0) == 1  # red keeps green out
     assert blocker(trace, 2) is None
-    with pytest.raises(NotGranted):
+    with pytest.raises(InvalidArgument, match="^bid 1 was denied; it has no blocker$"):
         blocker(trace, 1)
 
 
