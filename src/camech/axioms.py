@@ -15,15 +15,16 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from math import lcm
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 from .errors import InstanceTooLarge, InvalidArgument, TiesPresent
-from .model import AuctionInstance, Outcome, SingleMindedBid, bidder_utility
+from .model import AuctionInstance, BidRerun, Outcome, SingleMindedBid, bidder_utility
 from .money import Money
 from .norm import NormConfig, TieRule, crossing_value
 from . import exact as _exact
-from .greedy import run_greedy
+from .greedy import rerun_greedy, run_greedy
 
 #: Probes sit this fraction of the local gap off a threshold's rational bracket.
 PROBE_SCALE = Fraction(1, 2 ** 20)
@@ -33,8 +34,10 @@ AXIOMS = ("exactness", "monotonicity", "participation", "critical")
 #: Most goods whose bundles the misreport search enumerates.
 MAX_SEARCH_GOODS = 16
 #: Most mechanism reruns a check may plan, checked before the first one runs
-#: as `exact.MAX_DP_CELLS` is before a table is built: about half a minute
-#: of greedy reruns at 6 goods and 8 bids.
+#: as `exact.MAX_DP_CELLS` is before a table is built.  On a 2-vCPU host a
+#: misreport search at 6 goods and 8 bids spends 7.0 us a greedy rerun that
+#: greedy answers from its walk, and 13.9 us one run in full, so the budget
+#: is about 7 s of such reruns, or 15 s run in full.
 MAX_PLANNED_RERUNS = 1 << 20
 #: Most order-key bits the planned reruns of a norm mechanism may build.
 #: On a 2-vCPU host, `check --axioms critical` at l = 999/1000 on four
@@ -72,10 +75,21 @@ class Mechanism:
     values, and whose outcome for bid j off them, are the same across a
     class, as the registered mechanisms' are.  It need not run the
     mechanism: the GVA's thresholds are read off one DP value table of the
-    other bids, whichever solver `run` uses.  `norm` is the ranking norm
-    of a norm-based mechanism, whose outcomes carry a `GreedyTrace`, and
-    `solver` the exact solver of the GVA.  `check_planned_reruns` reads
-    both to price a check's reruns before the first one runs.
+    other bids, whichever solver `run` uses.  The kept values are found on
+    the grid by identity, so each is one of the grid's own objects.  `norm`
+    is the ranking norm of a norm-based mechanism, whose outcomes carry a
+    `GreedyTrace`, and `solver` the exact solver of the GVA.
+    `check_planned_reruns` reads both to price a check's reruns before the
+    first one runs.
+
+    The checkers read a rerun only at the replaced bid j: its grant, its
+    payment and, for a norm mechanism, whether the ranking tied.
+    `rerun(instance, j, bid)`, when given, answers that part of
+    `run(instance.with_bid(j, bid))` as a `BidRerun`, or returns None when
+    only the full run can say; `_rerun` then runs it.  Greedy answers from
+    the walk without bid j (`greedy.rerun_greedy`); the other mechanisms
+    give none.  A mechanism that replaces `run` replaces or drops `rerun`
+    too, or the checkers keep reading the old answers.
     """
 
     name: str
@@ -85,10 +99,26 @@ class Mechanism:
     ]
     norm: Optional[NormConfig] = None
     solver: Optional[_exact.SolverKind] = None
+    rerun: Optional[Callable[[AuctionInstance, int, SingleMindedBid], Optional[BidRerun]]] = None
+
+
+def _rerun(mech: Mechanism, instance: AuctionInstance, j: int, bid: SingleMindedBid) -> BidRerun:
+    """Bid j's part of `mech.run(instance.with_bid(j, bid))`: from
+    `mech.rerun` when it answers, else from that run, which raises what it
+    raises.  Every checker rerun goes through here."""
+    if mech.rerun is not None:
+        answer = mech.rerun(instance, j, bid)
+        if answer is not None:
+            return answer
+    out = mech.run(instance.with_bid(j, bid))
+    return BidRerun(
+        out.allocation.bundle_granted(j), partial(out.payments.__getitem__, j),
+        mech.norm is not None and out.trace.ranking.had_ties,
+    )
 
 
 def _norm_mechanism(
-    name: str, run: Callable[[AuctionInstance], Outcome], cfg: NormConfig
+    name: str, run: Callable[[AuctionInstance], Outcome], cfg: NormConfig, rerun=None
 ) -> Mechanism:
     """A mechanism allocating greedily by cfg's norm, so its grid is the
     values at which the bundle's norm crosses each other bid's.
@@ -129,11 +159,14 @@ def _norm_mechanism(
 
         return of_bundle
 
-    return Mechanism(name, run, thresholds, cfg)
+    return Mechanism(name, run, thresholds, cfg, rerun=rerun)
 
 
 def greedy_mechanism(cfg: NormConfig) -> Mechanism:
-    return _norm_mechanism("greedy", lambda inst: run_greedy(inst, cfg), cfg)
+    return _norm_mechanism(
+        "greedy", lambda inst: run_greedy(inst, cfg), cfg,
+        lambda inst, j, bid: rerun_greedy(inst, j, bid, cfg),
+    )
 
 
 def clarke_greedy_mechanism(cfg: NormConfig) -> Mechanism:
@@ -192,15 +225,18 @@ class CriticalValue:
 
 def _brackets(
     thresholds: Iterable[Money],
-) -> tuple[list[Money], int, list[tuple[int, int]]]:
-    """The distinct thresholds in increasing order, one common denominator d
-    and, for each threshold t, integers (lo, hi) with lo / d <= t <= hi / d;
-    a rational threshold is its own bracket, lo == hi.
+) -> tuple[list[Money], int, list[tuple[int, int]], list[int]]:
+    """The distinct thresholds in increasing order, one common denominator d,
+    for each distinct threshold t integers (lo, hi) with lo / d <= t <= hi / d
+    (a rational threshold is its own bracket, lo == hi), and for each input
+    its row: the place of its value in that order.
 
-    Equal thresholds may be given more than once, and one of them is kept.
-    The thresholds are sorted by their brackets, taken at doubling precision
-    until each two neighbours have disjoint brackets or are equal (equal
-    values have equal brackets), so no two are ever subtracted.
+    Equal thresholds may be given more than once, and one of them is kept;
+    each input keeps its row, so callers map values to rows by position,
+    hashing no `Money`.  The thresholds are sorted by their brackets, taken
+    at doubling precision until each two neighbours have disjoint brackets
+    or are equal (equal values have equal brackets), so no two are ever
+    subtracted.
     """
     thresholds = list(thresholds)
     bits = 64  # the precision `Money.to_decimal` starts at
@@ -214,15 +250,16 @@ def _brackets(
         scaled = [(lo * (f := common // d), hi * f) for lo, hi, d in bounds]
         # equal lower bounds overlap, so ordering by lo alone is enough
         order = sorted(range(len(thresholds)), key=lambda i: scaled[i][0])
-        kept = order[:1]
+        kept, rows = order[:1], [0] * len(thresholds)
         for i in order[1:]:
             k = kept[-1]
             if scaled[k][1] < scaled[i][0]:
                 kept.append(i)
             elif scaled[k] != scaled[i] or thresholds[k] != thresholds[i]:
                 break
+            rows[i] = len(kept) - 1
         else:
-            return [thresholds[i] for i in kept], common, [scaled[i] for i in kept]
+            return [thresholds[i] for i in kept], common, [scaled[i] for i in kept], rows
         bits *= 2
 
 
@@ -248,8 +285,9 @@ class _Grid(NamedTuple):
     misreport search's true amount placed on it once for every class of
     bundles that shares the grid."""
 
-    #: each distinct threshold -> its row, its place in increasing order
-    row: dict[Money, int]
+    #: the id of each threshold the grid was built from -> its row, the
+    #: place of its value in increasing order
+    row: dict[int, int]
     #: `_probe_above` each row
     above: list[Fraction]
     #: whether row 0 is zero's bracket, (0, 0)
@@ -267,15 +305,17 @@ class _Grid(NamedTuple):
     below: list[bool]
 
 
-def _grid(thresholds: Iterable[Money], true_amount: Fraction) -> _Grid:
+def _grid(thresholds: Sequence[Money], true_amount: Fraction) -> _Grid:
     """The `_Grid` of non-negative `thresholds` and `true_amount`.
 
     A bound x / d of the common denominator d lies below a = an / ad
     exactly when x * ad < an * d, so the true amount is placed on the
     integer brackets; only its place against each probe takes a
-    `Fraction` comparison, one per row and grid.
+    `Fraction` comparison, one per row and grid.  Rows are keyed by the
+    thresholds' ids, so the caller keeps the thresholds alive while it
+    reads the grid.
     """
-    ordered, d, brackets = _brackets(thresholds)
+    _, d, brackets, rows = _brackets(thresholds)
     above = [_probe_above(brackets, r, d) for r in range(len(brackets))]
     a = true_amount
     ad, scaled = a.denominator, a.numerator * d
@@ -284,7 +324,8 @@ def _grid(thresholds: Iterable[Money], true_amount: Fraction) -> _Grid:
         r += 1
     inside = r < len(brackets) and brackets[r][0] * ad <= scaled
     return _Grid(
-        {t: r for r, t in enumerate(ordered)}, above, bool(brackets) and brackets[0] == (0, 0),
+        {id(t): r for t, r in zip(thresholds, rows)}, above,
+        bool(brackets) and brackets[0] == (0, 0),
         a, r, inside, inside and brackets[r][0] == brackets[r][1], [a < p for p in above],
     )
 
@@ -297,23 +338,25 @@ def critical_value(mech: Mechanism, instance: AuctionInstance, j: int) -> Critic
     Probes are `Fraction`s placed on the grid: one just below its lowest
     positive value and one just above each kept threshold's bracket,
     toward the next grid value, so each is a probe the scan would make
-    with every grid value kept.  When a probe finds a denial above a grant,
-    no single threshold exists: `value` is then None and `witness` the
-    instance with bid j at the denied probe.
+    with every grid value kept.  Each probe reads only bid j's grant,
+    through `_rerun`, so greedy's probes price nothing.  Kept thresholds
+    find their rows by identity among the grid values `_brackets` placed,
+    duplicates of an equal value included.  When a probe finds a denial
+    above a grant, no single threshold exists: `value` is then None and
+    `witness` the instance with bid j at the denied probe.
     """
-    bundle = instance.bids[j].bundle
+    declared = instance.bids[j]
+    bundle = declared.bundle
     kept, grid = mech.thresholds(instance, j)(bundle)
     # zero is bracketed too, so the first probe stays above it
-    ordered, d, brackets = _brackets([Money.ZERO, *(t for t in grid if t.sign() > 0)])
-    row = {t: r for r, t in enumerate(ordered)}
+    values = [Money.ZERO, *(t for t in grid if t.sign() > 0)]
+    ordered, d, brackets, rows_of = _brackets(values)
+    row = {id(t): r for t, r in zip(values, rows_of)}
     # zero's row is 0, so `row.get` drops kept values at or below zero
-    rows = sorted({r for t in kept if (r := row.get(t))})
+    rows = sorted({r for t in kept if (r := row.get(id(t)))})
     first_probe = _toward(brackets[1][0], 0, d) if len(brackets) > 1 else PROBE_SCALE
     probes = [first_probe, *(_probe_above(brackets, r, d) for r in rows)]
-    status = [
-        mech.run(instance.with_amount(j, v)).allocation.bundle_granted(j) == bundle
-        for v in probes
-    ]
+    status = [_rerun(mech, instance, j, declared.with_amount(v)).bundle == bundle for v in probes]
     first = next((i for i, s in enumerate(status) if s), None)
     if first is None:
         return CriticalValue(None, len(probes))
@@ -441,15 +484,15 @@ def _monotonicity_witness(mech, inst, out, scan, counts, classes) -> Optional[Wi
         moves += [SingleMindedBid(bid.bidder, [g for i, g in enumerate(inst.goods) if m >> i & 1],
                                   bid.amount, bid.is_reserve) for m in classes[j]]
         for moved in moves:
-            moved_inst = inst.with_bid(j, moved)
             try:
-                result = mech.run(moved_inst)
-                tied = mech.norm is not None and result.trace.ranking.had_ties
+                result = _rerun(mech, inst, j, moved)
+                tied = result.had_ties
             except TiesPresent:
                 tied = True
             counts[tied] += 1
-            if not tied and result.allocation.bundle_granted(j) != moved.bundle:
-                return Witness(moved_inst, j, f"bid {j} was granted as {sorted(bid.bundle)}@"
+            if not tied and result.bundle != moved.bundle:
+                return Witness(inst.with_bid(j, moved), j,
+                               f"bid {j} was granted as {sorted(bid.bundle)}@"
                                f"{Money(bid.amount).to_decimal()} but lost after moving to "
                                f"{sorted(moved.bundle)}@{Money(moved.amount).to_decimal()}")
     return None
@@ -565,7 +608,7 @@ def _candidate_values(kept: Iterable[Money], grid: _Grid) -> tuple[list[Fraction
     """
     row, above, zero, a, r, inside, on_threshold, below = grid
     get = row.get
-    rows = sorted({x for t in kept if (x := get(t)) is not None})
+    rows = sorted({x for t in kept if (x := get(id(t))) is not None})
     values = [_ZERO]
     values += [above[x] for x in rows]
     tied = [_ZERO] if zero and rows and not rows[0] else []
@@ -695,10 +738,13 @@ def find_profitable_deviation(
 
     The bidder's true type comes from `instance.true_types` (falling back to
     the declared bid).  Any report returned is genuinely profitable: the
-    deviating utility was computed by re-running the mechanism.  A
-    candidate whose rerun raises `TiesPresent` is skipped and not counted
-    as tested; a tie on the truthful rerun comes from the input and
-    propagates.
+    deviating utility was computed by re-running the mechanism.  The
+    truthful report runs it in full, once per search, so each search runs
+    `mech.run` itself at least once; every candidate goes through
+    `_rerun`, which reads bid j's grant and payment off `mech.rerun` when
+    the mechanism answers there.  A candidate whose rerun raises
+    `TiesPresent` is skipped and not counted as tested; a tie on the
+    truthful rerun comes from the input and propagates.
 
     The mechanisms read a misreported bundle through its size, the other
     bids it overlaps and whether it covers the true bundle, so bundles
@@ -741,7 +787,6 @@ def find_profitable_deviation(
     # out of the mask only splits classes further
     index = instance.good_index
     true_mask = instance.mask_of(g for g in true_type.bundle if g in index)
-    run, with_bid = mech.run, instance.with_bid
     bidder, is_reserve = declared.bidder, declared.is_reserve
     for bundle_bits in range(1, bundles + 1):
         low = bundle_bits & -bundle_bits
@@ -760,11 +805,11 @@ def find_profitable_deviation(
         for v in values:
             attempt = SingleMindedBid(bidder, bundle, v, is_reserve)
             try:
-                out = run(with_bid(j, attempt))
+                result = _rerun(mech, instance, j, attempt)
             except TiesPresent:
                 continue
             tested += 1
-            u = bidder_utility(true_type, out.allocation.bundle_granted(j), out.payments[j])
+            u = bidder_utility(true_type, result.bundle, result.price())
             if best is None or u > best:
                 best, best_bid = u, attempt
     if best is not None and best > truthful_utility:

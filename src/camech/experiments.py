@@ -29,7 +29,7 @@ from .model import (
     validate_instance,
 )
 from .money import Money
-from .norm import NormConfig, RankedList, _sorted, rank
+from .norm import NormConfig, RankedList, _sorted, keys_tie
 
 F = Fraction
 
@@ -536,7 +536,7 @@ def random_instance(
             for i, (bundle, amount) in enumerate(zip(bundles, amounts))
         )
         inst = AuctionInstance(goods, bids)
-        if not any(rank(inst, NormConfig(e)).had_ties for e in TIE_FREE_EXPONENTS):
+        if not any(keys_tie(inst, e) for e in TIE_FREE_EXPONENTS):
             return inst
     raise InvalidArgument("could not draw a tie-free instance; lower the bid count")
 

@@ -11,6 +11,11 @@ allocation prices nothing.
 
 The walk takes any order: the tie-order enumeration walks each resolution
 of the norm ties, and Clarke-with-greedy walks its ranking without bid j.
+
+`rerun_greedy` answers a checker's rerun, bid j replaced, with bid j's
+grant and payment alone, read off the walk of the other bids: bid j at
+position p is granted exactly when its bundle misses the goods that walk
+grants before p, and a winner's blocker comes from the walk resumed at p.
 """
 
 from __future__ import annotations
@@ -18,13 +23,16 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from operator import index
 from typing import Mapping, Optional
 
 from .errors import InvalidArgument
-from .model import Allocation, AuctionInstance, Outcome, SingleMindedBid, assemble_outcome
+from .model import (
+    Allocation, AuctionInstance, BidRerun, Outcome, SingleMindedBid, assemble_outcome,
+)
 from .money import Money
-from .norm import NormConfig, RankedList, bundle_ratio_power, crossing_value, rank
+from .norm import NormConfig, RankedList, _Without, bundle_ratio_power, crossing_value, place, rank
 
 
 @dataclass(frozen=True, eq=False, init=False)
@@ -156,3 +164,63 @@ def _priced(
                 bundle_ratio_power(len(bids[j].bundle), len(bids[i].bundle), p, q)
     payments = GreedyPayments(bids, trace.blockers, exponent)
     return assemble_outcome(instance, allocation, payments, trace)
+
+
+def _free() -> Money:
+    return Money.ZERO
+
+
+def _granted_before(without: _Without, masks: Sequence[int]) -> list[int]:
+    """The goods the walk of `without.order` grants before each position,
+    and after the last: computed once per instance, norm and bid j."""
+    granted = without.granted_before
+    if granted is None:
+        used = 0
+        granted = [0]
+        for i in without.order:
+            if not used & masks[i]:
+                used |= masks[i]
+            granted.append(used)
+        without.granted_before = granted
+    return granted
+
+
+def rerun_greedy(
+    instance: AuctionInstance, j: int, bid: SingleMindedBid, cfg: NormConfig
+) -> Optional[BidRerun]:
+    """Bid j's part of `run_greedy(instance.with_bid(j, bid), cfg)`, without
+    building that instance or its outcome.
+
+    The other bids keep their order, and bid j goes in at its `place`, p.
+    The bids before p are granted as in the walk without bid j, so bid j is
+    granted exactly when it misses the goods granted there.  A winner's
+    blocker is the first later bid denied whose overlap with the goods
+    granted so far lies inside bid j's bundle, so the walk resumes at p
+    only until it finds one.  The payment is priced when read.
+
+    None when only the full run can say: bid j's key ties another's (the
+    full run breaks the tie or raises), the instance's ranking raised
+    `TiesPresent`, the instance is itself a `with_bid` copy (whose copies
+    are sorted in full), or the exponent's denominator is above 2 (where
+    `_priced` looks up every winner's ratio power and may raise).
+    """
+    if cfg.exponent.denominator > 2 or instance.origin is not None:
+        return None
+    placed = place(instance, cfg, j, bid)
+    if placed is None:
+        return None
+    without, pos = placed
+    masks = instance.bid_masks
+    mask = instance.mask_of(bid.bundle)
+    used = _granted_before(without, masks)[pos]
+    if used & mask:
+        return BidRerun(frozenset(), _free, without.ties)
+    used |= mask
+    for i in without.order[pos:]:
+        overlap = used & masks[i]
+        if not overlap:
+            used |= masks[i]
+        elif not overlap & ~mask:
+            price = partial(crossing_value, instance.bids[i], len(bid.bundle), cfg.exponent)
+            return BidRerun(bid.bundle, price, without.ties)
+    return BidRerun(bid.bundle, _free, without.ties)

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
-from typing import ClassVar, Iterable, Mapping, NamedTuple, Optional, Sequence
+from typing import Callable, ClassVar, Iterable, Mapping, NamedTuple, Optional, Sequence
 
 from .errors import InvalidArgument
 from .money import Money
@@ -147,7 +147,8 @@ class AuctionInstance:
     @cached_property
     def rankings(self) -> list:
         """What `norm.rank` keeps here to rank this instance's `with_bid`
-        children: `(NormConfig, ranking)` pairs, one per configuration."""
+        children, and `greedy.rerun_greedy` to answer their reruns:
+        `(NormConfig, ranking)` pairs, one per configuration."""
         return []
 
     def mask_of(self, bundle: Iterable[Good]) -> int:
@@ -269,6 +270,17 @@ class Outcome:
                 true_type, self.allocation.bundle_granted(j), self.payments[j]
             )
         return utilities
+
+
+class BidRerun(NamedTuple):
+    """Bid j's part of one mechanism run on an instance with bid j replaced:
+    the bundle it was granted (empty when denied), a function of no
+    arguments returning its payment, so that a reader of the grant alone
+    prices nothing, and whether the run's ranking had tied norms."""
+
+    bundle: frozenset[Good]
+    price: Callable[[], Money]
+    had_ties: bool
 
 
 @dataclass(frozen=True)

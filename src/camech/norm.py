@@ -9,11 +9,13 @@ w**q * (L / |s|)**p is the order key times (d**q * L**p).  Amounts are
 values, and so in thresholds, payments, revenue and utilities.
 
 `rank` keeps, in an instance's `rankings`, its ranking under each
-`NormConfig` it was asked for, with one slot holding the position of the
-last bid its `with_bid` children replaced.  Two threads racing may both
-append a ranking for one configuration, and they are equal.  The slot is
-replaced by one assignment of a whole tuple, so a reader sees either the
-old slot or the new one, each correct for the bid it names.
+`NormConfig` it was asked for, with one slot holding the order without
+the last bid its `with_bid` children, or greedy's rerun answers, replaced.
+Two threads racing may both append a ranking for one configuration, and
+they are equal.  The slot is replaced by one assignment of a whole
+record, and the record's greedy walk by one assignment of a whole list,
+so a reader sees either the old value or the new one, each correct for
+the bid it names.
 """
 
 from __future__ import annotations
@@ -139,11 +141,24 @@ def _sorted(instance: AuctionInstance, cfg: NormConfig) -> tuple[list[int], list
     return order, keys, top, bool(ties)
 
 
+class _Without:
+    """A ranking with bid j taken out: the other bids' order, their negated
+    keys in that order (so ascending) and whether two of them tie.  Greedy's
+    rerun answer keeps in `granted_before` the goods the walk of that order
+    grants before each position, as a list filled in one assignment."""
+
+    __slots__ = ("j", "order", "neg_keys", "ties", "granted_before")
+
+    def __init__(self, j: int, order: tuple[int, ...], neg_keys: list[int], ties: bool):
+        self.j, self.order, self.neg_keys, self.ties = j, order, neg_keys, ties
+        self.granted_before = None
+
+
 class _ParentRanking:
     """An instance's ranking under one `NormConfig`, kept for its children:
     the order, the negated keys in that order (so ascending), the key
-    scale, the exponent's p and q, and in `without` the last replaced bid
-    j with the other bids' order, their negated keys and whether those tie."""
+    scale, the exponent's p and q, and in `without` the `_Without` of the
+    last replaced bid."""
 
     __slots__ = ("order", "neg_keys", "scale", "p", "q", "without")
 
@@ -155,14 +170,15 @@ class _ParentRanking:
         self.scale = instance.integer_amounts.denominator ** q * top ** p
         self.without = None
 
-    def without_bid(self, j: int) -> tuple[int, tuple[int, ...], list[int], bool]:
+    def without_bid(self, j: int) -> _Without:
         without = self.without
-        if without is None or without[0] != j:
+        if without is None or without.j != j:
             at = self.order.index(j)
-            order = self.order[:at] + self.order[at + 1:]
             others = self.neg_keys[:at] + self.neg_keys[at + 1:]
             ties = any(a == b for a, b in zip(others, others[1:]))
-            without = self.without = (j, order, others, ties)
+            without = self.without = _Without(
+                j, self.order[:at] + self.order[at + 1:], others, ties
+            )
         return without
 
 
@@ -182,28 +198,49 @@ def _parent_ranking(parent: AuctionInstance, cfg: NormConfig) -> _ParentRanking 
     return ranking
 
 
-def _inserted(instance: AuctionInstance, cfg: NormConfig) -> RankedList | None:
-    """The ranking of a `with_bid` child from its origin's: the other bids
-    keep their order, and bid j goes in by one bisect on exact keys.  None
-    when bid j's key ties another, or the origin's ranking raised."""
-    parent, j = instance.origin
-    ranking = _parent_ranking(parent, cfg)
+def place(
+    instance: AuctionInstance, cfg: NormConfig, j: int, bid: SingleMindedBid
+) -> tuple[_Without, int] | None:
+    """Where bid j goes when `bid` replaces it: the instance's ranking
+    without bid j, and bid j's position in that order, found by one bisect
+    on exact keys.  None when bid j's key ties another bid's, or the
+    instance's ranking raised `TiesPresent`."""
+    ranking = _parent_ranking(instance, cfg)
     if ranking is None:
         return None
-    _, order, neg_keys, ties = ranking.without_bid(j)
-    # the parent's key of bid i is its order key times `ranking.scale`, and
-    # bid j's order key is (num / d)**q / s**p: bid i ranks above j exactly
-    # when its key exceeds num**q * scale / (d**q * s**p), or that value's floor
-    bid = instance.bids[j]
-    amount = bid.amount
+    without = ranking.without_bid(j)
+    neg_keys = without.neg_keys
+    # the instance's key of bid i is its order key times `ranking.scale`,
+    # and bid j's order key is (num / d)**q / s**p: bid i ranks above j
+    # exactly when its key exceeds num**q * scale / (d**q * s**p), or that
+    # value's floor
+    num, den = bid.amount.as_integer_ratio()
     p, q = ranking.p, ranking.q
-    floor, rest = divmod(
-        amount.numerator ** q * ranking.scale, amount.denominator ** q * len(bid.bundle) ** p
-    )
+    floor, rest = divmod(num ** q * ranking.scale, den ** q * len(bid.bundle) ** p)
     pos = bisect_left(neg_keys, -floor)
     if not rest and pos < len(neg_keys) and neg_keys[pos] == -floor:
         return None
-    return RankedList(order[:pos] + (j,) + order[pos:], ties)
+    return without, pos
+
+
+def _inserted(instance: AuctionInstance, cfg: NormConfig) -> RankedList | None:
+    """The ranking of a `with_bid` child from its origin's: the other bids
+    keep their order, and bid j goes in at its `place`.  None when bid j's
+    key ties another, or the origin's ranking raised."""
+    parent, j = instance.origin
+    placed = place(parent, cfg, j, instance.bids[j])
+    if placed is None:
+        return None
+    without, pos = placed
+    order = without.order
+    return RankedList(order[:pos] + (j,) + order[pos:], without.ties)
+
+
+def keys_tie(instance: AuctionInstance, exponent: Fraction) -> bool:
+    """Whether two bids' order keys are equal at `exponent`: whether `rank`
+    finds a tie, without ordering the bids."""
+    keys, _ = _integer_keys(instance, exponent)
+    return len(set(keys)) < len(keys)
 
 
 def rank(instance: AuctionInstance, cfg: NormConfig) -> RankedList:

@@ -19,6 +19,7 @@ from camech import axioms, documents, exact, greedy, norm
 from camech.axioms import (
     MECHANISMS,
     PROBE_SCALE,
+    CriticalValue,
     Mechanism,
     _brackets,
     _candidate_values,
@@ -65,6 +66,24 @@ def competitive_instance():
         ("a", "b"),
         (bid("red", "a", 20), bid("green", "b", 15), bid("blue", "ab", 20)),
     )
+
+
+def recording(mech, record):
+    """`mech` passing each of its evaluations to `record` once, as the
+    instance it ran on: every full run, and every rerun that `mech.rerun`
+    answers, as `instance.with_bid(j, bid)`; a rerun it declines is
+    recorded by the full run that follows."""
+    def run(instance):
+        record(instance)
+        return mech.run(instance)
+
+    def rerun(instance, j, bid):
+        answer = mech.rerun(instance, j, bid)
+        if answer is not None:
+            record(instance.with_bid(j, bid))
+        return answer
+
+    return replace(mech, run=run, rerun=rerun if mech.rerun else None)
 
 
 # -- critical values --------------------------------------------------------
@@ -477,10 +496,12 @@ def test_monotonicity_skips_tied_perturbations():
             tied.append(instance)
             raise
 
-    counted = replace(mech, run=run)
-    (check,) = run_axiom_suite(counted, [inst], ["monotonicity"]).checks
-    assert check.holds and check.detail == "2 moves rerun, 1 skipped on ties"
-    assert [i.bids[0].bundle for i in tied] == [frozenset("a")]
+    # greedy's rerun answer declines the tie, so the full run raises on both paths
+    for counted in (replace(mech, run=run), replace(mech, run=run, rerun=None)):
+        tied.clear()
+        (check,) = run_axiom_suite(counted, [inst], ["monotonicity"]).checks
+        assert check.holds and check.detail == "2 moves rerun, 1 skipped on ties"
+        assert [i.bids[0].bundle for i in tied] == [frozenset("a")]
 
 
 def test_clarke_with_greedy_fails_critical_with_witness():
@@ -538,7 +559,7 @@ def test_suite_ranks_each_perturbation_once(monkeypatch):
         runs.append(instance)
         return run(instance)
 
-    mech = replace(greedy_mechanism(LHALF), run=counting_run)
+    mech = replace(greedy_mechanism(LHALF), run=counting_run, rerun=None)
     tied = AuctionInstance(("a", "b", "c"), (
         bid("red", "ab", 4), bid("green", "c", 2), bid("blue", "a", 2), bid("black", "bc", 3),
     ))
@@ -568,17 +589,16 @@ def test_axiom_suite_reruns_pinned(exponent):
     mech = greedy_mechanism(NormConfig(F(exponent)))
     h, runs = hashlib.sha256(), []
 
-    def recording_run(instance):
+    def record(instance):
         if instance.origin is None:
             runs.append(None)
         else:
             j = instance.origin[1]
             b = instance.bids[j]
             runs.append((j, sorted(b.bundle), b.amount))
-        return mech.run(instance)
 
     instances = [random_instance(8, 12, seed=f"suite-pin:{t}") for t in range(8)]
-    report = run_axiom_suite(replace(mech, run=recording_run), instances)
+    report = run_axiom_suite(recording(mech, record), instances)
     h.update(repr(runs).encode())
     for c in report.checks:
         h.update(repr((c.axiom, c.verdict, c.samples, c.detail)).encode())
@@ -811,7 +831,7 @@ def _thresholds(draw):
 def test_brackets_order_thresholds(ts):
     # duplicates, some equal values built by other routes, keep one each
     ts = [*ts, *(t * 3 * F(1, 3) + 1 - 1 for t in ts[::2]), Money.sqrt(8) * F(1, 2), Money.sqrt(2)]
-    ordered, d, brackets = _brackets(ts)
+    ordered, d, brackets, _ = _brackets(ts)
     assert ordered == sorted(set(ts))
     assert len(brackets) == len(ordered) and d > 0
     for t, (lo, hi) in zip(ordered, brackets):
@@ -825,10 +845,11 @@ def test_brackets_separate_tiny_radical_from_zero():
     lo, _, d = x._integer_bounds(200)
     tiny = x - Money(F(lo, d))
     assert tiny.sign() > 0 and tiny._integer_bounds(64)[0] <= 0
-    ordered, d, brackets = _brackets([tiny, Money(0)])
+    ordered, d, brackets, rows = _brackets([tiny, Money(0)])
     assert ordered == [Money(0), tiny]
     assert brackets[0] == (0, 0) and brackets[1][0] > 0
-    assert _brackets([]) == ([], 1, [])
+    assert rows == [1, 0]
+    assert _brackets([]) == ([], 1, [], [])
 
 
 @given(st.integers(), st.integers(), st.integers(1, 2 ** 200))
@@ -932,7 +953,7 @@ def _reference_grid(thresholds):
     """The search's grid as it was built before the true amount was placed
     on it: each distinct threshold mapped to its row, the common
     denominator d, the rows' integer brackets over d and the probes."""
-    ordered, d, brackets = _brackets(thresholds)
+    ordered, d, brackets, _ = _brackets(thresholds)
     above = [_probe_above(brackets, r, d) for r in range(len(brackets))]
     return {t: r for r, t in enumerate(ordered)}, d, brackets, above
 
@@ -1092,12 +1113,7 @@ def test_checkers_run_mechanisms_on_rational_instances_only():
     # at l = 1/2 most crossings are radicals; the probes around them are not
     for base in (greedy_mechanism(LHALF), clarke_greedy_mechanism(LHALF)):
         ran = []
-
-        def recording_run(instance, run=base.run):
-            ran.append(instance)
-            return run(instance)
-
-        mech = replace(base, run=recording_run)
+        mech = recording(base, ran.append)
         for t in range(3):
             inst = random_instance(3, 4, seed=t + 1)
             _, grid = mech.thresholds(inst, 0)(inst.bids[0].bundle)
@@ -1282,7 +1298,7 @@ def test_crossing_a_bid_the_bundle_misses_changes_nothing(name, exponent):
                 every = [t for _, t in crossings]
                 assert [list(ts) for ts in of_bundle(bundle)] == [every, every]
                 met = [t for overlap, t in crossings if overlap]
-                ordered, d, brackets = _brackets(every)
+                ordered, d, brackets, _ = _brackets(every)
                 for overlap, t in crossings:
                     if overlap or t in met:
                         continue
@@ -1315,12 +1331,9 @@ def test_canonical_tie_breaks_a_class_apart_on_its_threshold():
     # reruns every bundle of the class at 5, and at no other value
     lying = AuctionInstance(inst.goods, inst.bids, {"j": bid("j", "e", 5)})
     ran = []
-
-    def recording_run(instance, run=mech.run):
-        ran.append(instance.bids[0])
-        return run(instance)
-
-    assert find_profitable_deviation(replace(mech, run=recording_run), lying, 0) is None
+    assert find_profitable_deviation(
+        recording(mech, lambda instance: ran.append(instance.bids[0])), lying, 0
+    ) is None
     tried = {}
     for b in ran[1:]:  # less the truthful run
         tried.setdefault(b.bundle, []).append(b.amount)
@@ -1396,7 +1409,7 @@ def _probes_on_both_sides(thresholds, true_amount):
     """Zero, the true amount and a probe on each side of every non-negative
     threshold, in increasing order."""
     candidates = {F(0), true_amount}
-    _, d, brackets = _brackets(t for t in thresholds if t.sign() >= 0)
+    _, d, brackets, _ = _brackets(t for t in thresholds if t.sign() >= 0)
     for i, (lo, hi) in enumerate(brackets):
         left = brackets[i - 1][1] if i else 0
         right = brackets[i + 1][0] if i + 1 < len(brackets) else (2 * hi if hi > 0 else hi + d)
@@ -1542,15 +1555,10 @@ def test_deviation_search_work_pinned():
     # threshold 5,400, and rerunning every bundle with those
     # 8 + 63 * 16 * 8 = 8,072
     inst = random_instance(6, 8, seed="deviation-accept:0")
-    mech = greedy_mechanism(L1)
     runs = []
-
-    def counting_run(instance, run=mech.run):
-        runs.append(instance)
-        return run(instance)
-
+    mech = recording(greedy_mechanism(L1), runs.append)
     for j in range(len(inst.bids)):
-        assert find_profitable_deviation(replace(mech, run=counting_run), inst, j) is None
+        assert find_profitable_deviation(mech, inst, j) is None
     assert len(runs) == 2032
 
 
@@ -1576,22 +1584,29 @@ def test_threshold_function_matches_a_fresh_one_on_every_bundle(name, exponent):
 
 def _interleaved_searches(mech, searches):
     """`find_profitable_deviation` for each of two (instance, j) in two
-    threads that take turns, one mechanism run each; returns the reports."""
+    threads that take turns, one mechanism run or rerun answer each;
+    returns the reports."""
     turns = [threading.Semaphore(1), threading.Semaphore(0)]
     done = [False, False]
     reports = [None, None]
 
     def search(k):
-        def run(instance):
-            if not done[1 - k]:
-                turns[k].acquire()
-            try:
-                return mech.run(instance)
-            finally:
-                turns[1 - k].release()
+        def taking_turns(call):
+            def turn(*args):
+                if not done[1 - k]:
+                    turns[k].acquire()
+                try:
+                    return call(*args)
+                finally:
+                    turns[1 - k].release()
 
+            return turn
+
+        rerun = mech.rerun and taking_turns(mech.rerun)
         try:
-            reports[k] = find_profitable_deviation(replace(mech, run=run), *searches[k])
+            reports[k] = find_profitable_deviation(
+                replace(mech, run=taking_turns(mech.run), rerun=rerun), *searches[k]
+            )
         finally:
             done[k] = True
             turns[1 - k].release()
@@ -1766,3 +1781,72 @@ def test_truthful_utilities_nonnegative_greedy():
         inst = random_instance(6, 8, seed=f"nonneg:{t}").assuming_truthful()
         out = run_greedy(inst, L1)
         assert all(u >= Money(0) for u in out.utilities.values())
+
+
+def test_kept_duplicate_of_a_bracketed_threshold_keeps_its_row():
+    # two equal thresholds in distinct objects: `_brackets` keeps the first,
+    # and the kept list holds the second, which still finds the row
+    first, second = Money(5), Money(F(10, 2))
+    assert first == second and first is not second
+    inst = AuctionInstance(("a",), (bid("x", "a", 8),))
+    above_five = Mechanism(
+        "above-5", lambda i: _grants_while(i, lambda j, b: b.amount > 5),
+        lambda instance, j: lambda bundle: ([second], [first, second]),
+    )
+    assert critical_value(above_five, inst, 0) == CriticalValue(Money(5), 2)
+    values, tied = _candidate_values([second], _grid([first, second], F(8)))
+    assert values == [F(0), _probe_above([(5, 5)], 0, 1)] and tied == []
+
+
+def _deviation_result(mech, inst, j):
+    """The search's report, or the tie it raises, and bid j's bid in every
+    mechanism evaluation it made."""
+    evaluated = []
+    try:
+        report = find_profitable_deviation(
+            recording(mech, lambda i: evaluated.append(i.bids[j])), inst, j
+        )
+    except TiesPresent:
+        return TiesPresent, evaluated
+    return report and vars(report), evaluated
+
+
+def _critical_result(mech, inst, j):
+    try:
+        cv = critical_value(mech, inst, j)
+    except TiesPresent:
+        return TiesPresent
+    w = cv.witness
+    return cv.value, cv.probes, w and (w.bid_index, w.description, w.instance.bids)
+
+
+def _suite_result(mech, inst):
+    try:
+        report = run_axiom_suite(mech, [inst])
+    except TiesPresent:
+        return TiesPresent
+    return [(c.axiom, c.verdict, c.samples, c.detail, c.witness and c.witness.description)
+            for c in report.checks]
+
+
+@pytest.mark.parametrize("rule", list(TieRule), ids=lambda r: r.value)
+@EXPONENTS
+def test_rerun_answers_change_no_check(exponent, rule):
+    # greedy answering its reruns from the walk without bid j, and greedy
+    # rerunning in full, give the same misreport reports after the same
+    # candidates, the same critical values, probes and witnesses, and the
+    # same suite reports
+    mech = greedy_mechanism(NormConfig(exponent, rule))
+    full = replace(mech, rerun=None)
+    rng = random.Random(f"answers:{exponent}:{rule.value}")
+    seeded = [random_instance(5, 6, seed=f"answers:{t}").assuming_truthful() for t in range(3)]
+    instances = [*seeded, _lying(rng, seeded[0]), _tie_heavy(rng, 4, 5), _tie_heavy(rng, 4, 5)]
+    evaluations = 0
+    for inst in instances:
+        for j in range(len(inst.bids)):
+            deviation = _deviation_result(mech, inst, j)
+            assert deviation == _deviation_result(full, inst, j)
+            assert _critical_result(mech, inst, j) == _critical_result(full, inst, j)
+            evaluations += len(deviation[1])
+        assert _suite_result(mech, inst) == _suite_result(full, inst)
+    assert evaluations > 1000

@@ -8,7 +8,7 @@ from math import factorial
 
 import pytest
 
-from camech import experiments
+from camech import experiments, norm
 from camech.cli import main
 from camech.errors import InstanceTooLarge, InvalidArgument, UnknownScenario
 from camech.exact import SolverKind, optimal_allocation
@@ -27,7 +27,7 @@ from camech.experiments import (
 from camech.greedy import greedy_allocate, run_greedy
 from camech.model import AuctionInstance, SingleMindedBid, allocation_value, validate_instance
 from camech.money import Money
-from camech.norm import NormConfig, RankedList, TieRule, rank
+from camech.norm import NormConfig, TieRule, keys_tie, rank
 
 
 def test_registry_contents():
@@ -276,15 +276,33 @@ def test_impossibility_regimes():
 def test_random_instance_redraws_on_ties(monkeypatch):
     calls = []
 
-    def tie_once(inst, cfg):
-        calls.append(cfg)
-        ranked = rank(inst, cfg)
-        return RankedList(ranked.order, True) if len(calls) == 1 else ranked
+    def tie_once(inst, exponent):
+        calls.append(exponent)
+        return len(calls) == 1 or keys_tie(inst, exponent)
 
-    monkeypatch.setattr(experiments, "rank", tie_once)
+    monkeypatch.setattr(experiments, "keys_tie", tie_once)
     inst = random_instance(4, 5, seed="redraw")
     assert len(inst.bids) == 5
     assert len(calls) > 1
+
+
+def test_random_instance_orders_no_tied_draw(monkeypatch):
+    # a draw is accepted or redrawn on whether two keys are equal; ordering
+    # a tied draw's bids, ties broken, would be thrown away with it
+    def unused(*args):
+        raise AssertionError("random_instance ordered a draw")
+
+    tied = []
+
+    def recording(inst, exponent):
+        tied.append(keys_tie(inst, exponent))
+        return tied[-1]
+
+    monkeypatch.setattr(norm, "_sorted", unused)
+    monkeypatch.setattr(experiments, "keys_tie", recording)
+    drawn = random_instance(6, 1000, seed=7)  # its first draw ties at one exponent
+    assert tied.count(True) == 1
+    assert not any(keys_tie(drawn, e) for e in experiments.TIE_FREE_EXPONENTS)
 
 
 def test_random_instance_draw_budget_keeps_the_largest_tie_free_draws():

@@ -8,7 +8,7 @@ from fractions import Fraction as F
 import pytest
 
 from camech import greedy, norm
-from camech.axioms import critical_value, greedy_mechanism
+from camech.axioms import _rerun, critical_value, greedy_mechanism
 from camech.errors import ExponentNotSupported, InvalidArgument, TiesPresent
 from camech.greedy import blocker, greedy_allocate, run_greedy
 from camech.model import AuctionInstance, SingleMindedBid, allocation_value, bidder_utility
@@ -618,3 +618,103 @@ def test_walk_first_grant_met_already_has_a_blocker():
     assert trace.blocked_by == {2: 0, 3: 0, 4: 0}
     assert trace.blockers == {0: 2, 1: None}
     assert run_greedy(inst, L1).payments[0] == Money(8)
+
+
+def _rerun_input(rng, inst, exponent):
+    """A replacement for a random bid j: a random bundle at another bid's
+    crossing value at that bundle's size when it is rational, at another
+    bid's or bid j's declared amount, at zero or at a fresh rational, each
+    now and then nudged just above or below."""
+    j = rng.randrange(len(inst.bids))
+    old, other = inst.bids[j], inst.bids[rng.randrange(len(inst.bids))]
+    bundle = frozenset(rng.sample(inst.goods, rng.randint(1, min(len(inst.goods), 4))))
+    amounts = [other.amount, old.amount, F(0), F(rng.randint(1, 40), rng.choice([1, 3, 1000]))]
+    if exponent.denominator <= 2:
+        crossing = crossing_value(other, len(bundle), exponent)
+        if crossing.is_rational:
+            amounts += [sum(c for _, c in crossing.terms())] * 3
+    amount = rng.choice(amounts) * (1 + rng.choice([0, 0, 0, 1, -1]) * F(1, 2 ** 20))
+    return j, SingleMindedBid(old.bidder, bundle, amount, old.is_reserve)
+
+
+def _bid_j_of_full_run(inst, j, new_bid, cfg):
+    """Bid j's grant, payment and the ranking's ties from a full run of
+    `inst.with_bid(j, new_bid)`, or the type of what that run raises."""
+    try:
+        out = run_greedy(inst.with_bid(j, new_bid), cfg)
+        return out.allocation.bundle_granted(j), out.payments[j], out.trace.ranking.had_ties
+    except (TiesPresent, ExponentNotSupported) as exc:
+        return type(exc)
+
+
+def _rerun_instances(rng, exponent, tag):
+    """Seeded instances, and tie-heavy ones with zero amounts and reserve bids."""
+    instances = [random_instance(6, rng.randint(2, 8), seed=f"{tag}:{t}") for t in range(6)]
+    for _ in range(14):
+        inst = _tie_heavy_instance(rng, exponent)
+        instances.append(AuctionInstance(inst.goods, tuple(
+            bid(b.bidder, b.bundle, b.amount, rng.random() < 0.3) for b in inst.bids
+        )))
+    return instances
+
+
+@pytest.mark.parametrize("rule", list(TieRule), ids=lambda r: r.value)
+@pytest.mark.parametrize("exponent", [F(0), F(1, 2), F(1), F(2)], ids=str)
+def test_rerun_answer_matches_the_full_run(exponent, rule):
+    # whenever greedy answers a rerun from the walk without bid j, its grant,
+    # payment and ties equal a full run's read at bid j; the checkers' helper
+    # equals that run always, and raises what it raises.  Replacing random
+    # bids in turn keeps moving the kept walk from one bid j to another.
+    cfg = NormConfig(exponent, rule)
+    mech = greedy_mechanism(cfg)
+    rng = random.Random(f"rerun-oracle:{exponent}:{rule.value}")
+    answered = declined = raised = 0
+    for inst in _rerun_instances(rng, exponent, "rerun-oracle"):
+        for _ in range(40):
+            j, new_bid = _rerun_input(rng, inst, exponent)
+            expected = _bid_j_of_full_run(inst, j, new_bid, cfg)
+            answer = greedy.rerun_greedy(inst, j, new_bid, cfg)
+            if isinstance(expected, type):
+                assert answer is None
+                with pytest.raises(expected):
+                    _rerun(mech, inst, j, new_bid)
+                raised += 1
+                continue
+            if answer is None:
+                declined += 1
+            else:
+                assert (answer.bundle, answer.price(), answer.had_ties) == expected
+                answered += 1
+            got = _rerun(mech, inst, j, new_bid)
+            assert (got.bundle, got.price(), got.had_ties) == expected
+        # a `with_bid` copy's own copies are sorted in full, so it gets no answer
+        j, new_bid = _rerun_input(rng, inst, exponent)
+        child = inst.with_bid(j, inst.bids[j])
+        assert greedy.rerun_greedy(child, j, new_bid, cfg) is None
+    assert answered > 200 and declined > 10
+    assert (raised > 10) == (rule is TieRule.REJECT)
+
+
+@pytest.mark.parametrize("rule", list(TieRule), ids=lambda r: r.value)
+def test_rerun_answer_declines_cube_roots(rule):
+    # at l = 1/3 the full run looks up every winner's ratio power and may
+    # raise `ExponentNotSupported`, so greedy never answers; the helper
+    # gives what the full run gives
+    exponent = F(1, 3)
+    cfg = NormConfig(exponent, rule)
+    mech = greedy_mechanism(cfg)
+    rng = random.Random(f"rerun-cube:{rule.value}")
+    outcomes = set()
+    for inst in _rerun_instances(rng, exponent, "rerun-cube"):
+        for _ in range(10):
+            j, new_bid = _rerun_input(rng, inst, exponent)
+            assert greedy.rerun_greedy(inst, j, new_bid, cfg) is None
+            expected = _bid_j_of_full_run(inst, j, new_bid, cfg)
+            if isinstance(expected, type):
+                with pytest.raises(expected):
+                    _rerun(mech, inst, j, new_bid)
+            else:
+                got = _rerun(mech, inst, j, new_bid)
+                assert (got.bundle, got.price(), got.had_ties) == expected
+            outcomes.add(expected if isinstance(expected, type) else "ran")
+    assert ExponentNotSupported in outcomes and "ran" in outcomes
