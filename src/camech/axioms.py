@@ -105,7 +105,8 @@ class Mechanism:
 def _rerun(mech: Mechanism, instance: AuctionInstance, j: int, bid: SingleMindedBid) -> BidRerun:
     """Bid j's part of `mech.run(instance.with_bid(j, bid))`: from
     `mech.rerun` when it answers, else from that run, which raises what it
-    raises.  Every checker rerun goes through here."""
+    raises.  Every search candidate, critical probe and monotonicity move
+    goes through here."""
     if mech.rerun is not None:
         answer = mech.rerun(instance, j, bid)
         if answer is not None:
