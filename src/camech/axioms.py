@@ -86,9 +86,10 @@ class Mechanism:
     payment and, for a norm mechanism, whether the ranking tied.
     `rerun(instance, j, bid)`, when given, answers that part of
     `run(instance.with_bid(j, bid))` as a `BidRerun`, or returns None when
-    only the full run can say; `_rerun` then runs it.  Greedy answers from
-    the walk without bid j (`greedy.rerun_greedy`); the other mechanisms
-    give none.  A mechanism that replaces `run` replaces or drops `rerun`
+    only the full run can say; `_rerun` then runs it.  Greedy and
+    clarke-greedy answer from the walk without bid j
+    (`greedy.rerun_greedy`, `exact.rerun_clarke_greedy`); the GVA gives
+    none.  A mechanism that replaces `run` replaces or drops `rerun`
     too, or the checkers keep reading the old answers.
     """
 
@@ -171,7 +172,10 @@ def greedy_mechanism(cfg: NormConfig) -> Mechanism:
 
 
 def clarke_greedy_mechanism(cfg: NormConfig) -> Mechanism:
-    return _norm_mechanism("clarke-greedy", lambda inst: _exact.clarke_with_greedy(inst, cfg), cfg)
+    return _norm_mechanism(
+        "clarke-greedy", lambda inst: _exact.clarke_with_greedy(inst, cfg), cfg,
+        lambda inst, j, bid: _exact.rerun_clarke_greedy(inst, j, bid, cfg),
+    )
 
 
 def gva_mechanism(solver: _exact.SolverKind) -> Mechanism:
@@ -340,7 +344,7 @@ def critical_value(mech: Mechanism, instance: AuctionInstance, j: int) -> Critic
     positive value and one just above each kept threshold's bracket,
     toward the next grid value, so each is a probe the scan would make
     with every grid value kept.  Each probe reads only bid j's grant,
-    through `_rerun`, so greedy's probes price nothing.  Kept thresholds
+    through `_rerun`, so answered probes price nothing.  Kept thresholds
     find their rows by identity among the grid values `_brackets` placed,
     duplicates of an equal value included.  When a probe finds a denial
     above a grant, no single threshold exists: `value` is then None and
@@ -740,8 +744,10 @@ def find_profitable_deviation(
     The bidder's true type comes from `instance.true_types` (falling back to
     the declared bid).  Any report returned is genuinely profitable: the
     deviating utility was computed by re-running the mechanism.  The
-    truthful report runs it in full, once per search, so each search runs
-    `mech.run` itself at least once; every candidate goes through
+    truthful report runs it in full, once per search, on the instance
+    itself when the declared bid is the true type and on a copy with the
+    true type as bid j otherwise, so each search runs `mech.run` itself at
+    least once; every candidate goes through
     `_rerun`, which reads bid j's grant and payment off `mech.rerun` when
     the mechanism answers there.  A candidate whose rerun raises
     `TiesPresent` is skipped and not counted as tested; a tie on the
@@ -766,7 +772,8 @@ def find_profitable_deviation(
     truthful_bid = SingleMindedBid(
         declared.bidder, true_type.bundle, true_type.amount, declared.is_reserve
     )
-    out = mech.run(instance.with_bid(j, truthful_bid))
+    truthful = instance if truthful_bid == declared else instance.with_bid(j, truthful_bid)
+    out = mech.run(truthful)
     truthful_utility = bidder_utility(true_type, out.allocation.bundle_granted(j), out.payments[j])
 
     goods, amount = instance.goods, true_type.amount

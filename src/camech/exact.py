@@ -19,6 +19,10 @@ whatever the solver.  A DP over n bids keeps (n + 1) * 2**goods table
 cells; past `MAX_DP_CELLS` it raises `InstanceTooLarge` before building any
 table.  A brute-force solve visits 2**n bid subsets, a GVA run (n + 1) *
 2**n; past `MAX_BRUTE_SUBSETS` either raises before the first solve.
+
+Clarke-with-greedy, the broken pairing the checkers must catch, bills the
+greedy allocation with the Clarke formula; `rerun_clarke_greedy` answers
+its reruns with one bid replaced off greedy's walk without that bid.
 """
 
 from __future__ import annotations
@@ -27,15 +31,16 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from operator import add
-from typing import Sequence
+from typing import Optional, Sequence
 
 from .errors import InstanceTooLarge
-from .greedy import _walk, greedy_allocate
+from .greedy import _free, _granted_before, _walk, greedy_allocate
 from .model import (
-    MAX_GOODS, Allocation, AuctionInstance, Outcome, allocation_value, assemble_outcome,
+    MAX_GOODS, Allocation, AuctionInstance, BidRerun, Outcome, SingleMindedBid,
+    allocation_value, assemble_outcome,
 )
 from .money import Money
-from .norm import NormConfig, RankedList
+from .norm import NormConfig, RankedList, place
 
 
 class SolverKind(Enum):
@@ -313,3 +318,46 @@ def clarke_with_greedy(instance: AuctionInstance, cfg: NormConfig) -> Outcome:
         without.append(allocation_value(instance, _walk(instance, others)[0]))
     payments = _clarke(instance, allocation, allocation_value(instance, allocation), without)
     return assemble_outcome(instance, allocation, payments, trace)
+
+
+def rerun_clarke_greedy(
+    instance: AuctionInstance, j: int, bid: SingleMindedBid, cfg: NormConfig
+) -> Optional[BidRerun]:
+    """Bid j's part of `clarke_with_greedy(instance.with_bid(j, bid), cfg)`,
+    without building that instance or its outcome.
+
+    Bid j goes in at its `place`, p, in the walk without bid j, and is
+    granted as `greedy.rerun_greedy` grants it.  A winner pays the value of
+    the walk without it, less what the other bids get when that walk
+    resumes at p with bid j's goods taken: the bids before p fare alike in
+    both, so the payment is what the bids from p on lose to bid j, priced
+    when read.  None, where only the full run can say, when bid j's key
+    ties another's or the instance's ranking raised `TiesPresent`.
+    """
+    placed = place(instance, cfg, j, bid)
+    if placed is None:
+        return None
+    without, pos = placed
+    masks = instance.bid_masks
+    mask = instance.mask_of(bid.bundle)
+    used = _granted_before(without, masks)[pos]
+    if used & mask:
+        return BidRerun(frozenset(), _free, without.ties)
+    rest = without.order[pos:]
+
+    def price() -> Money:
+        weights = instance.integer_amounts.weights
+        free, taken, lost = used, used | mask, 0
+        for i in rest:
+            if free == taken:  # the two walks grant alike from here on
+                break
+            m = masks[i]
+            if not free & m:
+                free |= m
+                lost += weights[i]
+            if not taken & m:
+                taken |= m
+                lost -= weights[i]
+        return Money(Fraction(lost, instance.integer_amounts.denominator))
+
+    return BidRerun(bid.bundle, price, without.ties)

@@ -5,9 +5,7 @@ grants every bid whose bundle is disjoint from all bundles granted so far.
 A granted bid pays the declared value at which its norm would exactly match
 the norm of its blocker: the first bid after it in the ranking that was
 denied, conflicts with it, and conflicts with no other granted bid ranked
-earlier.  Bids without a blocker, and denied bids, pay nothing.  A
-payment is computed when it is first read, so a rerun that reads only the
-allocation prices nothing.
+earlier.  Bids without a blocker, and denied bids, pay nothing.
 
 The walk takes any order: the tie-order enumeration walks each resolution
 of the norm ties, and Clarke-with-greedy walks its ranking without bid j.
@@ -16,6 +14,9 @@ of the norm ties, and Clarke-with-greedy walks its ranking without bid j.
 grant and payment alone, read off the walk of the other bids: bid j at
 position p is granted exactly when its bundle misses the goods that walk
 grants before p, and a winner's blocker comes from the walk resumed at p.
+The payment is priced only when read, so a rerun that reads only the
+grant prices nothing.  `exact.rerun_clarke_greedy` answers
+Clarke-with-greedy's reruns off the same walk.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from operator import index
 from typing import Mapping, Optional
 
 from .errors import InvalidArgument
@@ -32,7 +32,7 @@ from .model import (
     Allocation, AuctionInstance, BidRerun, Outcome, SingleMindedBid, assemble_outcome,
 )
 from .money import Money
-from .norm import NormConfig, RankedList, _Without, bundle_ratio_power, crossing_value, place, rank
+from .norm import NormConfig, RankedList, _Without, crossing_value, place, rank
 
 
 @dataclass(frozen=True, eq=False, init=False)
@@ -97,47 +97,6 @@ def blocker(trace: GreedyTrace, j: int) -> Optional[int]:
         raise InvalidArgument(f"bid {j} was denied; it has no blocker") from None
 
 
-class GreedyPayments(Sequence):
-    """Bid j's payment, computed when `self[j]` is first read and then cached.
-
-    A winner pays its blocker's crossing value at the winner's bundle size;
-    a loser, or a winner without a blocker, pays zero.
-    """
-
-    __slots__ = ("_bids", "_blockers", "_exponent", "_prices")
-
-    def __init__(
-        self, bids: tuple[SingleMindedBid, ...], blockers: Mapping[int, Optional[int]],
-        exponent: Fraction,
-    ):
-        self._bids = bids
-        self._blockers = blockers
-        self._exponent = exponent
-        self._prices: dict[int, Money] = {}
-
-    def __len__(self) -> int:
-        return len(self._bids)
-
-    def __getitem__(self, j) -> Money:
-        if type(j) is not int or not 0 <= j < len(self._bids):
-            n = len(self._bids)
-            j = index(j)
-            if j < 0:
-                j += n
-            if not 0 <= j < n:
-                raise IndexError("payment index out of range")
-        price = self._prices.get(j)
-        if price is None:
-            i = self._blockers.get(j)
-            bids = self._bids
-            price = (
-                Money.ZERO if i is None
-                else crossing_value(bids[i], len(bids[j].bundle), self._exponent)
-            )
-            self._prices[j] = price
-        return price
-
-
 def run_greedy(instance: AuctionInstance, cfg: NormConfig) -> Outcome:
     """Allocate greedily and charge each winner its blocker's crossing value."""
     allocation, trace = _walk(instance, rank(instance, cfg))
@@ -147,23 +106,15 @@ def run_greedy(instance: AuctionInstance, cfg: NormConfig) -> Outcome:
 def _priced(
     instance: AuctionInstance, allocation: Allocation, trace: GreedyTrace, exponent: Fraction
 ) -> Outcome:
-    """The outcome of a walk, each winner charged its blocker's crossing value.
-
-    The crossing values are computed on first read, but their size ratio
-    powers are looked up here, so an exponent without an exact payment
-    raises `ExponentNotSupported` from this call.  A power has a closed form
-    whenever the exponent's denominator q is 1 or 2, so the lookups run only
-    when q > 2.
-    """
+    """The outcome of a walk, each winner charged its blocker's crossing
+    value; raises `ExponentNotSupported` at the first winner, in grant
+    order, whose size ratio power has no exact value."""
     bids = instance.bids
-    q = exponent.denominator
-    if q > 2:
-        p = exponent.numerator
-        for j, i in trace.blockers.items():
-            if i is not None:
-                bundle_ratio_power(len(bids[j].bundle), len(bids[i].bundle), p, q)
-    payments = GreedyPayments(bids, trace.blockers, exponent)
-    return assemble_outcome(instance, allocation, payments, trace)
+    payments = [Money.ZERO] * len(bids)
+    for j, i in trace.blockers.items():
+        if i is not None:
+            payments[j] = crossing_value(bids[i], len(bids[j].bundle), exponent)
+    return assemble_outcome(instance, allocation, tuple(payments), trace)
 
 
 def _free() -> Money:
@@ -200,11 +151,10 @@ def rerun_greedy(
 
     None when only the full run can say: bid j's key ties another's (the
     full run breaks the tie or raises), the instance's ranking raised
-    `TiesPresent`, the instance is itself a `with_bid` copy (whose copies
-    are sorted in full), or the exponent's denominator is above 2 (where
-    `_priced` looks up every winner's ratio power and may raise).
+    `TiesPresent`, or the exponent's denominator is above 2 (where the
+    full run prices every winner and may raise `ExponentNotSupported`).
     """
-    if cfg.exponent.denominator > 2 or instance.origin is not None:
+    if cfg.exponent.denominator > 2:
         return None
     placed = place(instance, cfg, j, bid)
     if placed is None:

@@ -3,12 +3,11 @@
 Declared amounts are `Fraction`s; `Money` holds only what mechanisms compute
 from them: payments, revenue and utilities.  All values are immutable after
 construction and every operation is a pure function, so everything here can
-be shared freely across threads.  An `Outcome`'s prices may be computed on
-first read and cached; that changes no value, since each is a pure function
-of the outcome's inputs, and two threads racing to fill a cache store equal
-values, so an outcome stays immutable and thread-safe.  The same holds for
-an instance's caches.  A `with_bid` child's `origin` is set before the
-child is returned and never changes; `norm` documents the rankings it
+be shared freely across threads.  An `Outcome`'s revenue and utilities are
+computed on first read and cached; that changes no value, since each is a
+pure function of the outcome's inputs, and two threads racing to fill a
+cache store equal values, so an outcome stays immutable and thread-safe.
+The same holds for an instance's caches; `norm` documents the rankings it
 keeps in `rankings`.
 
 Records built once per mechanism rerun (bids, instances, allocations and
@@ -28,7 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
-from typing import Callable, ClassVar, Iterable, Mapping, NamedTuple, Optional, Sequence
+from typing import Callable, Iterable, Mapping, NamedTuple, Optional, Sequence
 
 from .errors import InvalidArgument
 from .money import Money
@@ -114,9 +113,6 @@ class AuctionInstance:
     goods: tuple[Good, ...]
     bids: tuple[SingleMindedBid, ...]
     true_types: Optional[Mapping[str, SingleMindedBid]] = None
-    #: `(parent, j)` when this instance is `parent` with bid j replaced, set
-    #: by `with_bid`; `parent` itself never has an origin.
-    origin: ClassVar[Optional[tuple["AuctionInstance", int]]] = None
 
     def __post_init__(self):
         if not isinstance(self.goods, tuple):
@@ -146,9 +142,9 @@ class AuctionInstance:
 
     @cached_property
     def rankings(self) -> list:
-        """What `norm.rank` keeps here to rank this instance's `with_bid`
-        children, and `greedy.rerun_greedy` to answer their reruns:
-        `(NormConfig, ranking)` pairs, one per configuration."""
+        """What `norm.place` keeps here to answer reruns of this instance
+        with one bid replaced: `(NormConfig, ranking)` pairs, one per
+        configuration."""
         return []
 
     def mask_of(self, bundle: Iterable[Good]) -> int:
@@ -159,13 +155,7 @@ class AuctionInstance:
         return mask
 
     def with_bid(self, j: int, new_bid: SingleMindedBid) -> "AuctionInstance":
-        """Copy of the instance with bid j replaced; caches are reseeded.
-
-        A copy of an instance without an origin records `(self, j)` as its
-        `origin`, from which `norm.rank` reuses this instance's ranking; a
-        copy of a copy records none, so an origin keeps at most one
-        ancestor alive.
-        """
+        """Copy of the instance with bid j replaced; caches are reseeded."""
         bids = list(self.bids)
         bids[j] = new_bid
         masks = list(self.bid_masks)
@@ -173,13 +163,10 @@ class AuctionInstance:
         # this instance's fields are normalised already, so the child skips
         # the dataclass __init__ and __post_init__
         child = object.__new__(AuctionInstance)
-        cache = child.__dict__
-        cache.update(
+        child.__dict__.update(
             goods=self.goods, bids=tuple(bids), true_types=self.true_types,
             good_index=self.good_index, bid_masks=tuple(masks),
         )
-        if self.origin is None:
-            cache["origin"] = (self, j)
         return child
 
     def with_amount(self, j: int, amount) -> "AuctionInstance":
@@ -220,11 +207,8 @@ class Allocation:
 class Outcome:
     """Result of running a mechanism: who got what, who pays what.
 
-    The allocation is built eagerly, since every caller reads it.  Prices
-    are not: `payments` may be a lazy sequence that prices bid j when
-    `payments[j]` is first read (`run_greedy` returns one), and `revenue`
-    and `utilities` are computed from the payments on first read and
-    cached.  `instance` is the instance the mechanism ran on; its reserve
+    `revenue` and `utilities` are computed from the payments on first read
+    and cached.  `instance` is the instance the mechanism ran on; its reserve
     flags keep bids out of revenue and its true types, when known, value
     the utilities.  Build one with `assemble_outcome`.
     """

@@ -8,11 +8,11 @@ w**q * (L / |s|)**p is the order key times (d**q * L**p).  Amounts are
 `Fraction`s by type, probes included; radicals appear only in crossing
 values, and so in thresholds, payments, revenue and utilities.
 
-`rank` keeps, in an instance's `rankings`, its ranking under each
-`NormConfig` it was asked for, with one slot holding the order without
-the last bid its `with_bid` children, or greedy's rerun answers, replaced.
-Two threads racing may both append a ranking for one configuration, and
-they are equal.  The slot is replaced by one assignment of a whole
+`rank` sorts every instance in full.  `place`, which the rerun answers of
+greedy and Clarke-with-greedy call, keeps in an instance's `rankings` its
+ranking under each `NormConfig` it was asked for, with one slot holding
+the order without the last bid replaced.  Two threads racing may both
+append a ranking for one configuration, and they are equal.  The slot is replaced by one assignment of a whole
 record, and the record's greedy walk by one assignment of a whole list,
 so a reader sees either the old value or the new one, each correct for
 the bid it names.
@@ -143,8 +143,8 @@ def _sorted(instance: AuctionInstance, cfg: NormConfig) -> tuple[list[int], list
 
 class _Without:
     """A ranking with bid j taken out: the other bids' order, their negated
-    keys in that order (so ascending) and whether two of them tie.  Greedy's
-    rerun answer keeps in `granted_before` the goods the walk of that order
+    keys in that order (so ascending) and whether two of them tie.  The rerun
+    answers keep in `granted_before` the goods the walk of that order
     grants before each position, as a list filled in one assignment."""
 
     __slots__ = ("j", "order", "neg_keys", "ties", "granted_before")
@@ -154,8 +154,8 @@ class _Without:
         self.granted_before = None
 
 
-class _ParentRanking:
-    """An instance's ranking under one `NormConfig`, kept for its children:
+class _KeptRanking:
+    """An instance's ranking under one `NormConfig`, kept for its reruns:
     the order, the negated keys in that order (so ascending), the key
     scale, the exponent's p and q, and in `without` the `_Without` of the
     last replaced bid."""
@@ -182,16 +182,16 @@ class _ParentRanking:
         return without
 
 
-def _parent_ranking(parent: AuctionInstance, cfg: NormConfig) -> _ParentRanking | None:
-    """The ranking kept in `parent.rankings` for cfg, computed on first use;
-    None when it raised `TiesPresent`."""
-    rankings = parent.rankings
+def _kept_ranking(instance: AuctionInstance, cfg: NormConfig) -> _KeptRanking | None:
+    """The ranking kept in `instance.rankings` for cfg, computed on first
+    use; None when it raised `TiesPresent`."""
+    rankings = instance.rankings
     # a scan, not a dict: hashing a `NormConfig` hashes its Fraction
     for kept, ranking in rankings:
         if kept is cfg or kept == cfg:
             return ranking
     try:
-        ranking = _ParentRanking(parent, cfg)
+        ranking = _KeptRanking(instance, cfg)
     except TiesPresent:
         ranking = None
     rankings.append((cfg, ranking))
@@ -204,8 +204,12 @@ def place(
     """Where bid j goes when `bid` replaces it: the instance's ranking
     without bid j, and bid j's position in that order, found by one bisect
     on exact keys.  None when bid j's key ties another bid's, or the
-    instance's ranking raised `TiesPresent`."""
-    ranking = _parent_ranking(instance, cfg)
+    instance's ranking raised `TiesPresent`.
+
+    `rank(instance.with_bid(j, bid), cfg)` orders the other bids as the
+    instance does, tie breaks included, since rescaling the amounts or
+    sizes multiplies every key by one positive factor."""
+    ranking = _kept_ranking(instance, cfg)
     if ranking is None:
         return None
     without = ranking.without_bid(j)
@@ -223,19 +227,6 @@ def place(
     return without, pos
 
 
-def _inserted(instance: AuctionInstance, cfg: NormConfig) -> RankedList | None:
-    """The ranking of a `with_bid` child from its origin's: the other bids
-    keep their order, and bid j goes in at its `place`.  None when bid j's
-    key ties another, or the origin's ranking raised."""
-    parent, j = instance.origin
-    placed = place(parent, cfg, j, instance.bids[j])
-    if placed is None:
-        return None
-    without, pos = placed
-    order = without.order
-    return RankedList(order[:pos] + (j,) + order[pos:], without.ties)
-
-
 def keys_tie(instance: AuctionInstance, exponent: Fraction) -> bool:
     """Whether two bids' order keys are equal at `exponent`: whether `rank`
     finds a tie, without ordering the bids."""
@@ -249,16 +240,6 @@ def rank(instance: AuctionInstance, cfg: NormConfig) -> RankedList:
     Deterministic for every tie rule.  With `REJECT` the presence of any two
     equal-norm bids raises `TiesPresent`; with `CANONICAL` ties break by
     higher amount, then smaller bundle bitset, then lower bid index.
-
-    A `with_bid` child keeps its origin's order of the other bids, tie
-    breaks included, since rescaling the amounts or sizes multiplies every
-    key by one positive factor; bid j goes in by one bisect on the
-    origin's keys.  The child is sorted in full when j's key ties another
-    bid's, or the origin's `REJECT` ranking raised.
     """
-    if instance.origin is not None:
-        ranked = _inserted(instance, cfg)
-        if ranked is not None:
-            return ranked
     order, _, _, ties = _sorted(instance, cfg)
     return RankedList(tuple(order), ties)

@@ -588,16 +588,22 @@ _SUITE_PINS = {
 def test_axiom_suite_reruns_pinned(exponent):
     mech = greedy_mechanism(NormConfig(F(exponent)))
     h, runs = hashlib.sha256(), []
+    instances = [random_instance(8, 12, seed=f"suite-pin:{t}") for t in range(8)]
 
     def record(instance):
-        if instance.origin is None:
+        # a rerun's copy shares every bid object with its suite instance but
+        # the replaced one; the suite's own runs replace none
+        for base in instances:
+            moved = [j for j, (a, b) in enumerate(zip(base.bids, instance.bids)) if a is not b]
+            if len(moved) <= 1:
+                break
+        if not moved:
             runs.append(None)
         else:
-            j = instance.origin[1]
+            j = moved[0]
             b = instance.bids[j]
             runs.append((j, sorted(b.bundle), b.amount))
 
-    instances = [random_instance(8, 12, seed=f"suite-pin:{t}") for t in range(8)]
     report = run_axiom_suite(recording(mech, record), instances)
     h.update(repr(runs).encode())
     for c in report.checks:
@@ -1058,7 +1064,7 @@ def test_deviation_search_runs_every_candidate_once():
             runs.append(instance)
             return run(instance)
 
-        counting = replace(mech, run=counting_run)
+        counting = replace(mech, run=counting_run, rerun=None)
         for j in range(len(inst.bids)):
             runs.clear()
             report = find_profitable_deviation(counting, inst, j)
@@ -1090,7 +1096,7 @@ def test_deviation_search_skips_candidates_that_tie():
         completed.append(instance)
         return out
 
-    report = find_profitable_deviation(replace(mech, run=recording_run), inst, 0)
+    report = find_profitable_deviation(replace(mech, run=recording_run, rerun=None), inst, 0)
     assert report is not None and tied
     assert report.candidates_tested == len(completed) - 1  # less the truthful run
     tied_input = AuctionInstance(("a", "b"), (bid("red", "a", 4), bid("blue", "b", 4)))
@@ -1829,14 +1835,18 @@ def _suite_result(mech, inst):
             for c in report.checks]
 
 
-@pytest.mark.parametrize("rule", list(TieRule), ids=lambda r: r.value)
-@EXPONENTS
-def test_rerun_answers_change_no_check(exponent, rule):
-    # greedy answering its reruns from the walk without bid j, and greedy
-    # rerunning in full, give the same misreport reports after the same
-    # candidates, the same critical values, probes and witnesses, and the
-    # same suite reports
-    mech = greedy_mechanism(NormConfig(exponent, rule))
+@pytest.mark.parametrize("name, exponent, rule", [
+    pytest.param(name, exponent, rule, id=f"{prefix}{tag}-{rule.value}")
+    for name, prefix in (("greedy", ""), ("clarke-greedy", "clarke-greedy-"))
+    for exponent, tag in ((F(1, 2), "lhalf"), (F(1), "l1"))
+    for rule in TieRule
+])
+def test_rerun_answers_change_no_check(name, exponent, rule):
+    # a mechanism answering its reruns from the walk without bid j, and the
+    # same mechanism rerunning in full, give the same misreport reports
+    # after the same candidates, the same critical values, probes and
+    # witnesses, and the same suite reports
+    mech = MECHANISMS[name](NormConfig(exponent, rule), DP)
     full = replace(mech, rerun=None)
     rng = random.Random(f"answers:{exponent}:{rule.value}")
     seeded = [random_instance(5, 6, seed=f"answers:{t}").assuming_truthful() for t in range(3)]
@@ -1850,3 +1860,46 @@ def test_rerun_answers_change_no_check(exponent, rule):
             evaluations += len(deviation[1])
         assert _suite_result(mech, inst) == _suite_result(full, inst)
     assert evaluations > 1000
+
+
+def _canonical(value):
+    """`value` with every bundle sorted, so its repr does not depend on the
+    string hash seed."""
+    if isinstance(value, SingleMindedBid):
+        return (value.bidder, sorted(value.bundle), value.amount, value.is_reserve)
+    if isinstance(value, frozenset):
+        return sorted(value)
+    if isinstance(value, dict):
+        return [(k, _canonical(v)) for k, v in value.items()]
+    if isinstance(value, (list, tuple)):
+        return [_canonical(v) for v in value]
+    return value
+
+
+#: Per (norm exponent, tie rule), over three seeded truthful instances and
+#: one with lying true types: the number of mechanism evaluations, and a
+#: sha256 prefix over clarke-greedy's misreport reports with the bid j of
+#: every evaluation they made, its critical values, probes and witnesses,
+#: and its suite reports.  Recorded while clarke-greedy reran in full.
+_CLARKE_PINS = {
+    ("1/2", "canonical"): (2683, "23261e283957b37a"),
+    ("1/2", "reject"): (3460, "6dd1b9667e856caa"),
+    ("1", "canonical"): (2679, "3425907d719bec31"),
+    ("1", "reject"): (3460, "ddffa87fe3698d68"),
+}
+
+
+@pytest.mark.parametrize("exponent, rule", list(_CLARKE_PINS))
+def test_clarke_greedy_checks_pinned(exponent, rule):
+    mech = clarke_greedy_mechanism(NormConfig(F(exponent), TieRule(rule)))
+    rng = random.Random(f"clarke-pin:{exponent}:{rule}")
+    seeded = [random_instance(5, 6, seed=f"clarke-pin:{t}").assuming_truthful() for t in range(3)]
+    h, evaluations = hashlib.sha256(), 0
+    for inst in [*seeded, _lying(rng, seeded[0])]:
+        for j in range(len(inst.bids)):
+            report, evaluated = _deviation_result(mech, inst, j)
+            evaluations += len(evaluated)
+            critical = _critical_result(mech, inst, j)
+            h.update(repr(_canonical([report, evaluated, critical])).encode())
+        h.update(repr(_suite_result(mech, inst)).encode())
+    assert (evaluations, h.hexdigest()[:16]) == _CLARKE_PINS[exponent, rule]

@@ -5,6 +5,7 @@ import hashlib
 import io
 import json
 import os
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -1055,6 +1056,42 @@ def test_run_norm_without_closed_form_renders_without_float(capsys, tmp_path, go
     assert json.loads(out)["granted"][0]["norm"] == norm
 
 
+#: CPU seconds one fuzzed CLI call may spend.  `axioms.MAX_PLANNED_RERUNS`
+#: bounds a check at about 7 s of reruns on a 2-vCPU host, so a call past
+#: this budget has escaped the planner.
+CALL_CPU_SECONDS = 20
+
+
+@contextlib.contextmanager
+def cpu_budget(seconds=CALL_CPU_SECONDS):
+    """Fail the example when the block spends more than `seconds` of this
+    process's CPU time: arms the profiling timer, whose SIGPROF raises
+    `pytest.fail`'s exception (a `BaseException`, so no `except Exception`
+    in the CLI swallows it), and restores the old timer and handler."""
+    def expired(signum, frame):
+        pytest.fail(f"a CLI call spent more than {seconds} s of CPU")
+
+    handler = signal.signal(signal.SIGPROF, expired)
+    timer = signal.setitimer(signal.ITIMER_PROF, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_PROF, *timer)
+        signal.signal(signal.SIGPROF, handler)
+
+
+def test_cpu_budget_fails_a_runaway_call_and_restores_the_timer():
+    before = signal.getsignal(signal.SIGPROF)
+    with pytest.raises(pytest.fail.Exception, match="more than 0.05 s of CPU"):
+        with cpu_budget(0.05):
+            while True:
+                pass
+    assert signal.getitimer(signal.ITIMER_PROF) == (0.0, 0.0)
+    assert signal.getsignal(signal.SIGPROF) is before
+    with cpu_budget(0.05):
+        pass
+
+
 _digits = st.text("0123456789", min_size=1, max_size=20)
 _amount_literals = st.one_of(
     st.builds(lambda a, b: f"{a}.{b}", _digits, _digits),
@@ -1087,8 +1124,9 @@ def test_fuzz_run_amounts_and_exponents(bids, p, q, mechanism, tie_rule):
     }
     out = io.StringIO()
     with contextlib.redirect_stdout(out), mock.patch.object(sys, "stdin", io.StringIO(json.dumps(doc))):
-        code = main(["run", "-", "--norm-exponent", f"{p}/{q}",
-                     "--mechanism", mechanism, "--tie-rule", tie_rule])
+        with cpu_budget():
+            code = main(["run", "-", "--norm-exponent", f"{p}/{q}",
+                         "--mechanism", mechanism, "--tie-rule", tie_rule])
     assert code in (0, 2, 3)
     json.loads(out.getvalue())
 
@@ -1130,7 +1168,8 @@ def test_fuzz_check_and_experiment_flags(argv):
     # any exit code 0-4 with exactly one JSON document on stdout, never a traceback
     out = io.StringIO()
     with contextlib.redirect_stdout(out), mock.patch.object(sys, "stdin", io.StringIO(json.dumps(THREE))):
-        code = main(argv)
+        with cpu_budget():
+            code = main(argv)
     assert code in (0, 1, 2, 3, 4)
     json.loads(out.getvalue())
 
@@ -1193,7 +1232,8 @@ def test_fuzz_document_grammar_and_gen(run):
     argv, stdin = run
     out = io.StringIO()
     with contextlib.redirect_stdout(out), mock.patch.object(sys, "stdin", io.StringIO(stdin)):
-        code = main(argv)
+        with cpu_budget():
+            code = main(argv)
     assert code in (0, 1, 2, 3, 4)
     json.loads(out.getvalue())
 
@@ -1254,7 +1294,8 @@ def test_fuzz_check_verb(run):
     argv, stdin = run
     out = io.StringIO()
     with contextlib.redirect_stdout(out), mock.patch.object(sys, "stdin", io.StringIO(stdin)):
-        code = main(argv)
+        with cpu_budget():
+            code = main(argv)
     assert code in (0, 1, 2, 3, 4)
     doc = json.loads(out.getvalue())
     if code in (3, 4):

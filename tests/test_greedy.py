@@ -7,8 +7,8 @@ from fractions import Fraction as F
 
 import pytest
 
-from camech import greedy, norm
-from camech.axioms import _rerun, critical_value, greedy_mechanism
+from camech import exact, greedy
+from camech.axioms import _rerun, clarke_greedy_mechanism, critical_value, greedy_mechanism
 from camech.errors import ExponentNotSupported, InvalidArgument, TiesPresent
 from camech.greedy import blocker, greedy_allocate, run_greedy
 from camech.model import AuctionInstance, SingleMindedBid, allocation_value, bidder_utility
@@ -313,16 +313,17 @@ def test_rerun_reading_only_the_allocation_prices_nothing(monkeypatch):
     inst = random_instance(8, 12, seed="lazy-prices:0")
     mech = greedy_mechanism(LHALF)
     out = mech.run(inst)
-    assert out.allocation.granted and not calls
+    # the run prices each winner that has a blocker, once, in grant order
+    bids = inst.bids
+    priced = [(bids[i].bidder, len(bids[j].bundle))
+              for j, i in out.trace.blockers.items() if i is not None]
+    assert out.allocation.granted and priced and calls == priced
+    calls.clear()
     # the critical check's probes read only each rerun's allocation; a
     # winner overlapping no other bid has one region to probe
     probes = [critical_value(mech, inst, j).probes for j in sorted(out.allocation.grants)]
     assert min(probes) >= 1 and max(probes) > 1
     assert not calls
-    priced = [j for j, i in out.trace.blockers.items() if i is not None]
-    assert priced
-    tuple(out.payments)
-    assert len(calls) == len(priced)
 
 
 def test_payment_read_twice_is_computed_once(monkeypatch):
@@ -393,88 +394,6 @@ def _tie_heavy_instance(rng, exponent):
         v = F(rng.choice([0, 0, 1, 2, 3]), rng.choice([1, 2]))
         bids.append(bid(f"b{i}", rng.sample(goods, m ** q), v * m ** p))
     return AuctionInstance(goods, tuple(bids))
-
-
-def _moved_bid(rng, inst, j, exponent):
-    """A replacement for bid j: a tie-prone amount on a size-m**q bundle, the
-    old bundle at a nudged, zero or new-denominator amount, or another
-    bid's exact norm carried to bid j's bundle."""
-    p, q = exponent.numerator, exponent.denominator
-    old = inst.bids[j]
-    kind = rng.randrange(4)
-    if kind == 0:
-        m = rng.choice([m for m in (1, 2) if m ** q <= len(inst.goods)])
-        bundle = frozenset(rng.sample(inst.goods, m ** q))
-        amount = F(rng.choice([0, 1, 2, 3]), rng.choice([1, 2])) * m ** p
-    elif kind == 1:
-        bundle = old.bundle
-        amount = rng.choice([
-            0, old.amount * (1 + F(1, 2 ** 20)), old.amount * (1 - F(1, 2 ** 20)),
-            F(rng.randint(1, 40), rng.choice([1, 3, 7, 2 ** 20])),
-        ])
-    else:
-        other = inst.bids[rng.randrange(len(inst.bids))]
-        bundle = other.bundle if kind == 2 else old.bundle
-        amount = other.amount  # same norm when the sizes agree
-    return SingleMindedBid(old.bidder, bundle, amount, old.is_reserve)
-
-
-def _ranked_and_run(inst, cfg):
-    """Everything `rank` and `run_greedy` report, or the tied pairs raised."""
-    try:
-        ranked = rank(inst, cfg)
-    except TiesPresent as exc:
-        with pytest.raises(TiesPresent) as again:
-            run_greedy(inst, cfg)
-        assert list(again.value.pairs) == list(exc.pairs)
-        return "ties", list(exc.pairs)
-    out = run_greedy(inst, cfg)
-    trace = out.trace
-    assert trace.ranking.order == ranked.order
-    return (
-        ranked.order, ranked.had_ties,
-        out.allocation.grants, trace.blocked_by, list(trace.blockers.items()),
-        list(out.payments),
-    )
-
-
-@pytest.mark.parametrize("rule", list(TieRule), ids=lambda r: r.value)
-@pytest.mark.parametrize("exponent", [F(0), F(1, 2), F(1), F(2)], ids=str)
-def test_with_bid_children_rank_like_a_full_sort(exponent, rule):
-    # a `with_bid` child inserts the moved bid into its origin's ranking;
-    # the same bids rebuilt without an origin are sorted in full.  Each child
-    # is also ranked under another tie rule and another exponent, so the
-    # origin keeps one ranking for each configuration.
-    rng = random.Random(f"insertion-parity:{exponent}:{rule.value}")
-    other_rule = TieRule.REJECT if rule is TieRule.CANONICAL else TieRule.CANONICAL
-    other_exponent = F(1, 2) if exponent == 1 else F(1)
-    inserted = fallback = 0
-    for t in range(80):
-        if t % 2:
-            inst = random_instance(6, rng.randint(2, 8), seed=f"insertion-parity:{t}")
-        else:
-            inst = _tie_heavy_instance(rng, exponent)
-        n = len(inst.bids)
-        cfg = NormConfig(exponent, rule)
-        cfgs = (cfg, NormConfig(exponent, other_rule), NormConfig(other_exponent))
-        for _ in range(5):
-            j = rng.randrange(n)
-            child = inst.with_bid(j, _moved_bid(rng, inst, j, exponent))
-            # children of the child, which have no origin: one replacing the
-            # same bid again and one replacing another bid
-            k = rng.randrange(n)
-            family = [child, child.with_bid(j, _moved_bid(rng, child, j, exponent)),
-                      child.with_bid(k, _moved_bid(rng, child, k, exponent))]
-            for member in family:
-                parentless = AuctionInstance(member.goods, member.bids)
-                for each in cfgs[::1 if rng.random() < 0.5 else -1]:
-                    assert _ranked_and_run(member, each) == _ranked_and_run(parentless, each)
-                if member.origin is not None:
-                    if norm._inserted(member, cfg) is None:
-                        fallback += 1
-                    else:
-                        inserted += 1
-    assert inserted > 100 and fallback > 10
 
 
 def _list_scan_walk(instance, ranking):
@@ -629,70 +548,104 @@ def _rerun_input(rng, inst, exponent):
     old, other = inst.bids[j], inst.bids[rng.randrange(len(inst.bids))]
     bundle = frozenset(rng.sample(inst.goods, rng.randint(1, min(len(inst.goods), 4))))
     amounts = [other.amount, old.amount, F(0), F(rng.randint(1, 40), rng.choice([1, 3, 1000]))]
-    if exponent.denominator <= 2:
+    try:
         crossing = crossing_value(other, len(bundle), exponent)
-        if crossing.is_rational:
-            amounts += [sum(c for _, c in crossing.terms())] * 3
+    except ExponentNotSupported:
+        crossing = None
+    if crossing is not None and crossing.is_rational:
+        amounts += [sum(c for _, c in crossing.terms())] * 3
     amount = rng.choice(amounts) * (1 + rng.choice([0, 0, 0, 1, -1]) * F(1, 2 ** 20))
     return j, SingleMindedBid(old.bidder, bundle, amount, old.is_reserve)
 
 
-def _bid_j_of_full_run(inst, j, new_bid, cfg):
+def _bid_j_of_full_run(run, inst, j, new_bid, cfg):
     """Bid j's grant, payment and the ranking's ties from a full run of
     `inst.with_bid(j, new_bid)`, or the type of what that run raises."""
     try:
-        out = run_greedy(inst.with_bid(j, new_bid), cfg)
+        out = run(inst.with_bid(j, new_bid), cfg)
         return out.allocation.bundle_granted(j), out.payments[j], out.trace.ranking.had_ties
     except (TiesPresent, ExponentNotSupported) as exc:
         return type(exc)
 
 
 def _rerun_instances(rng, exponent, tag):
-    """Seeded instances, and tie-heavy ones with zero amounts and reserve bids."""
+    """Seeded instances, tie-heavy ones with zero amounts and reserve bids,
+    and a one-bid instance."""
     instances = [random_instance(6, rng.randint(2, 8), seed=f"{tag}:{t}") for t in range(6)]
     for _ in range(14):
         inst = _tie_heavy_instance(rng, exponent)
         instances.append(AuctionInstance(inst.goods, tuple(
             bid(b.bidder, b.bundle, b.amount, rng.random() < 0.3) for b in inst.bids
         )))
+    instances.append(random_instance(6, 1, seed=f"{tag}:one"))
     return instances
+
+
+def _assert_answers_match(answer, run, mech, cfg, rng, exponent, tag):
+    """Whenever `answer` answers a rerun, its grant, payment and ties equal
+    the full `run`'s read at bid j; the checkers' helper equals that run
+    always, and raises what it raises.  Replacing random bids in turn keeps
+    moving the kept walk from one bid j to another.  A `with_bid` copy, and
+    a copy of it, answer like any instance.  Returns how many reruns were
+    answered, declined and raised."""
+    counts = {"answered": 0, "declined": 0, "raised": 0}
+
+    def check(inst):
+        j, new_bid = _rerun_input(rng, inst, exponent)
+        expected = _bid_j_of_full_run(run, inst, j, new_bid, cfg)
+        got = answer(inst, j, new_bid, cfg)
+        if isinstance(expected, type):
+            assert got is None
+            with pytest.raises(expected):
+                _rerun(mech, inst, j, new_bid)
+            counts["raised"] += 1
+            return
+        if got is None:
+            counts["declined"] += 1
+        else:
+            assert (got.bundle, got.price(), got.had_ties) == expected
+            counts["answered"] += 1
+        got = _rerun(mech, inst, j, new_bid)
+        assert (got.bundle, got.price(), got.had_ties) == expected
+
+    for inst in _rerun_instances(rng, exponent, tag):
+        for _ in range(40):
+            check(inst)
+        j, new_bid = _rerun_input(rng, inst, exponent)
+        child = inst.with_bid(j, new_bid)
+        k, moved = _rerun_input(rng, child, exponent)
+        for member in (child, child.with_bid(k, moved)):
+            for _ in range(5):
+                check(member)
+    return counts
 
 
 @pytest.mark.parametrize("rule", list(TieRule), ids=lambda r: r.value)
 @pytest.mark.parametrize("exponent", [F(0), F(1, 2), F(1), F(2)], ids=str)
 def test_rerun_answer_matches_the_full_run(exponent, rule):
-    # whenever greedy answers a rerun from the walk without bid j, its grant,
-    # payment and ties equal a full run's read at bid j; the checkers' helper
-    # equals that run always, and raises what it raises.  Replacing random
-    # bids in turn keeps moving the kept walk from one bid j to another.
     cfg = NormConfig(exponent, rule)
-    mech = greedy_mechanism(cfg)
     rng = random.Random(f"rerun-oracle:{exponent}:{rule.value}")
-    answered = declined = raised = 0
-    for inst in _rerun_instances(rng, exponent, "rerun-oracle"):
-        for _ in range(40):
-            j, new_bid = _rerun_input(rng, inst, exponent)
-            expected = _bid_j_of_full_run(inst, j, new_bid, cfg)
-            answer = greedy.rerun_greedy(inst, j, new_bid, cfg)
-            if isinstance(expected, type):
-                assert answer is None
-                with pytest.raises(expected):
-                    _rerun(mech, inst, j, new_bid)
-                raised += 1
-                continue
-            if answer is None:
-                declined += 1
-            else:
-                assert (answer.bundle, answer.price(), answer.had_ties) == expected
-                answered += 1
-            got = _rerun(mech, inst, j, new_bid)
-            assert (got.bundle, got.price(), got.had_ties) == expected
-        # a `with_bid` copy's own copies are sorted in full, so it gets no answer
-        j, new_bid = _rerun_input(rng, inst, exponent)
-        child = inst.with_bid(j, inst.bids[j])
-        assert greedy.rerun_greedy(child, j, new_bid, cfg) is None
-    assert answered > 200 and declined > 10
-    assert (raised > 10) == (rule is TieRule.REJECT)
+    counts = _assert_answers_match(
+        greedy.rerun_greedy, run_greedy, greedy_mechanism(cfg), cfg, rng, exponent,
+        "rerun-oracle",
+    )
+    assert counts["answered"] > 200 and counts["declined"] > 10
+    assert (counts["raised"] > 10) == (rule is TieRule.REJECT)
+
+
+@pytest.mark.parametrize("rule", list(TieRule), ids=lambda r: r.value)
+@pytest.mark.parametrize("exponent", [F(0), F(1, 3), F(1, 2), F(1), F(2)], ids=str)
+def test_clarke_rerun_answer_matches_the_full_run(exponent, rule):
+    # Clarke-with-greedy prices no crossing value, so it answers at l = 1/3
+    # too, and declines only on ties
+    cfg = NormConfig(exponent, rule)
+    rng = random.Random(f"clarke-oracle:{exponent}:{rule.value}")
+    counts = _assert_answers_match(
+        exact.rerun_clarke_greedy, exact.clarke_with_greedy, clarke_greedy_mechanism(cfg), cfg,
+        rng, exponent, "clarke-oracle",
+    )
+    assert counts["answered"] > 200 and counts["declined"] > 5
+    assert (counts["raised"] > 10) == (rule is TieRule.REJECT)
 
 
 @pytest.mark.parametrize("rule", list(TieRule), ids=lambda r: r.value)
@@ -709,7 +662,7 @@ def test_rerun_answer_declines_cube_roots(rule):
         for _ in range(10):
             j, new_bid = _rerun_input(rng, inst, exponent)
             assert greedy.rerun_greedy(inst, j, new_bid, cfg) is None
-            expected = _bid_j_of_full_run(inst, j, new_bid, cfg)
+            expected = _bid_j_of_full_run(run_greedy, inst, j, new_bid, cfg)
             if isinstance(expected, type):
                 with pytest.raises(expected):
                     _rerun(mech, inst, j, new_bid)

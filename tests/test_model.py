@@ -168,25 +168,14 @@ def test_with_bid_reseeds_caches():
 
 
 def test_with_bid_origin_keeps_one_ancestor():
-    base = three_bidder_instance()
-    child = base.with_amount(0, 11)
-    assert child.origin == (base, 0)
-    # a copy of a copy records no origin, whichever bid it replaces
-    assert child.with_amount(0, 12).origin is None
-    assert child.with_amount(1, 12).origin is None
-    # a long chain alternating between two bids keeps no early instance alive
+    # a long chain of copies alternating between two bids keeps no early
+    # instance alive
     inst = three_bidder_instance()
     early = weakref.ref(inst)
     for step in range(10_000):
         inst = inst.with_amount(step % 2, F(step % 7 + 1, step % 3 + 1))
     gc.collect()
     assert early() is None
-    chain = 0
-    origin = inst.origin
-    while origin is not None:
-        chain += 1
-        origin = origin[0].origin
-    assert chain <= 1
     assert inst.integer_amounts == AuctionInstance(inst.goods, inst.bids).integer_amounts
 
 
@@ -239,7 +228,7 @@ def test_with_bid_child_matches_a_fresh_instance():
             NormConfig(exponent, rule) for exponent in (F(1), F(1, 2), F(2, 3)) for rule in TieRule
         ]
         for cfg in configs:
-            _ranked(inst, cfg)  # the parent's rankings, which children insert into
+            _ranked(inst, cfg)  # the parent's rankings, which children must not inherit
         for _ in range(6):
             j = rng.randrange(7)
             other = inst.bids[rng.randrange(7)]

@@ -8,7 +8,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from camech import norm
 from camech.errors import ExponentNotSupported, TiesPresent
 from camech.model import AuctionInstance, SingleMindedBid
 from camech.money import Money
@@ -107,18 +106,6 @@ def test_rank_canonical_tie_break_documented_order():
     # early has mask {a,b} = 0b0011 < late's {c,d} = 0b1100
     assert ranked.order == (2, 1, 0)
     assert ranked.had_ties
-
-
-def test_child_ranking_reuses_origin():
-    inst = AuctionInstance(GOODS, (bid("x", "a", 3), bid("y", "b", 2), bid("z", "ab", 5)))
-    l1 = NormConfig(F(1))
-    # a re-declared bid meets only its own old key: inserted, not sorted
-    same = inst.with_bid(0, inst.bids[0])
-    assert norm._inserted(same, l1).order == rank(inst, l1).order == (0, 2, 1)
-    # the origin is ranked once under each tie rule
-    child = inst.with_amount(1, 4)
-    assert rank(child, NormConfig(F(1), TieRule.REJECT)).order == (1, 0, 2)
-    assert rank(child, l1).order == (1, 0, 2)
 
 
 def test_rank_deterministic():
