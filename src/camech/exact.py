@@ -343,12 +343,11 @@ def rerun_clarke_greedy(
     used = _granted_before(without, masks)[pos]
     if used & mask:
         return BidRerun(frozenset(), _free, without.ties)
-    rest = without.order[pos:]
 
     def price() -> Money:
         weights = instance.integer_amounts.weights
         free, taken, lost = used, used | mask, 0
-        for i in rest:
+        for i in without.order[pos:]:
             if free == taken:  # the two walks grant alike from here on
                 break
             m = masks[i]

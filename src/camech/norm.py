@@ -12,10 +12,10 @@ values, and so in thresholds, payments, revenue and utilities.
 greedy and Clarke-with-greedy call, keeps in an instance's `rankings` its
 ranking under each `NormConfig` it was asked for, with one slot holding
 the order without the last bid replaced.  Two threads racing may both
-append a ranking for one configuration, and they are equal.  The slot is replaced by one assignment of a whole
-record, and the record's greedy walk by one assignment of a whole list,
-so a reader sees either the old value or the new one, each correct for
-the bid it names.
+append a ranking for one configuration, and they are equal.  The slot is
+replaced by one assignment of a whole record, and the record's greedy walk
+by one assignment of a whole list, so a reader sees either the old value
+or the new one, each correct for the bid it names.
 """
 
 from __future__ import annotations

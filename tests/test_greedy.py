@@ -340,7 +340,7 @@ def test_payment_read_twice_is_computed_once(monkeypatch):
 
 def _eager_reference(inst, cfg):
     """Payments, revenue and utilities computed up front from the greedy
-    trace: the reference a lazily priced outcome must equal."""
+    trace: the reference a run's outcome must equal."""
     allocation, trace = greedy_allocate(inst, cfg)
     bids = inst.bids
     payments = [Money(0)] * len(bids)
