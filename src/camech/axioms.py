@@ -16,8 +16,9 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
+from itertools import repeat
 from math import lcm
-from typing import Callable, Iterable, NamedTuple, Optional, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .errors import InstanceTooLarge, InvalidArgument, TiesPresent
 from .model import AuctionInstance, BidRerun, Outcome, SingleMindedBid, bidder_utility
@@ -83,11 +84,15 @@ class Mechanism:
     first one runs.
 
     The checkers read a rerun only at the replaced bid j: its grant, its
-    payment and, for a norm mechanism, whether the ranking tied.
-    `rerun(instance, j, bid)`, when given, answers that part of
-    `run(instance.with_bid(j, bid))` as a `BidRerun`, or returns None when
-    only the full run can say; `_rerun` then runs it.  Greedy and
-    clarke-greedy answer from the walk without bid j
+    payment and, for a norm mechanism, whether the ranking tied.  They
+    rerun one bundle at several amounts at once: a search class's
+    candidates, a critical scan's probes, a monotonicity move.
+    `rerun(instance, j, bundle, amounts)`, when given, answers that part of
+    `run(instance.with_bid(j, bid))`, for bid j's bidder and reserve flag
+    at `bundle` and each amount, as one `BidRerun` per amount in order,
+    read once, with None where only the full run can say, or returns None
+    as a whole when it cannot answer at all; `_reruns` then runs those in
+    full.  Greedy and clarke-greedy answer from the walk without bid j
     (`greedy.rerun_greedy`, `exact.rerun_clarke_greedy`); the GVA gives
     none.  A mechanism that replaces `run` replaces or drops `rerun`
     too, or the checkers keep reading the old answers.
@@ -100,23 +105,38 @@ class Mechanism:
     ]
     norm: Optional[NormConfig] = None
     solver: Optional[_exact.SolverKind] = None
-    rerun: Optional[Callable[[AuctionInstance, int, SingleMindedBid], Optional[BidRerun]]] = None
+    rerun: Optional[Callable[
+        [AuctionInstance, int, frozenset, Sequence[Fraction]],
+        Optional[Iterable[Optional[BidRerun]]],
+    ]] = None
 
 
-def _rerun(mech: Mechanism, instance: AuctionInstance, j: int, bid: SingleMindedBid) -> BidRerun:
-    """Bid j's part of `mech.run(instance.with_bid(j, bid))`: from
-    `mech.rerun` when it answers, else from that run, which raises what it
-    raises.  Every search candidate, critical probe and monotonicity move
-    goes through here."""
-    if mech.rerun is not None:
-        answer = mech.rerun(instance, j, bid)
-        if answer is not None:
-            return answer
-    out = mech.run(instance.with_bid(j, bid))
-    return BidRerun(
-        out.allocation.bundle_granted(j), partial(out.payments.__getitem__, j),
-        mech.norm is not None and out.trace.ranking.had_ties,
-    )
+def _reruns(
+    mech: Mechanism, instance: AuctionInstance, j: int, bundle: frozenset,
+    amounts: Sequence[Fraction],
+) -> Iterator[BidRerun | TiesPresent]:
+    """Bid j's part of `mech.run(instance.with_bid(j, bid))` for bid j at
+    `bundle` and each amount, in order: from one `mech.rerun` call where it
+    answers, else from that run.  A run raising `TiesPresent` yields the
+    exception, and raises anything else.  The answers are read once, in
+    order, and each full run made when its amount's turn comes, so a
+    caller that stops early runs no more.  Every search candidate,
+    critical probe and monotonicity move goes through here."""
+    answers = None if mech.rerun is None else mech.rerun(instance, j, bundle, amounts)
+    declared = instance.bids[j]
+    for amount, answer in zip(amounts, repeat(None) if answers is None else answers):
+        if answer is None:
+            bid = SingleMindedBid(declared.bidder, bundle, amount, declared.is_reserve)
+            try:
+                out = mech.run(instance.with_bid(j, bid))
+            except TiesPresent as tie:
+                yield tie
+                continue
+            answer = BidRerun(
+                out.allocation.bundle_granted(j), partial(out.payments.__getitem__, j),
+                mech.norm is not None and out.trace.ranking.had_ties,
+            )
+        yield answer
 
 
 def _norm_mechanism(
@@ -167,14 +187,14 @@ def _norm_mechanism(
 def greedy_mechanism(cfg: NormConfig) -> Mechanism:
     return _norm_mechanism(
         "greedy", lambda inst: run_greedy(inst, cfg), cfg,
-        lambda inst, j, bid: rerun_greedy(inst, j, bid, cfg),
+        lambda inst, j, bundle, amounts: rerun_greedy(inst, j, bundle, amounts, cfg),
     )
 
 
 def clarke_greedy_mechanism(cfg: NormConfig) -> Mechanism:
     return _norm_mechanism(
         "clarke-greedy", lambda inst: _exact.clarke_with_greedy(inst, cfg), cfg,
-        lambda inst, j, bid: _exact.rerun_clarke_greedy(inst, j, bid, cfg),
+        lambda inst, j, bundle, amounts: _exact.rerun_clarke_greedy(inst, j, bundle, amounts, cfg),
     )
 
 
@@ -343,15 +363,14 @@ def critical_value(mech: Mechanism, instance: AuctionInstance, j: int) -> Critic
     Probes are `Fraction`s placed on the grid: one just below its lowest
     positive value and one just above each kept threshold's bracket,
     toward the next grid value, so each is a probe the scan would make
-    with every grid value kept.  Each probe reads only bid j's grant,
-    through `_rerun`, so answered probes price nothing.  Kept thresholds
+    with every grid value kept.  Each probe reads only bid j's grant, all
+    of them through one `_reruns` call, so answered probes price nothing.  Kept thresholds
     find their rows by identity among the grid values `_brackets` placed,
     duplicates of an equal value included.  When a probe finds a denial
     above a grant, no single threshold exists: `value` is then None and
     `witness` the instance with bid j at the denied probe.
     """
-    declared = instance.bids[j]
-    bundle = declared.bundle
+    bundle = instance.bids[j].bundle
     kept, grid = mech.thresholds(instance, j)(bundle)
     # zero is bracketed too, so the first probe stays above it
     values = [Money.ZERO, *(t for t in grid if t.sign() > 0)]
@@ -361,7 +380,11 @@ def critical_value(mech: Mechanism, instance: AuctionInstance, j: int) -> Critic
     rows = sorted({r for t in kept if (r := row.get(id(t)))})
     first_probe = _toward(brackets[1][0], 0, d) if len(brackets) > 1 else PROBE_SCALE
     probes = [first_probe, *(_probe_above(brackets, r, d) for r in rows)]
-    status = [_rerun(mech, instance, j, declared.with_amount(v)).bundle == bundle for v in probes]
+    status = []
+    for result in _reruns(mech, instance, j, bundle, probes):
+        if isinstance(result, TiesPresent):
+            raise result
+        status.append(result.bundle == bundle)
     first = next((i for i, s in enumerate(status) if s), None)
     if first is None:
         return CriticalValue(None, len(probes))
@@ -476,26 +499,25 @@ def _monotonicity_witness(mech, inst, out, scan, counts, classes) -> Optional[Wi
     there.  A shrink at the amount reruns the least member of each of bid
     j's sub-bundle classes, classes[j] as `check_planned_reruns` counted
     them: the registered mechanisms read a bundle only through its size and
-    the other bids it overlaps.  A rerun that ties (`TiesPresent`, or a
-    ranking that `had_ties`) is skipped, as the property is stated
-    tie-free.  counts[0] adds the reruns compared, counts[1] those skipped.
+    the other bids it overlaps.  Each move is one `_reruns` call.  A rerun
+    that ties (`TiesPresent`, or a ranking that `had_ties`) is skipped, as
+    the property is stated tie-free.  counts[0] adds the reruns compared,
+    counts[1] those skipped.
     """
     for j in sorted(out.allocation.grants):
         cv = scan(j)
         if cv.witness:
             return cv.witness
         bid, (p, q) = inst.bids[j], inst.bids[j].amount.as_integer_ratio()
-        moves = [bid.with_amount(_toward(p, 2 * p or q, q))]
-        moves += [SingleMindedBid(bid.bidder, [g for i, g in enumerate(inst.goods) if m >> i & 1],
-                                  bid.amount, bid.is_reserve) for m in classes[j]]
-        for moved in moves:
-            try:
-                result = _rerun(mech, inst, j, moved)
-                tied = result.had_ties
-            except TiesPresent:
-                tied = True
+        moves = [(bid.bundle, _toward(p, 2 * p or q, q))]
+        moves += [(frozenset(g for i, g in enumerate(inst.goods) if m >> i & 1), bid.amount)
+                  for m in classes[j]]
+        for bundle, amount in moves:
+            (result,) = _reruns(mech, inst, j, bundle, (amount,))
+            tied = isinstance(result, TiesPresent) or result.had_ties
             counts[tied] += 1
-            if not tied and result.bundle != moved.bundle:
+            if not tied and result.bundle != bundle:
+                moved = SingleMindedBid(bid.bidder, bundle, amount, bid.is_reserve)
                 return Witness(inst.with_bid(j, moved), j,
                                f"bid {j} was granted as {sorted(bid.bundle)}@"
                                f"{Money(bid.amount).to_decimal()} but lost after moving to "
@@ -747,11 +769,14 @@ def find_profitable_deviation(
     truthful report runs it in full, once per search, on the instance
     itself when the declared bid is the true type and on a copy with the
     true type as bid j otherwise, so each search runs `mech.run` itself at
-    least once; every candidate goes through
-    `_rerun`, which reads bid j's grant and payment off `mech.rerun` when
-    the mechanism answers there.  A candidate whose rerun raises
-    `TiesPresent` is skipped and not counted as tested; a tie on the
-    truthful rerun comes from the input and propagates.
+    least once.  A class's candidates go through one `_reruns` call,
+    which reads bid j's grants and payments off one `mech.rerun` call where
+    the mechanism answers there.  Every answer's payment is read, a denied
+    one's too, so a mechanism charging losers is scored truly; an answer
+    the call repeats for the next candidate is the same object, scored
+    alike, so it is counted as tested and not scored again.  A candidate
+    whose rerun raises `TiesPresent` is skipped and not counted as tested;
+    a tie on the truthful rerun comes from the input and propagates.
 
     The mechanisms read a misreported bundle through its size, the other
     bids it overlaps and whether it covers the true bundle, so bundles
@@ -810,16 +835,18 @@ def find_profitable_deviation(
             if found is None:
                 found = grids[id(grid)] = (grid, _grid([t for t in grid if t.sign() >= 0], amount))
             values, classes[key] = _candidate_values(kept, found[1])
-        for v in values:
-            attempt = SingleMindedBid(bidder, bundle, v, is_reserve)
-            try:
-                result = _rerun(mech, instance, j, attempt)
-            except TiesPresent:
+        last = None
+        for v, result in zip(values, _reruns(mech, instance, j, bundle, values)):
+            if isinstance(result, TiesPresent):
                 continue
             tested += 1
+            # an answer repeated is scored alike and cannot beat itself
+            if result is last:
+                continue
+            last = result
             u = bidder_utility(true_type, result.bundle, result.price())
             if best is None or u > best:
-                best, best_bid = u, attempt
+                best, best_bid = u, SingleMindedBid(bidder, bundle, v, is_reserve)
     if best is not None and best > truthful_utility:
         return DeviationReport(
             bidder=bidder,

@@ -21,8 +21,9 @@ table.  A brute-force solve visits 2**n bid subsets, a GVA run (n + 1) *
 2**n; past `MAX_BRUTE_SUBSETS` either raises before the first solve.
 
 Clarke-with-greedy, the broken pairing the checkers must catch, bills the
-greedy allocation with the Clarke formula; `rerun_clarke_greedy` answers
-its reruns with one bid replaced off greedy's walk without that bid.
+greedy allocation with the Clarke formula, charging each winner what the
+bids after it lose to it; `rerun_clarke_greedy` answers its reruns with one
+bid replaced the same way, off greedy's walk without that bid.
 """
 
 from __future__ import annotations
@@ -31,16 +32,13 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from operator import add
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .errors import InstanceTooLarge
-from .greedy import _free, _granted_before, _walk, greedy_allocate
-from .model import (
-    MAX_GOODS, Allocation, AuctionInstance, BidRerun, Outcome, SingleMindedBid,
-    allocation_value, assemble_outcome,
-)
+from .greedy import answer_reruns, greedy_allocate
+from .model import MAX_GOODS, Allocation, AuctionInstance, BidRerun, Outcome, assemble_outcome
 from .money import Money
-from .norm import NormConfig, RankedList, place
+from .norm import NormConfig
 
 
 class SolverKind(Enum):
@@ -298,6 +296,27 @@ def run_gva(instance: AuctionInstance, solver: SolverKind) -> Outcome:
     return assemble_outcome(instance, actual.allocation, payments, None, meta)
 
 
+def _loss(instance: AuctionInstance, rest: Sequence[int], free: int, mask: int) -> int:
+    """What the bids in `rest` lose to a bid of goods `mask`, in the
+    instance's integer weights: the value the greedy walk of `rest` grants
+    from the goods `free` granted before it, less what it grants with
+    `mask` taken too.  The walks stop once they hold the same goods, since
+    they grant alike from there on."""
+    masks, weights = instance.bid_masks, instance.integer_amounts.weights
+    taken, lost = free | mask, 0
+    for i in rest:
+        if free == taken:
+            break
+        m = masks[i]
+        if not free & m:
+            free |= m
+            lost += weights[i]
+        if not taken & m:
+            taken |= m
+            lost -= weights[i]
+    return lost
+
+
 def clarke_with_greedy(instance: AuctionInstance, cfg: NormConfig) -> Outcome:
     """Greedy allocation billed with the Clarke formula; a known-broken pairing.
 
@@ -305,58 +324,37 @@ def clarke_with_greedy(instance: AuctionInstance, cfg: NormConfig) -> Outcome:
     concrete failure to exhibit.  Payments can exceed the declared amount
     and are not clamped.
 
-    The value without bid j is the walk's along the outcome's own ranking
-    with j left out: j at amount zero would leave the others' order as it
-    is and rank after every bid of positive norm, where it adds no value
-    and keeps out only bids of zero value.
+    A winner pays the value of the walk without it less what the others get
+    with it.  The bids ranked before it fare alike in both walks, so that
+    is what the bids after it lose to it (`_loss`); a denied bid changes no
+    grant and pays nothing.  Bid j at amount zero would leave the others'
+    order as it is and rank after every bid of positive norm, where it
+    adds no value and keeps out only bids of zero value, so this is the
+    Clarke payment with bid j's amount at zero.
     """
     allocation, trace = greedy_allocate(instance, cfg)
-    ranking = trace.ranking
-    without = []
-    for j in range(len(instance.bids)):
-        others = RankedList(tuple(i for i in ranking.order if i != j), ranking.had_ties)
-        without.append(allocation_value(instance, _walk(instance, others)[0]))
-    payments = _clarke(instance, allocation, allocation_value(instance, allocation), without)
-    return assemble_outcome(instance, allocation, payments, trace)
+    order, masks, d = trace.ranking.order, instance.bid_masks, instance.integer_amounts.denominator
+    payments, used = [Money.ZERO] * len(order), 0
+    for p, j in enumerate(order):
+        if j in allocation.grants:
+            payments[j] = Money(Fraction(_loss(instance, order[p + 1:], used, masks[j]), d))
+            used |= masks[j]
+    return assemble_outcome(instance, allocation, tuple(payments), trace)
 
 
 def rerun_clarke_greedy(
-    instance: AuctionInstance, j: int, bid: SingleMindedBid, cfg: NormConfig
-) -> Optional[BidRerun]:
-    """Bid j's part of `clarke_with_greedy(instance.with_bid(j, bid), cfg)`,
-    without building that instance or its outcome.
-
-    Bid j goes in at its `place`, p, in the walk without bid j, and is
-    granted as `greedy.rerun_greedy` grants it.  A winner pays the value of
-    the walk without it, less what the other bids get when that walk
-    resumes at p with bid j's goods taken: the bids before p fare alike in
-    both, so the payment is what the bids from p on lose to bid j, priced
-    when read.  None, where only the full run can say, when bid j's key
-    ties another's or the instance's ranking raised `TiesPresent`.
+    instance: AuctionInstance, j: int, bundle: frozenset, amounts: Sequence[Fraction],
+    cfg: NormConfig,
+) -> Optional[list[Optional[BidRerun]]]:
+    """Bid j's part of `clarke_with_greedy(instance.with_bid(j, bid), cfg)`
+    for bid j moved to `bundle` at each of `amounts`, without building
+    that instance or its outcome (`greedy.answer_reruns`).  A winner pays
+    what the bids after it lose to it, priced when read; Clarke-with-greedy
+    prices no crossing value, so it answers at every exponent.
     """
-    placed = place(instance, cfg, j, bid)
-    if placed is None:
-        return None
-    without, pos = placed
-    masks = instance.bid_masks
-    mask = instance.mask_of(bid.bundle)
-    used = _granted_before(without, masks)[pos]
-    if used & mask:
-        return BidRerun(frozenset(), _free, without.ties)
+    d = instance.integer_amounts.denominator
 
-    def price() -> Money:
-        weights = instance.integer_amounts.weights
-        free, taken, lost = used, used | mask, 0
-        for i in without.order[pos:]:
-            if free == taken:  # the two walks grant alike from here on
-                break
-            m = masks[i]
-            if not free & m:
-                free |= m
-                lost += weights[i]
-            if not taken & m:
-                taken |= m
-                lost -= weights[i]
-        return Money(Fraction(lost, instance.integer_amounts.denominator))
+    def price(rest: Sequence[int], used: int, mask: int) -> Callable[[], Money]:
+        return lambda: Money(Fraction(_loss(instance, rest, used, mask), d))
 
-    return BidRerun(bid.bundle, price, without.ties)
+    return answer_reruns(instance, cfg, j, bundle, amounts, price)

@@ -8,31 +8,30 @@ denied, conflicts with it, and conflicts with no other granted bid ranked
 earlier.  Bids without a blocker, and denied bids, pay nothing.
 
 The walk takes any order: the tie-order enumeration walks each resolution
-of the norm ties, and Clarke-with-greedy walks its ranking without bid j.
+of the norm ties.
 
-`rerun_greedy` answers a checker's rerun, bid j replaced, with bid j's
-grant and payment alone, read off the walk of the other bids: bid j at
-position p is granted exactly when its bundle misses the goods that walk
-grants before p, and a winner's blocker comes from the walk resumed at p.
-The payment is priced only when read, so a rerun that reads only the
-grant prices nothing.  `exact.rerun_clarke_greedy` answers
-Clarke-with-greedy's reruns off the same walk.
+`rerun_greedy` answers a checker's reruns of one bundle, bid j replaced,
+with bid j's grant and payment alone at each amount, read off the walk of
+the other bids (`answer_reruns`): bid j at position p is granted exactly
+when its bundle misses the goods that walk grants before p, and a winner's
+blocker comes from the walk resumed at p.  The payment is priced only when
+read, so a rerun that reads only the grant prices nothing.
+`exact.rerun_clarke_greedy` answers Clarke-with-greedy's reruns off the
+same walk.
 """
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from typing import Mapping, Optional
 
 from .errors import InvalidArgument
-from .model import (
-    Allocation, AuctionInstance, BidRerun, Outcome, SingleMindedBid, assemble_outcome,
-)
+from .model import Allocation, AuctionInstance, BidRerun, Outcome, assemble_outcome
 from .money import Money
-from .norm import NormConfig, RankedList, _Without, crossing_value, place, rank
+from .norm import NormConfig, RankedList, crossing_value, place, rank
 
 
 @dataclass(frozen=True, eq=False, init=False)
@@ -121,56 +120,88 @@ def _free() -> Money:
     return Money.ZERO
 
 
-def _granted_before(without: _Without, masks: Sequence[int]) -> list[int]:
-    """The goods the walk of `without.order` grants before each position,
-    and after the last: computed once per instance, norm and bid j."""
-    granted = without.granted_before
-    if granted is None:
-        used = 0
-        granted = [0]
-        for i in without.order:
+#: The order of the last ranking without a bid j that `answer_reruns` was
+#: given, and the goods its walk grants before each position and after the
+#: last.  The checkers rerun one bid j many times in a row, so the walk is
+#: made once per bid j.  Each such order is a tuple of its own, held here
+#: so that its id is not reused, and holding it keeps no keys alive.  The
+#: pair is replaced by one assignment, so a reader sees the old pair or the
+#: new one, each correct for the order it names.
+_last_walk: tuple[tuple[int, ...], list[int]] = ((), [0])
+
+
+def answer_reruns(
+    instance: AuctionInstance, cfg: NormConfig, j: int, bundle: frozenset,
+    amounts: Sequence[Fraction],
+    price: Callable[[Sequence[int], int, int], Callable[[], Money]],
+) -> Optional[list[Optional[BidRerun]]]:
+    """Bid j's part of a norm mechanism's run on `instance` with bid j
+    moved to `bundle`, at each of `amounts`, read off the walk of the other
+    bids in the instance's order, the walk greedy and Clarke-with-greedy
+    both allocate by.
+
+    Bid j goes in at its `place`, p, for each amount.  The bids before p are
+    granted as in the walk without bid j, so bid j is granted exactly when
+    its bundle misses the goods granted there.  A granted bid j's payment
+    comes from `price(rest, used, mask)`: the bids after it, the goods
+    granted before it and its own.  The amounts denied share one answer.
+    Each entry is None where bid j's key ties another's (the full run
+    breaks the tie or raises), and the whole answer None when the
+    instance's ranking raised `TiesPresent`.
+    """
+    global _last_walk
+    placed = place(instance, cfg, j, len(bundle), amounts)
+    if placed is None:
+        return None
+    without, positions = placed
+    order, masks, mask = without.order, instance.bid_masks, instance.mask_of(bundle)
+    walked, granted = _last_walk
+    if walked is not order:
+        used, granted = 0, [0]
+        for i in order:
             if not used & masks[i]:
                 used |= masks[i]
             granted.append(used)
-        without.granted_before = granted
-    return granted
+        _last_walk = order, granted
+    denied = BidRerun(frozenset(), _free, without.ties)
+    answers: list[Optional[BidRerun]] = []
+    for pos in positions:
+        if pos is None:
+            answers.append(None)
+        elif granted[pos] & mask:
+            answers.append(denied)
+        else:
+            answers.append(BidRerun(bundle, price(order[pos:], granted[pos], mask), without.ties))
+    return answers
 
 
 def rerun_greedy(
-    instance: AuctionInstance, j: int, bid: SingleMindedBid, cfg: NormConfig
-) -> Optional[BidRerun]:
-    """Bid j's part of `run_greedy(instance.with_bid(j, bid), cfg)`, without
-    building that instance or its outcome.
+    instance: AuctionInstance, j: int, bundle: frozenset, amounts: Sequence[Fraction],
+    cfg: NormConfig,
+) -> Optional[list[Optional[BidRerun]]]:
+    """Bid j's part of `run_greedy(instance.with_bid(j, bid), cfg)` for bid
+    j moved to `bundle` at each of `amounts`, without building that
+    instance or its outcome (`answer_reruns`).
 
-    The other bids keep their order, and bid j goes in at its `place`, p.
-    The bids before p are granted as in the walk without bid j, so bid j is
-    granted exactly when it misses the goods granted there.  A winner's
-    blocker is the first later bid denied whose overlap with the goods
-    granted so far lies inside bid j's bundle, so the walk resumes at p
-    only until it finds one.  The payment is priced when read.
-
-    None when only the full run can say: bid j's key ties another's (the
-    full run breaks the tie or raises), the instance's ranking raised
-    `TiesPresent`, or the exponent's denominator is above 2 (where the
-    full run prices every winner and may raise `ExponentNotSupported`).
+    A winner's blocker is the first later bid denied whose overlap with
+    the goods granted so far lies inside bid j's bundle, so the walk
+    resumes at bid j's place only until it finds one.  The payment is
+    priced when read.  None as a whole also when the exponent's
+    denominator is above 2, where the full run prices every winner and may
+    raise `ExponentNotSupported`.
     """
     if cfg.exponent.denominator > 2:
         return None
-    placed = place(instance, cfg, j, bid)
-    if placed is None:
-        return None
-    without, pos = placed
-    masks = instance.bid_masks
-    mask = instance.mask_of(bid.bundle)
-    used = _granted_before(without, masks)[pos]
-    if used & mask:
-        return BidRerun(frozenset(), _free, without.ties)
-    used |= mask
-    for i in without.order[pos:]:
-        overlap = used & masks[i]
-        if not overlap:
-            used |= masks[i]
-        elif not overlap & ~mask:
-            price = partial(crossing_value, instance.bids[i], len(bid.bundle), cfg.exponent)
-            return BidRerun(bid.bundle, price, without.ties)
-    return BidRerun(bid.bundle, _free, without.ties)
+    masks, size = instance.bid_masks, len(bundle)
+
+    def price(rest: Sequence[int], used: int, mask: int) -> Callable[[], Money]:
+        used |= mask
+        for i in rest:
+            overlap = used & masks[i]
+            if not overlap:
+                used |= masks[i]
+            elif not overlap & ~mask:
+                return partial(crossing_value, instance.bids[i], size, cfg.exponent)
+        return _free
+
+    return answer_reruns(instance, cfg, j, bundle, amounts, price)

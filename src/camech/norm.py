@@ -13,9 +13,8 @@ greedy and Clarke-with-greedy call, keeps in an instance's `rankings` its
 ranking under each `NormConfig` it was asked for, with one slot holding
 the order without the last bid replaced.  Two threads racing may both
 append a ranking for one configuration, and they are equal.  The slot is
-replaced by one assignment of a whole record, and the record's greedy walk
-by one assignment of a whole list, so a reader sees either the old value
-or the new one, each correct for the bid it names.
+replaced by one assignment of a whole record, so a reader sees either the
+old record or the new one, each correct for the bid it names.
 """
 
 from __future__ import annotations
@@ -26,6 +25,7 @@ from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
+from typing import Optional, Sequence
 
 from .errors import ExponentNotSupported, InstanceTooLarge, InvalidArgument, TiesPresent
 from .model import AuctionInstance, SingleMindedBid
@@ -143,15 +143,12 @@ def _sorted(instance: AuctionInstance, cfg: NormConfig) -> tuple[list[int], list
 
 class _Without:
     """A ranking with bid j taken out: the other bids' order, their negated
-    keys in that order (so ascending) and whether two of them tie.  The rerun
-    answers keep in `granted_before` the goods the walk of that order
-    grants before each position, as a list filled in one assignment."""
+    keys in that order (so ascending) and whether two of them tie."""
 
-    __slots__ = ("j", "order", "neg_keys", "ties", "granted_before")
+    __slots__ = ("j", "order", "neg_keys", "ties")
 
     def __init__(self, j: int, order: tuple[int, ...], neg_keys: list[int], ties: bool):
         self.j, self.order, self.neg_keys, self.ties = j, order, neg_keys, ties
-        self.granted_before = None
 
 
 class _KeptRanking:
@@ -199,12 +196,13 @@ def _kept_ranking(instance: AuctionInstance, cfg: NormConfig) -> _KeptRanking | 
 
 
 def place(
-    instance: AuctionInstance, cfg: NormConfig, j: int, bid: SingleMindedBid
-) -> tuple[_Without, int] | None:
-    """Where bid j goes when `bid` replaces it: the instance's ranking
-    without bid j, and bid j's position in that order, found by one bisect
-    on exact keys.  None when bid j's key ties another bid's, or the
-    instance's ranking raised `TiesPresent`.
+    instance: AuctionInstance, cfg: NormConfig, j: int, size: int, amounts: Sequence[Fraction]
+) -> tuple[_Without, list[Optional[int]]] | None:
+    """Where bid j goes when a bid of `size` goods replaces it, at each of
+    `amounts`: the instance's ranking without bid j, and for each amount
+    bid j's position in that order, found by its own bisect on exact keys,
+    or None when bid j's key then ties another bid's.  None as a whole
+    when the instance's ranking raised `TiesPresent`.
 
     `rank(instance.with_bid(j, bid), cfg)` orders the other bids as the
     instance does, tie breaks included, since rescaling the amounts or
@@ -213,18 +211,20 @@ def place(
     if ranking is None:
         return None
     without = ranking.without_bid(j)
-    neg_keys = without.neg_keys
+    neg_keys, last = without.neg_keys, len(without.neg_keys)
     # the instance's key of bid i is its order key times `ranking.scale`,
     # and bid j's order key is (num / d)**q / s**p: bid i ranks above j
     # exactly when its key exceeds num**q * scale / (d**q * s**p), or that
     # value's floor
-    num, den = bid.amount.as_integer_ratio()
-    p, q = ranking.p, ranking.q
-    floor, rest = divmod(num ** q * ranking.scale, den ** q * len(bid.bundle) ** p)
-    pos = bisect_left(neg_keys, -floor)
-    if not rest and pos < len(neg_keys) and neg_keys[pos] == -floor:
-        return None
-    return without, pos
+    q, scale, below = ranking.q, ranking.scale, size ** ranking.p
+    positions: list[Optional[int]] = []
+    for amount in amounts:
+        num, den = amount.as_integer_ratio()
+        floor, rest = divmod(num ** q * scale, den ** q * below)
+        pos = bisect_left(neg_keys, -floor)
+        tied = not rest and pos < last and neg_keys[pos] == -floor
+        positions.append(None if tied else pos)
+    return without, positions
 
 
 def keys_tie(instance: AuctionInstance, exponent: Fraction) -> bool:

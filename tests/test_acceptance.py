@@ -74,16 +74,17 @@ def test_criterion_1_paper_examples():
 
 def _counting(mech, runs):
     """`mech` adding one to runs[0] for each evaluation: every full run, and
-    every rerun that `mech.rerun` answers; a rerun it declines is counted
+    every amount that `mech.rerun` answers; an amount it declines is counted
     by the full run that follows."""
     def run(instance):
         runs[0] += 1
         return mech.run(instance)
 
-    def rerun(instance, j, bid):
-        answer = mech.rerun(instance, j, bid)
-        runs[0] += answer is not None
-        return answer
+    def rerun(instance, j, bundle, amounts):
+        answers = mech.rerun(instance, j, bundle, amounts)
+        if answers is not None:
+            runs[0] += sum(answer is not None for answer in answers)
+        return answers
 
     return replace(mech, run=run, rerun=rerun)
 

@@ -70,18 +70,28 @@ def competitive_instance():
 
 def recording(mech, record):
     """`mech` passing each of its evaluations to `record` once, as the
-    instance it ran on: every full run, and every rerun that `mech.rerun`
-    answers, as `instance.with_bid(j, bid)`; a rerun it declines is
-    recorded by the full run that follows."""
+    instance it ran on: every full run, and every amount that `mech.rerun`
+    answers, as `instance.with_bid(j, bid)`; an amount it declines is
+    recorded by the full run that follows.  The checkers read a rerun's
+    answers once and in order, so each answer is recorded as it is read,
+    and the evaluations keep the amounts' order."""
     def run(instance):
         record(instance)
         return mech.run(instance)
 
-    def rerun(instance, j, bid):
-        answer = mech.rerun(instance, j, bid)
-        if answer is not None:
-            record(instance.with_bid(j, bid))
-        return answer
+    def rerun(instance, j, bundle, amounts):
+        answers = mech.rerun(instance, j, bundle, amounts)
+        if answers is None:
+            return None
+        bidder, is_reserve = instance.bids[j].bidder, instance.bids[j].is_reserve
+
+        def read():
+            for amount, answer in zip(amounts, answers):
+                if answer is not None:
+                    record(instance.with_bid(j, SingleMindedBid(bidder, bundle, amount, is_reserve)))
+                yield answer
+
+        return read()
 
     return replace(mech, run=run, rerun=rerun if mech.rerun else None)
 
@@ -1566,6 +1576,73 @@ def test_deviation_search_work_pinned():
     for j in range(len(inst.bids)):
         assert find_profitable_deviation(mech, inst, j) is None
     assert len(runs) == 2032
+
+
+@pytest.mark.parametrize("name", ["greedy", "clarke-greedy"])
+def test_reruns_batched_one_call_per_class_and_per_scan(name):
+    # criterion 3's first instance: a search hands `mech.rerun` each bundle
+    # it reruns once, with all of that bundle's candidates, so it makes one
+    # call per class's first bundle and per later bundle with a candidate on
+    # a kept threshold; a critical scan hands it all of its probes at once
+    mech = MECHANISMS[name](L1, DP)
+    calls = []
+
+    def rerun(instance, j, bundle, amounts):
+        calls.append((bundle, len(amounts)))
+        return mech.rerun(instance, j, bundle, amounts)
+
+    batched = replace(mech, rerun=rerun)
+    inst = random_instance(6, 8, seed="deviation-accept:0")
+    bundles = [frozenset(c) for r in range(1, 7) for c in itertools.combinations(inst.goods, r)]
+    for j, declared in enumerate(inst.bids):
+        def key(bundle):
+            mask = inst.mask_of(bundle)
+            overlapped = {i for i, m in enumerate(inst.bid_masks) if i != j and m & mask}
+            return len(bundle), frozenset(overlapped), declared.bundle <= bundle
+
+        calls.clear()
+        find_profitable_deviation(batched, inst, j)
+        rerun_bundles = [bundle for bundle, _ in calls]
+        assert len(set(rerun_bundles)) == len(rerun_bundles)
+        assert {key(b) for b in rerun_bundles} == {key(b) for b in bundles}
+        # every candidate is answered within its bundle's one call
+        evaluated = _deviation_result(replace(mech, rerun=None), inst, j)[1]
+        assert sum(n for _, n in calls) == len(evaluated) - 1  # less the truthful run
+        calls.clear()
+        cv = critical_value(batched, inst, j)
+        assert calls == [(declared.bundle, cv.probes)]
+
+
+def test_deviation_search_reads_a_shared_answer_paying_losers():
+    # greedy paying each loser 1,000, more than any bid's amount, its reruns
+    # answered off greedy's, where the amounts a call denies share one
+    # answer: the search reads that answer's payment, so every winner finds
+    # that losing pays, as it does when every rerun runs in full
+    base = greedy_mechanism(L1)
+    paid = Money(-1000)
+
+    def run(instance):
+        out = base.run(instance)
+        payments = [p if j in out.allocation.grants else paid for j, p in enumerate(out.payments)]
+        return assemble_outcome(instance, out.allocation, tuple(payments), out.trace)
+
+    def rerun(instance, j, bundle, amounts):
+        answers = base.rerun(instance, j, bundle, amounts)
+        shared = {}
+        for a in answers or ():
+            if a is not None and not a.bundle and id(a) not in shared:
+                shared[id(a)] = a._replace(price=lambda: paid)
+        return answers and [shared.get(id(a), a) for a in answers]
+
+    mech = replace(base, run=run, rerun=rerun)
+    inst = random_instance(6, 8, seed="deviation-accept:0")
+    winners = base.run(inst).allocation.grants
+    for j in range(len(inst.bids)):
+        report = find_profitable_deviation(mech, inst, j)
+        full = find_profitable_deviation(replace(mech, rerun=None), inst, j)
+        assert (report and vars(report)) == (full and vars(full))
+        assert (report is not None) == (j in winners)
+        assert not report or report.deviating_utility == 1000
 
 
 EXPONENTS = pytest.mark.parametrize("exponent", [F(1, 2), F(1)], ids=["lhalf", "l1"])

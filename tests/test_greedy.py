@@ -8,7 +8,7 @@ from fractions import Fraction as F
 import pytest
 
 from camech import exact, greedy
-from camech.axioms import _rerun, clarke_greedy_mechanism, critical_value, greedy_mechanism
+from camech.axioms import _reruns, clarke_greedy_mechanism, critical_value, greedy_mechanism
 from camech.errors import ExponentNotSupported, InvalidArgument, TiesPresent
 from camech.greedy import blocker, greedy_allocate, run_greedy
 from camech.model import AuctionInstance, SingleMindedBid, allocation_value, bidder_utility
@@ -540,22 +540,36 @@ def test_walk_first_grant_met_already_has_a_blocker():
 
 
 def _rerun_input(rng, inst, exponent):
-    """A replacement for a random bid j: a random bundle at another bid's
-    crossing value at that bundle's size when it is rational, at another
-    bid's or bid j's declared amount, at zero or at a fresh rational, each
-    now and then nudged just above or below."""
-    j = rng.randrange(len(inst.bids))
-    old, other = inst.bids[j], inst.bids[rng.randrange(len(inst.bids))]
+    """A replacement for a random bid j: a random bundle and 1-8 amounts in
+    random order.  Each amount is another bid's crossing value at that
+    bundle's size when it is rational, another bid's or bid j's declared
+    amount, zero or a fresh rational, now and then nudged just above or
+    below.  Now and then an amount repeats, and zero or an unnudged
+    crossing value, which ties that bid, goes in the middle of the list."""
+    n = len(inst.bids)
+    j = rng.randrange(n)
+    old = inst.bids[j]
     bundle = frozenset(rng.sample(inst.goods, rng.randint(1, min(len(inst.goods), 4))))
-    amounts = [other.amount, old.amount, F(0), F(rng.randint(1, 40), rng.choice([1, 3, 1000]))]
-    try:
-        crossing = crossing_value(other, len(bundle), exponent)
-    except ExponentNotSupported:
-        crossing = None
-    if crossing is not None and crossing.is_rational:
-        amounts += [sum(c for _, c in crossing.terms())] * 3
-    amount = rng.choice(amounts) * (1 + rng.choice([0, 0, 0, 1, -1]) * F(1, 2 ** 20))
-    return j, SingleMindedBid(old.bidder, bundle, amount, old.is_reserve)
+
+    def crossing():
+        try:
+            value = crossing_value(inst.bids[rng.randrange(n)], len(bundle), exponent)
+        except ExponentNotSupported:
+            return None
+        return sum(c for _, c in value.terms()) if value.is_rational else None
+
+    def amount():
+        amounts = [inst.bids[rng.randrange(n)].amount, old.amount, F(0),
+                   F(rng.randint(1, 40), rng.choice([1, 3, 1000]))]
+        if (c := crossing()) is not None:
+            amounts += [c] * 3
+        return rng.choice(amounts) * (1 + rng.choice([0, 0, 0, 1, -1]) * F(1, 2 ** 20))
+
+    amounts = [amount() for _ in range(rng.randint(1, 8))]
+    for planted in (rng.choice(amounts), F(0), crossing()):
+        if planted is not None and len(amounts) < 8 and rng.random() < 0.3:
+            amounts.insert(rng.randint(1, len(amounts)), planted)
+    return j, bundle, amounts
 
 
 def _bid_j_of_full_run(run, inst, j, new_bid, cfg):
@@ -581,41 +595,74 @@ def _rerun_instances(rng, exponent, tag):
     return instances
 
 
+def _full_runs(run, inst, j, bundle, amounts, cfg):
+    """`_bid_j_of_full_run` for bid j moved to `bundle` at each amount."""
+    old = inst.bids[j]
+    return [_bid_j_of_full_run(run, inst, j, SingleMindedBid(old.bidder, bundle, a, old.is_reserve),
+                               cfg) for a in amounts]
+
+
+def _assert_reruns_match(mech, inst, j, bundle, amounts, expected):
+    """`_reruns` gives, amount by amount, what the full run gives, yields
+    the `TiesPresent` it raises and raises anything else it raises."""
+    results = _reruns(mech, inst, j, bundle, amounts)
+    for e in expected:
+        if e is TiesPresent:
+            assert isinstance(next(results), TiesPresent)
+        elif isinstance(e, type):
+            with pytest.raises(e):
+                next(results)
+            return
+        else:
+            got = next(results)
+            assert (got.bundle, got.price(), got.had_ties) == e
+    assert next(results, None) is None
+
+
 def _assert_answers_match(answer, run, mech, cfg, rng, exponent, tag):
-    """Whenever `answer` answers a rerun, its grant, payment and ties equal
-    the full `run`'s read at bid j; the checkers' helper equals that run
-    always, and raises what it raises.  Replacing random bids in turn keeps
-    moving the kept walk from one bid j to another.  A `with_bid` copy, and
-    a copy of it, answer like any instance.  Returns how many reruns were
-    answered, declined and raised."""
-    counts = {"answered": 0, "declined": 0, "raised": 0}
+    """Whenever `answer` answers an amount, its grant, payment and ties
+    equal the full `run`'s read at bid j; the checkers' helper equals that
+    run always, and raises what it raises.  Replacing random bids in turn
+    keeps moving the kept ranking without bid j from one bid j to
+    another.  A `with_bid` copy, and a copy of it, answer like any
+    instance.  Returns how many amounts were answered, declined and
+    raised in the full run, how many of them came in a call declined as a
+    whole, and how many calls declined an amount between two answered."""
+    counts = {"answered": 0, "declined": 0, "raised": 0, "whole": 0, "middle": 0}
 
     def check(inst):
-        j, new_bid = _rerun_input(rng, inst, exponent)
-        expected = _bid_j_of_full_run(run, inst, j, new_bid, cfg)
-        got = answer(inst, j, new_bid, cfg)
-        if isinstance(expected, type):
-            assert got is None
-            with pytest.raises(expected):
-                _rerun(mech, inst, j, new_bid)
-            counts["raised"] += 1
-            return
+        j, bundle, amounts = _rerun_input(rng, inst, exponent)
+        expected = _full_runs(run, inst, j, bundle, amounts, cfg)
+        got = answer(inst, j, bundle, amounts, cfg)
         if got is None:
-            counts["declined"] += 1
-        else:
-            assert (got.bundle, got.price(), got.had_ties) == expected
-            counts["answered"] += 1
-        got = _rerun(mech, inst, j, new_bid)
-        assert (got.bundle, got.price(), got.had_ties) == expected
+            counts["whole"] += len(amounts)
+            got = [None] * len(amounts)
+        assert len(got) == len(amounts)
+        answered = [i for i, g in enumerate(got) if g is not None]
+        counts["middle"] += bool(answered) and None in got[answered[0]:answered[-1]]
+        for g, e in zip(got, expected):
+            if isinstance(e, type):
+                assert g is None
+                counts["raised"] += 1
+            elif g is None:
+                counts["declined"] += 1
+            else:
+                assert (g.bundle, g.price(), g.had_ties) == e
+                counts["answered"] += 1
+        _assert_reruns_match(mech, inst, j, bundle, amounts, expected)
 
     for inst in _rerun_instances(rng, exponent, tag):
-        for _ in range(40):
+        for _ in range(15):
             check(inst)
-        j, new_bid = _rerun_input(rng, inst, exponent)
-        child = inst.with_bid(j, new_bid)
-        k, moved = _rerun_input(rng, child, exponent)
-        for member in (child, child.with_bid(k, moved)):
-            for _ in range(5):
+        j, bundle, amounts = _rerun_input(rng, inst, exponent)
+        old = inst.bids[j]
+        child = inst.with_bid(j, SingleMindedBid(old.bidder, bundle, amounts[0], old.is_reserve))
+        k, moved, moved_amounts = _rerun_input(rng, child, exponent)
+        grandchild = child.with_bid(k, SingleMindedBid(
+            child.bids[k].bidder, moved, moved_amounts[0], child.bids[k].is_reserve
+        ))
+        for member in (child, grandchild):
+            for _ in range(3):
                 check(member)
     return counts
 
@@ -629,8 +676,8 @@ def test_rerun_answer_matches_the_full_run(exponent, rule):
         greedy.rerun_greedy, run_greedy, greedy_mechanism(cfg), cfg, rng, exponent,
         "rerun-oracle",
     )
-    assert counts["answered"] > 200 and counts["declined"] > 10
-    assert (counts["raised"] > 10) == (rule is TieRule.REJECT)
+    assert counts["answered"] > 500 and counts["declined"] > 20 and counts["middle"] > 10, counts
+    assert (counts["raised"] > 10) == (rule is TieRule.REJECT) == (counts["whole"] > 10), counts
 
 
 @pytest.mark.parametrize("rule", list(TieRule), ids=lambda r: r.value)
@@ -644,8 +691,8 @@ def test_clarke_rerun_answer_matches_the_full_run(exponent, rule):
         exact.rerun_clarke_greedy, exact.clarke_with_greedy, clarke_greedy_mechanism(cfg), cfg,
         rng, exponent, "clarke-oracle",
     )
-    assert counts["answered"] > 200 and counts["declined"] > 5
-    assert (counts["raised"] > 10) == (rule is TieRule.REJECT)
+    assert counts["answered"] > 500 and counts["declined"] > 20 and counts["middle"] > 10, counts
+    assert (counts["raised"] > 10) == (rule is TieRule.REJECT) == (counts["whole"] > 10), counts
 
 
 @pytest.mark.parametrize("rule", list(TieRule), ids=lambda r: r.value)
@@ -660,14 +707,9 @@ def test_rerun_answer_declines_cube_roots(rule):
     outcomes = set()
     for inst in _rerun_instances(rng, exponent, "rerun-cube"):
         for _ in range(10):
-            j, new_bid = _rerun_input(rng, inst, exponent)
-            assert greedy.rerun_greedy(inst, j, new_bid, cfg) is None
-            expected = _bid_j_of_full_run(run_greedy, inst, j, new_bid, cfg)
-            if isinstance(expected, type):
-                with pytest.raises(expected):
-                    _rerun(mech, inst, j, new_bid)
-            else:
-                got = _rerun(mech, inst, j, new_bid)
-                assert (got.bundle, got.price(), got.had_ties) == expected
-            outcomes.add(expected if isinstance(expected, type) else "ran")
+            j, bundle, amounts = _rerun_input(rng, inst, exponent)
+            assert greedy.rerun_greedy(inst, j, bundle, amounts, cfg) is None
+            expected = _full_runs(run_greedy, inst, j, bundle, amounts, cfg)
+            _assert_reruns_match(mech, inst, j, bundle, amounts, expected)
+            outcomes.update(e if isinstance(e, type) else "ran" for e in expected)
     assert ExponentNotSupported in outcomes and "ran" in outcomes

@@ -69,3 +69,24 @@ def test_modules_import_only_what_they_use():
         if names:
             unused[path.name] = names
     assert unused == {}
+
+
+#: Every `from .module import _name` in `src/camech`, as (importer, module,
+#: name).  A new private import across modules fails here; one removed
+#: leaves this list.
+PRIVATE_IMPORTS = {
+    ("experiments", "exact", "_check_cells"),
+    ("experiments", "greedy", "_priced"),
+    ("experiments", "greedy", "_walk"),
+    ("experiments", "norm", "_sorted"),
+}
+
+
+def test_private_cross_module_imports_pinned():
+    found = set()
+    for path in sorted((ROOT / "src" / "camech").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.ImportFrom) and node.level:
+                found |= {(path.stem, node.module, alias.name)
+                          for alias in node.names if alias.name.startswith("_")}
+    assert found == PRIVATE_IMPORTS
