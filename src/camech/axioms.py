@@ -36,9 +36,9 @@ AXIOMS = ("exactness", "monotonicity", "participation", "critical")
 MAX_SEARCH_GOODS = 16
 #: Most mechanism reruns a check may plan, checked before the first one runs
 #: as `exact.MAX_DP_CELLS` is before a table is built.  On a 2-vCPU host a
-#: misreport search at 6 goods and 8 bids spends 7.0 us a greedy rerun that
-#: greedy answers from its walk, and 13.9 us one run in full, so the budget
-#: is about 7 s of such reruns, or 15 s run in full.
+#: misreport search at 6 goods and 8 bids spends 5.6 us a greedy rerun that
+#: greedy answers from its walk, six to a call, and 34-41 us one run in
+#: full, so the budget is about 6 s of such reruns, or 40 s run in full.
 MAX_PLANNED_RERUNS = 1 << 20
 #: Most order-key bits the planned reruns of a norm mechanism may build.
 #: On a 2-vCPU host, `check --axioms critical` at l = 999/1000 on four
@@ -364,9 +364,10 @@ def critical_value(mech: Mechanism, instance: AuctionInstance, j: int) -> Critic
     positive value and one just above each kept threshold's bracket,
     toward the next grid value, so each is a probe the scan would make
     with every grid value kept.  Each probe reads only bid j's grant, all
-    of them through one `_reruns` call, so answered probes price nothing.  Kept thresholds
-    find their rows by identity among the grid values `_brackets` placed,
-    duplicates of an equal value included.  When a probe finds a denial
+    of them through one `_reruns` call, so answered probes price nothing.
+    Kept thresholds find their rows by identity among the grid values
+    `_brackets` placed, duplicates of an equal value included.  When a
+    probe finds a denial
     above a grant, no single threshold exists: `value` is then None and
     `witness` the instance with bid j at the denied probe.
     """

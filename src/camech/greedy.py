@@ -124,9 +124,10 @@ def _free() -> Money:
 #: given, and the goods its walk grants before each position and after the
 #: last.  The checkers rerun one bid j many times in a row, so the walk is
 #: made once per bid j.  Each such order is a tuple of its own, held here
-#: so that its id is not reused, and holding it keeps no keys alive.  The
-#: pair is replaced by one assignment, so a reader sees the old pair or the
-#: new one, each correct for the order it names.
+#: so that its id is not reused, and holding it keeps no keys alive; only
+#: the empty order is shared, and its walk grants nothing whatever the
+#: bids.  The pair is replaced by one assignment, so a reader sees the old
+#: pair or the new one, each correct for the order it names.
 _last_walk: tuple[tuple[int, ...], list[int]] = ((), [0])
 
 
