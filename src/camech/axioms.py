@@ -23,9 +23,9 @@ from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 from .errors import InstanceTooLarge, InvalidArgument, TiesPresent
 from .model import AuctionInstance, BidRerun, Outcome, SingleMindedBid, bidder_utility
 from .money import Money
-from .norm import NormConfig, TieRule, crossing_value
+from .norm import NormBid, NormConfig
 from . import exact as _exact
-from .greedy import rerun_greedy, run_greedy
+from .greedy import greedy_bid, run_greedy
 
 #: Probes sit this fraction of the local gap off a threshold's rational bracket.
 PROBE_SCALE = Fraction(1, 2 ** 20)
@@ -57,72 +57,69 @@ MAX_RERUN_DP_CELLS = 1 << 25
 class Mechanism:
     """A deterministic runnable mechanism: instance -> Outcome.
 
-    `thresholds(instance, j)` is bid j's threshold function: given a bundle,
-    it returns the declared values at which bid j, moved to that bundle, may
-    change its outcome, and the grid of values they are drawn from.  The
-    exact critical values and the misreport search bracket the whole grid
-    and probe each region between kept values once, at a probe they would
-    make with every grid value kept: just above a kept value, toward the
-    next grid value.  A mechanism that keeps every value, as a norm
-    mechanism under `REJECT` and the GVA do, returns one list for both.
-    They ask for the function once and call it for every
-    bundle they try, so what it computes for one bundle it may keep for the
-    next; nothing outlives the function.  The misreport search builds the
-    brackets of each grid object it is handed once, so a function handing
-    one object to every bundle with that grid saves the rebuild.  It calls it
-    only for the first bundle of each class (same size, same other bids
-    overlapped, true bundle covered or not) and reruns later members only
-    on a kept value, so it is complete only for a mechanism whose kept
-    values, and whose outcome for bid j off them, are the same across a
-    class, as the registered mechanisms' are.  It need not run the
-    mechanism: the GVA's thresholds are read off one DP value table of the
-    other bids, whichever solver `run` uses.  The kept values are found on
-    the grid by identity, so each is one of the grid's own objects.  `norm`
-    is the ranking norm of a norm-based mechanism, whose outcomes carry a
-    `GreedyTrace`, and `solver` the exact solver of the GVA.
+    `bid(instance, j)` is bid j's per-bid object, which answers for bid j
+    moved to another bundle and amount, the other bids fixed.  The
+    checkers ask for it once per critical value, misreport search and
+    suite winner, and call it for every bundle they try, so what it
+    computes for one bundle it may keep for the next; nothing outlives it.
+
+    Its `thresholds(bundle)` returns the declared values at which bid j
+    with that bundle may change its outcome, and the grid of values they
+    are drawn from.  The critical scan and the misreport search bracket
+    the whole grid and probe each region between kept values once, at a
+    probe they would make with every grid value kept: just above a kept
+    value, toward the next grid value.  A mechanism that keeps every
+    value, as a norm mechanism under `REJECT` and the GVA do, returns one
+    list for both.  The search builds the brackets of each grid object it
+    is handed once, so handing one object to every bundle with that grid
+    saves the rebuild.  It asks only for the first bundle of each class
+    (same size, same other bids overlapped, true bundle covered or not)
+    and reruns later members only on a kept value, so it is complete only
+    for a mechanism whose kept values, and whose outcome for bid j off
+    them, are the same across a class, as the registered mechanisms' are.
+    The kept values are found on the grid by identity, so each is one of
+    the grid's own objects.
+
+    The checkers read a rerun only at bid j: its grant, its payment and,
+    for a norm mechanism, whether the ranking tied.  They rerun one bundle
+    at several amounts at once: a search class's candidates, a critical
+    scan's probes, a monotonicity move.  Its `rerun(bundle, amounts)`
+    answers that part of `run(instance.with_bid(j, bid))`, for bid j's
+    bidder and reserve flag at `bundle` and each amount, as one `BidRerun`
+    per amount in order, read once, with None where only the full run can
+    say, or returns None as a whole; `_reruns` then runs those in full.
+    Greedy and clarke-greedy answer from the walk without bid j
+    (`norm.NormBid`); the GVA's object (`exact.GvaBid`) reads its
+    thresholds off one DP value table of the other bids, whichever solver
+    `run` uses, and answers no rerun.  A mechanism that replaces `run`
+    replaces `bid` too, or the checkers keep reading the old answers.
+
+    `norm` is the ranking norm of a norm-based mechanism, whose outcomes
+    carry a `GreedyTrace`, and `solver` the exact solver of the GVA.
     `check_planned_reruns` reads both to price a check's reruns before the
     first one runs.
-
-    The checkers read a rerun only at the replaced bid j: its grant, its
-    payment and, for a norm mechanism, whether the ranking tied.  They
-    rerun one bundle at several amounts at once: a search class's
-    candidates, a critical scan's probes, a monotonicity move.
-    `rerun(instance, j, bundle, amounts)`, when given, answers that part of
-    `run(instance.with_bid(j, bid))`, for bid j's bidder and reserve flag
-    at `bundle` and each amount, as one `BidRerun` per amount in order,
-    read once, with None where only the full run can say, or returns None
-    as a whole when it cannot answer at all; `_reruns` then runs those in
-    full.  Greedy and clarke-greedy answer from the walk without bid j
-    (`greedy.rerun_greedy`, `exact.rerun_clarke_greedy`); the GVA gives
-    none.  A mechanism that replaces `run` replaces or drops `rerun`
-    too, or the checkers keep reading the old answers.
     """
 
     name: str
     run: Callable[[AuctionInstance], Outcome]
-    thresholds: Callable[
-        [AuctionInstance, int], Callable[[frozenset], tuple[Sequence[Money], Sequence[Money]]]
-    ]
+    bid: Callable[[AuctionInstance, int], NormBid | _exact.GvaBid]
     norm: Optional[NormConfig] = None
     solver: Optional[_exact.SolverKind] = None
-    rerun: Optional[Callable[
-        [AuctionInstance, int, frozenset, Sequence[Fraction]],
-        Optional[Iterable[Optional[BidRerun]]],
-    ]] = None
 
 
 def _reruns(
-    mech: Mechanism, instance: AuctionInstance, j: int, bundle: frozenset,
+    mech: Mechanism, replaced, instance: AuctionInstance, j: int, bundle: frozenset,
     amounts: Sequence[Fraction],
 ) -> Iterator[BidRerun | TiesPresent]:
     """Bid j's part of `mech.run(instance.with_bid(j, bid))` for bid j at
-    `bundle` and each amount, in order: from one `mech.rerun` call where it
-    answers, else from that run.  A run raising `TiesPresent` yields the
-    exception, and raises anything else.  The answers are read once, in
-    order, and each full run made when its amount's turn comes, so a
-    caller that stops early runs no more.  Every search candidate,
-    critical probe and monotonicity move goes through here."""
-    answers = None if mech.rerun is None else mech.rerun(instance, j, bundle, amounts)
+    `bundle` and each amount, in order: from one `rerun` call of
+    `replaced`, bid j's per-bid object, where it answers, else from that
+    run.  A run raising `TiesPresent` yields the exception, and raises
+    anything else.  The answers are read once, in order, and each full run
+    made when its amount's turn comes, so a caller that stops early runs
+    no more.  Every search candidate, critical probe and monotonicity move
+    goes through here."""
+    answers = replaced.rerun(bundle, amounts)
     declared = instance.bids[j]
     for amount, answer in zip(amounts, repeat(None) if answers is None else answers):
         if answer is None:
@@ -139,62 +136,16 @@ def _reruns(
         yield answer
 
 
-def _norm_mechanism(
-    name: str, run: Callable[[AuctionInstance], Outcome], cfg: NormConfig, rerun=None
-) -> Mechanism:
-    """A mechanism allocating greedily by cfg's norm, so its grid is the
-    values at which the bundle's norm crosses each other bid's.
-
-    Those depend on the bundle's size alone, so bid j's function computes
-    each size's crossing values once, k * (n - 1) in a whole misreport
-    search, and returns one grid tuple for every bundle of a size.  Under
-    `CANONICAL` it keeps only the crossing values of the other bids the
-    bundle overlaps.  The walk grants a bid when no earlier granted bid
-    overlaps it, so the allocation depends only on the order within each
-    overlapping pair; a winner's blocker overlaps it, and clarke-greedy's
-    payment is the difference of two such allocations' values.  Moving bid
-    j across, or onto, the crossing value of a bid it does not overlap
-    reorders two independent bids and leaves j's grant and payment as they
-    are.  Under `REJECT` a tie with any bid raises `TiesPresent`, so every
-    crossing value is kept.
-    """
-    canonical = cfg.tie_rule is TieRule.CANONICAL
-
-    def thresholds(inst: AuctionInstance, j: int):
-        others = inst.bids[:j] + inst.bids[j + 1:]
-        masks = inst.bid_masks[:j] + inst.bid_masks[j + 1:]
-        by_size: dict[int, tuple[Money, ...]] = {}
-
-        def of_bundle(bundle: frozenset) -> tuple[Sequence[Money], tuple[Money, ...]]:
-            size = len(bundle)
-            grid = by_size.get(size)
-            # no tuple built from a generator: CPython resizes it rather than
-            # taking it from the tuple free list of its size, but frees it
-            # onto that list, which then fills to 2000 dead tuples
-            if grid is None:
-                grid = tuple([crossing_value(b, size, cfg.exponent) for b in others])
-                by_size[size] = grid
-            if not canonical:
-                return grid, grid
-            mask = inst.mask_of(bundle)
-            return [t for t, m in zip(grid, masks) if m & mask], grid
-
-        return of_bundle
-
-    return Mechanism(name, run, thresholds, cfg, rerun=rerun)
-
-
 def greedy_mechanism(cfg: NormConfig) -> Mechanism:
-    return _norm_mechanism(
-        "greedy", lambda inst: run_greedy(inst, cfg), cfg,
-        lambda inst, j, bundle, amounts: rerun_greedy(inst, j, bundle, amounts, cfg),
+    return Mechanism(
+        "greedy", lambda inst: run_greedy(inst, cfg), lambda inst, j: greedy_bid(inst, j, cfg), cfg
     )
 
 
 def clarke_greedy_mechanism(cfg: NormConfig) -> Mechanism:
-    return _norm_mechanism(
-        "clarke-greedy", lambda inst: _exact.clarke_with_greedy(inst, cfg), cfg,
-        lambda inst, j, bundle, amounts: _exact.rerun_clarke_greedy(inst, j, bundle, amounts, cfg),
+    return Mechanism(
+        "clarke-greedy", lambda inst: _exact.clarke_with_greedy(inst, cfg),
+        lambda inst, j: _exact.clarke_greedy_bid(inst, j, cfg), cfg,
     )
 
 
@@ -202,18 +153,9 @@ def gva_mechanism(solver: _exact.SolverKind) -> Mechanism:
     """The GVA run by `solver`.  Its thresholds come from the DP's value
     table whatever the solver, so brute-force payments are checked against
     values the DP derived."""
-    def thresholds(inst: AuctionInstance, j: int):
-        # the one value where j, with a given bundle, enters the optimal allocation
-        best = _exact._entry_table(inst, j)
-        full, d = len(best) - 1, inst.integer_amounts.denominator
-
-        def of_bundle(bundle: frozenset) -> tuple[list[Money], list[Money]]:
-            entry = [Money(Fraction(best[full] - best[full ^ inst.mask_of(bundle)], d))]
-            return entry, entry
-
-        return of_bundle
-
-    return Mechanism("gva", lambda inst: _exact.run_gva(inst, solver), thresholds, solver=solver)
+    return Mechanism(
+        "gva", lambda inst: _exact.run_gva(inst, solver), _exact.GvaBid, solver=solver
+    )
 
 
 #: Mechanism name -> constructor taking the norm and the exact solver; a
@@ -355,10 +297,13 @@ def _grid(thresholds: Sequence[Money], true_amount: Fraction) -> _Grid:
     )
 
 
-def critical_value(mech: Mechanism, instance: AuctionInstance, j: int) -> CriticalValue:
+def critical_value(
+    mech: Mechanism, instance: AuctionInstance, j: int, replaced=None
+) -> CriticalValue:
     """Bid j's grant threshold: the mechanism's first kept threshold above
     which, probed once inside each region between kept thresholds, j wins
-    its bundle.
+    its bundle.  `replaced` is bid j's per-bid object, `mech.bid(instance,
+    j)` when not given.
 
     Probes are `Fraction`s placed on the grid: one just below its lowest
     positive value and one just above each kept threshold's bracket,
@@ -372,7 +317,9 @@ def critical_value(mech: Mechanism, instance: AuctionInstance, j: int) -> Critic
     `witness` the instance with bid j at the denied probe.
     """
     bundle = instance.bids[j].bundle
-    kept, grid = mech.thresholds(instance, j)(bundle)
+    if replaced is None:
+        replaced = mech.bid(instance, j)
+    kept, grid = replaced.thresholds(bundle)
     # zero is bracketed too, so the first probe stays above it
     values = [Money.ZERO, *(t for t in grid if t.sign() > 0)]
     ordered, d, brackets, rows_of = _brackets(values)
@@ -382,7 +329,7 @@ def critical_value(mech: Mechanism, instance: AuctionInstance, j: int) -> Critic
     first_probe = _toward(brackets[1][0], 0, d) if len(brackets) > 1 else PROBE_SCALE
     probes = [first_probe, *(_probe_above(brackets, r, d) for r in rows)]
     status = []
-    for result in _reruns(mech, instance, j, bundle, probes):
+    for result in _reruns(mech, replaced, instance, j, bundle, probes):
         if isinstance(result, TiesPresent):
             raise result
         status.append(result.bundle == bundle)
@@ -443,7 +390,7 @@ def _participation_witness(mech, inst, out, scan, counts, classes) -> Optional[W
 def _critical_witness(mech, inst, out, scan, counts, classes) -> Optional[Witness]:
     """Winners pay exactly their critical value, which their scan finds."""
     for j in sorted(out.allocation.grants):
-        cv = scan(j)
+        cv, _ = scan(j)
         if cv.witness:
             return cv.witness
         pay = out.payments[j]
@@ -502,11 +449,11 @@ def _monotonicity_witness(mech, inst, out, scan, counts, classes) -> Optional[Wi
     them: the registered mechanisms read a bundle only through its size and
     the other bids it overlaps.  Each move is one `_reruns` call.  A rerun
     that ties (`TiesPresent`, or a ranking that `had_ties`) is skipped, as
-    the property is stated tie-free.  counts[0] adds the reruns compared,
-    counts[1] those skipped.
+    the property is stated tie-free.  The moves share the scan's per-bid
+    object.  counts[0] adds the reruns compared, counts[1] those skipped.
     """
     for j in sorted(out.allocation.grants):
-        cv = scan(j)
+        cv, replaced = scan(j)
         if cv.witness:
             return cv.witness
         bid, (p, q) = inst.bids[j], inst.bids[j].amount.as_integer_ratio()
@@ -514,7 +461,7 @@ def _monotonicity_witness(mech, inst, out, scan, counts, classes) -> Optional[Wi
         moves += [(frozenset(g for i, g in enumerate(inst.goods) if m >> i & 1), bid.amount)
                   for m in classes[j]]
         for bundle, amount in moves:
-            (result,) = _reruns(mech, inst, j, bundle, (amount,))
+            (result,) = _reruns(mech, replaced, inst, j, bundle, (amount,))
             tied = isinstance(result, TiesPresent) or result.had_ties
             counts[tied] += 1
             if not tied and result.bundle != bundle:
@@ -542,13 +489,14 @@ def run_axiom_suite(
 
     The mechanism runs once per instance and every selected check reads that
     outcome; a check stops at its first violation.  The critical and
-    monotonicity checks share each winner's `critical_value` scan, made at
-    most once per instance and bid; a scan's witness of a denial above a
-    grant violates both.  `check_planned_reruns` plans every instance
-    before the first run and the name check; monotonicity reruns the
-    classes it counts.  With `deviations` each plan also charges every
-    bidder's misreport search, which the caller runs after the suite, so
-    the two share one budget and one count of the classes.
+    monotonicity checks share each winner's per-bid object and its
+    `critical_value` scan, made at most once per instance and bid; a
+    scan's witness of a denial above a grant violates both.
+    `check_planned_reruns` plans every instance before the first run and
+    the name check; monotonicity reruns the classes it counts.  With
+    `deviations` each plan also charges every bidder's misreport search,
+    which the caller runs after the suite, so the two share one budget and
+    one count of the classes.
     """
     selected = set(axioms)
     instances = list(instances)
@@ -564,12 +512,13 @@ def run_axiom_suite(
         if not pending:
             break
         out = mech.run(inst)
-        scans: dict[int, CriticalValue] = {}
+        scans: dict[int, tuple] = {}
 
         def scan(j):
             # the module's own `critical_value`, looked up at each call
             if j not in scans:
-                scans[j] = critical_value(mech, inst, j)
+                replaced = mech.bid(inst, j)
+                scans[j] = critical_value(mech, inst, j, replaced), replaced
             return scans[j]
 
         for name in pending:
@@ -770,12 +719,13 @@ def find_profitable_deviation(
     truthful report runs it in full, once per search, on the instance
     itself when the declared bid is the true type and on a copy with the
     true type as bid j otherwise, so each search runs `mech.run` itself at
-    least once.  A class's candidates go through one `_reruns` call,
-    which reads bid j's grants and payments off one `mech.rerun` call where
-    the mechanism answers there.  Every answer's payment is read, a denied
-    one's too, so a mechanism charging losers is scored truly; an answer
-    the call repeats for the next candidate is the same object, scored
-    alike, so it is counted as tested and not scored again.  A candidate
+    least once.  Bid j's per-bid object is asked for once per search.  A
+    class's candidates go through one `_reruns` call, which reads bid j's
+    grants and payments off one `rerun` call of that object where it
+    answers.  Every answer's payment is read, a denied one's too, so a
+    mechanism charging losers is scored truly; an answer the call repeats
+    for the next candidate is the same object, scored alike, so it is
+    counted as tested and not scored again.  A candidate
     whose rerun raises `TiesPresent` is skipped and not counted as tested;
     a tie on the truthful rerun comes from the input and propagates.
 
@@ -806,7 +756,7 @@ def find_profitable_deviation(
     best: Optional[Money] = None
     best_bid: Optional[SingleMindedBid] = None
     tested = 0
-    thresholds_of = mech.thresholds(instance, j)
+    replaced = mech.bid(instance, j)
     # a norm mechanism hands every bundle of a size one grid object, so each
     # size's brackets, probes and place of the true amount are built once;
     # keyed by identity, hashing no `Money`, and holding each grid so that
@@ -831,13 +781,13 @@ def find_profitable_deviation(
             continue
         bundle = frozenset(goods[i] for i in range(k) if bundle_bits >> i & 1)
         if values is None:
-            kept, grid = thresholds_of(bundle)
+            kept, grid = replaced.thresholds(bundle)
             found = grids.get(id(grid))
             if found is None:
                 found = grids[id(grid)] = (grid, _grid([t for t in grid if t.sign() >= 0], amount))
             values, classes[key] = _candidate_values(kept, found[1])
         last = None
-        for v, result in zip(values, _reruns(mech, instance, j, bundle, values)):
+        for v, result in zip(values, _reruns(mech, replaced, instance, j, bundle, values)):
             if isinstance(result, TiesPresent):
                 continue
             tested += 1

@@ -22,7 +22,7 @@ table.  A brute-force solve visits 2**n bid subsets, a GVA run (n + 1) *
 
 Clarke-with-greedy, the broken pairing the checkers must catch, bills the
 greedy allocation with the Clarke formula, charging each winner what the
-bids after it lose to it; `rerun_clarke_greedy` answers its reruns with one
+bids after it lose to it; `clarke_greedy_bid` answers its reruns with one
 bid replaced the same way, off greedy's walk without that bid.
 """
 
@@ -32,13 +32,13 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from operator import add
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 from .errors import InstanceTooLarge
-from .greedy import answer_reruns, greedy_allocate
-from .model import MAX_GOODS, Allocation, AuctionInstance, BidRerun, Outcome, assemble_outcome
+from .greedy import greedy_allocate
+from .model import MAX_GOODS, Allocation, AuctionInstance, Outcome, assemble_outcome
 from .money import Money
-from .norm import NormConfig
+from .norm import NormBid, NormConfig
 
 
 class SolverKind(Enum):
@@ -272,6 +272,27 @@ def _entry_table(instance: AuctionInstance, j: int) -> list[int]:
     return _value_tables(masks[:j] + masks[j + 1:], weights[:j] + weights[j + 1:], k)[0]
 
 
+class GvaBid:
+    """Bid j of `instance` under the GVA: for each bundle, the one value at
+    which bid j with it enters the optimal allocation, read off
+    `_entry_table` whichever solver runs, as both the kept thresholds and
+    the grid.  It answers no rerun."""
+
+    __slots__ = ("instance", "best")
+
+    def __init__(self, instance: AuctionInstance, j: int):
+        self.instance, self.best = instance, _entry_table(instance, j)
+
+    def thresholds(self, bundle: frozenset) -> tuple[list[Money], list[Money]]:
+        best, instance = self.best, self.instance
+        free = len(best) - 1 ^ instance.mask_of(bundle)
+        entry = [Money(Fraction(best[-1] - best[free], instance.integer_amounts.denominator))]
+        return entry, entry
+
+    def rerun(self, bundle: frozenset, amounts: Sequence[Fraction]) -> None:
+        return None
+
+
 def run_gva(instance: AuctionInstance, solver: SolverKind) -> Outcome:
     """Efficient allocation plus Clarke payments."""
     if solver is SolverKind.BITMASK_DP:
@@ -342,19 +363,21 @@ def clarke_with_greedy(instance: AuctionInstance, cfg: NormConfig) -> Outcome:
     return assemble_outcome(instance, allocation, tuple(payments), trace)
 
 
-def rerun_clarke_greedy(
-    instance: AuctionInstance, j: int, bundle: frozenset, amounts: Sequence[Fraction],
-    cfg: NormConfig,
-) -> Optional[list[Optional[BidRerun]]]:
-    """Bid j's part of `clarke_with_greedy(instance.with_bid(j, bid), cfg)`
-    for bid j moved to `bundle` at each of `amounts`, without building
-    that instance or its outcome (`greedy.answer_reruns`).  A winner pays
-    what the bids after it lose to it, priced when read; Clarke-with-greedy
-    prices no crossing value, so it answers at every exponent.
+def _loss_price(bid: NormBid, pos: int, mask: int) -> Callable[[], Money]:
+    """Bid j's payment granted at position `pos` of the walk without it
+    with the goods `mask`: what the bids after it lose to it, priced when
+    read."""
+    instance = bid.instance
+    return lambda: Money(Fraction(
+        _loss(instance, bid.order[pos:], bid.granted[pos], mask),
+        instance.integer_amounts.denominator,
+    ))
+
+
+def clarke_greedy_bid(instance: AuctionInstance, j: int, cfg: NormConfig) -> NormBid:
+    """Bid j of `instance` under `clarke_with_greedy` at cfg, answering its
+    reruns off greedy's walk without bid j (`norm.NormBid`): a winner pays
+    what the bids after it lose to it.  Clarke-with-greedy prices no
+    crossing value, so it answers at every exponent.
     """
-    d = instance.integer_amounts.denominator
-
-    def price(rest: Sequence[int], used: int, mask: int) -> Callable[[], Money]:
-        return lambda: Money(Fraction(_loss(instance, rest, used, mask), d))
-
-    return answer_reruns(instance, cfg, j, bundle, amounts, price)
+    return NormBid(instance, j, cfg, _loss_price)

@@ -10,28 +10,29 @@ earlier.  Bids without a blocker, and denied bids, pay nothing.
 The walk takes any order: the tie-order enumeration walks each resolution
 of the norm ties.
 
-`rerun_greedy` answers a checker's reruns of one bundle, bid j replaced,
-with bid j's grant and payment alone at each amount, read off the walk of
-the other bids (`answer_reruns`): bid j at position p is granted exactly
-when its bundle misses the goods that walk grants before p, and a winner's
-blocker comes from the walk resumed at p.  The payment is priced only when
-read, so a rerun that reads only the grant prices nothing.
-`exact.rerun_clarke_greedy` answers Clarke-with-greedy's reruns off the
-same walk.
+`greedy_bid` gives bid j's per-bid object (`norm.NormBid`), which answers
+a checker's reruns of one bundle, bid j replaced, with bid j's grant and
+payment alone at each amount, read off the walk of the other bids: bid j
+at position p is granted exactly when its bundle misses the goods that
+walk grants before p, and a winner's blocker comes from the walk resumed
+at p.  The payment is read off bid j's grid of crossing values only when
+asked for, so a rerun that reads only the grant prices nothing.
+`exact.clarke_greedy_bid` answers Clarke-with-greedy's reruns off the same
+walk.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable, Sequence
+from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from typing import Mapping, Optional
 
 from .errors import InvalidArgument
-from .model import Allocation, AuctionInstance, BidRerun, Outcome, assemble_outcome
+from .model import Allocation, AuctionInstance, Outcome, assemble_outcome
 from .money import Money
-from .norm import NormConfig, RankedList, crossing_value, place, rank
+from .norm import NormBid, NormConfig, RankedList, crossing_value, rank
 
 
 @dataclass(frozen=True, eq=False, init=False)
@@ -116,93 +117,28 @@ def _priced(
     return assemble_outcome(instance, allocation, tuple(payments), trace)
 
 
-def _free() -> Money:
-    return Money.ZERO
+def _blocker_price(bid: NormBid, pos: int, mask: int) -> Optional[Callable[[], Money]]:
+    """Bid j's payment granted at position `pos` of the walk without it
+    with the goods `mask`: its blocker's crossing value, read from bid j's
+    grid when asked for, or None without a blocker.  The blocker is the
+    first later bid denied whose overlap with the goods granted so far lies
+    inside bid j's bundle, so the walk resumes at `pos` only until it finds
+    one."""
+    masks, used = bid.instance.bid_masks, bid.granted[pos] | mask
+    for i in bid.order[pos:]:
+        overlap = used & masks[i]
+        if not overlap:
+            used |= masks[i]
+        elif not overlap & ~mask:
+            return partial(bid.crossing, i, mask.bit_count())
+    return None
 
 
-#: The order of the last ranking without a bid j that `answer_reruns` was
-#: given, and the goods its walk grants before each position and after the
-#: last.  The checkers rerun one bid j many times in a row, so the walk is
-#: made once per bid j.  Each such order is a tuple of its own, held here
-#: so that its id is not reused, and holding it keeps no keys alive; only
-#: the empty order is shared, and its walk grants nothing whatever the
-#: bids.  The pair is replaced by one assignment, so a reader sees the old
-#: pair or the new one, each correct for the order it names.
-_last_walk: tuple[tuple[int, ...], list[int]] = ((), [0])
-
-
-def answer_reruns(
-    instance: AuctionInstance, cfg: NormConfig, j: int, bundle: frozenset,
-    amounts: Sequence[Fraction],
-    price: Callable[[Sequence[int], int, int], Callable[[], Money]],
-) -> Optional[list[Optional[BidRerun]]]:
-    """Bid j's part of a norm mechanism's run on `instance` with bid j
-    moved to `bundle`, at each of `amounts`, read off the walk of the other
-    bids in the instance's order, the walk greedy and Clarke-with-greedy
-    both allocate by.
-
-    Bid j goes in at its `place`, p, for each amount.  The bids before p are
-    granted as in the walk without bid j, so bid j is granted exactly when
-    its bundle misses the goods granted there.  A granted bid j's payment
-    comes from `price(rest, used, mask)`: the bids after it, the goods
-    granted before it and its own.  The amounts denied share one answer.
-    Each entry is None where bid j's key ties another's (the full run
-    breaks the tie or raises), and the whole answer None when the
-    instance's ranking raised `TiesPresent`.
+def greedy_bid(instance: AuctionInstance, j: int, cfg: NormConfig) -> NormBid:
+    """Bid j of `instance` under `run_greedy` at cfg, answering its reruns
+    without building the instances or their outcomes (`norm.NormBid`): a
+    winner pays its blocker's crossing value.  It answers none when the
+    exponent's denominator is above 2, where the full run prices every
+    winner and may raise `ExponentNotSupported`.
     """
-    global _last_walk
-    placed = place(instance, cfg, j, len(bundle), amounts)
-    if placed is None:
-        return None
-    without, positions = placed
-    order, masks, mask = without.order, instance.bid_masks, instance.mask_of(bundle)
-    walked, granted = _last_walk
-    if walked is not order:
-        used, granted = 0, [0]
-        for i in order:
-            if not used & masks[i]:
-                used |= masks[i]
-            granted.append(used)
-        _last_walk = order, granted
-    denied = BidRerun(frozenset(), _free, without.ties)
-    answers: list[Optional[BidRerun]] = []
-    for pos in positions:
-        if pos is None:
-            answers.append(None)
-        elif granted[pos] & mask:
-            answers.append(denied)
-        else:
-            answers.append(BidRerun(bundle, price(order[pos:], granted[pos], mask), without.ties))
-    return answers
-
-
-def rerun_greedy(
-    instance: AuctionInstance, j: int, bundle: frozenset, amounts: Sequence[Fraction],
-    cfg: NormConfig,
-) -> Optional[list[Optional[BidRerun]]]:
-    """Bid j's part of `run_greedy(instance.with_bid(j, bid), cfg)` for bid
-    j moved to `bundle` at each of `amounts`, without building that
-    instance or its outcome (`answer_reruns`).
-
-    A winner's blocker is the first later bid denied whose overlap with
-    the goods granted so far lies inside bid j's bundle, so the walk
-    resumes at bid j's place only until it finds one.  The payment is
-    priced when read.  None as a whole also when the exponent's
-    denominator is above 2, where the full run prices every winner and may
-    raise `ExponentNotSupported`.
-    """
-    if cfg.exponent.denominator > 2:
-        return None
-    masks, size = instance.bid_masks, len(bundle)
-
-    def price(rest: Sequence[int], used: int, mask: int) -> Callable[[], Money]:
-        used |= mask
-        for i in rest:
-            overlap = used & masks[i]
-            if not overlap:
-                used |= masks[i]
-            elif not overlap & ~mask:
-                return partial(crossing_value, instance.bids[i], size, cfg.exponent)
-        return _free
-
-    return answer_reruns(instance, cfg, j, bundle, amounts, price)
+    return NormBid(instance, j, cfg, _blocker_price if cfg.exponent.denominator <= 2 else None)

@@ -142,9 +142,9 @@ class AuctionInstance:
 
     @cached_property
     def rankings(self) -> list:
-        """What `norm.place` keeps here to answer reruns of this instance
-        with one bid replaced: `(NormConfig, ranking)` pairs, one per
-        configuration."""
+        """The rankings `norm.NormBid` places a replaced bid among to answer
+        reruns of this instance: `(NormConfig, ranking)` pairs, one per
+        configuration, each shared by every bid's per-bid object."""
         return []
 
     def mask_of(self, bundle: Iterable[Good]) -> int:

@@ -8,13 +8,13 @@ w**q * (L / |s|)**p is the order key times (d**q * L**p).  Amounts are
 `Fraction`s by type, probes included; radicals appear only in crossing
 values, and so in thresholds, payments, revenue and utilities.
 
-`rank` sorts every instance in full.  `place`, which the rerun answers of
-greedy and Clarke-with-greedy call, keeps in an instance's `rankings` its
-ranking under each `NormConfig` it was asked for, with one slot holding
-the order without the last bid replaced.  Two threads racing may both
-append a ranking for one configuration, and they are equal.  The slot is
-replaced by one assignment of a whole record, so a reader sees either the
-old record or the new one, each correct for the bid it names.
+`rank` sorts every instance in full.  `NormBid`, the per-bid object of
+greedy and Clarke-with-greedy, places a replaced bid j among the others
+by a bisect on that ranking, which an instance keeps in its `rankings`
+under each `NormConfig` it was asked for.  Two threads racing may both
+append a ranking for one configuration, and they are equal.  What a
+`NormBid` builds, the ranking without bid j and its walk, it keeps for
+itself, so whoever holds it decides how long that lives.
 """
 
 from __future__ import annotations
@@ -25,10 +25,10 @@ from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .errors import ExponentNotSupported, InstanceTooLarge, InvalidArgument, TiesPresent
-from .model import AuctionInstance, SingleMindedBid
+from .model import AuctionInstance, BidRerun, SingleMindedBid
 from .money import Money, iroot, over_power_to_decimal
 
 #: Largest numerator or denominator of a norm exponent, so exact powers stay small.
@@ -141,23 +141,12 @@ def _sorted(instance: AuctionInstance, cfg: NormConfig) -> tuple[list[int], list
     return order, keys, top, bool(ties)
 
 
-class _Without:
-    """A ranking with bid j taken out: the other bids' order, their negated
-    keys in that order (so ascending) and whether two of them tie."""
-
-    __slots__ = ("j", "order", "neg_keys", "ties")
-
-    def __init__(self, j: int, order: tuple[int, ...], neg_keys: list[int], ties: bool):
-        self.j, self.order, self.neg_keys, self.ties = j, order, neg_keys, ties
-
-
 class _KeptRanking:
     """An instance's ranking under one `NormConfig`, kept for its reruns:
     the order, the negated keys in that order (so ascending), the key
-    scale, the exponent's p and q, and in `without` the `_Without` of the
-    last replaced bid."""
+    scale and the exponent's p and q."""
 
-    __slots__ = ("order", "neg_keys", "scale", "p", "q", "without")
+    __slots__ = ("order", "neg_keys", "scale", "p", "q")
 
     def __init__(self, instance: AuctionInstance, cfg: NormConfig):
         order, keys, top, _ = _sorted(instance, cfg)
@@ -165,18 +154,6 @@ class _KeptRanking:
         self.neg_keys = [-keys[i] for i in order]
         self.p, self.q = p, q = cfg.exponent.numerator, cfg.exponent.denominator
         self.scale = instance.integer_amounts.denominator ** q * top ** p
-        self.without = None
-
-    def without_bid(self, j: int) -> _Without:
-        without = self.without
-        if without is None or without.j != j:
-            at = self.order.index(j)
-            others = self.neg_keys[:at] + self.neg_keys[at + 1:]
-            ties = any(a == b for a, b in zip(others, others[1:]))
-            without = self.without = _Without(
-                j, self.order[:at] + self.order[at + 1:], others, ties
-            )
-        return without
 
 
 def _kept_ranking(instance: AuctionInstance, cfg: NormConfig) -> _KeptRanking | None:
@@ -195,36 +172,135 @@ def _kept_ranking(instance: AuctionInstance, cfg: NormConfig) -> _KeptRanking | 
     return ranking
 
 
-def place(
-    instance: AuctionInstance, cfg: NormConfig, j: int, size: int, amounts: Sequence[Fraction]
-) -> tuple[_Without, list[Optional[int]]] | None:
-    """Where bid j goes when a bid of `size` goods replaces it, at each of
-    `amounts`: the instance's ranking without bid j, and for each amount
-    bid j's position in that order, found by its own bisect on exact keys,
-    or None when bid j's key then ties another bid's.  None as a whole
-    when the instance's ranking raised `TiesPresent`.
+def _walk_prefix(masks: Sequence[int], order: Sequence[int]) -> list[int]:
+    """The goods the greedy walk of `order` grants before each position,
+    and after the last."""
+    used, granted = 0, [0]
+    for i in order:
+        if not used & masks[i]:
+            used |= masks[i]
+        granted.append(used)
+    return granted
 
-    `rank(instance.with_bid(j, bid), cfg)` orders the other bids as the
+
+def _free() -> Money:
+    return Money.ZERO
+
+
+class NormBid:
+    """Bid j of an instance under a mechanism that allocates greedily by
+    cfg's norm, answering for bid j moved to other bundles and amounts.
+
+    `thresholds(bundle)` gives the values at which the bundle's norm
+    crosses each other bid's, the grid, and those of them kept.  They
+    depend on the bundle's size alone, so each size's crossing values are
+    computed once, k * (n - 1) in a whole misreport search, and every
+    bundle of a size gets one grid tuple.  Under `CANONICAL` only the
+    crossing values of the other bids the bundle overlaps are kept.  The
+    walk grants a bid when no earlier granted bid overlaps it, so the
+    allocation depends only on the order within each overlapping pair; a
+    winner's blocker overlaps it, and clarke-greedy's payment is the
+    difference of two such allocations' values.  Moving bid j across, or
+    onto, the crossing value of a bid it does not overlap reorders two
+    independent bids and leaves j's grant and payment as they are.  Under
+    `REJECT` a tie with any bid raises `TiesPresent`, so every crossing
+    value is kept.
+
+    `rerun(bundle, amounts)` gives bid j's part of the mechanism's run with
+    bid j moved to `bundle`, at each amount, read off the walk of the other
+    bids in the instance's order (`order`, the instance's ranking without
+    bid j; `granted`, the goods that walk grants before each position).
+    Bid j goes in at its place p, found by its own bisect on exact keys
+    (`rank(instance.with_bid(j, bid), cfg)` orders the other bids as the
     instance does, tie breaks included, since rescaling the amounts or
-    sizes multiplies every key by one positive factor."""
-    ranking = _kept_ranking(instance, cfg)
-    if ranking is None:
-        return None
-    without = ranking.without_bid(j)
-    neg_keys, last = without.neg_keys, len(without.neg_keys)
-    # the instance's key of bid i is its order key times `ranking.scale`,
-    # and bid j's order key is (num / d)**q / s**p: bid i ranks above j
-    # exactly when its key exceeds num**q * scale / (d**q * s**p), or that
-    # value's floor
-    q, scale, below = ranking.q, ranking.scale, size ** ranking.p
-    positions: list[Optional[int]] = []
-    for amount in amounts:
-        num, den = amount.as_integer_ratio()
-        floor, rest = divmod(num ** q * scale, den ** q * below)
-        pos = bisect_left(neg_keys, -floor)
-        tied = not rest and pos < last and neg_keys[pos] == -floor
-        positions.append(None if tied else pos)
-    return without, positions
+    sizes multiplies every key by one positive factor).  The bids before p
+    are granted as in the walk without bid j, so bid j is granted exactly
+    when its bundle misses the goods granted there.  A winner's payment is
+    read from `price(self, p, mask)` for its bundle's `mask`: a function of
+    no arguments, or None when it pays nothing.  At every place that grants
+    bid j, it has one blocker and the bids after it lose the same to it: a
+    bid between two such places that meets bid j's bundle was denied on
+    goods outside it.  So the amounts granted share one answer, priced at
+    the first of them, and so do the amounts denied.  Each entry is
+    None where bid j's key ties another's (the full run breaks the tie or
+    raises), and the whole answer None when `price` is None or the
+    instance's ranking raised `TiesPresent`.
+
+    Each part is built on first use and kept for the object's life; the
+    caller owns the object and shares it with no other thread.
+    """
+
+    __slots__ = ("instance", "j", "cfg", "price", "by_size", "ranking", "order", "neg_keys",
+                 "ties", "granted")
+
+    def __init__(
+        self, instance: AuctionInstance, j: int, cfg: NormConfig,
+        price: Optional[Callable[[NormBid, int, int], Optional[Callable[[], Money]]]],
+    ):
+        self.instance, self.j, self.cfg, self.price = instance, j, cfg, price
+        self.by_size: dict[int, tuple[Money, ...]] = {}
+        self.order = None
+
+    def crossing_values(self, size: int) -> tuple[Money, ...]:
+        """Every other bid's crossing value at `size`, in bid order."""
+        grid = self.by_size.get(size)
+        # no tuple built from a generator: CPython resizes it rather than
+        # taking it from the tuple free list of its size, but frees it onto
+        # that list, which then fills to 2000 dead tuples
+        if grid is None:
+            j, exponent = self.j, self.cfg.exponent
+            grid = self.by_size[size] = tuple([
+                crossing_value(b, size, exponent)
+                for i, b in enumerate(self.instance.bids) if i != j
+            ])
+        return grid
+
+    def crossing(self, i: int, size: int) -> Money:
+        """Other bid i's crossing value at `size`."""
+        return self.crossing_values(size)[i - (i > self.j)]
+
+    def thresholds(self, bundle: frozenset) -> tuple[Sequence[Money], tuple[Money, ...]]:
+        grid = self.crossing_values(len(bundle))
+        if self.cfg.tie_rule is not TieRule.CANONICAL:
+            return grid, grid
+        masks, j, mask = self.instance.bid_masks, self.j, self.instance.mask_of(bundle)
+        return [t for t, m in zip(grid, masks[:j] + masks[j + 1:]) if m & mask], grid
+
+    def rerun(self, bundle: frozenset, amounts: Sequence[Fraction]) -> Optional[list]:
+        if self.price is None:
+            return None
+        if self.order is None:
+            ranking = _kept_ranking(self.instance, self.cfg)
+            if ranking is None:
+                return None
+            at = ranking.order.index(self.j)
+            self.ranking, self.order = ranking, ranking.order[:at] + ranking.order[at + 1:]
+            self.neg_keys = neg_keys = ranking.neg_keys[:at] + ranking.neg_keys[at + 1:]
+            self.ties = any(a == b for a, b in zip(neg_keys, neg_keys[1:]))
+            self.granted = _walk_prefix(self.instance.bid_masks, self.order)
+        ranking, neg_keys, granted = self.ranking, self.neg_keys, self.granted
+        mask, last = self.instance.mask_of(bundle), len(neg_keys)
+        # the instance's key of bid i is its order key times `ranking.scale`,
+        # and bid j's order key is (num / d)**q / s**p: bid i ranks above j
+        # exactly when its key exceeds num**q * scale / (d**q * s**p), or that
+        # value's floor
+        q, scale, below = ranking.q, ranking.scale, len(bundle) ** ranking.p
+        denied = BidRerun(frozenset(), _free, self.ties)
+        won = None
+        answers: list[Optional[BidRerun]] = []
+        for amount in amounts:
+            num, den = amount.as_integer_ratio()
+            floor, rest = divmod(num ** q * scale, den ** q * below)
+            pos = bisect_left(neg_keys, -floor)
+            if not rest and pos < last and neg_keys[pos] == -floor:
+                answers.append(None)
+            elif granted[pos] & mask:
+                answers.append(denied)
+            else:
+                if won is None:
+                    won = BidRerun(bundle, self.price(self, pos, mask) or _free, self.ties)
+                answers.append(won)
+        return answers
 
 
 def keys_tie(instance: AuctionInstance, exponent: Fraction) -> bool:

@@ -9,6 +9,7 @@ import json
 import time
 from dataclasses import replace
 from fractions import Fraction as F
+from types import SimpleNamespace
 
 from camech.axioms import (
     clarke_greedy_mechanism,
@@ -74,19 +75,24 @@ def test_criterion_1_paper_examples():
 
 def _counting(mech, runs):
     """`mech` adding one to runs[0] for each evaluation: every full run, and
-    every amount that `mech.rerun` answers; an amount it declines is counted
-    by the full run that follows."""
+    every amount that a per-bid object's `rerun` answers; an amount it
+    declines is counted by the full run that follows."""
     def run(instance):
         runs[0] += 1
         return mech.run(instance)
 
-    def rerun(instance, j, bundle, amounts):
-        answers = mech.rerun(instance, j, bundle, amounts)
-        if answers is not None:
-            runs[0] += sum(answer is not None for answer in answers)
-        return answers
+    def bid(instance, j):
+        replaced = mech.bid(instance, j)
 
-    return replace(mech, run=run, rerun=rerun)
+        def rerun(bundle, amounts):
+            answers = replaced.rerun(bundle, amounts)
+            if answers is not None:
+                runs[0] += sum(answer is not None for answer in answers)
+            return answers
+
+        return SimpleNamespace(thresholds=replaced.thresholds, rerun=rerun)
+
+    return replace(mech, run=run, bid=bid)
 
 
 def test_criterion_2_axiom_suite():

@@ -7,6 +7,7 @@ import random
 import threading
 import weakref
 from bisect import bisect_left
+from types import SimpleNamespace
 from unittest import mock
 from dataclasses import replace
 from fractions import Fraction as F
@@ -68,41 +69,60 @@ def competitive_instance():
     )
 
 
+def per_bid(thresholds, rerun=lambda bundle, amounts: None):
+    """A per-bid object of the given `thresholds` and `rerun` functions;
+    by default it answers no rerun."""
+    return SimpleNamespace(thresholds=thresholds, rerun=rerun)
+
+
+def full_runs(mech):
+    """`mech` whose per-bid objects keep its thresholds and answer no
+    rerun, so the checkers run every rerun in full."""
+    return replace(mech, bid=lambda instance, j: per_bid(mech.bid(instance, j).thresholds))
+
+
 def recording(mech, record):
     """`mech` passing each of its evaluations to `record` once, as the
-    instance it ran on: every full run, and every amount that `mech.rerun`
-    answers, as `instance.with_bid(j, bid)`; an amount it declines is
-    recorded by the full run that follows.  The checkers read a rerun's
-    answers once and in order, so each answer is recorded as it is read,
-    and the evaluations keep the amounts' order."""
+    instance it ran on: every full run, and every amount that a per-bid
+    object's `rerun` answers, as `instance.with_bid(j, bid)`; an amount it
+    declines is recorded by the full run that follows.  The checkers read
+    a rerun's answers once and in order, so each answer is recorded as it
+    is read, and the evaluations keep the amounts' order."""
     def run(instance):
         record(instance)
         return mech.run(instance)
 
-    def rerun(instance, j, bundle, amounts):
-        answers = mech.rerun(instance, j, bundle, amounts)
-        if answers is None:
-            return None
+    def bid(instance, j):
+        replaced = mech.bid(instance, j)
         bidder, is_reserve = instance.bids[j].bidder, instance.bids[j].is_reserve
 
-        def read():
-            for amount, answer in zip(amounts, answers):
-                if answer is not None:
-                    record(instance.with_bid(j, SingleMindedBid(bidder, bundle, amount, is_reserve)))
-                yield answer
+        def rerun(bundle, amounts):
+            answers = replaced.rerun(bundle, amounts)
+            if answers is None:
+                return None
 
-        return read()
+            def read():
+                for amount, answer in zip(amounts, answers):
+                    if answer is not None:
+                        record(instance.with_bid(
+                            j, SingleMindedBid(bidder, bundle, amount, is_reserve)
+                        ))
+                    yield answer
 
-    return replace(mech, run=run, rerun=rerun if mech.rerun else None)
+            return read()
+
+        return per_bid(replaced.thresholds, rerun)
+
+    return replace(mech, run=run, bid=bid)
 
 
 # -- critical values --------------------------------------------------------
 
 
 def _fixed(*values):
-    """A planted threshold function listing `values` for every bundle, as
-    both the kept values and the grid."""
-    return lambda instance, j: lambda bundle: (list(values), list(values))
+    """A planted per-bid factory whose objects list `values` for every
+    bundle, as both the kept values and the grid, and answer no rerun."""
+    return lambda instance, j: per_bid(lambda bundle: (list(values), list(values)))
 
 
 no_thresholds = _fixed()
@@ -386,7 +406,7 @@ def test_planted_loss_at_twice_the_amount_fails_monotonicity():
     declared = [b.amount for b in inst.bids]
     doubled = Mechanism(
         "doubled", lambda i: _grants_while(i, lambda j, b: b.amount < 2 * declared[j]),
-        lambda instance, j: lambda bundle: ([Money(2 * declared[j])],) * 2,
+        lambda instance, j: per_bid(lambda bundle: ([Money(2 * declared[j])],) * 2),
     )
     (check,) = run_axiom_suite(doubled, [inst], ["monotonicity"]).checks
     assert (check.verdict, check.samples, check.witness.bid_index) == ("violated", 1, 0)
@@ -507,7 +527,7 @@ def test_monotonicity_skips_tied_perturbations():
             raise
 
     # greedy's rerun answer declines the tie, so the full run raises on both paths
-    for counted in (replace(mech, run=run), replace(mech, run=run, rerun=None)):
+    for counted in (replace(mech, run=run), full_runs(replace(mech, run=run))):
         tied.clear()
         (check,) = run_axiom_suite(counted, [inst], ["monotonicity"]).checks
         assert check.holds and check.detail == "2 moves rerun, 1 skipped on ties"
@@ -569,7 +589,7 @@ def test_suite_ranks_each_perturbation_once(monkeypatch):
         runs.append(instance)
         return run(instance)
 
-    mech = replace(greedy_mechanism(LHALF), run=counting_run, rerun=None)
+    mech = full_runs(replace(greedy_mechanism(LHALF), run=counting_run))
     tied = AuctionInstance(("a", "b", "c"), (
         bid("red", "ab", 4), bid("green", "c", 2), bid("blue", "a", 2), bid("black", "bc", 3),
     ))
@@ -696,9 +716,9 @@ def test_gva_no_deviation_small():
 
 
 def _forced_bid_entry(instance, j):
-    """Bid j's GVA entry value by re-solving, as a threshold function: OPT
-    without j, less the value of the optimum once j is forced in with a
-    bundle at a winning amount."""
+    """Bid j's GVA entry value by re-solving, as a per-bid object's
+    thresholds: OPT without j, less the value of the optimum once j is
+    forced in with a bundle at a winning amount.  It answers no rerun."""
     opt_without = exact.optimal_allocation(instance.with_amount(j, 0), DP).value
     big = opt_without + 1
     old = instance.bids[j]
@@ -709,7 +729,7 @@ def _forced_bid_entry(instance, j):
         value = [Money(max(opt_without - compatible, 0))]
         return value, value
 
-    return entry
+    return per_bid(entry)
 
 
 def test_gva_search_builds_one_table_per_bidder(monkeypatch):
@@ -739,23 +759,23 @@ def test_gva_search_builds_one_table_per_bidder(monkeypatch):
         finally:
             inside.pop()
 
-    def counting_thresholds(instance, j):
-        of_bundle = inside_thresholds(mech.thresholds, instance, j)
+    def counting_bid(instance, j):
+        replaced = inside_thresholds(mech.bid, instance, j)
         forced = _forced_bid_entry(instance, j)
 
         def checked(bundle):
-            entry = inside_thresholds(of_bundle, bundle)
-            assert entry == forced(bundle)
+            entry = inside_thresholds(replaced.thresholds, bundle)
+            assert entry == forced.thresholds(bundle)
             return entry
 
-        return checked
+        return per_bid(checked, replaced.rerun)
 
-    counting = replace(mech, thresholds=counting_thresholds)
+    counting = replace(mech, bid=counting_bid)
     for j in range(len(inst.bids)):
         tables.clear()
         report = find_profitable_deviation(counting, inst, j)
         assert (len(tables), len(solves)) == (1, 0)
-        expected = find_profitable_deviation(replace(mech, thresholds=_forced_bid_entry), inst, j)
+        expected = find_profitable_deviation(replace(mech, bid=_forced_bid_entry), inst, j)
         assert report is None and expected is None
 
 
@@ -779,7 +799,7 @@ def test_gva_thresholds_match_forced_bid_entry():
             for c in itertools.combinations(inst.goods, r)
         ]
         for j in range(len(inst.bids)):
-            of_bundle, forced = mech.thresholds(inst, j), _forced_bid_entry(inst, j)
+            of_bundle, forced = mech.bid(inst, j).thresholds, _forced_bid_entry(inst, j).thresholds
             for bundle in bundles:
                 assert of_bundle(bundle) == forced(bundle)
 
@@ -952,11 +972,11 @@ def test_critical_scan_outputs_pinned(exponent, seed):
             probed.append(instance.bids[j].amount)
             return mech.run(instance)
 
-        cv = critical_value(Mechanism(mech.name, run, mech.thresholds, mech.norm), inst, j)
+        cv = critical_value(full_runs(replace(mech, run=run)), inst, j)
         assert cv.probes == len(probed) <= 8
         values.append(repr(cv.value))
         scan.update(repr((cv.value, cv.probes, probed)).encode())
-        of_bundle = mech.thresholds(inst, j)
+        of_bundle = mech.bid(inst, j).thresholds
         for size in range(1, len(inst.goods) + 1):
             _, grid = of_bundle(frozenset(inst.goods[:size]))
             searched, _ = _candidate_values(grid, _grid(grid, inst.bids[j].amount))
@@ -1034,7 +1054,7 @@ def test_candidate_table_matches_the_per_class_bracket_walk(exponent, rule):
     planted = set()
     for inst in instances:
         for j in range(len(inst.bids)):
-            of_bundle = mech.thresholds(inst, j)
+            of_bundle = mech.bid(inst, j).thresholds
             grids = {}
             for members in _bundle_classes(inst, j):
                 kept, grid = of_bundle(members[0])
@@ -1074,7 +1094,7 @@ def test_deviation_search_runs_every_candidate_once():
             runs.append(instance)
             return run(instance)
 
-        counting = replace(mech, run=counting_run, rerun=None)
+        counting = full_runs(replace(mech, run=counting_run))
         for j in range(len(inst.bids)):
             runs.clear()
             report = find_profitable_deviation(counting, inst, j)
@@ -1106,7 +1126,7 @@ def test_deviation_search_skips_candidates_that_tie():
         completed.append(instance)
         return out
 
-    report = find_profitable_deviation(replace(mech, run=recording_run, rerun=None), inst, 0)
+    report = find_profitable_deviation(full_runs(replace(mech, run=recording_run)), inst, 0)
     assert report is not None and tied
     assert report.candidates_tested == len(completed) - 1  # less the truthful run
     tied_input = AuctionInstance(("a", "b"), (bid("red", "a", 4), bid("blue", "b", 4)))
@@ -1132,7 +1152,7 @@ def test_checkers_run_mechanisms_on_rational_instances_only():
         mech = recording(base, ran.append)
         for t in range(3):
             inst = random_instance(3, 4, seed=t + 1)
-            _, grid = mech.thresholds(inst, 0)(inst.bids[0].bundle)
+            _, grid = mech.bid(inst, 0).thresholds(inst.bids[0].bundle)
             assert any(not v.is_rational for v in grid)
             for j in sorted(base.run(inst).allocation.grants):
                 critical_value(mech, inst, j)
@@ -1166,25 +1186,25 @@ def test_norm_thresholds_computed_once_per_size(monkeypatch):
         calls.append((b.bidder, size))
         return crossing_value(b, size, exponent)
 
-    monkeypatch.setattr(axioms, "crossing_value", counting)
+    monkeypatch.setattr(norm, "crossing_value", counting)
     mech = greedy_mechanism(L1)
     asked = []
 
     def recording(instance, j):
-        of_bundle = mech.thresholds(instance, j)
+        replaced = mech.bid(instance, j)
 
         def record(bundle):
-            thresholds = of_bundle(bundle)
+            thresholds = replaced.thresholds(bundle)
             asked.append((bundle, thresholds))
             return thresholds
 
-        return record
+        return per_bid(record, replaced.rerun)
 
     inst = random_instance(6, 8, seed="per-size:0").assuming_truthful()
     for j in (3, 5, 3):  # bidders searched in turn on one instance
         calls.clear()
         asked.clear()
-        find_profitable_deviation(replace(mech, thresholds=recording), inst, j)
+        find_profitable_deviation(replace(mech, bid=recording), inst, j)
         assert [bundle for bundle, _ in asked] == [c[0] for c in _bundle_classes(inst, j)]
         assert 0 < len(calls) <= 6 * 7
         assert len(set(calls)) == len(calls)
@@ -1228,7 +1248,7 @@ def _tie_heavy(rng, k, n):
 
 def _searched(of_bundle, bundle, true_amount):
     """The search's candidates for `bundle` and those that may sit on a kept
-    threshold, from bid j's threshold function `of_bundle`."""
+    threshold, from `of_bundle`, the `thresholds` of bid j's per-bid object."""
     kept, grid = of_bundle(bundle)
     return _candidate_values(kept, _grid([t for t in grid if t.sign() >= 0], true_amount))
 
@@ -1239,7 +1259,7 @@ def _full_grid(mech, inst, j):
     `crossing_value` rather than the mechanism; for the GVA its one entry
     value."""
     if mech.norm is None:
-        of_bundle = mech.thresholds(inst, j)
+        of_bundle = mech.bid(inst, j).thresholds
         return lambda bundle: of_bundle(bundle)[1]
     others = [b for i, b in enumerate(inst.bids) if i != j]
     return lambda bundle: [crossing_value(b, len(bundle), mech.norm.exponent) for b in others]
@@ -1272,7 +1292,7 @@ def test_outcome_is_the_same_across_a_bundle_class(name, cfg, solver):
     compared = 0
     for inst in instances:
         for j in range(len(inst.bids)):
-            of_bundle = mech.thresholds(inst, j)
+            of_bundle = mech.bid(inst, j).thresholds
             amount = inst.bids[j].amount
             for first, *rest in _bundle_classes(inst, j):
                 kept, grid = of_bundle(first)
@@ -1294,7 +1314,7 @@ def test_crossing_a_bid_the_bundle_misses_changes_nothing(name, exponent):
     # under CANONICAL, bid j moved to a bundle has one grant and payment
     # just below, on and just above the crossing value of each other bid
     # the bundle does not overlap, unless an overlapped bid crosses there
-    # too: what lets the threshold function keep only overlapped bids'
+    # too: what lets bid j's per-bid object keep only overlapped bids'
     # crossings.  Under REJECT a tie with any bid raises, so it keeps all
     mech = MECHANISMS[name](NormConfig(exponent), DP)
     reject = MECHANISMS[name](NormConfig(exponent, TieRule.REJECT), DP)
@@ -1304,7 +1324,7 @@ def test_crossing_a_bid_the_bundle_misses_changes_nothing(name, exponent):
     compared = 0
     for inst in instances:
         for j in range(len(inst.bids)):
-            of_bundle = reject.thresholds(inst, j)
+            of_bundle = reject.bid(inst, j).thresholds
             for bits in range(1, 1 << len(inst.goods)):
                 bundle = frozenset(g for i, g in enumerate(inst.goods) if bits >> i & 1)
                 crossings = [
@@ -1415,7 +1435,7 @@ def test_deviation_search_reports_what_every_bundle_would(name, cfg, solver):
     instances += [_tie_heavy(rng, 4, 4) for _ in range(3)]
     for inst in instances:
         for j in range(len(inst.bids)):
-            of_bundle = mech.thresholds(inst, j)
+            of_bundle = mech.bid(inst, j).thresholds
             _assert_search_matches(mech, inst, j, lambda: _every_bundle_search(
                 mech, inst, j, lambda bundle, a: _searched(of_bundle, bundle, a)[0]
             ))
@@ -1484,7 +1504,7 @@ def test_deviation_search_matches_probing_both_sides_of_every_threshold(name, cf
             ))
             if not seen:  # the truthful rerun tied
                 continue
-            of_bundle = mech.thresholds(inst, j)
+            of_bundle = mech.bid(inst, j).thresholds
             for bits in range(1, 1 << len(inst.goods)):
                 bundle = frozenset(g for i, g in enumerate(inst.goods) if bits >> i & 1)
                 amount = inst.bids[j].amount
@@ -1547,7 +1567,7 @@ def test_deviation_search_matches_rerunning_the_true_amount(name, cfg, solver):
             ))
             if not seen:  # the truthful rerun tied
                 continue
-            of_bundle = mech.thresholds(inst, j)
+            of_bundle = mech.bid(inst, j).thresholds
             for bits in range(1, 1 << len(inst.goods)):
                 bundle = frozenset(g for i, g in enumerate(inst.goods) if bits >> i & 1)
                 thresholds = full(bundle)
@@ -1580,18 +1600,24 @@ def test_deviation_search_work_pinned():
 
 @pytest.mark.parametrize("name", ["greedy", "clarke-greedy"])
 def test_reruns_batched_one_call_per_class_and_per_scan(name):
-    # criterion 3's first instance: a search hands `mech.rerun` each bundle
-    # it reruns once, with all of that bundle's candidates, so it makes one
-    # call per class's first bundle and per later bundle with a candidate on
-    # a kept threshold; a critical scan hands it all of its probes at once
+    # criterion 3's first instance: a search hands bid j's per-bid object
+    # each bundle it reruns once, with all of that bundle's candidates, so it
+    # makes one call per class's first bundle and per later bundle with a
+    # candidate on a kept threshold; a critical scan hands it all of its
+    # probes at once
     mech = MECHANISMS[name](L1, DP)
     calls = []
 
-    def rerun(instance, j, bundle, amounts):
-        calls.append((bundle, len(amounts)))
-        return mech.rerun(instance, j, bundle, amounts)
+    def bid(instance, j):
+        replaced = mech.bid(instance, j)
 
-    batched = replace(mech, rerun=rerun)
+        def rerun(bundle, amounts):
+            calls.append((bundle, len(amounts)))
+            return replaced.rerun(bundle, amounts)
+
+        return per_bid(replaced.thresholds, rerun)
+
+    batched = replace(mech, bid=bid)
     inst = random_instance(6, 8, seed="deviation-accept:0")
     bundles = [frozenset(c) for r in range(1, 7) for c in itertools.combinations(inst.goods, r)]
     for j, declared in enumerate(inst.bids):
@@ -1606,7 +1632,7 @@ def test_reruns_batched_one_call_per_class_and_per_scan(name):
         assert len(set(rerun_bundles)) == len(rerun_bundles)
         assert {key(b) for b in rerun_bundles} == {key(b) for b in bundles}
         # every candidate is answered within its bundle's one call
-        evaluated = _deviation_result(replace(mech, rerun=None), inst, j)[1]
+        evaluated = _deviation_result(full_runs(mech), inst, j)[1]
         assert sum(n for _, n in calls) == len(evaluated) - 1  # less the truthful run
         calls.clear()
         cv = critical_value(batched, inst, j)
@@ -1626,20 +1652,25 @@ def test_deviation_search_reads_a_shared_answer_paying_losers():
         payments = [p if j in out.allocation.grants else paid for j, p in enumerate(out.payments)]
         return assemble_outcome(instance, out.allocation, tuple(payments), out.trace)
 
-    def rerun(instance, j, bundle, amounts):
-        answers = base.rerun(instance, j, bundle, amounts)
-        shared = {}
-        for a in answers or ():
-            if a is not None and not a.bundle and id(a) not in shared:
-                shared[id(a)] = a._replace(price=lambda: paid)
-        return answers and [shared.get(id(a), a) for a in answers]
+    def bid(instance, j):
+        replaced = base.bid(instance, j)
 
-    mech = replace(base, run=run, rerun=rerun)
+        def rerun(bundle, amounts):
+            answers = replaced.rerun(bundle, amounts)
+            shared = {}
+            for a in answers or ():
+                if a is not None and not a.bundle and id(a) not in shared:
+                    shared[id(a)] = a._replace(price=lambda: paid)
+            return answers and [shared.get(id(a), a) for a in answers]
+
+        return per_bid(replaced.thresholds, rerun)
+
+    mech = replace(base, run=run, bid=bid)
     inst = random_instance(6, 8, seed="deviation-accept:0")
     winners = base.run(inst).allocation.grants
     for j in range(len(inst.bids)):
         report = find_profitable_deviation(mech, inst, j)
-        full = find_profitable_deviation(replace(mech, rerun=None), inst, j)
+        full = find_profitable_deviation(full_runs(mech), inst, j)
         assert (report and vars(report)) == (full and vars(full))
         assert (report is not None) == (j in winners)
         assert not report or report.deviating_utility == 1000
@@ -1651,8 +1682,9 @@ EXPONENTS = pytest.mark.parametrize("exponent", [F(1, 2), F(1)], ids=["lhalf", "
 @pytest.mark.parametrize("name", sorted(MECHANISMS))
 @EXPONENTS
 def test_threshold_function_matches_a_fresh_one_on_every_bundle(name, exponent):
-    # what bid j's function keeps from one bundle never changes its answer for
-    # another: bundles are asked in a shuffled order, so sizes come back
+    # what bid j's per-bid object keeps from one bundle never changes its
+    # thresholds for another: bundles are asked in a shuffled order, so
+    # sizes come back
     mech = MECHANISMS[name](NormConfig(exponent), DP)
     inst = random_instance(4, 6, seed=f"fresh:{name}")
     bundles = [
@@ -1660,9 +1692,9 @@ def test_threshold_function_matches_a_fresh_one_on_every_bundle(name, exponent):
     ]
     random.Random(name).shuffle(bundles)
     for j in range(len(inst.bids)):
-        of_bundle = mech.thresholds(inst, j)
+        of_bundle = mech.bid(inst, j).thresholds
         for bundle in bundles + bundles[:5]:
-            assert list(of_bundle(bundle)) == list(mech.thresholds(inst, j)(bundle))
+            assert list(of_bundle(bundle)) == list(mech.bid(inst, j).thresholds(bundle))
 
 
 def _interleaved_searches(mech, searches):
@@ -1685,10 +1717,13 @@ def _interleaved_searches(mech, searches):
 
             return turn
 
-        rerun = mech.rerun and taking_turns(mech.rerun)
+        def bid(instance, j):
+            replaced = mech.bid(instance, j)
+            return per_bid(replaced.thresholds, taking_turns(replaced.rerun))
+
         try:
             reports[k] = find_profitable_deviation(
-                replace(mech, run=taking_turns(mech.run), rerun=rerun), *searches[k]
+                replace(mech, run=taking_turns(mech.run), bid=bid), *searches[k]
             )
         finally:
             done[k] = True
@@ -1712,8 +1747,9 @@ def _found(report):
 def test_interleaved_searches_share_no_thresholds(monkeypatch, name, exponent):
     # two searches taking turns on one mechanism each keep their own
     # thresholds: one GVA value table, and one crossing value per other bid
-    # and bundle size, per search; the instances die once the searches return
-    # (the brute-force GVA runs build no value table of their own)
+    # and bundle size, per search; each walks the other bids once; the
+    # instances die once the searches return (the brute-force GVA runs build
+    # no value table of their own)
     mech = MECHANISMS[name](NormConfig(exponent), SolverKind.BRUTE_FORCE_BID_SUBSETS)
     k, n = 4, 5
     instances = [
@@ -1721,8 +1757,8 @@ def test_interleaved_searches_share_no_thresholds(monkeypatch, name, exponent):
     ]
     searches = [(instances[0], 1), (instances[1], 3)]
     expected = [_found(find_profitable_deviation(mech, *s)) for s in searches]
-    tables, crossings = [], []
-    original_tables = exact._value_tables
+    tables, crossings, walks = [], [], []
+    original_tables, original_walk = exact._value_tables, norm._walk_prefix
 
     def counting_tables(*args):
         tables.append(args)
@@ -1732,14 +1768,20 @@ def test_interleaved_searches_share_no_thresholds(monkeypatch, name, exponent):
         crossings.append((threading.current_thread().name, b.bidder, size))
         return crossing_value(b, size, exponent)
 
+    def counting_walks(*args):
+        walks.append(threading.current_thread().name)
+        return original_walk(*args)
+
     monkeypatch.setattr(exact, "_value_tables", counting_tables)
-    monkeypatch.setattr(axioms, "crossing_value", counting_crossings)
+    monkeypatch.setattr(norm, "crossing_value", counting_crossings)
+    monkeypatch.setattr(norm, "_walk_prefix", counting_walks)
     reports = _interleaved_searches(mech, searches)
     assert [_found(r) for r in reports] == expected
     if mech.norm is None:
-        assert (len(tables), len(crossings)) == (2, 0)
+        assert (len(tables), len(crossings), walks) == (2, 0, [])
     else:
         assert len(tables) == 0 and len(crossings) == len(set(crossings)) == 2 * k * (n - 1)
+        assert sorted(walks) == ["search-0", "search-1"]
     refs = [weakref.ref(inst) for inst in instances]
     del instances, searches, reports
     gc.collect()
@@ -1874,7 +1916,7 @@ def test_kept_duplicate_of_a_bracketed_threshold_keeps_its_row():
     inst = AuctionInstance(("a",), (bid("x", "a", 8),))
     above_five = Mechanism(
         "above-5", lambda i: _grants_while(i, lambda j, b: b.amount > 5),
-        lambda instance, j: lambda bundle: ([second], [first, second]),
+        lambda instance, j: per_bid(lambda bundle: ([second], [first, second])),
     )
     assert critical_value(above_five, inst, 0) == CriticalValue(Money(5), 2)
     values, tied = _candidate_values([second], _grid([first, second], F(8)))
@@ -1924,7 +1966,7 @@ def test_rerun_answers_change_no_check(name, exponent, rule):
     # after the same candidates, the same critical values, probes and
     # witnesses, and the same suite reports
     mech = MECHANISMS[name](NormConfig(exponent, rule), DP)
-    full = replace(mech, rerun=None)
+    full = full_runs(mech)
     rng = random.Random(f"answers:{exponent}:{rule.value}")
     seeded = [random_instance(5, 6, seed=f"answers:{t}").assuming_truthful() for t in range(3)]
     instances = [*seeded, _lying(rng, seeded[0]), _tie_heavy(rng, 4, 5), _tie_heavy(rng, 4, 5)]

@@ -7,7 +7,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from camech import exact, greedy
+from camech import exact, greedy, norm
 from camech.axioms import _reruns, clarke_greedy_mechanism, critical_value, greedy_mechanism
 from camech.errors import ExponentNotSupported, InvalidArgument, TiesPresent
 from camech.greedy import blocker, greedy_allocate, run_greedy
@@ -298,13 +298,21 @@ def test_blockers_match_rescan_on_tied_instances():
 
 
 def _counting_crossing_value(monkeypatch):
+    """Counts each payment priced: by a run, and by a rerun answer, which
+    reads its blocker's crossing value off bid j's per-bid object."""
     calls = []
+    crossing = norm.NormBid.crossing
 
     def counting(bid, size, exponent):
         calls.append((bid.bidder, size))
         return crossing_value(bid, size, exponent)
 
+    def counting_crossing(replaced, i, size):
+        calls.append((replaced.instance.bids[i].bidder, size))
+        return crossing(replaced, i, size)
+
     monkeypatch.setattr(greedy, "crossing_value", counting)
+    monkeypatch.setattr(norm.NormBid, "crossing", counting_crossing)
     return calls
 
 
@@ -326,7 +334,7 @@ def test_rerun_reading_only_the_allocation_prices_nothing(monkeypatch):
     assert not calls
 
 
-def test_payment_read_twice_is_computed_once(monkeypatch):
+def test_run_greedy_prices_each_winner_once(monkeypatch):
     calls = _counting_crossing_value(monkeypatch)
     out = run_greedy(three_bidder_instance(), L1)
     assert out.payments[0] is out.payments[0] is out.payments[-3]
@@ -357,7 +365,7 @@ def _eager_reference(inst, cfg):
 
 
 @pytest.mark.parametrize("exponent", [F(1), F(1, 2)], ids=str)
-def test_lazy_prices_equal_eager_reference(exponent):
+def test_run_greedy_prices_equal_eager_reference(exponent):
     cfg = NormConfig(exponent)
     rng = random.Random(f"lazy-reference:{exponent}")
     reserves = 0
@@ -602,10 +610,11 @@ def _full_runs(run, inst, j, bundle, amounts, cfg):
                                cfg) for a in amounts]
 
 
-def _assert_reruns_match(mech, inst, j, bundle, amounts, expected):
-    """`_reruns` gives, amount by amount, what the full run gives, yields
-    the `TiesPresent` it raises and raises anything else it raises."""
-    results = _reruns(mech, inst, j, bundle, amounts)
+def _assert_reruns_match(mech, replaced, inst, j, bundle, amounts, expected):
+    """`_reruns` off bid j's per-bid object `replaced` gives, amount by
+    amount, what the full run gives, yields the `TiesPresent` it raises and
+    raises anything else it raises."""
+    results = _reruns(mech, replaced, inst, j, bundle, amounts)
     for e in expected:
         if e is TiesPresent:
             assert isinstance(next(results), TiesPresent)
@@ -619,27 +628,34 @@ def _assert_reruns_match(mech, inst, j, bundle, amounts, expected):
     assert next(results, None) is None
 
 
-def _assert_answers_match(answer, run, mech, cfg, rng, exponent, tag):
-    """Whenever `answer` answers an amount, its grant, payment and ties
-    equal the full `run`'s read at bid j; the checkers' helper equals that
-    run always, and raises what it raises.  Replacing random bids in turn
-    keeps moving the kept ranking without bid j from one bid j to
-    another.  A `with_bid` copy, and a copy of it, answer like any
-    instance.  Returns how many amounts were answered, declined and
-    raised in the full run, how many of them came in a call declined as a
-    whole, and how many calls declined an amount between two answered."""
-    counts = {"answered": 0, "declined": 0, "raised": 0, "whole": 0, "middle": 0}
+def _assert_answers_match(run, mech, cfg, rng, exponent, tag):
+    """Whenever `mech`'s per-bid object answers an amount, its grant,
+    payment and ties equal the full `run`'s read at bid j; the checkers'
+    helper equals that run always, and raises what it raises.  One per-bid
+    object answers every call for its bid j on an instance, so what it
+    keeps from one call serves the next.  The amounts one call grants
+    share one answer.  A `with_bid` copy, and a copy of it, answer like any
+    instance.  Returns how many amounts were answered, declined and raised
+    in the full run, how many of them came in a call declined as a whole,
+    how many calls declined an amount between two answered, and how many
+    calls granted more than one amount."""
+    counts = {"answered": 0, "declined": 0, "raised": 0, "whole": 0, "middle": 0, "shared": 0}
 
-    def check(inst):
+    def check(inst, replaced):
         j, bundle, amounts = _rerun_input(rng, inst, exponent)
+        if j not in replaced:
+            replaced[j] = mech.bid(inst, j)
         expected = _full_runs(run, inst, j, bundle, amounts, cfg)
-        got = answer(inst, j, bundle, amounts, cfg)
+        got = replaced[j].rerun(bundle, amounts)
         if got is None:
             counts["whole"] += len(amounts)
             got = [None] * len(amounts)
         assert len(got) == len(amounts)
         answered = [i for i, g in enumerate(got) if g is not None]
         counts["middle"] += bool(answered) and None in got[answered[0]:answered[-1]]
+        won = [g for g in got if g is not None and g.bundle]
+        assert all(g is won[0] for g in won)
+        counts["shared"] += len(won) > 1
         for g, e in zip(got, expected):
             if isinstance(e, type):
                 assert g is None
@@ -649,11 +665,12 @@ def _assert_answers_match(answer, run, mech, cfg, rng, exponent, tag):
             else:
                 assert (g.bundle, g.price(), g.had_ties) == e
                 counts["answered"] += 1
-        _assert_reruns_match(mech, inst, j, bundle, amounts, expected)
+        _assert_reruns_match(mech, replaced[j], inst, j, bundle, amounts, expected)
 
     for inst in _rerun_instances(rng, exponent, tag):
+        replaced = {}
         for _ in range(15):
-            check(inst)
+            check(inst, replaced)
         j, bundle, amounts = _rerun_input(rng, inst, exponent)
         old = inst.bids[j]
         child = inst.with_bid(j, SingleMindedBid(old.bidder, bundle, amounts[0], old.is_reserve))
@@ -662,8 +679,9 @@ def _assert_answers_match(answer, run, mech, cfg, rng, exponent, tag):
             child.bids[k].bidder, moved, moved_amounts[0], child.bids[k].is_reserve
         ))
         for member in (child, grandchild):
+            replaced = {}
             for _ in range(3):
-                check(member)
+                check(member, replaced)
     return counts
 
 
@@ -673,10 +691,10 @@ def test_rerun_answer_matches_the_full_run(exponent, rule):
     cfg = NormConfig(exponent, rule)
     rng = random.Random(f"rerun-oracle:{exponent}:{rule.value}")
     counts = _assert_answers_match(
-        greedy.rerun_greedy, run_greedy, greedy_mechanism(cfg), cfg, rng, exponent,
-        "rerun-oracle",
+        run_greedy, greedy_mechanism(cfg), cfg, rng, exponent, "rerun-oracle"
     )
     assert counts["answered"] > 500 and counts["declined"] > 20 and counts["middle"] > 10, counts
+    assert counts["shared"] > 20, counts
     assert (counts["raised"] > 10) == (rule is TieRule.REJECT) == (counts["whole"] > 10), counts
 
 
@@ -688,10 +706,11 @@ def test_clarke_rerun_answer_matches_the_full_run(exponent, rule):
     cfg = NormConfig(exponent, rule)
     rng = random.Random(f"clarke-oracle:{exponent}:{rule.value}")
     counts = _assert_answers_match(
-        exact.rerun_clarke_greedy, exact.clarke_with_greedy, clarke_greedy_mechanism(cfg), cfg,
-        rng, exponent, "clarke-oracle",
+        exact.clarke_with_greedy, clarke_greedy_mechanism(cfg), cfg, rng, exponent,
+        "clarke-oracle",
     )
     assert counts["answered"] > 500 and counts["declined"] > 20 and counts["middle"] > 10, counts
+    assert counts["shared"] > 20, counts
     assert (counts["raised"] > 10) == (rule is TieRule.REJECT) == (counts["whole"] > 10), counts
 
 
@@ -708,8 +727,9 @@ def test_rerun_answer_declines_cube_roots(rule):
     for inst in _rerun_instances(rng, exponent, "rerun-cube"):
         for _ in range(10):
             j, bundle, amounts = _rerun_input(rng, inst, exponent)
-            assert greedy.rerun_greedy(inst, j, bundle, amounts, cfg) is None
+            replaced = mech.bid(inst, j)
+            assert replaced.rerun(bundle, amounts) is None
             expected = _full_runs(run_greedy, inst, j, bundle, amounts, cfg)
-            _assert_reruns_match(mech, inst, j, bundle, amounts, expected)
+            _assert_reruns_match(mech, replaced, inst, j, bundle, amounts, expected)
             outcomes.update(e if isinstance(e, type) else "ran" for e in expected)
     assert ExponentNotSupported in outcomes and "ran" in outcomes

@@ -90,3 +90,14 @@ def test_private_cross_module_imports_pinned():
                 found |= {(path.stem, node.module, alias.name)
                           for alias in node.names if alias.name.startswith("_")}
     assert found == PRIVATE_IMPORTS
+
+
+def test_no_global_statements():
+    # state a function writes at module level is shared by every caller
+    # and thread; what a check keeps lives in an object its caller owns
+    found = []
+    for path in sorted((ROOT / "src" / "camech").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Global):
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
